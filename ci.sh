@@ -5,10 +5,6 @@
 # fixed seed matrix (the `chaos` job in CI); a failure prints the
 # IBDT_CHAOS_SEED value that reproduces it.
 #
-# `./ci.sh --bench-gate` compares a fresh hotpath run against the
-# committed BENCH_hotpath.json and fails on a >15% regression of any
-# gated metric (the `bench-gate` job in CI).
-#
 # `./ci.sh --soak` replays the incast/oversubscription soak suite
 # (64→1 fan-in and 8×8 all-to-all, flow-control invariant auditor on)
 # under the same fixed seed matrix (the `soak` job in CI).
@@ -33,7 +29,6 @@ set -euo pipefail
 cd "$(dirname "$0")"
 
 CHAOS=0
-BENCH_GATE=0
 SOAK=0
 SCALE=0
 CHAOS_SCALE=0
@@ -41,12 +36,11 @@ SHM=0
 for arg in "$@"; do
   case "$arg" in
     --chaos) CHAOS=1 ;;
-    --bench-gate) BENCH_GATE=1 ;;
     --soak) SOAK=1 ;;
     --scale) SCALE=1 ;;
     --chaos-scale) CHAOS_SCALE=1 ;;
     --shm) SHM=1 ;;
-    *) echo "unknown argument: $arg (supported: --chaos, --bench-gate, --soak, --scale, --chaos-scale, --shm)" >&2; exit 2 ;;
+    *) echo "unknown argument: $arg (supported: --chaos, --soak, --scale, --chaos-scale, --shm)" >&2; exit 2 ;;
   esac
 done
 
@@ -72,38 +66,10 @@ cargo test --workspace -q
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> bench smoke (hotpath -> BENCH_hotpath.json)"
-./target/release/hotpath > /dev/null
-python3 - <<'EOF'
-import json
-d = json.load(open("BENCH_hotpath.json"))
-assert d, "BENCH_hotpath.json is empty"
-for name, v in d.items():
-    assert "ns_per_op" in v and "bytes_per_sec" in v and "allocs_per_op" in v, \
-        f"bad entry {name}"
-steady = next(v for k, v in d.items()
-              if k.startswith("repeated_send/persistent_eager/"))
-assert steady["allocs_per_op"] == 0, \
-    f"steady-state sends allocate: {steady['allocs_per_op']}/op"
-# The hotpath binary itself asserts 3 spellings -> 1 plan compile;
-# here we hold the canonical-hit lookup to its zero-alloc contract.
-canon = next(v for k, v in d.items()
-             if k.startswith("canon/respelled_lookup/"))
-assert canon["allocs_per_op"] == 0, \
-    f"canonical-hit lookup allocates: {canon['allocs_per_op']}/op"
-print(f"BENCH_hotpath.json OK ({len(d)} entries, "
-      f"repeated-send speedup {d['repeated_send/speedup']['ns_per_op']:.2f}x, "
-      f"steady-state allocs/op 0, canonical-hit allocs/op 0)")
-EOF
-
-if [[ "$BENCH_GATE" == 1 ]]; then
-  echo "==> bench gate (>15% regression vs committed BENCH_hotpath.json fails)"
-  # The smoke run above overwrote the working-tree JSON; gate against
-  # the committed baseline, which is what every refresh was measured
-  # into.
-  git show HEAD:BENCH_hotpath.json > target/bench_baseline.json
-  python3 tools/bench_gate.py target/bench_baseline.json BENCH_hotpath.json
-fi
+echo "==> perfbench self-tests"
+# perfbench is a workspace of its own, so `cargo test --workspace`
+# never reaches it; its build lands under target/ like everything else.
+CARGO_TARGET_DIR=target/perfbench cargo test --release -q --manifest-path perfbench/Cargo.toml
 
 if [[ "$CHAOS" == 1 ]]; then
   # Same matrix as the `chaos` CI job: each seed re-derives every

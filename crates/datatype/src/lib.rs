@@ -10,9 +10,11 @@
 //! * [`dataloop`] — compilation of a type tree into *dataloops*
 //!   (Ross/Miller/Gropp, ref [26]): a compact loop representation with
 //!   leaf coalescing, used for O(depth) partial traversal,
-//! * [`segment`] — **partial datatype processing** (§4.3.1): packing and
-//!   unpacking of arbitrary stream-offset ranges, which is what lets
-//!   BC-SPUP and RWG-UP start and stop packing at segment boundaries,
+//! * [`segment`] — **partial datatype processing** (§4.3.1) by a direct
+//!   dataloop walk: packing and unpacking of arbitrary stream-offset
+//!   ranges. Production paths use [`plan`]; `Segment` is kept as the
+//!   independent oracle the plan-equivalence and property tests compare
+//!   against,
 //! * [`flat`] — flattening to `<offset, length>` tuple lists (§5.4.2),
 //!   block statistics for adaptive scheme selection (§6), and the wire
 //!   serialization of layouts sent to the peer in Multi-W,
@@ -21,7 +23,9 @@
 //!   sender-side layout cache,
 //! * [`plan`] — compiled transfer plans: per-(type, count) precomputed
 //!   run lists with prefix-sum resume indexes, shared across every chunk
-//!   of a message so the hot path never re-walks the dataloop,
+//!   of a message so the hot path never re-walks the dataloop; this is
+//!   what lets BC-SPUP and RWG-UP start and stop packing at segment
+//!   boundaries,
 //! * [`kernel`] — specialized copy kernels (contiguous, constant-stride,
 //!   two-level blocked, generic) classified from the merged block list
 //!   at plan-compile time and executed symmetrically by pack and unpack.

@@ -6,10 +6,13 @@
 //! independently — the partial datatype processing of §4.3.1 that
 //! BC-SPUP and segment unpack in RWG-UP are built on.
 //!
-//! This module operates on plain byte slices; the MPI runtime adapts it
-//! to simulated address spaces. `buf_base` is the slice index of the
-//! element with datatype offset 0 (needed because MPI displacements may
-//! be negative).
+//! The runtime packs through compiled
+//! [`TransferPlan`](crate::TransferPlan)s; `Segment` walks the dataloop
+//! directly and serves as the reference the plans are tested against.
+//!
+//! It operates on plain byte slices. `buf_base` is the slice index of
+//! the element with datatype offset 0 (needed because MPI displacements
+//! may be negative).
 
 use crate::typ::Datatype;
 use std::fmt;

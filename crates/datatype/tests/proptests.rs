@@ -407,7 +407,7 @@ fn wide_block_kernels_equal_naive_walk() {
 
 #[test]
 fn bench_shape_const_stride_equals_naive_walk() {
-    // The hotpath benchmark shape: vector(128, 64, 4096, int) — 128
+    // The x1 sweep shape: vector(128, 64, 4096, int) — 128
     // blocks of 256 B at a 16 KiB stride. Large enough that the AVX2
     // kernel's software prefetch runs several blocks ahead of the
     // copy; the walk must stay byte-identical to the naive segment

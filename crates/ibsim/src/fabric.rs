@@ -436,38 +436,6 @@ impl Default for DirState {
     }
 }
 
-thread_local! {
-    /// Receive rings retired by dropped fabrics; a fresh fabric's first
-    /// posts adopt them, so a sweep building one short-lived cluster
-    /// per point pays the ring-growth allocations only once per thread.
-    static RECVQ_SPARE: std::cell::RefCell<Vec<VecDeque<RecvWr>>> =
-        const { std::cell::RefCell::new(Vec::new()) };
-}
-
-/// Cap on the retired receive-ring list.
-const RECVQ_SPARE_CAP: usize = 32;
-
-impl Drop for Fabric {
-    fn drop(&mut self) {
-        // try_with: thread teardown may have destroyed the spare list.
-        let _ = RECVQ_SPARE.try_with(|s| {
-            let mut s = s.borrow_mut();
-            for n in &mut self.nodes {
-                for (_, q) in n.recvq.iter_touched_mut() {
-                    if s.len() >= RECVQ_SPARE_CAP {
-                        return;
-                    }
-                    if q.capacity() > 0 {
-                        let mut q = std::mem::take(q);
-                        q.clear();
-                        s.push(q);
-                    }
-                }
-            }
-        });
-    }
-}
-
 /// The simulated InfiniBand fabric.
 #[derive(Debug)]
 pub struct Fabric {
@@ -1267,17 +1235,9 @@ impl Fabric {
         let n = &mut self.nodes[node as usize];
         let q = &mut n.recvq[peer as usize];
         if q.capacity() == 0 {
-            // First post on this direction: adopt a ring retired by a
-            // previous fabric on this thread, or size one in a single
-            // step instead of dribbling through doubling growth.
-            match RECVQ_SPARE
-                .try_with(|s| s.borrow_mut().pop())
-                .ok()
-                .flatten()
-            {
-                Some(spare) => *q = spare,
-                None => q.reserve(16),
-            }
+            // First post on this direction: size the ring in one step
+            // instead of dribbling through doubling growth.
+            q.reserve(16);
         }
         q.push_back(wr);
         if !n.parked[peer as usize].is_empty() {

@@ -10,7 +10,7 @@ use crate::error::MpiError;
 use crate::progress::{self, ActiveMsgs, Ctx, Ev};
 use crate::rank::RankState;
 use crate::stats::RunStats;
-use ibdt_datatype::Datatype;
+use ibdt_datatype::{Datatype, TransferPlan};
 use ibdt_ibsim::{
     Cqe, Fabric, FaultPlan, HostConfig, NetConfig, NodeMem, Payload, RecvWr, Sge, SgeList,
     ShmChannel, Transport, TransportConfig,
@@ -324,38 +324,6 @@ impl Backend {
     }
 }
 
-thread_local! {
-    /// Recycled simulation engines: [`Cluster::run`] returns its
-    /// engine here (reset, capacity retained) and the next run takes
-    /// it back, so a parameter sweep stops re-growing the event-wheel
-    /// arena after its first point. A reset engine is bit-identical in
-    /// behaviour to a fresh one (see [`Engine::reset`]).
-    static ENGINE_SPARE: std::cell::RefCell<Vec<Engine<Cluster>>> =
-        const { std::cell::RefCell::new(Vec::new()) };
-}
-
-/// Engine spare-list bound (an idle engine holds a few tens of KiB of
-/// arena capacity).
-const ENGINE_SPARE_CAP: usize = 8;
-
-fn take_engine() -> Engine<Cluster> {
-    ENGINE_SPARE
-        .try_with(|s| s.borrow_mut().pop())
-        .ok()
-        .flatten()
-        .unwrap_or_default()
-}
-
-fn recycle_engine(mut e: Engine<Cluster>) {
-    e.reset();
-    let _ = ENGINE_SPARE.try_with(|s| {
-        let mut s = s.borrow_mut();
-        if s.len() < ENGINE_SPARE_CAP {
-            s.push(e);
-        }
-    });
-}
-
 #[derive(Debug)]
 enum Blocked {
     No,
@@ -396,17 +364,21 @@ pub struct Cluster {
     /// so [`RunStats`] reports this cluster's pool activity as deltas.
     payload_pool_base: (u64, u64),
     space_pool_base: (u64, u64, u64),
+    /// The event engine, kept between runs so a recycled cluster's
+    /// next run reuses the event-wheel arena instead of re-growing it.
+    /// `None` until the first run; a reset engine behaves exactly like
+    /// a fresh one (see [`Engine::reset`]).
+    engine: Option<Engine<Cluster>>,
 }
 
 thread_local! {
     /// Retired clusters waiting for an identical spec to come around
     /// again. A parameter sweep varies message geometry but rebuilds
     /// the same cluster shape per point; recycling the whole `Cluster`
-    /// (fabric queues, address spaces, rank state, caches) removes the
-    /// per-point construction allocations that remain after the
-    /// engine/page/payload pools. A reset cluster is bit-identical in
-    /// behaviour to a fresh one built on a warm thread (see
-    /// [`Cluster::reset`]).
+    /// (fabric queues, address spaces, rank state, caches, event
+    /// engine) removes the per-point construction allocations. A reset
+    /// cluster is bit-identical in behaviour to a fresh one built on a
+    /// warm thread (see [`Cluster::reset`]).
     static CLUSTER_SPARE: std::cell::RefCell<Vec<Cluster>> =
         const { std::cell::RefCell::new(Vec::new()) };
 }
@@ -523,6 +495,7 @@ impl Cluster {
             cqe_buf: Vec::new(),
             payload_pool_base,
             space_pool_base,
+            engine: None,
         }
     }
 
@@ -612,7 +585,7 @@ impl Cluster {
             blocked: Blocked::No,
             finished_at: None,
         }));
-        let mut engine: Engine<Cluster> = take_engine();
+        let mut engine = std::mem::take(&mut self.engine).unwrap_or_default();
         for r in 0..self.spec.nprocs {
             engine.seed(0, Ev::Resume { rank: r });
         }
@@ -677,7 +650,8 @@ impl Cluster {
             self.audit_invariants(clean);
         }
         let events_scheduled = engine.events_scheduled();
-        recycle_engine(engine);
+        engine.reset();
+        self.engine = Some(engine);
         self.collect_stats(finish, events_scheduled)
     }
 
@@ -990,21 +964,20 @@ impl Cluster {
         ty: &Datatype,
         op: ReduceOp,
     ) {
-        use ibdt_datatype::Segment;
         let r = rank as usize;
         let prim = ty
             .uniform_primitive()
             .expect("reductions require a uniform-primitive datatype");
-        let seg = Segment::new(ty, count);
-        let n = seg.total_bytes();
+        let plan = TransferPlan::compile(ty, count);
+        let n = plan.total_bytes();
         let space = &self.mems[r].space;
         let cap = space.capacity();
         let mem = space.slice(0, cap).expect("whole space view");
         let mut a = vec![0u8; n as usize];
         let mut b = vec![0u8; n as usize];
-        seg.pack(0, n, mem, dst as usize, &mut a)
+        plan.pack(0, n, mem, dst as usize, &mut a)
             .expect("dst covers the datatype");
-        seg.pack(0, n, mem, src as usize, &mut b)
+        plan.pack(0, n, mem, src as usize, &mut b)
             .expect("src covers the datatype");
         let w = prim.size() as usize;
         let mut failed = None;
@@ -1024,20 +997,17 @@ impl Cluster {
         }
         // Narrow the mutable view to the blocks' envelope so dirty
         // tracking (backing-store recycling) stays proportional to the
-        // destination buffer, not the whole space.
-        let (env_lo, env_hi) = seg
-            .blocks()
-            .iter()
-            .fold((0i128, 0i128), |(lo, hi), &(o, l)| {
-                (lo.min(o as i128), hi.max(o as i128 + l as i128))
-            });
+        // destination buffer, not the whole space. The envelope is
+        // widened to include the datatype origin.
+        let (env_lo, env_hi) = plan.envelope();
+        let (env_lo, env_hi) = (env_lo.min(0), env_hi.max(0));
         let space = &mut self.mems[r].space;
         let vstart = ((dst as i128 + env_lo).clamp(0, cap as i128) as u64).min(dst.min(cap));
         let vend = (dst as i128 + env_hi).clamp(vstart as i128, cap as i128) as u64;
         let mem = space
             .slice_mut(vstart, vend - vstart)
             .expect("envelope view in range");
-        seg.unpack(0, n, &a, mem, (dst - vstart) as usize)
+        plan.unpack(0, n, &a, mem, (dst - vstart) as usize)
             .expect("dst covers the datatype");
         // Cost: read both operands, write one, ~1 ns/element ALU.
         let cost =

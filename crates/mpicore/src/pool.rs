@@ -46,16 +46,8 @@ impl SegmentPool {
         let count = total_size / seg_size;
         let base = space.alloc_page_aligned(count * seg_size)?;
         let reg = regs.register(base, count * seg_size);
-        // LIFO with the lowest addresses on top. The list itself is
-        // recycled through the thread-local spare so sweeps that build
-        // one cluster per point stop paying for it after the first.
-        let mut free: Vec<Va> = SPARE
-            .try_with(|s| s.borrow_mut().vas.pop())
-            .ok()
-            .flatten()
-            .unwrap_or_default();
-        free.clear();
-        free.extend((0..count).rev().map(|i| base + i * seg_size));
+        // LIFO with the lowest addresses on top.
+        let free: Vec<Va> = (0..count).rev().map(|i| base + i * seg_size).collect();
         Ok(Self {
             seg_size,
             base,
@@ -165,21 +157,6 @@ impl SegmentPool {
     }
 }
 
-impl Drop for SegmentPool {
-    fn drop(&mut self) {
-        let _ = SPARE.try_with(|s| {
-            let mut s = s.borrow_mut();
-            if s.vas.len() < SPARE_CAP {
-                let mut v = std::mem::take(&mut self.free);
-                v.clear();
-                if v.capacity() > 0 {
-                    s.vas.push(v);
-                }
-            }
-        });
-    }
-}
-
 /// Reusable host-side scratch buffers for the zero-allocation hot
 /// path: packed-byte staging (`Vec<u8>`), block/SGE lists
 /// (`Vec<(Va, u64)>`), and block-length lists (`Vec<u64>`). Buffers
@@ -192,7 +169,10 @@ impl Drop for SegmentPool {
 /// free-list, and a fresh pool's first takes refill from it — the same
 /// recycling the payload slabs use. A parameter sweep that builds one
 /// short-lived cluster per point therefore stops paying scratch
-/// warm-up allocations after its first iteration.
+/// warm-up allocations after its first iteration. The spill also keeps
+/// `RunStats::scratch_pool` honest: a fresh cluster on a warm thread
+/// counts the same reuses as a recycled one, which `tests/recycle.rs`
+/// fingerprints.
 #[derive(Debug, Default)]
 pub struct ScratchPool {
     bytes: Vec<Vec<u8>>,
@@ -211,7 +191,6 @@ thread_local! {
             blocks: Vec::new(),
             lens: Vec::new(),
             stage: Vec::new(),
-            vas: Vec::new(),
             sets: Vec::new(),
         })
     };
@@ -222,7 +201,6 @@ struct ScratchSpare {
     blocks: Vec<Vec<(Va, u64)>>,
     lens: Vec<Vec<u64>>,
     stage: Vec<Vec<StageBuf>>,
-    vas: Vec<Vec<Va>>,
     sets: Vec<HashSet<u32>>,
 }
 

@@ -24,7 +24,7 @@ use crate::error::MpiError;
 use crate::plan::plan_multi_w;
 use crate::progress::{Ctx, WR_RMA};
 use crate::rank::RankState;
-use ibdt_datatype::{Datatype, Segment};
+use ibdt_datatype::Datatype;
 use ibdt_ibsim::{Opcode, SendWr, Sge};
 use ibdt_memreg::{ogr, Va};
 
@@ -259,11 +259,6 @@ fn local_copy(
     rs.cpu.reserve_labeled(ctx.now(), cost, "pack");
 }
 
-/// Segment-based size helper shared with tests.
-pub fn message_size(ty: &Datatype, count: u64) -> u64 {
-    Segment::new(ty, count).total_bytes()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -276,11 +271,5 @@ mod tests {
             rkey: 7,
         };
         assert_eq!(w, w);
-    }
-
-    #[test]
-    fn message_size_matches_segment() {
-        let ty = Datatype::vector(4, 2, 8, &Datatype::int()).unwrap();
-        assert_eq!(message_size(&ty, 3), 3 * ty.size());
     }
 }

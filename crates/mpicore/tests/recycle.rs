@@ -15,9 +15,18 @@ use ibdt_mpicore::{
     AppOp, Cluster, ClusterSpec, Program, Scheme, ShmConfig, ShmCopyMode, TransportConfig,
 };
 use ibdt_testkit::CountingAlloc;
+use std::sync::{Mutex, MutexGuard};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
+
+/// The allocation counter is process-global: every test here holds
+/// this lock, so no sibling test's allocations land in a measured run.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn ib_spec(scheme: Scheme) -> ClusterSpec {
     let mut spec = ClusterSpec::default();
@@ -111,7 +120,7 @@ fn run_workload(spec: &ClusterSpec, cols: u64, recycle: bool) -> (String, Vec<u8
 /// warm-thread run exactly, while constructing with strictly fewer
 /// allocations.
 fn assert_recycled_identical(spec: &ClusterSpec) {
-    // Cold run: warms the thread-local engine/space/page pools the way
+    // Cold run: warms the thread-local scratch/space/payload pools the way
     // any sweep's first point does. Dropped, not recycled, so the next
     // build is a true fresh-on-warm-thread reference.
     let _ = run_workload(spec, 4, false);
@@ -129,21 +138,25 @@ fn assert_recycled_identical(spec: &ClusterSpec) {
 
 #[test]
 fn recycled_run_bit_identical_ib() {
+    let _serial = serial();
     assert_recycled_identical(&ib_spec(Scheme::BcSpup));
 }
 
 #[test]
 fn recycled_run_bit_identical_ib_adaptive() {
+    let _serial = serial();
     assert_recycled_identical(&ib_spec(Scheme::Adaptive));
 }
 
 #[test]
 fn recycled_run_bit_identical_shm_double() {
+    let _serial = serial();
     assert_recycled_identical(&shm_spec(ShmCopyMode::Double));
 }
 
 #[test]
 fn recycled_run_bit_identical_shm_single() {
+    let _serial = serial();
     assert_recycled_identical(&shm_spec(ShmCopyMode::Single));
 }
 
@@ -176,6 +189,7 @@ fn scrub_pool_stats(fp: &str) -> String {
 /// must equal running Q on a fresh cluster.
 #[test]
 fn recycled_cluster_forgets_previous_run() {
+    let _serial = serial();
     let spec = ib_spec(Scheme::BcSpup);
     let _ = run_workload(&spec, 4, false); // warm pools
     // Fresh reference for workload Q (64 columns -> rendezvous).
@@ -192,10 +206,57 @@ fn recycled_cluster_forgets_previous_run() {
     assert_eq!(q_fresh_mem, q_rec_mem);
 }
 
+/// The spec-miss path: cycling through more specs than the cluster
+/// pool holds (as a sweep over every scheme and transport does) evicts
+/// each parked cluster before its spec comes round again, so every
+/// build in the cycle is fresh, on a thread whose pools are partly
+/// held captive by the parked clusters. Those rebuilds must
+/// fingerprint exactly like a fresh build of the same spec, up to the
+/// pool deltas (the recycled address spaces' dirty-page history moves
+/// `space_pool`'s zeroed-byte count).
+#[test]
+fn evicted_specs_rebuild_like_fresh() {
+    let _serial = serial();
+    let specs: Vec<ClusterSpec> = [
+        Scheme::Generic,
+        Scheme::BcSpup,
+        Scheme::RwgUp,
+        Scheme::PRrs,
+        Scheme::MultiW,
+        Scheme::Adaptive,
+    ]
+    .into_iter()
+    .map(ib_spec)
+    .chain([ShmCopyMode::Double, ShmCopyMode::Single].map(shm_spec))
+    .collect();
+    let _ = run_workload(&specs[0], 4, false); // warm pools
+    let fresh: Vec<(String, Vec<u8>)> = specs
+        .iter()
+        .map(|spec| {
+            let (fp, mem, _) = run_workload(spec, 64, false);
+            (scrub_pool_stats(&fp), mem)
+        })
+        .collect();
+    for round in 0..2 {
+        for (spec, (fresh_fp, fresh_mem)) in specs.iter().zip(&fresh) {
+            let (fp, mem, _) = run_workload(spec, 64, true);
+            assert_eq!(
+                &scrub_pool_stats(&fp),
+                fresh_fp,
+                "round {round}: rebuilt {:?} / {:?} diverged from a fresh build",
+                spec.mpi.scheme,
+                spec.transport
+            );
+            assert_eq!(&mem, fresh_mem);
+        }
+    }
+}
+
 /// Pool keying is exact spec equality: a recycled cluster must not be
 /// handed to a spec that differs (here: a different scheme).
 #[test]
 fn recycle_keyed_on_spec_equality() {
+    let _serial = serial();
     let spec_a = ib_spec(Scheme::BcSpup);
     let spec_b = ib_spec(Scheme::MultiW);
     let _ = run_workload(&spec_b, 4, false); // warm pools

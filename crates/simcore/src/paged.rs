@@ -26,115 +26,11 @@
 //! materialized footprint so scaling figures can plot memory against
 //! *active* pairs rather than n².
 
-use std::alloc::Layout;
-use std::cell::RefCell;
 use std::fmt;
-use std::ptr::NonNull;
 
 /// Entries per page. 64 keeps a page of word-sized entries inside a
 /// few cache lines and makes the slot index a single 6-bit mask.
 pub const PAGE: usize = 64;
-
-/// Per-thread spare list of dropped page allocations, keyed by layout.
-///
-/// A parameter sweep builds one short-lived world per point, and every
-/// world re-materializes the same handful of pages on first touch —
-/// the last fixed per-iteration allocation burst after the payload
-/// slabs and scratch buffers were pooled. Pages hold *typed* entries,
-/// so the spare stores raw memory only: entries are dropped before a
-/// page is stashed and rewritten before it is reused, and two tables
-/// with different entry types can swap allocations as long as the
-/// layouts (size *and* alignment) match exactly.
-struct SparePages(Vec<(Layout, NonNull<u8>)>);
-
-impl Drop for SparePages {
-    fn drop(&mut self) {
-        for (layout, ptr) in self.0.drain(..) {
-            // SAFETY: every stashed pointer was allocated by the
-            // global allocator with exactly this layout (see
-            // `stash_page`).
-            unsafe { std::alloc::dealloc(ptr.as_ptr(), layout) };
-        }
-    }
-}
-
-thread_local! {
-    static PAGE_SPARE: RefCell<SparePages> = const { RefCell::new(SparePages(Vec::new())) };
-}
-
-/// Spare-list bound: pages are a few KiB each, so this caps idle spare
-/// memory per thread at a few hundred KiB.
-const PAGE_SPARE_CAP: usize = 128;
-
-/// The allocation layout of one page, or `None` for zero-sized entries
-/// (which never hit the allocator and are not pooled).
-fn page_layout<T>() -> Option<Layout> {
-    if std::mem::size_of::<T>() == 0 {
-        return None;
-    }
-    Layout::array::<T>(PAGE).ok()
-}
-
-/// Builds a default-filled page, reusing a recycled allocation of the
-/// same layout when one is available.
-fn make_page<T>(default: &T, make: fn(&T) -> T) -> Box<[T]> {
-    if let Some(layout) = page_layout::<T>() {
-        let spare = PAGE_SPARE
-            .try_with(|s| {
-                let mut s = s.borrow_mut();
-                s.0.iter()
-                    .position(|&(l, _)| l == layout)
-                    .map(|i| s.0.swap_remove(i).1)
-            })
-            .ok()
-            .flatten();
-        if let Some(ptr) = spare {
-            let ptr = ptr.as_ptr() as *mut T;
-            // SAFETY: the allocation came from the global allocator
-            // with exactly `layout == Layout::array::<T>(PAGE)` —
-            // size and alignment both match — and every slot is
-            // initialized before the box is assembled. A panicking
-            // `make` leaks the allocation and the slots written so
-            // far, which is safe, merely wasteful.
-            unsafe {
-                for i in 0..PAGE {
-                    ptr.add(i).write(make(default));
-                }
-                return Box::from_raw(std::ptr::slice_from_raw_parts_mut(ptr, PAGE));
-            }
-        }
-    }
-    (0..PAGE).map(|_| make(default)).collect()
-}
-
-/// Drops a page's entries and stashes its allocation for reuse.
-fn stash_page<T>(page: Box<[T]>) {
-    let Some(layout) = page_layout::<T>() else {
-        return;
-    };
-    debug_assert_eq!(page.len(), PAGE);
-    let raw: *mut [T] = Box::into_raw(page);
-    // SAFETY: the box is owned here; the entries are dropped exactly
-    // once, after which the allocation is plain raw memory. A panic in
-    // an entry's Drop leaks the allocation — safe, merely wasteful.
-    unsafe { std::ptr::drop_in_place(raw) };
-    let ptr = NonNull::new(raw as *mut u8).expect("box pointer is non-null");
-    let kept = PAGE_SPARE
-        .try_with(|s| {
-            let mut s = s.borrow_mut();
-            if s.0.len() < PAGE_SPARE_CAP {
-                s.0.push((layout, ptr));
-                true
-            } else {
-                false
-            }
-        })
-        .unwrap_or(false);
-    if !kept {
-        // SAFETY: allocated by the global allocator with `layout`.
-        unsafe { std::alloc::dealloc(ptr.as_ptr(), layout) };
-    }
-}
 
 const PAGE_SHIFT: u32 = PAGE.trailing_zeros();
 const PAGE_MASK: usize = PAGE - 1;
@@ -230,7 +126,7 @@ impl<T> PagedTable<T> {
         }
         let slot = &mut self.pages[pi];
         if slot.is_none() {
-            *slot = Some(make_page(&self.default, self.make));
+            *slot = Some((0..PAGE).map(|_| (self.make)(&self.default)).collect());
             self.live_pages += 1;
         }
         &mut self.pages[pi].as_mut().expect("materialized above")[i & PAGE_MASK]
@@ -249,12 +145,6 @@ impl<T> PagedTable<T> {
         }
     }
 
-    /// True when entry `i`'s page is materialized.
-    #[inline]
-    pub fn touched(&self, i: usize) -> bool {
-        matches!(self.pages.get(i >> PAGE_SHIFT), Some(Some(_)))
-    }
-
     /// Iterates `(index, &entry)` over materialized pages only —
     /// untouched entries (which read as defaults) are skipped, so a
     /// sweep over a sparse table is O(touched), not O(len).
@@ -265,19 +155,6 @@ impl<T> PagedTable<T> {
             .filter_map(|(pi, p)| p.as_ref().map(|p| (pi, p)))
             .flat_map(|(pi, p)| {
                 p.iter()
-                    .enumerate()
-                    .map(move |(s, e)| ((pi << PAGE_SHIFT) + s, e))
-            })
-    }
-
-    /// Iterates `(index, &mut entry)` over materialized pages only.
-    pub fn iter_touched_mut(&mut self) -> impl Iterator<Item = (usize, &mut T)> {
-        self.pages
-            .iter_mut()
-            .enumerate()
-            .filter_map(|(pi, p)| p.as_mut().map(|p| (pi, p)))
-            .flat_map(|(pi, p)| {
-                p.iter_mut()
                     .enumerate()
                     .map(move |(s, e)| ((pi << PAGE_SHIFT) + s, e))
             })
@@ -309,14 +186,6 @@ impl<T> PagedTable<T> {
     pub fn heap_bytes(&self) -> usize {
         self.pages.capacity() * std::mem::size_of::<Option<Box<[T]>>>()
             + self.live_pages * PAGE * std::mem::size_of::<T>()
-    }
-}
-
-impl<T> Drop for PagedTable<T> {
-    fn drop(&mut self) {
-        for page in self.pages.drain(..).flatten() {
-            stash_page(page);
-        }
     }
 }
 
@@ -446,33 +315,6 @@ mod tests {
         // materialized anywhere near the full key space... but with
         // 2^14 keys and 2^8 pages it will have. Just bound sanity:
         assert!(paged.pages_touched() <= N / PAGE);
-    }
-
-    #[test]
-    fn dropped_pages_are_recycled_across_tables() {
-        // Warm the spare with one table's pages, then confirm a fresh
-        // table of a *different* entry type with the same page layout
-        // behaves identically (the spare hands out raw memory only).
-        let mut a: PagedTable<u64> = PagedTable::new(1024);
-        for i in 0..1024 {
-            *a.get_mut(i) = i as u64 + 1;
-        }
-        drop(a);
-        let mut b: PagedTable<i64> = PagedTable::new(1024);
-        for i in 0..1024 {
-            assert_eq!(*b.get(i), 0, "untouched entries read the default");
-            *b.get_mut(i) = -(i as i64);
-        }
-        for i in 0..1024 {
-            assert_eq!(*b.get(i), -(i as i64));
-        }
-        // Entry types with heap payloads round-trip too (drops run at
-        // stash time, defaults are rebuilt at reuse time).
-        drop(b);
-        let mut c: PagedTable<Vec<u64>> = PagedTable::new(256);
-        c.get_mut(7).push(9);
-        assert_eq!(c.get(7).as_slice(), &[9]);
-        assert!(c.get(8).is_empty());
     }
 
     #[test]

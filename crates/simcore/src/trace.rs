@@ -44,35 +44,6 @@ pub struct Trace {
     spans: Vec<Span>,
 }
 
-thread_local! {
-    /// Dropped traces spill their span buffers here and fresh traces'
-    /// first record takes one back: every traced resource of a
-    /// short-lived world (one per sweep point) otherwise pays one
-    /// first-record allocation per world.
-    static SPARE: std::cell::RefCell<Vec<Vec<Span>>> =
-        const { std::cell::RefCell::new(Vec::new()) };
-}
-
-/// Spare-list bound (a span buffer is ~1.5 KiB at first-record size).
-const SPARE_CAP: usize = 64;
-
-impl Drop for Trace {
-    fn drop(&mut self) {
-        if self.spans.capacity() == 0 {
-            return;
-        }
-        // try_with: thread teardown may have destroyed the spare list.
-        let _ = SPARE.try_with(|s| {
-            let mut s = s.borrow_mut();
-            if s.len() < SPARE_CAP {
-                let mut v = std::mem::take(&mut self.spans);
-                v.clear();
-                s.push(v);
-            }
-        });
-    }
-}
-
 impl Trace {
     /// Creates an empty trace.
     pub fn new() -> Self {
@@ -82,17 +53,11 @@ impl Trace {
     /// Appends a span. The first record reserves a block of capacity
     /// up front: traces sit on simulation hot paths (every resource
     /// reservation lands here), so growth must not dribble out one
-    /// doubling at a time. A recycled buffer from a dropped trace is
-    /// preferred over a fresh allocation.
+    /// doubling at a time.
     pub fn record(&mut self, start: Time, end: Time, label: &'static str) {
         debug_assert!(start <= end, "span must not be inverted");
         if self.spans.capacity() == 0 {
-            if let Some(v) = SPARE.try_with(|s| s.borrow_mut().pop()).ok().flatten() {
-                self.spans = v;
-            }
-            if self.spans.capacity() == 0 {
-                self.spans.reserve(64);
-            }
+            self.spans.reserve(64);
         }
         self.spans.push(Span { start, end, label });
     }
