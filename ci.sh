@@ -49,8 +49,8 @@ echo "==> lint: no HashMap on the hot path"
 # §12); a HashMap reintroduces per-message hashing and rehash
 # allocation. Escape hatch for a justified exception: put the token
 # allow-hashmap in a comment on the same line.
-if grep -n "HashMap" crates/mpicore/src/progress.rs crates/ibsim/src/fabric.rs \
-    | grep -v "allow-hashmap"; then
+if grep -n "HashMap" crates/mpicore/src/progress.rs crates/mpicore/src/plan.rs \
+    crates/ibsim/src/fabric.rs | grep -v "allow-hashmap"; then
   echo "error: HashMap used in a hot-path module; use the dense tables" \
        "in mpicore::table / a simcore::Slab, or annotate the line with" \
        "an allow-hashmap comment explaining why." >&2
@@ -59,6 +59,9 @@ fi
 
 echo "==> cargo build --release"
 cargo build --release --workspace
+
+echo "==> figures byte-identical to results/"
+./tools/figcheck.sh
 
 echo "==> cargo test -q"
 cargo test --workspace -q

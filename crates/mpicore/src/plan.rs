@@ -1,58 +1,173 @@
-//! Pure planning helpers for the copy-reduced schemes.
+//! Pure planners for the rendezvous data path.
 //!
-//! These functions turn block lists into RDMA work-request plans and are
-//! kept free of protocol state so they can be unit-tested exhaustively:
+//! Every scheme moves data with the same few verbs (§4–5); they differ
+//! only in which blocks feed which work requests. These functions turn
+//! block lists into complete work requests and keep no protocol state,
+//! so each is unit-tested here and the progress engine only posts what
+//! they return:
 //!
-//! * [`chunk_gather`] — split a block list into gather lists of at most
-//!   `max_sge` entries (RWG-UP, §5.1),
+//! * [`plan_gather`] — split a block list into gather lists of at most
+//!   `max_sge` entries landing on consecutive remote bytes (RWG-UP
+//!   segments, Hybrid direct blocks, P-RRS reads; §5.1),
 //! * [`plan_multi_w`] — pair the sender's and receiver's block lists
 //!   stream-wise into one RDMA write per *receiver-contiguous* range
-//!   with a sender gather list (Multi-W, §5.3/§5.4.2). The two sides may
-//!   have completely different layouts; blocks are split at every
-//!   boundary mismatch.
+//!   with a sender gather list (Multi-W, §5.3/§5.4.2, and one-sided
+//!   Put/Get). The two sides may have completely different layouts;
+//!   blocks are split at every boundary mismatch,
+//! * [`hybrid_partition`] and [`for_each_substream_piece`] — the §10
+//!   Hybrid split of a stream into directly written blocks and a packed
+//!   substream, and the map from that substream back to the stream.
 
 use ibdt_datatype::{Datatype, TransferPlan, TypeRegistry};
-use ibdt_memreg::Va;
-use std::collections::HashMap;
+use ibdt_ibsim::{Opcode, SendWr, Sge, SgeList};
+use ibdt_memreg::{Registration, Va};
+use std::collections::HashMap; // allow-hashmap: plan caches below
 use std::sync::{Arc, Mutex};
 
-/// One planned RDMA write: gather `sges` (absolute addresses) into the
-/// contiguous destination `dst`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PlannedWr {
-    /// Source gather list: `(addr, len)` pairs.
-    pub sges: Vec<(Va, u64)>,
-    /// Destination address (contiguous).
-    pub dst: Va,
-    /// Total bytes (== sum of sge lens).
-    pub len: u64,
+/// How the last work request of a planned batch announces itself: an
+/// immediate turns its write into a write-with-immediate (the
+/// receiver's arrival notification), and `signaled` asks for a local
+/// completion. Earlier requests of the batch carry neither.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Tail {
+    /// Immediate data for the last write.
+    pub imm: Option<u32>,
+    /// Whether the last request generates a local completion.
+    pub signaled: bool,
 }
 
-/// Splits `blocks` into chunks of at most `max_sge` entries, returning
-/// for each chunk its gather list and total length.
-pub fn chunk_gather(blocks: &[(Va, u64)], max_sge: usize) -> Vec<(Vec<(Va, u64)>, u64)> {
-    assert!(max_sge > 0);
-    blocks
-        .chunks(max_sge)
-        .map(|c| (c.to_vec(), c.iter().map(|&(_, l)| l).sum()))
-        .collect()
+impl Tail {
+    /// Ends a batch with a write-with-immediate carrying `imm`.
+    pub fn imm(imm: u32, signaled: bool) -> Self {
+        Tail {
+            imm: Some(imm),
+            signaled,
+        }
+    }
+
+    /// Ends a batch with a signaled request and no immediate.
+    pub const SIGNALED: Self = Tail {
+        imm: None,
+        signaled: true,
+    };
 }
 
-/// Plans the Multi-W write list.
+/// Maps a local or remote range `(addr, len)` to the key covering it.
+pub trait KeyFn: Fn(Va, u64) -> u32 {}
+
+impl<F: Fn(Va, u64) -> u32> KeyFn for F {}
+
+/// What every work request of one planned batch shares.
+pub struct WrFrame<L, R> {
+    /// Identifier returned in the completions.
+    pub wr_id: u64,
+    /// RDMA read (scatter into the local list) instead of write.
+    pub read: bool,
+    /// The HCA's gather-list limit.
+    pub max_sge: usize,
+    /// Local key covering a gather entry.
+    pub lkey: L,
+    /// Remote key covering a destination range.
+    pub rkey: R,
+}
+
+impl<L: KeyFn, R: KeyFn> WrFrame<L, R> {
+    /// A frame for RDMA writes.
+    pub fn write(wr_id: u64, max_sge: usize, lkey: L, rkey: R) -> Self {
+        WrFrame {
+            wr_id,
+            read: false,
+            max_sge,
+            lkey,
+            rkey,
+        }
+    }
+
+    /// One work request gathering `sges` (absolute local ranges) into
+    /// the remote range starting at `dst`.
+    pub fn wr(&self, sges: &[(Va, u64)], dst: Va, tail: Tail) -> SendWr {
+        let sges: SgeList = sges
+            .iter()
+            .map(|&(addr, len)| Sge {
+                addr,
+                len,
+                lkey: (self.lkey)(addr, len),
+            })
+            .collect();
+        let mut wr = self.raw(sges, dst);
+        finish(std::slice::from_mut(&mut wr), tail);
+        wr
+    }
+
+    fn raw(&self, sges: SgeList, dst: Va) -> SendWr {
+        let len = sges.iter().map(|s| s.len).sum();
+        SendWr {
+            wr_id: self.wr_id,
+            opcode: if self.read {
+                Opcode::RdmaRead
+            } else {
+                Opcode::RdmaWrite
+            },
+            sges,
+            remote: Some((dst, (self.rkey)(dst, len))),
+            signaled: false,
+        }
+    }
+}
+
+/// Puts `tail` on the last request of a batch.
+fn finish(batch: &mut [SendWr], tail: Tail) {
+    if let Some(last) = batch.last_mut() {
+        if let Some(imm) = tail.imm {
+            last.opcode = Opcode::RdmaWriteImm(imm);
+        }
+        last.signaled = tail.signaled;
+    }
+}
+
+/// Gather planner: `blocks` (absolute local ranges, in stream order)
+/// land on consecutive remote bytes starting at `dst`, at most
+/// `max_sge` blocks per work request, with `tail` on the last.
+/// Appends to `out`; an empty block list plans nothing.
+pub fn plan_gather(
+    f: &WrFrame<impl KeyFn, impl KeyFn>,
+    blocks: &[(Va, u64)],
+    dst: Va,
+    tail: Tail,
+    out: &mut Vec<SendWr>,
+) {
+    assert!(f.max_sge > 0);
+    let start = out.len();
+    let mut off = 0u64;
+    for chunk in blocks.chunks(f.max_sge) {
+        let wr = f.wr(chunk, dst + off, Tail::default());
+        off += wr.total_len();
+        out.push(wr);
+    }
+    finish(&mut out[start..], tail);
+}
+
+/// Multi-W planner.
 ///
 /// `snd` and `rcv` are the two sides' contiguous block lists in stream
 /// order (absolute addresses); their total lengths must match. Each
 /// planned write targets one receiver-contiguous byte range and gathers
 /// at most `max_sge` sender pieces; receiver blocks needing more gather
-/// entries are split into multiple writes.
-pub fn plan_multi_w(snd: &[(Va, u64)], rcv: &[(Va, u64)], max_sge: usize) -> Vec<PlannedWr> {
-    assert!(max_sge > 0);
+/// entries are split into multiple writes. `tail` goes on the last.
+pub fn plan_multi_w(
+    f: &WrFrame<impl KeyFn, impl KeyFn>,
+    snd: &[(Va, u64)],
+    rcv: &[(Va, u64)],
+    tail: Tail,
+    out: &mut Vec<SendWr>,
+) {
+    assert!(f.max_sge > 0);
     debug_assert_eq!(
         snd.iter().map(|&(_, l)| l).sum::<u64>(),
         rcv.iter().map(|&(_, l)| l).sum::<u64>(),
         "sender and receiver type signatures must match in size"
     );
-    let mut out = Vec::new();
+    let start = out.len();
     let mut si = 0usize; // sender block index
     let mut soff = 0u64; // offset within sender block
 
@@ -61,14 +176,16 @@ pub fn plan_multi_w(snd: &[(Va, u64)], rcv: &[(Va, u64)], max_sge: usize) -> Vec
         while covered < rlen {
             // Build one WR for as much of this receiver block as max_sge
             // sender pieces cover.
-            let mut sges: Vec<(Va, u64)> = Vec::new();
+            let mut sges = SgeList::new();
             let mut wr_len = 0u64;
-            while covered + wr_len < rlen && sges.len() < max_sge {
+            while covered + wr_len < rlen && sges.len() < f.max_sge {
                 let (sa, sl) = snd[si];
-                let avail = sl - soff;
-                let need = rlen - covered - wr_len;
-                let take = avail.min(need);
-                sges.push((sa + soff, take));
+                let take = (sl - soff).min(rlen - covered - wr_len);
+                sges.push(Sge {
+                    addr: sa + soff,
+                    len: take,
+                    lkey: (f.lkey)(sa + soff, take),
+                });
                 wr_len += take;
                 soff += take;
                 if soff == sl {
@@ -76,16 +193,30 @@ pub fn plan_multi_w(snd: &[(Va, u64)], rcv: &[(Va, u64)], max_sge: usize) -> Vec
                     soff = 0;
                 }
             }
-            out.push(PlannedWr {
-                sges,
-                dst: raddr + covered,
-                len: wr_len,
-            });
+            out.push(f.raw(sges, raddr + covered));
             covered += wr_len;
         }
     }
-    debug_assert!(si == snd.len() || (si == snd.len() - 1 && soff == 0) || snd[si].1 == soff);
-    out
+    finish(&mut out[start..], tail);
+}
+
+/// Local key of the registration covering a range. A missing covering
+/// registration is a protocol bug; the sentinel key makes the fabric
+/// reject the post with a typed error instead of panicking here.
+pub fn lkey_for(regs: &[Registration], addr: Va, len: u64) -> u32 {
+    regs.iter()
+        .find(|r| r.covers(addr, len))
+        .map_or(u32::MAX, |r| r.lkey)
+}
+
+/// Remote key of the `(addr, len, rkey)` region covering a range; the
+/// sentinel key fails the responder's rkey check with a typed
+/// remote-access completion.
+pub fn region_key(regions: &[(Va, u64, u32)], addr: Va, len: u64) -> u32 {
+    regions
+        .iter()
+        .find(|&&(a, l, _)| addr >= a && addr + len <= a + l)
+        .map_or(u32::MAX, |r| r.2)
 }
 
 /// Hybrid-scheme partition of a message's stream (§10 future work:
@@ -93,10 +224,9 @@ pub fn plan_multi_w(snd: &[(Va, u64)], rcv: &[(Va, u64)], max_sge: usize) -> Vec
 /// message").
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HybridPart {
-    /// Stream intervals `[lo, hi)` whose receiver block is large
-    /// enough for a direct zero-copy write. Each interval corresponds
-    /// to exactly one receiver-contiguous block.
-    pub direct: Vec<(u64, u64)>,
+    /// `(stream lo, stream hi, receiver address)` of each receiver
+    /// block large enough for a direct zero-copy write.
+    pub direct: Vec<(u64, u64, Va)>,
     /// Stream intervals that travel packed (small receiver blocks),
     /// in stream order.
     pub packed: Vec<(u64, u64)>,
@@ -104,25 +234,25 @@ pub struct HybridPart {
     pub packed_bytes: u64,
 }
 
-/// Partitions a message by receiver block size: blocks of at least
-/// `threshold` bytes are written directly, the rest is packed. Both
-/// sides compute the same partition from the receiver's block lengths
-/// (shipped in the rendezvous reply), so no extra negotiation is
-/// needed.
-pub fn hybrid_partition(rcv_block_lens: &[u64], threshold: u64) -> HybridPart {
+/// Partitions a message by the receiver's blocks (absolute addresses,
+/// stream order): blocks of at least `threshold` bytes are written
+/// directly, the rest is packed. Both sides compute the same partition
+/// from the receiver's layout (shipped in the rendezvous reply), so no
+/// extra negotiation is needed. BC-SPUP is the partition with threshold
+/// ∞ and Multi-W the one with threshold 0.
+pub fn hybrid_partition(rcv_blocks: &[(Va, u64)], threshold: u64) -> HybridPart {
     let mut direct = Vec::new();
     let mut packed: Vec<(u64, u64)> = Vec::new();
     let mut packed_bytes = 0;
     let mut pos = 0u64;
-    for &len in rcv_block_lens {
-        let iv = (pos, pos + len);
+    for &(addr, len) in rcv_blocks {
         if len >= threshold {
-            direct.push(iv);
+            direct.push((pos, pos + len, addr));
         } else {
             // Merge stream-adjacent packed intervals.
             match packed.last_mut() {
-                Some((_, hi)) if *hi == iv.0 => *hi = iv.1,
-                _ => packed.push(iv),
+                Some((_, hi)) if *hi == pos => *hi = pos + len,
+                _ => packed.push((pos, pos + len)),
             }
             packed_bytes += len;
         }
@@ -135,11 +265,31 @@ pub fn hybrid_partition(rcv_block_lens: &[u64], threshold: u64) -> HybridPart {
     }
 }
 
-/// Maps a range `[lo, hi)` of the *substream* (the concatenation of
-/// `intervals` in order) back to stream intervals.
-pub fn substream_to_stream(intervals: &[(u64, u64)], lo: u64, hi: u64) -> Vec<(u64, u64)> {
+/// Length of a packed substream: the whole stream of `size` bytes when
+/// `intervals` is empty, else the sum of the intervals.
+pub fn substream_len(intervals: &[(u64, u64)], size: u64) -> u64 {
+    if intervals.is_empty() {
+        size
+    } else {
+        intervals.iter().map(|&(a, b)| b - a).sum()
+    }
+}
+
+/// Calls `f(lo, hi)` for each stream interval that the range `[lo, hi)`
+/// of the *substream* covers, in order. The substream is the
+/// concatenation of `intervals`, or the stream itself when `intervals`
+/// is empty (every scheme but Hybrid), which maps to one call.
+pub fn for_each_substream_piece(
+    intervals: &[(u64, u64)],
+    lo: u64,
+    hi: u64,
+    mut f: impl FnMut(u64, u64),
+) {
     debug_assert!(lo <= hi);
-    let mut out = Vec::new();
+    if intervals.is_empty() {
+        f(lo, hi);
+        return;
+    }
     let mut pos = 0u64; // substream position at the start of interval
     for &(a, b) in intervals {
         let len = b - a;
@@ -148,7 +298,7 @@ pub fn substream_to_stream(intervals: &[(u64, u64)], lo: u64, hi: u64) -> Vec<(u
             let clip_lo = lo.saturating_sub(pos);
             let clip_hi = (hi - pos).min(len);
             if clip_hi > clip_lo {
-                out.push((a + clip_lo, a + clip_hi));
+                f(a + clip_lo, a + clip_hi);
             }
         }
         pos = end;
@@ -156,7 +306,6 @@ pub fn substream_to_stream(intervals: &[(u64, u64)], lo: u64, hi: u64) -> Vec<(u
             break;
         }
     }
-    out
 }
 
 /// Immediate-data encoding for rendezvous segments: 16 bits of sequence
@@ -180,7 +329,7 @@ pub fn imm_parse(imm: u32) -> (u16, u32) {
 /// counter and are never reused, and a type's structure is immutable
 /// after construction, so a pooled plan can never go stale. Bounded;
 /// on overflow the pool is cleared (plans are cheap to recompile).
-type SharedPlanMap = HashMap<(u64, u64), Arc<TransferPlan>>;
+type SharedPlanMap = HashMap<(u64, u64), Arc<TransferPlan>>; // allow-hashmap
 static SHARED_PLANS: Mutex<Option<SharedPlanMap>> = Mutex::new(None);
 const SHARED_PLAN_CAP: usize = 256;
 
@@ -191,7 +340,7 @@ fn shared_plan_lookup(id: u64, count: u64) -> Option<Arc<TransferPlan>> {
 
 fn shared_plan_publish(id: u64, count: u64, plan: &Arc<TransferPlan>) {
     if let Ok(mut guard) = SHARED_PLANS.lock() {
-        let map = guard.get_or_insert_with(HashMap::new);
+        let map = guard.get_or_insert_with(HashMap::new); // allow-hashmap
         if map.len() >= SHARED_PLAN_CAP {
             map.clear();
         }
@@ -212,7 +361,7 @@ fn shared_plan_publish(id: u64, count: u64, plan: &Arc<TransferPlan>) {
 pub struct PlanCache {
     enabled: bool,
     cap: usize,
-    map: HashMap<(u32, u32, u64), (Arc<TransferPlan>, u64)>,
+    map: HashMap<(u32, u32, u64), (Arc<TransferPlan>, u64)>, // allow-hashmap: per type, bounded
     tick: u64,
     hits: u64,
     misses: u64,
@@ -231,7 +380,7 @@ impl PlanCache {
         Self {
             enabled,
             cap,
-            map: HashMap::new(),
+            map: HashMap::new(), // allow-hashmap
             tick: 0,
             hits: 0,
             misses: 0,
@@ -356,31 +505,101 @@ impl PlanCache {
 mod tests {
     use super::*;
 
-    #[test]
-    fn chunk_gather_splits_at_limit() {
-        let blocks: Vec<(Va, u64)> = (0..10).map(|i| (i * 100, 8)).collect();
-        let chunks = chunk_gather(&blocks, 4);
-        assert_eq!(chunks.len(), 3);
-        assert_eq!(chunks[0].0.len(), 4);
-        assert_eq!(chunks[2].0.len(), 2);
-        assert_eq!(chunks.iter().map(|(_, l)| l).sum::<u64>(), 80);
+    /// A write frame whose keys encode what they were asked for: lkey
+    /// = low bits of the address, rkey = destination length.
+    fn write_frame(max_sge: usize) -> WrFrame<impl KeyFn, impl KeyFn> {
+        WrFrame::write(42, max_sge, |a, _| a as u32, |_, l| l as u32)
+    }
+
+    /// `(gather list, destination)` of each planned request.
+    fn shape(wrs: &[SendWr]) -> Vec<(Vec<(Va, u64)>, Va)> {
+        wrs.iter()
+            .map(|w| {
+                let sges = w.sges.iter().map(|s| (s.addr, s.len)).collect();
+                (sges, w.remote.expect("RDMA request").0)
+            })
+            .collect()
+    }
+
+    fn multi_w(snd: &[(Va, u64)], rcv: &[(Va, u64)], max_sge: usize) -> Vec<SendWr> {
+        let mut out = Vec::new();
+        plan_multi_w(&write_frame(max_sge), snd, rcv, Tail::default(), &mut out);
+        out
     }
 
     #[test]
-    fn chunk_gather_empty() {
-        assert!(chunk_gather(&[], 4).is_empty());
+    fn gather_splits_at_limit_onto_consecutive_remote_bytes() {
+        let blocks: Vec<(Va, u64)> = (0..10).map(|i| (i * 100, 8)).collect();
+        let mut out = Vec::new();
+        let tail = Tail::imm(7, true);
+        plan_gather(&write_frame(4), &blocks, 5000, tail, &mut out);
+        let got = shape(&out);
+        assert_eq!(got.len(), 3);
+        assert_eq!(got[0].0.len(), 4);
+        assert_eq!(got[2].0.len(), 2);
+        assert_eq!(
+            got.iter().map(|(_, d)| *d).collect::<Vec<_>>(),
+            [5000, 5032, 5064]
+        );
+        // Keys come from the frame per entry and per destination range.
+        assert_eq!(out[1].sges[0].lkey, 400);
+        assert_eq!(out[2].remote, Some((5064, 16)));
+        // Only the last request carries the immediate and the signal.
+        assert_eq!(out[0].opcode, Opcode::RdmaWrite);
+        assert!(!out[0].signaled && !out[1].signaled);
+        assert_eq!(out[2].opcode, Opcode::RdmaWriteImm(7));
+        assert!(out[2].signaled);
+        assert!(out.iter().all(|w| w.wr_id == 42));
+    }
+
+    #[test]
+    fn gather_appends_and_plans_nothing_for_no_blocks() {
+        let mut out = vec![write_frame(4).wr(&[(1, 1)], 9, Tail::default())];
+        let tail = Tail::imm(1, true);
+        plan_gather(&write_frame(4), &[], 0, tail, &mut out);
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].opcode, Opcode::RdmaWrite, "earlier batch untouched");
+        assert!(!out[0].signaled);
+    }
+
+    #[test]
+    fn reads_scatter_and_keep_the_frame_verb() {
+        let f = WrFrame {
+            read: true,
+            ..write_frame(2)
+        };
+        let mut out = Vec::new();
+        plan_gather(
+            &f,
+            &[(0, 8), (64, 8), (128, 8)],
+            900,
+            Tail::SIGNALED,
+            &mut out,
+        );
+        assert!(out.iter().all(|w| w.opcode == Opcode::RdmaRead));
+        assert_eq!(shape(&out)[1], (vec![(128, 8)], 916));
+        assert!(out[1].signaled);
+    }
+
+    #[test]
+    fn single_request_with_an_empty_list_is_a_pure_notification() {
+        let tail = Tail::imm(0xABCD, true);
+        let wr = write_frame(4).wr(&[], 777, tail);
+        assert!(wr.sges.is_empty());
+        assert_eq!(wr.remote, Some((777, 0)));
+        assert_eq!(wr.opcode, Opcode::RdmaWriteImm(0xABCD));
+        assert!(wr.signaled);
     }
 
     #[test]
     fn multiw_identical_layouts_one_wr_per_block() {
         let blocks: Vec<(Va, u64)> = vec![(0, 16), (100, 16), (200, 16)];
         let rcv: Vec<(Va, u64)> = vec![(1000, 16), (1100, 16), (1200, 16)];
-        let plan = plan_multi_w(&blocks, &rcv, 64);
+        let plan = shape(&multi_w(&blocks, &rcv, 64));
         assert_eq!(plan.len(), 3);
-        for (i, wr) in plan.iter().enumerate() {
-            assert_eq!(wr.sges, vec![(i as u64 * 100, 16)]);
-            assert_eq!(wr.dst, 1000 + i as u64 * 100);
-            assert_eq!(wr.len, 16);
+        for (i, (sges, dst)) in plan.iter().enumerate() {
+            assert_eq!(sges, &vec![(i as u64 * 100, 16)]);
+            assert_eq!(*dst, 1000 + i as u64 * 100);
         }
     }
 
@@ -388,56 +607,84 @@ mod tests {
     fn multiw_sender_finer_than_receiver_gathers() {
         // Sender: 4 blocks of 8; receiver: 1 block of 32.
         let snd: Vec<(Va, u64)> = (0..4).map(|i| (i * 50, 8)).collect();
-        let rcv = vec![(9000, 32)];
-        let plan = plan_multi_w(&snd, &rcv, 64);
+        let plan = multi_w(&snd, &[(9000, 32)], 64);
         assert_eq!(plan.len(), 1);
         assert_eq!(plan[0].sges.len(), 4);
-        assert_eq!(plan[0].dst, 9000);
-        assert_eq!(plan[0].len, 32);
+        assert_eq!(plan[0].remote, Some((9000, 32)));
     }
 
     #[test]
     fn multiw_receiver_finer_than_sender_splits() {
         // Sender: 1 block of 32; receiver: 4 blocks of 8.
-        let snd = vec![(500u64, 32u64)];
         let rcv: Vec<(Va, u64)> = (0..4).map(|i| (7000 + i * 100, 8)).collect();
-        let plan = plan_multi_w(&snd, &rcv, 64);
+        let plan = shape(&multi_w(&[(500, 32)], &rcv, 64));
         assert_eq!(plan.len(), 4);
-        for (i, wr) in plan.iter().enumerate() {
-            assert_eq!(wr.sges, vec![(500 + i as u64 * 8, 8)]);
-            assert_eq!(wr.dst, 7000 + i as u64 * 100);
+        for (i, (sges, dst)) in plan.iter().enumerate() {
+            assert_eq!(sges, &vec![(500 + i as u64 * 8, 8)]);
+            assert_eq!(*dst, 7000 + i as u64 * 100);
         }
     }
 
     #[test]
     fn multiw_misaligned_boundaries() {
         // Sender blocks 12+20; receiver blocks 8+24. Splits at 8, 12.
-        let snd = vec![(0u64, 12u64), (100, 20)];
-        let rcv = vec![(1000u64, 8u64), (2000, 24)];
-        let plan = plan_multi_w(&snd, &rcv, 64);
+        let plan = shape(&multi_w(
+            &[(0, 12), (100, 20)],
+            &[(1000, 8), (2000, 24)],
+            64,
+        ));
         // WR1: rcv[0] = snd[0][0..8]. WR2: rcv[1] = snd[0][8..12] +
         // snd[1][0..20].
-        assert_eq!(plan.len(), 2);
-        assert_eq!(plan[0].sges, vec![(0, 8)]);
-        assert_eq!(plan[0].dst, 1000);
-        assert_eq!(plan[1].sges, vec![(8, 4), (100, 20)]);
-        assert_eq!(plan[1].dst, 2000);
-        assert_eq!(plan[1].len, 24);
+        assert_eq!(
+            plan,
+            vec![(vec![(0, 8)], 1000), (vec![(8, 4), (100, 20)], 2000)]
+        );
     }
 
     #[test]
     fn multiw_respects_max_sge() {
         // Receiver one 64-byte block; sender 8 blocks of 8; max_sge 3.
         let snd: Vec<(Va, u64)> = (0..8).map(|i| (i * 10, 8)).collect();
-        let rcv = vec![(5000u64, 64u64)];
-        let plan = plan_multi_w(&snd, &rcv, 3);
+        let plan = multi_w(&snd, &[(5000, 64)], 3);
         assert_eq!(plan.len(), 3); // 3 + 3 + 2 sges
         assert_eq!(plan[0].sges.len(), 3);
-        assert_eq!(plan[0].dst, 5000);
-        assert_eq!(plan[1].dst, 5000 + 24);
+        assert_eq!(plan[1].remote, Some((5000 + 24, 24)));
         assert_eq!(plan[2].sges.len(), 2);
-        let total: u64 = plan.iter().map(|w| w.len).sum();
-        assert_eq!(total, 64);
+        assert_eq!(plan.iter().map(SendWr::total_len).sum::<u64>(), 64);
+    }
+
+    #[test]
+    fn multiw_single_sge_splits_at_staging_buffer_boundaries() {
+        // A staged stream in two 24-byte buffers written into receiver
+        // blocks 16+32: with one gather entry per write, every piece
+        // stays inside one buffer and one receiver block.
+        let stage = [(10_000u64, 24u64), (20_000, 24)];
+        let plan = shape(&multi_w(&stage, &[(100, 16), (200, 32)], 1));
+        assert_eq!(
+            plan,
+            vec![
+                (vec![(10_000, 16)], 100),
+                (vec![(10_016, 8)], 200),
+                (vec![(20_000, 24)], 208),
+            ]
+        );
+    }
+
+    #[test]
+    fn multiw_tail_marks_only_the_last_write() {
+        let mut out = Vec::new();
+        let tail = Tail::imm(3, true);
+        plan_multi_w(
+            &write_frame(4),
+            &[(0, 32)],
+            &[(100, 16), (200, 16)],
+            tail,
+            &mut out,
+        );
+        assert_eq!(out[0].opcode, Opcode::RdmaWrite);
+        assert!(!out[0].signaled);
+        assert_eq!(out[1].opcode, Opcode::RdmaWriteImm(3));
+        assert!(out[1].signaled);
     }
 
     #[test]
@@ -463,15 +710,14 @@ mod tests {
             ra += l + x % 17;
             rem_r -= l;
         }
-        let plan = plan_multi_w(&s, &r, 5);
-        let total: u64 = plan.iter().map(|w| w.len).sum();
-        assert_eq!(total, 1024);
-        for wr in &plan {
-            assert!(wr.sges.len() <= 5);
-            assert_eq!(wr.len, wr.sges.iter().map(|&(_, l)| l).sum::<u64>());
-        }
+        let plan = multi_w(&s, &r, 5);
+        assert_eq!(plan.iter().map(SendWr::total_len).sum::<u64>(), 1024);
+        assert!(plan.iter().all(|w| w.sges.len() <= 5));
         // Destination ranges are disjoint and cover the receiver blocks.
-        let mut dsts: Vec<(u64, u64)> = plan.iter().map(|w| (w.dst, w.len)).collect();
+        let mut dsts: Vec<(u64, u64)> = plan
+            .iter()
+            .map(|w| (w.remote.unwrap().0, w.total_len()))
+            .collect();
         dsts.sort_unstable();
         for w in dsts.windows(2) {
             assert!(w[0].0 + w[0].1 <= w[1].0);
@@ -479,42 +725,81 @@ mod tests {
     }
 
     #[test]
+    fn keys_come_from_the_covering_registration_or_region() {
+        let regs = [
+            Registration {
+                addr: 0,
+                len: 100,
+                lkey: 1,
+                rkey: 11,
+            },
+            Registration {
+                addr: 200,
+                len: 100,
+                lkey: 2,
+                rkey: 22,
+            },
+        ];
+        assert_eq!(lkey_for(&regs, 210, 50), 2);
+        assert_eq!(lkey_for(&regs, 90, 20), u32::MAX, "straddles no region");
+        let regions = [(0u64, 100u64, 5u32), (500, 10, 6)];
+        assert_eq!(region_key(&regions, 500, 10), 6);
+        assert_eq!(region_key(&regions, 505, 10), u32::MAX);
+    }
+
+    /// Receiver blocks at `base + 1000 * i` with the given lengths.
+    fn blocks_of(lens: &[u64]) -> Vec<(Va, u64)> {
+        lens.iter()
+            .enumerate()
+            .map(|(i, &l)| (1000 * i as u64, l))
+            .collect()
+    }
+
+    #[test]
     fn hybrid_partition_splits_by_threshold() {
         // Blocks: 100, 4000, 50, 50, 8000 with threshold 1024.
-        let p = hybrid_partition(&[100, 4000, 50, 50, 8000], 1024);
-        assert_eq!(p.direct, vec![(100, 4100), (4200, 12200)]);
+        let p = hybrid_partition(&blocks_of(&[100, 4000, 50, 50, 8000]), 1024);
+        assert_eq!(p.direct, vec![(100, 4100, 1000), (4200, 12200, 4000)]);
         // The two 50-byte blocks are stream-adjacent and merge.
         assert_eq!(p.packed, vec![(0, 100), (4100, 4200)]);
         assert_eq!(p.packed_bytes, 200);
     }
 
     #[test]
-    fn hybrid_partition_all_large() {
-        let p = hybrid_partition(&[2048, 2048], 1024);
-        assert_eq!(p.direct.len(), 2);
+    fn hybrid_partition_extremes_are_the_pure_schemes() {
+        let blocks = blocks_of(&[16, 2048, 16]);
+        // Threshold 0 writes everything directly (Multi-W)...
+        let p = hybrid_partition(&blocks, 0);
+        assert_eq!(p.direct.len(), 3);
         assert!(p.packed.is_empty());
         assert_eq!(p.packed_bytes, 0);
-    }
-
-    #[test]
-    fn hybrid_partition_all_small() {
-        let p = hybrid_partition(&[16, 16, 16], 1024);
+        // ...and an unreachable one packs the whole stream (BC-SPUP).
+        let p = hybrid_partition(&blocks, u64::MAX);
         assert!(p.direct.is_empty());
-        assert_eq!(p.packed, vec![(0, 48)]);
-        assert_eq!(p.packed_bytes, 48);
-    }
-
-    #[test]
-    fn hybrid_partition_empty() {
+        assert_eq!(p.packed, vec![(0, 2080)]);
+        assert_eq!(p.packed_bytes, 2080);
         let p = hybrid_partition(&[], 1024);
         assert!(p.direct.is_empty() && p.packed.is_empty());
+    }
+
+    fn pieces(ivs: &[(u64, u64)], lo: u64, hi: u64) -> Vec<(u64, u64)> {
+        let mut out = Vec::new();
+        for_each_substream_piece(ivs, lo, hi, |a, b| out.push((a, b)));
+        out
+    }
+
+    #[test]
+    fn substream_of_the_whole_stream_is_the_identity() {
+        assert_eq!(pieces(&[], 10, 20), vec![(10, 20)]);
+        assert_eq!(substream_len(&[], 77), 77);
     }
 
     #[test]
     fn substream_mapping_whole() {
         let ivs = [(10u64, 20u64), (50, 55), (100, 130)];
         // Substream is 10 + 5 + 30 = 45 bytes.
-        assert_eq!(substream_to_stream(&ivs, 0, 45), ivs.to_vec());
+        assert_eq!(substream_len(&ivs, 999), 45);
+        assert_eq!(pieces(&ivs, 0, 45), ivs.to_vec());
     }
 
     #[test]
@@ -522,16 +807,13 @@ mod tests {
         let ivs = [(10u64, 20u64), (50, 55), (100, 130)];
         // [8, 17) of the substream: last 2 bytes of iv0, all of iv1,
         // first 2 bytes of iv2.
-        assert_eq!(
-            substream_to_stream(&ivs, 8, 17),
-            vec![(18, 20), (50, 55), (100, 102)]
-        );
+        assert_eq!(pieces(&ivs, 8, 17), vec![(18, 20), (50, 55), (100, 102)]);
         // Entirely inside one interval: substream [16,18) falls in the
         // third interval (iv0 covers [0,10), iv1 [10,15), iv2 [15,45)).
-        assert_eq!(substream_to_stream(&ivs, 16, 18), vec![(101, 103)]);
-        assert_eq!(substream_to_stream(&ivs, 11, 13), vec![(51, 53)]);
+        assert_eq!(pieces(&ivs, 16, 18), vec![(101, 103)]);
+        assert_eq!(pieces(&ivs, 11, 13), vec![(51, 53)]);
         // Empty range.
-        assert!(substream_to_stream(&ivs, 7, 7).is_empty());
+        assert!(pieces(&ivs, 7, 7).is_empty());
     }
 
     #[test]
@@ -540,8 +822,7 @@ mod tests {
         let total = 7 + 3 + 50;
         for lo in 0..total {
             for hi in lo..=total {
-                let mapped = substream_to_stream(&ivs, lo, hi);
-                let n: u64 = mapped.iter().map(|(a, b)| b - a).sum();
+                let n: u64 = pieces(&ivs, lo, hi).iter().map(|(a, b)| b - a).sum();
                 assert_eq!(n, hi - lo, "lo={lo} hi={hi}");
             }
         }

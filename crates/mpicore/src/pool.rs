@@ -158,7 +158,9 @@ impl SegmentPool {
 }
 
 /// Reusable host-side scratch buffers for the zero-allocation hot
-/// path: packed-byte staging (`Vec<u8>`), block/SGE lists
+/// path: packed-byte staging (`Vec<u8>`), control-message encode
+/// buffers (kept apart from staging so a reply copy held for a whole
+/// transfer never pins a segment-sized buffer), block/SGE lists
 /// (`Vec<(Va, u64)>`), and block-length lists (`Vec<u64>`). Buffers
 /// are taken, used, and returned; their capacity survives, so
 /// steady-state sends stop allocating after the first few messages.
@@ -176,6 +178,7 @@ impl SegmentPool {
 #[derive(Debug, Default)]
 pub struct ScratchPool {
     bytes: Vec<Vec<u8>>,
+    ctrl: Vec<Vec<u8>>,
     blocks: Vec<Vec<(Va, u64)>>,
     lens: Vec<Vec<u64>>,
     stage: Vec<Vec<StageBuf>>,
@@ -212,6 +215,8 @@ const MIN_BYTES_CAP: usize = 64;
 
 impl Drop for ScratchPool {
     fn drop(&mut self) {
+        // Control buffers spill as plain byte buffers.
+        self.bytes.append(&mut self.ctrl);
         // try_with: thread teardown may have destroyed the spare list.
         let _ = SPARE.try_with(|s| {
             let mut s = s.borrow_mut();
@@ -298,6 +303,26 @@ impl ScratchPool {
                 v.resize(len, 0);
                 v
             }
+        }
+    }
+
+    /// Takes an empty control-message encode buffer, falling back to a
+    /// byte buffer when none was returned yet.
+    pub fn take_ctrl(&mut self) -> Vec<u8> {
+        match self.ctrl.pop() {
+            Some(mut v) => {
+                self.reuses += 1;
+                v.clear();
+                v
+            }
+            None => self.take_bytes(0),
+        }
+    }
+
+    /// Returns a control-message encode buffer to the pool.
+    pub fn put_ctrl(&mut self, v: Vec<u8>) {
+        if v.capacity() > 0 {
+            self.ctrl.push(v);
         }
     }
 

@@ -17,9 +17,10 @@
 
 use crate::config::{MpiConfig, Scheme};
 use crate::error::MpiError;
-use crate::msg::{CtrlMsg, ReplyBody};
+use crate::msg::{CtrlMsg, ReplyBody, SegList};
 use crate::plan::{
-    chunk_gather, hybrid_partition, imm_of, imm_parse, plan_multi_w, substream_to_stream,
+    for_each_substream_piece, hybrid_partition, imm_of, imm_parse, lkey_for, plan_gather,
+    plan_multi_w, region_key, substream_len, Tail, WrFrame,
 };
 use crate::rank::{PostedRecv, RankState, ReqId, ReqKind, Unexpected};
 use crate::table::{ImmMap, MsgTable};
@@ -75,14 +76,12 @@ pub enum CpuAct {
         /// Segment index.
         k: u32,
     },
-    /// Receiver unpacked segment `k`.
+    /// Receiver unpacked one segment.
     UnpackSeg {
         /// Source rank.
         peer: u32,
         /// Sequence number.
         seq: u64,
-        /// Segment index.
-        k: u32,
     },
     /// Receiver unpacked the whole message (Generic / no-segment-unpack
     /// RWG mode).
@@ -226,10 +225,16 @@ const MARKER_K: u32 = 0xFFFF;
 /// Where the sender aims its data, per the rendezvous reply.
 #[derive(Debug)]
 enum SendTargets {
-    /// Generic: one unpack buffer.
-    Buffer { addr: Va, rkey: u32 },
-    /// BC-SPUP / RWG-UP: per-segment unpack buffers.
-    Segments(crate::msg::SegList),
+    /// The segment pipeline: packed segment `k` lands in `segs[k]`
+    /// (Generic's one whole-message buffer, BC-SPUP, RWG-UP). Hybrid
+    /// adds direct writes of the stream range `[lo, hi)` to receiver
+    /// address `dst` for each `(lo, hi, dst)` in `direct`, keyed by
+    /// `regions`; for the other schemes both are empty.
+    Segments {
+        segs: SegList,
+        direct: Vec<(u64, u64, Va)>,
+        regions: Vec<(Va, u64, u32)>,
+    },
     /// Multi-W: receiver block list and covering regions.
     MultiW {
         rcv_blocks: Vec<(Va, u64)>,
@@ -237,28 +242,19 @@ enum SendTargets {
     },
     /// P-RRS: receiver will read; sender announces packed segments.
     ReadGo,
-    /// Hybrid: details live in [`SendMsg::hybrid`].
-    HybridReady,
+}
+
+impl SendTargets {
+    fn segments(segs: SegList) -> Self {
+        SendTargets::Segments {
+            segs,
+            direct: Vec::new(),
+            regions: Vec::new(),
+        }
+    }
 }
 
 pub(crate) use crate::pool::StageBuf;
-
-/// Sender-side Hybrid state (§10 future work): the partition of the
-/// stream into direct-write and packed parts, derived from the
-/// receiver's layout.
-#[derive(Debug)]
-struct HybridSend {
-    /// Stream intervals travelling packed, in order.
-    packed_intervals: Vec<(u64, u64)>,
-    /// `(stream lo, stream hi, destination va)` per direct interval.
-    direct: Vec<(u64, u64, Va)>,
-    /// Receiver unpack segment buffers for the packed part.
-    segs: Vec<(u64, u32)>,
-    /// Receiver regions covering the direct destinations.
-    regions: Vec<(Va, u64, u32)>,
-    direct_posted: bool,
-    marker_posted: bool,
-}
 
 /// Sender-side state of one rendezvous message.
 #[derive(Debug)]
@@ -277,20 +273,23 @@ struct SendMsg {
     nsegs: u32,
     seg_size: u64,
     pack_bufs: Vec<StageBuf>,
+    /// Stream intervals the pack pipeline carries, in order: empty for
+    /// the whole stream, Hybrid's small-block partition otherwise.
+    packed_ivs: Vec<(u64, u64)>,
     packed: u32,
     posted_segs: u32,
     pack_chain_running: bool,
+    /// Multi-W and Hybrid direct writes are out.
+    direct_posted: bool,
+    /// Hybrid's completion marker is out.
+    marker_posted: bool,
     /// Single-block sender (contiguous data): zero-copy paths apply.
     contig: bool,
-    hybrid: Option<HybridSend>,
     targets: Option<SendTargets>,
     reg_done: bool,
     user_regs: Vec<Registration>,
     /// P-RRS: completion arrives via Fin instead of a local data CQE.
     completed: bool,
-    /// Set when a data post failed; the caller of [`try_post_ready`]
-    /// aborts the message.
-    failed: Option<MpiError>,
     /// Rendezvous-reply probes sent so far (§reply timeout).
     rerequests: u32,
     /// Multi-W degraded mode: the pinning budget barred registering the
@@ -330,9 +329,10 @@ struct RecvMsg {
     /// P-RRS: outstanding RDMA reads and announced segments.
     reads_outstanding: u32,
     segs_announced: u32,
-    /// Hybrid: stream intervals of the packed part, and whether the
-    /// completion marker arrived.
-    packed_intervals: Vec<(u64, u64)>,
+    /// Stream intervals the unpack pipeline carries (see
+    /// [`SendMsg::packed_ivs`]).
+    packed_ivs: Vec<(u64, u64)>,
+    /// Hybrid: the completion marker arrived.
     marker_seen: bool,
     completed: bool,
     /// User-buffer bytes this message charged against
@@ -475,16 +475,17 @@ pub fn isend(
         nsegs,
         seg_size,
         pack_bufs: rs.scratch.take_stage(),
+        packed_ivs: Vec::new(),
         packed: 0,
         posted_segs: 0,
         pack_chain_running: false,
+        direct_posted: false,
+        marker_posted: false,
         contig: stats.min >= size,
-        hybrid: None,
         targets: None,
         reg_done: false,
         user_regs: Vec::new(),
         completed: false,
-        failed: None,
         rerequests: 0,
         mw_stage: false,
         pinned_bytes: 0,
@@ -526,25 +527,18 @@ pub fn isend(
             // Predict the direct part from the sender's own layout
             // (symmetric types are the common case) and register those
             // blocks during the handshake; the reply-time registration
-            // tops up any coverage the receiver's partition adds.
+            // tops up any coverage the receiver's partition adds. The
+            // prediction is skipped when the pinning budget refuses it.
             let mut own = rs.scratch.take_blocks();
             abs_blocks_into(&tplan, buf, &mut own);
             own.retain(|&(_, l)| l >= ctx.cfg.hybrid_block_threshold);
             if !own.is_empty() {
-                let plan = ogr::plan(&own, &ctx.host.reg);
-                let mut cost = 0;
-                for &(a, l) in &plan.regions {
-                    let acq = rs.pindown.acquire(
-                        &mut ctx.mems[rs.rank as usize].regs,
-                        &ctx.host.reg,
-                        a,
-                        l,
-                    );
-                    cost += acq.cost_ns;
-                    msg.user_regs.push(acq.reg);
+                let regions = ogr::plan(&own, &ctx.host.reg).regions;
+                let (regs, pinned) = (&mut msg.user_regs, &mut msg.pinned_bytes);
+                if let Some(cost) = try_acquire_user_regs(rs, ctx, &regions, regs, pinned) {
+                    let done = rs.cpu.reserve_labeled(ctx.now(), cost, "reg");
+                    ctx.cpu_event(done, rs.rank, CpuAct::SenderRegDone { peer, seq });
                 }
-                let done = rs.cpu.reserve_labeled(ctx.now(), cost, "reg");
-                ctx.cpu_event(done, rs.rank, CpuAct::SenderRegDone { peer, seq });
             }
             rs.scratch.put_blocks(own);
         }
@@ -557,9 +551,7 @@ pub fn isend(
                 ctx.cfg,
                 ctx.fabric.class(),
                 size,
-                stats.min,
                 stats.median,
-                stats.min,
                 stats.median,
             );
             match predicted {
@@ -676,7 +668,7 @@ pub fn on_cqe(rs: &mut RankState, am: &mut ActiveMsgs, ctx: &mut Ctx<'_, '_>, cq
                 // is replaced.
                 let va = cqe.wr_id;
                 repost_eager_recv(rs, ctx, cqe.peer, va);
-                on_segment_arrival(rs, am, ctx, cqe.peer, imm, cqe.byte_len);
+                on_segment_arrival(rs, am, ctx, cqe.peer, imm);
             }
         }
     } else {
@@ -764,25 +756,23 @@ fn on_cqe_error(rs: &mut RankState, am: &mut ActiveMsgs, ctx: &mut Ctx<'_, '_>, 
             // the receiver's registration was evicted under the
             // transfer. Renegotiate the message as BC-SPUP once
             // instead of failing it.
+            let Some(msg) = am.sends.remove(&(peer, low)) else {
+                return;
+            };
             if matches!(err, MpiError::RemoteAccess { .. }) {
-                match am.sends.get(&(peer, low)) {
-                    Some(m)
-                        if ctx.cfg.recovery
-                            && !m.renegotiated
-                            && matches!(m.scheme, Scheme::MultiW | Scheme::Hybrid) =>
-                    {
-                        renegotiate_send(rs, am, ctx, peer, low);
-                        return;
-                    }
-                    Some(m) if m.renegotiated => {
-                        err = MpiError::Registration { peer };
-                    }
-                    _ => {}
+                if ctx.cfg.recovery
+                    && !msg.renegotiated
+                    && matches!(msg.scheme, Scheme::MultiW | Scheme::Hybrid)
+                {
+                    rs.counters.protection_fallbacks += 1;
+                    renegotiate_send(rs, am, ctx, msg);
+                    return;
+                }
+                if msg.renegotiated {
+                    err = MpiError::Registration { peer };
                 }
             }
-            if let Some(msg) = am.sends.remove(&(peer, low)) {
-                abort_send(rs, ctx, msg, err);
-            }
+            abort_send(rs, ctx, msg, err);
         }
         WR_READ => {
             abort_recv(rs, am, ctx, peer, low, err);
@@ -847,36 +837,15 @@ pub fn on_cpu(rs: &mut RankState, am: &mut ActiveMsgs, ctx: &mut Ctx<'_, '_>, ac
             msg.packed = k + 1;
             msg.pack_chain_running = false;
             rs.counters.packs += 1;
-            rs.counters.bytes_packed += if msg.scheme == Scheme::Hybrid {
-                let packed_bytes: u64 = msg
-                    .hybrid
-                    .as_ref()
-                    .map(|h| h.packed_intervals.iter().map(|&(a, b)| b - a).sum())
-                    .unwrap_or(0);
-                let lo = k as u64 * msg.seg_size;
-                ((lo + msg.seg_size).min(packed_bytes)).saturating_sub(lo)
-            } else {
-                seg_len(&msg, k)
-            };
-            try_post_ready(rs, ctx, &mut msg);
-            if let Some(err) = msg.failed.take() {
-                resolve_send_failure(rs, am, ctx, msg, err);
-                return;
-            }
-            start_pack_chain(rs, ctx, &mut msg);
-            am.sends.insert((peer, seq), msg);
+            rs.counters.bytes_packed += seg_len(&msg, k);
+            drive_send(rs, am, ctx, msg);
         }
         CpuAct::SenderRegDone { peer, seq } => {
             let Some(mut msg) = am.sends.remove(&(peer, seq)) else {
                 return;
             };
             msg.reg_done = true;
-            try_post_ready(rs, ctx, &mut msg);
-            if let Some(err) = msg.failed.take() {
-                resolve_send_failure(rs, am, ctx, msg, err);
-                return;
-            }
-            am.sends.insert((peer, seq), msg);
+            drive_send(rs, am, ctx, msg);
         }
         CpuAct::ReceiverReady { peer, seq } => {
             let Some(msg) = am.recvs.get_mut(&(peer, seq)) else {
@@ -909,11 +878,10 @@ pub fn on_cpu(rs: &mut RankState, am: &mut ActiveMsgs, ctx: &mut Ctx<'_, '_>, ac
             ctx.cpu_event(at, rs.rank, CpuAct::ReplyTimeout { peer, seq });
             am.sends.insert((peer, seq), msg);
         }
-        CpuAct::UnpackSeg { peer, seq, k } => {
+        CpuAct::UnpackSeg { peer, seq } => {
             let Some(msg) = am.recvs.get_mut(&(peer, seq)) else {
                 return;
             };
-            let _ = k;
             if msg.drop_unpacks > 0 {
                 // Stale completion from before a renegotiation reset
                 // the unpack pipeline.
@@ -1299,15 +1267,13 @@ fn take_ctrl_buf(rs: &mut RankState) -> Vec<u8> {
     // Served from the scratch pool so encode buffers inherit its
     // thread-local spill: a fresh cluster's first control messages
     // reuse capacity retired by the previous one.
-    let mut v = rs.scratch.take_bytes(0);
-    v.clear();
-    v
+    rs.scratch.take_ctrl()
 }
 
 /// Returns an encode buffer whose bytes have been copied out (into a
 /// ring slot) for reuse.
 fn recycle_ctrl_buf(rs: &mut RankState, buf: Vec<u8>) {
-    rs.scratch.put_bytes(buf);
+    rs.scratch.put_ctrl(buf);
 }
 
 fn send_ctrl(
@@ -1333,34 +1299,12 @@ fn send_ctrl(
                 .write(va, &bytes)
                 .expect("eager ring buffer writable");
             write_slot_terminator(rs, ctx, va, bytes.len());
-            let wr = SendWr {
-                wr_id: WR_EAGER | va,
-                opcode: Opcode::Send,
-                sges: SgeList::of(Sge {
-                    addr: va,
-                    len: bytes.len() as u64,
-                    lkey: rs.eager_lkey,
-                }),
-                remote: None,
-                signaled: true,
-            };
-            if let Err(e) = ctx.post_send(ready, rs.rank, peer, wr) {
+            if !post_ctrl_slot(rs, ctx, peer, va, bytes.len() as u64, ready) {
+                // Suspended with the connection manager: re-sent after
+                // re-establishment.
                 rs.eager_send_free.push(va);
-                // A dead QP suspends the message with the connection
-                // manager; it is re-sent after re-establishment.
-                if ctx.cfg.recovery
-                    && matches!(e, PostError::QpError { .. } | PostError::QpNotReady { .. })
-                    && ensure_reconnect(rs, ctx, peer)
-                {
-                    rs.reconn
-                        .get_mut(&peer)
-                        .expect("entry ensured above")
-                        .pending_ctrl
-                        .push(bytes);
-                    return;
-                }
-                rs.counters.post_errors += 1;
-                rs.errors.push(MpiError::Post { peer, err: e });
+                park_ctrl(rs, peer, bytes);
+                return;
             }
             recycle_ctrl_buf(rs, bytes);
         }
@@ -1387,6 +1331,58 @@ fn write_slot_terminator(rs: &mut RankState, ctx: &mut Ctx<'_, '_>, va: Va, len:
     }
 }
 
+/// Posts the control message in send-ring slot `va` (`len` bytes) to
+/// `peer`. Returns `false`, with the slot still claimed, when the post
+/// hit a dead queue pair the connection manager will re-establish: the
+/// caller parks the message for the reconnect. Any other refusal frees
+/// the slot and is recorded as a typed rank error.
+fn post_ctrl_slot(
+    rs: &mut RankState,
+    ctx: &mut Ctx<'_, '_>,
+    peer: u32,
+    va: Va,
+    len: u64,
+    ready: Time,
+) -> bool {
+    let wr = SendWr {
+        wr_id: WR_EAGER | va,
+        opcode: Opcode::Send,
+        sges: SgeList::of(Sge {
+            addr: va,
+            len,
+            lkey: rs.eager_lkey,
+        }),
+        remote: None,
+        signaled: true,
+    };
+    let Err(err) = ctx.post_send(ready, rs.rank, peer, wr) else {
+        return true;
+    };
+    if ctx.cfg.recovery
+        && matches!(
+            err,
+            PostError::QpError { .. } | PostError::QpNotReady { .. }
+        )
+        && ensure_reconnect(rs, ctx, peer)
+    {
+        return false;
+    }
+    rs.eager_send_free.push(va);
+    rs.counters.post_errors += 1;
+    rs.errors.push(MpiError::Post { peer, err });
+    true
+}
+
+/// Queues encoded control bytes for re-sending once the connection to
+/// `peer` is re-established.
+fn park_ctrl(rs: &mut RankState, peer: u32, bytes: Vec<u8>) {
+    rs.reconn
+        .get_mut(&peer)
+        .expect("reconnect scheduled")
+        .pending_ctrl
+        .push(bytes);
+}
+
 fn drain_pending_eager(rs: &mut RankState, ctx: &mut Ctx<'_, '_>) {
     while !rs.eager_pending.is_empty() && !rs.eager_send_free.is_empty() {
         let p = rs.eager_pending.pop_front().expect("checked non-empty");
@@ -1401,35 +1397,10 @@ fn drain_pending_eager(rs: &mut RankState, ctx: &mut Ctx<'_, '_>) {
             ctx.cfg.ctrl_overhead_ns + ctx.net.post_single_ns,
             "ctrl",
         );
-        let wr = SendWr {
-            wr_id: WR_EAGER | va,
-            opcode: Opcode::Send,
-            sges: SgeList::of(Sge {
-                addr: va,
-                len: p.bytes.len() as u64,
-                lkey: rs.eager_lkey,
-            }),
-            remote: None,
-            signaled: true,
-        };
-        if let Err(e) = ctx.post_send(ready, rs.rank, p.peer, wr) {
+        if !post_ctrl_slot(rs, ctx, p.peer, va, p.bytes.len() as u64, ready) {
             rs.eager_send_free.push(va);
-            if ctx.cfg.recovery
-                && matches!(e, PostError::QpError { .. } | PostError::QpNotReady { .. })
-                && ensure_reconnect(rs, ctx, p.peer)
-            {
-                rs.reconn
-                    .get_mut(&p.peer)
-                    .expect("entry ensured above")
-                    .pending_ctrl
-                    .push(p.bytes);
-                continue;
-            }
-            rs.counters.post_errors += 1;
-            rs.errors.push(MpiError::Post {
-                peer: p.peer,
-                err: e,
-            });
+            park_ctrl(rs, p.peer, p.bytes);
+            continue;
         }
         recycle_ctrl_buf(rs, p.bytes);
     }
@@ -1648,12 +1619,7 @@ fn on_resume_request(
             return;
         };
         msg.posted_segs = 0;
-        try_post_ready(rs, ctx, &mut msg);
-        if let Some(err) = msg.failed.take() {
-            resolve_send_failure(rs, am, ctx, msg, err);
-            return;
-        }
-        am.sends.insert((peer, seq), msg);
+        drive_send(rs, am, ctx, msg);
         return;
     }
     if !ctx.fabric.faults_active() {
@@ -1695,24 +1661,11 @@ fn on_resume_ack(
         rs.complete_req(msg.req);
         return;
     }
-    if let Some(hy) = msg.hybrid.as_mut() {
-        // Hybrid restarts whole phases: direct writes and the marker
-        // are idempotent.
-        hy.direct_posted = false;
-        hy.marker_posted = false;
-    }
-    try_post_ready(rs, ctx, &mut msg);
-    if let Some(err) = msg.failed.take() {
-        resolve_send_failure(rs, am, ctx, msg, err);
-        return;
-    }
-    // Restart staging only for schemes that stage: RWG-UP (and the
-    // contiguous P-RRS sender) gathers straight from the pinned user
-    // buffer and owns no pack buffers.
-    if !msg.pack_bufs.is_empty() || msg.hybrid.is_some() {
-        start_pack_chain(rs, ctx, &mut msg);
-    }
-    am.sends.insert((peer, seq), msg);
+    // Multi-W and Hybrid restart whole phases: direct writes and the
+    // marker are idempotent.
+    msg.direct_posted = false;
+    msg.marker_posted = false;
+    drive_send(rs, am, ctx, msg);
 }
 
 // ---------------------------------------------------------------------
@@ -1720,17 +1673,14 @@ fn on_resume_ack(
 // ---------------------------------------------------------------------
 
 /// Adaptive scheme choice (§6), run on the receiver where both sides'
-/// block statistics are known.
+/// median block sizes are known.
 pub fn adaptive_choose(
     cfg: &MpiConfig,
     transport: TransportClass,
     size: u64,
-    snd_min: u64,
     snd_median: u64,
-    rcv_min: u64,
     rcv_median: u64,
 ) -> Scheme {
-    let _ = (snd_min, rcv_min);
     match transport {
         TransportClass::Ib => {
             if size < cfg.adaptive_copy_reduced_min {
@@ -1808,19 +1758,13 @@ fn receiver_start(
     // regardless of the configured datatype scheme. Multi-W with a
     // single block is exactly that path.
     let both_contiguous = size > 0 && blk_min >= size && rstats.min >= size;
-    let mut scheme = if both_contiguous {
+    let scheme = if both_contiguous {
         Scheme::MultiW
     } else {
         match proposal {
-            Scheme::Adaptive => adaptive_choose(
-                ctx.cfg,
-                ctx.fabric.class(),
-                size,
-                blk_min,
-                blk_median,
-                rstats.min,
-                rstats.median,
-            ),
+            Scheme::Adaptive => {
+                adaptive_choose(ctx.cfg, ctx.fabric.class(), size, blk_median, rstats.median)
+            }
             s => s,
         }
     };
@@ -1848,7 +1792,7 @@ fn receiver_start(
         pending_reply: None,
         reads_outstanding: 0,
         segs_announced: 0,
-        packed_intervals: Vec::new(),
+        packed_ivs: Vec::new(),
         marker_seen: false,
         completed: false,
         pinned_bytes: 0,
@@ -1859,182 +1803,103 @@ fn receiver_start(
     am.imm_map.insert((p.peer, (seq & 0xFFFF) as u16), seq);
 
     // Multi-W and Hybrid may not fit their reply into an eager buffer
-    // (a "complicated datatype" per §5.3); fall back to BC-SPUP.
-    if scheme == Scheme::MultiW {
-        let reply = build_multiw_reply(rs, ctx, &mut msg);
-        match reply {
-            Some(r) => {
-                // Guaranteed by build_multiw_reply's 2× budget check.
-                let cost = receiver_reg_cost(rs, ctx, &mut msg).unwrap_or(0);
-                maybe_evict_reply_reg(rs, ctx, &msg);
-                msg.pending_reply = Some(r);
-                let done = rs.cpu.reserve_labeled(ctx.now(), cost, "reg");
-                ctx.cpu_event(
-                    done,
-                    rs.rank,
-                    CpuAct::ReceiverReady {
-                        peer: msg.peer,
-                        seq,
-                    },
-                );
-                am.recvs.insert((msg.peer, seq), msg);
-                return;
-            }
-            None => {
-                rs.counters.scheme_fallbacks += 1;
-                scheme = Scheme::BcSpup;
-                msg.scheme = scheme;
-            }
-        }
-    }
-    if scheme == Scheme::Hybrid {
-        match build_hybrid_reply(rs, ctx, &mut msg) {
-            Some(r) => {
-                maybe_evict_reply_reg(rs, ctx, &msg);
-                msg.pending_reply = Some(r);
-                let done = rs
-                    .cpu
-                    .reserve_labeled(ctx.now(), ctx.cfg.ctrl_overhead_ns, "ctrl");
-                ctx.cpu_event(
-                    done,
-                    rs.rank,
-                    CpuAct::ReceiverReady {
-                        peer: msg.peer,
-                        seq,
-                    },
-                );
-                am.recvs.insert((msg.peer, seq), msg);
-                return;
-            }
-            None => {
-                rs.counters.scheme_fallbacks += 1;
-                scheme = Scheme::BcSpup;
-                msg.scheme = scheme;
-            }
-        }
-    }
-    if scheme == Scheme::PRrs {
-        // Register the user buffer for scattered reads — unless the
-        // pinning budget is exhausted, in which case degrade to the
-        // copy-based BC-SPUP path (§4.3.3 graceful fallback).
-        match receiver_reg_cost(rs, ctx, &mut msg) {
-            Some(cost) => {
-                let reply = CtrlMsg::RndvReply {
-                    seq,
-                    scheme: scheme.to_wire(),
-                    body: ReplyBody::ReadGo,
-                };
-                msg.pending_reply = Some({
-                    let mut buf = take_ctrl_buf(rs);
-                    reply.encode_into(&mut buf);
-                    buf
-                });
-                let done = rs.cpu.reserve_labeled(ctx.now(), cost, "reg");
-                ctx.cpu_event(
-                    done,
-                    rs.rank,
-                    CpuAct::ReceiverReady {
-                        peer: msg.peer,
-                        seq,
-                    },
-                );
-                am.recvs.insert((msg.peer, seq), msg);
-                return;
-            }
-            None => {
-                rs.counters.scheme_fallbacks += 1;
-                scheme = Scheme::BcSpup;
-                msg.scheme = scheme;
-            }
-        }
-    }
-
-    match scheme {
+    // (a "complicated datatype" per §5.3), and the zero-copy schemes may
+    // exceed the pinning budget; each falls back to BC-SPUP (§4.3.3).
+    let ctrl = ctx.cfg.ctrl_overhead_ns;
+    let ready = match scheme {
+        Scheme::MultiW => build_multiw_reply(rs, ctx, &mut msg).map(|body| {
+            // Guaranteed by build_multiw_reply's 2× budget check.
+            let cost = receiver_reg_cost(rs, ctx, &mut msg).unwrap_or(0);
+            (body, cost, "reg")
+        }),
+        Scheme::Hybrid => build_hybrid_reply(rs, ctx, &mut msg).map(|body| (body, ctrl, "ctrl")),
+        Scheme::PRrs => receiver_reg_cost(rs, ctx, &mut msg).map(|c| (ReplyBody::ReadGo, c, "reg")),
         Scheme::Generic => {
             // One dynamic unpack buffer for the whole message.
             let sb = acquire_stage(rs, ctx, size);
-            let reply = CtrlMsg::RndvReply {
-                seq,
-                scheme: scheme.to_wire(),
-                body: ReplyBody::Buffer {
-                    addr: sb.va,
-                    rkey: sb.rkey,
-                },
-            };
             msg.unpack_bufs.push(sb);
-            msg.pending_reply = Some({
-                let mut buf = take_ctrl_buf(rs);
-                reply.encode_into(&mut buf);
-                buf
-            });
-            let done = rs
-                .cpu
-                .reserve_labeled(ctx.now(), ctx.cfg.ctrl_overhead_ns, "ctrl");
-            ctx.cpu_event(
-                done,
-                rs.rank,
-                CpuAct::ReceiverReady {
-                    peer: msg.peer,
-                    seq,
-                },
-            );
-        }
-        Scheme::BcSpup | Scheme::RwgUp => {
-            let mut segs = crate::msg::SegList::new();
-            for _ in 0..nsegs {
-                let sb = acquire_unpack_seg(rs, ctx);
-                segs.push((sb.va, sb.rkey));
-                msg.unpack_bufs.push(sb);
-            }
-            let reply = CtrlMsg::RndvReply {
-                seq,
-                scheme: scheme.to_wire(),
-                body: ReplyBody::Segments { segs },
+            let body = ReplyBody::Buffer {
+                addr: sb.va,
+                rkey: sb.rkey,
             };
-            msg.pending_reply = Some({
-                let mut buf = take_ctrl_buf(rs);
-                reply.encode_into(&mut buf);
-                buf
-            });
-            let done = rs
-                .cpu
-                .reserve_labeled(ctx.now(), ctx.cfg.ctrl_overhead_ns, "ctrl");
-            ctx.cpu_event(
-                done,
-                rs.rank,
-                CpuAct::ReceiverReady {
-                    peer: msg.peer,
-                    seq,
-                },
-            );
+            Some((body, ctrl, "ctrl"))
         }
-        Scheme::MultiW | Scheme::Hybrid | Scheme::PRrs | Scheme::Adaptive => {
-            unreachable!("resolved above")
+        _ => None,
+    };
+    match ready {
+        Some((body, cost, label)) => {
+            if matches!(scheme, Scheme::MultiW | Scheme::Hybrid) {
+                maybe_evict_reply_reg(rs, ctx, &msg);
+            }
+            queue_reply(rs, ctx, &mut msg, body, cost, label);
+        }
+        None => {
+            if !matches!(scheme, Scheme::BcSpup | Scheme::RwgUp) {
+                rs.counters.scheme_fallbacks += 1;
+                msg.scheme = Scheme::BcSpup;
+            }
+            reply_segments(rs, ctx, &mut msg);
         }
     }
     am.recvs.insert((msg.peer, seq), msg);
 }
 
-/// Acquires pin-down registrations covering `blocks`, charging their
-/// bytes against `reg_budget_bytes`. Returns the host cost, or `None`
-/// when the budget would be exceeded — in which case nothing is
+/// Encodes the rendezvous reply and schedules it to go out once the
+/// receiver's preparation — `cost` ns of host work under `label` —
+/// finishes.
+fn queue_reply(
+    rs: &mut RankState,
+    ctx: &mut Ctx<'_, '_>,
+    msg: &mut RecvMsg,
+    body: ReplyBody,
+    cost: Time,
+    label: &'static str,
+) {
+    let mut buf = take_ctrl_buf(rs);
+    CtrlMsg::RndvReply {
+        seq: msg.seq,
+        scheme: msg.scheme.to_wire(),
+        body,
+    }
+    .encode_into(&mut buf);
+    msg.pending_reply = Some(buf);
+    let done = rs.cpu.reserve_labeled(ctx.now(), cost, label);
+    let (peer, seq) = (msg.peer, msg.seq);
+    ctx.cpu_event(done, rs.rank, CpuAct::ReceiverReady { peer, seq });
+}
+
+/// Assigns one unpack buffer per segment and queues the BC-SPUP /
+/// RWG-UP reply that lists them.
+fn reply_segments(rs: &mut RankState, ctx: &mut Ctx<'_, '_>, msg: &mut RecvMsg) {
+    let mut segs = SegList::new();
+    for _ in 0..msg.nsegs {
+        let sb = acquire_seg(rs, ctx, true);
+        segs.push((sb.va, sb.rkey));
+        msg.unpack_bufs.push(sb);
+    }
+    let cost = ctx.cfg.ctrl_overhead_ns;
+    queue_reply(rs, ctx, msg, ReplyBody::Segments { segs }, cost, "ctrl");
+}
+
+/// Acquires pin-down registrations for the OGR `regions`, charging
+/// their bytes against `reg_budget_bytes`. Returns the host cost, or
+/// `None` when the budget would be exceeded — in which case nothing is
 /// acquired and the caller falls back to a copy-based scheme.
 fn try_acquire_user_regs(
     rs: &mut RankState,
     ctx: &mut Ctx<'_, '_>,
-    blocks: &[(Va, u64)],
+    regions: &[(Va, u64)],
     regs_out: &mut Vec<Registration>,
     pinned_out: &mut u64,
 ) -> Option<Time> {
-    let plan = ogr::plan(blocks, &ctx.host.reg);
-    let need: u64 = plan.regions.iter().map(|&(_, l)| l).sum();
+    let need: u64 = regions.iter().map(|&(_, l)| l).sum();
     if rs.pinned_user_bytes.saturating_add(need) > ctx.cfg.reg_budget_bytes {
         return None;
     }
     rs.pinned_user_bytes += need;
     *pinned_out += need;
     let mut cost = 0;
-    for &(a, l) in &plan.regions {
+    for &(a, l) in regions {
         let acq = rs
             .pindown
             .acquire(&mut ctx.mems[rs.rank as usize].regs, &ctx.host.reg, a, l);
@@ -2051,185 +1916,145 @@ fn receiver_reg_cost(rs: &mut RankState, ctx: &mut Ctx<'_, '_>, msg: &mut RecvMs
     let plan = rs.plan_for(&msg.ty, msg.count);
     let mut blocks = rs.scratch.take_blocks();
     abs_blocks_into(&plan, msg.buf, &mut blocks);
-    let cost = try_acquire_user_regs(rs, ctx, &blocks, &mut msg.user_regs, &mut msg.pinned_bytes);
+    let regions = ogr::plan(&blocks, &ctx.host.reg).regions;
     rs.scratch.put_blocks(blocks);
+    let cost = try_acquire_user_regs(rs, ctx, &regions, &mut msg.user_regs, &mut msg.pinned_bytes);
     cost.map(|c| c + device_reg_extra(ctx, rs.rank, msg.buf))
 }
 
-/// Builds the Multi-W reply, or `None` when it cannot fit an eager
-/// buffer.
+/// Builds the Multi-W reply over the whole receive buffer, or `None`
+/// when it cannot fit an eager buffer or the pinning budget.
 fn build_multiw_reply(
     rs: &mut RankState,
     ctx: &mut Ctx<'_, '_>,
     msg: &mut RecvMsg,
-) -> Option<Vec<u8>> {
-    let tag = rs.registry.register(&msg.ty);
-    let key = (msg.peer, tag.index, tag.version);
-    let layout = if rs.sent_layouts.contains(&key) {
-        None
-    } else {
-        Some(msg.ty.flat().as_ref().clone())
-    };
-    // Probe size before committing registrations.
+) -> Option<ReplyBody> {
     let tplan = rs.plan_for(&msg.ty, msg.count);
     let mut blocks = rs.scratch.take_blocks();
     abs_blocks_into(&tplan, msg.buf, &mut blocks);
-    let plan = ogr::plan(&blocks, &ctx.host.reg);
+    // The caller's receiver_reg_cost pins the same blocks again (the
+    // pin-down cache refcounts the duplicate acquire), so reserve
+    // budget headroom for twice the footprint.
+    let body = build_direct_reply(rs, ctx, msg, &blocks, 2, None);
     rs.scratch.put_blocks(blocks);
-    // Both this commit and the caller's receiver_reg_cost charge the
-    // pinning budget (the pin-down cache refcounts the duplicate
-    // acquire), so require headroom for twice the footprint.
-    let need: u64 = plan.regions.iter().map(|&(_, l)| l).sum();
-    if rs.pinned_user_bytes.saturating_add(need.saturating_mul(2)) > ctx.cfg.reg_budget_bytes {
-        return None;
-    }
-    let probe = CtrlMsg::RndvReply {
-        seq: msg.seq,
-        scheme: Scheme::MultiW.to_wire(),
-        body: ReplyBody::MultiW {
-            base: msg.buf,
-            tag,
-            count: msg.count,
-            layout: layout.clone(),
-            regions: plan.regions.iter().map(|&(a, l)| (a, l, 0)).collect(),
-        },
-    }
-    .encode();
-    if probe.len() as u64 > ctx.cfg.eager_buf_size {
-        return None;
-    }
-    if layout.is_some() {
-        rs.sent_layouts.insert(key);
-    }
-    // Commit: register and fill in real rkeys.
-    rs.pinned_user_bytes += need;
-    msg.pinned_bytes += need;
-    let mut regions = Vec::with_capacity(plan.regions.len());
-    let mut cost = 0;
-    for &(a, l) in &plan.regions {
-        let acq = rs
-            .pindown
-            .acquire(&mut ctx.mems[rs.rank as usize].regs, &ctx.host.reg, a, l);
-        cost += acq.cost_ns;
-        msg.user_regs.push(acq.reg);
-        regions.push((a, l, acq.reg.rkey));
-    }
-    // The registration cost is charged by the caller through
-    // receiver_reg_cost's path; charge it here directly instead.
-    rs.cpu.reserve_labeled(ctx.now(), cost, "reg");
-    Some(
-        CtrlMsg::RndvReply {
-            seq: msg.seq,
-            scheme: Scheme::MultiW.to_wire(),
-            body: ReplyBody::MultiW {
-                base: msg.buf,
-                tag,
-                count: msg.count,
-                layout,
-                regions,
-            },
-        }
-        .encode(),
-    )
+    body
 }
 
-/// Builds the Hybrid reply: registers the direct blocks, assigns
-/// unpack segments for the packed part, and records the partition on
-/// the receive message. Returns `None` when the reply cannot fit an
-/// eager buffer (fall back to BC-SPUP).
+/// Builds the Hybrid reply: partitions the receive buffer, pins the
+/// direct blocks, assigns unpack segments for the packed part, and
+/// records the partition on the receive message. `None` when the reply
+/// cannot fit an eager buffer or the pinning budget.
 fn build_hybrid_reply(
     rs: &mut RankState,
     ctx: &mut Ctx<'_, '_>,
     msg: &mut RecvMsg,
-) -> Option<Vec<u8>> {
+) -> Option<ReplyBody> {
     let threshold = ctx.cfg.hybrid_block_threshold;
     let tplan = rs.plan_for(&msg.ty, msg.count);
     let mut blocks = rs.scratch.take_blocks();
     abs_blocks_into(&tplan, msg.buf, &mut blocks);
-    let mut lens = rs.scratch.take_lens();
-    lens.extend(blocks.iter().map(|&(_, l)| l));
-    let part = hybrid_partition(&lens, threshold);
-    rs.scratch.put_lens(lens);
-    let (nsegs_p, seg_size_p) = if part.packed_bytes == 0 {
-        (0u32, 1u64)
-    } else {
-        let ss = ctx
-            .cfg
-            .segment_size(part.packed_bytes)
-            .min(ctx.cfg.max_seg_size);
-        (part.packed_bytes.div_ceil(ss) as u32, ss)
-    };
+    let part = hybrid_partition(&blocks, threshold);
+    let (nsegs, seg_size) = packed_geometry(ctx.cfg, part.packed_bytes);
+    blocks.retain(|&(_, l)| l >= threshold);
+    let body = build_direct_reply(rs, ctx, msg, &blocks, 1, Some((nsegs, threshold)));
+    rs.scratch.put_blocks(blocks);
+    if body.is_some() {
+        msg.nsegs = nsegs;
+        msg.seg_size = seg_size;
+        msg.packed_ivs = part.packed;
+    }
+    body
+}
 
+/// Segment count and size of a packed substream of `packed_bytes`
+/// (Hybrid's small-block part).
+fn packed_geometry(cfg: &MpiConfig, packed_bytes: u64) -> (u32, u64) {
+    if packed_bytes == 0 {
+        return (0, 1);
+    }
+    let ss = cfg.segment_size(packed_bytes).min(cfg.max_seg_size);
+    (packed_bytes.div_ceil(ss) as u32, ss)
+}
+
+/// The probe-and-commit shared by the zero-copy replies: probes the
+/// reply with placeholder keys and, when it fits an eager buffer and
+/// `headroom` times its pinning footprint fits the budget, pins the
+/// OGR regions covering `blocks` and returns the reply body. `hybrid`
+/// carries Hybrid's packed segment count and block threshold; its
+/// unpack segments are assigned after the pinning.
+fn build_direct_reply(
+    rs: &mut RankState,
+    ctx: &mut Ctx<'_, '_>,
+    msg: &mut RecvMsg,
+    blocks: &[(Va, u64)],
+    headroom: u64,
+    hybrid: Option<(u32, u64)>,
+) -> Option<ReplyBody> {
     let tag = rs.registry.register(&msg.ty);
     let key = (msg.peer, tag.index, tag.version);
-    let layout = if rs.sent_layouts.contains(&key) {
-        None
-    } else {
-        Some(msg.ty.flat().as_ref().clone())
-    };
-    // Probe the reply size with placeholder keys before committing.
-    // The full block list is no longer needed, so narrow it to the
-    // direct part in place and hand the scratch vector back.
-    blocks.retain(|&(_, l)| l >= threshold);
-    let plan = ogr::plan(&blocks, &ctx.host.reg);
-    rs.scratch.put_blocks(blocks);
-    let probe = CtrlMsg::RndvReply {
-        seq: msg.seq,
-        scheme: Scheme::Hybrid.to_wire(),
-        body: ReplyBody::Hybrid {
-            base: msg.buf,
+    let layout = (!rs.sent_layouts.contains(&key)).then(|| msg.ty.flat().as_ref().clone());
+    let regions = ogr::plan(blocks, &ctx.host.reg).regions;
+    let need: u64 = regions.iter().map(|&(_, l)| l).sum();
+    if rs
+        .pinned_user_bytes
+        .saturating_add(need.saturating_mul(headroom))
+        > ctx.cfg.reg_budget_bytes
+    {
+        return None;
+    }
+    let (base, count) = (msg.buf, msg.count);
+    let body = |layout, regions, segs: Vec<(Va, u32)>| match hybrid {
+        None => ReplyBody::MultiW {
+            base,
             tag,
-            count: msg.count,
-            layout: layout.clone(),
-            regions: plan.regions.iter().map(|&(a, l)| (a, l, 0)).collect(),
-            segs: vec![(0, 0); nsegs_p as usize],
+            count,
+            layout,
+            regions,
+        },
+        Some((_, threshold)) => ReplyBody::Hybrid {
+            base,
+            tag,
+            count,
+            layout,
+            regions,
+            segs,
             threshold,
         },
+    };
+    let nsegs = hybrid.map_or(0, |(n, _)| n as usize);
+    let placeholder = regions.iter().map(|&(a, l)| (a, l, 0)).collect();
+    let mut probe = take_ctrl_buf(rs);
+    CtrlMsg::RndvReply {
+        seq: msg.seq,
+        scheme: msg.scheme.to_wire(),
+        body: body(layout.clone(), placeholder, vec![(0, 0); nsegs]),
     }
-    .encode();
-    if probe.len() as u64 > ctx.cfg.eager_buf_size {
+    .encode_into(&mut probe);
+    let fits = probe.len() as u64 <= ctx.cfg.eager_buf_size;
+    recycle_ctrl_buf(rs, probe);
+    if !fits {
         return None;
     }
     if layout.is_some() {
         rs.sent_layouts.insert(key);
     }
-    // Commit: register direct regions, acquire unpack segments.
-    let mut regions = Vec::with_capacity(plan.regions.len());
-    let mut cost = 0;
-    for &(a, l) in &plan.regions {
-        let acq = rs
-            .pindown
-            .acquire(&mut ctx.mems[rs.rank as usize].regs, &ctx.host.reg, a, l);
-        cost += acq.cost_ns;
-        msg.user_regs.push(acq.reg);
-        regions.push((a, l, acq.reg.rkey));
-    }
+    // Commit: pin the regions (the budget check above covers this) and
+    // fill in the real rkeys.
+    let first = msg.user_regs.len();
+    let cost = try_acquire_user_regs(rs, ctx, &regions, &mut msg.user_regs, &mut msg.pinned_bytes)?;
     rs.cpu.reserve_labeled(ctx.now(), cost, "reg");
-    let mut segs = Vec::with_capacity(nsegs_p as usize);
-    for _ in 0..nsegs_p {
-        let sb = acquire_unpack_seg(rs, ctx);
+    let keyed = regions
+        .iter()
+        .zip(&msg.user_regs[first..])
+        .map(|(&(a, l), r)| (a, l, r.rkey))
+        .collect();
+    let mut segs = Vec::with_capacity(nsegs);
+    for _ in 0..nsegs {
+        let sb = acquire_seg(rs, ctx, true);
         segs.push((sb.va, sb.rkey));
         msg.unpack_bufs.push(sb);
     }
-    msg.nsegs = nsegs_p;
-    msg.seg_size = seg_size_p;
-    msg.packed_intervals = part.packed;
-    Some(
-        CtrlMsg::RndvReply {
-            seq: msg.seq,
-            scheme: Scheme::Hybrid.to_wire(),
-            body: ReplyBody::Hybrid {
-                base: msg.buf,
-                tag,
-                count: msg.count,
-                layout,
-                regions,
-                segs,
-                threshold,
-            },
-        }
-        .encode(),
-    )
+    Some(body(layout, keyed, segs))
 }
 
 /// A data segment (or whole message) arrived, announced by immediate
@@ -2240,7 +2065,6 @@ fn on_segment_arrival(
     ctx: &mut Ctx<'_, '_>,
     peer: u32,
     imm: u32,
-    _byte_len: u64,
 ) {
     let (seq16, k) = imm_parse(imm);
     let Some(&seq) = am.imm_map.get(&(peer, seq16)) else {
@@ -2287,10 +2111,14 @@ fn on_segment_arrival(
             let done = charge_copy(rs, ctx, buf, blocks, size, true, "unpack");
             ctx.cpu_event(done, rs.rank, CpuAct::UnpackAll { peer, seq });
         }
-        Scheme::BcSpup | Scheme::RwgUp => {
-            if ctx.cfg.segment_unpack || msg.scheme == Scheme::BcSpup {
-                unpack_segment(rs, ctx, msg, k);
-            } else if msg.segs_arrived == msg.nsegs {
+        Scheme::Hybrid if k == MARKER_K => {
+            msg.marker_seen = true;
+            if msg.segs_unpacked == msg.nsegs {
+                receiver_complete(rs, am, ctx, peer, seq);
+            }
+        }
+        Scheme::RwgUp if !ctx.cfg.segment_unpack => {
+            if msg.segs_arrived == msg.nsegs {
                 // Fig. 12 ablation: unpack everything only after the
                 // last segment arrived. Costs stay a per-segment
                 // `copy_ns` sum — ceil rounding makes that differ from
@@ -2308,20 +2136,17 @@ fn on_segment_arrival(
                 ctx.cpu_event(done, rs.rank, CpuAct::UnpackAll { peer, seq });
             }
         }
+        Scheme::BcSpup | Scheme::RwgUp | Scheme::Hybrid => {
+            let (blocks, len) = unpack_segment_do(rs, ctx, msg, k);
+            rs.counters.bytes_unpacked += len;
+            let buf = msg.buf;
+            let done = charge_copy(rs, ctx, buf, blocks, len, true, "unpack");
+            ctx.cpu_event(done, rs.rank, CpuAct::UnpackSeg { peer, seq });
+        }
         Scheme::MultiW => {
             // Zero-copy: data is already in place; the immediate on the
             // last write is the completion notification.
             receiver_complete(rs, am, ctx, peer, seq);
-        }
-        Scheme::Hybrid => {
-            if k == MARKER_K {
-                msg.marker_seen = true;
-                if msg.segs_unpacked == msg.nsegs {
-                    receiver_complete(rs, am, ctx, peer, seq);
-                }
-            } else {
-                hybrid_unpack_segment(rs, ctx, msg, k);
-            }
         }
         Scheme::PRrs | Scheme::Adaptive => {
             // No write-path segments exist for these schemes; a stray
@@ -2331,27 +2156,11 @@ fn on_segment_arrival(
     }
 }
 
-/// Unpacks segment `k` (functional now) and schedules the completion.
-fn unpack_segment(rs: &mut RankState, ctx: &mut Ctx<'_, '_>, msg: &mut RecvMsg, k: u32) {
-    let (blocks, len) = unpack_segment_do(rs, ctx, msg, k);
-    rs.counters.bytes_unpacked += len;
-    let buf = msg.buf;
-    let done = charge_copy(rs, ctx, buf, blocks, len, true, "unpack");
-    ctx.cpu_event(
-        done,
-        rs.rank,
-        CpuAct::UnpackSeg {
-            peer: msg.peer,
-            seq: msg.seq,
-            k,
-        },
-    );
-}
-
-/// Performs the functional unpack of segment `k`, returning the block
-/// and byte counts the caller charges costs on (segment-at-a-time paths
-/// route through [`charge_copy`]; the Fig. 12 batch ablation sums
-/// per-segment `copy_ns` itself so its ceil-rounded total is unchanged).
+/// Performs the functional unpack of segment `k` of the packed
+/// substream, returning the block and byte counts the caller charges
+/// costs on (segment-at-a-time paths route through [`charge_copy`]; the
+/// Fig. 12 batch ablation sums per-segment `copy_ns` itself so its
+/// ceil-rounded total is unchanged).
 fn unpack_segment_do(
     rs: &mut RankState,
     ctx: &mut Ctx<'_, '_>,
@@ -2361,7 +2170,7 @@ fn unpack_segment_do(
     let rank = rs.rank;
     let plan = rs.plan_for(&msg.ty, msg.count);
     let lo = k as u64 * msg.seg_size;
-    let hi = (lo + msg.seg_size).min(msg.size);
+    let hi = (lo + msg.seg_size).min(substream_len(&msg.packed_ivs, msg.size));
     let mut data = rs.scratch.take_bytes((hi - lo) as usize);
     data.copy_from_slice(
         ctx.mems[rank as usize]
@@ -2369,57 +2178,15 @@ fn unpack_segment_do(
             .slice(msg.unpack_bufs[k as usize].va, hi - lo)
             .expect("unpack buffer readable"),
     );
-    unpack_from_slice(ctx, rank, &plan, msg.buf, lo, hi, &data);
-    rs.scratch.put_bytes(data);
-    let (blocks, _) = plan.block_count_in(lo, hi).expect("range valid");
-    (blocks, hi - lo)
-}
-
-/// Unpacks Hybrid packed segment `k` from its pool buffer into the
-/// small-block stream intervals it covers.
-fn hybrid_unpack_segment(rs: &mut RankState, ctx: &mut Ctx<'_, '_>, msg: &mut RecvMsg, k: u32) {
-    let packed_bytes: u64 = msg.packed_intervals.iter().map(|&(a, b)| b - a).sum();
-    let lo = k as u64 * msg.seg_size;
-    let hi = (lo + msg.seg_size).min(packed_bytes);
-    let mut data = rs.scratch.take_bytes((hi - lo) as usize);
-    data.copy_from_slice(
-        ctx.mems[rs.rank as usize]
-            .space
-            .slice(msg.unpack_bufs[k as usize].va, hi - lo)
-            .expect("unpack buffer readable"),
-    );
-    let stream_ivs = substream_to_stream(&msg.packed_intervals, lo, hi);
-    let plan = rs.plan_for(&msg.ty, msg.count);
-    let mut cursor = 0usize;
-    let mut blocks = 0usize;
-    for &(a, b) in &stream_ivs {
+    let (mut cursor, mut blocks) = (0usize, 0usize);
+    for_each_substream_piece(&msg.packed_ivs, lo, hi, |a, b| {
         let n = (b - a) as usize;
-        unpack_from_slice(
-            ctx,
-            rs.rank,
-            &plan,
-            msg.buf,
-            a,
-            b,
-            &data[cursor..cursor + n],
-        );
+        unpack_from_slice(ctx, rank, &plan, msg.buf, a, b, &data[cursor..cursor + n]);
         cursor += n;
-        let (nb, _) = plan.block_count_in(a, b).expect("range valid");
-        blocks += nb;
-    }
+        blocks += plan.block_count_in(a, b).expect("range valid").0;
+    });
     rs.scratch.put_bytes(data);
-    rs.counters.bytes_unpacked += hi - lo;
-    let buf = msg.buf;
-    let done = charge_copy(rs, ctx, buf, blocks, hi - lo, true, "unpack");
-    ctx.cpu_event(
-        done,
-        rs.rank,
-        CpuAct::UnpackSeg {
-            peer: msg.peer,
-            seq: msg.seq,
-            k,
-        },
-    );
+    (blocks, hi - lo)
 }
 
 fn receiver_complete(
@@ -2451,33 +2218,15 @@ fn receiver_complete(
 /// Releases a receive message's staging buffers, user registrations,
 /// and budget charge (shared by completion and abort).
 fn receiver_release(rs: &mut RankState, ctx: &mut Ctx<'_, '_>, msg: &mut RecvMsg) {
-    release_stage_bufs(rs, ctx, &msg.unpack_bufs, true);
-    let mut bufs = std::mem::take(&mut msg.unpack_bufs);
-    bufs.clear();
-    rs.scratch.put_stage(bufs);
+    let (regs, pinned) = (&mut msg.user_regs, &mut msg.pinned_bytes);
+    release_msg(rs, ctx, &mut msg.unpack_bufs, true, regs, pinned);
     if let Some(v) = msg.pending_reply.take() {
-        rs.scratch.put_bytes(v);
+        recycle_ctrl_buf(rs, v);
     }
     if let Some(v) = msg.reply_copy.take() {
-        rs.scratch.put_bytes(v);
+        recycle_ctrl_buf(rs, v);
     }
     rs.scratch.put_set(std::mem::take(&mut msg.segs_seen));
-    let mut cost = 0;
-    for r in &msg.user_regs {
-        // `BadKey` = force-evicted under the transfer (§5.4.2).
-        if let Ok(c) =
-            rs.pindown
-                .release(&mut ctx.mems[rs.rank as usize].regs, &ctx.host.reg, r.lkey)
-        {
-            cost += c;
-        }
-    }
-    msg.user_regs.clear();
-    if cost > 0 {
-        rs.cpu.reserve_labeled(ctx.now(), cost, "dereg");
-    }
-    rs.pinned_user_bytes = rs.pinned_user_bytes.saturating_sub(msg.pinned_bytes);
-    msg.pinned_bytes = 0;
 }
 
 /// P-RRS: a packed segment is available on the sender; issue reads.
@@ -2508,64 +2257,36 @@ fn receiver_on_seg_ready(
     let lo = k as u64 * msg.seg_size;
     let hi = lo + len;
     let plan = rs.plan_for(&msg.ty, msg.count);
-    let mbuf = msg.buf;
     let mut blocks = rs.scratch.take_blocks();
-    plan.for_each_block(lo, hi, |off, l| {
-        blocks.push(((mbuf as i64 + off) as u64, l));
-    })
-    .expect("range valid");
-    let chunks = chunk_gather(&blocks, ctx.net.max_sge);
+    blocks_in_range(&plan, msg.buf, lo, hi, &mut blocks);
+    let regs = &msg.user_regs;
+    let lkey = |a, l| lkey_for(regs, a, l);
+    let frame = WrFrame {
+        read: true,
+        ..WrFrame::write(WR_READ | seq, ctx.net.max_sge, lkey, |_, _| rkey)
+    };
+    let mut wrs = Vec::new();
+    plan_gather(&frame, &blocks, addr, Tail::default(), &mut wrs);
     rs.scratch.put_blocks(blocks);
-    let mut src_off = 0u64;
-    let n = chunks.len();
-    let mut wrs = Vec::with_capacity(n);
-    for (sges, clen) in chunks {
-        let sges = sges
-            .into_iter()
-            .map(|(a, l)| Sge {
-                addr: a,
-                len: l,
-                lkey: lkey_for(&msg.user_regs, a, l),
-            })
-            .collect();
-        wrs.push(SendWr {
-            wr_id: WR_READ | seq,
-            opcode: Opcode::RdmaRead,
-            sges,
-            remote: Some((addr + src_off, rkey)),
-            signaled: true,
-        });
-        src_off += clen;
+    // Every read is signaled: the receiver counts read completions.
+    for wr in &mut wrs {
+        wr.signaled = true;
     }
-    msg.reads_outstanding += n as u32;
-    rs.counters.data_wrs += n as u64;
-    let mut post_err = None;
-    for wr in wrs {
-        let ready = rs
-            .cpu
-            .reserve_labeled(ctx.now(), ctx.net.post_single_ns, "post");
-        if let Err(e) = ctx.post_send(ready, rs.rank, peer, wr) {
-            post_err = Some(e);
-            break;
-        }
+    msg.reads_outstanding += wrs.len() as u32;
+    let Err(err) = post_wrs(rs, ctx, peer, wrs, false) else {
+        return;
+    };
+    // A dead QP hands the read-driven transfer to the connection
+    // manager instead of failing the receive.
+    if ctx.cfg.recovery && recoverable(&err) && ensure_reconnect(rs, ctx, peer) {
+        rs.reconn
+            .get_mut(&peer)
+            .expect("entry ensured above")
+            .recvs
+            .insert(seq);
+        return;
     }
-    if let Some(e) = post_err {
-        // A dead QP hands the read-driven transfer to the connection
-        // manager instead of failing the receive.
-        if ctx.cfg.recovery
-            && matches!(e, PostError::QpError { .. } | PostError::QpNotReady { .. })
-            && ensure_reconnect(rs, ctx, peer)
-        {
-            rs.reconn
-                .get_mut(&peer)
-                .expect("entry ensured above")
-                .recvs
-                .insert(seq);
-            return;
-        }
-        rs.counters.post_errors += 1;
-        abort_recv(rs, am, ctx, peer, seq, MpiError::Post { peer, err: e });
-    }
+    abort_recv(rs, am, ctx, peer, seq, err);
 }
 
 fn receiver_read_done(
@@ -2597,7 +2318,7 @@ fn sender_on_reply(
     peer: u32,
     seq: u64,
     scheme_wire: u8,
-    body: ReplyBody,
+    mut body: ReplyBody,
 ) {
     let Some(mut msg) = am.sends.remove(&(peer, seq)) else {
         // The send was aborted earlier (flush/timeout) or already
@@ -2617,121 +2338,83 @@ fn sender_on_reply(
         am.sends.insert((peer, seq), msg);
         return;
     };
-    let proposed = msg.scheme;
-    msg.scheme = reply_scheme;
-
-    let targets = match body {
-        ReplyBody::Buffer { addr, rkey } => SendTargets::Buffer { addr, rkey },
-        ReplyBody::Segments { segs } => SendTargets::Segments(segs),
-        ReplyBody::ReadGo => SendTargets::ReadGo,
+    // Zero-copy replies name the receiver's layout by tag; the layout
+    // itself travels only on a peer's first use of the tag.
+    let rcv_blocks = match &mut body {
         ReplyBody::MultiW {
             base,
             tag,
             count,
             layout,
-            regions,
+            ..
+        }
+        | ReplyBody::Hybrid {
+            base,
+            tag,
+            count,
+            layout,
+            ..
         } => {
-            let layout: Arc<FlatLayout> = match layout {
+            let layout: Arc<FlatLayout> = match layout.take() {
                 Some(l) => {
                     let l = Arc::new(l);
-                    rs.layout_cache.insert(peer, tag, l.clone());
+                    rs.layout_cache.insert(peer, *tag, l.clone());
                     l
                 }
-                None => match rs.layout_cache.lookup(peer, tag) {
+                None => match rs.layout_cache.lookup(peer, *tag) {
                     Some(l) => l,
                     None => {
                         // The promised cached layout is gone — the
                         // reply cannot be acted on.
                         rs.errors.push(MpiError::MalformedCtrl { peer });
-                        msg.scheme = proposed;
                         am.sends.insert((peer, seq), msg);
                         return;
                     }
                 },
             };
-            let rcv_blocks = layout
-                .repeat(count)
+            let base = *base;
+            layout
+                .repeat(*count)
                 .into_iter()
                 .map(|(o, l)| ((base as i64 + o) as u64, l))
-                .collect();
-            SendTargets::MultiW {
-                rcv_blocks,
-                regions,
-            }
+                .collect()
         }
+        _ => Vec::new(),
+    };
+    msg.scheme = reply_scheme;
+    msg.targets = Some(match body {
+        ReplyBody::Buffer { addr, rkey } => SendTargets::segments(SegList::of((addr, rkey))),
+        ReplyBody::Segments { segs } => SendTargets::segments(segs),
+        ReplyBody::ReadGo => SendTargets::ReadGo,
+        ReplyBody::MultiW { regions, .. } => SendTargets::MultiW {
+            rcv_blocks,
+            regions,
+        },
         ReplyBody::Hybrid {
-            base,
-            tag,
-            count,
-            layout,
             regions,
             segs,
             threshold,
+            ..
         } => {
-            let layout: Arc<FlatLayout> = match layout {
-                Some(l) => {
-                    let l = Arc::new(l);
-                    rs.layout_cache.insert(peer, tag, l.clone());
-                    l
-                }
-                None => match rs.layout_cache.lookup(peer, tag) {
-                    Some(l) => l,
-                    None => {
-                        rs.errors.push(MpiError::MalformedCtrl { peer });
-                        msg.scheme = proposed;
-                        am.sends.insert((peer, seq), msg);
-                        return;
-                    }
-                },
-            };
-            let rcv_blocks: Vec<(Va, u64)> = layout
-                .repeat(count)
-                .into_iter()
-                .map(|(o, l)| ((base as i64 + o) as u64, l))
-                .collect();
-            let mut lens = rs.scratch.take_lens();
-            lens.extend(rcv_blocks.iter().map(|&(_, l)| l));
-            let part = hybrid_partition(&lens, threshold);
-            rs.scratch.put_lens(lens);
-            // Each direct interval corresponds to one receiver block;
-            // pair them up by walking the blocks again.
-            let mut direct = Vec::with_capacity(part.direct.len());
-            let mut pos = 0u64;
-            for &(a, l) in &rcv_blocks {
-                if l >= threshold {
-                    direct.push((pos, pos + l, a));
-                }
-                pos += l;
-            }
-            debug_assert_eq!(direct.len(), part.direct.len());
-            let seg_size_p = if part.packed_bytes == 0 {
-                1
-            } else {
-                ctx.cfg
-                    .segment_size(part.packed_bytes)
-                    .min(ctx.cfg.max_seg_size)
-            };
+            // Both sides derive the same partition from the receiver's
+            // layout; the packed part joins the segment pipeline.
+            let part = hybrid_partition(&rcv_blocks, threshold);
             msg.nsegs = segs.len() as u32;
-            msg.seg_size = seg_size_p;
-            msg.hybrid = Some(HybridSend {
-                packed_intervals: part.packed,
-                direct,
-                segs,
+            msg.seg_size = packed_geometry(ctx.cfg, part.packed_bytes).1;
+            msg.packed_ivs = part.packed;
+            SendTargets::Segments {
+                segs: segs.into_iter().collect(),
+                direct: part.direct,
                 regions,
-                direct_posted: false,
-                marker_posted: false,
-            });
-            SendTargets::HybridReady
+            }
         }
-    };
-    msg.targets = Some(targets);
+    });
 
-    let _ = proposed;
     // Ensure the early work matching the *reply's* scheme is running —
     // the receiver may have picked differently (adaptive decision,
     // Multi-W fallback, or the zero-copy contiguous path). Where the
     // reply wants the user buffer pinned and the budget refuses,
-    // degrade to a copy path on this side only (§4.3.3).
+    // degrade to a copy path (§4.3.3).
     match msg.scheme {
         Scheme::Generic => {
             if msg.pack_bufs.is_empty() {
@@ -2793,42 +2476,36 @@ fn sender_on_reply(
             }
         }
         Scheme::Hybrid => {
-            // hybrid_register runs when the reply body is decoded.
+            if !hybrid_register(rs, ctx, &mut msg) {
+                // The receiver pinned its direct blocks but the budget
+                // refuses ours: renegotiate the whole message as
+                // BC-SPUP, like a protection fault does (§5.4.2).
+                rs.counters.scheme_fallbacks += 1;
+                renegotiate_send(rs, am, ctx, msg);
+                return;
+            }
         }
         Scheme::Adaptive => unreachable!("reply always carries a concrete scheme"),
     }
-
-    if msg.scheme == Scheme::Hybrid {
-        hybrid_register(rs, ctx, &mut msg);
-    }
-    try_post_ready(rs, ctx, &mut msg);
-    if let Some(err) = msg.failed.take() {
-        resolve_send_failure(rs, am, ctx, msg, err);
-        return;
-    }
-    am.sends.insert((peer, seq), msg);
+    drive_send(rs, am, ctx, msg);
 }
 
 /// Registers exactly the sender blocks that feed Hybrid direct writes
 /// (the packed part travels through pool buffers and needs no user
 /// registration). Sets `reg_done` synchronously when nothing needs
-/// pinning.
-fn hybrid_register(rs: &mut RankState, ctx: &mut Ctx<'_, '_>, msg: &mut SendMsg) {
-    let Some(hy) = msg.hybrid.as_ref() else {
-        return;
+/// pinning. Returns `false`, pinning nothing more, when the budget
+/// refuses the blocks the handshake-time prediction did not cover.
+fn hybrid_register(rs: &mut RankState, ctx: &mut Ctx<'_, '_>, msg: &mut SendMsg) -> bool {
+    let Some(SendTargets::Segments { direct, .. }) = &msg.targets else {
+        return true;
     };
     let tplan = rs.plan_for(&msg.ty, msg.count);
-    let mbuf = msg.buf;
     let mut blocks = rs.scratch.take_blocks();
-    for &(lo, hi, _) in &hy.direct {
-        tplan
-            .for_each_block(lo, hi, |off, l| {
-                blocks.push(((mbuf as i64 + off) as u64, l));
-            })
-            .expect("range valid");
+    for &(lo, hi, _) in direct {
+        blocks_in_range(&tplan, msg.buf, lo, hi, &mut blocks);
     }
     // Drop blocks already covered by registrations acquired earlier
-    // (e.g. the contiguous-sender fast path).
+    // (the prediction, or the contiguous-sender fast path).
     blocks.retain(|&(a, l)| !msg.user_regs.iter().any(|r| r.covers(a, l)));
     if blocks.is_empty() {
         // Prediction covered everything (or no direct part): posting
@@ -2837,29 +2514,21 @@ fn hybrid_register(rs: &mut RankState, ctx: &mut Ctx<'_, '_>, msg: &mut SendMsg)
         if msg.user_regs.is_empty() {
             msg.reg_done = true;
         }
-        return;
+        return true;
     }
     // The receiver's partition needs more coverage than predicted.
-    msg.reg_done = false;
-    let plan = ogr::plan(&blocks, &ctx.host.reg);
+    let regions = ogr::plan(&blocks, &ctx.host.reg).regions;
     rs.scratch.put_blocks(blocks);
-    let mut cost = 0;
-    for &(a, l) in &plan.regions {
-        let acq = rs
-            .pindown
-            .acquire(&mut ctx.mems[rs.rank as usize].regs, &ctx.host.reg, a, l);
-        cost += acq.cost_ns;
-        msg.user_regs.push(acq.reg);
-    }
+    let Some(cost) =
+        try_acquire_user_regs(rs, ctx, &regions, &mut msg.user_regs, &mut msg.pinned_bytes)
+    else {
+        return false;
+    };
+    msg.reg_done = false;
     let done = rs.cpu.reserve_labeled(ctx.now(), cost, "reg");
-    ctx.cpu_event(
-        done,
-        rs.rank,
-        CpuAct::SenderRegDone {
-            peer: msg.peer,
-            seq: msg.seq,
-        },
-    );
+    let (peer, seq) = (msg.peer, msg.seq);
+    ctx.cpu_event(done, rs.rank, CpuAct::SenderRegDone { peer, seq });
+    true
 }
 
 /// Registers the sender's user buffer via OGR (RWG-UP / Multi-W).
@@ -2869,9 +2538,10 @@ fn sender_register(rs: &mut RankState, ctx: &mut Ctx<'_, '_>, msg: &mut SendMsg)
     let plan = rs.plan_for(&msg.ty, msg.count);
     let mut blocks = rs.scratch.take_blocks();
     abs_blocks_into(&plan, msg.buf, &mut blocks);
-    let acquired =
-        try_acquire_user_regs(rs, ctx, &blocks, &mut msg.user_regs, &mut msg.pinned_bytes);
+    let regions = ogr::plan(&blocks, &ctx.host.reg).regions;
     rs.scratch.put_blocks(blocks);
+    let acquired =
+        try_acquire_user_regs(rs, ctx, &regions, &mut msg.user_regs, &mut msg.pinned_bytes);
     let Some(mut cost) = acquired else {
         return false;
     };
@@ -2891,71 +2561,31 @@ fn sender_register(rs: &mut RankState, ctx: &mut Ctx<'_, '_>, msg: &mut SendMsg)
 /// Assigns pack staging buffers for all segments.
 fn assign_pack_bufs(rs: &mut RankState, ctx: &mut Ctx<'_, '_>, msg: &mut SendMsg) {
     for _ in 0..msg.nsegs {
-        let sb = acquire_pack_seg(rs, ctx);
+        let sb = acquire_seg(rs, ctx, false);
         msg.pack_bufs.push(sb);
     }
 }
 
-/// Starts (or continues) the sender's pack chain: one segment at a time
-/// on the CPU, so posting interleaves with packing (§4.3.1 pipelining).
+/// Starts (or continues) the sender's pack chain: one segment of the
+/// packed substream at a time on the CPU, so posting interleaves with
+/// packing (§4.3.1 pipelining). Waits until staging buffers exist
+/// (Hybrid assigns them once its direct writes are out).
 fn start_pack_chain(rs: &mut RankState, ctx: &mut Ctx<'_, '_>, msg: &mut SendMsg) {
-    if msg.pack_chain_running || msg.packed >= msg.nsegs {
+    let k = msg.packed;
+    if msg.pack_chain_running || k >= msg.nsegs || k as usize >= msg.pack_bufs.len() {
         return;
     }
-    if msg.scheme == Scheme::Hybrid {
-        hybrid_pack_next(rs, ctx, msg);
-        return;
-    }
-    let k = msg.packed;
+    let rank = rs.rank;
     let plan = rs.plan_for(&msg.ty, msg.count);
     let lo = k as u64 * msg.seg_size;
-    let hi = (lo + msg.seg_size).min(msg.size);
+    let hi = lo + seg_len(msg, k);
     let mut data = rs.scratch.take_bytes((hi - lo) as usize);
-    pack_range(ctx, rs.rank, &plan, msg.buf, lo, hi, &mut data);
-    ctx.mems[rs.rank as usize]
-        .space
-        .write(msg.pack_bufs[k as usize].va, &data)
-        .expect("pack buffer writable");
-    rs.scratch.put_bytes(data);
-    let (blocks, _) = plan.block_count_in(lo, hi).expect("range valid");
-    let buf = msg.buf;
-    let done = charge_copy(rs, ctx, buf, blocks, hi - lo, false, "pack");
-    msg.pack_chain_running = true;
-    ctx.cpu_event(
-        done,
-        rs.rank,
-        CpuAct::PackSeg {
-            peer: msg.peer,
-            seq: msg.seq,
-            k,
-        },
-    );
-}
-
-/// Packs the next segment of the Hybrid packed substream: gathers the
-/// small-block stream intervals covering `[k*S, (k+1)*S)` of the
-/// substream into a pool buffer.
-fn hybrid_pack_next(rs: &mut RankState, ctx: &mut Ctx<'_, '_>, msg: &mut SendMsg) {
-    let Some(hy) = msg.hybrid.as_ref() else {
-        return; // partition unknown until the reply arrives
-    };
-    if msg.pack_bufs.is_empty() {
-        return; // buffers assigned when direct writes go out
-    }
-    let k = msg.packed;
-    let packed_bytes: u64 = hy.packed_intervals.iter().map(|&(a, b)| b - a).sum();
-    let lo = k as u64 * msg.seg_size;
-    let hi = (lo + msg.seg_size).min(packed_bytes);
-    let stream_ivs = substream_to_stream(&hy.packed_intervals, lo, hi);
-    let plan = rs.plan_for(&msg.ty, msg.count);
-    let mut data = rs.scratch.take_bytes((hi - lo) as usize);
-    let mut cursor = 0usize;
-    let mut blocks = 0usize;
-    for &(a, b) in &stream_ivs {
+    let (mut cursor, mut blocks) = (0usize, 0usize);
+    for_each_substream_piece(&msg.packed_ivs, lo, hi, |a, b| {
         let n = (b - a) as usize;
         pack_range(
             ctx,
-            rs.rank,
+            rank,
             &plan,
             msg.buf,
             a,
@@ -2963,11 +2593,9 @@ fn hybrid_pack_next(rs: &mut RankState, ctx: &mut Ctx<'_, '_>, msg: &mut SendMsg
             &mut data[cursor..cursor + n],
         );
         cursor += n;
-        let (nb, _) = plan.block_count_in(a, b).expect("range valid");
-        blocks += nb;
-    }
-    debug_assert_eq!(cursor as u64, hi - lo);
-    ctx.mems[rs.rank as usize]
+        blocks += plan.block_count_in(a, b).expect("range valid").0;
+    });
+    ctx.mems[rank as usize]
         .space
         .write(msg.pack_bufs[k as usize].va, &data)
         .expect("pack buffer writable");
@@ -2986,513 +2614,266 @@ fn hybrid_pack_next(rs: &mut RankState, ctx: &mut Ctx<'_, '_>, msg: &mut SendMsg
     );
 }
 
+/// Bytes of packed segment `k`.
 fn seg_len(msg: &SendMsg, k: u32) -> u64 {
     let lo = k as u64 * msg.seg_size;
-    ((lo + msg.seg_size).min(msg.size)) - lo
+    (lo + msg.seg_size).min(substream_len(&msg.packed_ivs, msg.size)) - lo
 }
 
-/// Posts whatever data the current state allows.
-fn try_post_ready(rs: &mut RankState, ctx: &mut Ctx<'_, '_>, msg: &mut SendMsg) {
-    // Reads one `(addr, rkey)` segment target by value; avoids cloning
-    // the whole target list per call just to appease the borrow checker.
-    fn seg_target(msg: &SendMsg, k: u32) -> (Va, u32) {
-        match &msg.targets {
-            Some(SendTargets::Segments(s)) => s[k as usize],
-            _ => unreachable!("segment schemes carry segment targets"),
+/// Posts what the current state allows and keeps the pack chain moving,
+/// then puts the message back — or, when a post failed, hands it to the
+/// connection manager or a typed abort.
+fn drive_send(rs: &mut RankState, am: &mut ActiveMsgs, ctx: &mut Ctx<'_, '_>, mut msg: SendMsg) {
+    match try_post_ready(rs, ctx, &mut msg) {
+        Ok(()) => {
+            start_pack_chain(rs, ctx, &mut msg);
+            am.sends.insert((msg.peer, msg.seq), msg);
         }
+        Err(err) => resolve_send_failure(rs, am, ctx, msg, err),
     }
-    match (&msg.targets, msg.scheme) {
-        (None, _) => {}
-        (Some(SendTargets::Buffer { addr, rkey }), Scheme::Generic) => {
-            if msg.packed == msg.nsegs && msg.posted_segs == 0 {
-                // Whole message packed into pack_bufs (one buffer per
-                // segment — Generic uses a single whole-size buffer).
-                debug_assert_eq!(msg.nsegs, 1, "Generic packs whole messages");
-                let sb = msg.pack_bufs[0];
-                let ready = rs
-                    .cpu
-                    .reserve_labeled(ctx.now(), ctx.net.post_single_ns, "post");
-                let wr = SendWr {
-                    wr_id: WR_DATA | msg.seq,
-                    opcode: Opcode::RdmaWriteImm(imm_of(msg.seq, 0)),
-                    sges: SgeList::of(Sge {
-                        addr: sb.va,
-                        len: msg.size,
-                        lkey: sb.lkey,
-                    }),
-                    remote: Some((*addr, *rkey)),
-                    signaled: true,
-                };
-                rs.counters.data_wrs += 1;
-                if let Err(e) = ctx.post_send(ready, rs.rank, msg.peer, wr) {
-                    rs.counters.post_errors += 1;
-                    msg.failed = Some(MpiError::Post {
-                        peer: msg.peer,
-                        err: e,
-                    });
-                    return;
-                }
-                msg.posted_segs = 1;
-            }
+}
+
+/// Plans the work requests the current state allows and posts them:
+/// announcements for P-RRS, one Multi-W write list, RWG-UP gather
+/// writes, or the segment pipeline.
+fn try_post_ready(
+    rs: &mut RankState,
+    ctx: &mut Ctx<'_, '_>,
+    msg: &mut SendMsg,
+) -> Result<(), MpiError> {
+    let data = WR_DATA | msg.seq;
+    let max_sge = ctx.net.max_sge;
+    match &msg.targets {
+        None => Ok(()),
+        Some(SendTargets::ReadGo) => {
+            announce_segments(rs, ctx, msg);
+            Ok(())
         }
-        (Some(SendTargets::Segments(_)), Scheme::BcSpup) => {
-            while msg.posted_segs < msg.packed {
-                let k = msg.posted_segs;
-                let (dst, dst_rkey) = seg_target(msg, k);
-                let sb = msg.pack_bufs[k as usize];
-                let len = seg_len(msg, k);
-                let ready = rs
-                    .cpu
-                    .reserve_labeled(ctx.now(), ctx.net.post_single_ns, "post");
-                let wr = SendWr {
-                    wr_id: WR_DATA | msg.seq,
-                    opcode: Opcode::RdmaWriteImm(imm_of(msg.seq, k)),
-                    sges: SgeList::of(Sge {
-                        addr: sb.va,
-                        len,
-                        lkey: sb.lkey,
-                    }),
-                    remote: Some((dst, dst_rkey)),
-                    signaled: k == msg.nsegs - 1,
-                };
-                rs.counters.data_wrs += 1;
-                if let Err(e) = ctx.post_send(ready, rs.rank, msg.peer, wr) {
-                    rs.counters.post_errors += 1;
-                    msg.failed = Some(MpiError::Post {
-                        peer: msg.peer,
-                        err: e,
-                    });
-                    return;
-                }
-                msg.posted_segs += 1;
+        Some(SendTargets::MultiW {
+            rcv_blocks,
+            regions,
+        }) => {
+            let staged = msg.mw_stage;
+            if msg.direct_posted || !msg.reg_done || (staged && msg.packed < msg.nsegs) {
+                return Ok(());
             }
+            // Zero-copy gathers from the pinned user buffer; degraded
+            // Multi-W streams the staged copy, one entry per write so
+            // no write straddles two staging buffers.
+            let rkey = |a, l| region_key(regions, a, l);
+            let tail = Tail::imm(imm_of(msg.seq, 0), true);
+            let mut snd = rs.scratch.take_blocks();
+            let mut wrs = Vec::new();
+            if staged {
+                let bufs = &msg.pack_bufs;
+                let lens = (0..msg.nsegs).map(|k| seg_len(msg, k));
+                snd.extend(bufs.iter().map(|sb| sb.va).zip(lens));
+                let lkey = |a, _| {
+                    let sb = bufs.iter().find(|sb| sb.va <= a && a < sb.va + sb.len);
+                    sb.map_or(u32::MAX, |sb| sb.lkey)
+                };
+                let frame = WrFrame::write(data, 1, lkey, rkey);
+                plan_multi_w(&frame, &snd, rcv_blocks, tail, &mut wrs);
+            } else {
+                let tplan = rs.plan_for(&msg.ty, msg.count);
+                abs_blocks_into(&tplan, msg.buf, &mut snd);
+                let regs = &msg.user_regs;
+                let frame = WrFrame::write(data, max_sge, |a, l| lkey_for(regs, a, l), rkey);
+                plan_multi_w(&frame, &snd, rcv_blocks, tail, &mut wrs);
+            }
+            rs.scratch.put_blocks(snd);
+            msg.direct_posted = true;
+            post_wrs(rs, ctx, msg.peer, wrs, true)
         }
-        (Some(SendTargets::Segments(_)), Scheme::RwgUp) => {
+        Some(SendTargets::Segments { segs, .. }) if msg.scheme == Scheme::RwgUp => {
             // Resume-aware: after a connection recovery `posted_segs`
             // holds the receiver-acknowledged prefix, and the gather
             // writes restart from that segment boundary.
             if !msg.reg_done || msg.posted_segs >= msg.nsegs {
-                return;
-            }
-            let plan = rs.plan_for(&msg.ty, msg.count);
-            let mbuf = msg.buf;
-            let mut blocks = rs.scratch.take_blocks();
-            for k in msg.posted_segs..msg.nsegs {
-                let (seg_dst, seg_rkey) = seg_target(msg, k);
-                let lo = k as u64 * msg.seg_size;
-                let hi = (lo + msg.seg_size).min(msg.size);
-                blocks.clear();
-                plan.for_each_block(lo, hi, |off, l| {
-                    blocks.push(((mbuf as i64 + off) as u64, l));
-                })
-                .expect("range valid");
-                let chunks = chunk_gather(&blocks, ctx.net.max_sge);
-                let nchunks = chunks.len();
-                let mut dst_off = 0u64;
-                for (ci, (raw_sges, clen)) in chunks.into_iter().enumerate() {
-                    let sges = raw_sges
-                        .into_iter()
-                        .map(|(a, l)| Sge {
-                            addr: a,
-                            len: l,
-                            lkey: lkey_for(&msg.user_regs, a, l),
-                        })
-                        .collect();
-                    let last_chunk = ci == nchunks - 1;
-                    let wr = SendWr {
-                        wr_id: WR_DATA | msg.seq,
-                        opcode: if last_chunk {
-                            Opcode::RdmaWriteImm(imm_of(msg.seq, k))
-                        } else {
-                            Opcode::RdmaWrite
-                        },
-                        sges,
-                        remote: Some((seg_dst + dst_off, seg_rkey)),
-                        signaled: last_chunk && k == msg.nsegs - 1,
-                    };
-                    dst_off += clen;
-                    rs.counters.data_wrs += 1;
-                    let ready = rs
-                        .cpu
-                        .reserve_labeled(ctx.now(), ctx.net.post_single_ns, "post");
-                    if let Err(e) = ctx.post_send(ready, rs.rank, msg.peer, wr) {
-                        rs.counters.post_errors += 1;
-                        msg.failed = Some(MpiError::Post {
-                            peer: msg.peer,
-                            err: e,
-                        });
-                        return;
-                    }
-                }
-            }
-            rs.scratch.put_blocks(blocks);
-            msg.posted_segs = msg.nsegs;
-        }
-        (Some(SendTargets::ReadGo), Scheme::PRrs) if msg.contig => {
-            // Announce segments pointing directly into the registered
-            // user buffer; nothing was packed.
-            if !msg.reg_done || msg.posted_segs > 0 {
-                return;
-            }
-            let base = msg.buf as i64 + msg.ty.true_lb();
-            for k in 0..msg.nsegs {
-                let addr = (base + (k as u64 * msg.seg_size) as i64) as Va;
-                let len = seg_len(msg, k);
-                let rkey = msg
-                    .user_regs
-                    .iter()
-                    .find(|r| r.covers(addr, len))
-                    .expect("registration covers the contiguous buffer")
-                    .rkey;
-                let ready = CtrlMsg::SegReady {
-                    seq: msg.seq,
-                    k,
-                    addr,
-                    rkey,
-                    len,
-                };
-                send_ctrl_msg(rs, ctx, msg.peer, &ready, 0);
-            }
-            msg.posted_segs = msg.nsegs;
-        }
-        (Some(SendTargets::ReadGo), Scheme::PRrs) => {
-            while msg.posted_segs < msg.packed {
-                let k = msg.posted_segs;
-                let sb = msg.pack_bufs[k as usize];
-                let ready = CtrlMsg::SegReady {
-                    seq: msg.seq,
-                    k,
-                    addr: sb.va,
-                    rkey: sb.rkey,
-                    len: seg_len(msg, k),
-                };
-                send_ctrl_msg(rs, ctx, msg.peer, &ready, 0);
-                msg.posted_segs += 1;
-            }
-        }
-        (
-            Some(SendTargets::MultiW {
-                rcv_blocks,
-                regions,
-            }),
-            Scheme::MultiW,
-        ) if msg.mw_stage => {
-            // Degraded Multi-W: the packed stream sits in pack_bufs;
-            // write it into the receiver's (stream-ordered) blocks.
-            if msg.packed < msg.nsegs || msg.posted_segs > 0 {
-                return;
-            }
-            let mut wrs: Vec<SendWr> = Vec::new();
-            let mut pos = 0u64;
-            for &(dst, l) in rcv_blocks {
-                let mut off = 0u64;
-                while off < l {
-                    let k = ((pos + off) / msg.seg_size) as usize;
-                    let sb = msg.pack_bufs[k];
-                    let in_seg = (pos + off) - k as u64 * msg.seg_size;
-                    let n = (l - off).min(msg.seg_size - in_seg);
-                    let rkey = region_key(regions, dst + off, n);
-                    wrs.push(SendWr {
-                        wr_id: WR_DATA | msg.seq,
-                        opcode: Opcode::RdmaWrite,
-                        sges: SgeList::of(Sge {
-                            addr: sb.va + in_seg,
-                            len: n,
-                            lkey: sb.lkey,
-                        }),
-                        remote: Some((dst + off, rkey)),
-                        signaled: false,
-                    });
-                    off += n;
-                }
-                pos += l;
-            }
-            if let Some(last) = wrs.last_mut() {
-                last.opcode = Opcode::RdmaWriteImm(imm_of(msg.seq, 0));
-                last.signaled = true;
-            }
-            let n = wrs.len();
-            assert!(n > 0, "rendezvous messages are never empty");
-            rs.counters.data_wrs += n as u64;
-            if ctx.cfg.list_post {
-                let ready = rs
-                    .cpu
-                    .reserve_labeled(ctx.now(), ctx.net.post_list_ns(n), "post");
-                if let Err(e) = ctx.post_send_list(ready, rs.rank, msg.peer, wrs) {
-                    rs.counters.post_errors += 1;
-                    msg.failed = Some(MpiError::Post {
-                        peer: msg.peer,
-                        err: e,
-                    });
-                    return;
-                }
-            } else {
-                for wr in wrs {
-                    let ready = rs
-                        .cpu
-                        .reserve_labeled(ctx.now(), ctx.net.post_single_ns, "post");
-                    if let Err(e) = ctx.post_send(ready, rs.rank, msg.peer, wr) {
-                        rs.counters.post_errors += 1;
-                        msg.failed = Some(MpiError::Post {
-                            peer: msg.peer,
-                            err: e,
-                        });
-                        return;
-                    }
-                }
-            }
-            msg.posted_segs = msg.nsegs;
-        }
-        (
-            Some(SendTargets::MultiW {
-                rcv_blocks,
-                regions,
-            }),
-            Scheme::MultiW,
-        ) => {
-            if !msg.reg_done || msg.posted_segs > 0 {
-                return;
+                return Ok(());
             }
             let tplan = rs.plan_for(&msg.ty, msg.count);
-            let mut snd_blocks = rs.scratch.take_blocks();
-            abs_blocks_into(&tplan, msg.buf, &mut snd_blocks);
-            let plan = plan_multi_w(&snd_blocks, rcv_blocks, ctx.net.max_sge);
-            rs.scratch.put_blocks(snd_blocks);
-            let n = plan.len();
-            assert!(n > 0, "rendezvous messages are never empty");
-            let wrs: Vec<SendWr> = plan
-                .into_iter()
-                .enumerate()
-                .map(|(i, p)| {
-                    let sges = p
-                        .sges
-                        .iter()
-                        .map(|&(a, l)| Sge {
-                            addr: a,
-                            len: l,
-                            lkey: lkey_for(&msg.user_regs, a, l),
-                        })
-                        .collect();
-                    let rkey = region_key(regions, p.dst, p.len);
-                    let last = i == n - 1;
-                    SendWr {
-                        wr_id: WR_DATA | msg.seq,
-                        opcode: if last {
-                            Opcode::RdmaWriteImm(imm_of(msg.seq, 0))
-                        } else {
-                            Opcode::RdmaWrite
-                        },
-                        sges,
-                        remote: Some((p.dst, rkey)),
-                        signaled: last,
-                    }
-                })
-                .collect();
-            rs.counters.data_wrs += n as u64;
-            if ctx.cfg.list_post {
-                let ready = rs
-                    .cpu
-                    .reserve_labeled(ctx.now(), ctx.net.post_list_ns(n), "post");
-                if let Err(e) = ctx.post_send_list(ready, rs.rank, msg.peer, wrs) {
-                    rs.counters.post_errors += 1;
-                    msg.failed = Some(MpiError::Post {
-                        peer: msg.peer,
-                        err: e,
-                    });
-                    return;
-                }
-            } else {
-                for wr in wrs {
-                    let ready = rs
-                        .cpu
-                        .reserve_labeled(ctx.now(), ctx.net.post_single_ns, "post");
-                    if let Err(e) = ctx.post_send(ready, rs.rank, msg.peer, wr) {
-                        rs.counters.post_errors += 1;
-                        msg.failed = Some(MpiError::Post {
-                            peer: msg.peer,
-                            err: e,
-                        });
-                        return;
-                    }
-                }
+            let regs = &msg.user_regs;
+            let lkey = |a, l| lkey_for(regs, a, l);
+            let mut blocks = rs.scratch.take_blocks();
+            let mut wrs = Vec::new();
+            for k in msg.posted_segs..msg.nsegs {
+                let (dst, rkey) = segs[k as usize];
+                let lo = k as u64 * msg.seg_size;
+                blocks.clear();
+                blocks_in_range(&tplan, msg.buf, lo, lo + seg_len(msg, k), &mut blocks);
+                let frame = WrFrame::write(data, max_sge, lkey, |_, _| rkey);
+                let tail = Tail::imm(imm_of(msg.seq, k), k == msg.nsegs - 1);
+                plan_gather(&frame, &blocks, dst, tail, &mut wrs);
             }
+            rs.scratch.put_blocks(blocks);
+            post_wrs(rs, ctx, msg.peer, wrs, false)?;
             msg.posted_segs = msg.nsegs;
+            Ok(())
         }
-        (Some(SendTargets::HybridReady), Scheme::Hybrid) => {
-            hybrid_try_post(rs, ctx, msg);
-        }
-        (Some(t), s) => {
-            debug_assert!(false, "targets {t:?} inconsistent with scheme {s:?}");
-            msg.failed = Some(MpiError::UnknownMessage {
-                peer: msg.peer,
-                seq: msg.seq,
-            });
-        }
+        Some(SendTargets::Segments { .. }) => post_segments(rs, ctx, msg),
     }
 }
 
-/// Hybrid posting: direct gather writes once registration is done, then
-/// packed segments as they become ready, then the completion marker.
-fn hybrid_try_post(rs: &mut RankState, ctx: &mut Ctx<'_, '_>, msg: &mut SendMsg) {
-    if !msg.reg_done {
-        return;
-    }
-    let Some(mut hy) = msg.hybrid.take() else {
-        return;
-    };
-    if !hy.direct_posted {
-        hy.direct_posted = true;
-        let plan = rs.plan_for(&msg.ty, msg.count);
-        let mbuf = msg.buf;
-        let mut wrs: Vec<SendWr> = Vec::new();
-        let mut blocks = rs.scratch.take_blocks();
-        for &(lo, hi, dst) in &hy.direct {
-            blocks.clear();
-            plan.for_each_block(lo, hi, |off, l| {
-                blocks.push(((mbuf as i64 + off) as u64, l));
-            })
-            .expect("range valid");
-            let chunks = chunk_gather(&blocks, ctx.net.max_sge);
-            let mut dst_off = 0u64;
-            for (raw_sges, clen) in chunks {
-                let sges = raw_sges
-                    .into_iter()
-                    .map(|(a, l)| Sge {
-                        addr: a,
-                        len: l,
-                        lkey: lkey_for(&msg.user_regs, a, l),
-                    })
-                    .collect();
-                let rkey = region_key(&hy.regions, dst + dst_off, clen);
-                wrs.push(SendWr {
-                    wr_id: WR_DATA | msg.seq,
-                    opcode: Opcode::RdmaWrite,
-                    sges,
-                    remote: Some((dst + dst_off, rkey)),
-                    signaled: false,
-                });
-                dst_off += clen;
-            }
-        }
-        rs.scratch.put_blocks(blocks);
-        rs.counters.data_wrs += wrs.len() as u64;
-        if ctx.cfg.list_post {
-            let n = wrs.len();
-            if n > 0 {
-                let ready = rs
-                    .cpu
-                    .reserve_labeled(ctx.now(), ctx.net.post_list_ns(n), "post");
-                if let Err(e) = ctx.post_send_list(ready, rs.rank, msg.peer, wrs) {
-                    rs.counters.post_errors += 1;
-                    msg.failed = Some(MpiError::Post {
-                        peer: msg.peer,
-                        err: e,
-                    });
-                    msg.hybrid = Some(hy);
-                    return;
-                }
-            }
-        } else {
-            for wr in wrs {
-                let ready = rs
-                    .cpu
-                    .reserve_labeled(ctx.now(), ctx.net.post_single_ns, "post");
-                if let Err(e) = ctx.post_send(ready, rs.rank, msg.peer, wr) {
-                    rs.counters.post_errors += 1;
-                    msg.failed = Some(MpiError::Post {
-                        peer: msg.peer,
-                        err: e,
-                    });
-                    msg.hybrid = Some(hy);
-                    return;
-                }
-            }
-        }
-        // Kick off packing of the small-block substream (if any).
-        if msg.nsegs > 0 && msg.pack_bufs.is_empty() {
-            for _ in 0..msg.nsegs {
-                let sb = acquire_pack_seg(rs, ctx);
-                msg.pack_bufs.push(sb);
-            }
-        }
-    }
-    // Post packed segments that are ready, in order.
-    let packed_bytes: u64 = hy.packed_intervals.iter().map(|&(a, b)| b - a).sum();
-    while msg.posted_segs < msg.packed {
-        let k = msg.posted_segs;
-        let lo = k as u64 * msg.seg_size;
-        let hi = (lo + msg.seg_size).min(packed_bytes);
-        let sb = msg.pack_bufs[k as usize];
-        let ready = rs
-            .cpu
-            .reserve_labeled(ctx.now(), ctx.net.post_single_ns, "post");
-        let wr = SendWr {
-            wr_id: WR_DATA | msg.seq,
-            opcode: Opcode::RdmaWriteImm(imm_of(msg.seq, k)),
-            sges: SgeList::of(Sge {
-                addr: sb.va,
-                len: hi - lo,
-                lkey: sb.lkey,
-            }),
-            remote: Some((hy.segs[k as usize].0, hy.segs[k as usize].1)),
-            signaled: false,
-        };
-        rs.counters.data_wrs += 1;
-        if let Err(e) = ctx.post_send(ready, rs.rank, msg.peer, wr) {
-            rs.counters.post_errors += 1;
-            msg.failed = Some(MpiError::Post {
-                peer: msg.peer,
-                err: e,
-            });
-            msg.hybrid = Some(hy);
+/// P-RRS: announces the segments the receiver may read — straight out
+/// of the registered user buffer for a contiguous sender, else each
+/// packed segment as it becomes ready.
+fn announce_segments(rs: &mut RankState, ctx: &mut Ctx<'_, '_>, msg: &mut SendMsg) {
+    if msg.contig {
+        if !msg.reg_done || msg.posted_segs > 0 {
             return;
         }
+        let base = msg.buf as i64 + msg.ty.true_lb();
+        for k in 0..msg.nsegs {
+            let addr = (base + (k as u64 * msg.seg_size) as i64) as Va;
+            let len = seg_len(msg, k);
+            let rkey = msg
+                .user_regs
+                .iter()
+                .find(|r| r.covers(addr, len))
+                .expect("registration covers the contiguous buffer")
+                .rkey;
+            let ready = CtrlMsg::SegReady {
+                seq: msg.seq,
+                k,
+                addr,
+                rkey,
+                len,
+            };
+            send_ctrl_msg(rs, ctx, msg.peer, &ready, 0);
+        }
+        msg.posted_segs = msg.nsegs;
+        return;
+    }
+    while msg.posted_segs < msg.packed {
+        let k = msg.posted_segs;
+        let sb = msg.pack_bufs[k as usize];
+        let ready = CtrlMsg::SegReady {
+            seq: msg.seq,
+            k,
+            addr: sb.va,
+            rkey: sb.rkey,
+            len: seg_len(msg, k),
+        };
+        send_ctrl_msg(rs, ctx, msg.peer, &ready, 0);
         msg.posted_segs += 1;
     }
-    // Everything out: send the completion marker (ordered last on the
-    // QP, so its arrival implies all data landed).
-    if !hy.marker_posted && msg.posted_segs == msg.nsegs {
-        hy.marker_posted = true;
-        let (maddr, mrkey) = if let Some(&(a, k)) = hy.segs.first() {
-            (a, k)
-        } else if let Some(&(a, _, k)) = hy.regions.first() {
-            (a, k)
-        } else {
+}
+
+/// The segment pipeline shared by Generic, BC-SPUP and Hybrid: Hybrid's
+/// direct gather writes once its registration is done, then every
+/// packed segment that is ready, in order, then Hybrid's completion
+/// marker (ordered last on the QP, so its arrival implies all data
+/// landed).
+fn post_segments(
+    rs: &mut RankState,
+    ctx: &mut Ctx<'_, '_>,
+    msg: &mut SendMsg,
+) -> Result<(), MpiError> {
+    let Some(SendTargets::Segments {
+        segs,
+        direct,
+        regions,
+    }) = &msg.targets
+    else {
+        unreachable!("segment pipeline without segment targets");
+    };
+    let hybrid = msg.scheme == Scheme::Hybrid;
+    let (peer, seq, max_sge) = (msg.peer, msg.seq, ctx.net.max_sge);
+    if hybrid && !msg.reg_done {
+        return Ok(());
+    }
+    if hybrid && !msg.direct_posted {
+        msg.direct_posted = true;
+        let tplan = rs.plan_for(&msg.ty, msg.count);
+        let regs = &msg.user_regs;
+        let lkey = |a, l| lkey_for(regs, a, l);
+        let rkey = |a, l| region_key(regions, a, l);
+        let frame = WrFrame::write(WR_DATA | seq, max_sge, lkey, rkey);
+        let mut blocks = rs.scratch.take_blocks();
+        let mut wrs = Vec::new();
+        for &(lo, hi, dst) in direct {
+            blocks.clear();
+            blocks_in_range(&tplan, msg.buf, lo, hi, &mut blocks);
+            plan_gather(&frame, &blocks, dst, Tail::default(), &mut wrs);
+        }
+        rs.scratch.put_blocks(blocks);
+        post_wrs(rs, ctx, peer, wrs, true)?;
+        // Staging for the small-block substream (if any): the pack
+        // chain starts once the direct writes are out.
+        if msg.pack_bufs.is_empty() {
+            for _ in 0..msg.nsegs {
+                msg.pack_bufs.push(acquire_seg(rs, ctx, false));
+            }
+        }
+    }
+    while msg.posted_segs < msg.packed {
+        let k = msg.posted_segs;
+        let sb = msg.pack_bufs[k as usize];
+        let (dst, rkey) = segs[k as usize];
+        let frame = WrFrame::write(WR_DATA | seq, max_sge, |_, _| sb.lkey, |_, _| rkey);
+        let tail = Tail::imm(imm_of(seq, k), !hybrid && k == msg.nsegs - 1);
+        let wr = frame.wr(&[(sb.va, seg_len(msg, k))], dst, tail);
+        post_wrs(rs, ctx, peer, [wr], false)?;
+        msg.posted_segs += 1;
+    }
+    if hybrid && !msg.marker_posted && msg.posted_segs == msg.nsegs {
+        msg.marker_posted = true;
+        let first_region = regions.first().map(|&(a, _, key)| (a, key));
+        let Some((dst, rkey)) = segs.first().copied().or(first_region) else {
             // A rendezvous message always has a target; fail typed
             // rather than panicking on the protocol violation.
             debug_assert!(false, "non-empty message has no hybrid target");
-            msg.failed = Some(MpiError::UnknownMessage {
-                peer: msg.peer,
-                seq: msg.seq,
-            });
-            msg.hybrid = Some(hy);
-            return;
+            return Err(MpiError::UnknownMessage { peer, seq });
         };
+        let frame = WrFrame::write(WR_DATA | seq, max_sge, |_, _| 0, |_, _| rkey);
+        let marker = frame.wr(&[], dst, Tail::imm(imm_of(seq, MARKER_K), true));
+        post_wrs(rs, ctx, peer, [marker], false)?;
+    }
+    Ok(())
+}
+
+/// The one poster of the data path: hands a planned batch to the
+/// transport toward `peer` and charges the CPU for it — one
+/// `post_list_ns(n)` when `list` allows a descriptor list and the
+/// configuration list-posts (§7.4), else `post_single_ns` per work
+/// request, stopping at the first refusal. Counts the requests posted
+/// and the refusals; a refusal comes back typed.
+pub(crate) fn post_wrs<I>(
+    rs: &mut RankState,
+    ctx: &mut Ctx<'_, '_>,
+    peer: u32,
+    wrs: I,
+    list: bool,
+) -> Result<(), MpiError>
+where
+    I: IntoIterator<Item = SendWr>,
+    I::IntoIter: ExactSizeIterator,
+{
+    let mut wrs = wrs.into_iter();
+    let res = if list && ctx.cfg.list_post {
+        let n = wrs.len();
+        if n == 0 {
+            return Ok(());
+        }
+        rs.counters.data_wrs += n as u64;
         let ready = rs
             .cpu
-            .reserve_labeled(ctx.now(), ctx.net.post_single_ns, "post");
-        let wr = SendWr {
-            wr_id: WR_DATA | msg.seq,
-            opcode: Opcode::RdmaWriteImm(imm_of(msg.seq, MARKER_K)),
-            sges: SgeList::new(),
-            remote: Some((maddr, mrkey)),
-            signaled: true,
-        };
-        rs.counters.data_wrs += 1;
-        if let Err(e) = ctx.post_send(ready, rs.rank, msg.peer, wr) {
-            rs.counters.post_errors += 1;
-            msg.failed = Some(MpiError::Post {
-                peer: msg.peer,
-                err: e,
-            });
-            msg.hybrid = Some(hy);
-            return;
-        }
-    }
-    msg.hybrid = Some(hy);
-    // Keep the packed-substream pack chain moving (it posts each
-    // segment back through here as it completes).
-    start_pack_chain(rs, ctx, msg);
+            .reserve_labeled(ctx.now(), ctx.net.post_list_ns(n), "post");
+        ctx.post_send_list(ready, rs.rank, peer, wrs.collect())
+    } else {
+        wrs.try_for_each(|wr| {
+            rs.counters.data_wrs += 1;
+            let ready = rs
+                .cpu
+                .reserve_labeled(ctx.now(), ctx.net.post_single_ns, "post");
+            ctx.post_send(ready, rs.rank, peer, wr)
+        })
+    };
+    res.map_err(|err| {
+        rs.counters.post_errors += 1;
+        MpiError::Post { peer, err }
+    })
 }
 
 /// Local completion of the (last) data WR of a rendezvous send.
@@ -3534,12 +2915,27 @@ fn sender_on_fin(
 }
 
 fn sender_release(rs: &mut RankState, ctx: &mut Ctx<'_, '_>, msg: &mut SendMsg) {
-    release_stage_bufs(rs, ctx, &msg.pack_bufs, false);
-    let mut bufs = std::mem::take(&mut msg.pack_bufs);
+    let (regs, pinned) = (&mut msg.user_regs, &mut msg.pinned_bytes);
+    release_msg(rs, ctx, &mut msg.pack_bufs, false, regs, pinned);
+}
+
+/// Returns a message's staging buffers (to the unpack pool when
+/// `unpack`) and user registrations, and refunds its pinning-budget
+/// charge.
+fn release_msg(
+    rs: &mut RankState,
+    ctx: &mut Ctx<'_, '_>,
+    bufs: &mut Vec<StageBuf>,
+    unpack: bool,
+    regs: &mut Vec<Registration>,
+    pinned: &mut u64,
+) {
+    release_stage_bufs(rs, ctx, bufs, unpack);
+    let mut bufs = std::mem::take(bufs);
     bufs.clear();
     rs.scratch.put_stage(bufs);
     let mut cost = 0;
-    for r in &msg.user_regs {
+    for r in regs.drain(..) {
         // A `BadKey` means the pin-down cache force-evicted the region
         // under the transfer (§5.4.2) — already deregistered.
         if let Ok(c) =
@@ -3549,41 +2945,31 @@ fn sender_release(rs: &mut RankState, ctx: &mut Ctx<'_, '_>, msg: &mut SendMsg) 
             cost += c;
         }
     }
-    msg.user_regs.clear();
     if cost > 0 {
         rs.cpu.reserve_labeled(ctx.now(), cost, "dereg");
     }
-    rs.pinned_user_bytes = rs.pinned_user_bytes.saturating_sub(msg.pinned_bytes);
-    msg.pinned_bytes = 0;
+    rs.pinned_user_bytes = rs.pinned_user_bytes.saturating_sub(*pinned);
+    *pinned = 0;
 }
 
 // ---------------------------------------------------------------------
 // Staging buffers (pool with dynamic fallback, §4.3.3)
 // ---------------------------------------------------------------------
 
-fn acquire_pack_seg(rs: &mut RankState, ctx: &mut Ctx<'_, '_>) -> StageBuf {
-    match rs.pack_pool.acquire() {
+/// Takes one segment buffer from the pack (or, when `unpack`, the
+/// unpack) pool, falling back to a dynamic buffer when it is exhausted.
+fn acquire_seg(rs: &mut RankState, ctx: &mut Ctx<'_, '_>, unpack: bool) -> StageBuf {
+    let pool = if unpack {
+        &mut rs.unpack_pool
+    } else {
+        &mut rs.pack_pool
+    };
+    match pool.acquire() {
         Some(va) => StageBuf {
             va,
-            len: rs.pack_pool.seg_size(),
-            lkey: rs.pack_pool.lkey(),
-            rkey: rs.pack_pool.rkey(),
-            dynamic: false,
-        },
-        None => {
-            rs.counters.pool_fallbacks += 1;
-            acquire_stage(rs, ctx, ctx.cfg.max_seg_size)
-        }
-    }
-}
-
-fn acquire_unpack_seg(rs: &mut RankState, ctx: &mut Ctx<'_, '_>) -> StageBuf {
-    match rs.unpack_pool.acquire() {
-        Some(va) => StageBuf {
-            va,
-            len: rs.unpack_pool.seg_size(),
-            lkey: rs.unpack_pool.lkey(),
-            rkey: rs.unpack_pool.rkey(),
+            len: pool.seg_size(),
+            lkey: pool.lkey(),
+            rkey: pool.rkey(),
             dynamic: false,
         },
         None => {
@@ -3687,22 +3073,11 @@ fn abs_blocks_into(plan: &TransferPlan, buf: Va, out: &mut Vec<(Va, u64)>) {
     );
 }
 
-/// Local key covering the range. A missing covering registration is a
-/// protocol bug; the sentinel key makes the fabric reject the post with
-/// a typed [`PostError`] instead of panicking here.
-fn lkey_for(regs: &[Registration], addr: Va, len: u64) -> u32 {
-    regs.iter()
-        .find(|r| r.covers(addr, len))
-        .map_or(u32::MAX, |r| r.lkey)
-}
-
-/// Remote key covering the range; the sentinel key fails the
-/// responder's rkey check with a typed remote-access completion.
-fn region_key(regions: &[(Va, u64, u32)], addr: Va, len: u64) -> u32 {
-    regions
-        .iter()
-        .find(|&&(a, l, _)| addr >= a && addr + len <= a + l)
-        .map_or(u32::MAX, |r| r.2)
+/// Appends to `out` the absolute-address contiguous blocks of the
+/// stream range `[lo, hi)` of the plan's message at `buf`.
+fn blocks_in_range(plan: &TransferPlan, buf: Va, lo: u64, hi: u64, out: &mut Vec<(Va, u64)>) {
+    plan.for_each_block(lo, hi, |off, l| out.push(((buf as i64 + off) as u64, l)))
+        .expect("range valid");
 }
 
 /// Functional pack of a stream range into a caller-provided buffer of
@@ -3983,32 +3358,12 @@ fn resend_eager_slot(rs: &mut RankState, ctx: &mut Ctx<'_, '_>, peer: u32, va: V
         ctx.cfg.ctrl_overhead_ns + ctx.net.post_single_ns,
         "ctrl",
     );
-    let wr = SendWr {
-        wr_id: WR_EAGER | va,
-        opcode: Opcode::Send,
-        sges: SgeList::of(Sge {
-            addr: va,
-            len,
-            lkey: rs.eager_lkey,
-        }),
-        remote: None,
-        signaled: true,
-    };
-    if let Err(e) = ctx.post_send(ready, rs.rank, peer, wr) {
-        if ctx.cfg.recovery
-            && matches!(e, PostError::QpError { .. } | PostError::QpNotReady { .. })
-            && ensure_reconnect(rs, ctx, peer)
-        {
-            rs.reconn
-                .get_mut(&peer)
-                .expect("entry ensured above")
-                .eager_slots
-                .push(va);
-            return;
-        }
-        rs.eager_send_free.push(va);
-        rs.counters.post_errors += 1;
-        rs.errors.push(MpiError::Post { peer, err: e });
+    if !post_ctrl_slot(rs, ctx, peer, va, len, ready) {
+        rs.reconn
+            .get_mut(&peer)
+            .expect("reconnect scheduled")
+            .eager_slots
+            .push(va);
     }
 }
 
@@ -4041,12 +3396,7 @@ fn resume_send(
                 return;
             };
             msg.posted_segs = 0;
-            try_post_ready(rs, ctx, &mut msg);
-            if let Some(err) = msg.failed.take() {
-                resolve_send_failure(rs, am, ctx, msg, err);
-                return;
-            }
-            am.sends.insert((peer, seq), msg);
+            drive_send(rs, am, ctx, msg);
         }
         Some(_) => {
             // Data-bearing schemes restart from the receiver's
@@ -4078,20 +3428,18 @@ fn resume_recv(
     send_ctrl_msg(rs, ctx, peer, &CtrlMsg::RndvResume { seq }, 0);
 }
 
-/// §5.4.2 protection fault: the receiver's pinned region vanished under
-/// a zero-copy transfer (remote-access NAK on our write). Fall back to
-/// the copy-based BC-SPUP path by renegotiating the message once.
+/// Falls back from a zero-copy transfer to the copy-based BC-SPUP path
+/// by renegotiating the message once: after a §5.4.2 protection fault
+/// (the receiver's pinned region vanished under a write, remote-access
+/// NAK), or when the pinning budget refuses Hybrid's reply-time
+/// registration. The caller counts the cause.
 fn renegotiate_send(
     rs: &mut RankState,
     am: &mut ActiveMsgs,
     ctx: &mut Ctx<'_, '_>,
-    peer: u32,
-    seq: u64,
+    mut msg: SendMsg,
 ) {
-    let Some(mut msg) = am.sends.remove(&(peer, seq)) else {
-        return;
-    };
-    rs.counters.protection_fallbacks += 1;
+    let (peer, seq) = (msg.peer, msg.seq);
     msg.renegotiated = true;
     // Tear down the zero-copy generation: registrations, staging, and
     // any pack pipeline still in flight.
@@ -4102,7 +3450,9 @@ fn renegotiate_send(
         msg.pack_chain_running = false;
     }
     msg.reg_done = false;
-    msg.hybrid = None;
+    msg.packed_ivs.clear();
+    msg.direct_posted = false;
+    msg.marker_posted = false;
     msg.mw_stage = false;
     msg.targets = None;
     msg.posted_segs = 0;
@@ -4158,31 +3508,12 @@ fn receiver_renegotiate(
     msg.segs_arrived = 0;
     msg.segs_unpacked = 0;
     msg.segs_seen.clear();
-    msg.packed_intervals.clear();
+    msg.packed_ivs.clear();
     msg.marker_seen = false;
     msg.reads_outstanding = 0;
     msg.segs_announced = 0;
     msg.reply_copy = None;
-    let mut segs = crate::msg::SegList::new();
-    for _ in 0..nsegs {
-        let sb = acquire_unpack_seg(rs, ctx);
-        segs.push((sb.va, sb.rkey));
-        msg.unpack_bufs.push(sb);
-    }
-    let reply = CtrlMsg::RndvReply {
-        seq,
-        scheme: Scheme::BcSpup.to_wire(),
-        body: ReplyBody::Segments { segs },
-    };
-    msg.pending_reply = Some({
-        let mut buf = take_ctrl_buf(rs);
-        reply.encode_into(&mut buf);
-        buf
-    });
-    let done = rs
-        .cpu
-        .reserve_labeled(ctx.now(), ctx.cfg.ctrl_overhead_ns, "ctrl");
-    ctx.cpu_event(done, rs.rank, CpuAct::ReceiverReady { peer, seq });
+    reply_segments(rs, ctx, &mut msg);
     am.recvs.insert((peer, seq), msg);
 }
 

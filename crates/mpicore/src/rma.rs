@@ -20,12 +20,10 @@
 //! Both transfers are genuinely one-sided: the target's CPU does no
 //! work — only its HCA places or serves data.
 
-use crate::error::MpiError;
-use crate::plan::plan_multi_w;
-use crate::progress::{Ctx, WR_RMA};
+use crate::plan::{lkey_for, plan_multi_w, Tail, WrFrame};
+use crate::progress::{post_wrs, Ctx, WR_RMA};
 use crate::rank::RankState;
 use ibdt_datatype::Datatype;
-use ibdt_ibsim::{Opcode, SendWr, Sge};
 use ibdt_memreg::{ogr, Va};
 
 /// Window metadata as seen by every rank: one entry per rank.
@@ -61,14 +59,6 @@ fn register_origin(rs: &mut RankState, ctx: &mut Ctx<'_, '_>, blocks: &[(Va, u64
         rs.rma_regs.push(acq.reg);
     }
     rs.cpu.reserve_labeled(ctx.now(), cost, "reg");
-}
-
-fn lkey_for(rs: &RankState, addr: Va, len: u64) -> u32 {
-    rs.rma_regs
-        .iter()
-        .find(|r| r.covers(addr, len))
-        .expect("origin blocks registered before posting")
-        .lkey
 }
 
 /// `MPI_Put`: one-sided write of origin data into the target window at
@@ -108,25 +98,7 @@ pub fn put(
         return;
     }
     register_origin(rs, ctx, &origin_blocks);
-    let wrs: Vec<SendWr> = plan_multi_w(&origin_blocks, &target_blocks, ctx.net.max_sge)
-        .into_iter()
-        .map(|p| SendWr {
-            wr_id: WR_RMA,
-            opcode: Opcode::RdmaWrite,
-            sges: p
-                .sges
-                .iter()
-                .map(|&(a, l)| Sge {
-                    addr: a,
-                    len: l,
-                    lkey: lkey_for(rs, a, l),
-                })
-                .collect(),
-            remote: Some((p.dst, win.rkey)),
-            signaled: false,
-        })
-        .collect();
-    post_rma(rs, ctx, target, wrs);
+    post_rma(rs, ctx, target, win, &origin_blocks, &target_blocks, false);
 }
 
 /// `MPI_Get`: one-sided read of target-window data into the origin
@@ -165,66 +137,42 @@ pub fn get(
         return;
     }
     register_origin(rs, ctx, &origin_blocks);
-    // One read per target-contiguous range, scattering into origin
-    // pieces; plan_multi_w's "receiver" is the remote contiguous side.
-    let wrs: Vec<SendWr> = plan_multi_w(&origin_blocks, &target_blocks, ctx.net.max_sge)
-        .into_iter()
-        .map(|p| SendWr {
-            wr_id: WR_RMA,
-            opcode: Opcode::RdmaRead,
-            sges: p
-                .sges
-                .iter()
-                .map(|&(a, l)| Sge {
-                    addr: a,
-                    len: l,
-                    lkey: lkey_for(rs, a, l),
-                })
-                .collect(),
-            remote: Some((p.dst, win.rkey)),
-            signaled: false,
-        })
-        .collect();
-    post_rma(rs, ctx, target, wrs);
+    post_rma(rs, ctx, target, win, &origin_blocks, &target_blocks, true);
 }
 
-/// Posts an RMA descriptor list with one signaled sentinel at the end.
-fn post_rma(rs: &mut RankState, ctx: &mut Ctx<'_, '_>, target: u32, mut wrs: Vec<SendWr>) {
-    let n = wrs.len();
-    if n == 0 {
+/// Plans and posts one RMA operation: one write (or, for Get, one
+/// read) per target-contiguous range with an origin gather (scatter)
+/// list — the Multi-W plan, with `plan_multi_w`'s "receiver" the remote
+/// side — list-posted with one signaled sentinel at the end.
+fn post_rma(
+    rs: &mut RankState,
+    ctx: &mut Ctx<'_, '_>,
+    target: u32,
+    win: WinEntry,
+    origin: &[(Va, u64)],
+    remote: &[(Va, u64)],
+    read: bool,
+) {
+    let regs = &rs.rma_regs;
+    let frame = WrFrame {
+        read,
+        ..WrFrame::write(
+            WR_RMA,
+            ctx.net.max_sge,
+            |a, l| lkey_for(regs, a, l),
+            |_, _| win.rkey,
+        )
+    };
+    let mut wrs = Vec::new();
+    plan_multi_w(&frame, origin, remote, Tail::SIGNALED, &mut wrs);
+    if wrs.is_empty() {
         return;
     }
-    if let Some(last) = wrs.last_mut() {
-        last.signaled = true;
-    }
     rs.rma_outstanding += 1;
-    rs.counters.data_wrs += n as u64;
-    let res = if ctx.cfg.list_post {
-        let ready = rs
-            .cpu
-            .reserve_labeled(ctx.now(), ctx.net.post_list_ns(n), "post");
-        ctx.post_send_list(ready, rs.rank, target, wrs)
-    } else {
-        let mut res = Ok(());
-        for wr in wrs {
-            let ready = rs
-                .cpu
-                .reserve_labeled(ctx.now(), ctx.net.post_single_ns, "post");
-            res = ctx.post_send(ready, rs.rank, target, wr);
-            if res.is_err() {
-                break;
-            }
-        }
-        res
-    };
-    if let Err(e) = res {
+    if let Err(e) = post_wrs(rs, ctx, target, wrs, true) {
         // Undo the epoch charge so the next fence does not hang waiting
         // for a sentinel completion that will never arrive.
-        rs.counters.post_errors += 1;
-        rs.errors.push(MpiError::Post {
-            peer: target,
-            err: e,
-        });
+        rs.errors.push(e);
         rs.rma_outstanding -= 1;
         rs.rma_event = true;
     }

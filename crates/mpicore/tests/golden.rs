@@ -1,0 +1,362 @@
+//! Golden protocol fingerprints.
+//!
+//! The committed figures pin only latency and bandwidth; these cases
+//! pin the protocol itself — per-rank finish times, every
+//! [`RankCounters`](ibdt_mpicore::rank::RankCounters) field (work
+//! requests, control messages, packs, fallbacks, resumed chunks…), the
+//! fabric's WQE and wire-byte totals, the number of scheduled events,
+//! and a hash of every received byte. A refactor of the data path must
+//! reproduce each row exactly; a deliberate protocol change re-records
+//! the affected rows from the failure message.
+//!
+//! Host-side reuse counters (`scratch_pool`, `plan_cache`,
+//! `payload_pool`, `space_pool`) are left out: they track allocation
+//! recycling, which may legitimately move without changing what the
+//! simulated protocol does.
+//!
+//! Every case runs twice: with the paper's vector type and with the
+//! X6 mixed struct (8 KiB blocks alternating with 64-byte blocks).
+
+use ibdt_datatype::Datatype;
+use ibdt_mpicore::{
+    AppOp, Cluster, ClusterSpec, FaultPlan, LinkFault, RunStats, Scheme, ShmConfig, ShmCopyMode,
+    TransportConfig,
+};
+
+/// 256 blocks of 128 bytes at a 4 KiB stride: 32 KiB in two segments,
+/// each needing two `max_sge` gather lists.
+fn vector_ty() -> Datatype {
+    Datatype::vector(256, 32, 1024, &Datatype::int()).unwrap()
+}
+
+/// The X6 struct: 64 fields alternating 8 KiB and 64 bytes.
+fn mixed_ty() -> Datatype {
+    let mut fields = Vec::new();
+    let mut displ = 0i64;
+    for i in 0..64 {
+        let len = if i % 2 == 0 { 8192u64 } else { 64 };
+        fields.push((len, displ, Datatype::byte()));
+        displ += len as i64 + 512;
+    }
+    Datatype::struct_(&fields).unwrap()
+}
+
+fn fnv(h: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(h, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+    })
+}
+
+const FNV_BASIS: u64 = 0xCBF2_9CE4_8422_2325;
+
+/// What a case pins.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Fingerprint {
+    finish_ns: [u64; 2],
+    /// FNV-1a of the `Debug` form of every rank's `RankCounters`, so a
+    /// new or changed field moves it.
+    counters: u64,
+    wqes: u64,
+    bytes_on_wire: u64,
+    events: u64,
+    /// FNV-1a of both ranks' receive windows after the run.
+    data: u64,
+}
+
+fn fingerprint(stats: &RunStats, received: &[Vec<u8>]) -> Fingerprint {
+    assert_eq!(stats.total_errors(), 0, "errors: {:?}", stats.errors);
+    Fingerprint {
+        finish_ns: [stats.rank_finish_ns[0], stats.rank_finish_ns[1]],
+        counters: fnv(FNV_BASIS, format!("{:?}", stats.counters).as_bytes()),
+        wqes: stats.wqes,
+        bytes_on_wire: stats.bytes_on_wire,
+        events: stats.events_scheduled,
+        data: received.iter().fold(FNV_BASIS, |h, b| fnv(h, b)),
+    }
+}
+
+/// Rank 0 sends two messages to rank 1, which echoes the second back:
+/// both directions, and a repeat that exercises the layout and plan
+/// caches.
+fn run(spec: ClusterSpec, ty: &Datatype, device: bool) -> (RunStats, Fingerprint) {
+    let mut cluster = Cluster::new(spec);
+    let span = ty.true_ub() as u64 + 64;
+    let alloc = |c: &mut Cluster, r| {
+        if device {
+            c.alloc_device(r, span, 4096)
+        } else {
+            c.alloc(r, span, 4096)
+        }
+    };
+    let (s0, r0) = (alloc(&mut cluster, 0), alloc(&mut cluster, 0));
+    let (r1a, r1b) = (alloc(&mut cluster, 1), alloc(&mut cluster, 1));
+    cluster.fill_pattern(0, s0, span, 11);
+    cluster.fill_pattern(0, r0, span, 12);
+    cluster.fill_pattern(1, r1a, span, 13);
+    cluster.fill_pattern(1, r1b, span, 14);
+    let send = |peer, buf, tag| AppOp::Isend {
+        peer,
+        buf,
+        count: 1,
+        ty: ty.clone(),
+        tag,
+    };
+    let recv = |peer, buf, tag| AppOp::Irecv {
+        peer,
+        buf,
+        count: 1,
+        ty: ty.clone(),
+        tag,
+    };
+    let p0 = vec![
+        send(1, s0, 0),
+        AppOp::WaitAll,
+        send(1, s0, 1),
+        recv(1, r0, 2),
+        AppOp::WaitAll,
+    ];
+    let p1 = vec![
+        recv(0, r1a, 0),
+        AppOp::WaitAll,
+        recv(0, r1b, 1),
+        AppOp::WaitAll,
+        send(0, r1b, 2),
+        AppOp::WaitAll,
+    ];
+    let stats = cluster.run(vec![p0, p1]);
+    let received = vec![
+        cluster.read_mem(0, r0, span),
+        cluster.read_mem(1, r1a, span),
+        cluster.read_mem(1, r1b, span),
+    ];
+    let fp = fingerprint(&stats, &received);
+    (stats, fp)
+}
+
+fn ib(scheme: Scheme) -> ClusterSpec {
+    let mut spec = ClusterSpec::default();
+    spec.mpi.audit = true;
+    spec.mpi.scheme = scheme;
+    spec
+}
+
+fn shm(mode: ShmCopyMode) -> ClusterSpec {
+    let mut spec = ib(Scheme::Adaptive);
+    spec.transport = TransportConfig::Shm(ShmConfig {
+        copy_mode: mode,
+        ..ShmConfig::default()
+    });
+    spec
+}
+
+/// Recorded fingerprints, `(case, [vector type, mixed struct])`.
+#[rustfmt::skip]
+const GOLDEN: &[(&str, [Fingerprint; 2])] = &[
+    ("Generic", [
+        fp([450937, 395784], 0x505196d899c68491, 9, 98523, 35, 0x84f4e9f60984e21d),
+        fp([2399619, 2117182], 0xc61bbb27a5bbaa15, 9, 792795, 35, 0xf3310c2e42a12e4d),
+    ]),
+    ("BC-SPUP", [
+        fp([331442, 304415], 0x156a400478a4c450, 12, 98571, 44, 0x84f4e9f60984e21d),
+        fp([1781301, 1642754], 0xcac6aa1aa6cf0e5d, 15, 792879, 53, 0xf3310c2e42a12e4d),
+    ]),
+    ("RWG-UP", [
+        fp([517980, 490953], 0xbb271e61c441e5b1, 18, 98571, 47, 0x84f4e9f60984e21d),
+        fp([1469063, 1330666], 0xb4576929686b3578, 15, 792879, 47, 0xf3310c2e42a12e4d),
+    ]),
+    ("P-RRS", [
+        fp([492100, 496061], 0x115a7b6315e88d44, 39, 98712, 71, 0x84f4e9f60984e21d),
+        fp([1460070, 1464031], 0xae1612671aa16a73, 36, 793083, 74, 0xf3310c2e42a12e4d),
+    ]),
+    ("Multi-W", [
+        fp([761734, 763234], 0x01892216a231e881, 774, 106887, 797, 0x84f4e9f60984e21d),
+        fp([1155694, 1157194], 0x7bab9b23cf009db5, 198, 795015, 221, 0xf3310c2e42a12e4d),
+    ]),
+    ("Hybrid", [
+        fp([359858, 334331], 0x7447bd2f545e3247, 15, 106935, 47, 0x84f4e9f60984e21d),
+        fp([1129538, 1127262], 0x597471e38e7cfe85, 108, 795087, 137, 0xf3310c2e42a12e4d),
+    ]),
+    ("Adaptive", [
+        fp([331442, 304415], 0x156a400478a4c450, 12, 98571, 44, 0x84f4e9f60984e21d),
+        fp([1155694, 1157194], 0x7bab9b23cf009db5, 198, 795015, 221, 0xf3310c2e42a12e4d),
+    ]),
+    ("shm-double", [
+        fp([279868, 248340], 0x156a400478a4c450, 12, 98571, 56, 0x84f4e9f60984e21d),
+        fp([1359474, 1213063], 0xcac6aa1aa6cf0e5d, 15, 792879, 68, 0xf3310c2e42a12e4d),
+    ]),
+    ("shm-single", [
+        fp([284568, 252100], 0x156a400478a4c450, 12, 98571, 56, 0x84f4e9f60984e21d),
+        fp([655321, 652290], 0x7bab9b23cf009db5, 198, 795015, 230, 0xf3310c2e42a12e4d),
+    ]),
+    ("BC-SPUP device", [
+        fp([373333, 340257], 0x61c416e3cb2dfe9e, 12, 98571, 44, 0x84f4e9f60984e21d),
+        fp([1835445, 1685216], 0x8452f5fe0ab61b01, 15, 792879, 53, 0xf3310c2e42a12e4d),
+    ]),
+    ("Multi-W list_post off", [
+        fp([1569784, 1571284], 0x01892216a231e881, 774, 106887, 797, 0x84f4e9f60984e21d),
+        fp([1358944, 1360444], 0x7bab9b23cf009db5, 198, 795015, 221, 0xf3310c2e42a12e4d),
+    ]),
+    ("RWG-UP segment_unpack off", [
+        fp([602361, 547207], 0x16632eba1f2dd21c, 18, 98571, 44, 0x84f4e9f60984e21d),
+        fp([1901696, 1619088], 0x007c830a3e80f2de, 15, 792879, 41, 0xf3310c2e42a12e4d),
+    ]),
+    ("RWG-UP link fault", [
+        fp([648624, 621597], 0xf7e51068d0e63271, 22, 114978, 57, 0x84f4e9f60984e21d),
+        fp([1638904, 1500507], 0xc2961a60fef480fd, 19, 926022, 57, 0xf3310c2e42a12e4d),
+    ]),
+    ("Multi-W evict", [
+        fp([1015296, 980075], 0x7cce2d8a5eceebf8, 792, 205602, 851, 0x84f4e9f60984e21d),
+        fp([2521791, 2383244], 0xc84663506368135a, 219, 1588074, 284, 0xf3310c2e42a12e4d),
+    ]),
+    ("Hybrid evict", [
+        fp([359858, 334331], 0x7447bd2f545e3247, 15, 106935, 47, 0x84f4e9f60984e21d),
+        fp([2488083, 2349536], 0x8f48c9b5506d86b1, 129, 1588146, 197, 0xf3310c2e42a12e4d),
+    ]),
+];
+
+/// Runs `spec` on both types and compares against the case's
+/// [`GOLDEN`] row. On mismatch the message carries the observed row in
+/// source form.
+fn check(name: &str, spec: ClusterSpec, device: bool) -> [RunStats; 2] {
+    check_each(name, [spec.clone(), spec], device)
+}
+
+/// [`check`] with a separate spec per type (vector first).
+fn check_each(name: &str, specs: [ClusterSpec; 2], device: bool) -> [RunStats; 2] {
+    let want = GOLDEN
+        .iter()
+        .find(|(n, _)| *n == name)
+        .unwrap_or_else(|| panic!("no golden row for {name}"))
+        .1;
+    let [spec_v, spec_m] = specs;
+    let (sv, fv) = run(spec_v, &vector_ty(), device);
+    let (sm, fm) = run(spec_m, &mixed_ty(), device);
+    assert_eq!(
+        [fv, fm],
+        want,
+        "{name}: protocol fingerprint moved; observed:\n    ({name:?}, [\n        {},\n        {},\n    ]),",
+        literal(&fv),
+        literal(&fm)
+    );
+    [sv, sm]
+}
+
+fn literal(f: &Fingerprint) -> String {
+    format!(
+        "fp([{}, {}], {:#018x}, {}, {}, {}, {:#018x})",
+        f.finish_ns[0], f.finish_ns[1], f.counters, f.wqes, f.bytes_on_wire, f.events, f.data
+    )
+}
+
+const fn fp(
+    finish_ns: [u64; 2],
+    counters: u64,
+    wqes: u64,
+    bytes_on_wire: u64,
+    events: u64,
+    data: u64,
+) -> Fingerprint {
+    Fingerprint {
+        finish_ns,
+        counters,
+        wqes,
+        bytes_on_wire,
+        events,
+        data,
+    }
+}
+
+#[test]
+fn every_scheme_on_ib() {
+    for (name, scheme) in [
+        ("Generic", Scheme::Generic),
+        ("BC-SPUP", Scheme::BcSpup),
+        ("RWG-UP", Scheme::RwgUp),
+        ("P-RRS", Scheme::PRrs),
+        ("Multi-W", Scheme::MultiW),
+        ("Hybrid", Scheme::Hybrid),
+        ("Adaptive", Scheme::Adaptive),
+    ] {
+        check(name, ib(scheme), false);
+    }
+}
+
+#[test]
+fn adaptive_on_shm() {
+    check("shm-double", shm(ShmCopyMode::Double), false);
+    check("shm-single", shm(ShmCopyMode::Single), false);
+}
+
+#[test]
+fn bc_spup_device_buffers() {
+    for s in check("BC-SPUP device", ib(Scheme::BcSpup), true) {
+        assert!(s.staging_chunks > 0, "device buffers must stage");
+    }
+}
+
+#[test]
+fn multi_w_single_posts() {
+    let mut spec = ib(Scheme::MultiW);
+    spec.mpi.list_post = false;
+    check("Multi-W list_post off", spec, false);
+}
+
+#[test]
+fn rwg_up_batched_unpack() {
+    let mut spec = ib(Scheme::RwgUp);
+    spec.mpi.segment_unpack = false;
+    check("RWG-UP segment_unpack off", spec, false);
+}
+
+/// APM off, the sender's port dark mid-transfer: the connection
+/// manager re-establishes the queue pair and RWG-UP resumes from the
+/// receiver's acknowledged segment prefix. The fault lands after the
+/// first segment of the first message, which is later for the larger
+/// mixed struct.
+#[test]
+fn link_fault_resumes_from_acknowledged_prefix() {
+    let spec = |at_ns| {
+        let mut spec = ib(Scheme::RwgUp);
+        spec.net.apm_enabled = false;
+        spec.faults = FaultPlan {
+            seed: 0xAB2E,
+            link_faults: vec![LinkFault {
+                at_ns,
+                node: 0,
+                port: 0,
+                down_ns: 80_000,
+            }],
+            ..FaultPlan::none()
+        };
+        spec
+    };
+    let stats = check_each("RWG-UP link fault", [spec(150_000), spec(250_000)], false);
+    for s in stats {
+        let reconnects: u64 = s.counters.iter().map(|c| c.qp_reestablished).sum();
+        let resumed: u64 = s.counters.iter().map(|c| c.resumed_chunks).sum();
+        assert!(reconnects >= 1, "the link fault must force a reconnect");
+        assert!(resumed >= 1, "the resume must skip the acknowledged prefix");
+    }
+}
+
+/// Forced pin-down evictions under zero-copy replies: the remote
+/// protection fault renegotiates each message down to BC-SPUP.
+#[test]
+fn evictions_renegotiate_to_copy() {
+    for (name, scheme) in [
+        ("Multi-W evict", Scheme::MultiW),
+        ("Hybrid evict", Scheme::Hybrid),
+    ] {
+        let mut spec = ib(scheme);
+        spec.faults = FaultPlan {
+            seed: 0xAB4E,
+            evict_rate: 1.0,
+            ..FaultPlan::none()
+        };
+        let [_, mixed] = check(name, spec, false);
+        // The vector type's 128-byte blocks all travel packed under
+        // Hybrid, so only the mixed struct pins user memory for sure.
+        let renegotiated: u64 = mixed.counters.iter().map(|c| c.protection_fallbacks).sum();
+        assert!(renegotiated >= 1, "evictions must renegotiate");
+    }
+}

@@ -158,9 +158,9 @@ fn adaptive_selector_diverges_between_transports() {
     // pack/unpack.
     let size = 256 * 1024;
     let blk = 2048;
-    let ib = adaptive_choose(&cfg, TransportClass::Ib, size, blk, blk, blk, blk);
-    let shm1 = adaptive_choose(&cfg, TransportClass::ShmSingle, size, blk, blk, blk, blk);
-    let shm2 = adaptive_choose(&cfg, TransportClass::ShmDouble, size, blk, blk, blk, blk);
+    let ib = adaptive_choose(&cfg, TransportClass::Ib, size, blk, blk);
+    let shm1 = adaptive_choose(&cfg, TransportClass::ShmSingle, size, blk, blk);
+    let shm2 = adaptive_choose(&cfg, TransportClass::ShmDouble, size, blk, blk);
     assert_eq!(ib, Scheme::MultiW);
     assert_eq!(shm1, Scheme::BcSpup);
     assert_eq!(shm2, Scheme::BcSpup);
@@ -169,18 +169,10 @@ fn adaptive_selector_diverges_between_transports() {
     // Huge blocks amortize the CMA setup: single-copy rejoins Multi-W
     // while double-copy still refuses.
     let big = 16 * 1024;
-    let shm1_big = adaptive_choose(
-        &cfg,
-        TransportClass::ShmSingle,
-        size,
-        big,
-        big,
-        big,
-        big,
-    );
+    let shm1_big = adaptive_choose(&cfg, TransportClass::ShmSingle, size, big, big);
     assert_eq!(shm1_big, Scheme::MultiW);
     assert_eq!(
-        adaptive_choose(&cfg, TransportClass::ShmDouble, size, big, big, big, big),
+        adaptive_choose(&cfg, TransportClass::ShmDouble, size, big, big),
         Scheme::BcSpup
     );
 }

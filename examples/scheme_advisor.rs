@@ -46,9 +46,7 @@ fn main() {
         &cfg,
         TransportClass::Ib,
         ty.size(),
-        stats.min,
         stats.median,
-        stats.min,
         stats.median,
     );
 

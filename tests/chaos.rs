@@ -193,11 +193,11 @@ fn unrecoverable_loss_fails_with_typed_errors() {
 }
 
 /// A registration budget too small for zero-copy pinning must degrade
-/// RWG-UP / P-RRS / Multi-W to a copy-based scheme per message —
+/// RWG-UP / P-RRS / Multi-W / Hybrid to a copy-based scheme per message —
 /// recorded in the counters — and still deliver byte-exact.
 #[test]
 fn registration_budget_forces_copy_fallback() {
-    for scheme in [Scheme::RwgUp, Scheme::PRrs, Scheme::MultiW] {
+    for scheme in [Scheme::RwgUp, Scheme::PRrs, Scheme::MultiW, Scheme::Hybrid] {
         let ty = Datatype::hvector(64, 1024, 2048, &Datatype::byte()).unwrap();
         let mut spec = ClusterSpec::default();
         spec.mpi.audit = true;
@@ -223,7 +223,7 @@ fn registration_budget_forces_copy_fallback() {
 /// against the budget check being over-eager).
 #[test]
 fn ample_budget_never_falls_back() {
-    for scheme in [Scheme::RwgUp, Scheme::PRrs, Scheme::MultiW] {
+    for scheme in [Scheme::RwgUp, Scheme::PRrs, Scheme::MultiW, Scheme::Hybrid] {
         let ty = Datatype::hvector(64, 1024, 2048, &Datatype::byte()).unwrap();
         let mut spec = ClusterSpec::default();
         spec.mpi.audit = true;
@@ -511,4 +511,61 @@ fn exhausted_probe_budget_aborts_with_reply_timeout() {
         .any(|e| matches!(e, MpiError::ReplyTimeout { peer: 1, .. })));
     let probes: u64 = stats.counters.iter().map(|c| c.rndv_rerequests).sum();
     assert_eq!(probes, 2, "probe count must respect rndv_max_rerequests");
+}
+
+/// Hybrid's receiver can pin its direct blocks while the sender's
+/// budget refuses the matching ones (here the receiver is contiguous
+/// and the sender's strided blocks need twice the pinning): the sender
+/// renegotiates the message as BC-SPUP, counted as a scheme fallback,
+/// and still delivers byte-exact.
+#[test]
+fn hybrid_sender_budget_refusal_renegotiates() {
+    let snd_ty = Datatype::hvector(64, 1024, 2048, &Datatype::byte()).unwrap();
+    let rcv_ty = Datatype::contiguous(64 * 1024, &Datatype::byte()).unwrap();
+    let mut spec = ClusterSpec::default();
+    spec.mpi.audit = true;
+    spec.mpi.scheme = Scheme::Hybrid;
+    spec.mpi.reg_budget_bytes = 96 * 1024;
+    let mut cluster = Cluster::new(spec);
+    let span = snd_ty.true_ub() as u64 + 64;
+    let sbuf = cluster.alloc(0, span, 4096);
+    let rbuf = cluster.alloc(1, span, 4096);
+    cluster.fill_pattern(0, sbuf, span, 3);
+    let stats = cluster.run(vec![
+        vec![
+            AppOp::Isend {
+                peer: 1,
+                buf: sbuf,
+                count: 1,
+                ty: snd_ty.clone(),
+                tag: 1,
+            },
+            AppOp::WaitAll,
+        ],
+        vec![
+            AppOp::Irecv {
+                peer: 0,
+                buf: rbuf,
+                count: 1,
+                ty: rcv_ty,
+                tag: 1,
+            },
+            AppOp::WaitAll,
+        ],
+    ]);
+    assert_eq!(stats.total_errors(), 0, "{:?}", stats.errors);
+    assert_eq!(
+        stats.counters[0].scheme_fallbacks, 1,
+        "sender-side fallback"
+    );
+    assert_eq!(stats.counters[1].scheme_fallbacks, 0, "the receiver pinned");
+    let src = cluster.read_mem(0, sbuf, span);
+    let dst = cluster.read_mem(1, rbuf, 64 * 1024);
+    let packed: Vec<u8> = snd_ty
+        .flat()
+        .repeat(1)
+        .into_iter()
+        .flat_map(|(o, l)| src[o as usize..(o as u64 + l) as usize].to_vec())
+        .collect();
+    assert_eq!(dst, packed, "renegotiated delivery");
 }
