@@ -204,6 +204,26 @@ const GOLDEN: &[(&str, [Fingerprint; 2])] = &[
         fp([648624, 621597], 0xf7e51068d0e63271, 22, 114978, 57, 0x84f4e9f60984e21d),
         fp([1638904, 1500507], 0xc2961a60fef480fd, 19, 926022, 57, 0xf3310c2e42a12e4d),
     ]),
+    ("Generic link fault", [
+        fp([575062, 519909], 0x15dc36b8e057cd1e, 12, 131314, 44, 0x84f4e9f60984e21d),
+        fp([2508097, 2225660], 0x7be14659e218f206, 11, 792818, 42, 0xf3310c2e42a12e4d),
+    ]),
+    ("BC-SPUP link fault", [
+        fp([460388, 433361], 0x7284bf637b592bec, 15, 114978, 53, 0x84f4e9f60984e21d),
+        fp([1946192, 1807645], 0x0140860c52830a84, 19, 926022, 63, 0xf3310c2e42a12e4d),
+    ]),
+    ("P-RRS link fault", [
+        fp([601590, 605551], 0xdb1a837a71eb435b, 44, 98787, 82, 0x84f4e9f60984e21d),
+        fp([1586558, 1590519], 0x3e9c5e5e74493674, 39, 793125, 83, 0xf3310c2e42a12e4d),
+    ]),
+    ("Multi-W link fault", [
+        fp([923150, 924650], 0x70918c3d0ffd44ca, 1032, 139678, 1061, 0x84f4e9f60984e21d),
+        fp([1496534, 1498034], 0xbdd9b1e0c725e944, 264, 1059230, 293, 0xf3310c2e42a12e4d),
+    ]),
+    ("Hybrid link fault", [
+        fp([468886, 443359], 0xdbea2e4d1976581c, 17, 106958, 54, 0x84f4e9f60984e21d),
+        fp([1458965, 1456689], 0xc1f932ff44fa2250, 144, 1059302, 179, 0xf3310c2e42a12e4d),
+    ]),
     ("Multi-W evict", [
         fp([1015296, 980075], 0x7cce2d8a5eceebf8, 792, 205602, 851, 0x84f4e9f60984e21d),
         fp([2521791, 2383244], 0xc84663506368135a, 219, 1588074, 284, 0xf3310c2e42a12e4d),
@@ -308,34 +328,65 @@ fn rwg_up_batched_unpack() {
     check("RWG-UP segment_unpack off", spec, false);
 }
 
-/// APM off, the sender's port dark mid-transfer: the connection
-/// manager re-establishes the queue pair and RWG-UP resumes from the
-/// receiver's acknowledged segment prefix. The fault lands after the
-/// first segment of the first message, which is later for the larger
-/// mixed struct.
+/// APM off, rank 0's port dark for 80 µs from `at_ns`: the queue pair
+/// dies and the connection manager re-establishes it.
+fn link_fault(scheme: Scheme, at_ns: u64) -> ClusterSpec {
+    let mut spec = ib(scheme);
+    spec.net.apm_enabled = false;
+    spec.faults = FaultPlan {
+        seed: 0xAB2E,
+        link_faults: vec![LinkFault {
+            at_ns,
+            node: 0,
+            port: 0,
+            down_ns: 80_000,
+        }],
+        ..FaultPlan::none()
+    };
+    spec
+}
+
+fn reconnects(s: &RunStats) -> u64 {
+    s.counters.iter().map(|c| c.qp_reestablished).sum()
+}
+
+/// RWG-UP resumes from the receiver's acknowledged segment prefix. The
+/// fault lands after the first segment of the first message, which is
+/// later for the larger mixed struct.
 #[test]
 fn link_fault_resumes_from_acknowledged_prefix() {
-    let spec = |at_ns| {
-        let mut spec = ib(Scheme::RwgUp);
-        spec.net.apm_enabled = false;
-        spec.faults = FaultPlan {
-            seed: 0xAB2E,
-            link_faults: vec![LinkFault {
-                at_ns,
-                node: 0,
-                port: 0,
-                down_ns: 80_000,
-            }],
-            ..FaultPlan::none()
-        };
-        spec
-    };
-    let stats = check_each("RWG-UP link fault", [spec(150_000), spec(250_000)], false);
-    for s in stats {
-        let reconnects: u64 = s.counters.iter().map(|c| c.qp_reestablished).sum();
+    let specs = [
+        link_fault(Scheme::RwgUp, 150_000),
+        link_fault(Scheme::RwgUp, 250_000),
+    ];
+    for s in check_each("RWG-UP link fault", specs, false) {
         let resumed: u64 = s.counters.iter().map(|c| c.resumed_chunks).sum();
-        assert!(reconnects >= 1, "the link fault must force a reconnect");
+        assert!(reconnects(&s) >= 1, "the link fault must force a reconnect");
         assert!(resumed >= 1, "the resume must skip the acknowledged prefix");
+    }
+}
+
+/// The same fault under every other scheme, each at a time inside its
+/// own transfer, `(vector, mixed)`: Generic resumes its one-segment
+/// stream, BC-SPUP skips an acknowledged segment, P-RRS re-reads after
+/// the receiver's resume request and the sender's re-announce, and
+/// Multi-W and Hybrid restart their direct writes.
+#[test]
+fn link_fault_recovers_every_scheme() {
+    for (name, scheme, at) in [
+        ("Generic link fault", Scheme::Generic, [100_000, 150_000]),
+        ("BC-SPUP link fault", Scheme::BcSpup, [300_000, 300_000]),
+        ("P-RRS link fault", Scheme::PRrs, [100_000, 150_000]),
+        ("Multi-W link fault", Scheme::MultiW, [150_000, 150_000]),
+        ("Hybrid link fault", Scheme::Hybrid, [150_000, 150_000]),
+    ] {
+        let specs = at.map(|at_ns| link_fault(scheme, at_ns));
+        for s in check_each(name, specs, false) {
+            assert!(
+                reconnects(&s) >= 1,
+                "{name}: the link fault must force a reconnect"
+            );
+        }
     }
 }
 
