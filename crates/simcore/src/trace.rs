@@ -56,6 +56,10 @@ impl Trace {
     /// doubling at a time.
     pub fn record(&mut self, start: Time, end: Time, label: &'static str) {
         debug_assert!(start <= end, "span must not be inverted");
+        debug_assert!(
+            self.spans.last().is_none_or(|l| l.end <= start),
+            "spans must arrive in order and disjoint"
+        );
         if self.spans.capacity() == 0 {
             self.spans.reserve(64);
         }
@@ -88,15 +92,19 @@ impl Trace {
     /// Total virtual time during which a span from `self` with label `a`
     /// overlaps a span from `other` with label `b`. This is the measure
     /// of pipelining between two resources.
+    ///
+    /// Spans arrive sorted and disjoint (see [`Self::record`]), so one
+    /// merge sweep over both label filters visits each span once.
     pub fn overlap_with(&self, a: &str, other: &Trace, b: &str) -> Time {
+        let (mut xs, mut ys) = (self.with_label(a), other.with_label(b));
+        let (mut x, mut y) = (xs.next(), ys.next());
         let mut total = 0;
-        for sa in self.with_label(a) {
-            for sb in other.with_label(b) {
-                let lo = sa.start.max(sb.start);
-                let hi = sa.end.min(sb.end);
-                if lo < hi {
-                    total += hi - lo;
-                }
+        while let (Some(sa), Some(sb)) = (x, y) {
+            total += sa.end.min(sb.end).saturating_sub(sa.start.max(sb.start));
+            if sa.end <= sb.end {
+                x = xs.next();
+            } else {
+                y = ys.next();
             }
         }
         total
@@ -150,6 +158,45 @@ mod tests {
         link.record(5, 25, "wire");
         // pack[0..10] overlaps wire for 5, pack[20..30] overlaps for 5.
         assert_eq!(cpu.overlap_with("pack", &link, "wire"), 10);
+    }
+
+    /// The pairwise definition of [`Trace::overlap_with`].
+    fn overlap_pairwise(x: &Trace, a: &str, y: &Trace, b: &str) -> Time {
+        let mut total = 0;
+        for sa in x.with_label(a) {
+            for sb in y.with_label(b) {
+                total += sa.end.min(sb.end).saturating_sub(sa.start.max(sb.start));
+            }
+        }
+        total
+    }
+
+    /// A serial resource's trace: sorted, disjoint spans (some empty,
+    /// some touching) under a mix of labels.
+    fn random_trace(rng: &mut ibdt_testkit::Rng, labels: &[&'static str]) -> Trace {
+        let mut t = Trace::new();
+        let mut at = 0;
+        for _ in 0..rng.range_usize(0, 60) {
+            at += rng.range_u64(0, 3) * rng.range_u64(1, 40);
+            let end = at + rng.range_u64(0, 50);
+            t.record(at, end, rng.pick(labels));
+            at = end;
+        }
+        t
+    }
+
+    #[test]
+    fn sweep_matches_pairwise_overlap() {
+        ibdt_testkit::cases(0x7ACE, 300, |rng| {
+            let cpu = random_trace(rng, &["pack", "unpack", "ctrl"]);
+            let link = random_trace(rng, &["wire", "ack"]);
+            for (a, b) in [("pack", "wire"), ("unpack", "ack"), ("ctrl", "nope")] {
+                assert_eq!(
+                    cpu.overlap_with(a, &link, b),
+                    overlap_pairwise(&cpu, a, &link, b)
+                );
+            }
+        });
     }
 
     #[test]
