@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Local CI: exactly the checks .github/workflows/ci.yml runs.
+# The checks of the `build-test-lint` job in .github/workflows/ci.yml,
+# which runs this script, so each check is defined only here.
 #
 # `./ci.sh --chaos` additionally replays the chaos suites under a
 # fixed seed matrix (the `chaos` job in CI); a failure prints the

@@ -130,11 +130,6 @@ pub struct MpiConfig {
     /// Probes sent after reply timeouts before the send fails with
     /// [`MpiError::ReplyTimeout`](crate::error::MpiError::ReplyTimeout).
     pub rndv_max_rerequests: u32,
-    /// Enable connection recovery: when a queue pair dies (transport
-    /// retry exhaustion, link failure past APM, flush), the connection
-    /// manager re-establishes it and re-drives in-flight transfers
-    /// instead of failing the affected requests.
-    pub recovery: bool,
     /// Simulated connection-manager handshake latency for one QP
     /// re-establishment (RESET→INIT→RTR→RTS plus rkey re-exchange), ns.
     pub reconnect_ns: Time,
@@ -227,7 +222,6 @@ impl Default for MpiConfig {
             reg_budget_bytes: u64::MAX,
             rndv_reply_timeout_ns: 0,
             rndv_max_rerequests: 3,
-            recovery: true,
             reconnect_ns: 100_000,
             max_reconnects: 3,
             plan_cache: true,

@@ -16,8 +16,12 @@
 //!   blocks are split at every boundary mismatch,
 //! * [`hybrid_partition`] and [`for_each_substream_piece`] — the §10
 //!   Hybrid split of a stream into directly written blocks and a packed
-//!   substream, and the map from that substream back to the stream.
+//!   substream, and the map from that substream back to the stream,
+//! * [`plan_reply`] — what the receiver commits for its rendezvous
+//!   reply: the blocks it pins, the packed substream it unpacks and
+//!   that substream's segments.
 
+use crate::config::{MpiConfig, Scheme};
 use ibdt_datatype::{Datatype, TransferPlan, TypeRegistry};
 use ibdt_ibsim::{Opcode, SendWr, Sge, SgeList};
 use ibdt_memreg::{Registration, Va};
@@ -263,6 +267,117 @@ pub fn hybrid_partition(rcv_blocks: &[(Va, u64)], threshold: u64) -> HybridPart 
         packed,
         packed_bytes,
     }
+}
+
+/// The rendezvous reply a receiver sends, by what it hands the sender.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum ReplyKind {
+    /// One dynamically allocated buffer for the whole packed message
+    /// (Generic).
+    Buffer,
+    /// One pool buffer per packed segment (BC-SPUP, RWG-UP).
+    #[default]
+    Segments,
+    /// Go-ahead for the sender to announce segments the receiver reads
+    /// (P-RRS).
+    ReadGo,
+    /// The receiver's layout and pinned regions: the sender writes every
+    /// block directly (Multi-W).
+    MultiW,
+    /// Layout, pinned regions and packed-segment buffers: large blocks
+    /// are written directly, the rest travels packed (Hybrid).
+    Hybrid,
+}
+
+impl ReplyKind {
+    /// The sender writes into the receiver's user memory and ends its
+    /// direct writes with a completion notification.
+    pub fn direct(self) -> bool {
+        matches!(self, ReplyKind::MultiW | ReplyKind::Hybrid)
+    }
+}
+
+/// What a receiver commits for its rendezvous reply.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ReplyPlan {
+    /// The reply sent.
+    pub kind: ReplyKind,
+    /// Receiver blocks pinned for the sender's direct access: none, or
+    /// every block of at least this many bytes (`Some(0)`: all).
+    pub pin_min: Option<u64>,
+    /// Stream intervals of the packed substream; empty for the whole
+    /// stream.
+    pub packed_ivs: Vec<(u64, u64)>,
+    /// `(stream lo, stream hi, receiver address)` of each directly
+    /// written range (Hybrid).
+    pub direct: Vec<(u64, u64, Va)>,
+    /// Segments of the packed substream (0: nothing travels packed).
+    pub nsegs: u32,
+    /// Bytes per segment (the last may be shorter).
+    pub seg_size: u64,
+    /// Unpack every segment at once after the last one arrived (the
+    /// Fig. 12 ablation of RWG-UP) instead of each on arrival.
+    pub batch_unpack: bool,
+}
+
+/// Plans the reply of a receiver that resolved `scheme` for a message
+/// of `size` bytes landing in `rcv_blocks` (absolute addresses, stream
+/// order; read only by the schemes that pin or partition: P-RRS,
+/// Multi-W and Hybrid). The sender derives Hybrid's partition with the
+/// same call from the layout the reply ships.
+pub fn plan_reply(
+    scheme: Scheme,
+    size: u64,
+    rcv_blocks: &[(Va, u64)],
+    cfg: &MpiConfig,
+) -> ReplyPlan {
+    let whole = (cfg.segment_count(size), cfg.segment_size(size));
+    let mut plan = ReplyPlan {
+        kind: ReplyKind::Segments,
+        pin_min: None,
+        packed_ivs: Vec::new(),
+        direct: Vec::new(),
+        nsegs: whole.0,
+        seg_size: whole.1,
+        batch_unpack: false,
+    };
+    match scheme {
+        Scheme::Generic => {
+            plan.kind = ReplyKind::Buffer;
+            (plan.nsegs, plan.seg_size) = (1, size);
+        }
+        Scheme::BcSpup => {}
+        Scheme::RwgUp => plan.batch_unpack = !cfg.segment_unpack,
+        Scheme::PRrs => {
+            plan.kind = ReplyKind::ReadGo;
+            plan.pin_min = Some(0);
+        }
+        Scheme::MultiW => {
+            plan.kind = ReplyKind::MultiW;
+            plan.pin_min = Some(0);
+            (plan.nsegs, plan.seg_size) = packed_geometry(cfg, 0);
+        }
+        Scheme::Hybrid => {
+            let threshold = cfg.hybrid_block_threshold;
+            let part = hybrid_partition(rcv_blocks, threshold);
+            plan.kind = ReplyKind::Hybrid;
+            plan.pin_min = Some(threshold);
+            (plan.nsegs, plan.seg_size) = packed_geometry(cfg, part.packed_bytes);
+            (plan.packed_ivs, plan.direct) = (part.packed, part.direct);
+        }
+        Scheme::Adaptive => unreachable!("the receiver resolves Adaptive before planning"),
+    }
+    plan
+}
+
+/// Segment count and size of a packed substream of `packed_bytes`
+/// (Hybrid's small-block part).
+fn packed_geometry(cfg: &MpiConfig, packed_bytes: u64) -> (u32, u64) {
+    if packed_bytes == 0 {
+        return (0, 1);
+    }
+    let ss = cfg.segment_size(packed_bytes).min(cfg.max_seg_size);
+    (packed_bytes.div_ceil(ss) as u32, ss)
 }
 
 /// Length of a packed substream: the whole stream of `size` bytes when
@@ -780,6 +895,60 @@ mod tests {
         assert_eq!(p.packed_bytes, 2080);
         let p = hybrid_partition(&[], 1024);
         assert!(p.direct.is_empty() && p.packed.is_empty());
+    }
+
+    #[test]
+    fn reply_plans_of_the_whole_stream_schemes() {
+        let cfg = MpiConfig::default();
+        let size = 3 * cfg.max_seg_size + 5;
+        let whole = (cfg.segment_count(size), cfg.segment_size(size));
+        for (scheme, kind, pin_min) in [
+            (Scheme::BcSpup, ReplyKind::Segments, None),
+            (Scheme::RwgUp, ReplyKind::Segments, None),
+            // P-RRS pins the user buffer its reads scatter into.
+            (Scheme::PRrs, ReplyKind::ReadGo, Some(0)),
+        ] {
+            let p = plan_reply(scheme, size, &[], &cfg);
+            assert_eq!(
+                (p.kind, p.pin_min, (p.nsegs, p.seg_size)),
+                (kind, pin_min, whole)
+            );
+            assert!(p.packed_ivs.is_empty() && p.direct.is_empty() && !p.batch_unpack);
+        }
+        // Generic is one segment of the whole message.
+        let p = plan_reply(Scheme::Generic, size, &[], &cfg);
+        assert_eq!((p.kind, p.nsegs, p.seg_size), (ReplyKind::Buffer, 1, size));
+        // Fig. 12's batched unpack is an RWG-UP ablation only.
+        let cfg = MpiConfig {
+            segment_unpack: false,
+            ..cfg
+        };
+        assert!(plan_reply(Scheme::RwgUp, size, &[], &cfg).batch_unpack);
+        assert!(!plan_reply(Scheme::BcSpup, size, &[], &cfg).batch_unpack);
+    }
+
+    #[test]
+    fn reply_plans_of_the_direct_schemes() {
+        let cfg = MpiConfig::default();
+        let t = cfg.hybrid_block_threshold;
+        let blocks = [(0, 64), (1000, t), (5000, 64), (9000, 64)];
+        let size = t + 192;
+        // Multi-W pins everything and packs nothing.
+        let p = plan_reply(Scheme::MultiW, size, &blocks, &cfg);
+        assert_eq!(
+            (p.kind, p.pin_min, p.nsegs),
+            (ReplyKind::MultiW, Some(0), 0)
+        );
+        // Hybrid pins the large block and packs the small ones, in
+        // segments of the packed bytes only.
+        let p = plan_reply(Scheme::Hybrid, size, &blocks, &cfg);
+        assert_eq!((p.kind, p.pin_min), (ReplyKind::Hybrid, Some(t)));
+        assert_eq!(p.direct, vec![(64, 64 + t, 1000)]);
+        assert_eq!(p.packed_ivs, vec![(0, 64), (64 + t, size)]);
+        assert_eq!((p.nsegs, p.seg_size), (1, 192));
+        // All-large blocks leave no packed substream.
+        let p = plan_reply(Scheme::Hybrid, t, &[(0, t)], &cfg);
+        assert_eq!((p.nsegs, p.packed_ivs.len()), (0, 0));
     }
 
     fn pieces(ivs: &[(u64, u64)], lo: u64, hi: u64) -> Vec<(u64, u64)> {

@@ -112,18 +112,6 @@ impl SegmentPool {
         }
     }
 
-    /// Takes up to `n` segment buffers (fewer when the pool runs dry).
-    pub fn acquire_up_to(&mut self, n: usize) -> Vec<Va> {
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            match self.acquire() {
-                Some(va) => out.push(va),
-                None => break,
-            }
-        }
-        out
-    }
-
     /// Returns a segment buffer to the pool.
     pub fn release(&mut self, va: Va) {
         debug_assert!(
@@ -496,14 +484,6 @@ mod tests {
         assert!(pool.acquire().is_none());
         assert_eq!(pool.exhaustions(), 2);
         assert_eq!(pool.acquires(), 2);
-    }
-
-    #[test]
-    fn acquire_up_to_partial() {
-        let (_, _, mut pool) = fixture(3 * 4096, 4096);
-        let got = pool.acquire_up_to(5);
-        assert_eq!(got.len(), 3);
-        assert_eq!(pool.exhaustions(), 1);
     }
 
     #[test]

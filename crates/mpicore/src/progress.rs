@@ -19,15 +19,15 @@ use crate::config::{MpiConfig, Scheme};
 use crate::error::MpiError;
 use crate::msg::{CtrlMsg, ReplyBody, SegList};
 use crate::plan::{
-    for_each_substream_piece, hybrid_partition, imm_of, imm_parse, lkey_for, plan_gather,
-    plan_multi_w, region_key, substream_len, Tail, WrFrame,
+    for_each_substream_piece, imm_of, imm_parse, lkey_for, plan_gather, plan_multi_w, plan_reply,
+    region_key, substream_len, ReplyKind, ReplyPlan, Tail, WrFrame,
 };
 use crate::rank::{PostedRecv, RankState, ReqId, ReqKind, Unexpected};
 use crate::table::{ImmMap, MsgTable};
-use ibdt_datatype::{Datatype, FlatLayout, TransferPlan};
+use ibdt_datatype::{BlockStats, Datatype, FlatLayout, TransferPlan};
 use ibdt_ibsim::{
-    Cqe, HostConfig, NetConfig, NicEvent, NodeMem, Opcode, PostError, RecvWr, SendWr, Sge,
-    SgeList, Transport, TransportClass,
+    Cqe, HostConfig, NetConfig, NicEvent, NodeMem, Opcode, PostError, RecvWr, SendWr, Sge, SgeList,
+    Transport, TransportClass,
 };
 use ibdt_memreg::{ogr, Registration, Va};
 use ibdt_simcore::engine::Scheduler;
@@ -76,20 +76,15 @@ pub enum CpuAct {
         /// Segment index.
         k: u32,
     },
-    /// Receiver unpacked one segment.
+    /// Receiver unpacked segments of the packed substream.
     UnpackSeg {
         /// Source rank.
         peer: u32,
         /// Sequence number.
         seq: u64,
-    },
-    /// Receiver unpacked the whole message (Generic / no-segment-unpack
-    /// RWG mode).
-    UnpackAll {
-        /// Source rank.
-        peer: u32,
-        /// Sequence number.
-        seq: u64,
+        /// Segments unpacked: one, or all of them for the Fig. 12
+        /// batch.
+        segs: u32,
     },
     /// Sender finished registering its user buffer (RWG-UP / Multi-W).
     SenderRegDone {
@@ -106,13 +101,9 @@ pub enum CpuAct {
         /// Sequence number.
         seq: u64,
     },
-    /// An eager-path send finished packing (request complete).
-    SendDone {
-        /// The completed request.
-        req: ReqId,
-    },
-    /// An eager-path receive finished unpacking (request complete).
-    RecvDone {
+    /// An eager-path send finished packing, or an eager-path receive
+    /// unpacking: the request is complete.
+    EagerDone {
         /// The completed request.
         req: ReqId,
     },
@@ -318,22 +309,21 @@ struct RecvMsg {
     count: u64,
     ty: Datatype,
     size: u64,
+    /// The scheme and reply committed by [`commit_reply`].
     scheme: Scheme,
-    nsegs: u32,
-    seg_size: u64,
+    plan: ReplyPlan,
     unpack_bufs: Vec<StageBuf>,
     segs_arrived: u32,
-    segs_unpacked: u32,
+    /// Segments of the packed substream whose bytes are placed:
+    /// unpacked, or for P-RRS announced with their reads posted.
+    segs_done: u32,
     user_regs: Vec<Registration>,
     pending_reply: Option<Vec<u8>>,
-    /// P-RRS: outstanding RDMA reads and announced segments.
+    /// P-RRS: outstanding RDMA reads.
     reads_outstanding: u32,
-    segs_announced: u32,
-    /// Stream intervals the unpack pipeline carries (see
-    /// [`SendMsg::packed_ivs`]).
-    packed_ivs: Vec<(u64, u64)>,
-    /// Hybrid: the completion marker arrived.
-    marker_seen: bool,
+    /// The direct part landed: Multi-W's last write or Hybrid's marker
+    /// arrived. Set from the start for replies without a direct part.
+    direct_done: bool,
     completed: bool,
     /// User-buffer bytes this message charged against
     /// `reg_budget_bytes`.
@@ -440,58 +430,21 @@ pub fn isend(
     rs.counters.rndv_sends += 1;
     let seq = rs.take_seq(peer);
     let scheme = ctx.cfg.scheme;
-    // Generic transfers the whole packed message in one piece (Fig. 1);
-    // the segmented schemes use the §7.2 rule.
-    let (seg_size, nsegs) = if scheme == Scheme::Generic {
-        (size, 1)
-    } else {
-        (ctx.cfg.segment_size(size), ctx.cfg.segment_count(size))
-    };
     let tplan = rs.plan_for(ty, count);
     let stats = tplan.stats();
-
-    let start = CtrlMsg::RndvStart {
-        tag,
-        seq,
-        size,
-        scheme: scheme.to_wire(),
-        nsegs,
-        seg_size,
-        blk_min: stats.min,
-        blk_median: stats.median,
-    };
-    send_ctrl_msg(rs, ctx, peer, &start, 0);
-
-    let mut msg = SendMsg {
+    let mut msg = start_send(
+        rs,
+        ctx,
         req,
         peer,
         seq,
         tag,
         buf,
         count,
-        ty: ty.clone(),
-        size,
+        ty.clone(),
         scheme,
-        nsegs,
-        seg_size,
-        pack_bufs: rs.scratch.take_stage(),
-        packed_ivs: Vec::new(),
-        packed: 0,
-        posted_segs: 0,
-        pack_chain_running: false,
-        direct_posted: false,
-        marker_posted: false,
-        contig: stats.min >= size,
-        targets: None,
-        reg_done: false,
-        user_regs: Vec::new(),
-        completed: false,
-        rerequests: 0,
-        mw_stage: false,
-        pinned_bytes: 0,
-        renegotiated: false,
-        drop_packs: 0,
-    };
+        stats,
+    );
     if ctx.cfg.rndv_reply_timeout_ns > 0 {
         let at = ctx.now() + ctx.cfg.rndv_reply_timeout_ns;
         ctx.cpu_event(at, rs.rank, CpuAct::ReplyTimeout { peer, seq });
@@ -502,7 +455,7 @@ pub fn isend(
     // rendezvous is zero-copy for contiguous messages (§3.1), so the
     // sender registers the user buffer and waits for the receiver's
     // choice.
-    if stats.min >= size {
+    if msg.contig {
         // Budget failure is deferred: the reply handler retries and
         // degrades per-scheme if pinning is still impossible.
         let _ = sender_register(rs, ctx, &mut msg);
@@ -574,6 +527,75 @@ pub fn isend(
     req
 }
 
+/// Starts a rendezvous send generation of `scheme`: sends the
+/// `RndvStart` that proposes it and returns the message with nothing
+/// packed, pinned or posted. [`isend`] and the §5.4.2 renegotiation
+/// both start their generations here.
+#[allow(clippy::too_many_arguments)]
+fn start_send(
+    rs: &mut RankState,
+    ctx: &mut Ctx<'_, '_>,
+    req: ReqId,
+    peer: u32,
+    seq: u64,
+    tag: u32,
+    buf: Va,
+    count: u64,
+    ty: Datatype,
+    scheme: Scheme,
+    stats: BlockStats,
+) -> SendMsg {
+    let size = count * ty.size();
+    // Generic transfers the whole packed message in one piece (Fig. 1);
+    // the segmented schemes use the §7.2 rule.
+    let (seg_size, nsegs) = if scheme == Scheme::Generic {
+        (size, 1)
+    } else {
+        (ctx.cfg.segment_size(size), ctx.cfg.segment_count(size))
+    };
+    let start = CtrlMsg::RndvStart {
+        tag,
+        seq,
+        size,
+        scheme: scheme.to_wire(),
+        nsegs,
+        seg_size,
+        blk_min: stats.min,
+        blk_median: stats.median,
+    };
+    send_ctrl_msg(rs, ctx, peer, &start, 0);
+    SendMsg {
+        req,
+        peer,
+        seq,
+        tag,
+        buf,
+        count,
+        ty,
+        size,
+        scheme,
+        nsegs,
+        seg_size,
+        pack_bufs: rs.scratch.take_stage(),
+        packed_ivs: Vec::new(),
+        packed: 0,
+        posted_segs: 0,
+        pack_chain_running: false,
+        direct_posted: false,
+        marker_posted: false,
+        contig: stats.min >= size,
+        targets: None,
+        reg_done: false,
+        user_regs: Vec::new(),
+        completed: false,
+        rerequests: 0,
+        mw_stage: false,
+        pinned_bytes: 0,
+        renegotiated: false,
+        drop_packs: 0,
+    }
+}
+
 /// Starts a nonblocking receive.
 #[allow(clippy::too_many_arguments)]
 pub fn irecv(
@@ -605,8 +627,6 @@ pub fn irecv(
             seq,
             size,
             scheme,
-            nsegs,
-            seg_size,
             blk_min,
             blk_median,
             ..
@@ -619,9 +639,7 @@ pub fn irecv(
                 count,
                 ty: ty.clone(),
             };
-            receiver_start(
-                rs, am, ctx, posted, seq, size, scheme, nsegs, seg_size, blk_min, blk_median,
-            );
+            receiver_start(rs, am, ctx, posted, seq, size, scheme, blk_min, blk_median);
         }
         None => {
             rs.posted.push_back(PostedRecv {
@@ -680,7 +698,7 @@ pub fn on_cqe(rs: &mut RankState, am: &mut ActiveMsgs, ctx: &mut Ctx<'_, '_>, cq
             }
             WR_DATA => {
                 let seq = cqe.wr_id & WR_LOW_MASK;
-                sender_data_done(rs, am, ctx, cqe.peer, seq);
+                sender_done(rs, am, ctx, cqe.peer, seq, false);
             }
             WR_READ => {
                 let seq = cqe.wr_id & WR_LOW_MASK;
@@ -724,7 +742,7 @@ fn on_cqe_error(rs: &mut RankState, am: &mut ActiveMsgs, ctx: &mut Ctx<'_, '_>, 
     // Transport-class failures (flush, retry exhaustion) hand the
     // affected traffic to the connection manager instead of failing
     // the owning requests; the reconnect event re-drives it.
-    if ctx.cfg.recovery && recoverable(&err) && matches!(kind, WR_EAGER | WR_DATA | WR_READ) {
+    if recoverable(&err) && matches!(kind, WR_EAGER | WR_DATA | WR_READ) {
         if ensure_reconnect(rs, ctx, peer) {
             let r = rs.reconn.get_mut(&peer).expect("entry ensured above");
             match kind {
@@ -760,10 +778,7 @@ fn on_cqe_error(rs: &mut RankState, am: &mut ActiveMsgs, ctx: &mut Ctx<'_, '_>, 
                 return;
             };
             if matches!(err, MpiError::RemoteAccess { .. }) {
-                if ctx.cfg.recovery
-                    && !msg.renegotiated
-                    && matches!(msg.scheme, Scheme::MultiW | Scheme::Hybrid)
-                {
+                if !msg.renegotiated && matches!(msg.scheme, Scheme::MultiW | Scheme::Hybrid) {
                     rs.counters.protection_fallbacks += 1;
                     renegotiate_send(rs, am, ctx, msg);
                     return;
@@ -772,7 +787,7 @@ fn on_cqe_error(rs: &mut RankState, am: &mut ActiveMsgs, ctx: &mut Ctx<'_, '_>, 
                     err = MpiError::Registration { peer };
                 }
             }
-            abort_send(rs, ctx, msg, err);
+            finish_send(rs, ctx, msg, Some(err));
         }
         WR_READ => {
             abort_recv(rs, am, ctx, peer, low, err);
@@ -786,15 +801,19 @@ fn on_cqe_error(rs: &mut RankState, am: &mut ActiveMsgs, ctx: &mut Ctx<'_, '_>, 
     }
 }
 
-/// Fails a send whose data can no longer be delivered: releases staging
-/// buffers and registrations and completes the request with `err`.
-fn abort_send(rs: &mut RankState, ctx: &mut Ctx<'_, '_>, mut msg: SendMsg, err: MpiError) {
+/// Finishes a send — done, or failed with `err` when its data can no
+/// longer be delivered: releases staging buffers and registrations and
+/// completes the request.
+fn finish_send(rs: &mut RankState, ctx: &mut Ctx<'_, '_>, mut msg: SendMsg, err: Option<MpiError>) {
     if msg.completed {
         return;
     }
     msg.completed = true;
     sender_release(rs, ctx, &mut msg);
-    rs.fail_req(msg.req, err);
+    match err {
+        Some(err) => rs.fail_req(msg.req, err),
+        None => rs.complete_req(msg.req),
+    }
 }
 
 /// Fails a receive: releases unpack buffers and registrations, drops
@@ -820,8 +839,7 @@ fn abort_recv(
 /// Handles a host-work completion for `rank`.
 pub fn on_cpu(rs: &mut RankState, am: &mut ActiveMsgs, ctx: &mut Ctx<'_, '_>, act: CpuAct) {
     match act {
-        CpuAct::SendDone { req } => rs.complete_req(req),
-        CpuAct::RecvDone { req } => rs.complete_req(req),
+        CpuAct::EagerDone { req } => rs.complete_req(req),
         CpuAct::PackSeg { peer, seq, k } => {
             let Some(mut msg) = am.sends.remove(&(peer, seq)) else {
                 return;
@@ -852,7 +870,7 @@ pub fn on_cpu(rs: &mut RankState, am: &mut ActiveMsgs, ctx: &mut Ctx<'_, '_>, ac
                 return;
             };
             if let Some(reply) = msg.pending_reply.take() {
-                let mut copy = take_ctrl_buf(rs);
+                let mut copy = rs.scratch.take_ctrl();
                 copy.extend_from_slice(&reply);
                 msg.reply_copy = Some(copy);
                 send_ctrl(rs, ctx, peer, reply, 0);
@@ -868,7 +886,7 @@ pub fn on_cpu(rs: &mut RankState, am: &mut ActiveMsgs, ctx: &mut Ctx<'_, '_>, ac
                 return;
             }
             if msg.rerequests >= ctx.cfg.rndv_max_rerequests {
-                abort_send(rs, ctx, msg, MpiError::ReplyTimeout { peer, seq });
+                finish_send(rs, ctx, msg, Some(MpiError::ReplyTimeout { peer, seq }));
                 return;
             }
             msg.rerequests += 1;
@@ -878,7 +896,7 @@ pub fn on_cpu(rs: &mut RankState, am: &mut ActiveMsgs, ctx: &mut Ctx<'_, '_>, ac
             ctx.cpu_event(at, rs.rank, CpuAct::ReplyTimeout { peer, seq });
             am.sends.insert((peer, seq), msg);
         }
-        CpuAct::UnpackSeg { peer, seq } => {
+        CpuAct::UnpackSeg { peer, seq, segs } => {
             let Some(msg) = am.recvs.get_mut(&(peer, seq)) else {
                 return;
             };
@@ -888,23 +906,8 @@ pub fn on_cpu(rs: &mut RankState, am: &mut ActiveMsgs, ctx: &mut Ctx<'_, '_>, ac
                 msg.drop_unpacks -= 1;
                 return;
             }
-            msg.segs_unpacked += 1;
+            msg.segs_done += segs;
             rs.counters.unpacks += 1;
-            let hybrid_gate = msg.scheme == Scheme::Hybrid && !msg.marker_seen;
-            if msg.segs_unpacked == msg.nsegs && !hybrid_gate {
-                receiver_complete(rs, am, ctx, peer, seq);
-            }
-        }
-        CpuAct::UnpackAll { peer, seq } => {
-            let Some(msg) = am.recvs.get_mut(&(peer, seq)) else {
-                return;
-            };
-            if msg.drop_unpacks > 0 {
-                msg.drop_unpacks -= 1;
-                return;
-            }
-            rs.counters.unpacks += 1;
-            msg.segs_unpacked = msg.nsegs;
             receiver_complete(rs, am, ctx, peer, seq);
         }
         CpuAct::Reconnect { peer } => do_reconnect(rs, am, ctx, peer),
@@ -928,7 +931,7 @@ fn fc_grants_blocked(rs: &RankState, cfg: &MpiConfig) -> bool {
 /// zero extra wire traffic whenever there is reverse traffic to carry
 /// them.
 fn take_ctrl_buf_credits(rs: &mut RankState, cfg: &MpiConfig, peer: u32) -> Vec<u8> {
-    let mut bytes = take_ctrl_buf(rs);
+    let mut bytes = rs.scratch.take_ctrl();
     if cfg.flow_control && peer != rs.rank && !fc_grants_blocked(rs, cfg) {
         let owed = rs.fc[peer as usize].owed;
         if owed > 0 {
@@ -1176,7 +1179,7 @@ fn eager_send(
     // The send request completes when packing is done (the user buffer
     // is then reusable).
     let done = rs.cpu.available_at();
-    ctx.cpu_event(done, rs.rank, CpuAct::SendDone { req });
+    ctx.cpu_event(done, rs.rank, CpuAct::EagerDone { req });
 }
 
 /// Unpacks an eager payload into the user buffer and schedules request
@@ -1204,7 +1207,7 @@ fn eager_deliver(
     rs.counters.unpacks += 1;
     rs.counters.bytes_unpacked += size;
     let done = rs.cpu.reserve_labeled(ctx.now(), cost, "unpack");
-    ctx.cpu_event(done, rs.rank, CpuAct::RecvDone { req });
+    ctx.cpu_event(done, rs.rank, CpuAct::EagerDone { req });
 }
 
 fn self_send(
@@ -1220,12 +1223,13 @@ fn self_send(
     let size = plan.total_bytes();
     // `data` escapes into the unexpected queue, so it cannot come from
     // the scratch pool.
-    let data = pack_to_vec(ctx, rs.rank, &plan, buf, 0, size);
+    let mut data = vec![0u8; size as usize];
+    pack_range(ctx, rs.rank, &plan, buf, 0, size, &mut data);
     let (blocks, _) = plan.block_count_in(0, size).expect("range valid");
-    let cost = ctx.host.copy_ns(blocks.max(1), size)
-        + device_direct_ns(ctx, rs.rank, buf, size, false);
+    let cost =
+        ctx.host.copy_ns(blocks.max(1), size) + device_direct_ns(ctx, rs.rank, buf, size, false);
     let done = rs.cpu.reserve_labeled(ctx.now(), cost, "pack");
-    ctx.cpu_event(done, rs.rank, CpuAct::SendDone { req });
+    ctx.cpu_event(done, rs.rank, CpuAct::EagerDone { req });
 
     let seq = rs.take_seq(rs.rank);
     if let Some(p) = rs.match_posted(rs.rank, tag) {
@@ -1246,8 +1250,6 @@ fn self_send(
     }
 }
 
-/// Sends a control/eager message, taking a ring buffer or queueing.
-/// `extra_cpu_ns` is work (e.g. packing) that precedes the post.
 /// Encodes `msg` into a recycled per-rank buffer (no allocation in
 /// steady state) and sends it as a control message.
 fn send_ctrl_msg(
@@ -1262,20 +1264,8 @@ fn send_ctrl_msg(
     send_ctrl(rs, ctx, peer, bytes, extra_cpu_ns);
 }
 
-/// Pops a cleared encode buffer from the rank's free-list.
-fn take_ctrl_buf(rs: &mut RankState) -> Vec<u8> {
-    // Served from the scratch pool so encode buffers inherit its
-    // thread-local spill: a fresh cluster's first control messages
-    // reuse capacity retired by the previous one.
-    rs.scratch.take_ctrl()
-}
-
-/// Returns an encode buffer whose bytes have been copied out (into a
-/// ring slot) for reuse.
-fn recycle_ctrl_buf(rs: &mut RankState, buf: Vec<u8>) {
-    rs.scratch.put_ctrl(buf);
-}
-
+/// Sends a control/eager message, taking a ring buffer or queueing.
+/// `extra_cpu_ns` is work (e.g. packing) that precedes the post.
 fn send_ctrl(
     rs: &mut RankState,
     ctx: &mut Ctx<'_, '_>,
@@ -1306,7 +1296,7 @@ fn send_ctrl(
                 park_ctrl(rs, peer, bytes);
                 return;
             }
-            recycle_ctrl_buf(rs, bytes);
+            rs.scratch.put_ctrl(bytes);
         }
         None => {
             rs.eager_pending
@@ -1358,12 +1348,10 @@ fn post_ctrl_slot(
     let Err(err) = ctx.post_send(ready, rs.rank, peer, wr) else {
         return true;
     };
-    if ctx.cfg.recovery
-        && matches!(
-            err,
-            PostError::QpError { .. } | PostError::QpNotReady { .. }
-        )
-        && ensure_reconnect(rs, ctx, peer)
+    if matches!(
+        err,
+        PostError::QpError { .. } | PostError::QpNotReady { .. }
+    ) && ensure_reconnect(rs, ctx, peer)
     {
         return false;
     }
@@ -1402,7 +1390,7 @@ fn drain_pending_eager(rs: &mut RankState, ctx: &mut Ctx<'_, '_>) {
             park_ctrl(rs, p.peer, p.bytes);
             continue;
         }
-        recycle_ctrl_buf(rs, p.bytes);
+        rs.scratch.put_ctrl(p.bytes);
     }
 }
 
@@ -1497,17 +1485,16 @@ fn on_ctrl(
                 seq,
                 size,
                 scheme,
-                nsegs,
-                seg_size,
                 blk_min,
                 blk_median,
+                ..
             } => {
                 if am.recvs.contains_key(&(peer, seq)) {
                     // A duplicate start for a live transfer: a flushed
                     // original was never delivered (flush precludes
                     // delivery), so this is exclusively the sender's
                     // §5.4.2 protection-fault renegotiation.
-                    receiver_renegotiate(rs, am, ctx, peer, seq, size, nsegs, seg_size);
+                    receiver_renegotiate(rs, am, ctx, peer, seq, size);
                     return;
                 }
                 match rs.match_posted(peer, tag) {
@@ -1516,9 +1503,7 @@ fn on_ctrl(
                         // needs the concrete source.
                         p.peer = peer;
                         p.tag = tag;
-                        receiver_start(
-                            rs, am, ctx, p, seq, size, scheme, nsegs, seg_size, blk_min, blk_median,
-                        );
+                        receiver_start(rs, am, ctx, p, seq, size, scheme, blk_min, blk_median);
                     }
                     None => rs.unexpected.push_back(Unexpected::Rndv {
                         peer,
@@ -1526,8 +1511,6 @@ fn on_ctrl(
                         seq,
                         size,
                         scheme,
-                        nsegs,
-                        seg_size,
                         blk_min,
                         blk_median,
                     }),
@@ -1546,20 +1529,17 @@ fn on_ctrl(
                 receiver_on_seg_ready(rs, am, ctx, peer, seq, k, addr, rkey, len);
             }
             CtrlMsg::Fin { seq } => {
-                sender_on_fin(rs, am, ctx, peer, seq);
+                sender_done(rs, am, ctx, peer, seq, true);
             }
             CtrlMsg::RndvProbe { seq } => {
                 // The sender suspects its RndvStart or our reply was lost.
                 // Resend the reply if it already went out; otherwise it is
                 // still pending and will go out on its own.
-                let resend = am.recvs.get(&(peer, seq)).and_then(|m| {
-                    if m.pending_reply.is_none() {
-                        m.reply_copy.clone()
-                    } else {
-                        None
-                    }
-                });
-                if let Some(r) = resend {
+                let sent = am
+                    .recvs
+                    .get(&(peer, seq))
+                    .filter(|m| m.pending_reply.is_none());
+                if let Some(r) = sent.and_then(|m| m.reply_copy.clone()) {
                     send_ctrl(rs, ctx, peer, r, 0);
                 }
             }
@@ -1586,14 +1566,10 @@ fn on_resume_request(
     seq: u64,
 ) {
     if let Some(msg) = am.recvs.get(&(peer, seq)) {
-        // Per-QP FIFO delivery plus flush-kills-the-suffix means the
-        // arrived count is exactly the delivered contiguous prefix for
-        // the segment-ordered schemes; Multi-W/Hybrid restart from the
-        // beginning (their writes are idempotent and the completion
-        // marker is posted last).
-        let from_k = match msg.scheme {
-            Scheme::BcSpup | Scheme::RwgUp => msg.segs_arrived,
-            _ => 0,
+        let from_k = if resumes_from_prefix(msg.scheme) {
+            msg.segs_arrived
+        } else {
+            0
         };
         let ack = CtrlMsg::RndvResumeAck {
             seq,
@@ -1612,12 +1588,9 @@ fn on_resume_request(
         send_ctrl_msg(rs, ctx, peer, &ack, 0);
         return;
     }
-    if am.sends.contains_key(&(peer, seq)) {
+    if let Some(mut msg) = am.sends.remove(&(peer, seq)) {
         // P-RRS: the recovering receiver drives the reads; re-announce
         // every packed segment (re-reads are idempotent).
-        let Some(mut msg) = am.sends.remove(&(peer, seq)) else {
-            return;
-        };
         msg.posted_segs = 0;
         drive_send(rs, am, ctx, msg);
         return;
@@ -1645,20 +1618,16 @@ fn on_resume_ack(
     if done {
         // Everything (including the receiver-side completion) landed
         // before the failure; only our completion CQE was lost.
-        msg.completed = true;
-        sender_release(rs, ctx, &mut msg);
-        rs.complete_req(msg.req);
+        finish_send(rs, ctx, msg, None);
         return;
     }
     rs.counters.resumed_chunks += from_k as u64;
     msg.posted_segs = from_k.min(msg.nsegs);
-    if msg.posted_segs >= msg.nsegs && matches!(msg.scheme, Scheme::BcSpup | Scheme::RwgUp) {
+    if msg.posted_segs >= msg.nsegs && resumes_from_prefix(msg.scheme) {
         // Every segment already reached the receiver; only the final
         // (signaled) completion was lost to the flush. The sender's
         // data duty is done.
-        msg.completed = true;
-        sender_release(rs, ctx, &mut msg);
-        rs.complete_req(msg.req);
+        finish_send(rs, ctx, msg, None);
         return;
     }
     // Multi-W and Hybrid restart whole phases: direct writes and the
@@ -1666,6 +1635,16 @@ fn on_resume_ack(
     msg.direct_posted = false;
     msg.marker_posted = false;
     drive_send(rs, am, ctx, msg);
+}
+
+/// Whether a recovered transfer of `scheme` restarts from the
+/// receiver's acknowledged segment prefix. Per-QP FIFO delivery plus
+/// flush-kills-the-suffix makes the arrived count exactly that prefix
+/// for the segment-ordered schemes; the others restart from the
+/// beginning (their writes are idempotent and a completion marker is
+/// posted last).
+fn resumes_from_prefix(scheme: Scheme) -> bool {
+    matches!(scheme, Scheme::BcSpup | Scheme::RwgUp)
 }
 
 // ---------------------------------------------------------------------
@@ -1743,8 +1722,6 @@ fn receiver_start(
     seq: u64,
     size: u64,
     scheme_wire: u8,
-    nsegs: u32,
-    seg_size: u64,
     blk_min: u64,
     blk_median: u64,
 ) {
@@ -1773,112 +1750,226 @@ fn receiver_start(
         size,
         "type signature mismatch between send and receive"
     );
-
-    let mut msg = RecvMsg {
-        req: p.req,
-        peer: p.peer,
-        seq,
-        buf: p.buf,
-        count: p.count,
-        ty: p.ty,
-        size,
-        scheme,
-        nsegs,
-        seg_size,
-        unpack_bufs: rs.scratch.take_stage(),
-        segs_arrived: 0,
-        segs_unpacked: 0,
-        user_regs: Vec::new(),
-        pending_reply: None,
-        reads_outstanding: 0,
-        segs_announced: 0,
-        packed_ivs: Vec::new(),
-        marker_seen: false,
-        completed: false,
-        pinned_bytes: 0,
-        reply_copy: None,
-        segs_seen: rs.scratch.take_set(),
-        drop_unpacks: 0,
-    };
+    let mut msg = RecvMsg::new(rs, p.req, p.peer, seq, p.buf, p.count, p.ty);
     am.imm_map.insert((p.peer, (seq & 0xFFFF) as u16), seq);
-
-    // Multi-W and Hybrid may not fit their reply into an eager buffer
-    // (a "complicated datatype" per §5.3), and the zero-copy schemes may
-    // exceed the pinning budget; each falls back to BC-SPUP (§4.3.3).
-    let ctrl = ctx.cfg.ctrl_overhead_ns;
-    let ready = match scheme {
-        Scheme::MultiW => build_multiw_reply(rs, ctx, &mut msg).map(|body| {
-            // Guaranteed by build_multiw_reply's 2× budget check.
-            let cost = receiver_reg_cost(rs, ctx, &mut msg).unwrap_or(0);
-            (body, cost, "reg")
-        }),
-        Scheme::Hybrid => build_hybrid_reply(rs, ctx, &mut msg).map(|body| (body, ctrl, "ctrl")),
-        Scheme::PRrs => receiver_reg_cost(rs, ctx, &mut msg).map(|c| (ReplyBody::ReadGo, c, "reg")),
-        Scheme::Generic => {
-            // One dynamic unpack buffer for the whole message.
-            let sb = acquire_stage(rs, ctx, size);
-            msg.unpack_bufs.push(sb);
-            let body = ReplyBody::Buffer {
-                addr: sb.va,
-                rkey: sb.rkey,
-            };
-            Some((body, ctrl, "ctrl"))
-        }
-        _ => None,
+    // A Generic sender packs the whole message as one segment, so its
+    // copy fallback is Generic's; every other one is BC-SPUP (§4.3.3).
+    let fallback = if proposal == Scheme::Generic {
+        Scheme::Generic
+    } else {
+        Scheme::BcSpup
     };
-    match ready {
-        Some((body, cost, label)) => {
-            if matches!(scheme, Scheme::MultiW | Scheme::Hybrid) {
-                maybe_evict_reply_reg(rs, ctx, &msg);
-            }
-            queue_reply(rs, ctx, &mut msg, body, cost, label);
-        }
-        None => {
-            if !matches!(scheme, Scheme::BcSpup | Scheme::RwgUp) {
-                rs.counters.scheme_fallbacks += 1;
-                msg.scheme = Scheme::BcSpup;
-            }
-            reply_segments(rs, ctx, &mut msg);
-        }
-    }
+    receiver_reply(rs, ctx, &mut msg, scheme, fallback);
     am.recvs.insert((msg.peer, seq), msg);
 }
 
-/// Encodes the rendezvous reply and schedules it to go out once the
-/// receiver's preparation — `cost` ns of host work under `label` —
-/// finishes.
-fn queue_reply(
+impl RecvMsg {
+    /// A receive with no reply committed yet; [`receiver_reply`] plans
+    /// and commits one. [`receiver_start`] and the §5.4.2
+    /// renegotiation both build their generations here.
+    fn new(
+        rs: &mut RankState,
+        req: ReqId,
+        peer: u32,
+        seq: u64,
+        buf: Va,
+        count: u64,
+        ty: Datatype,
+    ) -> Self {
+        RecvMsg {
+            req,
+            peer,
+            seq,
+            buf,
+            count,
+            size: count * ty.size(),
+            ty,
+            scheme: Scheme::BcSpup,
+            plan: ReplyPlan::default(),
+            unpack_bufs: rs.scratch.take_stage(),
+            segs_arrived: 0,
+            segs_done: 0,
+            user_regs: Vec::new(),
+            pending_reply: None,
+            reads_outstanding: 0,
+            direct_done: true,
+            completed: false,
+            pinned_bytes: 0,
+            reply_copy: None,
+            segs_seen: rs.scratch.take_set(),
+            drop_unpacks: 0,
+        }
+    }
+}
+
+/// Plans the reply for `scheme` and commits it, or — when the commit is
+/// refused — the reply for the copy scheme `fallback`, counting a scheme
+/// fallback.
+fn receiver_reply(
     rs: &mut RankState,
     ctx: &mut Ctx<'_, '_>,
     msg: &mut RecvMsg,
-    body: ReplyBody,
-    cost: Time,
-    label: &'static str,
+    scheme: Scheme,
+    fallback: Scheme,
 ) {
-    let mut buf = take_ctrl_buf(rs);
-    CtrlMsg::RndvReply {
-        seq: msg.seq,
-        scheme: msg.scheme.to_wire(),
-        body,
+    let mut blocks = rs.scratch.take_blocks();
+    if matches!(scheme, Scheme::PRrs | Scheme::MultiW | Scheme::Hybrid) {
+        let tplan = rs.plan_for(&msg.ty, msg.count);
+        abs_blocks_into(&tplan, msg.buf, &mut blocks);
     }
-    .encode_into(&mut buf);
+    let plan = plan_reply(scheme, msg.size, &blocks, ctx.cfg);
+    if !commit_reply(rs, ctx, msg, scheme, plan, &mut blocks) {
+        rs.counters.scheme_fallbacks += 1;
+        let plan = plan_reply(fallback, msg.size, &[], ctx.cfg);
+        let committed = commit_reply(rs, ctx, msg, fallback, plan, &mut blocks);
+        debug_assert!(committed, "copy replies pin nothing and always commit");
+    }
+    rs.scratch.put_blocks(blocks);
+}
+
+/// The one committer of every reply: probes that a direct reply fits an
+/// eager buffer (a "complicated datatype" per §5.3 does not), charges
+/// the pinning budget, pins the planned blocks out of `blocks`, acquires
+/// the packed substream's segment buffers and queues the reply. Returns
+/// `false`, having committed nothing, when the reply outgrows an eager
+/// buffer or the budget.
+///
+/// The reply goes out once the receiver is ready: P-RRS and Multi-W
+/// wait on the registration that exposes the user buffer, the others
+/// on the control overhead. Multi-W pins its blocks a second time (a
+/// pin-down cache hit whose cost is part of its reply time), so its
+/// budget check reserves twice the footprint.
+fn commit_reply(
+    rs: &mut RankState,
+    ctx: &mut Ctx<'_, '_>,
+    msg: &mut RecvMsg,
+    scheme: Scheme,
+    plan: ReplyPlan,
+    blocks: &mut Vec<(Va, u64)>,
+) -> bool {
+    let kind = plan.kind;
+    // Direct replies name the receiver's layout by tag and ship the
+    // layout only on a peer's first use of the tag.
+    let tag = kind.direct().then(|| rs.registry.register(&msg.ty));
+    let regions = match plan.pin_min {
+        Some(min) => {
+            blocks.retain(|&(_, l)| l >= min);
+            ogr::plan(blocks, &ctx.host.reg).regions
+        }
+        None => Vec::new(),
+    };
+    let headroom = if kind == ReplyKind::MultiW { 2 } else { 1 };
+    let need: u64 = regions.iter().map(|&(_, l)| l).sum();
+    if rs
+        .pinned_user_bytes
+        .saturating_add(need.saturating_mul(headroom))
+        > ctx.cfg.reg_budget_bytes
+    {
+        return false;
+    }
+    // The reply with placeholder keys and buffers, filled in once
+    // committed.
+    let (base, count, nsegs) = (msg.buf, msg.count, plan.nsegs as usize);
+    let key = tag.map(|t| (msg.peer, t.index, t.version));
+    let layout = key
+        .filter(|k| !rs.sent_layouts.contains(k))
+        .map(|_| msg.ty.flat().as_ref().clone());
+    let keyed = regions.iter().map(|&(a, l)| (a, l, 0)).collect();
+    let body = match (kind, tag) {
+        (ReplyKind::Buffer, _) => ReplyBody::Buffer { addr: 0, rkey: 0 },
+        (ReplyKind::Segments, _) => ReplyBody::Segments {
+            segs: SegList::new(),
+        },
+        (ReplyKind::MultiW, Some(tag)) => ReplyBody::MultiW {
+            base,
+            tag,
+            count,
+            layout,
+            regions: keyed,
+        },
+        (ReplyKind::Hybrid, Some(tag)) => ReplyBody::Hybrid {
+            base,
+            tag,
+            count,
+            layout,
+            regions: keyed,
+            segs: vec![(0, 0); nsegs],
+            threshold: plan.pin_min.unwrap_or(0),
+        },
+        _ => ReplyBody::ReadGo,
+    };
+    let mut reply = CtrlMsg::RndvReply {
+        seq: msg.seq,
+        scheme: scheme.to_wire(),
+        body,
+    };
+    if let Some(key) = key {
+        let mut probe = rs.scratch.take_ctrl();
+        reply.encode_into(&mut probe);
+        let fits = probe.len() as u64 <= ctx.cfg.eager_buf_size;
+        rs.scratch.put_ctrl(probe);
+        if !fits {
+            return false;
+        }
+        rs.sent_layouts.insert(key);
+    }
+    let CtrlMsg::RndvReply { body, .. } = &mut reply else {
+        unreachable!("built as a reply above");
+    };
+    let first = msg.user_regs.len();
+    if plan.pin_min.is_some() {
+        let (regs, pinned) = (&mut msg.user_regs, &mut msg.pinned_bytes);
+        let cost = try_acquire_user_regs(rs, ctx, &regions, regs, pinned);
+        rs.cpu
+            .reserve_labeled(ctx.now(), cost.expect("budget checked above"), "reg");
+    }
+    if let ReplyBody::MultiW { regions, .. } | ReplyBody::Hybrid { regions, .. } = body {
+        for (r, reg) in regions.iter_mut().zip(&msg.user_regs[first..]) {
+            r.2 = reg.rkey;
+        }
+    }
+    let mut segs = SegList::new();
+    if kind != ReplyKind::ReadGo {
+        for _ in 0..nsegs {
+            let sb = if kind == ReplyKind::Buffer {
+                acquire_stage(rs, ctx, plan.seg_size)
+            } else {
+                acquire_seg(rs, ctx, true)
+            };
+            segs.push((sb.va, sb.rkey));
+            msg.unpack_bufs.push(sb);
+        }
+    }
+    match body {
+        ReplyBody::Buffer { addr, rkey } => (*addr, *rkey) = segs[0],
+        ReplyBody::Segments { segs: s } => *s = segs,
+        ReplyBody::Hybrid { segs: s, .. } => s.copy_from_slice(&segs),
+        _ => {}
+    }
+    let mut cost = 0;
+    if kind == ReplyKind::MultiW {
+        let (regs, pinned) = (&mut msg.user_regs, &mut msg.pinned_bytes);
+        cost = try_acquire_user_regs(rs, ctx, &regions, regs, pinned).expect("2x headroom");
+    }
+    let (cost, label) = match kind {
+        ReplyKind::MultiW | ReplyKind::ReadGo => {
+            (cost + device_reg_extra(ctx, rs.rank, msg.buf), "reg")
+        }
+        _ => (ctx.cfg.ctrl_overhead_ns, "ctrl"),
+    };
+    msg.scheme = scheme;
+    msg.plan = plan;
+    msg.direct_done = !kind.direct();
+    if kind.direct() {
+        maybe_evict_reply_reg(rs, ctx, msg);
+    }
+    let mut buf = rs.scratch.take_ctrl();
+    reply.encode_into(&mut buf);
     msg.pending_reply = Some(buf);
     let done = rs.cpu.reserve_labeled(ctx.now(), cost, label);
     let (peer, seq) = (msg.peer, msg.seq);
     ctx.cpu_event(done, rs.rank, CpuAct::ReceiverReady { peer, seq });
-}
-
-/// Assigns one unpack buffer per segment and queues the BC-SPUP /
-/// RWG-UP reply that lists them.
-fn reply_segments(rs: &mut RankState, ctx: &mut Ctx<'_, '_>, msg: &mut RecvMsg) {
-    let mut segs = SegList::new();
-    for _ in 0..msg.nsegs {
-        let sb = acquire_seg(rs, ctx, true);
-        segs.push((sb.va, sb.rkey));
-        msg.unpack_bufs.push(sb);
-    }
-    let cost = ctx.cfg.ctrl_overhead_ns;
-    queue_reply(rs, ctx, msg, ReplyBody::Segments { segs }, cost, "ctrl");
+    true
 }
 
 /// Acquires pin-down registrations for the OGR `regions`, charging
@@ -1909,156 +2000,8 @@ fn try_acquire_user_regs(
     Some(cost)
 }
 
-/// Registers the receiver's user buffer via OGR + pin-down cache;
-/// returns the host cost, or `None` when the pinning budget is
-/// exhausted.
-fn receiver_reg_cost(rs: &mut RankState, ctx: &mut Ctx<'_, '_>, msg: &mut RecvMsg) -> Option<Time> {
-    let plan = rs.plan_for(&msg.ty, msg.count);
-    let mut blocks = rs.scratch.take_blocks();
-    abs_blocks_into(&plan, msg.buf, &mut blocks);
-    let regions = ogr::plan(&blocks, &ctx.host.reg).regions;
-    rs.scratch.put_blocks(blocks);
-    let cost = try_acquire_user_regs(rs, ctx, &regions, &mut msg.user_regs, &mut msg.pinned_bytes);
-    cost.map(|c| c + device_reg_extra(ctx, rs.rank, msg.buf))
-}
-
-/// Builds the Multi-W reply over the whole receive buffer, or `None`
-/// when it cannot fit an eager buffer or the pinning budget.
-fn build_multiw_reply(
-    rs: &mut RankState,
-    ctx: &mut Ctx<'_, '_>,
-    msg: &mut RecvMsg,
-) -> Option<ReplyBody> {
-    let tplan = rs.plan_for(&msg.ty, msg.count);
-    let mut blocks = rs.scratch.take_blocks();
-    abs_blocks_into(&tplan, msg.buf, &mut blocks);
-    // The caller's receiver_reg_cost pins the same blocks again (the
-    // pin-down cache refcounts the duplicate acquire), so reserve
-    // budget headroom for twice the footprint.
-    let body = build_direct_reply(rs, ctx, msg, &blocks, 2, None);
-    rs.scratch.put_blocks(blocks);
-    body
-}
-
-/// Builds the Hybrid reply: partitions the receive buffer, pins the
-/// direct blocks, assigns unpack segments for the packed part, and
-/// records the partition on the receive message. `None` when the reply
-/// cannot fit an eager buffer or the pinning budget.
-fn build_hybrid_reply(
-    rs: &mut RankState,
-    ctx: &mut Ctx<'_, '_>,
-    msg: &mut RecvMsg,
-) -> Option<ReplyBody> {
-    let threshold = ctx.cfg.hybrid_block_threshold;
-    let tplan = rs.plan_for(&msg.ty, msg.count);
-    let mut blocks = rs.scratch.take_blocks();
-    abs_blocks_into(&tplan, msg.buf, &mut blocks);
-    let part = hybrid_partition(&blocks, threshold);
-    let (nsegs, seg_size) = packed_geometry(ctx.cfg, part.packed_bytes);
-    blocks.retain(|&(_, l)| l >= threshold);
-    let body = build_direct_reply(rs, ctx, msg, &blocks, 1, Some((nsegs, threshold)));
-    rs.scratch.put_blocks(blocks);
-    if body.is_some() {
-        msg.nsegs = nsegs;
-        msg.seg_size = seg_size;
-        msg.packed_ivs = part.packed;
-    }
-    body
-}
-
-/// Segment count and size of a packed substream of `packed_bytes`
-/// (Hybrid's small-block part).
-fn packed_geometry(cfg: &MpiConfig, packed_bytes: u64) -> (u32, u64) {
-    if packed_bytes == 0 {
-        return (0, 1);
-    }
-    let ss = cfg.segment_size(packed_bytes).min(cfg.max_seg_size);
-    (packed_bytes.div_ceil(ss) as u32, ss)
-}
-
-/// The probe-and-commit shared by the zero-copy replies: probes the
-/// reply with placeholder keys and, when it fits an eager buffer and
-/// `headroom` times its pinning footprint fits the budget, pins the
-/// OGR regions covering `blocks` and returns the reply body. `hybrid`
-/// carries Hybrid's packed segment count and block threshold; its
-/// unpack segments are assigned after the pinning.
-fn build_direct_reply(
-    rs: &mut RankState,
-    ctx: &mut Ctx<'_, '_>,
-    msg: &mut RecvMsg,
-    blocks: &[(Va, u64)],
-    headroom: u64,
-    hybrid: Option<(u32, u64)>,
-) -> Option<ReplyBody> {
-    let tag = rs.registry.register(&msg.ty);
-    let key = (msg.peer, tag.index, tag.version);
-    let layout = (!rs.sent_layouts.contains(&key)).then(|| msg.ty.flat().as_ref().clone());
-    let regions = ogr::plan(blocks, &ctx.host.reg).regions;
-    let need: u64 = regions.iter().map(|&(_, l)| l).sum();
-    if rs
-        .pinned_user_bytes
-        .saturating_add(need.saturating_mul(headroom))
-        > ctx.cfg.reg_budget_bytes
-    {
-        return None;
-    }
-    let (base, count) = (msg.buf, msg.count);
-    let body = |layout, regions, segs: Vec<(Va, u32)>| match hybrid {
-        None => ReplyBody::MultiW {
-            base,
-            tag,
-            count,
-            layout,
-            regions,
-        },
-        Some((_, threshold)) => ReplyBody::Hybrid {
-            base,
-            tag,
-            count,
-            layout,
-            regions,
-            segs,
-            threshold,
-        },
-    };
-    let nsegs = hybrid.map_or(0, |(n, _)| n as usize);
-    let placeholder = regions.iter().map(|&(a, l)| (a, l, 0)).collect();
-    let mut probe = take_ctrl_buf(rs);
-    CtrlMsg::RndvReply {
-        seq: msg.seq,
-        scheme: msg.scheme.to_wire(),
-        body: body(layout.clone(), placeholder, vec![(0, 0); nsegs]),
-    }
-    .encode_into(&mut probe);
-    let fits = probe.len() as u64 <= ctx.cfg.eager_buf_size;
-    recycle_ctrl_buf(rs, probe);
-    if !fits {
-        return None;
-    }
-    if layout.is_some() {
-        rs.sent_layouts.insert(key);
-    }
-    // Commit: pin the regions (the budget check above covers this) and
-    // fill in the real rkeys.
-    let first = msg.user_regs.len();
-    let cost = try_acquire_user_regs(rs, ctx, &regions, &mut msg.user_regs, &mut msg.pinned_bytes)?;
-    rs.cpu.reserve_labeled(ctx.now(), cost, "reg");
-    let keyed = regions
-        .iter()
-        .zip(&msg.user_regs[first..])
-        .map(|(&(a, l), r)| (a, l, r.rkey))
-        .collect();
-    let mut segs = Vec::with_capacity(nsegs);
-    for _ in 0..nsegs {
-        let sb = acquire_seg(rs, ctx, true);
-        segs.push((sb.va, sb.rkey));
-        msg.unpack_bufs.push(sb);
-    }
-    Some(body(layout, keyed, segs))
-}
-
-/// A data segment (or whole message) arrived, announced by immediate
-/// data.
+/// A segment of the packed substream, or the direct part's completion
+/// notification, arrived, announced by immediate data.
 fn on_segment_arrival(
     rs: &mut RankState,
     am: &mut ActiveMsgs,
@@ -2085,82 +2028,52 @@ fn on_segment_arrival(
         }
         return;
     };
-    if k != MARKER_K && !msg.segs_seen.insert(k) {
+    if k as usize >= msg.unpack_bufs.len() {
+        // No staged segment has this index: it is Multi-W's last write
+        // or Hybrid's marker, each ordered after every direct write.
+        msg.direct_done = true;
+        receiver_complete(rs, am, ctx, peer, seq);
+        return;
+    }
+    if !msg.segs_seen.insert(k) {
         // A resumed sender repeated a segment that already landed
         // (idempotent RDMA write): count it once.
         return;
     }
     msg.segs_arrived += 1;
-    match msg.scheme {
-        Scheme::Generic => {
-            // Whole message in unpack_bufs[0]: unpack it all.
-            let plan = rs.plan_for(&msg.ty, msg.count);
-            let mut data = rs.scratch.take_bytes(msg.size as usize);
-            data.copy_from_slice(
-                ctx.mems[rs.rank as usize]
-                    .space
-                    .slice(msg.unpack_bufs[0].va, msg.size)
-                    .expect("unpack buffer readable"),
-            );
-            unpack_from_slice(ctx, rs.rank, &plan, msg.buf, 0, msg.size, &data);
-            rs.scratch.put_bytes(data);
-            let (blocks, _) = plan.block_count_in(0, msg.size).expect("range valid");
-            rs.counters.bytes_unpacked += msg.size;
-            let buf = msg.buf;
-            let size = msg.size;
-            let done = charge_copy(rs, ctx, buf, blocks, size, true, "unpack");
-            ctx.cpu_event(done, rs.rank, CpuAct::UnpackAll { peer, seq });
+    let buf = msg.buf;
+    let (segs, done) = if !msg.plan.batch_unpack {
+        let (blocks, len) = unpack_segment_do(rs, ctx, msg, k);
+        rs.counters.bytes_unpacked += len;
+        (1, charge_copy(rs, ctx, buf, blocks, len, true, "unpack"))
+    } else if msg.segs_arrived == msg.plan.nsegs {
+        // Fig. 12 ablation: unpack everything only after the last
+        // segment arrived. Costs stay a per-segment `copy_ns` sum —
+        // ceil rounding makes that differ from one whole-message
+        // charge, and the figure measures it.
+        let mut total_cost = 0;
+        for kk in 0..msg.plan.nsegs {
+            let (blocks, len) = unpack_segment_do(rs, ctx, msg, kk);
+            total_cost += ctx.host.copy_ns(blocks.max(1), len);
         }
-        Scheme::Hybrid if k == MARKER_K => {
-            msg.marker_seen = true;
-            if msg.segs_unpacked == msg.nsegs {
-                receiver_complete(rs, am, ctx, peer, seq);
-            }
-        }
-        Scheme::RwgUp if !ctx.cfg.segment_unpack => {
-            if msg.segs_arrived == msg.nsegs {
-                // Fig. 12 ablation: unpack everything only after the
-                // last segment arrived. Costs stay a per-segment
-                // `copy_ns` sum — ceil rounding makes that differ from
-                // one whole-message charge, and the figure measures it.
-                let mut total_cost = 0;
-                for kk in 0..msg.nsegs {
-                    let (blocks, len) = unpack_segment_do(rs, ctx, msg, kk);
-                    total_cost += ctx.host.copy_ns(blocks.max(1), len);
-                }
-                // Device destination: the batched image crosses in one
-                // scatter-DMA (nothing left to overlap with).
-                total_cost += device_direct_ns(ctx, rs.rank, msg.buf, msg.size, true);
-                rs.counters.bytes_unpacked += msg.size;
-                let done = rs.cpu.reserve_labeled(ctx.now(), total_cost, "unpack");
-                ctx.cpu_event(done, rs.rank, CpuAct::UnpackAll { peer, seq });
-            }
-        }
-        Scheme::BcSpup | Scheme::RwgUp | Scheme::Hybrid => {
-            let (blocks, len) = unpack_segment_do(rs, ctx, msg, k);
-            rs.counters.bytes_unpacked += len;
-            let buf = msg.buf;
-            let done = charge_copy(rs, ctx, buf, blocks, len, true, "unpack");
-            ctx.cpu_event(done, rs.rank, CpuAct::UnpackSeg { peer, seq });
-        }
-        Scheme::MultiW => {
-            // Zero-copy: data is already in place; the immediate on the
-            // last write is the completion notification.
-            receiver_complete(rs, am, ctx, peer, seq);
-        }
-        Scheme::PRrs | Scheme::Adaptive => {
-            // No write-path segments exist for these schemes; a stray
-            // arrival is a stale duplicate or protocol corruption.
-            rs.errors.push(MpiError::UnknownMessage { peer, seq });
-        }
-    }
+        // Device destination: the batched image crosses in one
+        // scatter-DMA (nothing left to overlap with).
+        total_cost += device_direct_ns(ctx, rs.rank, buf, msg.size, true);
+        rs.counters.bytes_unpacked += msg.size;
+        let done = rs.cpu.reserve_labeled(ctx.now(), total_cost, "unpack");
+        (msg.plan.nsegs, done)
+    } else {
+        return;
+    };
+    ctx.cpu_event(done, rs.rank, CpuAct::UnpackSeg { peer, seq, segs });
 }
 
 /// Performs the functional unpack of segment `k` of the packed
-/// substream, returning the block and byte counts the caller charges
-/// costs on (segment-at-a-time paths route through [`charge_copy`]; the
-/// Fig. 12 batch ablation sums per-segment `copy_ns` itself so its
-/// ceil-rounded total is unchanged).
+/// substream (Generic's is the whole message), returning the block and
+/// byte counts the caller charges costs on (segment-at-a-time paths
+/// route through [`charge_copy`]; the Fig. 12 batch ablation sums
+/// per-segment `copy_ns` itself so its ceil-rounded total is
+/// unchanged).
 fn unpack_segment_do(
     rs: &mut RankState,
     ctx: &mut Ctx<'_, '_>,
@@ -2169,8 +2082,8 @@ fn unpack_segment_do(
 ) -> (usize, u64) {
     let rank = rs.rank;
     let plan = rs.plan_for(&msg.ty, msg.count);
-    let lo = k as u64 * msg.seg_size;
-    let hi = (lo + msg.seg_size).min(substream_len(&msg.packed_ivs, msg.size));
+    let lo = k as u64 * msg.plan.seg_size;
+    let hi = (lo + msg.plan.seg_size).min(substream_len(&msg.plan.packed_ivs, msg.size));
     let mut data = rs.scratch.take_bytes((hi - lo) as usize);
     data.copy_from_slice(
         ctx.mems[rank as usize]
@@ -2179,7 +2092,7 @@ fn unpack_segment_do(
             .expect("unpack buffer readable"),
     );
     let (mut cursor, mut blocks) = (0usize, 0usize);
-    for_each_substream_piece(&msg.packed_ivs, lo, hi, |a, b| {
+    for_each_substream_piece(&msg.plan.packed_ivs, lo, hi, |a, b| {
         let n = (b - a) as usize;
         unpack_from_slice(ctx, rank, &plan, msg.buf, a, b, &data[cursor..cursor + n]);
         cursor += n;
@@ -2189,6 +2102,9 @@ fn unpack_segment_do(
     (blocks, hi - lo)
 }
 
+/// Completes the receive once every part landed — the one completion
+/// rule of every scheme: each segment of the packed substream is
+/// placed, no read is outstanding, and the direct part is done.
 fn receiver_complete(
     rs: &mut RankState,
     am: &mut ActiveMsgs,
@@ -2196,19 +2112,24 @@ fn receiver_complete(
     peer: u32,
     seq: u64,
 ) {
-    let Some(mut msg) = am.recvs.remove(&(peer, seq)) else {
-        return;
-    };
-    if msg.completed {
+    let ready = am
+        .recvs
+        .get(&(peer, seq))
+        .is_some_and(|m| m.segs_done == m.plan.nsegs && m.reads_outstanding == 0 && m.direct_done);
+    if !ready {
         return;
     }
+    let mut msg = am
+        .recvs
+        .remove(&(peer, seq))
+        .expect("a ready receive is live");
     msg.completed = true;
     am.imm_map.remove(&(peer, (seq & 0xFFFF) as u16));
     // Remember completion so a recovering sender's resume request can
     // be answered with `done` instead of a renegotiation.
     rs.done_seqs.insert((peer, seq));
     receiver_release(rs, ctx, &mut msg);
-    if msg.scheme == Scheme::PRrs {
+    if msg.plan.kind == ReplyKind::ReadGo {
         // Tell the sender its pack buffers are free.
         send_ctrl_msg(rs, ctx, peer, &CtrlMsg::Fin { seq }, 0);
     }
@@ -2221,10 +2142,10 @@ fn receiver_release(rs: &mut RankState, ctx: &mut Ctx<'_, '_>, msg: &mut RecvMsg
     let (regs, pinned) = (&mut msg.user_regs, &mut msg.pinned_bytes);
     release_msg(rs, ctx, &mut msg.unpack_bufs, true, regs, pinned);
     if let Some(v) = msg.pending_reply.take() {
-        recycle_ctrl_buf(rs, v);
+        rs.scratch.put_ctrl(v);
     }
     if let Some(v) = msg.reply_copy.take() {
-        recycle_ctrl_buf(rs, v);
+        rs.scratch.put_ctrl(v);
     }
     rs.scratch.put_set(std::mem::take(&mut msg.segs_seen));
 }
@@ -2253,8 +2174,8 @@ fn receiver_on_seg_ready(
         // below re-counts distinct segments only).
         return;
     }
-    msg.segs_announced += 1;
-    let lo = k as u64 * msg.seg_size;
+    msg.segs_done += 1;
+    let lo = k as u64 * msg.plan.seg_size;
     let hi = lo + len;
     let plan = rs.plan_for(&msg.ty, msg.count);
     let mut blocks = rs.scratch.take_blocks();
@@ -2278,7 +2199,7 @@ fn receiver_on_seg_ready(
     };
     // A dead QP hands the read-driven transfer to the connection
     // manager instead of failing the receive.
-    if ctx.cfg.recovery && recoverable(&err) && ensure_reconnect(rs, ctx, peer) {
+    if recoverable(&err) && ensure_reconnect(rs, ctx, peer) {
         rs.reconn
             .get_mut(&peer)
             .expect("entry ensured above")
@@ -2302,9 +2223,7 @@ fn receiver_read_done(
     // Saturating: a recovery reset may have zeroed the counter while a
     // straggling completion was already in flight.
     msg.reads_outstanding = msg.reads_outstanding.saturating_sub(1);
-    if msg.reads_outstanding == 0 && msg.segs_announced == msg.nsegs {
-        receiver_complete(rs, am, ctx, peer, seq);
-    }
+    receiver_complete(rs, am, ctx, peer, seq);
 }
 
 // ---------------------------------------------------------------------
@@ -2396,15 +2315,17 @@ fn sender_on_reply(
             threshold,
             ..
         } => {
-            // Both sides derive the same partition from the receiver's
+            // Both sides plan the same partition from the receiver's
             // layout; the packed part joins the segment pipeline.
-            let part = hybrid_partition(&rcv_blocks, threshold);
-            msg.nsegs = segs.len() as u32;
-            msg.seg_size = packed_geometry(ctx.cfg, part.packed_bytes).1;
-            msg.packed_ivs = part.packed;
+            debug_assert_eq!(threshold, ctx.cfg.hybrid_block_threshold);
+            let plan = plan_reply(Scheme::Hybrid, msg.size, &rcv_blocks, ctx.cfg);
+            debug_assert_eq!(plan.nsegs as usize, segs.len());
+            msg.nsegs = plan.nsegs;
+            msg.seg_size = plan.seg_size;
+            msg.packed_ivs = plan.packed_ivs;
             SendTargets::Segments {
                 segs: segs.into_iter().collect(),
-                direct: part.direct,
+                direct: plan.direct,
                 regions,
             }
         }
@@ -2876,42 +2797,25 @@ where
     })
 }
 
-/// Local completion of the (last) data WR of a rendezvous send.
-fn sender_data_done(
+/// The sender's data duty is done: the last data WR completed locally,
+/// or — `fin` — the P-RRS receiver read everything.
+fn sender_done(
     rs: &mut RankState,
     am: &mut ActiveMsgs,
     ctx: &mut Ctx<'_, '_>,
     peer: u32,
     seq: u64,
+    fin: bool,
 ) {
-    let Some(mut msg) = am.sends.remove(&(peer, seq)) else {
-        return;
-    };
-    debug_assert!(!msg.completed);
-    msg.completed = true;
-    sender_release(rs, ctx, &mut msg);
-    rs.complete_req(msg.req);
-}
-
-/// P-RRS completion: the receiver has read everything.
-fn sender_on_fin(
-    rs: &mut RankState,
-    am: &mut ActiveMsgs,
-    ctx: &mut Ctx<'_, '_>,
-    peer: u32,
-    seq: u64,
-) {
-    let Some(mut msg) = am.sends.remove(&(peer, seq)) else {
-        // The send was already aborted; the Fin is a stale straggler.
-        if !ctx.fabric.faults_active() {
+    let Some(msg) = am.sends.remove(&(peer, seq)) else {
+        // The send was already aborted; a Fin is a stale straggler.
+        if fin && !ctx.fabric.faults_active() {
             rs.errors.push(MpiError::UnknownMessage { peer, seq });
         }
         return;
     };
     debug_assert!(!msg.completed);
-    msg.completed = true;
-    sender_release(rs, ctx, &mut msg);
-    rs.complete_req(msg.req);
+    finish_send(rs, ctx, msg, None);
 }
 
 fn sender_release(rs: &mut RankState, ctx: &mut Ctx<'_, '_>, msg: &mut SendMsg) {
@@ -3097,21 +3001,6 @@ fn pack_range(
         .expect("user buffer covers the datatype");
 }
 
-/// Functional pack of a stream range into a fresh vector (used when the
-/// packed bytes must outlive the call, e.g. self-sends).
-fn pack_to_vec(
-    ctx: &mut Ctx<'_, '_>,
-    rank: u32,
-    plan: &TransferPlan,
-    buf: Va,
-    lo: u64,
-    hi: u64,
-) -> Vec<u8> {
-    let mut out = vec![0u8; (hi - lo) as usize];
-    pack_range(ctx, rank, plan, buf, lo, hi, &mut out);
-    out
-}
-
 /// Functional unpack of a stream range from a slice into the user
 /// buffer.
 ///
@@ -3214,7 +3103,7 @@ fn drain_suspended(
     drain_pending_eager(rs, ctx);
     for seq in sends {
         if let Some(msg) = am.sends.remove(&(peer, seq)) {
-            abort_send(rs, ctx, msg, err);
+            finish_send(rs, ctx, msg, Some(err));
         }
     }
     for seq in recvs {
@@ -3254,7 +3143,7 @@ fn resolve_send_failure(
     err: MpiError,
 ) {
     let peer = msg.peer;
-    if ctx.cfg.recovery && recoverable(&err) {
+    if recoverable(&err) {
         if ensure_reconnect(rs, ctx, peer) {
             rs.reconn
                 .get_mut(&peer)
@@ -3266,10 +3155,10 @@ fn resolve_send_failure(
         }
         let err = give_up_error(rs, ctx, peer);
         drain_suspended(rs, am, ctx, peer, err);
-        abort_send(rs, ctx, msg, err);
+        finish_send(rs, ctx, msg, Some(err));
         return;
     }
-    abort_send(rs, ctx, msg, err);
+    finish_send(rs, ctx, msg, Some(err));
 }
 
 /// The reconnect handshake to `peer` finished: re-establish the errored
@@ -3423,7 +3312,7 @@ fn resume_recv(
         return;
     }
     msg.reads_outstanding = 0;
-    msg.segs_announced = 0;
+    msg.segs_done = 0;
     msg.segs_seen.clear();
     send_ctrl_msg(rs, ctx, peer, &CtrlMsg::RndvResume { seq }, 0);
 }
@@ -3437,52 +3326,40 @@ fn renegotiate_send(
     rs: &mut RankState,
     am: &mut ActiveMsgs,
     ctx: &mut Ctx<'_, '_>,
-    mut msg: SendMsg,
+    mut old: SendMsg,
 ) {
-    let (peer, seq) = (msg.peer, msg.seq);
-    msg.renegotiated = true;
     // Tear down the zero-copy generation: registrations, staging, and
-    // any pack pipeline still in flight.
-    sender_release(rs, ctx, &mut msg);
-    msg.pack_bufs.clear();
-    if msg.pack_chain_running {
-        msg.drop_packs += 1;
-        msg.pack_chain_running = false;
-    }
-    msg.reg_done = false;
-    msg.packed_ivs.clear();
-    msg.direct_posted = false;
-    msg.marker_posted = false;
-    msg.mw_stage = false;
-    msg.targets = None;
-    msg.posted_segs = 0;
-    msg.packed = 0;
-    msg.scheme = Scheme::BcSpup;
-    msg.seg_size = ctx.cfg.segment_size(msg.size);
-    msg.nsegs = ctx.cfg.segment_count(msg.size);
-    // A duplicate start for a live transfer is the renegotiation signal
-    // (a flushed original was never delivered, so no ambiguity).
-    let stats = rs.plan_for(&msg.ty, msg.count).stats();
-    let start = CtrlMsg::RndvStart {
-        tag: msg.tag,
-        seq,
-        size: msg.size,
-        scheme: Scheme::BcSpup.to_wire(),
-        nsegs: msg.nsegs,
-        seg_size: msg.seg_size,
-        blk_min: stats.min,
-        blk_median: stats.median,
+    // any pack pipeline still in flight. The new generation's duplicate
+    // start is the renegotiation signal (a flushed original was never
+    // delivered, so no ambiguity).
+    sender_release(rs, ctx, &mut old);
+    let stats = rs.plan_for(&old.ty, old.count).stats();
+    let (req, peer, seq, tag, buf, count) =
+        (old.req, old.peer, old.seq, old.tag, old.buf, old.count);
+    let mut msg = SendMsg {
+        renegotiated: true,
+        drop_packs: old.drop_packs + u32::from(old.pack_chain_running),
+        ..start_send(
+            rs,
+            ctx,
+            req,
+            peer,
+            seq,
+            tag,
+            buf,
+            count,
+            old.ty,
+            Scheme::BcSpup,
+            stats,
+        )
     };
-    send_ctrl_msg(rs, ctx, peer, &start, 0);
     assign_pack_bufs(rs, ctx, &mut msg);
     start_pack_chain(rs, ctx, &mut msg);
     am.sends.insert((peer, seq), msg);
 }
 
 /// Receiver side of the §5.4.2 fallback: rebuild a live receive as
-/// BC-SPUP after the sender renegotiated (its geometry arrives with the
-/// duplicate start).
-#[allow(clippy::too_many_arguments)]
+/// BC-SPUP after the sender renegotiated.
 fn receiver_renegotiate(
     rs: &mut RankState,
     am: &mut ActiveMsgs,
@@ -3490,30 +3367,19 @@ fn receiver_renegotiate(
     peer: u32,
     seq: u64,
     size: u64,
-    nsegs: u32,
-    seg_size: u64,
 ) {
-    let Some(mut msg) = am.recvs.remove(&(peer, seq)) else {
+    let Some(mut old) = am.recvs.remove(&(peer, seq)) else {
         return;
     };
-    debug_assert_eq!(msg.size, size, "renegotiated size changed");
+    debug_assert_eq!(old.size, size, "renegotiated size changed");
+    receiver_release(rs, ctx, &mut old);
     // Unpack completions still in flight belong to the torn-down
     // generation (arrived-but-not-unpacked packed segments).
-    msg.drop_unpacks += msg.segs_arrived.saturating_sub(msg.segs_unpacked);
-    receiver_release(rs, ctx, &mut msg);
-    msg.unpack_bufs.clear();
-    msg.scheme = Scheme::BcSpup;
-    msg.nsegs = nsegs;
-    msg.seg_size = seg_size;
-    msg.segs_arrived = 0;
-    msg.segs_unpacked = 0;
-    msg.segs_seen.clear();
-    msg.packed_ivs.clear();
-    msg.marker_seen = false;
-    msg.reads_outstanding = 0;
-    msg.segs_announced = 0;
-    msg.reply_copy = None;
-    reply_segments(rs, ctx, &mut msg);
+    let mut msg = RecvMsg {
+        drop_unpacks: old.drop_unpacks + old.segs_arrived.saturating_sub(old.segs_done),
+        ..RecvMsg::new(rs, old.req, peer, seq, old.buf, old.count, old.ty)
+    };
+    receiver_reply(rs, ctx, &mut msg, Scheme::BcSpup, Scheme::BcSpup);
     am.recvs.insert((peer, seq), msg);
 }
 

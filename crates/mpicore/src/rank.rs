@@ -91,10 +91,6 @@ pub enum Unexpected {
         size: u64,
         /// Sender's proposed scheme (wire code).
         scheme: u8,
-        /// Sender's segment count.
-        nsegs: u32,
-        /// Sender's segment size.
-        seg_size: u64,
         /// Sender-side minimum contiguous block, bytes.
         blk_min: u64,
         /// Sender-side median contiguous block, bytes.
@@ -657,8 +653,6 @@ mod tests {
                             seq: *n,
                             size: 1 << 20,
                             scheme: 1,
-                            nsegs: 8,
-                            seg_size: 128 * 1024,
                             blk_min: 64,
                             blk_median: 128,
                         });

@@ -121,10 +121,4 @@ impl RunStats {
     pub fn total_errors(&self) -> usize {
         self.errors.iter().map(Vec::len).sum()
     }
-
-    /// Faults the transport injected and recovered from without any
-    /// protocol-visible error: retransmissions plus timed RNR retries.
-    pub fn faults_recovered(&self) -> u64 {
-        self.retransmits + self.rnr_backoff_retries
-    }
 }
