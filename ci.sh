@@ -13,7 +13,8 @@
 # `./ci.sh --scale` runs the sharded scale-driver smoke: a 1024-rank
 # vector Alltoall must finish inside its wall-clock and per-rank
 # state budgets, and the 8-shard run must be bit-identical to the
-# sequential reference (DESIGN.md §14, EXPERIMENTS.md X14).
+# sequential reference (DESIGN.md §14, EXPERIMENTS.md X14). The `shm`
+# job in CI runs it after its release build.
 #
 # `./ci.sh --chaos-scale` runs the crash-stop chaos matrix (the
 # `chaos-scale` job in CI): the chaos_scale suite under the fixed seed

@@ -8,8 +8,13 @@
 //! supported here.
 //!
 //! The cache holds *whole-region* entries; an acquire hits when a cached
-//! live region fully covers the requested range. Eviction is LRU over
-//! entries with no active users, bounded by a pinned-bytes capacity.
+//! live region fully covers the requested range, and among several
+//! covering regions the one with the smallest lkey wins. Entries are
+//! kept sorted by start address, so a lookup is a binary search over
+//! the entries that start close enough below the range to cover it —
+//! the interval lookup of MVAPICH-style registration caches. Eviction
+//! is LRU over entries with no active users, bounded by a pinned-bytes
+//! capacity.
 
 use crate::addr::Va;
 use crate::cost::RegCostModel;
@@ -18,7 +23,7 @@ use crate::table::{MrHandle, RegTable, Registration};
 use ibdt_simcore::time::Time;
 
 /// Result of [`PindownCache::acquire`].
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Acquire {
     /// The registration to use for the access.
     pub reg: Registration,
@@ -35,10 +40,23 @@ struct Entry {
     last_use: u64,
 }
 
+impl Entry {
+    /// Sort key of the entry list.
+    fn key(&self) -> (Va, u32) {
+        (self.reg.addr, self.reg.lkey)
+    }
+}
+
 /// An LRU pin-down cache over a [`RegTable`].
 #[derive(Debug)]
 pub struct PindownCache {
+    /// Cached regions, sorted by (start address, lkey).
     entries: Vec<Entry>,
+    /// Longest region cached since the last reset: a region covering
+    /// `[addr, end)` starts no lower than `end - max_len`.
+    max_len: u64,
+    /// Bytes pinned by entries with no active users.
+    idle_bytes: u64,
     capacity_bytes: u64,
     enabled: bool,
     tick: u64,
@@ -52,6 +70,8 @@ impl PindownCache {
     pub fn new(capacity_bytes: u64) -> Self {
         Self {
             entries: Vec::new(),
+            max_len: 0,
+            idle_bytes: 0,
             capacity_bytes,
             enabled: true,
             tick: 0,
@@ -82,6 +102,8 @@ impl PindownCache {
     /// one by one here.
     pub fn reset(&mut self) {
         self.entries.clear();
+        self.max_len = 0;
+        self.idle_bytes = 0;
         self.tick = 0;
         self.hits = 0;
         self.misses = 0;
@@ -100,12 +122,11 @@ impl PindownCache {
     ) -> Acquire {
         self.tick += 1;
         if self.enabled {
-            if let Some(e) = self
-                .entries
-                .iter_mut()
-                .filter(|e| e.reg.covers(addr, len))
-                .min_by_key(|e| e.reg.lkey)
-            {
+            if let Some(i) = self.covering(addr, len) {
+                let e = &mut self.entries[i];
+                if e.refs == 0 {
+                    self.idle_bytes -= e.reg.len;
+                }
                 e.refs += 1;
                 e.last_use = self.tick;
                 self.hits += 1;
@@ -120,11 +141,14 @@ impl PindownCache {
         let reg = table.register(addr, len);
         let mut cost = model.reg_cost(addr, len);
         if self.enabled {
-            self.entries.push(Entry {
+            let entry = Entry {
                 reg,
                 refs: 1,
                 last_use: self.tick,
-            });
+            };
+            let pos = self.entries.partition_point(|e| e.key() < entry.key());
+            self.entries.insert(pos, entry);
+            self.max_len = self.max_len.max(len);
             cost += self.evict_excess(table, model);
         }
         Acquire {
@@ -148,14 +172,14 @@ impl PindownCache {
             return Ok(model.dereg_cost(reg.addr, reg.len));
         }
         let e = self
-            .entries
-            .iter_mut()
-            .find(|e| e.reg.lkey == lkey)
+            .position(table, lkey)
+            .map(|i| &mut self.entries[i])
+            .filter(|e| e.refs > 0)
             .ok_or(MemError::BadKey { key: lkey })?;
-        if e.refs == 0 {
-            return Err(MemError::BadKey { key: lkey });
-        }
         e.refs -= 1;
+        if e.refs == 0 {
+            self.idle_bytes += e.reg.len;
+        }
         Ok(0)
     }
 
@@ -169,28 +193,44 @@ impl PindownCache {
     ///
     /// [`release`]: PindownCache::release
     pub fn force_evict(&mut self, table: &mut RegTable, lkey: u32) -> bool {
-        let Some(pos) = self.entries.iter().position(|e| e.reg.lkey == lkey) else {
+        let Some(pos) = self.position(table, lkey) else {
             return false;
         };
-        let victim = self.entries.swap_remove(pos);
+        let victim = self.entries.remove(pos);
+        if victim.refs == 0 {
+            self.idle_bytes -= victim.reg.len;
+        }
         let _ = table.deregister(MrHandle(victim.reg.lkey));
         self.evictions += 1;
         true
     }
 
+    /// Index of the entry covering `[addr, addr+len)` with the smallest
+    /// lkey. Only entries starting in `[addr + len - max_len, addr]`
+    /// can cover the range, and the sort order puts them in one window.
+    fn covering(&self, addr: Va, len: u64) -> Option<usize> {
+        let end = addr.checked_add(len)?;
+        let lo_addr = end.saturating_sub(self.max_len);
+        let lo = self.entries.partition_point(|e| e.reg.addr < lo_addr);
+        let hi = self.entries.partition_point(|e| e.reg.addr <= addr);
+        (lo..hi)
+            .filter(|&i| self.entries[i].reg.covers(addr, len))
+            .min_by_key(|&i| self.entries[i].reg.lkey)
+    }
+
+    /// Index of the entry holding `lkey`, found through the table's
+    /// record of its start address.
+    fn position(&self, table: &RegTable, lkey: u32) -> Option<usize> {
+        let reg = table.get(lkey)?;
+        self.entries
+            .binary_search_by_key(&(reg.addr, lkey), Entry::key)
+            .ok()
+    }
+
     /// Evicts idle LRU entries until idle pinned bytes fit the capacity.
     fn evict_excess(&mut self, table: &mut RegTable, model: &RegCostModel) -> Time {
         let mut cost = 0;
-        loop {
-            let idle_bytes: u64 = self
-                .entries
-                .iter()
-                .filter(|e| e.refs == 0)
-                .map(|e| e.reg.len)
-                .sum();
-            if idle_bytes <= self.capacity_bytes {
-                return cost;
-            }
+        while self.idle_bytes > self.capacity_bytes {
             let victim_idx = self
                 .entries
                 .iter()
@@ -199,7 +239,8 @@ impl PindownCache {
                 .min_by_key(|(_, e)| e.last_use)
                 .map(|(i, _)| i)
                 .expect("idle_bytes > 0 implies an idle entry exists");
-            let victim = self.entries.swap_remove(victim_idx);
+            let victim = self.entries.remove(victim_idx);
+            self.idle_bytes -= victim.reg.len;
             // The table entry must be live; a missing key here is a cache
             // invariant violation.
             table
@@ -208,23 +249,23 @@ impl PindownCache {
             cost += model.dereg_cost(victim.reg.addr, victim.reg.len);
             self.evictions += 1;
         }
+        cost
     }
 
     /// Flushes all idle entries (deregistering them); returns total cost.
     pub fn flush(&mut self, table: &mut RegTable, model: &RegCostModel) -> Time {
         let mut cost = 0;
-        let mut i = 0;
-        while i < self.entries.len() {
-            if self.entries[i].refs == 0 {
-                let victim = self.entries.swap_remove(i);
-                table
-                    .deregister(MrHandle(victim.reg.lkey))
-                    .expect("cached registration vanished from table");
-                cost += model.dereg_cost(victim.reg.addr, victim.reg.len);
-            } else {
-                i += 1;
+        self.entries.retain(|e| {
+            if e.refs > 0 {
+                return true;
             }
-        }
+            table
+                .deregister(MrHandle(e.reg.lkey))
+                .expect("cached registration vanished from table");
+            cost += model.dereg_cost(e.reg.addr, e.reg.len);
+            false
+        });
+        self.idle_bytes = 0;
         cost
     }
 

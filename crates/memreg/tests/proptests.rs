@@ -1,7 +1,11 @@
 //! Randomized tests of the memory subsystem: OGR planning invariants
 //! and pin-down cache consistency, seeded via [`ibdt_testkit`].
 
-use ibdt_memreg::{ogr, PindownCache, RegCostModel, RegTable};
+use ibdt_memreg::cache::Acquire;
+use ibdt_memreg::{
+    ogr, MemError, MrHandle, PindownCache, RegCostModel, RegTable, Registration, Va,
+};
+use ibdt_simcore::time::Time;
 use ibdt_testkit::{cases, Rng};
 
 fn random_blocks(rng: &mut Rng) -> Vec<(u64, u64)> {
@@ -119,6 +123,241 @@ fn pindown_cache_acquire_release_sequences() {
         for lkey in held {
             assert!(table.get(lkey).is_some());
             assert!(cache.release(&mut table, &model, lkey).is_ok());
+        }
+    });
+}
+
+/// Reference pin-down cache: an unsorted entry list scanned in full on
+/// every lookup. The address-sorted [`PindownCache`] must make exactly
+/// the same choices.
+struct LinearCache {
+    entries: Vec<LinearEntry>,
+    capacity_bytes: u64,
+    enabled: bool,
+    tick: u64,
+    hits: u64,
+    misses: u64,
+    evictions: u64,
+}
+
+struct LinearEntry {
+    reg: Registration,
+    refs: u32,
+    last_use: u64,
+}
+
+impl LinearCache {
+    fn new(capacity_bytes: u64, enabled: bool) -> Self {
+        Self {
+            entries: Vec::new(),
+            capacity_bytes,
+            enabled,
+            tick: 0,
+            hits: 0,
+            misses: 0,
+            evictions: 0,
+        }
+    }
+
+    fn acquire(
+        &mut self,
+        table: &mut RegTable,
+        model: &RegCostModel,
+        addr: Va,
+        len: u64,
+    ) -> Acquire {
+        self.tick += 1;
+        if self.enabled {
+            if let Some(e) = self
+                .entries
+                .iter_mut()
+                .filter(|e| e.reg.covers(addr, len))
+                .min_by_key(|e| e.reg.lkey)
+            {
+                e.refs += 1;
+                e.last_use = self.tick;
+                self.hits += 1;
+                return Acquire {
+                    reg: e.reg,
+                    cost_ns: 0,
+                    hit: true,
+                };
+            }
+        }
+        self.misses += 1;
+        let reg = table.register(addr, len);
+        let mut cost = model.reg_cost(addr, len);
+        if self.enabled {
+            self.entries.push(LinearEntry {
+                reg,
+                refs: 1,
+                last_use: self.tick,
+            });
+            cost += self.evict_excess(table, model);
+        }
+        Acquire {
+            reg,
+            cost_ns: cost,
+            hit: false,
+        }
+    }
+
+    fn release(
+        &mut self,
+        table: &mut RegTable,
+        model: &RegCostModel,
+        lkey: u32,
+    ) -> Result<Time, MemError> {
+        if !self.enabled {
+            let reg = table.deregister(MrHandle(lkey))?;
+            return Ok(model.dereg_cost(reg.addr, reg.len));
+        }
+        let e = self
+            .entries
+            .iter_mut()
+            .find(|e| e.reg.lkey == lkey)
+            .ok_or(MemError::BadKey { key: lkey })?;
+        if e.refs == 0 {
+            return Err(MemError::BadKey { key: lkey });
+        }
+        e.refs -= 1;
+        Ok(0)
+    }
+
+    fn force_evict(&mut self, table: &mut RegTable, lkey: u32) -> bool {
+        let Some(pos) = self.entries.iter().position(|e| e.reg.lkey == lkey) else {
+            return false;
+        };
+        let victim = self.entries.swap_remove(pos);
+        let _ = table.deregister(MrHandle(victim.reg.lkey));
+        self.evictions += 1;
+        true
+    }
+
+    fn evict_excess(&mut self, table: &mut RegTable, model: &RegCostModel) -> Time {
+        let mut cost = 0;
+        loop {
+            let idle_bytes: u64 = self
+                .entries
+                .iter()
+                .filter(|e| e.refs == 0)
+                .map(|e| e.reg.len)
+                .sum();
+            if idle_bytes <= self.capacity_bytes {
+                return cost;
+            }
+            let victim_idx = self
+                .entries
+                .iter()
+                .enumerate()
+                .filter(|(_, e)| e.refs == 0)
+                .min_by_key(|(_, e)| e.last_use)
+                .map(|(i, _)| i)
+                .expect("idle_bytes > 0 implies an idle entry exists");
+            let victim = self.entries.swap_remove(victim_idx);
+            table
+                .deregister(MrHandle(victim.reg.lkey))
+                .expect("cached registration vanished from table");
+            cost += model.dereg_cost(victim.reg.addr, victim.reg.len);
+            self.evictions += 1;
+        }
+    }
+
+    fn flush(&mut self, table: &mut RegTable, model: &RegCostModel) -> Time {
+        let mut cost = 0;
+        let mut i = 0;
+        while i < self.entries.len() {
+            if self.entries[i].refs == 0 {
+                let victim = self.entries.swap_remove(i);
+                table
+                    .deregister(MrHandle(victim.reg.lkey))
+                    .expect("cached registration vanished from table");
+                cost += model.dereg_cost(victim.reg.addr, victim.reg.len);
+            } else {
+                i += 1;
+            }
+        }
+        cost
+    }
+
+    fn stats(&self) -> (u64, u64, u64) {
+        (self.hits, self.misses, self.evictions)
+    }
+}
+
+#[test]
+fn pindown_cache_matches_linear_reference() {
+    cases(0x3E60_0006, 512, |rng| {
+        // Overlapping and nested ranges over a small address window, a
+        // capacity of a few regions so evictions happen, and releases
+        // and forced evictions of live, stale and unknown keys.
+        let model = random_model(rng);
+        let capacity = rng.range_u64(0, 32 << 10);
+        let enabled = !rng.chance(0.1);
+        let (mut t_new, mut t_ref) = (RegTable::new(), RegTable::new());
+        let mut cache = if enabled {
+            PindownCache::new(capacity)
+        } else {
+            PindownCache::disabled()
+        };
+        let mut oracle = LinearCache::new(capacity, enabled);
+        let mut held: Vec<(u32, Va, u64)> = Vec::new();
+        let mut seen: Vec<u32> = Vec::new();
+        let nops = rng.range_usize(1, 200);
+        for step in 0..nops {
+            let op = rng.range_u64(0, 20);
+            match op {
+                0..=9 => {
+                    let (addr, len) = if !held.is_empty() && rng.chance(0.4) {
+                        // Nested inside a held range: a likely hit.
+                        let &(_, a, l) = rng.choose(&held);
+                        let off = rng.range_u64(0, l + 1);
+                        (a + off, rng.range_u64(0, l - off + 1))
+                    } else {
+                        (rng.range_u64(0, 64) * 256, rng.range_u64(0, 16 << 10))
+                    };
+                    let a = cache.acquire(&mut t_new, &model, addr, len);
+                    let b = oracle.acquire(&mut t_ref, &model, addr, len);
+                    assert_eq!(a, b, "step {step}: acquire({addr}, {len})");
+                    held.push((a.reg.lkey, addr, len));
+                    seen.push(a.reg.lkey);
+                }
+                10..=15 => {
+                    let lkey = if !held.is_empty() && rng.chance(0.7) {
+                        let i = rng.range_usize(0, held.len());
+                        held.swap_remove(i).0
+                    } else if !seen.is_empty() && rng.chance(0.7) {
+                        *rng.choose(&seen)
+                    } else {
+                        rng.next_u32() % 1024
+                    };
+                    let a = cache.release(&mut t_new, &model, lkey);
+                    let b = oracle.release(&mut t_ref, &model, lkey);
+                    assert_eq!(a, b, "step {step}: release({lkey})");
+                }
+                16..=18 => {
+                    let lkey = if !seen.is_empty() && rng.chance(0.9) {
+                        *rng.choose(&seen)
+                    } else {
+                        rng.next_u32() % 1024
+                    };
+                    let a = cache.force_evict(&mut t_new, lkey);
+                    let b = oracle.force_evict(&mut t_ref, lkey);
+                    assert_eq!(a, b, "step {step}: force_evict({lkey})");
+                }
+                _ => {
+                    let a = cache.flush(&mut t_new, &model);
+                    let b = oracle.flush(&mut t_ref, &model);
+                    assert_eq!(a, b, "step {step}: flush");
+                }
+            }
+            assert_eq!(cache.stats(), oracle.stats(), "step {step}: stats");
+            assert_eq!(cache.len(), oracle.entries.len(), "step {step}: len");
+            assert_eq!(
+                t_new.op_counts(),
+                t_ref.op_counts(),
+                "step {step}: table ops"
+            );
         }
     });
 }

@@ -606,6 +606,9 @@ impl Cluster {
             "simulation exceeded its event budget at t={finish} without fault \
              injection — protocol livelock"
         );
+        for rs in &self.ranks {
+            rs.debug_check_open_reqs();
+        }
         // Sanity: every program must have finished (a hang here is a
         // protocol deadlock) — unless an injected fault surfaced as a
         // typed error or tripped the watchdog, in which case an
@@ -620,7 +623,7 @@ impl Cluster {
             || crashed
             || (0..self.spec.nprocs as usize).any(|r| {
                 !self.ranks[r].errors.is_empty()
-                    || self.ranks[r].reqs.iter().any(|q| q.error.is_some())
+                    || self.ranks[r].reqs().iter().any(|q| q.error.is_some())
             });
         for r in 0..self.spec.nprocs as usize {
             let it = &self.interp[r];
@@ -888,7 +891,7 @@ impl Cluster {
                     rs.errors
                         .iter()
                         .copied()
-                        .chain(rs.reqs.iter().filter_map(|q| q.error))
+                        .chain(rs.reqs().iter().filter_map(|q| q.error))
                         .collect()
                 })
                 .collect(),

@@ -259,8 +259,12 @@ pub struct RankState {
     /// Next send sequence number per peer (paged; untouched peers
     /// read 0).
     pub next_seq: PagedTable<u64>,
-    /// Request table.
-    pub reqs: Vec<ReqState>,
+    /// Request table, read through [`RankState::reqs`] so that only
+    /// the request methods change it.
+    reqs: Vec<ReqState>,
+    /// Requests in `reqs` not yet done, so a `WaitAll` check does not
+    /// walk every request issued since the run began.
+    open_reqs: usize,
     /// Requests completed since the interpreter last ran.
     pub newly_completed: Vec<ReqId>,
     /// Pin-down registration cache (user + internal buffers).
@@ -359,6 +363,7 @@ impl RankState {
             unexpected: VecDeque::new(),
             next_seq: PagedTable::new(nprocs as usize),
             reqs: Vec::new(),
+            open_reqs: 0,
             newly_completed: Vec::new(),
             pindown: if cfg.pindown_cache {
                 PindownCache::new(cfg.pindown_capacity)
@@ -425,6 +430,7 @@ impl RankState {
         self.unexpected.clear();
         self.next_seq.reset_entries(|s| *s = 0);
         self.reqs.clear();
+        self.open_reqs = 0;
         self.newly_completed.clear();
         self.pindown.reset();
         self.registry.reset();
@@ -478,6 +484,7 @@ impl RankState {
             done: false,
             error: None,
         });
+        self.open_reqs += 1;
         id
     }
 
@@ -485,7 +492,10 @@ impl RankState {
     pub fn complete_req(&mut self, req: ReqId) {
         let st = &mut self.reqs[req.0 as usize];
         debug_assert!(!st.done, "request completed twice");
-        st.done = true;
+        if !st.done {
+            st.done = true;
+            self.open_reqs -= 1;
+        }
         self.newly_completed.push(req);
     }
 
@@ -500,12 +510,30 @@ impl RankState {
         }
         st.done = true;
         st.error = Some(err);
+        self.open_reqs -= 1;
         self.newly_completed.push(req);
+    }
+
+    /// Every request issued since the run began, indexed by [`ReqId`].
+    pub fn reqs(&self) -> &[ReqState] {
+        &self.reqs
     }
 
     /// Whether all requests issued so far are done.
     pub fn all_reqs_done(&self) -> bool {
-        self.reqs.iter().all(|r| r.done)
+        self.open_reqs == 0
+    }
+
+    /// Checks the open-request count against a walk of the request
+    /// table. O(requests), so callers run it once per run, not per
+    /// `WaitAll` check.
+    pub(crate) fn debug_check_open_reqs(&self) {
+        debug_assert_eq!(
+            self.open_reqs,
+            self.reqs.iter().filter(|r| !r.done).count(),
+            "rank {}: open-request count out of step with the request table",
+            self.rank
+        );
     }
 
     /// Next sequence number for messages to `peer`.
@@ -589,6 +617,48 @@ mod tests {
         rs.complete_req(r1);
         assert!(rs.all_reqs_done());
         assert_eq!(rs.newly_completed, vec![r0, r1]);
+
+        // A failed request counts as done; failing it again must not
+        // count it twice and leave a later open request looking done.
+        let r2 = rs.new_req(ReqKind::Send);
+        let r3 = rs.new_req(ReqKind::Recv);
+        assert!(!rs.all_reqs_done());
+        rs.fail_req(r2, MpiError::Incomplete);
+        assert!(!rs.all_reqs_done());
+        rs.fail_req(r2, MpiError::Incomplete);
+        assert!(!rs.all_reqs_done(), "duplicate fail closed r3");
+        assert_eq!(rs.reqs[r2.0 as usize].error, Some(MpiError::Incomplete));
+        rs.complete_req(r3);
+        assert!(rs.all_reqs_done());
+
+        // Mixed order: complete, fail, complete across interleaved
+        // issues; failing a completed request is a no-op.
+        let r4 = rs.new_req(ReqKind::Recv);
+        let r5 = rs.new_req(ReqKind::Send);
+        rs.complete_req(r5);
+        assert!(!rs.all_reqs_done());
+        let r6 = rs.new_req(ReqKind::Send);
+        rs.fail_req(r5, MpiError::Incomplete);
+        assert_eq!(rs.reqs[r5.0 as usize].error, None);
+        rs.fail_req(r6, MpiError::Incomplete);
+        assert!(!rs.all_reqs_done());
+        rs.complete_req(r4);
+        assert!(rs.all_reqs_done());
+        assert_eq!(rs.newly_completed, vec![r0, r1, r2, r3, r5, r6, r4]);
+        rs.debug_check_open_reqs();
+
+        // A reset mid-flight forgets open requests.
+        rs.new_req(ReqKind::Send);
+        assert!(!rs.all_reqs_done());
+        let (mut mem, cfg) = (NodeMem::new(256 << 20), MpiConfig::default());
+        rs.reset(&cfg, &mut mem);
+        assert!(rs.all_reqs_done());
+        let r = rs.new_req(ReqKind::Recv);
+        assert_eq!(r, ReqId(0));
+        assert!(!rs.all_reqs_done());
+        rs.complete_req(r);
+        assert!(rs.all_reqs_done());
+        rs.debug_check_open_reqs();
     }
 
     #[test]
