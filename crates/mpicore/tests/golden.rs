@@ -411,3 +411,144 @@ fn evictions_renegotiate_to_copy() {
         assert!(renegotiated >= 1, "evictions must renegotiate");
     }
 }
+
+/// Recorded fingerprints of the sender-side refusal cases: one row per
+/// way the pinning budget turns a sender's zero-copy preparation down
+/// while the receiver's side of the same message is granted.
+#[rustfmt::skip]
+const REFUSALS: &[(&str, Fingerprint)] = &[
+    ("RWG-UP refused", fp([128746, 162224], 0x367682a7e87a132d, 4, 65625, 16, 0x20ae4b8ffab24cdd)),
+    ("Multi-W refused", fp([217782, 216282], 0xe9caf27570ab7c0f, 3, 65689, 12, 0x20ae4b8ffab24cdd)),
+    ("P-RRS contiguous refused", fp([306035, 302074], 0x7da632385e68d9c2, 18, 131344, 41, 0x7fa135eccb037d4d)),
+    ("Hybrid refused", fp([156534, 190012], 0x946b555b8c112c73, 6, 65790, 21, 0x20ae4b8ffab24cdd)),
+    ("Adaptive prediction refused", fp([155756, 154256], 0xbadfed507f6e6aae, 4, 65689, 14, 0x20ae4b8ffab24cdd)),
+];
+
+/// One rendezvous message from rank 0 to rank 1 per `(sender type,
+/// receiver type)` pair, posted in order. Rank 0 receives the messages
+/// whose `from` is 1; `delay_ns` of compute precede every send of rank
+/// 0 after its first operation.
+fn run_refusal(
+    spec: ClusterSpec,
+    msgs: &[(u32, Datatype, Datatype)],
+    delay_ns: u64,
+) -> (RunStats, Fingerprint) {
+    let mut cluster = Cluster::new(spec);
+    let mut progs = [Vec::new(), Vec::new()];
+    let mut windows = Vec::new();
+    for (tag, (from, snd, rcv)) in msgs.iter().enumerate() {
+        let (from, to) = (*from, 1 - *from);
+        let sbuf = cluster.alloc(from, snd.true_ub() as u64 + 64, 4096);
+        let rspan = rcv.true_ub() as u64 + 64;
+        let rbuf = cluster.alloc(to, rspan, 4096);
+        cluster.fill_pattern(from, sbuf, snd.true_ub() as u64 + 64, 21 + tag as u64);
+        cluster.fill_pattern(to, rbuf, rspan, 41 + tag as u64);
+        if from == 0 && !progs[0].is_empty() && delay_ns > 0 {
+            progs[0].push(AppOp::Compute { ns: delay_ns });
+        }
+        let tag = tag as u32;
+        progs[from as usize].push(AppOp::Isend {
+            peer: to,
+            buf: sbuf,
+            count: 1,
+            ty: snd.clone(),
+            tag,
+        });
+        progs[to as usize].push(AppOp::Irecv {
+            peer: from,
+            buf: rbuf,
+            count: 1,
+            ty: rcv.clone(),
+            tag,
+        });
+        windows.push((to, rbuf, rspan));
+    }
+    for p in &mut progs {
+        p.push(AppOp::WaitAll);
+    }
+    let stats = cluster.run(progs.into());
+    let received: Vec<Vec<u8>> = windows
+        .iter()
+        .map(|&(r, buf, span)| cluster.read_mem(r, buf, span))
+        .collect();
+    let fp = fingerprint(&stats, &received);
+    (stats, fp)
+}
+
+/// Runs a refusal case and compares it against its [`REFUSALS`] row;
+/// the sender (rank 0) must have counted the fallback.
+fn check_refusal(
+    name: &str,
+    mut spec: ClusterSpec,
+    budget: u64,
+    msgs: &[(u32, Datatype, Datatype)],
+    delay_ns: u64,
+) {
+    let want = REFUSALS
+        .iter()
+        .find(|(n, _)| *n == name)
+        .unwrap_or_else(|| panic!("no refusal row for {name}"))
+        .1;
+    spec.mpi.reg_budget_bytes = budget;
+    let (stats, got) = run_refusal(spec, msgs, delay_ns);
+    assert!(
+        stats.counters[0].scheme_fallbacks > 0,
+        "{name}: the sender must fall back"
+    );
+    assert_eq!(
+        got,
+        want,
+        "{name}: protocol fingerprint moved; observed:\n    ({name:?}, {}),",
+        literal(&got)
+    );
+}
+
+/// `n` blocks of `len` bytes every `stride` bytes.
+fn strided(n: u64, len: u64, stride: i64) -> Datatype {
+    Datatype::hvector(n, len, stride, &Datatype::byte()).unwrap()
+}
+
+fn contiguous(len: u64) -> Datatype {
+    Datatype::contiguous(len, &Datatype::byte()).unwrap()
+}
+
+/// The pinning budget refuses the sender's preparation while the
+/// receiver pins: the sender's strided blocks merge into a region about
+/// twice (2 KiB stride) or four times (4 KiB stride) the 64 KiB a
+/// contiguous receiver pins.
+#[test]
+fn sender_refusals_degrade_each_scheme() {
+    let (half, quarter, flat) = (
+        strided(64, 1024, 2048),
+        strided(64, 1024, 4096),
+        contiguous(64 * 1024),
+    );
+    // RWG-UP gathers from the user buffer; refused, it packs into the
+    // receiver's segments as BC-SPUP.
+    let one = [(0, half.clone(), flat.clone())];
+    check_refusal("RWG-UP refused", ib(Scheme::RwgUp), 96 << 10, &one, 0);
+    // Hybrid renegotiates the whole message as BC-SPUP.
+    check_refusal("Hybrid refused", ib(Scheme::Hybrid), 96 << 10, &one, 0);
+    // Multi-W's receiver pins twice its 64 KiB; the sender stages the
+    // whole message through one copy buffer.
+    let one = [(0, quarter, flat.clone())];
+    check_refusal("Multi-W refused", ib(Scheme::MultiW), 128 << 10, &one, 0);
+    // Adaptive predicts Multi-W from the sender's 1 KiB blocks, is
+    // refused at send time and pre-packs into pool segments, which the
+    // staged Multi-W reply then consumes.
+    let adaptive = ib(Scheme::Adaptive);
+    check_refusal("Adaptive prediction refused", adaptive, 128 << 10, &one, 0);
+    // A contiguous P-RRS sender cannot pin while its own P-RRS receive
+    // (from rank 1) holds 64 KiB, so it announces packed segments. The
+    // receive types are two 32 KiB blocks 1 MiB apart, which OGR pins
+    // separately: 64 KiB per receive.
+    let apart = strided(2, 32 << 10, 1 << 20);
+    let two = [(1, half, apart.clone()), (0, flat, apart)];
+    check_refusal(
+        "P-RRS contiguous refused",
+        ib(Scheme::PRrs),
+        96 << 10,
+        &two,
+        10_000,
+    );
+}
