@@ -59,6 +59,9 @@ if grep -n "HashMap" crates/mpicore/src/progress.rs crates/mpicore/src/plan.rs \
   exit 1
 fi
 
+echo "==> lines of code per crate (report only, no threshold)"
+./tools/loc.sh
+
 echo "==> cargo build --release"
 cargo build --release --workspace
 

@@ -33,7 +33,7 @@ use ibdt_simcore::time::Time;
 
 /// Coarse transport family, the first key of the §6 adaptive scheme
 /// selector's `(transport, datatype class, size)` decision (see
-/// `mpicore::progress::adaptive_choose`).
+/// `mpicore::plan::adaptive_choose`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TransportClass {
     /// InfiniBand RC verbs: registration-gated zero copy pays off.

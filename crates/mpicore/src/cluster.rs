@@ -1079,32 +1079,9 @@ impl Cluster {
                     ty,
                     tag,
                 } => {
-                    let Cluster {
-                        fabric,
-                        mems,
-                        ranks,
-                        active,
-                        spec,
-                        ..
-                    } = self;
-                    let mut ctx = Ctx {
-                        fabric: fabric.t_mut(),
-                        mems,
-                        net: &spec.net,
-                        host: &spec.host,
-                        cfg: &spec.mpi,
-                        sched,
-                    };
-                    progress::isend(
-                        &mut ranks[r],
-                        &mut active[r],
-                        &mut ctx,
-                        peer,
-                        buf,
-                        count,
-                        &ty,
-                        tag,
-                    );
+                    self.with_ctx(sched, r, |rs, am, ctx| {
+                        progress::isend(rs, am, ctx, peer, buf, count, &ty, tag)
+                    });
                 }
                 AppOp::Irecv {
                     peer,
@@ -1113,32 +1090,9 @@ impl Cluster {
                     ty,
                     tag,
                 } => {
-                    let Cluster {
-                        fabric,
-                        mems,
-                        ranks,
-                        active,
-                        spec,
-                        ..
-                    } = self;
-                    let mut ctx = Ctx {
-                        fabric: fabric.t_mut(),
-                        mems,
-                        net: &spec.net,
-                        host: &spec.host,
-                        cfg: &spec.mpi,
-                        sched,
-                    };
-                    progress::irecv(
-                        &mut ranks[r],
-                        &mut active[r],
-                        &mut ctx,
-                        peer,
-                        buf,
-                        count,
-                        &ty,
-                        tag,
-                    );
+                    self.with_ctx(sched, r, |rs, am, ctx| {
+                        progress::irecv(rs, am, ctx, peer, buf, count, &ty, tag)
+                    });
                 }
                 AppOp::WaitAll => {
                     self.interp[r].blocked = Blocked::WaitAll;
@@ -1295,33 +1249,11 @@ impl Cluster {
                         .windows
                         .get(&(win, target))
                         .expect("Put before the target created the window");
-                    let Cluster {
-                        fabric,
-                        mems,
-                        ranks,
-                        spec,
-                        ..
-                    } = self;
-                    let mut ctx = Ctx {
-                        fabric: fabric.t_mut(),
-                        mems,
-                        net: &spec.net,
-                        host: &spec.host,
-                        cfg: &spec.mpi,
-                        sched,
-                    };
-                    crate::rma::put(
-                        &mut ranks[r],
-                        &mut ctx,
-                        target,
-                        entry,
-                        obuf,
-                        ocount,
-                        &oty,
-                        toff,
-                        tcount,
-                        &tty,
-                    );
+                    self.with_ctx(sched, r, |rs, _, ctx| {
+                        crate::rma::put(
+                            rs, ctx, target, entry, obuf, ocount, &oty, toff, tcount, &tty,
+                        )
+                    });
                 }
                 AppOp::Get {
                     win,
@@ -1337,33 +1269,11 @@ impl Cluster {
                         .windows
                         .get(&(win, target))
                         .expect("Get before the target created the window");
-                    let Cluster {
-                        fabric,
-                        mems,
-                        ranks,
-                        spec,
-                        ..
-                    } = self;
-                    let mut ctx = Ctx {
-                        fabric: fabric.t_mut(),
-                        mems,
-                        net: &spec.net,
-                        host: &spec.host,
-                        cfg: &spec.mpi,
-                        sched,
-                    };
-                    crate::rma::get(
-                        &mut ranks[r],
-                        &mut ctx,
-                        target,
-                        entry,
-                        obuf,
-                        ocount,
-                        &oty,
-                        toff,
-                        tcount,
-                        &tty,
-                    );
+                    self.with_ctx(sched, r, |rs, _, ctx| {
+                        crate::rma::get(
+                            rs, ctx, target, entry, obuf, ocount, &oty, toff, tcount, &tty,
+                        )
+                    });
                 }
                 AppOp::Fence => {
                     if self.ranks[r].rma_outstanding > 0 {
@@ -1392,6 +1302,33 @@ impl Cluster {
                 }
             }
         }
+    }
+
+    /// Runs `f` on `rank`'s protocol state with the progress context
+    /// over the whole cluster.
+    fn with_ctx<'s, R>(
+        &mut self,
+        sched: &mut Scheduler<'s, Ev>,
+        r: usize,
+        f: impl FnOnce(&mut RankState, &mut ActiveMsgs, &mut Ctx<'_, 's>) -> R,
+    ) -> R {
+        let Cluster {
+            fabric,
+            mems,
+            ranks,
+            active,
+            spec,
+            ..
+        } = self;
+        let mut ctx = Ctx {
+            fabric: fabric.t_mut(),
+            mems,
+            net: &spec.net,
+            host: &spec.host,
+            cfg: &spec.mpi,
+            sched,
+        };
+        f(&mut ranks[r], &mut active[r], &mut ctx)
     }
 
     /// True when `rank`'s host has crash-stopped for good: its node is
@@ -1498,28 +1435,9 @@ impl World for Cluster {
                         continue;
                     }
                     {
-                        let Cluster {
-                            fabric,
-                            mems,
-                            ranks,
-                            active,
-                            spec,
-                            ..
-                        } = self;
-                        let mut ctx = Ctx {
-                            fabric: fabric.t_mut(),
-                            mems,
-                            net: &spec.net,
-                            host: &spec.host,
-                            cfg: &spec.mpi,
-                            sched,
-                        };
-                        progress::on_cqe(
-                            &mut ranks[node as usize],
-                            &mut active[node as usize],
-                            &mut ctx,
-                            cqe,
-                        );
+                        self.with_ctx(sched, node as usize, |rs, am, ctx| {
+                            progress::on_cqe(rs, am, ctx, cqe)
+                        });
                     }
                     self.drain_completions(sched, node);
                     // Bounded-CQ consumer model: the slot is returned
@@ -1543,28 +1461,9 @@ impl World for Cluster {
                     return;
                 }
                 {
-                    let Cluster {
-                        fabric,
-                        mems,
-                        ranks,
-                        active,
-                        spec,
-                        ..
-                    } = self;
-                    let mut ctx = Ctx {
-                        fabric: fabric.t_mut(),
-                        mems,
-                        net: &spec.net,
-                        host: &spec.host,
-                        cfg: &spec.mpi,
-                        sched,
-                    };
-                    progress::on_cpu(
-                        &mut ranks[rank as usize],
-                        &mut active[rank as usize],
-                        &mut ctx,
-                        act,
-                    );
+                    self.with_ctx(sched, rank as usize, |rs, am, ctx| {
+                        progress::on_cpu(rs, am, ctx, act)
+                    });
                 }
                 self.drain_completions(sched, rank);
             }

@@ -19,12 +19,21 @@
 //!   substream, and the map from that substream back to the stream,
 //! * [`plan_reply`] — what the receiver commits for its rendezvous
 //!   reply: the blocks it pins, the packed substream it unpacks and
-//!   that substream's segments.
+//!   that substream's segments,
+//! * [`send_prep`] — what a sender pins and packs before and after the
+//!   reply, and what it does when the pinning budget refuses the pin,
+//! * the remaining scheme rules: [`adaptive_choose`] (§6),
+//!   [`receiver_scheme`], [`send_geometry`], [`resumes_from_prefix`],
+//!   [`renegotiates_on_fault`] and the device tier's
+//!   [`staging_chunk_for`]. The progress engine asks these and never
+//!   branches on a scheme itself.
 
 use crate::config::{MpiConfig, Scheme};
-use ibdt_datatype::{Datatype, TransferPlan, TypeRegistry};
-use ibdt_ibsim::{Opcode, SendWr, Sge, SgeList};
+use ibdt_datatype::{BlockStats, Datatype, TransferPlan, TypeRegistry};
+use ibdt_ibsim::{HostConfig, Opcode, SendWr, Sge, SgeList, TransportClass};
 use ibdt_memreg::{Registration, Va};
+use ibdt_simcore::pipeline::{two_stage_finish_ns, MAX_PIPELINE_BUFS};
+use ibdt_simcore::time::Time;
 use std::collections::HashMap; // allow-hashmap: plan caches below
 use std::sync::{Arc, Mutex};
 
@@ -331,21 +340,18 @@ pub fn plan_reply(
     rcv_blocks: &[(Va, u64)],
     cfg: &MpiConfig,
 ) -> ReplyPlan {
-    let whole = (cfg.segment_count(size), cfg.segment_size(size));
+    let (nsegs, seg_size) = send_geometry(scheme, size, cfg);
     let mut plan = ReplyPlan {
         kind: ReplyKind::Segments,
         pin_min: None,
         packed_ivs: Vec::new(),
         direct: Vec::new(),
-        nsegs: whole.0,
-        seg_size: whole.1,
+        nsegs,
+        seg_size,
         batch_unpack: false,
     };
     match scheme {
-        Scheme::Generic => {
-            plan.kind = ReplyKind::Buffer;
-            (plan.nsegs, plan.seg_size) = (1, size);
-        }
+        Scheme::Generic => plan.kind = ReplyKind::Buffer,
         Scheme::BcSpup => {}
         Scheme::RwgUp => plan.batch_unpack = !cfg.segment_unpack,
         Scheme::PRrs => {
@@ -378,6 +384,298 @@ fn packed_geometry(cfg: &MpiConfig, packed_bytes: u64) -> (u32, u64) {
     }
     let ss = cfg.segment_size(packed_bytes).min(cfg.max_seg_size);
     (packed_bytes.div_ceil(ss) as u32, ss)
+}
+
+/// Segment count and size of a rendezvous message of `size` bytes:
+/// Generic transfers the whole packed message in one piece (Fig. 1);
+/// the segmented schemes use the §7.2 rule.
+pub fn send_geometry(scheme: Scheme, size: u64, cfg: &MpiConfig) -> (u32, u64) {
+    if scheme == Scheme::Generic {
+        (1, size)
+    } else {
+        (cfg.segment_count(size), cfg.segment_size(size))
+    }
+}
+
+/// The copy scheme every refusal and renegotiation falls back to
+/// (§4.3.3, §5.4.2).
+pub const FALLBACK: Scheme = Scheme::BcSpup;
+
+/// Adaptive scheme choice (§6), run on the receiver where both sides'
+/// median block sizes are known.
+pub fn adaptive_choose(
+    cfg: &MpiConfig,
+    transport: TransportClass,
+    size: u64,
+    snd_median: u64,
+    rcv_median: u64,
+) -> Scheme {
+    match transport {
+        TransportClass::Ib => {
+            if size < cfg.adaptive_copy_reduced_min {
+                return Scheme::BcSpup;
+            }
+            if snd_median >= cfg.adaptive_multiw_block && rcv_median >= cfg.adaptive_multiw_block {
+                return Scheme::MultiW;
+            }
+            // Asymmetric cases (§5.2): a contiguous sender favours
+            // receiver-driven reads; a contiguous receiver favours
+            // gather writes.
+            if snd_median >= size {
+                return Scheme::PRrs;
+            }
+            if rcv_median >= size {
+                return Scheme::RwgUp;
+            }
+            if rcv_median >= cfg.adaptive_multiw_block {
+                // Large receiver blocks: unpack is cheap, gather write
+                // wins.
+                return Scheme::RwgUp;
+            }
+            Scheme::BcSpup
+        }
+        TransportClass::ShmDouble => {
+            // Every byte bounces through the shared segment twice no
+            // matter the scheme: the zero-copy schemes' registration
+            // avoidance buys nothing, while BC-SPUP's packed pipeline
+            // feeds the segment slots perfectly.
+            Scheme::BcSpup
+        }
+        TransportClass::ShmSingle => {
+            // Direct cross-process copies exist, but every work
+            // request pays a syscall setup — per-block schemes need
+            // much larger blocks than on IB to amortize it.
+            if size < cfg.adaptive_copy_reduced_min {
+                return Scheme::BcSpup;
+            }
+            let blk = cfg.adaptive_shm_multiw_block;
+            if snd_median >= blk && rcv_median >= blk {
+                return Scheme::MultiW;
+            }
+            if snd_median >= size {
+                return Scheme::PRrs;
+            }
+            if rcv_median >= size {
+                return Scheme::RwgUp;
+            }
+            Scheme::BcSpup
+        }
+    }
+}
+
+/// The scheme a receiver replies with to a proposal (wire code) for a
+/// message of `size` bytes, and the copy scheme it falls back to when
+/// that reply cannot be committed. `snd` is the sender's `(min,
+/// median)` block size from the start message; `None` for an unknown
+/// proposal.
+///
+/// Contiguous on both sides is the standard zero-copy rendezvous
+/// (§3.1): one RDMA write from user buffer to user buffer whatever the
+/// configured scheme, which is Multi-W with a single block. A Generic
+/// sender packs the whole message as one segment, so its copy
+/// fallback is Generic's; every other one is [`FALLBACK`].
+pub fn receiver_scheme(
+    cfg: &MpiConfig,
+    transport: TransportClass,
+    proposal: u8,
+    size: u64,
+    snd: (u64, u64),
+    rcv: &BlockStats,
+) -> Option<(Scheme, Scheme)> {
+    let proposal = Scheme::from_wire(proposal)?;
+    let both_contiguous = size > 0 && snd.0 >= size && rcv.min >= size;
+    let scheme = match proposal {
+        _ if both_contiguous => Scheme::MultiW,
+        Scheme::Adaptive => adaptive_choose(cfg, transport, size, snd.1, rcv.median),
+        s => s,
+    };
+    let fallback = if proposal == Scheme::Generic {
+        Scheme::Generic
+    } else {
+        FALLBACK
+    };
+    Some((scheme, fallback))
+}
+
+/// Whether the reply of `scheme` is planned from the receiver's blocks:
+/// the schemes that pin them (P-RRS, Multi-W) or partition them
+/// (Hybrid).
+pub fn reads_rcv_blocks(scheme: Scheme) -> bool {
+    matches!(scheme, Scheme::PRrs | Scheme::MultiW | Scheme::Hybrid)
+}
+
+/// Whether a remote-access error on a data write renegotiates the
+/// message as [`FALLBACK`] (§5.4.2): the receiver's registration was
+/// evicted under a scheme that writes into its pinned user memory.
+pub fn renegotiates_on_fault(scheme: Scheme) -> bool {
+    matches!(scheme, Scheme::MultiW | Scheme::Hybrid)
+}
+
+/// Whether a recovered transfer of `scheme` restarts from the
+/// receiver's acknowledged segment prefix. Per-QP FIFO delivery plus
+/// flush-kills-the-suffix makes the arrived count exactly that prefix
+/// for the segment-ordered schemes; the others restart from the
+/// beginning (their writes are idempotent and a completion marker is
+/// posted last).
+pub fn resumes_from_prefix(scheme: Scheme) -> bool {
+    matches!(scheme, Scheme::BcSpup | Scheme::RwgUp)
+}
+
+/// Whether an eager message of `scheme` is packed into a temporary
+/// buffer and then copied into the eager buffer (Generic, the original
+/// path of Fig. 1) instead of packed straight into it (§7.1).
+pub fn eager_via_temp(scheme: Scheme) -> bool {
+    scheme == Scheme::Generic
+}
+
+/// When the sender prepares a rendezvous message.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PrepAt {
+    /// During the handshake. The receiver decides Adaptive, so an
+    /// Adaptive sender prepares for `predicted`, the choice it predicts
+    /// from its own median block (§6's MPI_Info-style hint); a wrong
+    /// guess costs only a cached registration or an unused pool pack.
+    Start {
+        /// Adaptive's prediction ([`adaptive_choose`]).
+        predicted: Scheme,
+    },
+    /// Once the reply named the scheme.
+    Reply,
+}
+
+/// The user memory a sender pins.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Pin {
+    /// Nothing: the data travels packed.
+    None,
+    /// Every block: the sender gathers from its buffer, or the receiver
+    /// reads it.
+    User,
+    /// The blocks feeding Hybrid's direct writes: before the reply, those
+    /// of at least `hybrid_block_threshold` bytes (symmetric types are
+    /// the common case); after it, those of the receiver's partition.
+    HybridDirect,
+}
+
+/// The staging a sender packs into unless it holds some already.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Pack {
+    /// Nothing.
+    None,
+    /// One dynamically allocated buffer for the whole message.
+    Whole,
+    /// One pool buffer per segment.
+    Segments,
+}
+
+/// What a sender does when the pinning budget refuses its [`Pin`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Refused {
+    /// Nothing yet: the reply decides.
+    Ignore,
+    /// Pack pool segments, which every later path can consume; a
+    /// contiguous P-RRS sender announces them instead of its buffer.
+    PackSegments,
+    /// Send RWG-UP's segments packed, as [`FALLBACK`] does.
+    Degrade,
+    /// Stage the whole message through one copy buffer and write it
+    /// into the receiver's pinned blocks (Multi-W).
+    StageWhole,
+    /// Renegotiate the message as [`FALLBACK`] (Hybrid).
+    Renegotiate,
+}
+
+/// A sender's preparation: what it pins and packs, and what it does
+/// when the pinning budget refuses the pin.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SendPrep {
+    /// The user memory to pin.
+    pub pin: Pin,
+    /// The staging to pack into.
+    pub pack: Pack,
+    /// The action when the pin is refused.
+    pub refused: Refused,
+}
+
+/// The one sender-preparation table: what a sender of `scheme` pins
+/// and packs at `at`, and what it does when the pin is refused.
+///
+/// During the handshake the early work overlaps it (§4.3.1, §7.3,
+/// §7.4) and a refusal waits for the reply. A single-block (`contig`)
+/// sender never packs then: MVAPICH's standard rendezvous is zero-copy
+/// for contiguous messages (§3.1), so it pins its buffer and waits for
+/// the receiver's choice. Once the reply names the scheme, the sender
+/// adds the pin and pack that scheme needs, and a refusal degrades to
+/// a copy path (§4.3.3).
+pub fn send_prep(scheme: Scheme, contig: bool, at: PrepAt) -> SendPrep {
+    use {Pack as K, Pin as P, Refused as R, Scheme as S};
+    let start = at != PrepAt::Reply;
+    let (pin, pack, refused) = match (scheme, at) {
+        _ if start && contig => (P::User, K::None, R::Ignore),
+        (S::Adaptive, PrepAt::Start { predicted }) => match predicted {
+            S::RwgUp | S::MultiW | S::PRrs => (P::User, K::None, R::PackSegments),
+            _ => (P::None, K::Segments, R::Ignore),
+        },
+        (S::Generic, _) => (P::None, K::Whole, R::Ignore),
+        (S::PRrs, PrepAt::Reply) if contig => (P::User, K::None, R::PackSegments),
+        (S::BcSpup | S::PRrs, _) => (P::None, K::Segments, R::Ignore),
+        (S::RwgUp | S::MultiW, _) if start => (P::User, K::None, R::Ignore),
+        (S::Hybrid, _) if start => (P::HybridDirect, K::None, R::Ignore),
+        (S::RwgUp, _) => (P::User, K::None, R::Degrade),
+        (S::MultiW, _) => (P::User, K::None, R::StageWhole),
+        (S::Hybrid, _) => (P::HybridDirect, K::None, R::Renegotiate),
+        (S::Adaptive, PrepAt::Reply) => unreachable!("a reply names a concrete scheme"),
+    };
+    SendPrep { pin, pack, refused }
+}
+
+/// Picks the bounce-chunk size for a staged device transfer of `bytes`
+/// spanning `blocks` layout blocks. An explicit
+/// [`MpiConfig::staging_chunk`] wins; otherwise the adaptive model (the
+/// §6 selector extended to the host↔device axis) evaluates the
+/// closed-form two-stage pipeline over power-of-two chunks from 4 KiB
+/// to 4 MiB and takes the argmin, ties to the smaller chunk.
+pub fn staging_chunk_for(
+    cfg: &MpiConfig,
+    host: &HostConfig,
+    bytes: u64,
+    blocks: usize,
+    to_device: bool,
+) -> u64 {
+    if cfg.staging_chunk != 0 {
+        return cfg.staging_chunk;
+    }
+    let bufs = cfg.staging_bufs.clamp(1, MAX_PIPELINE_BUFS);
+    let mut best_c = 4096u64;
+    let mut best_t = Time::MAX;
+    let mut c = 4096u64;
+    loop {
+        let n = bytes.div_ceil(c).max(1);
+        let chunk_bytes = |k: u64| (k * c + c).min(bytes) - k * c;
+        let cpu = |k: u64| {
+            let cb = chunk_bytes(k);
+            let cblocks = ((blocks as u64 * cb).div_ceil(bytes)).max(1) as usize;
+            host.copy_ns(cblocks, cb)
+        };
+        let dma = |k: u64| host.dma_ns(chunk_bytes(k), to_device);
+        // Unpack stages CPU-scatter before DMA-out; pack DMAs in before
+        // CPU-gather. The finish time is symmetric, but keep the order
+        // honest for when the stages' costs diverge.
+        let t = if to_device {
+            two_stage_finish_ns(n, bufs, cpu, dma)
+        } else {
+            two_stage_finish_ns(n, bufs, dma, cpu)
+        };
+        if t < best_t {
+            best_t = t;
+            best_c = c;
+        }
+        if c >= bytes || c >= (4 << 20) {
+            break;
+        }
+        c <<= 1;
+    }
+    best_c
 }
 
 /// Length of a packed substream: the whole stream of `size` bytes when
@@ -949,6 +1247,76 @@ mod tests {
         // All-large blocks leave no packed substream.
         let p = plan_reply(Scheme::Hybrid, t, &[(0, t)], &cfg);
         assert_eq!((p.nsegs, p.packed_ivs.len()), (0, 0));
+    }
+
+    #[test]
+    fn send_prep_table() {
+        use {Pack as K, Pin as P, PrepAt as A, Refused as R, Scheme as S};
+        let start = |predicted| A::Start { predicted };
+        // (scheme, contiguous sender — `None` for either, stage, pin,
+        // pack when granted, action when refused)
+        #[rustfmt::skip]
+        let rows = [
+            (S::Generic, Some(false), start(S::BcSpup), P::None, K::Whole, R::Ignore),
+            (S::BcSpup, Some(false), start(S::BcSpup), P::None, K::Segments, R::Ignore),
+            (S::PRrs, Some(false), start(S::BcSpup), P::None, K::Segments, R::Ignore),
+            (S::RwgUp, Some(false), start(S::BcSpup), P::User, K::None, R::Ignore),
+            (S::MultiW, Some(false), start(S::BcSpup), P::User, K::None, R::Ignore),
+            (S::Hybrid, Some(false), start(S::BcSpup), P::HybridDirect, K::None, R::Ignore),
+            (S::Adaptive, Some(false), start(S::BcSpup), P::None, K::Segments, R::Ignore),
+            (S::Adaptive, Some(false), start(S::MultiW), P::User, K::None, R::PackSegments),
+            (S::Generic, None, A::Reply, P::None, K::Whole, R::Ignore),
+            (S::BcSpup, None, A::Reply, P::None, K::Segments, R::Ignore),
+            (S::PRrs, Some(false), A::Reply, P::None, K::Segments, R::Ignore),
+            (S::PRrs, Some(true), A::Reply, P::User, K::None, R::PackSegments),
+            (S::RwgUp, None, A::Reply, P::User, K::None, R::Degrade),
+            (S::MultiW, None, A::Reply, P::User, K::None, R::StageWhole),
+            (S::Hybrid, None, A::Reply, P::HybridDirect, K::None, R::Renegotiate),
+        ];
+        for (scheme, contig, at, pin, pack, refused) in rows {
+            for c in contig.map_or(vec![false, true], |c| vec![c]) {
+                let want = SendPrep { pin, pack, refused };
+                assert_eq!(send_prep(scheme, c, at), want, "{scheme:?} {c} {at:?}");
+            }
+            // A contiguous sender only pins during the handshake,
+            // whatever it proposes or predicts.
+            let p = send_prep(scheme, true, start(S::MultiW));
+            assert_eq!((p.pin, p.pack, p.refused), (P::User, K::None, R::Ignore));
+        }
+    }
+
+    #[test]
+    fn adaptive_choice_on_ib() {
+        let cfg = MpiConfig::default();
+        let choose = |size, snd, rcv| adaptive_choose(&cfg, TransportClass::Ib, size, snd, rcv);
+        let (big, blk) = (1 << 20, cfg.adaptive_multiw_block);
+        let small = cfg.adaptive_copy_reduced_min - 1;
+        assert_eq!(choose(small, blk, blk), Scheme::BcSpup);
+        assert_eq!(choose(big, blk, blk), Scheme::MultiW);
+        assert_eq!(choose(big, big, 64), Scheme::PRrs, "contiguous sender");
+        assert_eq!(choose(big, 64, big), Scheme::RwgUp, "contiguous receiver");
+        assert_eq!(choose(big, 64, blk), Scheme::RwgUp, "large receiver blocks");
+        assert_eq!(choose(big, 64, 64), Scheme::BcSpup);
+    }
+
+    #[test]
+    fn receiver_resolves_the_proposal() {
+        let cfg = MpiConfig::default();
+        let ib = TransportClass::Ib;
+        let small = BlockStats::from_blocks(&[(0, 64), (128, 64)]);
+        let whole = BlockStats::from_blocks(&[(0, 128)]);
+        let resolve = |s: Scheme, snd, rcv| receiver_scheme(&cfg, ib, s.to_wire(), 128, snd, rcv);
+        // Contiguous on both sides is Multi-W whatever was proposed.
+        let multi_w = Some((Scheme::MultiW, FALLBACK));
+        assert_eq!(resolve(Scheme::RwgUp, (128, 128), &whole), multi_w);
+        let rwg_up = Some((Scheme::RwgUp, FALLBACK));
+        assert_eq!(resolve(Scheme::RwgUp, (64, 64), &whole), rwg_up);
+        // Adaptive is resolved; only a Generic sender falls back to Generic.
+        let generic = Some((Scheme::Generic, Scheme::Generic));
+        assert_eq!(resolve(Scheme::Generic, (64, 64), &small), generic);
+        let adaptive = resolve(Scheme::Adaptive, (64, 64), &small);
+        assert_eq!(adaptive, Some((Scheme::BcSpup, FALLBACK)));
+        assert_eq!(receiver_scheme(&cfg, ib, 0xEE, 128, (64, 64), &small), None);
     }
 
     fn pieces(ivs: &[(u64, u64)], lo: u64, hi: u64) -> Vec<(u64, u64)> {

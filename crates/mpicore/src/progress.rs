@@ -19,19 +19,22 @@ use crate::config::{MpiConfig, Scheme};
 use crate::error::MpiError;
 use crate::msg::{CtrlMsg, ReplyBody, SegList};
 use crate::plan::{
-    for_each_substream_piece, imm_of, imm_parse, lkey_for, plan_gather, plan_multi_w, plan_reply,
-    region_key, substream_len, ReplyKind, ReplyPlan, Tail, WrFrame,
+    adaptive_choose, eager_via_temp, for_each_substream_piece, imm_of, imm_parse, lkey_for,
+    plan_gather, plan_multi_w, plan_reply, reads_rcv_blocks, receiver_scheme, region_key,
+    renegotiates_on_fault, resumes_from_prefix, send_geometry, send_prep, staging_chunk_for,
+    substream_len, Pack, Pin, PrepAt, Refused, ReplyKind, ReplyPlan, SendPrep, Tail, WrFrame,
+    FALLBACK,
 };
 use crate::rank::{PostedRecv, RankState, ReqId, ReqKind, Unexpected};
 use crate::table::{ImmMap, MsgTable};
-use ibdt_datatype::{BlockStats, Datatype, FlatLayout, TransferPlan};
+use ibdt_datatype::{BlockStats, Datatype, TransferPlan};
 use ibdt_ibsim::{
     Cqe, HostConfig, NetConfig, NicEvent, NodeMem, Opcode, PostError, RecvWr, SendWr, Sge, SgeList,
-    Transport, TransportClass,
+    Transport,
 };
 use ibdt_memreg::{ogr, Registration, Va};
 use ibdt_simcore::engine::Scheduler;
-use ibdt_simcore::pipeline::{two_stage_finish_ns, MAX_PIPELINE_BUFS};
+use ibdt_simcore::pipeline::MAX_PIPELINE_BUFS;
 use ibdt_simcore::time::Time;
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -216,16 +219,10 @@ const MARKER_K: u32 = 0xFFFF;
 /// Where the sender aims its data, per the rendezvous reply.
 #[derive(Debug)]
 enum SendTargets {
-    /// The segment pipeline: packed segment `k` lands in `segs[k]`
-    /// (Generic's one whole-message buffer, BC-SPUP, RWG-UP). Hybrid
-    /// adds direct writes of the stream range `[lo, hi)` to receiver
-    /// address `dst` for each `(lo, hi, dst)` in `direct`, keyed by
-    /// `regions`; for the other schemes both are empty.
-    Segments {
-        segs: SegList,
-        direct: Vec<(u64, u64, Va)>,
-        regions: Vec<(Va, u64, u32)>,
-    },
+    /// The segment pipeline: segment `k` of the packed substream lands
+    /// in `segs[k]` (Generic's one whole-message buffer, BC-SPUP,
+    /// RWG-UP, Hybrid).
+    Segments { segs: SegList, feed: Feed },
     /// Multi-W: receiver block list and covering regions.
     MultiW {
         rcv_blocks: Vec<(Va, u64)>,
@@ -235,14 +232,21 @@ enum SendTargets {
     ReadGo,
 }
 
-impl SendTargets {
-    fn segments(segs: SegList) -> Self {
-        SendTargets::Segments {
-            segs,
-            direct: Vec::new(),
-            regions: Vec::new(),
-        }
-    }
+/// What feeds the segment pipeline.
+#[derive(Debug)]
+enum Feed {
+    /// Packed staging buffers (Generic, BC-SPUP).
+    Packed,
+    /// Gather writes from the pinned user buffer (RWG-UP).
+    Gathered,
+    /// Packed staging for the small blocks, plus a direct write of the
+    /// stream range `[lo, hi)` to receiver address `dst` for each
+    /// `(lo, hi, dst)` in `direct`, keyed by `regions`, and a completion
+    /// marker after the last segment (Hybrid).
+    Hybrid {
+        direct: Vec<(u64, u64, Va)>,
+        regions: Vec<(Va, u64, u32)>,
+    },
 }
 
 pub(crate) use crate::pool::StageBuf;
@@ -429,9 +433,8 @@ pub fn isend(
 
     rs.counters.rndv_sends += 1;
     let seq = rs.take_seq(peer);
+    let stats = rs.plan_for(ty, count).stats();
     let scheme = ctx.cfg.scheme;
-    let tplan = rs.plan_for(ty, count);
-    let stats = tplan.stats();
     let mut msg = start_send(
         rs,
         ctx,
@@ -449,80 +452,10 @@ pub fn isend(
         let at = ctx.now() + ctx.cfg.rndv_reply_timeout_ns;
         ctx.cpu_event(at, rs.rank, CpuAct::ReplyTimeout { peer, seq });
     }
-
-    // Early work that overlaps the handshake (§4.3.1, §7.3, §7.4).
-    // A single-block (contiguous) send never packs: MVAPICH's standard
-    // rendezvous is zero-copy for contiguous messages (§3.1), so the
-    // sender registers the user buffer and waits for the receiver's
-    // choice.
-    if msg.contig {
-        // Budget failure is deferred: the reply handler retries and
-        // degrades per-scheme if pinning is still impossible.
-        let _ = sender_register(rs, ctx, &mut msg);
-        am.sends.insert((peer, seq), msg);
-        return req;
-    }
-    match scheme {
-        Scheme::Generic => {
-            // Dynamic whole-message pack buffer (the original path).
-            let sb = acquire_stage(rs, ctx, size);
-            msg.pack_bufs.push(sb);
-            start_pack_chain(rs, ctx, &mut msg);
-        }
-        Scheme::BcSpup | Scheme::PRrs => {
-            assign_pack_bufs(rs, ctx, &mut msg);
-            start_pack_chain(rs, ctx, &mut msg);
-        }
-        Scheme::RwgUp | Scheme::MultiW => {
-            let _ = sender_register(rs, ctx, &mut msg);
-        }
-        Scheme::Hybrid => {
-            // Predict the direct part from the sender's own layout
-            // (symmetric types are the common case) and register those
-            // blocks during the handshake; the reply-time registration
-            // tops up any coverage the receiver's partition adds. The
-            // prediction is skipped when the pinning budget refuses it.
-            let mut own = rs.scratch.take_blocks();
-            abs_blocks_into(&tplan, buf, &mut own);
-            own.retain(|&(_, l)| l >= ctx.cfg.hybrid_block_threshold);
-            if !own.is_empty() {
-                let regions = ogr::plan(&own, &ctx.host.reg).regions;
-                let (regs, pinned) = (&mut msg.user_regs, &mut msg.pinned_bytes);
-                if let Some(cost) = try_acquire_user_regs(rs, ctx, &regions, regs, pinned) {
-                    let done = rs.cpu.reserve_labeled(ctx.now(), cost, "reg");
-                    ctx.cpu_event(done, rs.rank, CpuAct::SenderRegDone { peer, seq });
-                }
-            }
-            rs.scratch.put_blocks(own);
-        }
-        Scheme::Adaptive => {
-            // The receiver decides, but the sender predicts from its own
-            // block statistics (§6's MPI_Info-style hint) so the early
-            // work overlaps the handshake. A wrong guess costs only a
-            // cached registration or an unused pool pack.
-            let predicted = adaptive_choose(
-                ctx.cfg,
-                ctx.fabric.class(),
-                size,
-                stats.median,
-                stats.median,
-            );
-            match predicted {
-                Scheme::RwgUp | Scheme::MultiW | Scheme::PRrs => {
-                    if !sender_register(rs, ctx, &mut msg) {
-                        // Pinning budget exhausted: pre-pack instead,
-                        // which every fallback path can consume.
-                        assign_pack_bufs(rs, ctx, &mut msg);
-                        start_pack_chain(rs, ctx, &mut msg);
-                    }
-                }
-                _ => {
-                    assign_pack_bufs(rs, ctx, &mut msg);
-                    start_pack_chain(rs, ctx, &mut msg);
-                }
-            }
-        }
-    }
+    let median = stats.median;
+    let predicted = adaptive_choose(ctx.cfg, ctx.fabric.class(), size, median, median);
+    let prep = send_prep(scheme, msg.contig, PrepAt::Start { predicted });
+    prepare_send(rs, ctx, &mut msg, prep);
     am.sends.insert((peer, seq), msg);
     req
 }
@@ -546,13 +479,7 @@ fn start_send(
     stats: BlockStats,
 ) -> SendMsg {
     let size = count * ty.size();
-    // Generic transfers the whole packed message in one piece (Fig. 1);
-    // the segmented schemes use the §7.2 rule.
-    let (seg_size, nsegs) = if scheme == Scheme::Generic {
-        (size, 1)
-    } else {
-        (ctx.cfg.segment_size(size), ctx.cfg.segment_count(size))
-    };
+    let (nsegs, seg_size) = send_geometry(scheme, size, ctx.cfg);
     let start = CtrlMsg::RndvStart {
         tag,
         seq,
@@ -778,7 +705,7 @@ fn on_cqe_error(rs: &mut RankState, am: &mut ActiveMsgs, ctx: &mut Ctx<'_, '_>, 
                 return;
             };
             if matches!(err, MpiError::RemoteAccess { .. }) {
-                if !msg.renegotiated && matches!(msg.scheme, Scheme::MultiW | Scheme::Hybrid) {
+                if !msg.renegotiated && renegotiates_on_fault(msg.scheme) {
                     rs.counters.protection_fallbacks += 1;
                     renegotiate_send(rs, am, ctx, msg);
                     return;
@@ -1009,19 +936,6 @@ fn buf_on_device(ctx: &Ctx<'_, '_>, rank: u32, buf: Va) -> bool {
     !tiers.is_empty() && tiers.is_device(buf)
 }
 
-/// Extra synchronous DMA charge for an unsegmented path (eager, self,
-/// batched unpack) touching a device-resident buffer. The whole packed
-/// image crosses the bus in one gather/scatter DMA — cost is modelled
-/// on packed bytes, not extent. Returns 0 for host buffers, so adding
-/// it is free on the classic paths.
-fn device_direct_ns(ctx: &Ctx<'_, '_>, rank: u32, buf: Va, bytes: u64, to_device: bool) -> Time {
-    if bytes == 0 || !buf_on_device(ctx, rank, buf) {
-        0
-    } else {
-        ctx.host.dma_ns(bytes, to_device)
-    }
-}
-
 /// Registration surcharge for pinning device-resident memory (the
 /// driver must translate and pin device pages for RDMA; one extra
 /// fixed-cost ioctl per registration batch).
@@ -1033,77 +947,21 @@ fn device_reg_extra(ctx: &Ctx<'_, '_>, rank: u32, buf: Va) -> Time {
     }
 }
 
-/// Picks the bounce-chunk size for a staged device transfer. An
-/// explicit [`MpiConfig::staging_chunk`] wins; otherwise the adaptive
-/// model (the §6 selector extended to the host↔device axis) evaluates
-/// the closed-form two-stage pipeline over power-of-two chunks from
-/// 4 KiB to 4 MiB and takes the argmin, ties to the smaller chunk.
-fn staging_chunk_for(
-    cfg: &MpiConfig,
-    host: &HostConfig,
-    bytes: u64,
-    blocks: usize,
-    to_device: bool,
-) -> u64 {
-    if cfg.staging_chunk != 0 {
-        return cfg.staging_chunk;
-    }
-    let bufs = cfg.staging_bufs.clamp(1, MAX_PIPELINE_BUFS);
-    let mut best_c = 4096u64;
-    let mut best_t = Time::MAX;
-    let mut c = 4096u64;
-    loop {
-        let n = bytes.div_ceil(c).max(1);
-        let chunk_bytes = |k: u64| (k * c + c).min(bytes) - k * c;
-        let cpu = |k: u64| {
-            let cb = chunk_bytes(k);
-            let cblocks = ((blocks as u64 * cb).div_ceil(bytes)).max(1) as usize;
-            host.copy_ns(cblocks, cb)
-        };
-        let dma = |k: u64| host.dma_ns(chunk_bytes(k), to_device);
-        // Unpack stages CPU-scatter before DMA-out; pack DMAs in before
-        // CPU-gather. The finish time is symmetric, but keep the order
-        // honest for when the stages' costs diverge.
-        let t = if to_device {
-            two_stage_finish_ns(n, bufs, cpu, dma)
-        } else {
-            two_stage_finish_ns(n, bufs, dma, cpu)
-        };
-        if t < best_t {
-            best_t = t;
-            best_c = c;
-        }
-        if c >= bytes || c >= (4 << 20) {
-            break;
-        }
-        c <<= 1;
-    }
-    best_c
-}
-
-/// Charges the modelled cost of one pack/unpack of `bytes` packed bytes
-/// (spanning `blocks` layout blocks) against the user buffer at `buf`,
-/// returning the finish time.
-///
-/// Host-resident buffers charge the classic element-wise copy on the
-/// rank's CPU — bit-identical to the pre-device-tier model. Device
-/// buffers stream through a bounded ring of bounce buffers: the CPU
-/// packs/unpacks chunk `k` while the DMA engine moves chunk `k-1`
+/// The copy step's pipelined charge for a device-resident user buffer:
+/// one segment of `bytes` packed bytes (spanning `blocks` layout
+/// blocks) streams through a bounded ring of bounce buffers, the CPU
+/// packing/unpacking chunk `k` while the DMA engine moves chunk `k-1`
 /// (TEMPI's staged pipeline, arXiv:2012.14363). Both stages reserve
 /// real serial resources, so the overlap is visible in the trace.
+/// Returns the finish time.
 fn charge_copy(
     rs: &mut RankState,
     ctx: &mut Ctx<'_, '_>,
-    buf: Va,
     blocks: usize,
     bytes: u64,
     to_device: bool,
     label: &'static str,
 ) -> Time {
-    if bytes == 0 || !buf_on_device(ctx, rs.rank, buf) {
-        let cost = ctx.host.copy_ns(blocks.max(1), bytes);
-        return rs.cpu.reserve_labeled(ctx.now(), cost, label);
-    }
     let chunk = staging_chunk_for(ctx.cfg, ctx.host, bytes, blocks, to_device);
     let bufs = ctx.cfg.staging_bufs.clamp(1, MAX_PIPELINE_BUFS);
     let n = bytes.div_ceil(chunk);
@@ -1136,6 +994,109 @@ fn charge_copy(
     finish
 }
 
+/// The bytes a copy step moves: the user buffer is packed into the
+/// slice, or the slice unpacked into the user buffer.
+enum Staged<'d> {
+    Pack(&'d mut [u8]),
+    Unpack(&'d [u8]),
+}
+
+/// How a copy step is charged.
+#[derive(Clone, Copy)]
+enum Charge {
+    /// One pipelined segment reserved under this label: the classic
+    /// element-wise copy on the CPU for a host buffer (bit-identical to
+    /// the model before the device tier), [`charge_copy`]'s staged
+    /// pipeline for a device buffer. The step returns the finish time.
+    Segment(&'static str),
+    /// One synchronous charge (eager, self and the Fig. 12 batch),
+    /// returned for the caller to reserve: the `copy_ns` of each
+    /// costing unit, plus one whole-image DMA for a device buffer (too
+    /// small or too late to stage), plus — when set — the temporary
+    /// buffer of the original eager path (Fig. 1).
+    Sync(bool),
+}
+
+/// The one copy step: moves the substream range `[lo, hi)` of the
+/// message at `buf` (the stream itself when `ivs` is empty) between the
+/// user buffer and `staged`, counting the layout blocks of every
+/// `unit`-byte costing unit (a segment; the Fig. 12 batch sums them,
+/// since their ceil rounding is what it measures), and charges it.
+#[allow(clippy::too_many_arguments)]
+fn copy_step(
+    rs: &mut RankState,
+    ctx: &mut Ctx<'_, '_>,
+    plan: &TransferPlan,
+    buf: Va,
+    ivs: &[(u64, u64)],
+    (lo, hi): (u64, u64),
+    unit: u64,
+    mut staged: Staged<'_>,
+    charge: Charge,
+) -> Time {
+    let rank = rs.rank;
+    let to_device = matches!(staged, Staged::Unpack(_));
+    // Unpacking writes through a view narrowed to the plan's block
+    // envelope, so the address space's dirty tracking (backing-store
+    // recycling) covers only the user buffer, not the whole memory.
+    let cap = ctx.mems[rank as usize].space.capacity();
+    let (env_lo, env_hi) = plan.envelope();
+    let vstart = ((buf as i128 + env_lo).clamp(0, cap as i128) as u64).min(buf.min(cap));
+    let vend = ((buf as i128 + env_hi).clamp(vstart as i128, cap as i128)) as u64;
+    let (mut blocks, mut copy_ns, mut cursor, mut at) = (0usize, 0, 0usize, lo);
+    loop {
+        let end = (at + unit.max(1)).min(hi);
+        let mut unit_blocks = 0usize;
+        for_each_substream_piece(ivs, at, end, |a, b| {
+            let n = (b - a) as usize;
+            let space = &mut ctx.mems[rank as usize].space;
+            match &mut staged {
+                Staged::Pack(out) => {
+                    let mem = space.slice(0, cap).expect("whole space view");
+                    plan.pack(a, b, mem, buf as usize, &mut out[cursor..cursor + n])
+                }
+                Staged::Unpack(data) => {
+                    let mem = space.slice_mut(vstart, vend - vstart);
+                    let mem = mem.expect("envelope view in range");
+                    plan.unpack(
+                        a,
+                        b,
+                        &data[cursor..cursor + n],
+                        mem,
+                        (buf - vstart) as usize,
+                    )
+                }
+            }
+            .expect("user buffer covers the datatype");
+            cursor += n;
+            unit_blocks += plan.block_count_in(a, b).expect("range valid").0;
+        });
+        blocks += unit_blocks;
+        copy_ns += ctx.host.copy_ns(unit_blocks.max(1), end - at);
+        at = end;
+        if at >= hi {
+            break;
+        }
+    }
+    let bytes = hi - lo;
+    let on_device = bytes > 0 && buf_on_device(ctx, rank, buf);
+    match charge {
+        Charge::Segment(label) if on_device => {
+            charge_copy(rs, ctx, blocks, bytes, to_device, label)
+        }
+        Charge::Segment(label) => rs.cpu.reserve_labeled(ctx.now(), copy_ns, label),
+        Charge::Sync(temp) => {
+            if temp {
+                copy_ns += ctx.host.malloc_ns + ctx.host.memcpy_ns(bytes) + ctx.host.free_ns;
+            }
+            if on_device {
+                copy_ns += ctx.host.dma_ns(bytes, to_device);
+            }
+            copy_ns
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // Eager path (§7.1)
 // ---------------------------------------------------------------------
@@ -1156,17 +1117,9 @@ fn eager_send(
     let seq = rs.take_seq(peer);
     let plan = rs.plan_for(ty, count);
     let mut payload = rs.scratch.take_bytes(size as usize);
-    pack_range(ctx, rs.rank, &plan, buf, 0, size, &mut payload);
-    let (blocks, _) = plan.block_count_in(0, size).expect("range valid");
-    let mut cost = ctx.host.copy_ns(blocks.max(1), size);
-    if ctx.cfg.scheme == Scheme::Generic {
-        // Original path (Fig. 1): pack into a temporary buffer, then
-        // copy into the eager buffer.
-        cost += ctx.host.malloc_ns + ctx.host.memcpy_ns(size) + ctx.host.free_ns;
-    }
-    // Device-resident source: one synchronous gather-DMA down to the
-    // host before the pack (eager messages are too small to stage).
-    cost += device_direct_ns(ctx, rs.rank, buf, size, false);
+    let charge = Charge::Sync(eager_via_temp(ctx.cfg.scheme));
+    let (whole, staged) = ((0, size), Staged::Pack(&mut payload));
+    let cost = copy_step(rs, ctx, &plan, buf, &[], whole, size, staged, charge);
     rs.counters.packs += 1;
     rs.counters.bytes_packed += size;
 
@@ -1196,14 +1149,9 @@ fn eager_deliver(
     let plan = rs.plan_for(ty, count);
     let size = plan.total_bytes();
     assert_eq!(data.len() as u64, size, "eager size mismatch");
-    unpack_from_slice(ctx, rs.rank, &plan, buf, 0, size, data);
-    let (blocks, _) = plan.block_count_in(0, size).expect("range valid");
-    let mut cost = ctx.host.copy_ns(blocks.max(1), size);
-    if ctx.cfg.scheme == Scheme::Generic {
-        cost += ctx.host.malloc_ns + ctx.host.memcpy_ns(size) + ctx.host.free_ns;
-    }
-    // Device-resident destination: one synchronous scatter-DMA up.
-    cost += device_direct_ns(ctx, rs.rank, buf, size, true);
+    let charge = Charge::Sync(eager_via_temp(ctx.cfg.scheme));
+    let (whole, staged) = ((0, size), Staged::Unpack(data));
+    let cost = copy_step(rs, ctx, &plan, buf, &[], whole, size, staged, charge);
     rs.counters.unpacks += 1;
     rs.counters.bytes_unpacked += size;
     let done = rs.cpu.reserve_labeled(ctx.now(), cost, "unpack");
@@ -1224,10 +1172,9 @@ fn self_send(
     // `data` escapes into the unexpected queue, so it cannot come from
     // the scratch pool.
     let mut data = vec![0u8; size as usize];
-    pack_range(ctx, rs.rank, &plan, buf, 0, size, &mut data);
-    let (blocks, _) = plan.block_count_in(0, size).expect("range valid");
-    let cost =
-        ctx.host.copy_ns(blocks.max(1), size) + device_direct_ns(ctx, rs.rank, buf, size, false);
+    let (whole, staged) = ((0, size), Staged::Pack(&mut data));
+    let charge = Charge::Sync(false);
+    let cost = copy_step(rs, ctx, &plan, buf, &[], whole, size, staged, charge);
     let done = rs.cpu.reserve_labeled(ctx.now(), cost, "pack");
     ctx.cpu_event(done, rs.rank, CpuAct::EagerDone { req });
 
@@ -1235,18 +1182,7 @@ fn self_send(
     if let Some(p) = rs.match_posted(rs.rank, tag) {
         eager_deliver(rs, ctx, p.req, p.buf, p.count, &p.ty, &data);
     } else {
-        let payload_bearing = !data.is_empty();
-        rs.unexpected.push_back(Unexpected::Eager {
-            peer: rs.rank,
-            tag,
-            seq,
-            data,
-        });
-        if payload_bearing {
-            rs.unexpected_eager += 1;
-            rs.counters.peak_unexpected =
-                rs.counters.peak_unexpected.max(rs.unexpected_eager as u64);
-        }
+        rs.push_unexpected_eager(rs.rank, tag, seq, data);
     }
 }
 
@@ -1279,26 +1215,12 @@ fn send_ctrl(
         bytes.len()
     );
     rs.counters.ctrl_msgs += 1;
-    let label = if extra_cpu_ns > 0 { "pack" } else { "ctrl" };
-    let cost = extra_cpu_ns + ctx.cfg.ctrl_overhead_ns + ctx.net.post_single_ns;
-    let ready = rs.cpu.reserve_labeled(ctx.now(), cost, label);
     match rs.eager_send_free.pop() {
-        Some(va) => {
-            ctx.mems[rs.rank as usize]
-                .space
-                .write(va, &bytes)
-                .expect("eager ring buffer writable");
-            write_slot_terminator(rs, ctx, va, bytes.len());
-            if !post_ctrl_slot(rs, ctx, peer, va, bytes.len() as u64, ready) {
-                // Suspended with the connection manager: re-sent after
-                // re-establishment.
-                rs.eager_send_free.push(va);
-                park_ctrl(rs, peer, bytes);
-                return;
-            }
-            rs.scratch.put_ctrl(bytes);
-        }
+        Some(va) => send_in_slot(rs, ctx, peer, va, bytes, extra_cpu_ns),
         None => {
+            // Queued behind the ring: the control cost is paid now and
+            // again when the message drains.
+            reserve_ctrl(rs, ctx, extra_cpu_ns);
             rs.eager_pending
                 .push_back(crate::rank::PendingEager { peer, bytes });
             rs.counters.peak_pending = rs.counters.peak_pending.max(rs.eager_pending.len() as u64);
@@ -1306,34 +1228,69 @@ fn send_ctrl(
     }
 }
 
-/// Writes one zero byte — an invalid message kind — after the encoded
-/// message in a send-ring slot. Slots are reused without clearing, so a
+/// Reserves the CPU for a control post — `extra_cpu_ns` of preceding
+/// work (e.g. packing), the control overhead and one post — and returns
+/// when the post may go out.
+fn reserve_ctrl(rs: &mut RankState, ctx: &mut Ctx<'_, '_>, extra_cpu_ns: Time) -> Time {
+    let label = if extra_cpu_ns > 0 { "pack" } else { "ctrl" };
+    let cost = extra_cpu_ns + ctx.cfg.ctrl_overhead_ns + ctx.net.post_single_ns;
+    rs.cpu.reserve_labeled(ctx.now(), cost, label)
+}
+
+/// Sends `bytes` from the claimed send-ring slot `va`: writes them and
+/// the slot terminator, posts, and on a dead queue pair frees the slot
+/// and parks the bytes with the connection manager, to be re-sent after
+/// re-establishment.
+///
+/// The terminator is one zero byte — an invalid message kind — after
+/// the encoded message. Slots are reused without clearing, so a
 /// recovery re-post must re-derive the wire length by decoding; with
 /// piggybacked credit prefixes the terminator is what makes the end of
 /// a slot (in particular a standalone `CreditUpdate`) unambiguous
 /// against stale bytes from the slot's previous occupant.
-fn write_slot_terminator(rs: &mut RankState, ctx: &mut Ctx<'_, '_>, va: Va, len: usize) {
-    if (len as u64) < ctx.cfg.eager_buf_size {
-        ctx.mems[rs.rank as usize]
-            .space
-            .write(va + len as u64, &[0])
+fn send_in_slot(
+    rs: &mut RankState,
+    ctx: &mut Ctx<'_, '_>,
+    peer: u32,
+    va: Va,
+    bytes: Vec<u8>,
+    extra_cpu_ns: Time,
+) {
+    let space = &mut ctx.mems[rs.rank as usize].space;
+    space.write(va, &bytes).expect("eager ring buffer writable");
+    let len = bytes.len() as u64;
+    if len < ctx.cfg.eager_buf_size {
+        space
+            .write(va + len, &[0])
             .expect("eager ring buffer writable");
     }
+    if post_ctrl_slot(rs, ctx, peer, va, len, extra_cpu_ns) {
+        rs.scratch.put_ctrl(bytes);
+        return;
+    }
+    rs.eager_send_free.push(va);
+    rs.reconn
+        .get_mut(&peer)
+        .expect("reconnect scheduled")
+        .pending_ctrl
+        .push(bytes);
 }
 
 /// Posts the control message in send-ring slot `va` (`len` bytes) to
-/// `peer`. Returns `false`, with the slot still claimed, when the post
-/// hit a dead queue pair the connection manager will re-establish: the
-/// caller parks the message for the reconnect. Any other refusal frees
-/// the slot and is recorded as a typed rank error.
+/// `peer` after reserving its CPU cost ([`reserve_ctrl`]). Returns
+/// `false`, with the slot still claimed, when the post hit a dead queue
+/// pair the connection manager will re-establish: the caller parks the
+/// message for the reconnect. Any other refusal frees the slot and is
+/// recorded as a typed rank error.
 fn post_ctrl_slot(
     rs: &mut RankState,
     ctx: &mut Ctx<'_, '_>,
     peer: u32,
     va: Va,
     len: u64,
-    ready: Time,
+    extra_cpu_ns: Time,
 ) -> bool {
+    let ready = reserve_ctrl(rs, ctx, extra_cpu_ns);
     let wr = SendWr {
         wr_id: WR_EAGER | va,
         opcode: Opcode::Send,
@@ -1361,36 +1318,11 @@ fn post_ctrl_slot(
     true
 }
 
-/// Queues encoded control bytes for re-sending once the connection to
-/// `peer` is re-established.
-fn park_ctrl(rs: &mut RankState, peer: u32, bytes: Vec<u8>) {
-    rs.reconn
-        .get_mut(&peer)
-        .expect("reconnect scheduled")
-        .pending_ctrl
-        .push(bytes);
-}
-
 fn drain_pending_eager(rs: &mut RankState, ctx: &mut Ctx<'_, '_>) {
     while !rs.eager_pending.is_empty() && !rs.eager_send_free.is_empty() {
         let p = rs.eager_pending.pop_front().expect("checked non-empty");
         let va = rs.eager_send_free.pop().expect("checked non-empty");
-        ctx.mems[rs.rank as usize]
-            .space
-            .write(va, &p.bytes)
-            .expect("eager ring buffer writable");
-        write_slot_terminator(rs, ctx, va, p.bytes.len());
-        let ready = rs.cpu.reserve_labeled(
-            ctx.now(),
-            ctx.cfg.ctrl_overhead_ns + ctx.net.post_single_ns,
-            "ctrl",
-        );
-        if !post_ctrl_slot(rs, ctx, p.peer, va, p.bytes.len() as u64, ready) {
-            rs.eager_send_free.push(va);
-            park_ctrl(rs, p.peer, p.bytes);
-            continue;
-        }
-        rs.scratch.put_ctrl(p.bytes);
+        send_in_slot(rs, ctx, p.peer, va, p.bytes, 0);
     }
 }
 
@@ -1466,17 +1398,7 @@ fn on_ctrl(
                             ctx.host.malloc_ns + ctx.host.memcpy_ns(size),
                             "unexpected",
                         );
-                        rs.unexpected.push_back(Unexpected::Eager {
-                            peer,
-                            tag,
-                            seq,
-                            data: payload.to_vec(),
-                        });
-                        if size > 0 {
-                            rs.unexpected_eager += 1;
-                            rs.counters.peak_unexpected =
-                                rs.counters.peak_unexpected.max(rs.unexpected_eager as u64);
-                        }
+                        rs.push_unexpected_eager(peer, tag, seq, payload.to_vec());
                     }
                 }
             }
@@ -1637,81 +1559,9 @@ fn on_resume_ack(
     drive_send(rs, am, ctx, msg);
 }
 
-/// Whether a recovered transfer of `scheme` restarts from the
-/// receiver's acknowledged segment prefix. Per-QP FIFO delivery plus
-/// flush-kills-the-suffix makes the arrived count exactly that prefix
-/// for the segment-ordered schemes; the others restart from the
-/// beginning (their writes are idempotent and a completion marker is
-/// posted last).
-fn resumes_from_prefix(scheme: Scheme) -> bool {
-    matches!(scheme, Scheme::BcSpup | Scheme::RwgUp)
-}
-
 // ---------------------------------------------------------------------
 // Receiver side
 // ---------------------------------------------------------------------
-
-/// Adaptive scheme choice (§6), run on the receiver where both sides'
-/// median block sizes are known.
-pub fn adaptive_choose(
-    cfg: &MpiConfig,
-    transport: TransportClass,
-    size: u64,
-    snd_median: u64,
-    rcv_median: u64,
-) -> Scheme {
-    match transport {
-        TransportClass::Ib => {
-            if size < cfg.adaptive_copy_reduced_min {
-                return Scheme::BcSpup;
-            }
-            if snd_median >= cfg.adaptive_multiw_block && rcv_median >= cfg.adaptive_multiw_block {
-                return Scheme::MultiW;
-            }
-            // Asymmetric cases (§5.2): a contiguous sender favours
-            // receiver-driven reads; a contiguous receiver favours
-            // gather writes.
-            if snd_median >= size {
-                return Scheme::PRrs;
-            }
-            if rcv_median >= size {
-                return Scheme::RwgUp;
-            }
-            if rcv_median >= cfg.adaptive_multiw_block {
-                // Large receiver blocks: unpack is cheap, gather write
-                // wins.
-                return Scheme::RwgUp;
-            }
-            Scheme::BcSpup
-        }
-        TransportClass::ShmDouble => {
-            // Every byte bounces through the shared segment twice no
-            // matter the scheme: the zero-copy schemes' registration
-            // avoidance buys nothing, while BC-SPUP's packed pipeline
-            // feeds the segment slots perfectly.
-            Scheme::BcSpup
-        }
-        TransportClass::ShmSingle => {
-            // Direct cross-process copies exist, but every work
-            // request pays a syscall setup — per-block schemes need
-            // much larger blocks than on IB to amortize it.
-            if size < cfg.adaptive_copy_reduced_min {
-                return Scheme::BcSpup;
-            }
-            let blk = cfg.adaptive_shm_multiw_block;
-            if snd_median >= blk && rcv_median >= blk {
-                return Scheme::MultiW;
-            }
-            if snd_median >= size {
-                return Scheme::PRrs;
-            }
-            if rcv_median >= size {
-                return Scheme::RwgUp;
-            }
-            Scheme::BcSpup
-        }
-    }
-}
 
 #[allow(clippy::too_many_arguments)]
 fn receiver_start(
@@ -1725,25 +1575,12 @@ fn receiver_start(
     blk_min: u64,
     blk_median: u64,
 ) {
-    let Some(proposal) = Scheme::from_wire(scheme_wire) else {
+    let rstats = rs.plan_for(&p.ty, p.count).stats();
+    let snd = (blk_min, blk_median);
+    let chosen = receiver_scheme(ctx.cfg, ctx.fabric.class(), scheme_wire, size, snd, &rstats);
+    let Some((scheme, fallback)) = chosen else {
         rs.fail_req(p.req, MpiError::MalformedCtrl { peer: p.peer });
         return;
-    };
-    let rstats = rs.plan_for(&p.ty, p.count).stats();
-    // Contiguous on both sides: the standard zero-copy rendezvous
-    // (§3.1) — one RDMA write from user buffer to user buffer,
-    // regardless of the configured datatype scheme. Multi-W with a
-    // single block is exactly that path.
-    let both_contiguous = size > 0 && blk_min >= size && rstats.min >= size;
-    let scheme = if both_contiguous {
-        Scheme::MultiW
-    } else {
-        match proposal {
-            Scheme::Adaptive => {
-                adaptive_choose(ctx.cfg, ctx.fabric.class(), size, blk_median, rstats.median)
-            }
-            s => s,
-        }
     };
     assert_eq!(
         p.count * p.ty.size(),
@@ -1752,13 +1589,6 @@ fn receiver_start(
     );
     let mut msg = RecvMsg::new(rs, p.req, p.peer, seq, p.buf, p.count, p.ty);
     am.imm_map.insert((p.peer, (seq & 0xFFFF) as u16), seq);
-    // A Generic sender packs the whole message as one segment, so its
-    // copy fallback is Generic's; every other one is BC-SPUP (§4.3.3).
-    let fallback = if proposal == Scheme::Generic {
-        Scheme::Generic
-    } else {
-        Scheme::BcSpup
-    };
     receiver_reply(rs, ctx, &mut msg, scheme, fallback);
     am.recvs.insert((msg.peer, seq), msg);
 }
@@ -1784,7 +1614,7 @@ impl RecvMsg {
             count,
             size: count * ty.size(),
             ty,
-            scheme: Scheme::BcSpup,
+            scheme: FALLBACK,
             plan: ReplyPlan::default(),
             unpack_bufs: rs.scratch.take_stage(),
             segs_arrived: 0,
@@ -1813,7 +1643,7 @@ fn receiver_reply(
     fallback: Scheme,
 ) {
     let mut blocks = rs.scratch.take_blocks();
-    if matches!(scheme, Scheme::PRrs | Scheme::MultiW | Scheme::Hybrid) {
+    if reads_rcv_blocks(scheme) {
         let tplan = rs.plan_for(&msg.ty, msg.count);
         abs_blocks_into(&tplan, msg.buf, &mut blocks);
     }
@@ -2041,65 +1871,48 @@ fn on_segment_arrival(
         return;
     }
     msg.segs_arrived += 1;
-    let buf = msg.buf;
+    let nsegs = msg.plan.nsegs;
     let (segs, done) = if !msg.plan.batch_unpack {
-        let (blocks, len) = unpack_segment_do(rs, ctx, msg, k);
-        rs.counters.bytes_unpacked += len;
-        (1, charge_copy(rs, ctx, buf, blocks, len, true, "unpack"))
-    } else if msg.segs_arrived == msg.plan.nsegs {
+        (
+            1,
+            unpack_segments(rs, ctx, msg, k..k + 1, Charge::Segment("unpack")),
+        )
+    } else if msg.segs_arrived == nsegs {
         // Fig. 12 ablation: unpack everything only after the last
-        // segment arrived. Costs stay a per-segment `copy_ns` sum —
-        // ceil rounding makes that differ from one whole-message
-        // charge, and the figure measures it.
-        let mut total_cost = 0;
-        for kk in 0..msg.plan.nsegs {
-            let (blocks, len) = unpack_segment_do(rs, ctx, msg, kk);
-            total_cost += ctx.host.copy_ns(blocks.max(1), len);
-        }
-        // Device destination: the batched image crosses in one
-        // scatter-DMA (nothing left to overlap with).
-        total_cost += device_direct_ns(ctx, rs.rank, buf, msg.size, true);
-        rs.counters.bytes_unpacked += msg.size;
-        let done = rs.cpu.reserve_labeled(ctx.now(), total_cost, "unpack");
-        (msg.plan.nsegs, done)
+        // segment arrived.
+        let cost = unpack_segments(rs, ctx, msg, 0..nsegs, Charge::Sync(false));
+        (nsegs, rs.cpu.reserve_labeled(ctx.now(), cost, "unpack"))
     } else {
         return;
     };
     ctx.cpu_event(done, rs.rank, CpuAct::UnpackSeg { peer, seq, segs });
 }
 
-/// Performs the functional unpack of segment `k` of the packed
-/// substream (Generic's is the whole message), returning the block and
-/// byte counts the caller charges costs on (segment-at-a-time paths
-/// route through [`charge_copy`]; the Fig. 12 batch ablation sums
-/// per-segment `copy_ns` itself so its ceil-rounded total is
-/// unchanged).
-fn unpack_segment_do(
+/// Unpacks segments `ks` of the packed substream (Generic's one
+/// segment is the whole message) from their staging buffers into the
+/// user buffer through the copy step, counting the bytes unpacked.
+fn unpack_segments(
     rs: &mut RankState,
     ctx: &mut Ctx<'_, '_>,
-    msg: &mut RecvMsg,
-    k: u32,
-) -> (usize, u64) {
-    let rank = rs.rank;
+    msg: &RecvMsg,
+    ks: std::ops::Range<u32>,
+    charge: Charge,
+) -> Time {
     let plan = rs.plan_for(&msg.ty, msg.count);
-    let lo = k as u64 * msg.plan.seg_size;
-    let hi = (lo + msg.plan.seg_size).min(substream_len(&msg.plan.packed_ivs, msg.size));
+    let (ivs, seg) = (&msg.plan.packed_ivs, msg.plan.seg_size);
+    let lo = ks.start as u64 * seg;
+    let hi = (ks.end as u64 * seg).min(substream_len(ivs, msg.size));
     let mut data = rs.scratch.take_bytes((hi - lo) as usize);
-    data.copy_from_slice(
-        ctx.mems[rank as usize]
-            .space
-            .slice(msg.unpack_bufs[k as usize].va, hi - lo)
-            .expect("unpack buffer readable"),
-    );
-    let (mut cursor, mut blocks) = (0usize, 0usize);
-    for_each_substream_piece(&msg.plan.packed_ivs, lo, hi, |a, b| {
-        let n = (b - a) as usize;
-        unpack_from_slice(ctx, rank, &plan, msg.buf, a, b, &data[cursor..cursor + n]);
-        cursor += n;
-        blocks += plan.block_count_in(a, b).expect("range valid").0;
-    });
+    let space = &ctx.mems[rs.rank as usize].space;
+    for (k, chunk) in ks.zip(data.chunks_mut(seg as usize)) {
+        let staged = space.slice(msg.unpack_bufs[k as usize].va, chunk.len() as u64);
+        chunk.copy_from_slice(staged.expect("unpack buffer readable"));
+    }
+    rs.counters.bytes_unpacked += hi - lo;
+    let staged = Staged::Unpack(&data);
+    let done = copy_step(rs, ctx, &plan, msg.buf, ivs, (lo, hi), seg, staged, charge);
     rs.scratch.put_bytes(data);
-    (blocks, hi - lo)
+    done
 }
 
 /// Completes the receive once every part landed — the one completion
@@ -2274,22 +2087,20 @@ fn sender_on_reply(
             layout,
             ..
         } => {
-            let layout: Arc<FlatLayout> = match layout.take() {
+            let cached = match layout.take() {
                 Some(l) => {
                     let l = Arc::new(l);
                     rs.layout_cache.insert(peer, *tag, l.clone());
-                    l
+                    Some(l)
                 }
-                None => match rs.layout_cache.lookup(peer, *tag) {
-                    Some(l) => l,
-                    None => {
-                        // The promised cached layout is gone — the
-                        // reply cannot be acted on.
-                        rs.errors.push(MpiError::MalformedCtrl { peer });
-                        am.sends.insert((peer, seq), msg);
-                        return;
-                    }
-                },
+                None => rs.layout_cache.lookup(peer, *tag),
+            };
+            let Some(layout) = cached else {
+                // The promised cached layout is gone — the reply
+                // cannot be acted on.
+                rs.errors.push(MpiError::MalformedCtrl { peer });
+                am.sends.insert((peer, seq), msg);
+                return;
             };
             let base = *base;
             layout
@@ -2301,9 +2112,20 @@ fn sender_on_reply(
         _ => Vec::new(),
     };
     msg.scheme = reply_scheme;
+    let prep = send_prep(reply_scheme, msg.contig, PrepAt::Reply);
+    // Segments without a direct part are gathered from the user buffer
+    // by a sender that pins it for them.
+    let feed = if prep.pin == Pin::User {
+        Feed::Gathered
+    } else {
+        Feed::Packed
+    };
     msg.targets = Some(match body {
-        ReplyBody::Buffer { addr, rkey } => SendTargets::segments(SegList::of((addr, rkey))),
-        ReplyBody::Segments { segs } => SendTargets::segments(segs),
+        ReplyBody::Buffer { addr, rkey } => SendTargets::Segments {
+            segs: SegList::of((addr, rkey)),
+            feed,
+        },
+        ReplyBody::Segments { segs } => SendTargets::Segments { segs, feed },
         ReplyBody::ReadGo => SendTargets::ReadGo,
         ReplyBody::MultiW { regions, .. } => SendTargets::MultiW {
             rcv_blocks,
@@ -2318,173 +2140,134 @@ fn sender_on_reply(
             // Both sides plan the same partition from the receiver's
             // layout; the packed part joins the segment pipeline.
             debug_assert_eq!(threshold, ctx.cfg.hybrid_block_threshold);
-            let plan = plan_reply(Scheme::Hybrid, msg.size, &rcv_blocks, ctx.cfg);
+            let plan = plan_reply(reply_scheme, msg.size, &rcv_blocks, ctx.cfg);
             debug_assert_eq!(plan.nsegs as usize, segs.len());
             msg.nsegs = plan.nsegs;
             msg.seg_size = plan.seg_size;
             msg.packed_ivs = plan.packed_ivs;
             SendTargets::Segments {
                 segs: segs.into_iter().collect(),
-                direct: plan.direct,
-                regions,
+                feed: Feed::Hybrid {
+                    direct: plan.direct,
+                    regions,
+                },
             }
         }
     });
-
-    // Ensure the early work matching the *reply's* scheme is running —
-    // the receiver may have picked differently (adaptive decision,
-    // Multi-W fallback, or the zero-copy contiguous path). Where the
-    // reply wants the user buffer pinned and the budget refuses,
-    // degrade to a copy path (§4.3.3).
-    match msg.scheme {
-        Scheme::Generic => {
-            if msg.pack_bufs.is_empty() {
-                let sb = acquire_stage(rs, ctx, msg.size);
-                msg.pack_bufs.push(sb);
-                msg.nsegs = 1;
-                msg.seg_size = msg.size;
-                start_pack_chain(rs, ctx, &mut msg);
-            }
-        }
-        Scheme::PRrs if msg.contig => {
-            // Contiguous sender: no packing at all — the receiver reads
-            // straight out of the registered user buffer (§5.2's
-            // asymmetric case, where P-RRS shines).
-            if !msg.reg_done && msg.user_regs.is_empty() && !sender_register(rs, ctx, &mut msg) {
-                // Cannot pin the user buffer: announce packed pool
-                // segments instead, like a non-contiguous sender.
-                rs.counters.scheme_fallbacks += 1;
-                msg.contig = false;
-                assign_pack_bufs(rs, ctx, &mut msg);
-                start_pack_chain(rs, ctx, &mut msg);
-            }
-        }
-        Scheme::BcSpup | Scheme::PRrs => {
-            if msg.pack_bufs.is_empty() {
-                // Segmentation is unchanged — nsegs/seg_size were in
-                // the start message and the receiver echoes them.
-                assign_pack_bufs(rs, ctx, &mut msg);
-                start_pack_chain(rs, ctx, &mut msg);
-            }
-        }
-        Scheme::RwgUp => {
-            if !msg.reg_done && msg.user_regs.is_empty() && !sender_register(rs, ctx, &mut msg) {
-                // Gather writes need the pinned user buffer; fall back
-                // to packed writes into the same segment targets.
-                rs.counters.scheme_fallbacks += 1;
-                msg.scheme = Scheme::BcSpup;
-                if msg.pack_bufs.is_empty() {
-                    assign_pack_bufs(rs, ctx, &mut msg);
-                    start_pack_chain(rs, ctx, &mut msg);
-                }
-            }
-        }
-        Scheme::MultiW => {
-            if !msg.reg_done && msg.user_regs.is_empty() && !sender_register(rs, ctx, &mut msg) {
-                // The receiver's blocks are already pinned on its side;
-                // stage the whole message through a copy buffer and
-                // stream it into those blocks.
-                rs.counters.scheme_fallbacks += 1;
-                msg.mw_stage = true;
-                msg.reg_done = true;
-                if msg.pack_bufs.is_empty() {
-                    msg.nsegs = 1;
-                    msg.seg_size = msg.size.max(1);
-                    let sb = acquire_stage(rs, ctx, msg.size);
-                    msg.pack_bufs.push(sb);
-                }
-                start_pack_chain(rs, ctx, &mut msg);
-            }
-        }
-        Scheme::Hybrid => {
-            if !hybrid_register(rs, ctx, &mut msg) {
-                // The receiver pinned its direct blocks but the budget
-                // refuses ours: renegotiate the whole message as
-                // BC-SPUP, like a protection fault does (§5.4.2).
-                rs.counters.scheme_fallbacks += 1;
-                renegotiate_send(rs, am, ctx, msg);
-                return;
-            }
-        }
-        Scheme::Adaptive => unreachable!("reply always carries a concrete scheme"),
+    // The receiver may have picked differently from the early work
+    // (adaptive decision, Multi-W fallback, or the zero-copy contiguous
+    // path): prepare what the reply's scheme needs.
+    if !prepare_send(rs, ctx, &mut msg, prep) {
+        renegotiate_send(rs, am, ctx, msg);
+        return;
     }
     drive_send(rs, am, ctx, msg);
 }
 
-/// Registers exactly the sender blocks that feed Hybrid direct writes
-/// (the packed part travels through pool buffers and needs no user
-/// registration). Sets `reg_done` synchronously when nothing needs
-/// pinning. Returns `false`, pinning nothing more, when the budget
-/// refuses the blocks the handshake-time prediction did not cover.
-fn hybrid_register(rs: &mut RankState, ctx: &mut Ctx<'_, '_>, msg: &mut SendMsg) -> bool {
-    let Some(SendTargets::Segments { direct, .. }) = &msg.targets else {
+/// The one executor of [`send_prep`]: pins what `prep` names and, when
+/// the pinning budget refuses, takes its fallback; then packs into
+/// fresh staging unless the message already holds some. A refusal
+/// after the reply is a scheme fallback. Returns `false`, having
+/// packed nothing, when the message must be renegotiated.
+fn prepare_send(
+    rs: &mut RankState,
+    ctx: &mut Ctx<'_, '_>,
+    msg: &mut SendMsg,
+    prep: SendPrep,
+) -> bool {
+    let mut pack = prep.pack;
+    if !pin_send(rs, ctx, msg, prep.pin) {
+        if prep.refused != Refused::Ignore && msg.targets.is_some() {
+            rs.counters.scheme_fallbacks += 1;
+        }
+        match prep.refused {
+            Refused::Ignore => {}
+            Refused::PackSegments => {
+                msg.contig = false;
+                pack = Pack::Segments;
+            }
+            Refused::Degrade => {
+                if let Some(SendTargets::Segments { feed, .. }) = &mut msg.targets {
+                    *feed = Feed::Packed;
+                }
+                pack = Pack::Segments;
+            }
+            Refused::StageWhole => {
+                // The receiver's blocks are already pinned on its side:
+                // stream the staged copy into them.
+                msg.mw_stage = true;
+                msg.reg_done = true;
+                pack = Pack::Whole;
+            }
+            Refused::Renegotiate => return false,
+        }
+    }
+    if pack == Pack::None || !msg.pack_bufs.is_empty() {
         return true;
-    };
+    }
+    if pack == Pack::Whole {
+        (msg.nsegs, msg.seg_size) = (1, msg.size);
+        let sb = acquire_stage(rs, ctx, msg.size);
+        msg.pack_bufs.push(sb);
+    } else {
+        for _ in 0..msg.nsegs {
+            let sb = acquire_seg(rs, ctx, false);
+            msg.pack_bufs.push(sb);
+        }
+    }
+    start_pack_chain(rs, ctx, msg);
+    true
+}
+
+/// The one pin routine of the sender: registers through OGR the user
+/// blocks `pin` names that no registration of the message covers yet,
+/// and schedules `SenderRegDone`; with nothing left to pin, posting may
+/// proceed once any registration in flight completes. Returns `false`,
+/// pinning and scheduling nothing, when the pinning budget refuses.
+fn pin_send(rs: &mut RankState, ctx: &mut Ctx<'_, '_>, msg: &mut SendMsg, pin: Pin) -> bool {
+    if pin == Pin::None {
+        return true;
+    }
     let tplan = rs.plan_for(&msg.ty, msg.count);
     let mut blocks = rs.scratch.take_blocks();
-    for &(lo, hi, _) in direct {
-        blocks_in_range(&tplan, msg.buf, lo, hi, &mut blocks);
+    match &msg.targets {
+        Some(SendTargets::Segments {
+            feed: Feed::Hybrid { direct, .. },
+            ..
+        }) if pin == Pin::HybridDirect => {
+            for &(lo, hi, _) in direct {
+                blocks_in_range(&tplan, msg.buf, lo, hi, &mut blocks);
+            }
+        }
+        _ => {
+            abs_blocks_into(&tplan, msg.buf, &mut blocks);
+            if pin == Pin::HybridDirect {
+                blocks.retain(|&(_, l)| l >= ctx.cfg.hybrid_block_threshold);
+            }
+        }
     }
-    // Drop blocks already covered by registrations acquired earlier
-    // (the prediction, or the contiguous-sender fast path).
     blocks.retain(|&(a, l)| !msg.user_regs.iter().any(|r| r.covers(a, l)));
     if blocks.is_empty() {
-        // Prediction covered everything (or no direct part): posting
-        // may proceed as soon as any in-flight registration completes.
         rs.scratch.put_blocks(blocks);
         if msg.user_regs.is_empty() {
             msg.reg_done = true;
         }
         return true;
     }
-    // The receiver's partition needs more coverage than predicted.
     let regions = ogr::plan(&blocks, &ctx.host.reg).regions;
     rs.scratch.put_blocks(blocks);
-    let Some(cost) =
-        try_acquire_user_regs(rs, ctx, &regions, &mut msg.user_regs, &mut msg.pinned_bytes)
-    else {
+    let (regs, pinned) = (&mut msg.user_regs, &mut msg.pinned_bytes);
+    let Some(mut cost) = try_acquire_user_regs(rs, ctx, &regions, regs, pinned) else {
         return false;
     };
+    if pin == Pin::User {
+        cost += device_reg_extra(ctx, rs.rank, msg.buf);
+    }
     msg.reg_done = false;
     let done = rs.cpu.reserve_labeled(ctx.now(), cost, "reg");
     let (peer, seq) = (msg.peer, msg.seq);
     ctx.cpu_event(done, rs.rank, CpuAct::SenderRegDone { peer, seq });
     true
-}
-
-/// Registers the sender's user buffer via OGR (RWG-UP / Multi-W).
-/// Returns `false` — acquiring nothing and scheduling nothing — when
-/// the pinning budget would be exceeded.
-fn sender_register(rs: &mut RankState, ctx: &mut Ctx<'_, '_>, msg: &mut SendMsg) -> bool {
-    let plan = rs.plan_for(&msg.ty, msg.count);
-    let mut blocks = rs.scratch.take_blocks();
-    abs_blocks_into(&plan, msg.buf, &mut blocks);
-    let regions = ogr::plan(&blocks, &ctx.host.reg).regions;
-    rs.scratch.put_blocks(blocks);
-    let acquired =
-        try_acquire_user_regs(rs, ctx, &regions, &mut msg.user_regs, &mut msg.pinned_bytes);
-    let Some(mut cost) = acquired else {
-        return false;
-    };
-    cost += device_reg_extra(ctx, rs.rank, msg.buf);
-    let done = rs.cpu.reserve_labeled(ctx.now(), cost, "reg");
-    ctx.cpu_event(
-        done,
-        rs.rank,
-        CpuAct::SenderRegDone {
-            peer: msg.peer,
-            seq: msg.seq,
-        },
-    );
-    true
-}
-
-/// Assigns pack staging buffers for all segments.
-fn assign_pack_bufs(rs: &mut RankState, ctx: &mut Ctx<'_, '_>, msg: &mut SendMsg) {
-    for _ in 0..msg.nsegs {
-        let sb = acquire_seg(rs, ctx, false);
-        msg.pack_bufs.push(sb);
-    }
 }
 
 /// Starts (or continues) the sender's pack chain: one segment of the
@@ -2501,38 +2284,18 @@ fn start_pack_chain(rs: &mut RankState, ctx: &mut Ctx<'_, '_>, msg: &mut SendMsg
     let lo = k as u64 * msg.seg_size;
     let hi = lo + seg_len(msg, k);
     let mut data = rs.scratch.take_bytes((hi - lo) as usize);
-    let (mut cursor, mut blocks) = (0usize, 0usize);
-    for_each_substream_piece(&msg.packed_ivs, lo, hi, |a, b| {
-        let n = (b - a) as usize;
-        pack_range(
-            ctx,
-            rank,
-            &plan,
-            msg.buf,
-            a,
-            b,
-            &mut data[cursor..cursor + n],
-        );
-        cursor += n;
-        blocks += plan.block_count_in(a, b).expect("range valid").0;
-    });
+    let (range, staged) = ((lo, hi), Staged::Pack(&mut data));
+    let charge = Charge::Segment("pack");
+    let ivs = &msg.packed_ivs;
+    let done = copy_step(rs, ctx, &plan, msg.buf, ivs, range, hi - lo, staged, charge);
     ctx.mems[rank as usize]
         .space
         .write(msg.pack_bufs[k as usize].va, &data)
         .expect("pack buffer writable");
     rs.scratch.put_bytes(data);
-    let buf = msg.buf;
-    let done = charge_copy(rs, ctx, buf, blocks, hi - lo, false, "pack");
     msg.pack_chain_running = true;
-    ctx.cpu_event(
-        done,
-        rs.rank,
-        CpuAct::PackSeg {
-            peer: msg.peer,
-            seq: msg.seq,
-            k,
-        },
-    );
+    let (peer, seq) = (msg.peer, msg.seq);
+    ctx.cpu_event(done, rs.rank, CpuAct::PackSeg { peer, seq, k });
 }
 
 /// Bytes of packed segment `k`.
@@ -2606,7 +2369,10 @@ fn try_post_ready(
             msg.direct_posted = true;
             post_wrs(rs, ctx, msg.peer, wrs, true)
         }
-        Some(SendTargets::Segments { segs, .. }) if msg.scheme == Scheme::RwgUp => {
+        Some(SendTargets::Segments {
+            segs,
+            feed: Feed::Gathered,
+        }) => {
             // Resume-aware: after a connection recovery `posted_segs`
             // holds the receiver-acknowledged prefix, and the gather
             // writes restart from that segment boundary.
@@ -2691,40 +2457,37 @@ fn post_segments(
     ctx: &mut Ctx<'_, '_>,
     msg: &mut SendMsg,
 ) -> Result<(), MpiError> {
-    let Some(SendTargets::Segments {
-        segs,
-        direct,
-        regions,
-    }) = &msg.targets
-    else {
+    let Some(SendTargets::Segments { segs, feed }) = &msg.targets else {
         unreachable!("segment pipeline without segment targets");
     };
-    let hybrid = msg.scheme == Scheme::Hybrid;
     let (peer, seq, max_sge) = (msg.peer, msg.seq, ctx.net.max_sge);
-    if hybrid && !msg.reg_done {
-        return Ok(());
-    }
-    if hybrid && !msg.direct_posted {
-        msg.direct_posted = true;
-        let tplan = rs.plan_for(&msg.ty, msg.count);
-        let regs = &msg.user_regs;
-        let lkey = |a, l| lkey_for(regs, a, l);
-        let rkey = |a, l| region_key(regions, a, l);
-        let frame = WrFrame::write(WR_DATA | seq, max_sge, lkey, rkey);
-        let mut blocks = rs.scratch.take_blocks();
-        let mut wrs = Vec::new();
-        for &(lo, hi, dst) in direct {
-            blocks.clear();
-            blocks_in_range(&tplan, msg.buf, lo, hi, &mut blocks);
-            plan_gather(&frame, &blocks, dst, Tail::default(), &mut wrs);
+    let hybrid = matches!(feed, Feed::Hybrid { .. });
+    if let Feed::Hybrid { direct, regions } = feed {
+        if !msg.reg_done {
+            return Ok(());
         }
-        rs.scratch.put_blocks(blocks);
-        post_wrs(rs, ctx, peer, wrs, true)?;
-        // Staging for the small-block substream (if any): the pack
-        // chain starts once the direct writes are out.
-        if msg.pack_bufs.is_empty() {
-            for _ in 0..msg.nsegs {
-                msg.pack_bufs.push(acquire_seg(rs, ctx, false));
+        if !msg.direct_posted {
+            msg.direct_posted = true;
+            let tplan = rs.plan_for(&msg.ty, msg.count);
+            let regs = &msg.user_regs;
+            let lkey = |a, l| lkey_for(regs, a, l);
+            let rkey = |a, l| region_key(regions, a, l);
+            let frame = WrFrame::write(WR_DATA | seq, max_sge, lkey, rkey);
+            let mut blocks = rs.scratch.take_blocks();
+            let mut wrs = Vec::new();
+            for &(lo, hi, dst) in direct {
+                blocks.clear();
+                blocks_in_range(&tplan, msg.buf, lo, hi, &mut blocks);
+                plan_gather(&frame, &blocks, dst, Tail::default(), &mut wrs);
+            }
+            rs.scratch.put_blocks(blocks);
+            post_wrs(rs, ctx, peer, wrs, true)?;
+            // Staging for the small-block substream (if any): the pack
+            // chain starts once the direct writes are out.
+            if msg.pack_bufs.is_empty() {
+                for _ in 0..msg.nsegs {
+                    msg.pack_bufs.push(acquire_seg(rs, ctx, false));
+                }
             }
         }
     }
@@ -2738,18 +2501,20 @@ fn post_segments(
         post_wrs(rs, ctx, peer, [wr], false)?;
         msg.posted_segs += 1;
     }
-    if hybrid && !msg.marker_posted && msg.posted_segs == msg.nsegs {
-        msg.marker_posted = true;
-        let first_region = regions.first().map(|&(a, _, key)| (a, key));
-        let Some((dst, rkey)) = segs.first().copied().or(first_region) else {
-            // A rendezvous message always has a target; fail typed
-            // rather than panicking on the protocol violation.
-            debug_assert!(false, "non-empty message has no hybrid target");
-            return Err(MpiError::UnknownMessage { peer, seq });
-        };
-        let frame = WrFrame::write(WR_DATA | seq, max_sge, |_, _| 0, |_, _| rkey);
-        let marker = frame.wr(&[], dst, Tail::imm(imm_of(seq, MARKER_K), true));
-        post_wrs(rs, ctx, peer, [marker], false)?;
+    if let Feed::Hybrid { regions, .. } = feed {
+        if !msg.marker_posted && msg.posted_segs == msg.nsegs {
+            msg.marker_posted = true;
+            let first_region = regions.first().map(|&(a, _, key)| (a, key));
+            let Some((dst, rkey)) = segs.first().copied().or(first_region) else {
+                // A rendezvous message always has a target; fail typed
+                // rather than panicking on the protocol violation.
+                debug_assert!(false, "non-empty message has no hybrid target");
+                return Err(MpiError::UnknownMessage { peer, seq });
+            };
+            let frame = WrFrame::write(WR_DATA | seq, max_sge, |_, _| 0, |_, _| rkey);
+            let marker = frame.wr(&[], dst, Tail::imm(imm_of(seq, MARKER_K), true));
+            post_wrs(rs, ctx, peer, [marker], false)?;
+        }
     }
     Ok(())
 }
@@ -2984,50 +2749,6 @@ fn blocks_in_range(plan: &TransferPlan, buf: Va, lo: u64, hi: u64, out: &mut Vec
         .expect("range valid");
 }
 
-/// Functional pack of a stream range into a caller-provided buffer of
-/// exactly `hi - lo` bytes (typically scratch-pool storage).
-fn pack_range(
-    ctx: &mut Ctx<'_, '_>,
-    rank: u32,
-    plan: &TransferPlan,
-    buf: Va,
-    lo: u64,
-    hi: u64,
-    out: &mut [u8],
-) {
-    let space = &ctx.mems[rank as usize].space;
-    let mem = space.slice(0, space.capacity()).expect("whole space view");
-    plan.pack(lo, hi, mem, buf as usize, out)
-        .expect("user buffer covers the datatype");
-}
-
-/// Functional unpack of a stream range from a slice into the user
-/// buffer.
-///
-/// The mutable view is narrowed to the plan's block envelope so the
-/// address space's dirty tracking (backing-store recycling) covers
-/// only the user buffer, not the whole memory.
-fn unpack_from_slice(
-    ctx: &mut Ctx<'_, '_>,
-    rank: u32,
-    plan: &TransferPlan,
-    buf: Va,
-    lo: u64,
-    hi: u64,
-    data: &[u8],
-) {
-    let space = &mut ctx.mems[rank as usize].space;
-    let cap = space.capacity();
-    let (env_lo, env_hi) = plan.envelope();
-    let vstart = ((buf as i128 + env_lo).clamp(0, cap as i128) as u64).min(buf.min(cap));
-    let vend = ((buf as i128 + env_hi).clamp(vstart as i128, cap as i128)) as u64;
-    let mem = space
-        .slice_mut(vstart, vend - vstart)
-        .expect("envelope view in range");
-    plan.unpack(lo, hi, data, mem, (buf - vstart) as usize)
-        .expect("user buffer covers the datatype");
-}
-
 // ---------------------------------------------------------------------
 // Connection manager: QP-death detection, re-establishment, re-drive
 // ---------------------------------------------------------------------
@@ -3242,12 +2963,7 @@ fn resend_eager_slot(rs: &mut RankState, ctx: &mut Ctx<'_, '_>, peer: u32, va: V
             }
         }
     };
-    let ready = rs.cpu.reserve_labeled(
-        ctx.now(),
-        ctx.cfg.ctrl_overhead_ns + ctx.net.post_single_ns,
-        "ctrl",
-    );
-    if !post_ctrl_slot(rs, ctx, peer, va, len, ready) {
+    if !post_ctrl_slot(rs, ctx, peer, va, len, 0) {
         rs.reconn
             .get_mut(&peer)
             .expect("reconnect scheduled")
@@ -3334,27 +3050,16 @@ fn renegotiate_send(
     // delivered, so no ambiguity).
     sender_release(rs, ctx, &mut old);
     let stats = rs.plan_for(&old.ty, old.count).stats();
-    let (req, peer, seq, tag, buf, count) =
-        (old.req, old.peer, old.seq, old.tag, old.buf, old.count);
+    let (peer, seq) = (old.peer, old.seq);
     let mut msg = SendMsg {
         renegotiated: true,
         drop_packs: old.drop_packs + u32::from(old.pack_chain_running),
         ..start_send(
-            rs,
-            ctx,
-            req,
-            peer,
-            seq,
-            tag,
-            buf,
-            count,
-            old.ty,
-            Scheme::BcSpup,
-            stats,
+            rs, ctx, old.req, peer, seq, old.tag, old.buf, old.count, old.ty, FALLBACK, stats,
         )
     };
-    assign_pack_bufs(rs, ctx, &mut msg);
-    start_pack_chain(rs, ctx, &mut msg);
+    let prep = send_prep(FALLBACK, msg.contig, PrepAt::Reply);
+    prepare_send(rs, ctx, &mut msg, prep);
     am.sends.insert((peer, seq), msg);
 }
 
@@ -3379,7 +3084,7 @@ fn receiver_renegotiate(
         drop_unpacks: old.drop_unpacks + old.segs_arrived.saturating_sub(old.segs_done),
         ..RecvMsg::new(rs, old.req, peer, seq, old.buf, old.count, old.ty)
     };
-    receiver_reply(rs, ctx, &mut msg, Scheme::BcSpup, Scheme::BcSpup);
+    receiver_reply(rs, ctx, &mut msg, FALLBACK, FALLBACK);
     am.recvs.insert((peer, seq), msg);
 }
 

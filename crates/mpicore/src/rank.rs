@@ -543,6 +543,25 @@ impl RankState {
         s
     }
 
+    /// Queues an eager message no posted receive matched, tracking the
+    /// payload-bearing backlog and its peak.
+    pub fn push_unexpected_eager(&mut self, peer: u32, tag: u32, seq: u64, data: Vec<u8>) {
+        if !data.is_empty() {
+            self.unexpected_eager += 1;
+            self.counters.peak_unexpected = self
+                .counters
+                .peak_unexpected
+                .max(self.unexpected_eager as u64);
+        }
+        let msg = Unexpected::Eager {
+            peer,
+            tag,
+            seq,
+            data,
+        };
+        self.unexpected.push_back(msg);
+    }
+
     /// Finds the first posted receive matching `(peer, tag)` and removes
     /// it. Posted receives may use [`ANY_SOURCE`] / [`ANY_TAG`]
     /// wildcards; incoming messages always carry concrete values.

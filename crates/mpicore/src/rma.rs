@@ -186,22 +186,24 @@ fn local_copy(
     dst_blocks: &[(Va, u64)],
 ) {
     let total: u64 = src_blocks.iter().map(|&(_, l)| l).sum();
-    // Gather source bytes, scatter to destination, block by block.
-    let mut data = Vec::with_capacity(total as usize);
-    {
-        let space = &ctx.mems[rs.rank as usize].space;
-        for &(a, l) in src_blocks {
-            data.extend_from_slice(space.slice(a, l).expect("src in bounds"));
-        }
-    }
+    // Gather source bytes, scatter to destination, block by block,
+    // through a recycled scratch buffer.
+    let mut data = rs.scratch.take_bytes(total as usize);
     let space = &mut ctx.mems[rs.rank as usize].space;
     let mut off = 0usize;
+    for &(a, l) in src_blocks {
+        let src = space.slice(a, l).expect("src in bounds");
+        data[off..off + l as usize].copy_from_slice(src);
+        off += l as usize;
+    }
+    off = 0;
     for &(a, l) in dst_blocks {
         space
             .write(a, &data[off..off + l as usize])
             .expect("dst in bounds");
         off += l as usize;
     }
+    rs.scratch.put_bytes(data);
     let blocks = src_blocks.len() + dst_blocks.len();
     let cost = ctx.host.copy_ns(blocks.max(1), total);
     rs.cpu.reserve_labeled(ctx.now(), cost, "pack");

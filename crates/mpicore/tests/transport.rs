@@ -9,7 +9,7 @@
 //! (datatype, size) cell — the headline claim of figure x17.
 
 use ibdt_datatype::Datatype;
-use ibdt_mpicore::progress::adaptive_choose;
+use ibdt_mpicore::plan::adaptive_choose;
 use ibdt_mpicore::{
     AppOp, Cluster, ClusterSpec, FaultPlan, MpiConfig, Program, RunStats, Scheme, ShmConfig,
     ShmCopyMode, TransportClass, TransportConfig,

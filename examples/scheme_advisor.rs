@@ -7,7 +7,7 @@
 //! ```
 
 use ibdt::datatype::Datatype;
-use ibdt::mpicore::progress::adaptive_choose;
+use ibdt::mpicore::plan::adaptive_choose;
 use ibdt::mpicore::{ClusterSpec, MpiConfig, Scheme, TransportClass};
 use ibdt::workloads::drivers::pingpong;
 
