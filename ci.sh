@@ -65,6 +65,9 @@ echo "==> lines of code per crate (report only, no threshold)"
 echo "==> cargo build --release"
 cargo build --release --workspace
 
+echo "==> per-event smoke (fresh and recycled clusters bit-identical)"
+./target/release/per_event --smoke
+
 echo "==> figures byte-identical to results/"
 ./tools/figcheck.sh
 

@@ -23,6 +23,36 @@
 //! warm, already faulted-in buffer back. Observable behaviour is
 //! identical to a fresh zeroed allocation — the bitmap is exactly the
 //! set of pages that can differ from zero.
+//!
+//! # Slot window
+//!
+//! A rank's eager receive ring is `slots per peer × peers` fixed-size
+//! slots, but few of them hold a live message at once: a slot's bytes
+//! are live from the NIC's delivery until the descriptor is reposted,
+//! by which time they have been copied out. Flat backing would still
+//! fault in every slot the FIFO ring reaches, and recycling would
+//! re-zero all of it. [`AddressSpace::set_slot_window`] therefore
+//! marks the ring `[lo, lo+len)` as `slot`-byte slots served from a
+//! small per-space pool of slot-sized **frames**:
+//!
+//! * the first write to a slot binds a frame (a pooled one, or a new
+//!   one when the pool is empty);
+//! * a read of an unbound slot sees the window's flat bytes, which
+//!   nothing writes, so it reads zero exactly as fresh memory does;
+//! * [`AddressSpace::release`] zeroes the bytes written into the
+//!   slot's frame and returns the frame to the pool;
+//!   [`AddressSpace::reset`] does the same for every bound frame and
+//!   removes the window. Pooled frames stay with the space, so a
+//!   recycled cluster allocates none; a dropped space frees them.
+//!
+//! Addresses are unchanged — only the host backing differs — so the
+//! pool's size follows messages in flight, not the slot count or the
+//! run length ([`AddressSpace::slot_frames`]). Every access overlapping
+//! the window must lie inside one slot, since a frame is one buffer: a
+//! straddling access trips a debug assertion and otherwise fails with
+//! [`MemError::SlotStraddle`]. Bytes zeroed by `release` and `reset`
+//! count in [`AddressSpace::pool_stats`]' zeroed total, next to the
+//! dirty pages recycling re-zeroes.
 
 use crate::error::MemError;
 use std::cell::{Cell, RefCell};
@@ -62,11 +92,165 @@ pub struct AddressSpace {
     /// the page. Exact (no over-approximation), so recycling re-zeros
     /// only bytes that were really reachable by a write.
     dirty: Vec<u64>,
+    /// The slot window and its frame pool (see the module docs).
+    win: SlotWindow,
+}
+
+/// A slot-sized buffer backing one bound slot of the window.
+#[derive(Debug)]
+struct Frame {
+    bytes: Box<[u8]>,
+    /// `[lo, hi)`: the bytes written since the frame was bound, the
+    /// only ones that can be non-zero (empty when `hi == 0`).
+    lo: usize,
+    hi: usize,
+}
+
+impl Frame {
+    fn touch(&mut self, off: usize, len: usize) {
+        if len == 0 {
+            return;
+        }
+        if self.hi == 0 {
+            (self.lo, self.hi) = (off, off + len);
+        } else {
+            (self.lo, self.hi) = (self.lo.min(off), self.hi.max(off + len));
+        }
+    }
+
+    /// Zeroes the written bytes and returns how many there were.
+    fn scrub(&mut self) -> u64 {
+        self.bytes[self.lo..self.hi].fill(0);
+        let n = (self.hi - self.lo) as u64;
+        (self.lo, self.hi) = (0, 0);
+        n
+    }
+}
+
+/// `[lo, hi)` cut into `slot`-byte slots, each bound to a frame or not.
+/// Without a window `lo == hi == 0`.
+#[derive(Debug, Default)]
+struct SlotWindow {
+    lo: Va,
+    hi: Va,
+    slot: u64,
+    /// Per slot: index into `frames` plus one, or 0 while unbound.
+    bound: Vec<u32>,
+    /// Every frame the space has allocated, bound or pooled.
+    frames: Vec<Frame>,
+    /// Indices of the pooled (unbound, all-zero) frames.
+    free: Vec<u32>,
+}
+
+impl SlotWindow {
+    /// Slot index and offset of `[addr, addr+len)` when it overlaps
+    /// the window, `None` when it lies wholly outside.
+    #[inline]
+    fn locate(&self, addr: Va, len: u64) -> Result<Option<(usize, usize)>, MemError> {
+        if len == 0 || addr >= self.hi || addr + len <= self.lo {
+            return Ok(None);
+        }
+        let rel = addr.wrapping_sub(self.lo);
+        let inside = addr >= self.lo && rel % self.slot + len <= self.slot;
+        debug_assert!(
+            inside,
+            "access [{addr:#x}, +{len}) straddles a {}-byte slot of the window [{:#x}, {:#x})",
+            self.slot, self.lo, self.hi
+        );
+        if !inside {
+            return Err(MemError::SlotStraddle { addr, len });
+        }
+        Ok(Some((
+            (rel / self.slot) as usize,
+            (rel % self.slot) as usize,
+        )))
+    }
+
+    fn frame(&self, slot: usize) -> Option<&Frame> {
+        self.bound[slot]
+            .checked_sub(1)
+            .map(|f| &self.frames[f as usize])
+    }
+
+    /// Writable bytes `[off, off+len)` of `slot`'s frame, binding one
+    /// first if the slot has none.
+    fn bind(&mut self, slot: usize, off: usize, len: usize) -> &mut [u8] {
+        let f = match self.bound[slot].checked_sub(1) {
+            Some(f) => f,
+            None => {
+                let f = self.free.pop().unwrap_or_else(|| {
+                    self.frames.push(Frame {
+                        bytes: vec![0; self.slot as usize].into_boxed_slice(),
+                        lo: 0,
+                        hi: 0,
+                    });
+                    (self.frames.len() - 1) as u32
+                });
+                self.bound[slot] = f + 1;
+                f
+            }
+        };
+        let frame = &mut self.frames[f as usize];
+        frame.touch(off, len);
+        &mut frame.bytes[off..off + len]
+    }
+
+    /// Scrubs `slot`'s frame, if bound, back into the pool; returns
+    /// the bytes zeroed.
+    fn unbind(&mut self, slot: usize) -> u64 {
+        match std::mem::take(&mut self.bound[slot]).checked_sub(1) {
+            Some(f) => {
+                self.free.push(f);
+                self.frames[f as usize].scrub()
+            }
+            None => 0,
+        }
+    }
+
+    /// Unbinds every slot and removes the window, keeping the frames
+    /// pooled; returns the bytes zeroed.
+    fn clear(&mut self) -> u64 {
+        let zeroed = (0..self.bound.len()).map(|s| self.unbind(s)).sum();
+        self.bound.clear();
+        (self.lo, self.hi) = (0, 0);
+        zeroed
+    }
 }
 
 /// Bitmap words needed for `capacity` bytes of pages.
 fn bitmap_words(capacity: u64) -> usize {
     (capacity.div_ceil(PAGE) as usize).div_ceil(64)
+}
+
+/// Zeroes the bytes of `[lo, hi)` on dirty pages and clears the bits
+/// of the pages it covers whole; returns the bytes zeroed.
+fn zero_dirty(mem: &mut [u8], dirty: &mut [u64], lo: u64, hi: u64) -> u64 {
+    let hi = hi.min(mem.len() as u64);
+    if lo >= hi {
+        return 0;
+    }
+    let (first, last) = (lo / PAGE, (hi - 1) / PAGE);
+    let mut zeroed = 0u64;
+    let w0 = (first / 64) as usize;
+    for (w, bits) in dirty[w0..=(last / 64) as usize].iter_mut().enumerate() {
+        let mut word = *bits;
+        while word != 0 {
+            let bit = word.trailing_zeros() as u64;
+            word &= word - 1;
+            let page = (w0 + w) as u64 * 64 + bit;
+            if page < first || page > last {
+                continue;
+            }
+            let (plo, phi) = (page * PAGE, (page * PAGE + PAGE).min(mem.len() as u64));
+            let (a, b) = (plo.max(lo), phi.min(hi));
+            mem[a as usize..b as usize].fill(0);
+            zeroed += b - a;
+            if (a, b) == (plo, phi) {
+                *bits &= !(1 << bit);
+            }
+        }
+    }
+    zeroed
 }
 
 impl AddressSpace {
@@ -90,18 +274,7 @@ impl AddressSpace {
             .flatten();
         let (mem, dirty) = match recycled {
             Some(Retired { mut mem, mut dirty }) => {
-                let mut zeroed = 0u64;
-                for (w, slot) in dirty.iter_mut().enumerate() {
-                    let mut word = std::mem::take(slot);
-                    while word != 0 {
-                        let page = (w as u64) * 64 + word.trailing_zeros() as u64;
-                        let lo = page * PAGE;
-                        let hi = (lo + PAGE).min(capacity);
-                        mem[lo as usize..hi as usize].fill(0);
-                        zeroed += hi - lo;
-                        word &= word - 1;
-                    }
-                }
+                let zeroed = zero_dirty(&mut mem, &mut dirty, 0, capacity);
                 SP_REUSES.with(|c| c.set(c.get() + 1));
                 SP_ZEROED.with(|c| c.set(c.get() + zeroed));
                 (mem, dirty)
@@ -119,6 +292,7 @@ impl AddressSpace {
             brk: 64, // reserve a null guard region
             allocs: 0,
             dirty,
+            win: SlotWindow::default(),
         }
     }
 
@@ -128,22 +302,13 @@ impl AddressSpace {
     /// `new` round trip without the pool detour — the same buffer is
     /// reused and exactly the dirty pages are re-zeroed — so it is
     /// accounted identically in [`AddressSpace::pool_stats`] (one
-    /// reuse, the zeroed bytes). Observable contents afterwards are
-    /// all-zero, as from a fresh space.
+    /// reuse, the zeroed bytes). Every bound slot frame is scrubbed
+    /// back into the frame pool and the slot window is removed.
+    /// Observable contents afterwards are all-zero, as from a fresh
+    /// space.
     pub fn reset(&mut self) {
         let capacity = self.mem.len() as u64;
-        let mut zeroed = 0u64;
-        for (w, slot) in self.dirty.iter_mut().enumerate() {
-            let mut word = std::mem::take(slot);
-            while word != 0 {
-                let page = (w as u64) * 64 + word.trailing_zeros() as u64;
-                let lo = page * PAGE;
-                let hi = (lo + PAGE).min(capacity);
-                self.mem[lo as usize..hi as usize].fill(0);
-                zeroed += hi - lo;
-                word &= word - 1;
-            }
-        }
+        let zeroed = zero_dirty(&mut self.mem, &mut self.dirty, 0, capacity) + self.win.clear();
         SP_REUSES.with(|c| c.set(c.get() + 1));
         SP_ZEROED.with(|c| c.set(c.get() + zeroed));
         self.brk = 64;
@@ -152,7 +317,9 @@ impl AddressSpace {
 
     /// `(fresh allocations, pool reuses, bytes re-zeroed)` by this
     /// thread's backing-store pool since the last
-    /// [`AddressSpace::reset_pool_stats`].
+    /// [`AddressSpace::reset_pool_stats`]. The zeroed bytes include
+    /// those [`AddressSpace::release`] and [`AddressSpace::reset`]
+    /// scrub from slot frames.
     pub fn pool_stats() -> (u64, u64, u64) {
         (
             SP_ALLOCS.with(Cell::get),
@@ -188,6 +355,54 @@ impl AddressSpace {
             }
             self.dirty[lw] |= !0u64 >> (63 - lb);
         }
+    }
+
+    /// Serves `[lo, lo+len)` as `slot`-byte slots from the frame pool
+    /// (see the module docs), replacing any earlier window. Dirty flat
+    /// bytes under the window are zeroed first, so an unbound slot
+    /// reads zero. Panics unless `slot` is non-zero and divides `len`.
+    pub fn set_slot_window(&mut self, lo: Va, len: u64, slot: u64) -> Result<(), MemError> {
+        self.check(lo, len)?;
+        assert!(
+            slot > 0 && len.is_multiple_of(slot),
+            "slot window of {len} bytes is not a whole number of {slot}-byte slots"
+        );
+        let mut zeroed = self.win.clear();
+        if self.win.slot != slot {
+            self.win.frames.clear();
+            self.win.free.clear();
+        }
+        zeroed += zero_dirty(&mut self.mem, &mut self.dirty, lo, lo + len);
+        SP_ZEROED.with(|c| c.set(c.get() + zeroed));
+        let w = &mut self.win;
+        (w.lo, w.hi, w.slot) = (lo, lo + len, slot);
+        w.bound.resize((len / slot) as usize, 0);
+        Ok(())
+    }
+
+    /// Returns the frame of the slot holding `va` to the pool, zeroing
+    /// the bytes written into it: the slot reads zero again. A no-op
+    /// for an unbound slot; `va` must lie inside the slot window.
+    pub fn release(&mut self, va: Va) {
+        let w = &mut self.win;
+        debug_assert!(
+            (w.lo..w.hi).contains(&va),
+            "release of {va:#x} outside the slot window [{:#x}, {:#x})",
+            w.lo,
+            w.hi
+        );
+        if (w.lo..w.hi).contains(&va) {
+            let zeroed = w.unbind(((va - w.lo) / w.slot) as usize);
+            SP_ZEROED.with(|c| c.set(c.get() + zeroed));
+        }
+    }
+
+    /// `(bound, pooled)` slot frames. Frames are allocated only when
+    /// the pool is empty, so their sum is the peak number ever bound
+    /// at once by this space.
+    pub fn slot_frames(&self) -> (usize, usize) {
+        let w = &self.win;
+        (w.frames.len() - w.free.len(), w.free.len())
     }
 
     /// Total capacity in bytes.
@@ -245,19 +460,29 @@ impl AddressSpace {
         Ok(())
     }
 
-    /// Immutable view of `[addr, addr+len)`.
+    /// Immutable view of `[addr, addr+len)`. A view overlapping the
+    /// slot window must lie inside one slot.
     pub fn slice(&self, addr: Va, len: u64) -> Result<&[u8], MemError> {
         self.check(addr, len)?;
+        if let Some((slot, off)) = self.win.locate(addr, len)? {
+            if let Some(f) = self.win.frame(slot) {
+                return Ok(&f.bytes[off..off + len as usize]);
+            }
+        }
         Ok(&self.mem[addr as usize..(addr + len) as usize])
     }
 
-    /// Mutable view of `[addr, addr+len)`.
+    /// Mutable view of `[addr, addr+len)`. A view overlapping the slot
+    /// window must lie inside one slot, and binds it a frame.
     ///
     /// Conservatively marks the whole range dirty — keep views as
     /// narrow as the write actually needs, or recycled spaces pay to
     /// re-zero bytes that were never touched.
     pub fn slice_mut(&mut self, addr: Va, len: u64) -> Result<&mut [u8], MemError> {
         self.check(addr, len)?;
+        if let Some((slot, off)) = self.win.locate(addr, len)? {
+            return Ok(self.win.bind(slot, off, len as usize));
+        }
         self.mark_dirty(addr, len);
         Ok(&mut self.mem[addr as usize..(addr + len) as usize])
     }
@@ -284,9 +509,21 @@ impl AddressSpace {
             src + len <= dst || dst + len <= src || src == dst,
             "overlapping copy_within"
         );
-        self.mark_dirty(dst, len);
-        self.mem
-            .copy_within(src as usize..(src + len) as usize, dst as usize);
+        if self.win.locate(src, len)?.is_none() && self.win.locate(dst, len)?.is_none() {
+            self.mark_dirty(dst, len);
+            self.mem
+                .copy_within(src as usize..(src + len) as usize, dst as usize);
+            return Ok(());
+        }
+        // A slot's bytes live in a frame, apart from the flat memory:
+        // bounce them through the stack.
+        let mut chunk = [0u8; 1024];
+        for at in (0..len).step_by(chunk.len()) {
+            let n = (len - at).min(chunk.len() as u64);
+            let chunk = &mut chunk[..n as usize];
+            chunk.copy_from_slice(self.slice(src + at, n)?);
+            self.slice_mut(dst + at, n)?.copy_from_slice(chunk);
+        }
         Ok(())
     }
 
@@ -446,6 +683,147 @@ mod tests {
         assert_eq!(reuses, 4);
         // Each reuse re-zeroed one dirty page, not the whole megabyte.
         assert_eq!(zeroed, 4 * PAGE);
+    }
+
+    /// A space with a six-slot window of 4000-byte slots at 10_000
+    /// (neither end page-aligned).
+    fn windowed() -> AddressSpace {
+        let mut a = AddressSpace::new(64 << 10);
+        a.set_slot_window(10_000, 6 * 4000, 4000).unwrap();
+        a
+    }
+
+    #[test]
+    fn slot_frames_bind_on_write_and_return_on_release() {
+        let mut a = windowed();
+        assert_eq!(
+            a.read(14_000, 16).unwrap(),
+            vec![0; 16],
+            "unbound slot reads zero"
+        );
+        assert_eq!(a.slot_frames(), (0, 0), "reads bind nothing");
+        a.write(14_000, &[7; 16]).unwrap();
+        a.fill(22_100, 8, 9).unwrap();
+        assert_eq!(a.slot_frames(), (2, 0));
+        assert_eq!(a.read(14_000, 16).unwrap(), vec![7; 16]);
+        assert_eq!(a.read(22_100, 8).unwrap(), vec![9; 8]);
+        a.release(14_000);
+        assert_eq!(a.slot_frames(), (1, 1));
+        assert_eq!(a.read(14_000, 16).unwrap(), vec![0; 16]);
+        a.release(14_000);
+        assert_eq!(
+            a.slot_frames(),
+            (1, 1),
+            "releasing an unbound slot is a no-op"
+        );
+        // Flat bytes around the window are untouched by slot traffic.
+        a.write(9_990, &[1; 10]).unwrap();
+        a.write(34_000, &[2; 10]).unwrap();
+        assert_eq!(a.read(9_990, 10).unwrap(), vec![1; 10]);
+        assert_eq!(a.read(10_000, 10).unwrap(), vec![0; 10]);
+        assert_eq!(a.read(34_000, 10).unwrap(), vec![2; 10]);
+        assert_eq!(a.dirty.iter().map(|w| w.count_ones()).sum::<u32>(), 2);
+    }
+
+    #[test]
+    fn rebound_slot_reads_zero_past_its_new_write() {
+        let mut a = windowed();
+        a.write(10_000, &[0xAA; 3000]).unwrap();
+        a.release(10_000);
+        // The pooled frame binds to another slot with a shorter write.
+        a.write(18_000 + 100, &[0xBB; 50]).unwrap();
+        assert_eq!(a.slot_frames(), (1, 0), "the pooled frame was reused");
+        let slot = a.read(18_000, 4000).unwrap();
+        assert!(slot[..100].iter().all(|&b| b == 0));
+        assert!(slot[100..150].iter().all(|&b| b == 0xBB));
+        assert!(
+            slot[150..].iter().all(|&b| b == 0),
+            "stale bytes past the new write"
+        );
+        assert_eq!(a.read(10_000, 4000).unwrap(), vec![0; 4000]);
+    }
+
+    #[test]
+    fn reset_frees_every_frame() {
+        let cap = (64u64 << 10) + 4096;
+        let mut a = AddressSpace::new(cap);
+        a.set_slot_window(8192, 4 * 4096, 4096).unwrap();
+        for s in 0..4 {
+            a.write(8192 + s * 4096 + 10, &[s as u8 + 1; 20]).unwrap();
+        }
+        a.release(8192);
+        assert_eq!(a.slot_frames(), (3, 1));
+        let (_, _, before) = AddressSpace::pool_stats();
+        a.reset();
+        assert_eq!(a.slot_frames(), (0, 4), "every frame back in the pool");
+        assert_eq!(
+            AddressSpace::pool_stats().2 - before,
+            3 * 20,
+            "reset counts exactly the bytes it scrubbed"
+        );
+        // The window is gone: the region is flat memory again, all zero.
+        assert!(a.slice(0, cap).unwrap().iter().all(|&x| x == 0));
+        a.set_slot_window(8192, 4 * 4096, 4096).unwrap();
+        a.write(8192, &[5; 8]).unwrap();
+        assert_eq!(a.slot_frames(), (1, 3), "pooled frames survive the reset");
+    }
+
+    #[test]
+    fn recycled_windowed_space_reads_all_zero() {
+        let cap = (1u64 << 20) + 8192;
+        {
+            let mut a = AddressSpace::new(cap);
+            a.write(100, &[0xFF; 64]).unwrap();
+            a.set_slot_window(65_536, 64 * 1024, 1024).unwrap();
+            for s in 0..64 {
+                a.fill(65_536 + s * 1024, 1024, 0xEE).unwrap();
+            }
+            a.release(65_536);
+        }
+        let b = AddressSpace::new(cap);
+        assert!(
+            b.slice(0, cap).unwrap().iter().all(|&x| x == 0),
+            "recycled space leaked previous contents"
+        );
+    }
+
+    #[test]
+    fn set_slot_window_zeroes_flat_bytes_under_it() {
+        let mut a = AddressSpace::new(64 << 10);
+        a.write(10_500, &[3; 100]).unwrap();
+        a.write(9_000, &[4; 10]).unwrap();
+        a.set_slot_window(10_000, 6 * 4000, 4000).unwrap();
+        assert_eq!(a.read(10_500, 100).unwrap(), vec![0; 100]);
+        assert_eq!(
+            a.read(9_000, 10).unwrap(),
+            vec![4; 10],
+            "bytes outside kept"
+        );
+    }
+
+    #[test]
+    fn copy_within_moves_bytes_across_the_window_edge() {
+        let mut a = windowed();
+        a.write(100, b"flat->slot").unwrap();
+        a.copy_within(100, 14_000, 10).unwrap();
+        a.copy_within(14_000, 18_500, 10).unwrap();
+        a.copy_within(18_500, 40_000, 10).unwrap();
+        assert_eq!(a.read(14_000, 10).unwrap(), b"flat->slot");
+        assert_eq!(a.read(18_500, 10).unwrap(), b"flat->slot");
+        assert_eq!(a.read(40_000, 10).unwrap(), b"flat->slot");
+    }
+
+    #[test]
+    #[cfg_attr(debug_assertions, should_panic(expected = "straddles"))]
+    fn access_straddling_a_slot_is_refused() {
+        let a = windowed();
+        assert_eq!(
+            a.slice(13_990, 20),
+            Err(MemError::SlotStraddle {
+                addr: 13_990,
+                len: 20
+            })
+        );
     }
 
     #[test]

@@ -42,6 +42,14 @@ pub enum MemError {
         /// Key of the busy region.
         key: u32,
     },
+    /// An access overlapped the slot window without lying inside one
+    /// slot (see [`AddressSpace::set_slot_window`](crate::AddressSpace::set_slot_window)).
+    SlotStraddle {
+        /// Start of the faulting access.
+        addr: Va,
+        /// Length of the faulting access.
+        len: u64,
+    },
 }
 
 impl fmt::Display for MemError {
@@ -70,6 +78,9 @@ impl fmt::Display for MemError {
                 "protection fault: key {key:#x} does not cover [{addr:#x}, +{len})"
             ),
             MemError::RegionInUse { key } => write!(f, "region {key:#x} still in use"),
+            MemError::SlotStraddle { addr, len } => {
+                write!(f, "access [{addr:#x}, +{len}) straddles a slot-window slot")
+            }
         }
     }
 }

@@ -1,9 +1,11 @@
-//! Randomized tests of the memory subsystem: OGR planning invariants
-//! and pin-down cache consistency, seeded via [`ibdt_testkit`].
+//! Randomized tests of the memory subsystem: OGR planning invariants,
+//! pin-down cache consistency and the slot window's frame backing,
+//! seeded via [`ibdt_testkit`].
 
+use ibdt_memreg::addr::copy_between;
 use ibdt_memreg::cache::Acquire;
 use ibdt_memreg::{
-    ogr, MemError, MrHandle, PindownCache, RegCostModel, RegTable, Registration, Va,
+    ogr, AddressSpace, MemError, MrHandle, PindownCache, RegCostModel, RegTable, Registration, Va,
 };
 use ibdt_simcore::time::Time;
 use ibdt_testkit::{cases, Rng};
@@ -358,6 +360,173 @@ fn pindown_cache_matches_linear_reference() {
                 t_ref.op_counts(),
                 "step {step}: table ops"
             );
+        }
+    });
+}
+
+/// Shape of a slot window inside a small space.
+#[derive(Clone, Copy)]
+struct Window {
+    lo: Va,
+    slot: u64,
+    slots: u64,
+    cap: u64,
+}
+
+impl Window {
+    fn random(rng: &mut Rng) -> Self {
+        let slot = rng.pick(&[256u64, 1000, 4096]);
+        let slots = rng.range_u64(1, 12);
+        let lo = rng.range_u64(64, 3 * 4096);
+        let cap = lo + slot * slots + rng.range_u64(1, 8192);
+        Window {
+            lo,
+            slot,
+            slots,
+            cap,
+        }
+    }
+
+    fn hi(&self) -> Va {
+        self.lo + self.slot * self.slots
+    }
+
+    fn space(&self) -> AddressSpace {
+        let mut a = AddressSpace::new(self.cap);
+        a.set_slot_window(self.lo, self.hi() - self.lo, self.slot)
+            .unwrap();
+        a
+    }
+
+    /// A random `len`-byte range the window contract allows: wholly
+    /// below or above the window, or inside one slot.
+    fn range(&self, rng: &mut Rng, len: u64) -> Option<Va> {
+        let (below, above) = (self.lo, self.cap - self.hi());
+        match rng.range_u64(0, 3) {
+            0 if len <= below => Some(rng.range_u64(0, below - len + 1)),
+            1 if len <= above => Some(self.hi() + rng.range_u64(0, above - len + 1)),
+            2 if len <= self.slot => {
+                let s = rng.range_u64(0, self.slots);
+                Some(self.lo + s * self.slot + rng.range_u64(0, self.slot - len + 1))
+            }
+            _ => None,
+        }
+    }
+
+    /// Every read the contract allows, piece by piece, must agree.
+    fn assert_same(&self, got: &AddressSpace, want: &AddressSpace, step: usize) {
+        let mut pieces = vec![(0, self.lo), (self.hi(), self.cap - self.hi())];
+        pieces.extend((0..self.slots).map(|s| (self.lo + s * self.slot, self.slot)));
+        for (a, l) in pieces {
+            assert!(
+                got.slice(a, l).unwrap() == want.slice(a, l).unwrap(),
+                "step {step}: [{a:#x}, +{l}) differs from the flat oracle"
+            );
+        }
+    }
+}
+
+/// A windowed space must read exactly like a flat one under random
+/// writes, fills, raw views, copies within and between spaces,
+/// releases of dead slots, resets and drop→new recycling — where a
+/// released slot reads zero, as a fresh slot would.
+#[test]
+fn slot_window_matches_a_flat_oracle() {
+    cases(0x3E60_0007, 256, |rng| {
+        let win = Window::random(rng);
+        let (mut got, mut want) = (win.space(), AddressSpace::new(win.cap));
+        // A flat peer per side for copy_between, kept identical.
+        let (mut peer_got, mut peer_want) = (AddressSpace::new(8192), AddressSpace::new(8192));
+        for step in 0..rng.range_usize(1, 80) {
+            let len = if rng.chance(0.1) {
+                0
+            } else {
+                rng.range_u64(1, win.slot.min(2048) + 1)
+            };
+            let Some(addr) = win.range(rng, len) else {
+                continue;
+            };
+            match rng.range_u64(0, 20) {
+                0..=4 => {
+                    let mut data = vec![0u8; len as usize];
+                    rng.fill_bytes(&mut data);
+                    got.write(addr, &data).unwrap();
+                    want.write(addr, &data).unwrap();
+                }
+                5..=6 => {
+                    let byte = rng.next_u32() as u8;
+                    got.fill(addr, len, byte).unwrap();
+                    want.fill(addr, len, byte).unwrap();
+                }
+                7..=8 => {
+                    let mut data = vec![0u8; len as usize];
+                    rng.fill_bytes(&mut data);
+                    got.slice_mut(addr, len).unwrap().copy_from_slice(&data);
+                    want.slice_mut(addr, len).unwrap().copy_from_slice(&data);
+                }
+                9..=11 => {
+                    let Some(dst) = win.range(rng, len) else {
+                        continue;
+                    };
+                    if addr < dst + len && dst < addr + len && addr != dst {
+                        continue;
+                    }
+                    got.copy_within(addr, dst, len).unwrap();
+                    want.copy_within(addr, dst, len).unwrap();
+                }
+                12..=13 => {
+                    let p = rng.range_u64(0, 8192 - len + 1);
+                    if rng.chance(0.5) {
+                        copy_between(&peer_got, p, &mut got, addr, len).unwrap();
+                        copy_between(&peer_want, p, &mut want, addr, len).unwrap();
+                    } else {
+                        copy_between(&got, addr, &mut peer_got, p, len).unwrap();
+                        copy_between(&want, addr, &mut peer_want, p, len).unwrap();
+                    }
+                }
+                14..=16 => {
+                    // The slot's bytes are dead: release it, and the
+                    // oracle sees it read zero again.
+                    let s = rng.range_u64(0, win.slots);
+                    let va = win.lo + s * win.slot + rng.range_u64(0, win.slot);
+                    got.release(va);
+                    want.fill(win.lo + s * win.slot, win.slot, 0).unwrap();
+                }
+                17 => {
+                    got.reset();
+                    want.reset();
+                    got.set_slot_window(win.lo, win.hi() - win.lo, win.slot)
+                        .unwrap();
+                }
+                18 => {
+                    drop((got, want));
+                    (got, want) = (win.space(), AddressSpace::new(win.cap));
+                }
+                _ => {
+                    // Frames are allocated only when none is pooled, so
+                    // the total never exceeds the slots ever bound.
+                    let (bound, pooled) = got.slot_frames();
+                    assert!((bound + pooled) as u64 <= win.slots, "step {step}");
+                }
+            }
+            if len > 0 {
+                assert_eq!(got.slice(addr, len), want.slice(addr, len), "step {step}");
+            }
+            assert!(
+                peer_got.slice(0, 8192).unwrap() == peer_want.slice(0, 8192).unwrap(),
+                "step {step}: copy_between out of the window diverged"
+            );
+        }
+        win.assert_same(&got, &want, usize::MAX);
+        // Release every slot: all frames are pooled and the window
+        // reads zero.
+        for s in 0..win.slots {
+            got.release(win.lo + s * win.slot);
+        }
+        assert_eq!(got.slot_frames().0, 0);
+        for s in 0..win.slots {
+            let slot = got.slice(win.lo + s * win.slot, win.slot).unwrap();
+            assert!(slot.iter().all(|&b| b == 0), "released slot {s} not zero");
         }
     });
 }

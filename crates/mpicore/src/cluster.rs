@@ -954,6 +954,14 @@ impl Cluster {
         )
     }
 
+    /// Post-run access to a rank's eager-ring frame pool: `(bound,
+    /// pooled)` frames backing its receive slots (see
+    /// [`AddressSpace::slot_frames`]; their sum is the peak bound at
+    /// once).
+    pub fn slot_frames(&self, rank: u32) -> (usize, usize) {
+        self.mems[rank as usize].space.slot_frames()
+    }
+
     /// Element-wise reduction of two local buffers over a datatype's
     /// elements. Functional immediately; host time charged on the CPU.
     #[allow(clippy::too_many_arguments)]
@@ -975,13 +983,26 @@ impl Cluster {
         let n = plan.total_bytes();
         let space = &self.mems[r].space;
         let cap = space.capacity();
-        let mem = space.slice(0, cap).expect("whole space view");
+        // Every view is narrowed to the operand's block envelope,
+        // widened to include the datatype origin: the write view so
+        // dirty tracking (backing-store recycling) stays proportional
+        // to the destination buffer, and every view so none spans the
+        // eager ring's slot window.
+        let (env_lo, env_hi) = plan.envelope();
+        let (env_lo, env_hi) = (env_lo.min(0), env_hi.max(0));
+        let view = |base: Va| {
+            let vstart = ((base as i128 + env_lo).clamp(0, cap as i128) as u64).min(base.min(cap));
+            let vend = (base as i128 + env_hi).clamp(vstart as i128, cap as i128) as u64;
+            (vstart, vend - vstart)
+        };
         let mut a = vec![0u8; n as usize];
         let mut b = vec![0u8; n as usize];
-        plan.pack(0, n, mem, dst as usize, &mut a)
-            .expect("dst covers the datatype");
-        plan.pack(0, n, mem, src as usize, &mut b)
-            .expect("src covers the datatype");
+        for (base, out) in [(dst, &mut a), (src, &mut b)] {
+            let (vstart, len) = view(base);
+            let mem = space.slice(vstart, len).expect("envelope view in range");
+            plan.pack(0, n, mem, (base - vstart) as usize, out)
+                .expect("operand covers the datatype");
+        }
         let w = prim.size() as usize;
         let mut failed = None;
         for (da, db) in a.chunks_exact_mut(w).zip(b.chunks_exact(w)) {
@@ -998,17 +1019,10 @@ impl Cluster {
             self.ranks[r].errors.push(e);
             return;
         }
-        // Narrow the mutable view to the blocks' envelope so dirty
-        // tracking (backing-store recycling) stays proportional to the
-        // destination buffer, not the whole space. The envelope is
-        // widened to include the datatype origin.
-        let (env_lo, env_hi) = plan.envelope();
-        let (env_lo, env_hi) = (env_lo.min(0), env_hi.max(0));
-        let space = &mut self.mems[r].space;
-        let vstart = ((dst as i128 + env_lo).clamp(0, cap as i128) as u64).min(dst.min(cap));
-        let vend = (dst as i128 + env_hi).clamp(vstart as i128, cap as i128) as u64;
-        let mem = space
-            .slice_mut(vstart, vend - vstart)
+        let (vstart, len) = view(dst);
+        let mem = self.mems[r]
+            .space
+            .slice_mut(vstart, len)
             .expect("envelope view in range");
         plan.unpack(0, n, &a, mem, (dst - vstart) as usize)
             .expect("dst covers the datatype");

@@ -1036,9 +1036,10 @@ fn copy_step(
 ) -> Time {
     let rank = rs.rank;
     let to_device = matches!(staged, Staged::Unpack(_));
-    // Unpacking writes through a view narrowed to the plan's block
-    // envelope, so the address space's dirty tracking (backing-store
-    // recycling) covers only the user buffer, not the whole memory.
+    // Both directions go through a view narrowed to the plan's block
+    // envelope: unpacking so the address space's dirty tracking
+    // (backing-store recycling) covers only the user buffer, and both
+    // so that no view spans the eager ring's slot window.
     let cap = ctx.mems[rank as usize].space.capacity();
     let (env_lo, env_hi) = plan.envelope();
     let vstart = ((buf as i128 + env_lo).clamp(0, cap as i128) as u64).min(buf.min(cap));
@@ -1052,8 +1053,10 @@ fn copy_step(
             let space = &mut ctx.mems[rank as usize].space;
             match &mut staged {
                 Staged::Pack(out) => {
-                    let mem = space.slice(0, cap).expect("whole space view");
-                    plan.pack(a, b, mem, buf as usize, &mut out[cursor..cursor + n])
+                    let mem = space.slice(vstart, vend - vstart);
+                    let mem = mem.expect("envelope view in range");
+                    let out = &mut out[cursor..cursor + n];
+                    plan.pack(a, b, mem, (buf - vstart) as usize, out)
                 }
                 Staged::Unpack(data) => {
                     let mem = space.slice_mut(vstart, vend - vstart);
@@ -1327,6 +1330,9 @@ fn drain_pending_eager(rs: &mut RankState, ctx: &mut Ctx<'_, '_>) {
 }
 
 fn repost_eager_recv(rs: &mut RankState, ctx: &mut Ctx<'_, '_>, peer: u32, va: Va) {
+    // The slot's bytes were copied out before the repost, so its host
+    // frame goes back to the space's pool (the model is unchanged).
+    ctx.mems[rs.rank as usize].space.release(va);
     rs.cpu
         .reserve_labeled(ctx.now(), ctx.net.post_recv_ns, "post-recv");
     let wr = RecvWr {

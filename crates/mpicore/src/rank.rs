@@ -327,6 +327,9 @@ impl RankState {
             .alloc_page_aligned(send_bytes + recv_bytes)
             .expect("address space too small for eager buffers");
         let reg = mem.regs.register(region, send_bytes + recv_bytes);
+        mem.space
+            .set_slot_window(region + send_bytes, recv_bytes, cfg.eager_buf_size)
+            .expect("eager receive ring inside the address space");
 
         let eager_send_free = (0..cfg.eager_send_bufs as u64)
             .rev()
@@ -412,6 +415,9 @@ impl RankState {
             .alloc_page_aligned(send_bytes + recv_bytes)
             .expect("reset address space fits the eager region");
         let reg = mem.regs.register(region, send_bytes + recv_bytes);
+        mem.space
+            .set_slot_window(region + send_bytes, recv_bytes, cfg.eager_buf_size)
+            .expect("eager receive ring inside the address space");
         debug_assert_eq!(region, self.eager_region, "deterministic layout");
         self.cpu.reset();
         self.dma.reset();
