@@ -3,6 +3,8 @@
 //! Runs the lightweight scale model's vector Alltoall at growing rank
 //! counts and reports wall-clock time and resident model state, showing
 //! memory scales with active pairs (window-bounded) rather than n².
+//! Each row also gives the events executed, the pending-event entries
+//! the per-window due scans examined per event, and host ns per event.
 //! Writes `results/x14.csv`.
 //!
 //! `--smoke` runs only the 1024-rank point and enforces the CI budget
@@ -45,9 +47,15 @@ fn smoke() -> i32 {
     let (rep, wall) = run_point(1024, 8, 8);
     let per_rank = rep.state_bytes / rep.ranks as usize;
     println!(
-        "scale smoke: 1024-rank vector Alltoall: {:.2}s wall, {} msgs, \
-         {} B state ({} B/rank), fingerprint {:#018x}",
-        wall, rep.msgs, rep.state_bytes, per_rank, rep.fingerprint
+        "scale smoke: 1024-rank vector Alltoall: {:.2}s wall, {} msgs, {} events \
+         ({:.1} ns/event), {} B state ({} B/rank), fingerprint {:#018x}",
+        wall,
+        rep.msgs,
+        rep.events,
+        wall * 1e9 / rep.events as f64,
+        rep.state_bytes,
+        per_rank,
+        rep.fingerprint
     );
     let mut ok = true;
     if wall > SMOKE_WALL_BUDGET_S {
@@ -214,21 +222,51 @@ fn main() {
         x15();
         return;
     }
-    let mut csv = String::from("ranks,shards,threads,msgs,finish_ns,wall_s,state_bytes\n");
+    let mut csv = String::from(
+        "ranks,shards,threads,msgs,finish_ns,wall_s,state_bytes,events,scanned,ns_per_event\n",
+    );
     println!(
-        "{:>6} {:>7} {:>8} {:>9} {:>14} {:>9} {:>12}",
-        "ranks", "shards", "threads", "msgs", "finish_ns", "wall_s", "state_bytes"
+        "{:>6} {:>7} {:>8} {:>9} {:>14} {:>9} {:>12} {:>10} {:>8} {:>9}",
+        "ranks",
+        "shards",
+        "threads",
+        "msgs",
+        "finish_ns",
+        "wall_s",
+        "state_bytes",
+        "events",
+        "scan/ev",
+        "ns/event"
     );
     for ranks in [64u32, 256, 1024, 4096] {
         for (shards, threads) in [(1usize, 1usize), (8, 8)] {
             let (rep, wall) = run_point(ranks, shards, threads);
+            let ns_per_event = wall * 1e9 / rep.events as f64;
             println!(
-                "{:>6} {:>7} {:>8} {:>9} {:>14} {:>9.3} {:>12}",
-                ranks, shards, threads, rep.msgs, rep.finish_ns, wall, rep.state_bytes
+                "{:>6} {:>7} {:>8} {:>9} {:>14} {:>9.3} {:>12} {:>10} {:>8.2} {:>9.1}",
+                ranks,
+                shards,
+                threads,
+                rep.msgs,
+                rep.finish_ns,
+                wall,
+                rep.state_bytes,
+                rep.events,
+                rep.scanned as f64 / rep.events as f64,
+                ns_per_event
             );
             csv.push_str(&format!(
-                "{},{},{},{},{},{:.4},{}\n",
-                ranks, shards, threads, rep.msgs, rep.finish_ns, wall, rep.state_bytes
+                "{},{},{},{},{},{:.4},{},{},{},{:.1}\n",
+                ranks,
+                shards,
+                threads,
+                rep.msgs,
+                rep.finish_ns,
+                wall,
+                rep.state_bytes,
+                rep.events,
+                rep.scanned,
+                ns_per_event
             ));
         }
     }

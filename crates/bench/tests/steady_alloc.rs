@@ -264,7 +264,7 @@ fn steady_state_allocation_contracts() {
 
     // Sharded scale driver: a 256-rank vector Alltoall, one shard and
     // eight.
-    for (shards, ceiling) in [(1usize, 38), (8, 111)] {
+    for (shards, ceiling) in [(1usize, 30), (8, 71)] {
         let cfg = ScaleConfig {
             ranks: 256,
             shards,
