@@ -96,9 +96,9 @@ fn steady_state_allocation_contracts() {
         results.push((name, ceiling, got));
     };
 
-    // Persistent eager send: plan-cache hit, scratch-pool staging,
-    // pack, copy-cost block count, and a pooled payload slab (buffer
-    // and `Arc` block reused).
+    // Persistent eager send: plan-cache hit, a pooled control buffer
+    // packed into behind its header, copy-cost block count, and a
+    // pooled payload slab (buffer and `Arc` block reused).
     {
         let ty = vector_ty(2);
         let n = ty.size();
@@ -112,12 +112,13 @@ fn steady_state_allocation_contracts() {
             512,
             &mut || {
                 let plan = cache.lookup(&mut registry, black_box(&ty), 1);
-                let mut staging = scratch.take_bytes(n as usize);
+                let mut staging = scratch.take_ctrl();
+                staging.resize(n as usize, 0);
                 plan.pack(0, n, &buf, 0, &mut staging).unwrap();
                 black_box(plan.block_count_in(0, n).unwrap());
                 let payload = Payload::build(n as usize, |v| v.extend_from_slice(&staging));
                 black_box(payload.as_slice());
-                scratch.put_bytes(staging);
+                scratch.put_ctrl(staging);
                 drop(payload);
             },
         );
@@ -254,7 +255,7 @@ fn steady_state_allocation_contracts() {
         spec.net.cq_depth = 256;
         check(
             format!("incast/fanin/8/credits/{credits}"),
-            477,
+            381,
             2,
             &mut || {
                 black_box(incast(&spec, 12, 512, 2_000));

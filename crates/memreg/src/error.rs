@@ -50,6 +50,17 @@ pub enum MemError {
         /// Length of the faulting access.
         len: u64,
     },
+    /// The read and write ranges of
+    /// [`AddressSpace::slice_pair`](crate::AddressSpace::slice_pair)
+    /// overlapped. Only their starts are kept, so the error stays no
+    /// larger than [`MemError::OutOfBounds`]: completions carry it
+    /// inline.
+    Overlap {
+        /// Start of the read range.
+        read: Va,
+        /// Start of the write range.
+        write: Va,
+    },
 }
 
 impl fmt::Display for MemError {
@@ -81,6 +92,10 @@ impl fmt::Display for MemError {
             MemError::SlotStraddle { addr, len } => {
                 write!(f, "access [{addr:#x}, +{len}) straddles a slot-window slot")
             }
+            MemError::Overlap { read, write } => write!(
+                f,
+                "read range at {read:#x} overlaps write range at {write:#x}"
+            ),
         }
     }
 }

@@ -549,16 +549,23 @@ impl Cluster {
             .expect("read within capacity")
     }
 
-    /// Fills a range with a deterministic byte pattern keyed by `seed`.
+    /// Fills a range with a deterministic byte pattern keyed by `seed`:
+    /// byte `i` is `((i * 2654435761 + seed * 977) >> 3) as u8`, in
+    /// wrapping arithmetic. That is bits 3..11 of the sum, which only
+    /// the low 11 bits of `i` reach, so the pattern repeats every
+    /// 2,048 bytes: one period is computed in place and tiled.
     pub fn fill_pattern(&mut self, rank: u32, addr: Va, len: u64, seed: u64) {
-        let data: Vec<u8> = (0..len)
-            .map(|i| {
-                ((i.wrapping_mul(2654435761)
-                    .wrapping_add(seed.wrapping_mul(977)))
-                    >> 3) as u8
-            })
-            .collect();
-        self.write_mem(rank, addr, &data);
+        const PERIOD: usize = 2048;
+        let mem = self.mems[rank as usize].space.slice_mut(addr, len);
+        let mem = mem.expect("write within capacity");
+        let (period, rest) = mem.split_at_mut(mem.len().min(PERIOD));
+        for (i, b) in period.iter_mut().enumerate() {
+            let x = (i as u64).wrapping_mul(2654435761);
+            *b = (x.wrapping_add(seed.wrapping_mul(977)) >> 3) as u8;
+        }
+        for tile in rest.chunks_mut(PERIOD) {
+            tile.copy_from_slice(&period[..tile.len()]);
+        }
     }
 
     /// Runs one program per rank to quiescence; returns statistics.
@@ -1497,6 +1504,36 @@ impl World for Cluster {
             self.events_handled += 1;
             if self.events_handled.is_multiple_of(64) {
                 self.audit_invariants(false);
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The tiled fill is the per-byte formula, byte for byte, at every
+    /// length around the 2,048-byte period and at unaligned addresses.
+    #[test]
+    fn fill_pattern_matches_the_formula() {
+        let mut cluster = Cluster::new(ClusterSpec::default());
+        let base = cluster.alloc(0, (2 << 20) + 4096, 4096);
+        for len in [0u64, 1, 2047, 2048, 2049, 4097, 2 << 20] {
+            for (off, seed) in [0u64, 3, 1021]
+                .into_iter()
+                .flat_map(|off| [0u64, 13, u64::MAX].map(|seed| (off, seed)))
+            {
+                cluster.fill_pattern(0, base + off, len, seed);
+                let got = cluster.read_mem(0, base + off, len);
+                for (i, &b) in got.iter().enumerate() {
+                    let i = i as u64;
+                    let want = ((i
+                        .wrapping_mul(2654435761)
+                        .wrapping_add(seed.wrapping_mul(977)))
+                        >> 3) as u8;
+                    assert_eq!(b, want, "len {len}, offset {off}, seed {seed}, byte {i}");
+                }
             }
         }
     }

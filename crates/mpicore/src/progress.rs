@@ -597,13 +597,9 @@ pub fn on_cqe(rs: &mut RankState, am: &mut ActiveMsgs, ctx: &mut Ctx<'_, '_>, cq
                 // buffer (the ring slot is reposted before dispatch, so
                 // the bytes cannot be borrowed in place).
                 let va = cqe.wr_id;
-                let mut bytes = rs.scratch.take_bytes(cqe.byte_len as usize);
-                bytes.copy_from_slice(
-                    ctx.mems[rs.rank as usize]
-                        .space
-                        .slice(va, cqe.byte_len)
-                        .expect("eager buffer readable"),
-                );
+                let space = &ctx.mems[rs.rank as usize].space;
+                let slot = space.slice(va, cqe.byte_len);
+                let bytes = rs.scratch.take_copy(slot.expect("eager buffer readable"));
                 repost_eager_recv(rs, ctx, cqe.peer, va);
                 on_ctrl(rs, am, ctx, cqe.peer, &bytes);
                 rs.scratch.put_bytes(bytes);
@@ -994,11 +990,15 @@ fn charge_copy(
     finish
 }
 
-/// The bytes a copy step moves: the user buffer is packed into the
-/// slice, or the slice unpacked into the user buffer.
+/// The packed side of a copy step, which the user buffer is packed
+/// into or unpacked from: a host slice (eager and self messages), or
+/// address-space staging buffers, one per costing unit (a message's
+/// `pack_bufs` / `unpack_bufs`), read and written in place.
 enum Staged<'d> {
     Pack(&'d mut [u8]),
     Unpack(&'d [u8]),
+    PackInto(&'d [StageBuf]),
+    UnpackFrom(&'d [StageBuf]),
 }
 
 /// How a copy step is charged.
@@ -1035,39 +1035,47 @@ fn copy_step(
     charge: Charge,
 ) -> Time {
     let rank = rs.rank;
-    let to_device = matches!(staged, Staged::Unpack(_));
+    let to_device = matches!(staged, Staged::Unpack(_) | Staged::UnpackFrom(_));
     // Both directions go through a view narrowed to the plan's block
     // envelope: unpacking so the address space's dirty tracking
     // (backing-store recycling) covers only the user buffer, and both
-    // so that no view spans the eager ring's slot window.
+    // so that no view spans the eager ring's slot window or a staging
+    // buffer.
     let cap = ctx.mems[rank as usize].space.capacity();
     let (env_lo, env_hi) = plan.envelope();
     let vstart = ((buf as i128 + env_lo).clamp(0, cap as i128) as u64).min(buf.min(cap));
-    let vend = ((buf as i128 + env_hi).clamp(vstart as i128, cap as i128)) as u64;
+    let (vlen, base) = (
+        ((buf as i128 + env_hi).clamp(vstart as i128, cap as i128)) as u64 - vstart,
+        (buf - vstart) as usize,
+    );
     let (mut blocks, mut copy_ns, mut cursor, mut at) = (0usize, 0, 0usize, lo);
-    loop {
+    for u in 0.. {
         let end = (at + unit.max(1)).min(hi);
-        let mut unit_blocks = 0usize;
+        let (mut unit_blocks, unit_start) = (0usize, cursor);
         for_each_substream_piece(ivs, at, end, |a, b| {
             let n = (b - a) as usize;
             let space = &mut ctx.mems[rank as usize].space;
+            let stage_va = |bufs: &[StageBuf]| bufs[u].va + (cursor - unit_start) as u64;
             match &mut staged {
                 Staged::Pack(out) => {
-                    let mem = space.slice(vstart, vend - vstart);
-                    let mem = mem.expect("envelope view in range");
-                    let out = &mut out[cursor..cursor + n];
-                    plan.pack(a, b, mem, (buf - vstart) as usize, out)
+                    let mem = space.slice(vstart, vlen).expect("envelope view in range");
+                    plan.pack(a, b, mem, base, &mut out[cursor..cursor + n])
                 }
                 Staged::Unpack(data) => {
-                    let mem = space.slice_mut(vstart, vend - vstart);
-                    let mem = mem.expect("envelope view in range");
-                    plan.unpack(
-                        a,
-                        b,
-                        &data[cursor..cursor + n],
-                        mem,
-                        (buf - vstart) as usize,
-                    )
+                    let mem = space
+                        .slice_mut(vstart, vlen)
+                        .expect("envelope view in range");
+                    plan.unpack(a, b, &data[cursor..cursor + n], mem, base)
+                }
+                Staged::PackInto(bufs) => {
+                    let views = space.slice_pair(vstart, vlen, stage_va(bufs), n as u64);
+                    let (mem, out) = views.expect("staging buffer apart from the envelope");
+                    plan.pack(a, b, mem, base, out)
+                }
+                Staged::UnpackFrom(bufs) => {
+                    let views = space.slice_pair(stage_va(bufs), n as u64, vstart, vlen);
+                    let (data, mem) = views.expect("staging buffer apart from the envelope");
+                    plan.unpack(a, b, data, mem, base)
                 }
             }
             .expect("user buffer covers the datatype");
@@ -1119,17 +1127,16 @@ fn eager_send(
     rs.counters.eager_sends += 1;
     let seq = rs.take_seq(peer);
     let plan = rs.plan_for(ty, count);
-    let mut payload = rs.scratch.take_bytes(size as usize);
+    // Pack straight behind the header in the control buffer.
+    let mut bytes = take_ctrl_buf_credits(rs, ctx.cfg, peer);
+    CtrlMsg::EagerData { tag, seq, size }.encode_into(&mut bytes);
+    let header = bytes.len();
+    bytes.resize(header + size as usize, 0);
     let charge = Charge::Sync(eager_via_temp(ctx.cfg.scheme));
-    let (whole, staged) = ((0, size), Staged::Pack(&mut payload));
+    let (whole, staged) = ((0, size), Staged::Pack(&mut bytes[header..]));
     let cost = copy_step(rs, ctx, &plan, buf, &[], whole, size, staged, charge);
     rs.counters.packs += 1;
     rs.counters.bytes_packed += size;
-
-    let mut bytes = take_ctrl_buf_credits(rs, ctx.cfg, peer);
-    CtrlMsg::EagerData { tag, seq, size }.encode_into(&mut bytes);
-    bytes.extend_from_slice(&payload);
-    rs.scratch.put_bytes(payload);
     send_ctrl(rs, ctx, peer, bytes, cost);
 
     // The send request completes when packing is done (the user buffer
@@ -1895,8 +1902,9 @@ fn on_segment_arrival(
 }
 
 /// Unpacks segments `ks` of the packed substream (Generic's one
-/// segment is the whole message) from their staging buffers into the
-/// user buffer through the copy step, counting the bytes unpacked.
+/// segment is the whole message) straight from their staging buffers
+/// into the user buffer through the copy step, counting the bytes
+/// unpacked.
 fn unpack_segments(
     rs: &mut RankState,
     ctx: &mut Ctx<'_, '_>,
@@ -1908,17 +1916,9 @@ fn unpack_segments(
     let (ivs, seg) = (&msg.plan.packed_ivs, msg.plan.seg_size);
     let lo = ks.start as u64 * seg;
     let hi = (ks.end as u64 * seg).min(substream_len(ivs, msg.size));
-    let mut data = rs.scratch.take_bytes((hi - lo) as usize);
-    let space = &ctx.mems[rs.rank as usize].space;
-    for (k, chunk) in ks.zip(data.chunks_mut(seg as usize)) {
-        let staged = space.slice(msg.unpack_bufs[k as usize].va, chunk.len() as u64);
-        chunk.copy_from_slice(staged.expect("unpack buffer readable"));
-    }
     rs.counters.bytes_unpacked += hi - lo;
-    let staged = Staged::Unpack(&data);
-    let done = copy_step(rs, ctx, &plan, msg.buf, ivs, (lo, hi), seg, staged, charge);
-    rs.scratch.put_bytes(data);
-    done
+    let staged = Staged::UnpackFrom(&msg.unpack_bufs[ks.start as usize..]);
+    copy_step(rs, ctx, &plan, msg.buf, ivs, (lo, hi), seg, staged, charge)
 }
 
 /// Completes the receive once every part landed — the one completion
@@ -2285,20 +2285,13 @@ fn start_pack_chain(rs: &mut RankState, ctx: &mut Ctx<'_, '_>, msg: &mut SendMsg
     if msg.pack_chain_running || k >= msg.nsegs || k as usize >= msg.pack_bufs.len() {
         return;
     }
-    let rank = rs.rank;
     let plan = rs.plan_for(&msg.ty, msg.count);
     let lo = k as u64 * msg.seg_size;
     let hi = lo + seg_len(msg, k);
-    let mut data = rs.scratch.take_bytes((hi - lo) as usize);
-    let (range, staged) = ((lo, hi), Staged::Pack(&mut data));
+    let (range, staged) = ((lo, hi), Staged::PackInto(&msg.pack_bufs[k as usize..]));
     let charge = Charge::Segment("pack");
     let ivs = &msg.packed_ivs;
     let done = copy_step(rs, ctx, &plan, msg.buf, ivs, range, hi - lo, staged, charge);
-    ctx.mems[rank as usize]
-        .space
-        .write(msg.pack_bufs[k as usize].va, &data)
-        .expect("pack buffer writable");
-    rs.scratch.put_bytes(data);
     msg.pack_chain_running = true;
     let (peer, seq) = (msg.peer, msg.seq);
     ctx.cpu_event(done, rs.rank, CpuAct::PackSeg { peer, seq, k });

@@ -275,7 +275,8 @@ pub struct RankState {
     pub layout_cache: LayoutCache,
     /// Compiled transfer plans keyed by the registry's versioned tags.
     pub plans: PlanCache,
-    /// Reusable host-side scratch buffers (pack staging, SGE lists).
+    /// Reusable host-side scratch buffers (byte copies, control
+    /// buffers, SGE lists).
     pub scratch: ScratchPool,
     /// `(peer, index, version)` layouts this rank has already shipped.
     pub sent_layouts: HashSet<(u32, u32, u32)>,
@@ -442,7 +443,7 @@ impl RankState {
         self.registry.reset();
         self.layout_cache.reset();
         self.plans.reset();
-        self.scratch.reset_counters();
+        self.scratch.reset();
         self.sent_layouts.clear();
         self.internal.free.clear();
         self.rma_outstanding = 0;
