@@ -77,6 +77,11 @@ cargo test --workspace -q
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc -- -D warnings"
+# A doc link to a renamed or deleted item, or a citation such as
+# "ref [12]" written without escaping the brackets, fails here.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "==> perfbench self-tests"
 # perfbench is a workspace of its own, so `cargo test --workspace`
 # never reaches it; its build lands under target/ like everything else.

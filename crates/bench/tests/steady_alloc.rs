@@ -3,7 +3,7 @@
 //!
 //! Allocation counts are deterministic — no host noise — so unlike
 //! wall-clock time they gate strictly. Each contract runs its operation
-//! a few times to warm the plan cache, the scratch and payload pools
+//! a few times to warm the plan memos, the scratch and payload pools
 //! and the recycled-cluster pool, then counts allocations over a window
 //! of repetitions. Its value is the minimum over up to three windows:
 //! the libtest harness's main thread lazily allocates once while this
@@ -17,11 +17,12 @@
 //! process-global, and a sibling test running on another harness
 //! thread would show up in the windows.
 
-use ibdt_datatype::{Datatype, TransferPlan, TypeRegistry};
+use ibdt_datatype::{Datatype, PlanLookup, TransferPlan};
 use ibdt_ibsim::Payload;
-use ibdt_mpicore::plan::PlanCache;
 use ibdt_mpicore::pool::ScratchPool;
-use ibdt_mpicore::{AppOp, Cluster, ClusterSpec, Scheme, ShmConfig, ShmCopyMode, TransportConfig};
+use ibdt_mpicore::{
+    AppOp, Cluster, ClusterSpec, ReduceOp, Scheme, ShmConfig, ShmCopyMode, TransportConfig,
+};
 use ibdt_testkit::CountingAlloc;
 use ibdt_workloads::{bandwidth_device, incast, incast_spec, run_scale, ScaleConfig};
 use std::hint::black_box;
@@ -87,6 +88,28 @@ fn pingpong(spec: &ClusterSpec, ty: &Datatype) {
     cluster.recycle();
 }
 
+/// One Allreduce of `count` instances of `ty` over every rank of a
+/// (recycled) cluster: point-to-point traffic plus a combine per
+/// reduction step.
+fn allreduce(spec: &ClusterSpec, ty: &Datatype, count: u64) {
+    let mut cluster = Cluster::new(spec.clone());
+    let span = count * ty.extent() as u64 + 64;
+    let progs = (0..spec.nprocs)
+        .map(|r| {
+            vec![AppOp::Allreduce {
+                sbuf: cluster.alloc(r, span, 4096),
+                rbuf: cluster.alloc(r, span, 4096),
+                scratch: cluster.alloc(r, span, 4096),
+                count,
+                ty: ty.clone(),
+                op: ReduceOp::Sum,
+            }]
+        })
+        .collect();
+    black_box(cluster.run(progs));
+    cluster.recycle();
+}
+
 #[test]
 fn steady_state_allocation_contracts() {
     // (name, ceiling, measured)
@@ -96,22 +119,20 @@ fn steady_state_allocation_contracts() {
         results.push((name, ceiling, got));
     };
 
-    // Persistent eager send: plan-cache hit, a pooled control buffer
+    // Persistent eager send: a plan-memo hit, a pooled control buffer
     // packed into behind its header, copy-cost block count, and a
     // pooled payload slab (buffer and `Arc` block reused).
     {
         let ty = vector_ty(2);
         let n = ty.size();
         let buf = vec![0x3Cu8; ty.true_ub() as usize + 64];
-        let mut registry = TypeRegistry::new();
-        let mut cache = PlanCache::new(true, 64);
         let mut scratch = ScratchPool::new();
         check(
             format!("repeated_send/persistent_eager/bytes/{n}"),
             0,
             512,
             &mut || {
-                let plan = cache.lookup(&mut registry, black_box(&ty), 1);
+                let (plan, _) = black_box(&ty).plan(1);
                 let mut staging = scratch.take_ctrl();
                 staging.resize(n as usize, 0);
                 plan.pack(0, n, &buf, 0, &mut staging).unwrap();
@@ -149,7 +170,7 @@ fn steady_state_allocation_contracts() {
     }
 
     // Canonicalization: three spellings of one layout compile exactly
-    // one plan, and a respelled lookup (an `OnceLock` read plus an LRU
+    // one plan, and a respelled lookup (an `OnceLock` read plus a memo
     // hit) allocates nothing. Normalizing an unseen spelling builds and
     // flattens a fresh type tree every op.
     {
@@ -158,26 +179,21 @@ fn steady_state_allocation_contracts() {
         let hv = Datatype::hvector(128, 16, 16384, &int).unwrap();
         let entries: Vec<(u64, i64)> = (0..128).map(|i| (16, i * 16384)).collect();
         let hx = Datatype::hindexed(&entries, &int).unwrap();
-        let mut registry = TypeRegistry::new();
-        let mut cache = PlanCache::new(true, 64).with_canonicalization(true);
-        cache.lookup(&mut registry, &v, 1);
-        cache.lookup(&mut registry, &hv, 1);
-        cache.lookup(&mut registry, &hx, 1);
-        let (_, misses, _) = cache.stats();
+        let served: Vec<PlanLookup> = [&v, &hv, &hx]
+            .iter()
+            .map(|t| t.canonical().plan(1).1)
+            .collect();
         assert_eq!(
-            misses, 1,
+            served,
+            [PlanLookup::Compiled, PlanLookup::Hit, PlanLookup::Hit],
             "three spellings of one layout must compile exactly one plan"
-        );
-        assert!(
-            cache.canon_stats().0 >= 2,
-            "respelled lookups must hit the canonical plan"
         );
         check(
             "canon/respelled_lookup/vector_cols/16".into(),
             0,
             512,
             &mut || {
-                black_box(cache.lookup(&mut registry, black_box(&hx), 1));
+                black_box(black_box(&hx).canonical().plan(1));
             },
         );
         check(
@@ -212,23 +228,30 @@ fn steady_state_allocation_contracts() {
         }
     }
 
-    // x1 sweep point over IB BC-SPUP, plan cache on and off. Clusters
-    // recycle across points, so what remains is per-run program and
-    // interpreter setup, stats collection and (cache off) plan builds.
-    for (cols, off_ceiling) in [(4u64, 193), (64, 281), (512, 281)] {
+    // x1 sweep point over IB BC-SPUP. Clusters recycle across points,
+    // so what remains is per-run program and interpreter setup and
+    // stats collection.
+    for cols in [4u64, 64, 512] {
         let ty = vector_ty(cols);
-        for (cache, ceiling) in [(true, 17), (false, off_ceiling)] {
-            let mut spec = ClusterSpec::default();
-            spec.mpi.scheme = Scheme::BcSpup;
-            spec.mpi.plan_cache = cache;
-            let state = if cache { "on" } else { "off" };
-            check(
-                format!("sweep_x1/pingpong_cols/{cols}/cache_{state}"),
-                ceiling,
-                4,
-                &mut || pingpong(&spec, &ty),
-            );
-        }
+        let mut spec = ClusterSpec::default();
+        spec.mpi.scheme = Scheme::BcSpup;
+        check(format!("sweep_x1/pingpong_cols/{cols}"), 17, 4, &mut || {
+            pingpong(&spec, &ty)
+        });
+    }
+
+    // A 4-rank Allreduce of 64 `vector(4, 2, 8, int)` on a recycled
+    // cluster: every reduction step's combine takes its plan from the
+    // type's memo instead of compiling one.
+    {
+        let ty = Datatype::vector(4, 2, 8, &Datatype::int()).unwrap();
+        let spec = ClusterSpec {
+            nprocs: 4,
+            ..ClusterSpec::default()
+        };
+        check("coll/allreduce/ranks/4/count/64".into(), 53, 4, &mut || {
+            allreduce(&spec, &ty, 64)
+        });
     }
 
     // The same ping-pong over the shared-memory transport, one entry
@@ -265,7 +288,7 @@ fn steady_state_allocation_contracts() {
 
     // Sharded scale driver: a 256-rank vector Alltoall, one shard and
     // eight.
-    for (shards, ceiling) in [(1usize, 30), (8, 71)] {
+    for (shards, ceiling) in [(1usize, 20), (8, 61)] {
         let cfg = ScaleConfig {
             ranks: 256,
             shards,

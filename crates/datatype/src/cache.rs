@@ -7,7 +7,7 @@
 //! free a datatype and the index may be reused for a new type, so each
 //! index carries a **version number** that is bumped on reuse; a version
 //! mismatch at the sender forces a refresh — exactly the extension the
-//! paper describes over the Träff et al. cache (ref [14]).
+//! paper describes over the Träff et al. cache (ref \[14\]).
 
 use crate::flat::FlatLayout;
 use crate::typ::Datatype;

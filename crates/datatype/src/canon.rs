@@ -3,10 +3,11 @@
 //! Two constructor trees that describe the same byte layout — a
 //! `vector` vs the equivalent `hindexed`, a `struct` of one field vs
 //! the field itself, nested `contiguous` spellings — compile to
-//! identical transfer plans, yet a plan cache keyed on type identity
-//! recompiles each spelling from scratch. This pass rewrites any tree
-//! to a *normal form* derived from its merged flat block list, walking
-//! down the specialization hierarchy of arXiv:1607.00178
+//! identical transfer plans, yet plans memoized per type value
+//! ([`Datatype::plan`]) recompile each spelling from scratch. This pass
+//! rewrites any tree to a *normal form* derived from its merged flat
+//! block list, walking down the specialization hierarchy of
+//! arXiv:1607.00178
 //! (`contiguous` ≤ `hvector` ≤ `hindexed`):
 //!
 //! * no blocks → `contiguous(0, byte)`;
@@ -18,17 +19,18 @@
 //! * finally a `resized` wrapper whenever the original type's
 //!   `(lb, ub)` differ from the core's natural bounds.
 //!
-//! The flat block list is produced by [`FlatLayout::of`] with adjacent
-//! blocks already merged, so the normal form's own flattening
-//! reproduces the input list exactly — canonicalization is idempotent
+//! The flat block list is produced by
+//! [`FlatLayout::of`](crate::FlatLayout::of) with adjacent blocks
+//! already merged, so the normal form's own flattening reproduces the
+//! input list exactly — canonicalization is idempotent
 //! by construction, and pack/unpack streams (which are functions of
 //! the merged block list, size, and bounds alone) are preserved for
 //! every count.
 //!
 //! Equal layouts are *interned* in a bounded process-global table so
 //! every spelling of one layout resolves to the same `Datatype`
-//! handle (same id), which is what lets `PlanCache` and the shared
-//! plan table hit across spellings and across ranks.
+//! handle (same id), whose plan memo every spelling and every rank
+//! then shares.
 
 use crate::typ::Datatype;
 use std::collections::HashMap;
@@ -46,16 +48,10 @@ struct CanonKey {
 }
 
 /// Bounded intern table mapping layouts to their canonical handles.
-/// Cleared wholesale on overflow (same discipline as the shared plan
-/// table): correctness never depends on a hit, only dedup does.
+/// Cleared wholesale on overflow: correctness never depends on a hit,
+/// only dedup does.
 static CANON_TABLE: Mutex<Option<HashMap<CanonKey, Datatype>>> = Mutex::new(None);
 const CANON_TABLE_CAP: usize = 512;
-
-/// Drops every interned canonical handle (test isolation).
-#[doc(hidden)]
-pub fn clear_intern_table() {
-    *CANON_TABLE.lock().unwrap() = None;
-}
 
 /// Computes the canonical handle for `ty`, or `None` when `ty` is its
 /// own canonical form (first spelling of its layout seen, or already

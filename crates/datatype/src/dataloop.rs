@@ -1,6 +1,6 @@
 //! Dataloops: the compiled form of a datatype.
 //!
-//! Following Ross, Miller & Gropp (ref [26]), a type tree is compiled
+//! Following Ross, Miller & Gropp (ref \[26\]), a type tree is compiled
 //! once into a compact loop structure with three node kinds:
 //!
 //! * [`Dataloop::Leaf`] — a dense run of bytes (contiguous children are

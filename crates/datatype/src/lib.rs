@@ -8,7 +8,7 @@
 //!   `resized`, plus `subarray` built from them) with MPI extent/lb/ub
 //!   semantics,
 //! * [`dataloop`] — compilation of a type tree into *dataloops*
-//!   (Ross/Miller/Gropp, ref [26]): a compact loop representation with
+//!   (Ross/Miller/Gropp, ref \[26\]): a compact loop representation with
 //!   leaf coalescing, used for O(depth) partial traversal,
 //! * [`segment`] — **partial datatype processing** (§4.3.1) by a direct
 //!   dataloop walk: packing and unpacking of arbitrary stream-offset
@@ -19,11 +19,12 @@
 //!   block statistics for adaptive scheme selection (§6), and the wire
 //!   serialization of layouts sent to the peer in Multi-W,
 //! * [`cache`] — the versioned datatype cache (§5.4.2, after Träff et
-//!   al., ref [14]): type indices, version bumps on index reuse, and the
+//!   al., ref \[14\]): type indices, version bumps on index reuse, and the
 //!   sender-side layout cache,
 //! * [`plan`] — compiled transfer plans: per-(type, count) precomputed
-//!   run lists with prefix-sum resume indexes, shared across every chunk
-//!   of a message so the hot path never re-walks the dataloop; this is
+//!   run lists with prefix-sum resume indexes, memoized on the type
+//!   ([`Datatype::plan`]) and shared across every message and chunk of
+//!   that shape so the hot path never re-walks the dataloop; this is
 //!   what lets BC-SPUP and RWG-UP start and stop packing at segment
 //!   boundaries,
 //! * [`kernel`] — specialized copy kernels (contiguous, constant-stride,
@@ -46,7 +47,7 @@ pub mod typ;
 pub use cache::{LayoutCache, TypeRegistry};
 pub use flat::{BlockStats, FlatLayout};
 pub use kernel::CopyKernel;
-pub use plan::TransferPlan;
+pub use plan::{PlanLookup, TransferPlan};
 pub use prim::Primitive;
 pub use segment::Segment;
 pub use typ::{Datatype, TypeError};

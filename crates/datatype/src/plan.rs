@@ -1,11 +1,12 @@
 //! Compiled transfer plans: the amortized form of a (datatype, count)
 //! pair.
 //!
-//! A [`TransferPlan`] is compiled once per message shape and then shared
-//! (`Arc`) across every chunk, segment, and descriptor build of that
-//! message — the host-side analogue of §5.4.2's wire-level datatype
-//! cache. Where [`Segment`](crate::Segment) re-walks the dataloop tree
-//! on every call, a plan precomputes:
+//! A [`TransferPlan`] is compiled once per (type, count) and then shared
+//! (`Arc`) across every message, chunk, segment, and descriptor build of
+//! that shape: [`Datatype::plan`] memoizes it on the type itself, the
+//! host-side analogue of §5.4.2's wire-level datatype cache. Where
+//! [`Segment`](crate::Segment) re-walks the dataloop tree on every
+//! call, a plan precomputes:
 //!
 //! * the **unmerged per-instance run list** — exactly the blocks
 //!   `Dataloop::emit` would produce for one full instance, with an
@@ -17,13 +18,13 @@
 //! * totals: stream bytes, merged block count, [`BlockStats`], and the
 //!   largest contiguous run (the max single-SGE burst).
 //!
-//! Equivalence with [`Segment`] is load-bearing: the discrete-event
-//! cost model charges host copy time per *unmerged* block, so a plan
-//! must enumerate bit-for-bit the same blocks in the same order. This
-//! holds structurally — `Dataloop::emit` over a sub-range equals the
-//! clip of its full-range emission (leaves emit clipped fragments in
-//! identical order) — and is pinned down by the tests at the bottom of
-//! this file plus `tests/proptests.rs`.
+//! Equivalence with [`Segment`](crate::Segment) is load-bearing: the
+//! discrete-event cost model charges host copy time per *unmerged*
+//! block, so a plan must enumerate bit-for-bit the same blocks in the
+//! same order. This holds structurally — `Dataloop::emit` over a
+//! sub-range equals the clip of its full-range emission (leaves emit
+//! clipped fragments in identical order) — and is pinned down by the
+//! tests at the bottom of this file plus `tests/proptests.rs`.
 
 use crate::dataloop::Dataloop;
 use crate::flat::BlockStats;
@@ -34,11 +35,23 @@ use crate::segment::{slice_at, slice_index, SegmentError};
 use crate::typ::Datatype;
 use std::fmt;
 
+/// How [`Datatype::plan`] served a lookup.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PlanLookup {
+    /// The type's memo already held a plan for this count.
+    Hit,
+    /// Compiled into a free memo slot.
+    Compiled,
+    /// Compiled over the memo's oldest plan (another count).
+    Displaced,
+}
+
 /// A compiled, immutable transfer plan for `count` instances of a
 /// datatype. Cheap to share behind an `Arc`; all methods take `&self`.
+/// It holds no handle to its type, so a type's memo of its own plans
+/// forms no reference cycle.
 #[derive(Clone)]
 pub struct TransferPlan {
-    ty: Datatype,
     count: u64,
     inst_size: u64,
     extent: i64,
@@ -118,7 +131,6 @@ impl TransferPlan {
         debug_assert_eq!(macc, count * inst_size);
         let kernel = CopyKernel::select(&merged);
         TransferPlan {
-            ty: ty.clone(),
             count,
             inst_size,
             extent: ty.extent(),
@@ -133,11 +145,6 @@ impl TransferPlan {
             max_end,
             stats,
         }
-    }
-
-    /// The datatype this plan was compiled from.
-    pub fn datatype(&self) -> &Datatype {
-        &self.ty
     }
 
     /// Instance count.

@@ -10,13 +10,18 @@
 //! (lower/upper bound of its typemap, possibly negative/overridden by
 //! `resized`) and `extent = ub - lb`, which is the stride used when an
 //! array of the type is sent (`count > 1`).
+//!
+//! What is derived from a type — dataloop, flat layout, canonical
+//! spelling and, per count, its compiled plan ([`Datatype::plan`]) — is
+//! built on first use and kept on the type's node.
 
 use crate::dataloop::Dataloop;
 use crate::flat::FlatLayout;
+use crate::plan::{PlanLookup, TransferPlan};
 use crate::prim::Primitive;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// Errors from datatype construction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -84,6 +89,20 @@ pub(crate) struct TypeNode {
     /// Canonicalization result: `None` once computed means this type
     /// *is* its canonical form (avoids an `Arc` self-cycle).
     canon_cache: OnceLock<Option<Datatype>>,
+    plans: Mutex<PlanMemo>,
+}
+
+/// Counts one type keeps compiled plans for. A program sends a type at
+/// a handful of counts; a ninth count displaces the oldest plan.
+const PLAN_SLOTS: usize = 8;
+
+/// Compiled plans of one type, one per count, filled and displaced in
+/// insertion order.
+#[derive(Default)]
+struct PlanMemo {
+    slots: [Option<Arc<TransferPlan>>; PLAN_SLOTS],
+    /// The slot the next compile fills.
+    next: usize,
 }
 
 impl fmt::Debug for TypeNode {
@@ -122,6 +141,7 @@ impl Datatype {
             loop_cache: OnceLock::new(),
             flat_cache: OnceLock::new(),
             canon_cache: OnceLock::new(),
+            plans: Mutex::default(),
         })))
     }
 
@@ -486,6 +506,28 @@ impl Datatype {
             .get_or_init(|| Arc::new(FlatLayout::of(self)))
     }
 
+    /// The compiled plan for `count` instances, and how it was served.
+    /// Plans are memoized on the type, so every rank and every run that
+    /// sends this type value at this count shares one `Arc`;
+    /// structurally equal types never share a plan. Compilation happens
+    /// under the memo's lock, so concurrent lookups compile once.
+    pub fn plan(&self, count: u64) -> (Arc<TransferPlan>, PlanLookup) {
+        // Only `compile` can panic under the lock, and it runs before
+        // any slot changes, so a poisoned memo still holds valid plans.
+        let mut memo = self.0.plans.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(plan) = memo.slots.iter().flatten().find(|p| p.count() == count) {
+            return (plan.clone(), PlanLookup::Hit);
+        }
+        let plan = Arc::new(TransferPlan::compile(self, count));
+        let next = memo.next;
+        memo.next = (next + 1) % PLAN_SLOTS;
+        let how = match memo.slots[next].replace(plan.clone()) {
+            Some(_) => PlanLookup::Displaced,
+            None => PlanLookup::Compiled,
+        };
+        (plan, how)
+    }
+
     /// Number of contiguous blocks in one instance after coalescing.
     pub fn num_blocks(&self) -> usize {
         self.flat().blocks.len()
@@ -535,8 +577,8 @@ impl Datatype {
 
     /// The canonical spelling of this layout (see [`crate::canon`]):
     /// every type describing the same merged block list and `(lb, ub)`
-    /// bounds resolves to one shared handle, so plan caches keyed on
-    /// the canonical id hit across spellings. Returns `self` (same
+    /// bounds resolves to one shared handle, so plans looked up through
+    /// it ([`Self::plan`]) are shared across spellings. Returns `self` (same
     /// id) when this type is the first spelling of its layout seen.
     /// Computed once per node, then cached.
     pub fn canonical(&self) -> Datatype {
@@ -805,5 +847,77 @@ mod tests {
         assert_ne!(a.id(), b.id());
         let c = a.clone();
         assert_eq!(a.id(), c.id());
+    }
+
+    fn vec_ty() -> Datatype {
+        Datatype::vector(4, 8, 64, &Datatype::int()).unwrap()
+    }
+
+    #[test]
+    fn plan_repeat_lookup_returns_the_same_arc() {
+        let ty = vec_ty();
+        let (a, how_a) = ty.plan(3);
+        let (b, how_b) = ty.clone().plan(3);
+        assert_eq!((how_a, how_b), (PlanLookup::Compiled, PlanLookup::Hit));
+        assert!(Arc::ptr_eq(&a, &b), "a clone of the handle shares the memo");
+    }
+
+    #[test]
+    fn plan_per_count() {
+        let ty = vec_ty();
+        let (a, _) = ty.plan(3);
+        let (c, how) = ty.plan(4);
+        assert_eq!(how, PlanLookup::Compiled);
+        assert!(!Arc::ptr_eq(&a, &c));
+        assert_eq!((a.count(), c.count()), (3, 4));
+        assert_eq!(c.blocks(), ty.flat().repeat(4).as_slice());
+        assert!(Arc::ptr_eq(&a, &ty.plan(3).0), "count 3 is still memoized");
+    }
+
+    #[test]
+    fn ninth_count_displaces_the_oldest() {
+        let ty = vec_ty();
+        let first: Vec<_> = (1..=PLAN_SLOTS as u64).map(|c| ty.plan(c)).collect();
+        assert!(first.iter().all(|(_, how)| *how == PlanLookup::Compiled));
+        let (_, how) = ty.plan(PLAN_SLOTS as u64 + 1);
+        assert_eq!(how, PlanLookup::Displaced, "the ninth count reports it");
+        // Count 1 was the oldest; count 2 survived.
+        assert_eq!(ty.plan(2).1, PlanLookup::Hit);
+        let (again, how) = ty.plan(1);
+        assert_eq!(how, PlanLookup::Displaced, "count 1 was the one displaced");
+        assert!(!Arc::ptr_eq(&again, &first[0].0));
+    }
+
+    #[test]
+    fn structurally_equal_types_never_share_a_plan() {
+        let (t1, t2) = (vec_ty(), vec_ty());
+        let (a, how_a) = t1.plan(2);
+        let (b, how_b) = t2.plan(2);
+        assert_eq!((how_a, how_b), (PlanLookup::Compiled, PlanLookup::Compiled));
+        assert!(!Arc::ptr_eq(&a, &b));
+        assert_eq!(a.blocks(), b.blocks());
+    }
+
+    #[test]
+    fn concurrent_lookups_compile_one_plan() {
+        let ty = vec_ty();
+        let start = std::sync::Barrier::new(4);
+        let got: Vec<(Arc<TransferPlan>, PlanLookup)> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        ty.plan(5)
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        assert!(got.iter().all(|(p, _)| Arc::ptr_eq(p, &got[0].0)));
+        let compiled = got
+            .iter()
+            .filter(|(_, how)| *how != PlanLookup::Hit)
+            .count();
+        assert_eq!(compiled, 1, "exactly one thread compiles");
     }
 }

@@ -291,7 +291,7 @@ pub struct HostConfig {
     /// the dataloop engine), ns.
     pub dt_proc_block_ns: Time,
     /// Cost of a dynamic buffer allocation (malloc + first-touch page
-    /// faults, ref [7]), ns.
+    /// faults, ref \[7\]), ns.
     pub malloc_ns: Time,
     /// Cost of freeing a dynamic buffer, ns.
     pub free_ns: Time,

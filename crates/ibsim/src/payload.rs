@@ -20,7 +20,7 @@
 //! The pool is deliberately thread-local and unsynchronized: the
 //! simulator is single-threaded per world, and tests that run many
 //! worlds in parallel each get their own pool. Pool occupancy is
-//! bounded ([`MAX_POOLED`]) so pathological bursts don't pin memory.
+//! bounded (`MAX_POOLED` idle slabs) so pathological bursts don't pin memory.
 
 use std::cell::{Cell, RefCell};
 use std::sync::Arc;

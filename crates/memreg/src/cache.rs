@@ -1,4 +1,4 @@
-//! Pin-down cache (Tezuka et al., ref [12]).
+//! Pin-down cache (Tezuka et al., ref \[12\]).
 //!
 //! Registrations are cached after use instead of being torn down, so an
 //! application that reuses communication buffers pays the registration

@@ -1,7 +1,7 @@
 //! Registration cost model.
 //!
 //! Registration pins pages and installs translations on the HCA; its cost
-//! is well modelled as `base + per_page * pages` (ref [12], [32]). The
+//! is well modelled as `base + per_page * pages` (ref \[12\], \[32\]). The
 //! page count is computed from the *page span* of the region — a 4-byte
 //! buffer straddling a page boundary pins two pages.
 

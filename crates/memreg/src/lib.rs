@@ -14,8 +14,8 @@
 //! * [`cost::RegCostModel`] — base + per-page registration and
 //!   deregistration costs,
 //! * [`cache::PindownCache`] — the pin-down cache of Tezuka et al.
-//!   (ref [12]) used to amortize registration across reused buffers,
-//! * [`ogr`] — Optimistic Group Registration (ref [33]): grouping a list
+//!   (ref \[12\]) used to amortize registration across reused buffers,
+//! * [`ogr`] — Optimistic Group Registration (ref \[33\]): grouping a list
 //!   of noncontiguous blocks into few registered regions using a cost
 //!   model that trades per-region base cost against registering gap
 //!   pages.

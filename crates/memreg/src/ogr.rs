@@ -1,4 +1,4 @@
-//! Optimistic Group Registration (OGR, ref [33], §5.4.1).
+//! Optimistic Group Registration (OGR, ref \[33\], §5.4.1).
 //!
 //! Registering a datatype message buffer poses a trade-off: registering
 //! each contiguous block separately pays the per-call base cost many
@@ -68,7 +68,7 @@ fn plan_from_regions(regions: Vec<(Va, u64)>, model: &RegCostModel) -> OgrPlan {
 /// Greedy left-to-right merge: a gap is absorbed into the current region
 /// when the round-trip cost of the extra gap pages is no more than the
 /// round-trip base cost of a separate region. This is the cost model of
-/// ref [33] specialized to already-allocated MPI datatype buffers.
+/// ref \[33\] specialized to already-allocated MPI datatype buffers.
 ///
 /// ```
 /// use ibdt_memreg::{ogr, RegCostModel};

@@ -10,7 +10,7 @@ use crate::error::MpiError;
 use crate::progress::{self, ActiveMsgs, Ctx, Ev};
 use crate::rank::RankState;
 use crate::stats::RunStats;
-use ibdt_datatype::{Datatype, TransferPlan};
+use ibdt_datatype::Datatype;
 use ibdt_ibsim::{
     Cqe, Fabric, FaultPlan, HostConfig, NetConfig, NodeMem, Payload, RecvWr, Sge, SgeList,
     ShmChannel, Transport, TransportConfig,
@@ -384,9 +384,9 @@ thread_local! {
 }
 
 /// Cluster spare-list bound. Sweeps alternate between at most a couple
-/// of shapes (e.g. cache-on/cache-off), so a small pool suffices; an
-/// idle cluster pins its address-space backing (MiBs), so the cap stays
-/// deliberately low.
+/// of shapes (e.g. two schemes or two transports), so a small pool
+/// suffices; an idle cluster pins its address-space backing (MiBs), so
+/// the cap stays deliberately low.
 const CLUSTER_SPARE_CAP: usize = 4;
 
 impl Cluster {
@@ -868,7 +868,11 @@ impl Cluster {
             cpu_busy_ns: self.ranks.iter().map(|r| r.cpu.total_busy()).collect(),
             reg_ops: (0..n).map(|r| self.mems[r].regs.op_counts()).collect(),
             pindown: self.ranks.iter().map(|r| r.pindown.stats()).collect(),
-            plan_cache: self.ranks.iter().map(|r| r.plans.stats()).collect(),
+            plan_cache: self
+                .ranks
+                .iter()
+                .map(|r| (r.plans.hits, r.plans.compiled, r.plans.displaced))
+                .collect(),
             scratch_pool: self
                 .ranks
                 .iter()
@@ -925,12 +929,8 @@ impl Cluster {
                 sz.saturating_sub(self.space_pool_base.2),
             ),
             events_scheduled,
-            plan_cache_canonical_hits: self
-                .ranks
-                .iter()
-                .map(|r| r.plans.canon_stats().0)
-                .sum(),
-            canonicalized_types: self.ranks.iter().map(|r| r.plans.canon_stats().1).sum(),
+            plan_cache_canonical_hits: self.ranks.iter().map(|r| r.plans.canonical_hits).sum(),
+            canonicalized_types: self.ranks.iter().map(|r| r.plans.canonicalized).sum(),
             staging_chunks: self.ranks.iter().map(|r| r.counters.staging_chunks).sum(),
             shm_bounce_chunks: fstats.shm_bounce_chunks,
             shm_cma_ops: fstats.shm_cma_ops,
@@ -986,7 +986,7 @@ impl Cluster {
         let prim = ty
             .uniform_primitive()
             .expect("reductions require a uniform-primitive datatype");
-        let plan = TransferPlan::compile(ty, count);
+        let plan = self.ranks[r].plan_for(ty, count);
         let n = plan.total_bytes();
         let space = &self.mems[r].space;
         let cap = space.capacity();

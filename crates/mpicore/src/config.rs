@@ -137,18 +137,10 @@ pub struct MpiConfig {
     /// fail with
     /// [`MpiError::ConnectionLost`](crate::error::MpiError::ConnectionLost).
     pub max_reconnects: u32,
-    /// Enable the per-rank compiled transfer-plan cache. Off forces
-    /// every chunk to recompile its plan — functionally identical and
-    /// virtual-clock identical (plan compilation charges no modelled
-    /// time), just slower in host time; the equivalence tests pin this.
-    pub plan_cache: bool,
-    /// Capacity of the transfer-plan cache in (datatype version, count)
-    /// entries per rank; least-recently-used entries are evicted.
-    pub plan_cache_entries: usize,
     /// Canonicalize datatypes before plan lookup/compilation
     /// ([`ibdt_datatype::typ::Datatype::canonical`]): equivalent
-    /// constructor spellings resolve to one shared handle, so the plan
-    /// cache compiles each *layout* once instead of each *spelling*.
+    /// constructor spellings resolve to one shared handle, so each
+    /// *layout* compiles one plan per count instead of each *spelling*.
     /// Off by default: canonical trees can regroup merged blocks, which
     /// shifts modelled pack costs — committed figure CSVs are measured
     /// with the classic per-spelling behaviour.
@@ -224,8 +216,6 @@ impl Default for MpiConfig {
             rndv_max_rerequests: 3,
             reconnect_ns: 100_000,
             max_reconnects: 3,
-            plan_cache: true,
-            plan_cache_entries: 64,
             canonicalize: false,
             staging_chunk: 0,
             staging_bufs: 2,

@@ -29,13 +29,11 @@
 //!   branches on a scheme itself.
 
 use crate::config::{MpiConfig, Scheme};
-use ibdt_datatype::{BlockStats, Datatype, TransferPlan, TypeRegistry};
+use ibdt_datatype::BlockStats;
 use ibdt_ibsim::{HostConfig, Opcode, SendWr, Sge, SgeList, TransportClass};
 use ibdt_memreg::{Registration, Va};
 use ibdt_simcore::pipeline::{two_stage_finish_ns, MAX_PIPELINE_BUFS};
 use ibdt_simcore::time::Time;
-use std::collections::HashMap; // allow-hashmap: plan caches below
-use std::sync::{Arc, Mutex};
 
 /// How the last work request of a planned batch announces itself: an
 /// immediate turns its write into a write-with-immediate (the
@@ -733,187 +731,6 @@ pub fn imm_parse(imm: u32) -> (u16, u32) {
     ((imm >> 16) as u16, imm & 0xFFFF)
 }
 
-/// Process-wide pool of compiled plans, shared across ranks and
-/// cluster instances the way payload slabs and address-space backing
-/// stores are pooled: a parameter sweep builds a fresh cluster per
-/// point but keeps sending the *same* datatype, and recompiling the
-/// plan per cluster was the last fixed per-iteration allocation burst.
-/// Keyed by `(Datatype::id(), count)` — ids come from a process-global
-/// counter and are never reused, and a type's structure is immutable
-/// after construction, so a pooled plan can never go stale. Bounded;
-/// on overflow the pool is cleared (plans are cheap to recompile).
-type SharedPlanMap = HashMap<(u64, u64), Arc<TransferPlan>>; // allow-hashmap
-static SHARED_PLANS: Mutex<Option<SharedPlanMap>> = Mutex::new(None);
-const SHARED_PLAN_CAP: usize = 256;
-
-fn shared_plan_lookup(id: u64, count: u64) -> Option<Arc<TransferPlan>> {
-    let guard = SHARED_PLANS.lock().ok()?;
-    guard.as_ref()?.get(&(id, count)).cloned()
-}
-
-fn shared_plan_publish(id: u64, count: u64, plan: &Arc<TransferPlan>) {
-    if let Ok(mut guard) = SHARED_PLANS.lock() {
-        let map = guard.get_or_insert_with(HashMap::new); // allow-hashmap
-        if map.len() >= SHARED_PLAN_CAP {
-            map.clear();
-        }
-        map.insert((id, count), plan.clone());
-    }
-}
-
-/// Per-rank LRU cache of compiled [`TransferPlan`]s, keyed by the
-/// §5.4.2 datatype-cache version: `(type index, type version, count)`.
-/// The registry assigns the index/version, so a freed-and-reused type
-/// index can never alias a stale plan — the bumped version changes the
-/// key, exactly as it invalidates the wire-level layout cache.
-///
-/// Compilation charges no modelled (virtual-clock) time — plans only
-/// amortize *host* work — so enabling or disabling the cache cannot
-/// perturb simulated results.
-#[derive(Debug)]
-pub struct PlanCache {
-    enabled: bool,
-    cap: usize,
-    map: HashMap<(u32, u32, u64), (Arc<TransferPlan>, u64)>, // allow-hashmap: per type, bounded
-    tick: u64,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-    /// Canonicalize lookups (TEMPI dedup): off by default so identical
-    /// spellings keep their classic per-spelling slots.
-    canon: bool,
-    canonical_hits: u64,
-    canonicalized: u64,
-}
-
-impl PlanCache {
-    /// Creates a cache holding at most `cap` plans. A disabled cache
-    /// compiles on every lookup (the equivalence-test baseline).
-    pub fn new(enabled: bool, cap: usize) -> Self {
-        Self {
-            enabled,
-            cap,
-            map: HashMap::new(), // allow-hashmap
-            tick: 0,
-            hits: 0,
-            misses: 0,
-            evictions: 0,
-            canon: false,
-            canonical_hits: 0,
-            canonicalized: 0,
-        }
-    }
-
-    /// Empties the cache and zeroes every counter, keeping map
-    /// capacity and configuration (enabled/capacity/canonicalization).
-    /// Lookups after a reset behave bit-identically to a fresh
-    /// cache's — world recycling relies on this.
-    pub fn reset(&mut self) {
-        self.map.clear();
-        self.tick = 0;
-        self.hits = 0;
-        self.misses = 0;
-        self.evictions = 0;
-        self.canonical_hits = 0;
-        self.canonicalized = 0;
-    }
-
-    /// Canonicalizes every lookup first (see
-    /// [`MpiConfig::canonicalize`](crate::config::MpiConfig::canonicalize)):
-    /// equivalently-spelled types share one cache slot and one
-    /// compiled plan.
-    pub fn with_canonicalization(mut self, on: bool) -> Self {
-        self.canon = on;
-        self
-    }
-
-    /// Returns the plan for `count` instances of `ty`, compiling and
-    /// caching on miss. `registry` supplies the versioned tag the key
-    /// is derived from.
-    pub fn lookup(
-        &mut self,
-        registry: &mut TypeRegistry,
-        ty: &Datatype,
-        count: u64,
-    ) -> Arc<TransferPlan> {
-        // Canonicalize before both the enabled and disabled branches:
-        // the compiled plan must be the same object either way, which
-        // is what keeps cache-on/off observationally equivalent with
-        // canonicalization enabled.
-        let canon_ty;
-        let mut respelled = false;
-        let ty = if self.canon {
-            canon_ty = ty.canonical();
-            if canon_ty.id() != ty.id() {
-                self.canonicalized += 1;
-                respelled = true;
-            }
-            &canon_ty
-        } else {
-            ty
-        };
-        if !self.enabled || self.cap == 0 {
-            self.misses += 1;
-            return Arc::new(TransferPlan::compile(ty, count));
-        }
-        let tag = registry.register(ty);
-        let key = (tag.index, tag.version, count);
-        self.tick += 1;
-        let tick = self.tick;
-        if let Some((plan, last)) = self.map.get_mut(&key) {
-            self.hits += 1;
-            if respelled {
-                self.canonical_hits += 1;
-            }
-            *last = tick;
-            return plan.clone();
-        }
-        self.misses += 1;
-        let plan = shared_plan_lookup(ty.id(), count).unwrap_or_else(|| {
-            let p = Arc::new(TransferPlan::compile(ty, count));
-            shared_plan_publish(ty.id(), count, &p);
-            p
-        });
-        if self.map.len() >= self.cap {
-            // Evict the least recently used entry. The cap is small, so
-            // a linear scan beats maintaining an ordered structure.
-            if let Some(&victim) = self
-                .map
-                .iter()
-                .min_by_key(|(_, (_, last))| *last)
-                .map(|(k, _)| k)
-            {
-                self.map.remove(&victim);
-                self.evictions += 1;
-            }
-        }
-        self.map.insert(key, (plan.clone(), tick));
-        plan
-    }
-
-    /// `(hits, misses, evictions)` counters.
-    pub fn stats(&self) -> (u64, u64, u64) {
-        (self.hits, self.misses, self.evictions)
-    }
-
-    /// `(canonical hits, types canonicalized)`: hits served because a
-    /// *respelled* type resolved to an already-cached canonical
-    /// layout, and lookups whose type was rewritten at all.
-    pub fn canon_stats(&self) -> (u64, u64) {
-        (self.canonical_hits, self.canonicalized)
-    }
-
-    /// Number of cached plans.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// True when no plans are cached.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1371,87 +1188,5 @@ mod tests {
         let (seq16, k) = imm_parse(imm);
         assert_eq!(seq16, 0xF00D);
         assert_eq!(k, 7);
-    }
-
-    fn vec_ty(stride: i64) -> Datatype {
-        Datatype::vector(4, 8, stride, &Datatype::int()).expect("valid vector")
-    }
-
-    #[test]
-    fn plan_cache_hits_on_repeat_lookup() {
-        let mut reg = TypeRegistry::new();
-        let mut pc = PlanCache::new(true, 8);
-        let ty = vec_ty(64);
-        let a = pc.lookup(&mut reg, &ty, 3);
-        let b = pc.lookup(&mut reg, &ty, 3);
-        assert!(Arc::ptr_eq(&a, &b), "second lookup returns the cached Arc");
-        assert_eq!(pc.stats(), (1, 1, 0));
-        // A different count is a different plan.
-        let c = pc.lookup(&mut reg, &ty, 4);
-        assert!(!Arc::ptr_eq(&a, &c));
-        assert_eq!(pc.stats(), (1, 2, 0));
-    }
-
-    #[test]
-    fn plan_cache_disabled_always_misses() {
-        let mut reg = TypeRegistry::new();
-        let mut pc = PlanCache::new(false, 8);
-        let ty = vec_ty(64);
-        let a = pc.lookup(&mut reg, &ty, 3);
-        let b = pc.lookup(&mut reg, &ty, 3);
-        assert!(!Arc::ptr_eq(&a, &b), "disabled cache recompiles every time");
-        assert_eq!(pc.stats(), (0, 2, 0));
-        assert!(pc.is_empty());
-        // Identical output either way.
-        assert_eq!(a.blocks(), b.blocks());
-        assert_eq!(a.total_bytes(), b.total_bytes());
-    }
-
-    #[test]
-    fn plan_cache_evicts_least_recently_used() {
-        let mut reg = TypeRegistry::new();
-        let mut pc = PlanCache::new(true, 2);
-        let t1 = vec_ty(64);
-        let t2 = vec_ty(72);
-        let t3 = vec_ty(80);
-        pc.lookup(&mut reg, &t1, 1);
-        pc.lookup(&mut reg, &t2, 1);
-        // Touch t1 so t2 is the LRU entry, then force an eviction.
-        pc.lookup(&mut reg, &t1, 1);
-        pc.lookup(&mut reg, &t3, 1);
-        assert_eq!(pc.len(), 2);
-        let (_, _, evictions) = pc.stats();
-        assert_eq!(evictions, 1);
-        // t1 survived the eviction (t2 was least recently used).
-        let before = pc.stats().0;
-        pc.lookup(&mut reg, &t1, 1);
-        assert_eq!(pc.stats().0, before + 1, "t1 still hits");
-        pc.lookup(&mut reg, &t2, 1);
-        assert_eq!(pc.stats().1, 4, "t2 was evicted and misses");
-    }
-
-    #[test]
-    fn plan_cache_keyed_by_registry_version() {
-        // Two structurally identical but distinct Datatype values get
-        // distinct registry tags, so they occupy distinct cache slots.
-        let mut reg = TypeRegistry::new();
-        let mut pc = PlanCache::new(true, 8);
-        let t1 = vec_ty(64);
-        let t2 = vec_ty(64);
-        pc.lookup(&mut reg, &t1, 2);
-        pc.lookup(&mut reg, &t2, 2);
-        assert_eq!(pc.stats(), (0, 2, 0), "distinct identities never collide");
-        assert_eq!(pc.len(), 2);
-    }
-
-    #[test]
-    fn plan_cache_zero_capacity_never_stores() {
-        let mut reg = TypeRegistry::new();
-        let mut pc = PlanCache::new(true, 0);
-        let ty = vec_ty(64);
-        pc.lookup(&mut reg, &ty, 1);
-        pc.lookup(&mut reg, &ty, 1);
-        assert!(pc.is_empty());
-        assert_eq!(pc.stats(), (0, 2, 0));
     }
 }

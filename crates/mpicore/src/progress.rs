@@ -2732,7 +2732,7 @@ fn release_stage_bufs(rs: &mut RankState, ctx: &mut Ctx<'_, '_>, bufs: &[StageBu
 /// plan's message at `buf`. `out` is cleared first so callers can pass
 /// a [`ScratchPool`](crate::pool::ScratchPool) vector and keep the
 /// steady-state path allocation-free.
-fn abs_blocks_into(plan: &TransferPlan, buf: Va, out: &mut Vec<(Va, u64)>) {
+pub(crate) fn abs_blocks_into(plan: &TransferPlan, buf: Va, out: &mut Vec<(Va, u64)>) {
     out.clear();
     out.extend(
         plan.blocks()

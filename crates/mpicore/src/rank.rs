@@ -8,14 +8,13 @@
 
 use crate::config::MpiConfig;
 use crate::error::MpiError;
-use crate::plan::PlanCache;
 use crate::pool::{ScratchPool, SegmentPool};
 
 /// Wildcard source for receives (`MPI_ANY_SOURCE`).
 pub const ANY_SOURCE: u32 = u32::MAX;
 /// Wildcard tag for receives (`MPI_ANY_TAG`).
 pub const ANY_TAG: u32 = u32::MAX;
-use ibdt_datatype::{Datatype, LayoutCache, TransferPlan, TypeRegistry};
+use ibdt_datatype::{Datatype, LayoutCache, PlanLookup, TransferPlan, TypeRegistry};
 use ibdt_ibsim::NodeMem;
 use ibdt_memreg::{PindownCache, Va};
 use ibdt_simcore::paged::PagedTable;
@@ -226,6 +225,23 @@ pub struct RankCounters {
     pub staging_chunks: u64,
 }
 
+/// How this rank's plan lookups ([`RankState::plan_for`]) were served.
+/// The plans themselves live on the datatypes, so a type value an
+/// earlier run already compiled is a hit here.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct PlanLookups {
+    /// Served from a type's memo.
+    pub hits: u64,
+    /// Compiled, into a free slot or over an older count.
+    pub compiled: u64,
+    /// Compiled over an older count's plan.
+    pub displaced: u64,
+    /// Hits for a respelled type through its canonical handle.
+    pub canonical_hits: u64,
+    /// Lookups whose type was respelled to its canonical handle.
+    pub canonicalized: u64,
+}
+
 /// All state of one rank's MPI library instance.
 #[derive(Debug)]
 pub struct RankState {
@@ -273,8 +289,11 @@ pub struct RankState {
     pub registry: TypeRegistry,
     /// Sender-side cache of peers' layouts.
     pub layout_cache: LayoutCache,
-    /// Compiled transfer plans keyed by the registry's versioned tags.
-    pub plans: PlanCache,
+    /// Look plans up through each type's canonical spelling
+    /// ([`MpiConfig::canonicalize`]).
+    canonicalize: bool,
+    /// How [`Self::plan_for`] lookups were served.
+    pub(crate) plans: PlanLookups,
     /// Reusable host-side scratch buffers (byte copies, control
     /// buffers, SGE lists).
     pub scratch: ScratchPool,
@@ -376,8 +395,8 @@ impl RankState {
             },
             registry: TypeRegistry::new(),
             layout_cache: LayoutCache::new(),
-            plans: PlanCache::new(cfg.plan_cache, cfg.plan_cache_entries)
-                .with_canonicalization(cfg.canonicalize),
+            canonicalize: cfg.canonicalize,
+            plans: PlanLookups::default(),
             scratch: ScratchPool::new(),
             sent_layouts: HashSet::new(),
             internal: InternalBufs::default(),
@@ -442,7 +461,8 @@ impl RankState {
         self.pindown.reset();
         self.registry.reset();
         self.layout_cache.reset();
-        self.plans.reset();
+        self.canonicalize = cfg.canonicalize;
+        self.plans = PlanLookups::default();
         self.scratch.reset();
         self.sent_layouts.clear();
         self.internal.free.clear();
@@ -476,11 +496,32 @@ impl RankState {
     }
 
     /// Returns the compiled transfer plan for `count` instances of
-    /// `ty`, consulting the per-rank plan cache (keyed by the §5.4.2
-    /// datatype-cache version). Every hot-path chunk, descriptor build,
-    /// and pack/unpack goes through here.
+    /// `ty` from the type's memo ([`Datatype::plan`]), through its
+    /// canonical spelling when canonicalization is on. Every hot-path
+    /// chunk, descriptor build, and pack/unpack goes through here.
+    /// Compilation charges no virtual time.
     pub fn plan_for(&mut self, ty: &Datatype, count: u64) -> std::sync::Arc<TransferPlan> {
-        self.plans.lookup(&mut self.registry, ty, count)
+        let tally = &mut self.plans;
+        let (plan, how) = if self.canonicalize {
+            let canon = ty.canonical();
+            let (plan, how) = canon.plan(count);
+            if canon.id() != ty.id() {
+                tally.canonicalized += 1;
+                tally.canonical_hits += u64::from(how == PlanLookup::Hit);
+            }
+            (plan, how)
+        } else {
+            ty.plan(count)
+        };
+        match how {
+            PlanLookup::Hit => tally.hits += 1,
+            PlanLookup::Compiled => tally.compiled += 1,
+            PlanLookup::Displaced => {
+                tally.compiled += 1;
+                tally.displaced += 1;
+            }
+        }
+        plan
     }
 
     /// Allocates a new request handle.

@@ -2,7 +2,7 @@
 //!
 //! §1 lists remote memory access among the consumers of derived
 //! datatypes, and the versioned datatype cache of §5.4.2 originates in
-//! Träff et al.'s one-sided implementation (ref [14]). This module
+//! Träff et al.'s one-sided implementation (ref \[14\]). This module
 //! provides the fence-synchronized core of MPI-2 RMA:
 //!
 //! * a **window** exposes a registered region of each rank's memory;
@@ -21,7 +21,7 @@
 //! work — only its HCA places or serves data.
 
 use crate::plan::{lkey_for, plan_multi_w, Tail, WrFrame};
-use crate::progress::{post_wrs, Ctx, WR_RMA};
+use crate::progress::{abs_blocks_into, post_wrs, Ctx, WR_RMA};
 use crate::rank::RankState;
 use ibdt_datatype::Datatype;
 use ibdt_memreg::{ogr, Va};
@@ -37,13 +37,12 @@ pub struct WinEntry {
     pub rkey: u32,
 }
 
-/// Absolute blocks of `count` instances of `ty` at `buf`.
-fn abs_blocks(ty: &Datatype, count: u64, buf: Va) -> Vec<(Va, u64)> {
-    ty.flat()
-        .repeat(count)
-        .into_iter()
-        .map(|(o, l)| ((buf as i64 + o) as u64, l))
-        .collect()
+/// Absolute blocks of `count` instances of `ty` at `buf`, from the
+/// type's compiled plan.
+fn abs_blocks(rs: &mut RankState, ty: &Datatype, count: u64, buf: Va) -> Vec<(Va, u64)> {
+    let mut out = Vec::new();
+    abs_blocks_into(&rs.plan_for(ty, count), buf, &mut out);
+    out
 }
 
 /// Registers the origin buffer blocks (pin-down cached); the
@@ -85,8 +84,8 @@ pub fn put(
     if origin_ty.size() * origin_count == 0 {
         return;
     }
-    let origin_blocks = abs_blocks(origin_ty, origin_count, origin_buf);
-    let target_blocks = abs_blocks(target_ty, target_count, win.base + target_off);
+    let origin_blocks = abs_blocks(rs, origin_ty, origin_count, origin_buf);
+    let target_blocks = abs_blocks(rs, target_ty, target_count, win.base + target_off);
     for &(a, l) in &target_blocks {
         assert!(
             a >= win.base && a + l <= win.base + win.len,
@@ -124,8 +123,8 @@ pub fn get(
     if origin_ty.size() * origin_count == 0 {
         return;
     }
-    let origin_blocks = abs_blocks(origin_ty, origin_count, origin_buf);
-    let target_blocks = abs_blocks(target_ty, target_count, win.base + target_off);
+    let origin_blocks = abs_blocks(rs, origin_ty, origin_count, origin_buf);
+    let target_blocks = abs_blocks(rs, target_ty, target_count, win.base + target_off);
     for &(a, l) in &target_blocks {
         assert!(
             a >= win.base && a + l <= win.base + win.len,

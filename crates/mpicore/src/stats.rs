@@ -20,7 +20,10 @@ pub struct RunStats {
     pub reg_ops: Vec<(u64, u64)>,
     /// Per-rank pin-down cache (hits, misses, evictions).
     pub pindown: Vec<(u64, u64, u64)>,
-    /// Per-rank transfer-plan cache (hits, misses, evictions).
+    /// Per-rank transfer-plan lookups: (served from a type's plan
+    /// memo, compiled, compiled over an older count's plan). Plans live
+    /// on the datatypes, not the cluster, so this is not run-local: a
+    /// type value an earlier run already compiled is a hit.
     pub plan_cache: Vec<(u64, u64, u64)>,
     /// Per-rank scratch-buffer pool (reuses, fresh allocations).
     pub scratch_pool: Vec<(u64, u64)>,
@@ -82,8 +85,8 @@ pub struct RunStats {
     /// Total events scheduled on the simulation queue (seeded plus
     /// in-world).
     pub events_scheduled: u64,
-    /// Plan-cache hits served because a *respelled* type canonicalized
-    /// onto an already-compiled layout (all ranks; 0 with
+    /// Plan lookups served from the memo because a *respelled* type
+    /// canonicalized onto an already-compiled layout (all ranks; 0 with
     /// [`MpiConfig::canonicalize`](crate::config::MpiConfig::canonicalize)
     /// off).
     pub plan_cache_canonical_hits: u64,

@@ -2,8 +2,8 @@
 //! Deterministic discrete-event simulation core.
 //!
 //! This crate provides the virtual-time substrate that the InfiniBand
-//! verbs simulator ([`ibdt-ibsim`]) and the MPI runtime
-//! ([`ibdt-mpicore`]) are built on:
+//! verbs simulator (`ibdt-ibsim`) and the MPI runtime
+//! (`ibdt-mpicore`) are built on:
 //!
 //! * [`time`] — virtual nanoseconds and conversion helpers,
 //! * [`queue`] — a total-ordered event queue (`(time, seq)` ordering, so

@@ -7,8 +7,9 @@
 //! lightweight per-rank state machine (serial CPU, serial NIC transmit
 //! engine, windowed injection) whose per-message costs come from the
 //! same calibrated models the cluster uses: [`HostConfig::copy_ns`]
-//! over the compiled [`TransferPlan`]'s block list for pack/unpack,
-//! and [`NetConfig`]'s transmit/propagation terms for the wire.
+//! over the type's merged block count (the block list a one-instance
+//! plan packs) for pack/unpack, and [`NetConfig`]'s
+//! transmit/propagation terms for the wire.
 //!
 //! Ranks are partitioned across [`ShardSim`] shards and advance in
 //! conservative windows of one link propagation delay (the lookahead).
@@ -27,7 +28,6 @@
 //! for why that is its rank's next event). `tests/scale_golden.rs`
 //! pins the results to those of a one-at-a-time event queue.
 
-use ibdt_datatype::TransferPlan;
 use ibdt_ibsim::{HostConfig, NetConfig};
 use ibdt_simcore::shard::{ShardSim, ShardWorld};
 use ibdt_simcore::time::Time;
@@ -572,13 +572,11 @@ pub fn run_scale_with(cfg: &ScaleConfig, net: &NetConfig, host: &HostConfig) -> 
     let mut cfg = cfg.clone();
     cfg.shards = cfg.shards.clamp(1, cfg.ranks as usize);
 
-    // One compiled plan prices every message: the block list drives
-    // the host copy model exactly as the full cluster's pack path
-    // does.
+    // One instance's merged block list prices every message, as the
+    // full cluster's pack path copies it.
     let wl = VectorWorkload::new(cfg.columns);
-    let plan = TransferPlan::compile(&wl.ty, 1);
-    let bytes = plan.total_bytes();
-    let blocks = plan.blocks().len().max(1);
+    let bytes = wl.ty.size();
+    let blocks = wl.ty.num_blocks().max(1);
     let costs = Costs {
         post_ns: net.post_single_ns,
         pack_ns: host.copy_ns(blocks, bytes),
