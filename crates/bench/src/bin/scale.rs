@@ -129,7 +129,12 @@ fn chaos_smoke() -> i32 {
     println!(
         "chaos smoke: 4096-rank alltoall, seed {:#x}, {} fault events: \
          {:.2}s wall, {} msgs delivered, {} lost, {} crashed, fingerprint {:#018x}",
-        seed, n_events, wall, reference.msgs, reference.lost, reference.crashed,
+        seed,
+        n_events,
+        wall,
+        reference.msgs,
+        reference.lost,
+        reference.crashed,
         reference.fingerprint
     );
     let mut ok = true;

@@ -16,9 +16,9 @@ use ibdt_workloads::drivers::{
     alltoall_time, bandwidth, bandwidth_device, incast, incast_spec, pingpong, pingpong_asym,
     pingpong_contig, pingpong_manual, pingpong_manual_ty, pingpong_multiple, PingPongResult,
 };
-use ibdt_workloads::taxonomy::DtClass;
 use ibdt_workloads::structdt::struct_datatype;
 use ibdt_workloads::sweep::run_sweep;
+use ibdt_workloads::taxonomy::DtClass;
 use ibdt_workloads::vector::VectorWorkload;
 
 /// Column counts of the vector micro-benchmark (powers of two, as in
@@ -924,7 +924,10 @@ pub fn x17() -> Table {
     let none = t.rows.len();
     let (win_d, win_s) = (crossover("vec_d", 1.0), crossover("vec_s", 1.0));
     let (zc_d, zc_s) = (crossover("vec_d", 0.25), crossover("vec_s", 0.25));
-    assert!(win_d < none && win_s < none, "DDT must win somewhere on shm");
+    assert!(
+        win_d < none && win_s < none,
+        "DDT must win somewhere on shm"
+    );
     assert_ne!(
         zc_d, zc_s,
         "the decisive crossover must differ between shm copy modes \

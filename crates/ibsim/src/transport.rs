@@ -187,7 +187,9 @@ impl Transport for Fabric {
         mems: &[NodeMem],
         sink: &mut dyn FnMut(Time, NicEvent),
     ) -> Result<(), PostError> {
-        Fabric::post_send_list(self, ready_at, node, peer, wrs, mems, &mut |t, e| sink(t, e))
+        Fabric::post_send_list(self, ready_at, node, peer, wrs, mems, &mut |t, e| {
+            sink(t, e)
+        })
     }
 
     fn post_recv(

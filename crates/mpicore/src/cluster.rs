@@ -910,7 +910,12 @@ impl Cluster {
             pack_wire_overlap_ns: (0..n)
                 .map(|r| {
                     let cpu_trace = self.ranks[r].cpu.trace().expect("cpu traced");
-                    let tx_trace = self.fabric.t().tx_engine(r as u32).trace().expect("tx traced");
+                    let tx_trace = self
+                        .fabric
+                        .t()
+                        .tx_engine(r as u32)
+                        .trace()
+                        .expect("tx traced");
                     cpu_trace.overlap_with("pack", tx_trace, "wire")
                 })
                 .collect(),

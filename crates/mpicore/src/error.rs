@@ -186,7 +186,10 @@ impl fmt::Display for MpiError {
                 )
             }
             MpiError::PeerFailed { peer } => {
-                write!(f, "peer rank {peer} failed (crash-stop, no restart pending)")
+                write!(
+                    f,
+                    "peer rank {peer} failed (crash-stop, no restart pending)"
+                )
             }
             MpiError::ConnectionLost { peer, attempts } => {
                 write!(

@@ -192,7 +192,7 @@ fn recycled_cluster_forgets_previous_run() {
     let _serial = serial();
     let spec = ib_spec(Scheme::BcSpup);
     let _ = run_workload(&spec, 4, false); // warm pools
-    // Fresh reference for workload Q (64 columns -> rendezvous).
+                                           // Fresh reference for workload Q (64 columns -> rendezvous).
     let (q_fresh_fp, q_fresh_mem, _) = run_workload(&spec, 64, false);
     // Run workload P (4 columns -> eager) and recycle.
     let _ = run_workload(&spec, 4, true);
@@ -262,8 +262,8 @@ fn recycle_keyed_on_spec_equality() {
     let _ = run_workload(&spec_b, 4, false); // warm pools
     let (b_fresh_fp, ..) = run_workload(&spec_b, 4, false);
     let _ = run_workload(&spec_a, 4, true); // parks a BcSpup cluster
-    // MultiW build must NOT take the BcSpup cluster; results match the
-    // fresh MultiW reference.
+                                            // MultiW build must NOT take the BcSpup cluster; results match the
+                                            // fresh MultiW reference.
     let (b_fp, ..) = run_workload(&spec_b, 4, false);
     assert_eq!(scrub_pool_stats(&b_fresh_fp), scrub_pool_stats(&b_fp));
 }

@@ -635,9 +635,7 @@ pub fn run_scale_with(cfg: &ScaleConfig, net: &NetConfig, host: &HostConfig) -> 
         );
         let (kind, stall) = match *f {
             ScaleFault::Crash { .. } => (K_CRASH, 0),
-            ScaleFault::Stall { stall_ns, .. } => {
-                (K_STALL, stall_ns.min(u32::MAX as Time) as u32)
-            }
+            ScaleFault::Stall { stall_ns, .. } => (K_STALL, stall_ns.min(u32::MAX as Time) as u32),
         };
         shards[f.rank() as usize % nshards].push(Ev {
             time: f.at_ns(),

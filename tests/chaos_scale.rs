@@ -20,9 +20,7 @@
 //!    plus its seed is printed for a one-line replay.
 
 use ibdt::datatype::Datatype;
-use ibdt::mpicore::{
-    AppOp, Cluster, ClusterSpec, FaultPlan, MpiError, NodeFault, Program, Scheme,
-};
+use ibdt::mpicore::{AppOp, Cluster, ClusterSpec, FaultPlan, MpiError, NodeFault, Program, Scheme};
 use ibdt::workloads::{run_scale, ScaleConfig, ScaleFault, ScaleFaultPlan};
 use ibdt_testkit::{chaos_seed, shrink_report};
 

@@ -71,8 +71,8 @@ fn random_spelled_type(rng: &mut Rng) -> Datatype {
         }
         3 => {
             // Two-field struct with a gap; fields never overlap.
-            let a = Datatype::hvector(rng.range_u64(1, 4), rng.range_u64(1, 32), 48, &byte)
-                .unwrap();
+            let a =
+                Datatype::hvector(rng.range_u64(1, 4), rng.range_u64(1, 32), 48, &byte).unwrap();
             let b = Datatype::contiguous(rng.range_u64(1, 64), &byte).unwrap();
             let gap = a.ub() + rng.range_u64(0, 64) as i64;
             Datatype::struct_(&[(1, 0, a), (rng.range_u64(1, 3), gap, b)]).unwrap()
