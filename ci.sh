@@ -59,6 +59,11 @@ if grep -n "HashMap" crates/mpicore/src/progress.rs crates/mpicore/src/plan.rs \
   exit 1
 fi
 
+echo "==> cargo fmt --check"
+# The tree is rustfmt-clean; a change that is not fails here instead of
+# leaving its formatting for the next change to revert by hand.
+cargo fmt --all -- --check
+
 echo "==> lines of code per crate (report only, no threshold)"
 ./tools/loc.sh
 

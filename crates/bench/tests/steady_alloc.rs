@@ -18,7 +18,7 @@
 //! thread would show up in the windows.
 
 use ibdt_datatype::{Datatype, PlanLookup, TransferPlan};
-use ibdt_ibsim::Payload;
+use ibdt_ibsim::{Sge, SgeList};
 use ibdt_mpicore::pool::ScratchPool;
 use ibdt_mpicore::{
     AppOp, Cluster, ClusterSpec, ReduceOp, Scheme, ShmConfig, ShmCopyMode, TransportConfig,
@@ -120,12 +120,14 @@ fn steady_state_allocation_contracts() {
     };
 
     // Persistent eager send: a plan-memo hit, a pooled control buffer
-    // packed into behind its header, copy-cost block count, and a
-    // pooled payload slab (buffer and `Arc` block reused).
+    // packed into behind its header, copy-cost block count, and the
+    // transfer's inline one-SGE source list, which delivery copies
+    // into the receive slot once.
     {
         let ty = vector_ty(2);
         let n = ty.size();
         let buf = vec![0x3Cu8; ty.true_ub() as usize + 64];
+        let mut slot = vec![0u8; n as usize];
         let mut scratch = ScratchPool::new();
         check(
             format!("repeated_send/persistent_eager/bytes/{n}"),
@@ -137,10 +139,14 @@ fn steady_state_allocation_contracts() {
                 staging.resize(n as usize, 0);
                 plan.pack(0, n, &buf, 0, &mut staging).unwrap();
                 black_box(plan.block_count_in(0, n).unwrap());
-                let payload = Payload::build(n as usize, |v| v.extend_from_slice(&staging));
-                black_box(payload.as_slice());
+                let sges = SgeList::of(Sge {
+                    addr: 4096,
+                    len: n,
+                    lkey: 1,
+                });
+                black_box(&sges);
+                slot.copy_from_slice(black_box(&staging));
                 scratch.put_ctrl(staging);
-                drop(payload);
             },
         );
     }
@@ -217,7 +223,7 @@ fn steady_state_allocation_contracts() {
             spec.mpi.staging_chunk = chunk;
             check(
                 format!("device/bandwidth_staged/{label}"),
-                34,
+                33,
                 2,
                 &mut || {
                     let res = bandwidth_device(&spec, &ty, 1, 4);
@@ -278,7 +284,7 @@ fn steady_state_allocation_contracts() {
         spec.net.cq_depth = 256;
         check(
             format!("incast/fanin/8/credits/{credits}"),
-            381,
+            317,
             2,
             &mut || {
                 black_box(incast(&spec, 12, 512, 2_000));

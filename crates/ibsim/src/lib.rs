@@ -29,6 +29,7 @@
 //! per-WQE constants; RC ordering is preserved because each NIC transmit
 //! engine is a FIFO resource.
 
+mod deliver;
 pub mod fabric;
 pub mod fault;
 pub mod model;

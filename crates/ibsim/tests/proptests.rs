@@ -44,18 +44,20 @@ fn writes_deliver_exactly_once_in_order() {
             mems: (0..n).map(|_| NodeMem::new(64 << 20)).collect(),
             completions: Vec::new(),
         };
-        // One source buffer and one big slot array per node.
+        // One source slot per op and one big slot array per node: a
+        // posted buffer stays untouched until its completion (the verbs
+        // contract; delivery reads it).
+        let nops = rng.range_usize(1, 80);
         let mut src = Vec::new();
         let mut dst = Vec::new();
         for node in 0..n {
-            let s = h.mems[node].space.alloc_page_aligned(4096).unwrap();
-            let sreg = h.mems[node].regs.register(s, 4096);
+            let s = h.mems[node].space.alloc_page_aligned(80 * 4096).unwrap();
+            let sreg = h.mems[node].regs.register(s, 80 * 4096);
             let d = h.mems[node].space.alloc_page_aligned(1 << 20).unwrap();
             let dreg = h.mems[node].regs.register(d, 1 << 20);
             src.push((s, sreg.lkey));
             dst.push((d, dreg.rkey));
         }
-        let nops = rng.range_usize(1, 80);
         let mut evs: Vec<(Time, NicEvent)> = Vec::new();
         let mut slot = 0u64;
         let mut expected: Vec<(usize, u64, u8)> = Vec::new(); // (dst node, slot addr, byte)
@@ -70,10 +72,8 @@ fn writes_deliver_exactly_once_in_order() {
                 continue;
             }
             let byte = (i % 251) as u8 + 1;
-            h.mems[s as usize]
-                .space
-                .fill(src[s as usize].0, len, byte)
-                .unwrap();
+            let from = src[s as usize].0 + i as u64 * 4096;
+            h.mems[s as usize].space.fill(from, len, byte).unwrap();
             let target = dst[d as usize].0 + slot * 4096;
             let wr_id = i as u64;
             let posted = h.fabric.post_send(
@@ -84,7 +84,7 @@ fn writes_deliver_exactly_once_in_order() {
                     wr_id,
                     opcode: Opcode::RdmaWrite,
                     sges: vec![Sge {
-                        addr: src[s as usize].0,
+                        addr: from,
                         len,
                         lkey: src[s as usize].1,
                     }]
@@ -96,8 +96,7 @@ fn writes_deliver_exactly_once_in_order() {
                 &mut |t, e| evs.push((t, e)),
             );
             assert!(posted.is_ok());
-            // Snapshot semantics: data is captured at post time, so each
-            // op uses its own fill value and slot.
+            // Each op uses its own fill value and slot.
             expected.push((d as usize, target, byte));
             posted_per_pair.entry((s, d)).or_default().push(wr_id);
             slot += 1;
