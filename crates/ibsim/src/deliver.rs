@@ -13,6 +13,12 @@
 //!   the completions delivery produces ([`Rx::deliver`]). The transport
 //!   decides only *when* each completion becomes visible.
 //!
+//! Each transport keeps its in-flight transfers in one slab, from
+//! launch (or post, on shared memory) until delivery, flush or discard.
+//! Events, the park queue and the fabric's reorder buffer hold slab
+//! [`Handle`]s; a transfer leaves its slab only when [`Rx::deliver`]
+//! takes it, so a parked one stays where it was.
+//!
 //! # Each wire byte moves once
 //!
 //! A transfer carries where its bytes are ([`Source`]), not a copy of
@@ -46,6 +52,7 @@ use crate::payload::Payload;
 use crate::wr::{Cqe, CqeStatus, Opcode, PostError, RecvWr, SendWr, Sge, SgeList};
 use ibdt_memreg::{AddressSpace, MemError, Va};
 use ibdt_simcore::paged::PagedTable;
+use ibdt_simcore::slab::Handle;
 use ibdt_simcore::time::Time;
 use std::collections::VecDeque;
 
@@ -214,9 +221,6 @@ pub(crate) struct Xfer {
 
 /// What [`Rx::deliver`] did; the transport turns it into time.
 pub(crate) enum Delivered {
-    /// No receive descriptor is posted: the transfer is handed back to
-    /// be parked (RNR).
-    Rnr(Xfer),
     /// Delivery finished. `placed` is the bytes written at the
     /// destination, `None` when it was refused. `at_dst` completes at
     /// the destination (a consumed receive descriptor, or the read
@@ -312,15 +316,14 @@ fn sender_done<M>(
 }
 
 /// The receive side both transports share: posted receive descriptors
-/// and RNR-parked transfers (`P`, the transport's own record) per
-/// `(node, peer)`.
+/// and the handles of RNR-parked transfers per `(node, peer)`.
 #[derive(Debug)]
-pub(crate) struct Rx<P> {
+pub(crate) struct Rx {
     /// Receive queues by node, then peer. Paged: an untouched entry
     /// reads as an empty queue and holds no memory.
     recvq: Vec<PagedTable<VecDeque<RecvWr>>>,
     /// Transfers parked for a receive descriptor, by node, then peer.
-    parked: Vec<PagedTable<VecDeque<P>>>,
+    parked: Vec<PagedTable<VecDeque<Handle>>>,
     /// Consuming a descriptor that leaves this many posted counts a
     /// [`FabricStats::recv_low_water`] crossing (0 = off).
     low_watermark: usize,
@@ -328,7 +331,7 @@ pub(crate) struct Rx<P> {
     pub audit: Audit,
 }
 
-impl<P> Rx<P> {
+impl Rx {
     pub(crate) fn new(n: usize, low_watermark: usize) -> Self {
         Rx {
             recvq: (0..n).map(|_| PagedTable::new(n)).collect(),
@@ -386,14 +389,21 @@ impl<P> Rx<P> {
         }
     }
 
-    /// Parks a transfer on `dst <- src` until a descriptor is posted.
-    pub(crate) fn park(&mut self, dst: u32, src: u32, p: P) {
-        self.parked[dst as usize][src as usize].push_back(p);
+    /// True when `op` needs a receive descriptor on `dst <- src` and
+    /// none is posted: the transfer must be parked, not delivered.
+    pub(crate) fn waits(&self, dst: u32, src: u32, op: &Op) -> bool {
+        op.consumes_recv() && self.recvq_len(dst, src) == 0
+    }
+
+    /// Parks the transfer `h` on `dst <- src` until a descriptor is
+    /// posted.
+    pub(crate) fn park(&mut self, dst: u32, src: u32, h: Handle) {
+        self.parked[dst as usize][src as usize].push_back(h);
     }
 
     /// The oldest transfer parked on `node <- peer`, once a descriptor
     /// is posted for it.
-    pub(crate) fn unpark(&mut self, node: u32, peer: u32) -> Option<P> {
+    pub(crate) fn unpark(&mut self, node: u32, peer: u32) -> Option<Handle> {
         if self.recvq_len(node, peer) == 0 {
             return None;
         }
@@ -401,39 +411,34 @@ impl<P> Rx<P> {
     }
 
     /// The park queue of `node <- peer`, if it was ever touched.
-    pub(crate) fn parked_mut(&mut self, node: u32, peer: u32) -> Option<&mut VecDeque<P>> {
+    pub(crate) fn parked_mut(&mut self, node: u32, peer: u32) -> Option<&mut VecDeque<Handle>> {
         self.parked[node as usize].get_mut_touched(peer as usize)
     }
 
-    /// Pops the front descriptor of `dst <- src`: `Ok` when it holds
-    /// `len` bytes, `Err` when it is too small, `None` when none is
-    /// posted. Counts a low-watermark crossing (an edge, not a level,
-    /// so the embedder sees one event per dip).
+    /// Pops the front descriptor of `dst <- src`, which [`Rx::waits`]
+    /// found posted. Counts a low-watermark crossing (an edge, not a
+    /// level, so the embedder sees one event per dip).
     fn consume(
         &mut self,
         dst: u32,
         src: u32,
-        len: u64,
         stats: &mut FabricStats,
         node_stats: &mut [FabricStats],
-    ) -> Option<Result<RecvWr, RecvWr>> {
-        let q = self.recvq[dst as usize].get_mut_touched(src as usize)?;
-        let rwr = q.pop_front()?;
+    ) -> RecvWr {
+        let q = &mut self.recvq[dst as usize][src as usize];
+        let rwr = q.pop_front().expect("checked by Rx::waits");
         if self.low_watermark > 0 && q.len() + 1 == self.low_watermark {
             stats.recv_low_water += 1;
             node_stats[dst as usize].recv_low_water += 1;
         }
-        Some(if rwr.capacity() < len {
-            Err(rwr)
-        } else {
-            Ok(rwr)
-        })
+        rwr
     }
 
-    /// Delivers `x` at `dst`: matches a receive descriptor, checks
-    /// lengths and rkeys, copies the bytes and builds the completions.
-    /// `tag` names the transfer to the debug source audit. Inlined into
-    /// its two callers, so the transfer is not copied through the call.
+    /// Delivers `x` at `dst`, once [`Rx::waits`] said it need not park:
+    /// matches a receive descriptor, checks lengths and rkeys, copies
+    /// the bytes and builds the completions. `tag` names the transfer
+    /// to the debug source audit. Inlined into its two callers, so the
+    /// transfer is not copied through the call.
     #[inline]
     pub(crate) fn deliver(
         &mut self,
@@ -458,28 +463,25 @@ impl<P> Rx<P> {
                 ref data,
             } => {
                 let len = data.len();
-                let rwr = match self.consume(dst, src, len, stats, node_stats) {
-                    None => return Delivered::Rnr(x),
-                    Some(Err(rwr)) => {
-                        let capacity = rwr.capacity();
-                        let sent = CqeStatus::LocalLengthError {
-                            sent: len,
-                            capacity,
-                        };
-                        let nak = CqeStatus::RemoteAccess(MemError::OutOfBounds {
-                            addr: 0,
-                            len,
-                            capacity,
-                        });
-                        let released = matches!(data, Source::Staged(_));
-                        return refused(
-                            Some(recv_cqe(src, rwr.wr_id, 0, None, sent)),
-                            (!released).then(|| send_cqe(dst, wr_id, 0, nak)),
-                            false,
-                        );
-                    }
-                    Some(Ok(rwr)) => rwr,
-                };
+                let rwr = self.consume(dst, src, stats, node_stats);
+                let capacity = rwr.capacity();
+                if capacity < len {
+                    let sent = CqeStatus::LocalLengthError {
+                        sent: len,
+                        capacity,
+                    };
+                    let nak = CqeStatus::RemoteAccess(MemError::OutOfBounds {
+                        addr: 0,
+                        len,
+                        capacity,
+                    });
+                    let released = matches!(data, Source::Staged(_));
+                    return refused(
+                        Some(recv_cqe(src, rwr.wr_id, 0, None, sent)),
+                        (!released).then(|| send_cqe(dst, wr_id, 0, nak)),
+                        false,
+                    );
+                }
                 self.place(mems, src, dst, tag, data, &rwr.sges);
                 Delivered::Done {
                     placed: Some(len),
@@ -496,9 +498,6 @@ impl<P> Rx<P> {
                 signaled,
                 ref data,
             } => {
-                if imm.is_some() && self.recvq_len(dst, src) == 0 {
-                    return Delivered::Rnr(x);
-                }
                 let len = data.len();
                 if let Err(e) = mems[dst as usize].regs.check(rkey, addr, len) {
                     let nak = CqeStatus::RemoteAccess(e);
@@ -509,7 +508,7 @@ impl<P> Rx<P> {
                 let at_dst = imm.map(|v| {
                     let rwr = self.recvq[dst as usize][src as usize]
                         .pop_front()
-                        .expect("checked non-empty above");
+                        .expect("checked by Rx::waits");
                     recv_cqe(src, rwr.wr_id, len, Some(v), CqeStatus::Success)
                 });
                 Delivered::Done {
@@ -688,7 +687,7 @@ fn copy_within(space: &mut AddressSpace, rd: &mut Reader<'_>, to: &[Sge]) {
 /// the debug-build allocation counts.
 #[cfg(debug_assertions)]
 #[derive(Debug, Default)]
-pub(crate) struct Audit(std::collections::HashMap<(u32, u32, u64), u64>);
+pub(crate) struct Audit(std::collections::HashMap<(u32, u32, u64), u64>); // allow-hashmap: debug-only audit, compiled out of release builds
 
 #[cfg(debug_assertions)]
 impl Audit {
@@ -755,12 +754,12 @@ mod tests {
     use crate::wr::{Opcode, SendWr, Sge};
     use std::mem::size_of;
 
-    /// The in-flight transfer carries a source SGE list instead of a
-    /// payload handle; it must not grow the events that carry it.
+    /// Transfers live in the transport's slab and events carry their
+    /// handles, so an event stays the size of a completion.
     #[test]
     fn in_flight_transfers_do_not_grow() {
-        assert!(size_of::<Transfer>() <= 192, "{}", size_of::<Transfer>());
-        assert!(size_of::<NicEvent>() <= 200, "{}", size_of::<NicEvent>());
+        assert!(size_of::<Transfer>() <= 232, "{}", size_of::<Transfer>());
+        assert!(size_of::<NicEvent>() <= 80, "{}", size_of::<NicEvent>());
     }
 
     /// Posts an RDMA write on `0 -> dst` and runs the fabric dry.

@@ -13,6 +13,9 @@
 //!   (the shared core of `crate::deliver`; a sender's completion is
 //!   scheduled only after delivery, so verbs already forbids touching a
 //!   posted buffer before then),
+//! * each transfer lives in one slab from launch until delivery, flush
+//!   or discard; its events, the RNR park queue and the reorder buffer
+//!   hold its [`Handle`],
 //! * rkey checks happen at the responder, like real IB; failures produce
 //!   an error completion at the requester and move no data,
 //! * a send (or write-with-immediate) arriving at a QP with an empty
@@ -97,12 +100,12 @@ impl NodeMem {
 /// [`Fabric::handle`] when they fire.
 #[derive(Debug)]
 pub enum NicEvent {
-    /// A transfer arrives at `dst`'s HCA.
+    /// A transfer arrives at `dst` (on either transport).
     Arrive {
         /// Destination node.
         dst: u32,
-        /// The in-flight transfer.
-        xfer: Transfer,
+        /// The transfer's handle in the transport's in-flight slab.
+        id: Handle,
     },
     /// A locally generated completion becomes visible (post-ACK).
     LocalCqe {
@@ -122,11 +125,10 @@ pub enum NicEvent {
     /// The requester's transport timer fired for an unacknowledged
     /// transfer (dropped or NAKed): retransmit or give up.
     RetryTimeout {
-        /// Generational slab handle ([`ibdt_simcore::slab::Handle`]
-        /// bits) of the transfer awaiting retransmission. A stale
-        /// handle (the transfer was flushed meanwhile) resolves to
-        /// nothing, exactly as the former hash-map ticket miss did.
-        xfer_id: u64,
+        /// Slab handle of the transfer, the same on every transmission.
+        /// A stale handle (the transfer was flushed meanwhile) resolves
+        /// to nothing.
+        id: Handle,
     },
     /// A timed RNR backoff retry for a parked transfer.
     RnrTimedRetry {
@@ -134,8 +136,8 @@ pub enum NicEvent {
         node: u32,
         /// Peer whose parked transfer is retried.
         peer: u32,
-        /// Ticket of the parked transfer.
-        park_id: u64,
+        /// Slab handle of the parked transfer.
+        id: Handle,
     },
     /// A port fails (scheduled from [`FaultPlan::link_faults`]). QPs
     /// whose current path crosses it migrate (APM) or error.
@@ -169,17 +171,6 @@ pub enum NicEvent {
     NodeUp {
         /// Node that restarts.
         node: u32,
-    },
-    /// A shared-memory transfer becomes visible at `dst`
-    /// ([`crate::shm::ShmChannel`] events share this enum so the
-    /// embedding world needs one event type per backend family).
-    /// `id` indexes the channel's in-flight slab. The IB fabric never
-    /// emits or receives one.
-    ShmArrive {
-        /// Destination rank.
-        dst: u32,
-        /// In-flight slab handle bits.
-        id: u64,
     },
 }
 
@@ -220,9 +211,11 @@ impl fmt::Display for QpTransitionError {
 impl std::error::Error for QpTransitionError {}
 
 /// An in-flight transfer: one work request's source ranges and what it
-/// does at the destination (`crate::deliver`), plus its RC sequencing.
+/// does at the destination (`crate::deliver`), its RC sequencing and
+/// retransmission cost, and where it is now. It lives in the fabric's
+/// slab from launch until delivery, flush or discard.
 #[derive(Debug)]
-pub struct Transfer {
+pub(crate) struct Transfer {
     /// Per-QP-direction sequence number (RC ordering under faults).
     seq: u64,
     /// Transmission attempts so far (0 = first).
@@ -231,6 +224,12 @@ pub struct Transfer {
     /// a stale epoch at arrival means the QP was reset mid-flight and
     /// the transfer is discarded.
     epoch: u32,
+    dst: u32,
+    /// Serialization time of each transmission.
+    tx_dur: Time,
+    /// Latency added after serialization (an RDMA read request's).
+    extra_delay: Time,
+    stage: Stage,
     x: Xfer,
 }
 
@@ -240,6 +239,34 @@ impl Transfer {
     fn tag(&self) -> u64 {
         (u64::from(self.epoch) << 40) | self.seq
     }
+
+    /// `(requester, responder)` of the QP this WQE belongs to. A read
+    /// response travels responder→requester, but the WQE lives at the
+    /// requester.
+    fn endpoints(&self) -> (u32, u32) {
+        match self.x.op {
+            Op::ReadResponse { .. } => (self.dst, self.x.src),
+            _ => (self.x.src, self.dst),
+        }
+    }
+}
+
+/// Where an in-flight transfer is. Parked and reordered transfers are
+/// also found through the queues holding their handles; those awaiting
+/// retransmission only through this stage.
+#[derive(Debug, Clone, Copy)]
+enum Stage {
+    /// Launched: its [`NicEvent::Arrive`] is scheduled, or it arrived
+    /// ahead of sequence and waits in the reorder buffer.
+    Wire,
+    /// Dropped or NAKed: its [`NicEvent::RetryTimeout`] is scheduled.
+    /// `order` is a monotonic admission stamp. The slab iterates in
+    /// slot order, which drifts from admission order as slots recycle,
+    /// so flushes sort on it to go oldest-first.
+    Retry { order: u64 },
+    /// In the RNR park queue. `ticket` keys the backoff jitter;
+    /// `attempt` counts timed RNR retries.
+    Parked { ticket: u64, attempt: u32 },
 }
 
 /// A send-queue slot: the WQE occupies the queue until the NIC finishes
@@ -248,40 +275,6 @@ impl Transfer {
 struct SqEntry {
     done: Time,
     wr_id: u64,
-}
-
-/// A transfer parked for RNR, with its backoff-retry bookkeeping.
-#[derive(Debug)]
-struct ParkedEntry {
-    id: u64,
-    attempt: u32,
-    xfer: Transfer,
-}
-
-/// A transfer awaiting retransmission after a drop or NAK.
-#[derive(Debug)]
-struct PendingRetry {
-    /// Monotonic admission stamp. Slab iteration visits slots in index
-    /// order (which drifts from insertion order as slots recycle), so
-    /// flush paths sort on this stamp to reproduce the oldest-first
-    /// order the former sorted-ticket flush produced.
-    order: u64,
-    dst: u32,
-    tx_dur: Time,
-    extra_delay: Time,
-    xfer: Transfer,
-}
-
-impl PendingRetry {
-    /// `(requester, responder)` of the QP this WQE belongs to. A read
-    /// response travels responder→requester, but the WQE lives at the
-    /// requester.
-    fn endpoints(&self) -> (u32, u32) {
-        match self.xfer.x.op {
-            Op::ReadResponse { .. } => (self.dst, self.xfer.x.src),
-            _ => (self.xfer.x.src, self.dst),
-        }
-    }
 }
 
 #[derive(Debug)]
@@ -361,8 +354,9 @@ struct DirState {
     tx_seq: u64,
     /// Next expected sequence number (fault mode).
     rx_expected: u64,
-    /// Reorder buffer (fault mode); empty maps hold no heap storage.
-    rx_ooo: BTreeMap<u64, Transfer>,
+    /// Reorder buffer (fault mode): transfer handles by sequence
+    /// number; empty maps hold no heap storage.
+    rx_ooo: BTreeMap<u64, Handle>,
     /// APM failover in progress: sends stall until this instant.
     migrating_until: Option<Time>,
 }
@@ -388,19 +382,20 @@ pub struct Fabric {
     cfg: NetConfig,
     nodes: Vec<Node>,
     /// Receive descriptors and RNR-parked transfers.
-    rx: Rx<ParkedEntry>,
+    rx: Rx,
     stats: FabricStats,
     /// Fault-decision stream; `None` = lossless fabric, zero overhead.
     faults: Option<FaultState>,
-    /// Ticket counter for park entries.
+    /// Ticket counter for RNR parks (the backoff-jitter key).
     next_id: u64,
-    /// Monotonic admission counter for retransmit entries (flush-order
-    /// stamp; see [`PendingRetry::order`]).
+    /// Admission counter for retransmission (the `order` of
+    /// [`Stage::Retry`]).
     next_order: u64,
-    /// Transfers awaiting retransmission. Slab handles travel through
-    /// [`NicEvent::RetryTimeout`] as `u64`s; stale handles (flushed
-    /// transfers) resolve to `None` on removal.
-    inflight: Slab<PendingRetry>,
+    /// Every in-flight transfer, from launch until delivery, flush or
+    /// discard. Events, the park queues and the reorder buffers carry
+    /// its handle; a stale handle (a flushed transfer) resolves to
+    /// `None`.
+    inflight: Slab<Transfer>,
     /// Paged per-direction QP state, indexed `src * n + dst`.
     dirs: PagedTable<DirState>,
     /// Number of directions currently mid-migration (fast-path gate
@@ -743,7 +738,6 @@ impl Fabric {
     /// survive (the re-established connection re-uses them, equivalent
     /// to the CM re-posting identical descriptors).
     pub fn reset_qp(&mut self, node: u32, peer: u32) {
-        let dir = (node, peer);
         // Prefer a path whose port is up at both ends.
         let port = [0u8, 1]
             .into_iter()
@@ -754,8 +748,6 @@ impl Fabric {
         d.state = QpState::Reset;
         d.epoch += 1;
         d.tx_seq = 0;
-        d.rx_expected = 0;
-        d.rx_ooo.clear();
         d.path = port;
         if d.migrating_until.take().is_some() {
             self.migrating -= 1;
@@ -766,18 +758,37 @@ impl Fabric {
         {
             q.clear();
         }
-        if let Some(q) = self.rx.parked_mut(peer, node) {
-            q.clear();
-        }
-        let handles: Vec<Handle> = self
+        self.take_queued(node, peer);
+    }
+
+    /// Removes from the slab the transfers of the QP `requester ->
+    /// responder` that wait inside the fabric: those awaiting
+    /// retransmission, oldest first ([`Stage::Retry`]), then those
+    /// parked for RNR at the responder, then the reorder buffer's
+    /// residents. Transfers on the wire stay until their arrival
+    /// discards them.
+    fn take_queued(&mut self, requester: u32, responder: u32) -> Vec<Transfer> {
+        let mut ids: Vec<(u64, Handle)> = self
             .inflight
             .iter()
-            .filter(|(_, p)| p.endpoints() == dir)
-            .map(|(h, _)| h)
+            .filter_map(|(h, t)| match t.stage {
+                Stage::Retry { order } if t.endpoints() == (requester, responder) => {
+                    Some((order, h))
+                }
+                _ => None,
+            })
             .collect();
-        for h in handles {
-            self.inflight.remove(h);
+        ids.sort_unstable();
+        let mut handles: Vec<Handle> = ids.into_iter().map(|(_, h)| h).collect();
+        if let Some(q) = self.rx.parked_mut(responder, requester) {
+            handles.extend(q.drain(..));
         }
+        let d = self.dir_mut(requester, responder);
+        handles.extend(std::mem::take(&mut d.rx_ooo).into_values());
+        d.rx_expected = 0;
+        let slab = &mut self.inflight;
+        let take = |h| slab.remove(h).expect("a queued transfer is in the slab");
+        handles.into_iter().map(take).collect()
     }
 
     /// Convenience for the MPI connection manager: the full
@@ -847,25 +858,28 @@ impl Fabric {
         &self.nodes[node as usize].tx
     }
 
+    /// Transfers between launch and delivery, flush or discard. A run
+    /// whose events have all drained without an error holds none.
+    pub fn in_flight(&self) -> usize {
+        self.inflight.len()
+    }
+
     fn alloc_id(&mut self) -> u64 {
         self.next_id += 1;
         self.next_id
     }
 
-    /// Admits a transfer into the retransmit slab, returning the
-    /// handle its timer event carries.
-    fn admit_inflight(&mut self, dst: u32, tx_dur: Time, extra_delay: Time, xfer: Transfer) -> u64 {
+    fn xfer(&mut self, h: Handle) -> &mut Transfer {
+        self.inflight
+            .get_mut(h)
+            .expect("a scheduled or queued transfer is in the slab")
+    }
+
+    /// Marks the transfer `h` as awaiting retransmission.
+    fn admit_retry(&mut self, h: Handle) {
         let order = self.next_order;
         self.next_order += 1;
-        self.inflight
-            .insert(PendingRetry {
-                order,
-                dst,
-                tx_dur,
-                extra_delay,
-                xfer,
-            })
-            .bits()
+        self.xfer(h).stage = Stage::Retry { order };
     }
 
     fn alloc_seq(&mut self, src: u32, dst: u32) -> u64 {
@@ -875,26 +889,24 @@ impl Fabric {
         seq
     }
 
-    /// Serializes one transfer onto the sender's transmit engine and
+    /// Serializes the transfer `h` onto the sender's transmit engine and
     /// decides its fate: delivery (possibly jittered), a drop recovered
     /// by the transport timer, or a corruption recovered by the NAK
     /// round trip. Returns the serialization finish time.
-    #[allow(clippy::too_many_arguments)]
     fn launch<F: FnMut(Time, NicEvent)>(
         &mut self,
         ready_at: Time,
-        dst: u32,
-        xfer: Transfer,
-        tx_dur: Time,
-        extra_delay: Time,
+        h: Handle,
         retransmit: bool,
         sink: &mut F,
     ) -> Time {
-        let src = xfer.x.src;
+        let t = self.xfer(h);
+        let (src, dst, tx_dur, extra_delay) = (t.x.src, t.dst, t.tx_dur, t.extra_delay);
         if retransmit {
+            let wire = t.x.op.wire_bytes();
             self.stats.retransmits += 1;
             self.node_stats[src as usize].retransmits += 1;
-            self.stats.bytes_on_wire += xfer.x.op.wire_bytes();
+            self.stats.bytes_on_wire += wire;
         }
         let mut start = ready_at;
         // An APM failover in progress stalls the direction's sends
@@ -936,27 +948,27 @@ impl Fabric {
                     self.stats.delays_injected += 1;
                     self.node_stats[src as usize].delays_injected += 1;
                 }
-                sink(arrive_at + jitter_ns, NicEvent::Arrive { dst, xfer });
+                sink(arrive_at + jitter_ns, NicEvent::Arrive { dst, id: h });
             }
             Fate::Drop => {
                 self.stats.drops_injected += 1;
                 self.node_stats[src as usize].drops_injected += 1;
-                let id = self.admit_inflight(dst, tx_dur, extra_delay, xfer);
+                self.admit_retry(h);
                 sink(
                     ser_done + self.cfg.transport_timeout_ns,
-                    NicEvent::RetryTimeout { xfer_id: id },
+                    NicEvent::RetryTimeout { id: h },
                 );
             }
             Fate::Corrupt => {
                 self.stats.corruptions_injected += 1;
                 self.node_stats[src as usize].corruptions_injected += 1;
-                let id = self.admit_inflight(dst, tx_dur, extra_delay, xfer);
+                self.admit_retry(h);
                 // Bad ICRC: the payload crossed the wire and the
                 // responder NAKs it; retransmission can start after the
                 // NAK returns.
                 sink(
                     arrive_at + self.cfg.prop_delay_ns + self.cfg.cqe_ns,
-                    NicEvent::RetryTimeout { xfer_id: id },
+                    NicEvent::RetryTimeout { id: h },
                 );
             }
         }
@@ -1048,6 +1060,10 @@ impl Fabric {
             seq: self.alloc_seq(node, peer),
             attempt: 0,
             epoch: self.epoch_of((node, peer)),
+            dst: peer,
+            tx_dur,
+            extra_delay,
+            stage: Stage::Wire,
             x: Xfer {
                 src: node,
                 op: Op::post(wr, &mem.space, false),
@@ -1058,7 +1074,8 @@ impl Fabric {
             .audit
             .record(node, peer, xfer.tag(), &mem.space, &xfer.x.op);
         let wr_id = xfer.x.op.wr_id();
-        let ser_done = self.launch(ready_at, peer, xfer, tx_dur, extra_delay, false, sink);
+        let h = self.inflight.insert(xfer);
+        let ser_done = self.launch(ready_at, h, false, sink);
         self.nodes[node as usize].sq_busy[peer as usize].push_back(SqEntry {
             done: ser_done,
             wr_id,
@@ -1122,16 +1139,14 @@ impl Fabric {
                 self.cq_admit(node);
                 out.push((node, cqe));
             }
-            NicEvent::Arrive { dst, xfer } => self.arrive(now, dst, xfer, mems, sink, out),
+            NicEvent::Arrive { dst, id } => self.arrive(now, dst, id, mems, sink, out),
             NicEvent::RnrRetry { node, peer } => {
                 self.drain_parked(now, node, peer, mems, sink, out)
             }
-            NicEvent::RetryTimeout { xfer_id } => self.retry_timeout(now, xfer_id, sink),
-            NicEvent::RnrTimedRetry {
-                node,
-                peer,
-                park_id,
-            } => self.rnr_timed_retry(now, node, peer, park_id, mems, sink, out),
+            NicEvent::RetryTimeout { id } => self.retry_timeout(now, id, sink),
+            NicEvent::RnrTimedRetry { node, peer, id } => {
+                self.rnr_timed_retry(now, node, peer, id, mems, sink, out)
+            }
             NicEvent::PortDown { node, port } => self.handle_port_down(now, node, port, sink),
             NicEvent::PortUp { node, port } => {
                 let down = &mut self.ports_down[node as usize][port as usize];
@@ -1141,9 +1156,6 @@ impl Fabric {
                 }
             }
             NicEvent::NodeDown { node } => self.handle_node_down(now, node, sink),
-            NicEvent::ShmArrive { .. } => {
-                unreachable!("shared-memory event delivered to the IB fabric")
-            }
             NicEvent::NodeUp { node } => {
                 if self.node_down(node) {
                     self.nodes_down[node as usize] = false;
@@ -1267,19 +1279,20 @@ impl Fabric {
 
     /// Transport timer: retransmit the pending transfer, or exhaust the
     /// retry budget and error the QP.
-    fn retry_timeout<F: FnMut(Time, NicEvent)>(&mut self, now: Time, xfer_id: u64, sink: &mut F) {
-        let Some(mut p) = self.inflight.remove(Handle::from_bits(xfer_id)) else {
+    fn retry_timeout<F: FnMut(Time, NicEvent)>(&mut self, now: Time, h: Handle, sink: &mut F) {
+        let Some(t) = self.inflight.get_mut(h) else {
             // Flushed by a QP error transition in the meantime (the
-            // stale generation makes the removal a miss).
+            // stale generation makes the lookup a miss).
             return;
         };
-        let (requester, responder) = p.endpoints();
-        p.xfer.attempt += 1;
-        if p.xfer.attempt > self.cfg.retry_cnt {
+        let (requester, responder) = t.endpoints();
+        t.attempt += 1;
+        if t.attempt > self.cfg.retry_cnt {
+            let t = self.inflight.remove(h).expect("looked up above");
             let status = CqeStatus::RetryExceeded {
-                attempts: p.xfer.attempt,
+                attempts: t.attempt,
             };
-            let cqe = send_cqe(responder, p.xfer.x.op.wr_id(), 0, status);
+            let cqe = send_cqe(responder, t.x.op.wr_id(), 0, status);
             sink(
                 now + self.cfg.cqe_ns,
                 NicEvent::LocalCqe {
@@ -1289,8 +1302,8 @@ impl Fabric {
             );
             self.fail_qp(now, requester, responder, sink);
         } else {
-            let dst = p.dst;
-            self.launch(now, dst, p.xfer, p.tx_dur, p.extra_delay, true, sink);
+            t.stage = Stage::Wire;
+            self.launch(now, h, true, sink);
         }
     }
 
@@ -1303,7 +1316,7 @@ impl Fabric {
         now: Time,
         node: u32,
         peer: u32,
-        park_id: u64,
+        h: Handle,
         mems: &mut [NodeMem],
         sink: &mut F,
         out: &mut Vec<(u32, Cqe)>,
@@ -1312,35 +1325,34 @@ impl Fabric {
         let Some(q) = self.rx.parked_mut(node, peer) else {
             return;
         };
-        let Some(pos) = q.iter().position(|p| p.id == park_id) else {
+        let Some(pos) = q.iter().position(|&p| p == h) else {
             // Delivered (or flushed) in the meantime.
             return;
         };
         self.stats.rnr_backoff_retries += 1;
         self.node_stats[peer as usize].rnr_backoff_retries += 1;
-        let entry = &mut q[pos];
-        entry.attempt += 1;
-        if entry.attempt > self.cfg.rnr_retry {
-            let entry = q.remove(pos).expect("position just found");
-            let status = CqeStatus::RnrRetryExceeded {
-                attempts: entry.attempt,
-            };
+        let t = self
+            .inflight
+            .get_mut(h)
+            .expect("a parked transfer is in the slab");
+        let Stage::Parked { ticket, attempt } = &mut t.stage else {
+            unreachable!("a parked transfer's stage is Parked");
+        };
+        *attempt += 1;
+        let (ticket, attempt) = (*ticket, *attempt);
+        if attempt > self.cfg.rnr_retry {
+            q.remove(pos);
+            let t = self.inflight.remove(h).expect("looked up above");
+            let status = CqeStatus::RnrRetryExceeded { attempts: attempt };
             // The RNR NAK that exhausts the budget travels back to the
             // sender, whose QP then errors.
-            let cqe = send_cqe(node, entry.xfer.x.op.wr_id(), 0, status);
+            let cqe = send_cqe(node, t.x.op.wr_id(), 0, status);
             self.sched_local(sink, peer, cqe, now);
             self.fail_qp(now, peer, node, sink);
         } else {
-            let key = ((node as u64) << 48) ^ ((peer as u64) << 32) ^ park_id;
-            let at = now + self.cfg.rnr_backoff_jittered_ns(entry.attempt, key);
-            sink(
-                at,
-                NicEvent::RnrTimedRetry {
-                    node,
-                    peer,
-                    park_id,
-                },
-            );
+            let key = ((node as u64) << 48) ^ ((peer as u64) << 32) ^ ticket;
+            let at = now + self.cfg.rnr_backoff_jittered_ns(attempt, key);
+            sink(at, NicEvent::RnrTimedRetry { node, peer, id: h });
         }
     }
 
@@ -1348,7 +1360,8 @@ impl Fabric {
     /// error state: outstanding WQEs (send-queue slots, transfers
     /// awaiting retransmission, parked transfers, reorder-buffer
     /// residents) flush with [`CqeStatus::FlushErr`]; later posts fail
-    /// with [`PostError::QpError`]; in-flight arrivals are discarded.
+    /// with [`PostError::QpError`]. Transfers on the wire stay in the
+    /// slab until their arrival discards them, with no completion.
     fn fail_qp<F: FnMut(Time, NicEvent)>(
         &mut self,
         now: Time,
@@ -1368,6 +1381,11 @@ impl Fabric {
         self.node_stats[requester as usize].qp_errors += 1;
         let mut flushed: HashSet<u64> = HashSet::new();
         let mut flush_wrs: Vec<u64> = Vec::new();
+        let mut flush = |wr: u64| {
+            if flushed.insert(wr) {
+                flush_wrs.push(wr);
+            }
+        };
 
         // Send-queue slots whose NIC processing hasn't finished.
         if let Some(q) = self.nodes[requester as usize]
@@ -1375,48 +1393,15 @@ impl Fabric {
             .get_mut_touched(responder as usize)
         {
             for e in q.drain(..) {
-                if e.done > now && flushed.insert(e.wr_id) {
-                    flush_wrs.push(e.wr_id);
+                if e.done > now {
+                    flush(e.wr_id);
                 }
             }
         }
-        // Transfers awaiting retransmission on this QP, flushed in
-        // admission order: the slab iterates slots in index order, so
-        // sort on the monotonic admission stamp to reproduce the
-        // oldest-first order the former sorted-ticket flush produced.
-        let mut ids: Vec<(u64, Handle)> = self
-            .inflight
-            .iter()
-            .filter(|(_, p)| p.endpoints() == (requester, responder))
-            .map(|(h, p)| (p.order, h))
-            .collect();
-        ids.sort_unstable();
-        for (_, h) in ids {
-            let p = self.inflight.remove(h).expect("handle collected above");
-            let wr = p.xfer.x.op.wr_id();
-            if flushed.insert(wr) {
-                flush_wrs.push(wr);
-            }
-        }
-        // Transfers parked for RNR at the responder.
-        if let Some(q) = self.rx.parked_mut(responder, requester) {
-            for e in q.drain(..) {
-                let wr = e.xfer.x.op.wr_id();
-                if flushed.insert(wr) {
-                    flush_wrs.push(wr);
-                }
-            }
-        }
-        // Reorder-buffer residents that will never be released.
-        {
-            let d = self.dir_mut(requester, responder);
-            for (_, x) in std::mem::take(&mut d.rx_ooo) {
-                let wr = x.x.op.wr_id();
-                if flushed.insert(wr) {
-                    flush_wrs.push(wr);
-                }
-            }
-            d.rx_expected = 0;
+        // Transfers waiting inside the fabric, which will never be
+        // released now.
+        for t in self.take_queued(requester, responder) {
+            flush(t.x.op.wr_id());
         }
 
         self.stats.flushed_wqes += flush_wrs.len() as u64;
@@ -1444,8 +1429,8 @@ impl Fabric {
         sink: &mut F,
         out: &mut Vec<(u32, Cqe)>,
     ) {
-        while let Some(entry) = self.rx.unpark(node, peer) {
-            self.deliver(now, node, entry.xfer, mems, sink, out);
+        while let Some(h) = self.rx.unpark(node, peer) {
+            self.deliver(now, node, h, mems, sink, out);
         }
     }
 
@@ -1456,50 +1441,49 @@ impl Fabric {
         &mut self,
         now: Time,
         dst: u32,
-        xfer: Transfer,
+        h: Handle,
         mems: &mut [NodeMem],
         sink: &mut F,
         out: &mut Vec<(u32, Cqe)>,
     ) {
-        let dir = (xfer.x.src, dst);
+        let t = self.xfer(h);
+        let (src, seq, epoch) = (t.x.src, t.seq, t.epoch);
+        let dir = (src, dst);
         {
             let d = self.dir(dir.0, dir.1);
-            if xfer.epoch != d.epoch {
-                // Launched by a previous incarnation of this QP (reset
-                // while the transfer was in flight): stale, discard.
+            // A stale epoch: launched by a previous incarnation of this
+            // QP (reset while the transfer was in flight). An errored
+            // QP: it died while this transfer was in flight. Either
+            // way, discard it.
+            if epoch != d.epoch || d.err {
+                self.inflight.remove(h);
                 self.stats.flushed_wqes += 1;
-                self.node_stats[xfer.x.src as usize].flushed_wqes += 1;
-                return;
-            }
-            if d.err {
-                // The QP died while this transfer was in flight: flush it.
-                self.stats.flushed_wqes += 1;
-                self.node_stats[xfer.x.src as usize].flushed_wqes += 1;
+                self.node_stats[src as usize].flushed_wqes += 1;
                 return;
             }
         }
         if self.faults.is_none() {
-            self.deliver(now, dst, xfer, mems, sink, out);
+            self.deliver(now, dst, h, mems, sink, out);
             return;
         }
         {
             let d = self.dir_mut(dir.0, dir.1);
-            if xfer.seq > d.rx_expected {
-                d.rx_ooo.insert(xfer.seq, xfer);
+            if seq > d.rx_expected {
+                d.rx_ooo.insert(seq, h);
                 return;
             }
-            debug_assert_eq!(xfer.seq, d.rx_expected, "duplicate delivery on RC QP");
+            debug_assert_eq!(seq, d.rx_expected, "duplicate delivery on RC QP");
         }
-        self.deliver(now, dst, xfer, mems, sink, out);
+        self.deliver(now, dst, h, mems, sink, out);
         // Release consecutive reorder-buffer residents.
         loop {
             let d = self.dir_mut(dir.0, dir.1);
             d.rx_expected += 1;
             let next = d.rx_expected;
-            let Some(x) = d.rx_ooo.remove(&next) else {
+            let Some(h) = d.rx_ooo.remove(&next) else {
                 break;
             };
-            self.deliver(now, dst, x, mems, sink, out);
+            self.deliver(now, dst, h, mems, sink, out);
         }
     }
 
@@ -1507,38 +1491,34 @@ impl Fabric {
         &mut self,
         now: Time,
         dst: u32,
-        xfer: Transfer,
+        h: Handle,
         mems: &mut [NodeMem],
         sink: &mut F,
         out: &mut Vec<(u32, Cqe)>,
     ) {
-        let tag = xfer.tag();
-        let Transfer {
-            seq,
-            attempt,
-            epoch,
-            x,
-        } = xfer;
-        let src = x.src;
+        let x = &self
+            .inflight
+            .get(h)
+            .expect("a queued transfer is in the slab")
+            .x;
+        let (src, wr_id) = (x.src, x.op.wr_id());
         // A delivery that consumes a receive descriptor needs a CQ slot.
         if x.op.consumes_recv() && self.cq_full(dst) {
-            self.cq_overflow(now, dst, src, x.op.wr_id(), sink);
+            self.inflight.remove(h);
+            self.cq_overflow(now, dst, src, wr_id, sink);
             return;
         }
+        if self.rx.waits(dst, src, &x.op) {
+            self.stats.rnr_events += 1;
+            self.park(now, dst, src, h, sink);
+            return;
+        }
+        let t = self.inflight.remove(h).expect("looked up above");
+        let tag = t.tag();
         match self
             .rx
-            .deliver(mems, dst, x, tag, &mut self.stats, &mut self.node_stats)
+            .deliver(mems, dst, t.x, tag, &mut self.stats, &mut self.node_stats)
         {
-            Delivered::Rnr(x) => {
-                self.stats.rnr_events += 1;
-                let xfer = Transfer {
-                    seq,
-                    attempt,
-                    epoch,
-                    x,
-                };
-                self.park(now, dst, src, xfer, sink);
-            }
             Delivered::Done {
                 at_dst,
                 at_src,
@@ -1572,6 +1552,10 @@ impl Fabric {
                     seq: self.alloc_seq(dst, src),
                     attempt: 0,
                     epoch: self.epoch_of((dst, src)),
+                    dst: src,
+                    tx_dur: dur,
+                    extra_delay: 0,
+                    stage: Stage::Wire,
                     x: Xfer { src: dst, op: resp },
                 };
                 #[cfg(debug_assertions)]
@@ -1580,7 +1564,8 @@ impl Fabric {
                 self.rx
                     .audit
                     .record(dst, src, resp.tag(), space, &resp.x.op);
-                self.launch(now, src, resp, dur, 0, false, sink);
+                let h = self.inflight.insert(resp);
+                self.launch(now, h, false, sink);
             }
         }
     }
@@ -1594,40 +1579,196 @@ impl Fabric {
         );
     }
 
-    /// Parks a transfer awaiting a receive descriptor. With a finite
-    /// `rnr_retry` budget the RNR NAK starts a timed backoff loop;
-    /// with the infinite budget (the IB value 7, our default) the
+    /// Parks the transfer `h` awaiting a receive descriptor. With a
+    /// finite `rnr_retry` budget the RNR NAK starts a timed backoff
+    /// loop; with the infinite budget (the IB value 7, our default) the
     /// transfer waits silently until a receive is posted.
     fn park<F: FnMut(Time, NicEvent)>(
         &mut self,
         now: Time,
         dst: u32,
         src: u32,
-        xfer: Transfer,
+        h: Handle,
         sink: &mut F,
     ) {
-        let id = self.alloc_id();
-        self.rx.park(
-            dst,
-            src,
-            ParkedEntry {
-                id,
-                attempt: 0,
-                xfer,
-            },
-        );
+        let ticket = self.alloc_id();
+        self.xfer(h).stage = Stage::Parked { ticket, attempt: 0 };
+        self.rx.park(dst, src, h);
         if !self.cfg.rnr_infinite() {
             // Jitter the backoff per parked transfer: an incast cohort
             // parked in the same instant must not retry in lockstep.
-            let key = ((dst as u64) << 48) ^ ((src as u64) << 32) ^ id;
+            let key = ((dst as u64) << 48) ^ ((src as u64) << 32) ^ ticket;
             sink(
                 now + self.cfg.rnr_backoff_jittered_ns(0, key),
                 NicEvent::RnrTimedRetry {
                     node: dst,
                     peer: src,
-                    park_id: id,
+                    id: h,
                 },
             );
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::wr::Sge;
+
+    /// Two nodes, each with one registered 64 KiB window: receives land
+    /// in its first quarter, RDMA writes in the second, and sends and
+    /// writes gather from the last.
+    struct Rig {
+        f: Fabric,
+        mems: Vec<NodeMem>,
+        win: Vec<(u64, u32, u32)>,
+        evs: Vec<(Time, NicEvent)>,
+        out: Vec<(u32, Cqe)>,
+    }
+
+    impl Rig {
+        fn new(plan: FaultPlan) -> Self {
+            let mut f = Fabric::new(2, NetConfig::default());
+            f.set_fault_plan(plan);
+            let mut mems: Vec<NodeMem> = (0..2).map(|_| NodeMem::new(1 << 20)).collect();
+            let win = mems
+                .iter_mut()
+                .map(|m| {
+                    let a = m.space.alloc_page_aligned(64 << 10).unwrap();
+                    let r = m.regs.register(a, 64 << 10);
+                    (a, r.lkey, r.rkey)
+                })
+                .collect();
+            let (evs, out) = (Vec::new(), Vec::new());
+            Rig {
+                f,
+                mems,
+                win,
+                evs,
+                out,
+            }
+        }
+
+        /// Posts a 1 KiB send (or, with `write`, an RDMA write) from
+        /// slot `i` of `node`'s gather quarter.
+        fn send(&mut self, at: Time, node: u32, i: u64, write: bool) {
+            let peer = 1 - node;
+            let (a, lkey, _) = self.win[node as usize];
+            let (pa, _, prkey) = self.win[peer as usize];
+            let wr = SendWr {
+                wr_id: u64::from(node) << 8 | i,
+                opcode: if write {
+                    Opcode::RdmaWrite
+                } else {
+                    Opcode::Send
+                },
+                sges: vec![Sge {
+                    addr: a + (48 << 10) + i * 1024,
+                    len: 1024,
+                    lkey,
+                }]
+                .into(),
+                remote: write.then_some((pa + (16 << 10) + i * 1024, prkey)),
+                signaled: true,
+            };
+            let evs = &mut self.evs;
+            self.f
+                .post_send(at, node, peer, wr, &self.mems, &mut |t, e| evs.push((t, e)))
+                .unwrap();
+        }
+
+        /// Posts a 1 KiB receive in slot `i` of `node`'s receive quarter.
+        fn recv(&mut self, at: Time, node: u32, i: u64) {
+            let (a, lkey, _) = self.win[node as usize];
+            let wr = RecvWr {
+                wr_id: 1 << 16 | i,
+                sges: vec![Sge {
+                    addr: a + i * 1024,
+                    len: 1024,
+                    lkey,
+                }]
+                .into(),
+            };
+            let evs = &mut self.evs;
+            self.f
+                .post_recv(at, node, 1 - node, wr, &self.mems, &mut |t, e| {
+                    evs.push((t, e))
+                })
+                .unwrap();
+        }
+
+        /// Handles events in time order until `stop` holds or none is
+        /// left; returns the time of the last one handled.
+        fn run(&mut self, stop: impl Fn(&Fabric) -> bool) -> Time {
+            let mut now = 0;
+            while !stop(&self.f) {
+                let Some(i) = (0..self.evs.len()).min_by_key(|&i| self.evs[i].0) else {
+                    break;
+                };
+                let (t, ev) = self.evs.remove(i);
+                now = t;
+                let evs = &mut self.evs;
+                self.f.handle(
+                    t,
+                    ev,
+                    &mut self.mems,
+                    &mut |t, e| evs.push((t, e)),
+                    &mut self.out,
+                );
+            }
+            now
+        }
+    }
+
+    /// Every stage a transfer can wait in, then a QP failure and a
+    /// reset while some are still on the wire: once every event has
+    /// drained, the slab holds nothing.
+    #[test]
+    fn drained_run_leaves_no_transfer_in_flight() {
+        let mut r = Rig::new(FaultPlan {
+            seed: 7,
+            drop_rate: 0.2,
+            corrupt_rate: 0.2,
+            ..FaultPlan::none()
+        });
+        for i in 0..8 {
+            r.send(0, 0, i, false);
+            r.send(0, 0, 8 + i, true);
+        }
+        for i in 0..4 {
+            r.send(0, 1, i, false);
+        }
+        // Some sends reach node 1 before any receive: they park.
+        let now = r.run(|f| f.stats.rnr_events >= 3);
+        for i in 0..3 {
+            r.recv(now, 1, i);
+        }
+        r.run(|f| f.stats.retransmits >= 2);
+        let now = r.run(|f| {
+            f.inflight
+                .iter()
+                .any(|(_, t)| matches!(t.stage, Stage::Retry { .. }))
+        });
+        let stages: Vec<Stage> = r.f.inflight.iter().map(|(_, t)| t.stage).collect();
+        let has = |f: fn(&Stage) -> bool| stages.iter().any(f);
+        assert!(has(|s| matches!(s, Stage::Wire)), "{stages:?}");
+        assert!(has(|s| matches!(s, Stage::Retry { .. })), "{stages:?}");
+        assert!(has(|s| matches!(s, Stage::Parked { .. })), "{stages:?}");
+        // Node 0 never posts a receive, so node 1's sends wait until
+        // their QP fails; node 0's QP fails and is re-established
+        // with transfers still on the wire.
+        let mut sink = |_, _| {};
+        r.f.modify_qp(now, 1, 0, QpState::Err, &mut sink).unwrap();
+        r.f.modify_qp(now, 0, 1, QpState::Err, &mut sink).unwrap();
+        r.f.reestablish_qp(0, 1);
+        r.send(now, 0, 15, true);
+        r.run(|_| false);
+
+        let s = r.f.stats();
+        assert!(s.drops_injected > 0 && s.corruptions_injected > 0, "{s:?}");
+        assert!(s.rnr_events > 0 && s.flushed_wqes > 0, "{s:?}");
+        assert_eq!(s.qp_errors, 2, "{s:?}");
+        assert!(r.evs.is_empty());
+        assert_eq!(r.f.in_flight(), 0);
     }
 }

@@ -30,9 +30,14 @@
 //! checks run against the same registration tables (the MPI layer
 //! registers identically on every transport), and a send or
 //! write-with-immediate arriving with no receive descriptor parks in
-//! an RNR queue drained on the next receive post. What differs is when
-//! the bytes are read. A receiver pull (single-copy `Send`, `RdmaRead`)
-//! reads the source at delivery, as the fabric does. A transfer whose
+//! an RNR queue drained on the next receive post. Every transfer lives
+//! in the channel's slab from post until delivery; its
+//! [`NicEvent::Arrive`] and the park queue carry its handle. An RDMA
+//! read or write checks the responder's rkey at post: a bad key
+//! completes the sender once, with `RemoteAccess`, and moves nothing.
+//! What differs is when the bytes are read. A receiver pull
+//! (single-copy `Send`, `RdmaRead`) reads the source at delivery, as
+//! the fabric does. A transfer whose
 //! sender completes before delivery gathers its bytes at post into a
 //! [`Payload`](crate::payload::Payload): the double-copy bounce (copy
 //! in at post, out at delivery) and the single-copy write (the sender
@@ -246,7 +251,8 @@ pub struct ShmChannel {
     /// bounce/CMA copies), traced for the pack/wire overlap statistic.
     engines: Vec<SerialResource>,
     /// Receive descriptors and RNR-parked transfers.
-    rx: Rx<ShmXfer>,
+    rx: Rx,
+    /// Every transfer from post until delivery.
     inflight: Slab<ShmXfer>,
     /// Transfers posted so far: the next transfer's `seq`.
     posted: u64,
@@ -345,8 +351,8 @@ impl ShmChannel {
         xfer: ShmXfer,
         sink: &mut dyn FnMut(Time, NicEvent),
     ) {
-        let id = self.inflight.insert(xfer).bits();
-        sink(at, NicEvent::ShmArrive { dst, id });
+        let id = self.inflight.insert(xfer);
+        sink(at, NicEvent::Arrive { dst, id });
     }
 
     fn sched_local(&self, sink: &mut dyn FnMut(Time, NicEvent), node: u32, cqe: Cqe, at: Time) {
@@ -357,23 +363,29 @@ impl ShmChannel {
         &mut self,
         now: Time,
         dst: u32,
-        t: ShmXfer,
+        h: Handle,
         mems: &mut [NodeMem],
         sink: &mut dyn FnMut(Time, NicEvent),
         out: &mut Vec<(u32, Cqe)>,
     ) {
-        let ShmXfer { x, floor, seq } = t;
+        let x = &self
+            .inflight
+            .get(h)
+            .expect("shm transfers are never flushed")
+            .x;
         let src = x.src;
+        if self.rx.waits(dst, src, &x.op) {
+            self.stats.rnr_events += 1;
+            self.rx.park(dst, src, h);
+            return;
+        }
+        let ShmXfer { x, floor, seq } = self.inflight.remove(h).expect("looked up above");
         // A read response's copy was charged at post.
         let read = matches!(x.op, Op::ReadResponse { .. });
         let done = self
             .rx
             .deliver(mems, dst, x, seq, &mut self.stats, &mut self.node_stats);
         match done {
-            Delivered::Rnr(x) => {
-                self.stats.rnr_events += 1;
-                self.rx.park(dst, src, ShmXfer { x, floor, seq });
-            }
             Delivered::Done {
                 placed: Some(len),
                 at_dst,
@@ -437,14 +449,16 @@ impl Transport for ShmChannel {
         let (signaled, seq) = (wr.signaled, self.posted);
         self.posted += 1;
         let double = self.cfg.copy_mode == ShmCopyMode::Double;
-        if wr.opcode == Opcode::RdmaRead {
-            let (addr, rkey) = wr.remote.expect("checked at post");
-            let responder = &mems[peer as usize];
+        let responder = &mems[peer as usize];
+        if let (false, Some((addr, rkey))) = (wr.opcode == Opcode::Send, wr.remote) {
             if let Err(e) = responder.regs.check(rkey, addr, bytes) {
                 let cqe = send_cqe(peer, wr.wr_id, 0, CqeStatus::RemoteAccess(e));
                 self.sched_local(sink, node, cqe, ready_at);
                 return Ok(());
             }
+        }
+        if wr.opcode == Opcode::RdmaRead {
+            let (addr, rkey) = wr.remote.expect("checked at post");
             self.stats.bytes_on_wire += bytes;
             let (data, at) = if double {
                 // The responder's progress engine packs into the
@@ -557,20 +571,14 @@ impl Transport for ShmChannel {
         out: &mut Vec<(u32, Cqe)>,
     ) {
         match ev {
-            NicEvent::ShmArrive { dst, id } => {
-                let xfer = self
-                    .inflight
-                    .remove(Handle::from_bits(id))
-                    .expect("shm transfers are never flushed");
-                self.deliver(now, dst, xfer, mems, sink, out);
-            }
+            NicEvent::Arrive { dst, id } => self.deliver(now, dst, id, mems, sink, out),
             NicEvent::LocalCqe { node, cqe } => {
                 self.stats.cqes += 1;
                 out.push((node, cqe));
             }
             NicEvent::RnrRetry { node, peer } => {
-                while let Some(xfer) = self.rx.unpark(node, peer) {
-                    self.deliver(now, node, xfer, mems, sink, out);
+                while let Some(h) = self.rx.unpark(node, peer) {
+                    self.deliver(now, node, h, mems, sink, out);
                 }
             }
             other => unreachable!("shm channel received fabric-only event {other:?}"),
@@ -632,6 +640,10 @@ impl Transport for ShmChannel {
 
     fn tx_engine(&self, node: u32) -> &SerialResource {
         &self.engines[node as usize]
+    }
+
+    fn in_flight(&self) -> usize {
+        self.inflight.len()
     }
 }
 

@@ -159,6 +159,10 @@ pub trait Transport {
     /// The per-node transmit/copy engine (traced; feeds the
     /// pack/wire-overlap statistic).
     fn tx_engine(&self, node: u32) -> &SerialResource;
+
+    /// Transfers the backend holds between post and delivery, flush or
+    /// discard.
+    fn in_flight(&self) -> usize;
 }
 
 impl Transport for Fabric {
@@ -269,5 +273,9 @@ impl Transport for Fabric {
 
     fn tx_engine(&self, node: u32) -> &SerialResource {
         Fabric::tx_engine(self, node)
+    }
+
+    fn in_flight(&self) -> usize {
+        Fabric::in_flight(self)
     }
 }

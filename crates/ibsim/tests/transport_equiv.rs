@@ -459,3 +459,77 @@ fn too_small_descriptor_fails_alike_on_every_transport() {
         );
     }
 }
+
+/// A signaled RDMA write to an unregistered rkey completes its sender
+/// exactly once, with `RemoteAccess`, on every transport, and places
+/// nothing. Shared memory checks the key at post: its senders would
+/// otherwise complete `Success` when the bytes leave, then again with
+/// the error at delivery.
+#[test]
+fn bad_rkey_write_completes_once_on_every_transport() {
+    let shm = |copy_mode| {
+        Box::new(ShmChannel::new(
+            2,
+            ShmConfig {
+                copy_mode,
+                ..ShmConfig::default()
+            },
+        )) as Box<dyn Transport>
+    };
+    let cases: [(&str, Box<dyn Transport>); 3] = [
+        ("ib", Box::new(Fabric::new(2, NetConfig::default()))),
+        ("shm-single", shm(ShmCopyMode::Single)),
+        ("shm-double", shm(ShmCopyMode::Double)),
+    ];
+    for (name, t) in cases {
+        let mut h = AnyHarness {
+            t,
+            mems: (0..2).map(|_| NodeMem::new(MEM)).collect(),
+            log: Vec::new(),
+        };
+        let src = h.mems[0].space.alloc_page_aligned(4096).unwrap();
+        h.mems[0].space.fill(src, 128, 0xAB).unwrap();
+        let slkey = h.mems[0].regs.register(src, 4096).lkey;
+        let dst = h.mems[1].space.alloc_page_aligned(4096).unwrap();
+        h.mems[1].regs.register(dst, 4096);
+        let write = SendWr {
+            wr_id: 9,
+            opcode: Opcode::RdmaWrite,
+            sges: vec![Sge {
+                addr: src,
+                len: 128,
+                lkey: slkey,
+            }]
+            .into(),
+            remote: Some((dst, 0xdead)),
+            signaled: true,
+        };
+        let mut evs = Vec::new();
+        h.t.post_send(0, 0, 1, write, &h.mems, &mut |t, e| evs.push((t, e)))
+            .unwrap();
+        let mut eng: Engine<AnyHarness> = Engine::new();
+        for (at, ev) in evs {
+            eng.seed(at, ev);
+        }
+        eng.run_to_quiescence(&mut h, 1_000);
+
+        let done: Vec<Cqe> = h.log.iter().map(|&(_, c)| c).collect();
+        assert_eq!(done.len(), 1, "{name}: completions {:?}", h.log);
+        assert_eq!((h.log[0].0, done[0].wr_id), (0, 9), "{name}");
+        assert!(
+            matches!(done[0].status, CqeStatus::RemoteAccess(_)),
+            "{name}: {:?}",
+            done[0].status
+        );
+        assert!(
+            h.mems[1]
+                .space
+                .slice(dst, 128)
+                .unwrap()
+                .iter()
+                .all(|&b| b == 0),
+            "{name}: a refused write places nothing"
+        );
+        assert_eq!(h.t.in_flight(), 0, "{name}");
+    }
+}

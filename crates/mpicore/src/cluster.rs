@@ -389,6 +389,39 @@ thread_local! {
 /// the cap stays deliberately low.
 const CLUSTER_SPARE_CAP: usize = 4;
 
+/// Pre-posts every rank's eager receive ring (§3.1's pre-posted
+/// internal buffers), for each rank its peers in order. Construction
+/// and [`Cluster::reset`] both call it, so their rings are identical.
+fn post_eager_rings(
+    spec: &ClusterSpec,
+    ranks: &[RankState],
+    fabric: &mut Backend,
+    mems: &[NodeMem],
+) {
+    let mut noop = |_t: Time, _e: ibdt_ibsim::NicEvent| {};
+    for r in 0..spec.nprocs {
+        let rs = &ranks[r as usize];
+        for peer in (0..spec.nprocs).filter(|&p| p != r) {
+            for i in 0..spec.mpi.eager_bufs_per_peer {
+                let va = rs.recv_buf_addr(&spec.mpi, rs.eager_region, peer, i);
+                let sge = Sge {
+                    addr: va,
+                    len: spec.mpi.eager_buf_size,
+                    lkey: rs.eager_lkey,
+                };
+                let wr = RecvWr {
+                    wr_id: va,
+                    sges: SgeList::of(sge),
+                };
+                fabric
+                    .t_mut()
+                    .post_recv(0, r, peer, wr, mems, &mut noop)
+                    .expect("eager ring post");
+            }
+        }
+    }
+}
+
 impl Cluster {
     /// Builds a cluster: memories, MPI state, eager receive rings.
     ///
@@ -444,43 +477,7 @@ impl Cluster {
                 &mut mems[r as usize],
             ));
         }
-        // Pre-post the eager receive rings (§3.1's pre-posted internal
-        // buffers).
-        let mut noop = |_t: Time, _e: ibdt_ibsim::NicEvent| {};
-        for r in 0..n as u32 {
-            for peer in 0..spec.nprocs {
-                if peer == r {
-                    continue;
-                }
-                for i in 0..spec.mpi.eager_bufs_per_peer {
-                    let va = ranks[r as usize].recv_buf_addr(
-                        &spec.mpi,
-                        ranks[r as usize].eager_region,
-                        peer,
-                        i,
-                    );
-                    let lkey = ranks[r as usize].eager_lkey;
-                    fabric
-                        .t_mut()
-                        .post_recv(
-                            0,
-                            r,
-                            peer,
-                            RecvWr {
-                                wr_id: va,
-                                sges: SgeList::of(Sge {
-                                    addr: va,
-                                    len: spec.mpi.eager_buf_size,
-                                    lkey,
-                                }),
-                            },
-                            &mems,
-                            &mut noop,
-                        )
-                        .expect("initial eager ring post");
-                }
-            }
-        }
+        post_eager_rings(&spec, &ranks, &mut fabric, &mems);
         Self {
             active: (0..n).map(|_| ActiveMsgs::new(n)).collect(),
             interp: Vec::new(),
@@ -613,9 +610,6 @@ impl Cluster {
             "simulation exceeded its event budget at t={finish} without fault \
              injection — protocol livelock"
         );
-        for rs in &self.ranks {
-            rs.debug_check_open_reqs();
-        }
         // Sanity: every program must have finished (a hang here is a
         // protocol deadlock) — unless an injected fault surfaced as a
         // typed error or tripped the watchdog, in which case an
@@ -632,6 +626,16 @@ impl Cluster {
                 !self.ranks[r].errors.is_empty()
                     || self.ranks[r].reqs().iter().any(|q| q.error.is_some())
             });
+        for rs in &self.ranks {
+            rs.debug_check_open_reqs();
+        }
+        // Every event drained: an error-free run delivered every
+        // transfer it started.
+        debug_assert!(
+            had_errors || self.fabric.t().in_flight() == 0,
+            "{} transfers still in flight after an error-free run",
+            self.fabric.t().in_flight()
+        );
         for r in 0..self.spec.nprocs as usize {
             let it = &self.interp[r];
             let unfinished = !it.prog.is_empty() || it.finished_at.is_none();
@@ -721,41 +725,7 @@ impl Cluster {
         // Re-post the eager receive rings exactly as construction does;
         // the reset address spaces hand back the same deterministic
         // layout, so ring addresses and keys match a fresh cluster's.
-        let mut noop = |_t: Time, _e: ibdt_ibsim::NicEvent| {};
-        for r in 0..self.spec.nprocs {
-            for peer in 0..self.spec.nprocs {
-                if peer == r {
-                    continue;
-                }
-                for i in 0..self.spec.mpi.eager_bufs_per_peer {
-                    let va = self.ranks[r as usize].recv_buf_addr(
-                        &self.spec.mpi,
-                        self.ranks[r as usize].eager_region,
-                        peer,
-                        i,
-                    );
-                    let lkey = self.ranks[r as usize].eager_lkey;
-                    self.fabric
-                        .t_mut()
-                        .post_recv(
-                            0,
-                            r,
-                            peer,
-                            RecvWr {
-                                wr_id: va,
-                                sges: SgeList::of(Sge {
-                                    addr: va,
-                                    len: self.spec.mpi.eager_buf_size,
-                                    lkey,
-                                }),
-                            },
-                            &self.mems,
-                            &mut noop,
-                        )
-                        .expect("eager ring repost on reset");
-                }
-            }
-        }
+        post_eager_rings(&self.spec, &self.ranks, &mut self.fabric, &self.mems);
         for a in &mut self.active {
             a.reset();
         }

@@ -3116,3 +3116,16 @@ fn maybe_evict_reply_reg(rs: &mut RankState, ctx: &mut Ctx<'_, '_>, msg: &RecvMs
             .force_evict(&mut ctx.mems[rs.rank as usize].regs, msg.user_regs[0].lkey);
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::Ev;
+    use std::mem::size_of;
+
+    /// Events carry transfer handles, not transfers: every schedule,
+    /// wheel cascade and pop moves one `Ev`.
+    #[test]
+    fn events_stay_small() {
+        assert!(size_of::<Ev>() <= 80, "{}", size_of::<Ev>());
+    }
+}

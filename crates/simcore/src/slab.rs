@@ -20,7 +20,7 @@
 //! deterministic — but *not* insertion order once slots recycle. Callers
 //! that need a deterministic replay order (e.g. the fabric flushing
 //! in-flight transfers oldest-first) must carry their own monotonic
-//! stamp and sort on it; see `Fabric`'s `PendingRetry::order`.
+//! stamp and sort on it; see the `order` of the fabric's `Stage::Retry`.
 
 /// A stable, generational reference to a slab slot.
 ///
