@@ -73,6 +73,12 @@ echo "==> lines of code per crate (report only, no threshold)"
 echo "==> cargo build --release"
 cargo build --release --workspace
 
+echo "==> perfbench builds"
+# perfbench reads RunStats fields; a change that breaks one fails here,
+# on its own step, instead of inside the self-tests at the end. It is a
+# workspace of its own, so its build lands under target/perfbench.
+CARGO_TARGET_DIR=target/perfbench cargo build --release --manifest-path perfbench/Cargo.toml
+
 echo "==> per-event smoke (fresh and recycled clusters bit-identical)"
 ./target/release/per_event --smoke
 
@@ -89,11 +95,6 @@ echo "==> cargo doc -- -D warnings"
 # A doc link to a renamed or deleted item, or a citation such as
 # "ref [12]" written without escaping the brackets, fails here.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
-
-echo "==> perfbench self-tests"
-# perfbench is a workspace of its own, so `cargo test --workspace`
-# never reaches it; its build lands under target/ like everything else.
-CARGO_TARGET_DIR=target/perfbench cargo test --release -q --manifest-path perfbench/Cargo.toml
 
 if [[ "$CHAOS" == 1 ]]; then
   # Same matrix as the `chaos` CI job: each seed re-derives every
@@ -140,5 +141,11 @@ if [[ "$SHM" == 1 ]]; then
   ./target/release/figures x17 --csv target/shm_smoke > /dev/null
   python3 tools/x17_gate.py target/shm_smoke/x17.csv
 fi
+
+echo "==> perfbench self-tests"
+# `cargo test --workspace` never reaches perfbench. This step runs last
+# so that a failure here cannot keep the optional sections above from
+# running; it still fails the script.
+CARGO_TARGET_DIR=target/perfbench cargo test --release -q --manifest-path perfbench/Cargo.toml
 
 echo "CI OK"

@@ -636,13 +636,14 @@ pub fn x9() -> Table {
         let c = |f: fn(&ibdt_mpicore::rank::RankCounters) -> u64| -> f64 {
             r.stats.counters.iter().map(f).sum::<u64>() as f64
         };
+        let f = r.stats.fabric();
         vec![
             us(r.one_way_ns),
-            r.stats.drops_injected as f64,
-            r.stats.corruptions_injected as f64,
-            r.stats.delays_injected as f64,
-            r.stats.retransmits as f64,
-            r.stats.rnr_backoff_retries as f64,
+            f.drops_injected as f64,
+            f.corruptions_injected as f64,
+            f.delays_injected as f64,
+            f.retransmits as f64,
+            f.rnr_backoff_retries as f64,
             c(|k| k.scheme_fallbacks),
             c(|k| k.rndv_rerequests),
             r.stats.total_errors() as f64,
@@ -720,7 +721,7 @@ pub fn x10() -> Table {
             us(clean.one_way_ns),
             us(apm_r.one_way_ns),
             us(rec_r.one_way_ns),
-            apm_r.stats.migrations as f64,
+            apm_r.stats.fabric().migrations as f64,
             sum(&rec_r, |k| k.qp_reestablished),
             sum(&rec_r, |k| k.resumed_chunks),
             (clean.stats.total_errors() + apm_r.stats.total_errors() + rec_r.stats.total_errors())
@@ -826,7 +827,8 @@ pub fn x16() -> Table {
             s.mpi.staging_bufs = bufs;
             let w = VectorWorkload::new(cols);
             let r = bandwidth_device(&s, &w.ty, 1, BW_WINDOW);
-            assert!(r.stats.staging_chunks > 0, "staged pipeline unused");
+            let staged: u64 = r.stats.counters.iter().map(|k| k.staging_chunks).sum();
+            assert!(staged > 0, "staged pipeline unused");
             mbs(r.bytes_per_sec)
         })
     };

@@ -227,7 +227,8 @@ fn steady_state_allocation_contracts() {
                 2,
                 &mut || {
                     let res = bandwidth_device(&spec, &ty, 1, 4);
-                    assert!(res.stats.staging_chunks > 0, "staged pipeline unused");
+                    let staged: u64 = res.stats.counters.iter().map(|k| k.staging_chunks).sum();
+                    assert!(staged > 0, "staged pipeline unused");
                     black_box(res.bytes_per_sec);
                 },
             );

@@ -418,17 +418,10 @@ impl Rx {
     /// Pops the front descriptor of `dst <- src`, which [`Rx::waits`]
     /// found posted. Counts a low-watermark crossing (an edge, not a
     /// level, so the embedder sees one event per dip).
-    fn consume(
-        &mut self,
-        dst: u32,
-        src: u32,
-        stats: &mut FabricStats,
-        node_stats: &mut [FabricStats],
-    ) -> RecvWr {
+    fn consume(&mut self, dst: u32, src: u32, node_stats: &mut [FabricStats]) -> RecvWr {
         let q = &mut self.recvq[dst as usize][src as usize];
         let rwr = q.pop_front().expect("checked by Rx::waits");
         if self.low_watermark > 0 && q.len() + 1 == self.low_watermark {
-            stats.recv_low_water += 1;
             node_stats[dst as usize].recv_low_water += 1;
         }
         rwr
@@ -446,7 +439,6 @@ impl Rx {
         dst: u32,
         x: Xfer,
         tag: u64,
-        stats: &mut FabricStats,
         node_stats: &mut [FabricStats],
     ) -> Delivered {
         let src = x.src;
@@ -463,7 +455,7 @@ impl Rx {
                 ref data,
             } => {
                 let len = data.len();
-                let rwr = self.consume(dst, src, stats, node_stats);
+                let rwr = self.consume(dst, src, node_stats);
                 let capacity = rwr.capacity();
                 if capacity < len {
                     let sent = CqeStatus::LocalLengthError {
@@ -680,7 +672,8 @@ fn copy_within(space: &mut AddressSpace, rd: &mut Reader<'_>, to: &[Sge]) {
 }
 
 /// Debug builds: the hash of every deferred source, taken when it was
-/// posted and checked when delivery reads it. Keyed by `(src, dst,
+/// posted and checked when delivery reads it, or dropped when the
+/// transfer is flushed or discarded instead. Keyed by `(src, dst,
 /// tag)`, where the transport's tag names the transfer uniquely among
 /// those in flight on that direction. A hash map keeps its capacity
 /// when it empties, so the audit adds no steady-state allocation to
@@ -710,6 +703,17 @@ impl Audit {
             _ => return,
         };
         self.0.insert((src, dst, tag), hash);
+    }
+
+    /// Forgets a transfer that leaves its slab without delivery.
+    pub(crate) fn forget(&mut self, src: u32, dst: u32, tag: u64) {
+        self.0.remove(&(src, dst, tag));
+    }
+
+    /// True when no recorded source awaits delivery.
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
+        self.0.is_empty()
     }
 
     /// Asserts that a deferred source still holds the bytes it held

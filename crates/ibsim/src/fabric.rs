@@ -72,6 +72,7 @@ use ibdt_simcore::slab::{Handle, Slab};
 use ibdt_simcore::time::Time;
 use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::fmt;
+use std::iter::Sum;
 
 /// One rank's memory: address space + registration table + tier map.
 #[derive(Debug)]
@@ -285,50 +286,84 @@ struct Node {
     sq_busy: PagedTable<VecDeque<SqEntry>>,
 }
 
-/// Fabric statistics.
+/// Transport counters of one node. Each event is counted once, on the
+/// node its field names;
+/// [`Transport::stats`](crate::transport::Transport::stats) sums the
+/// nodes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FabricStats {
-    /// Work requests processed by transmit engines.
+    /// Work requests this node's transmit engine processed: those it
+    /// posted and, on the IB fabric, each RDMA read response it sent as
+    /// responder.
     pub wqes: u64,
-    /// Payload bytes serialized onto links (retransmissions included).
+    /// Payload bytes this node put on the wire, retransmissions
+    /// included: a send's or write's sender, an RDMA read's responder.
     pub bytes_on_wire: u64,
-    /// Times a send/write-imm found no receive descriptor posted.
+    /// Times a send/write-imm found no receive descriptor posted at this
+    /// node.
     pub rnr_events: u64,
-    /// Completions generated.
-    pub cqes: u64,
-    /// Transfers dropped by fault injection.
+    /// Transfers this node transmitted that fault injection dropped.
     pub drops_injected: u64,
-    /// Transfers corrupted by fault injection (ICRC NAK path).
+    /// Transfers this node transmitted that fault injection corrupted
+    /// (ICRC NAK path).
     pub corruptions_injected: u64,
-    /// Transfers delayed by fault injection.
+    /// Transfers this node transmitted that fault injection delayed.
     pub delays_injected: u64,
-    /// NIC transmit-engine stalls injected.
+    /// Stalls injected into this node's transmit engine.
     pub stalls_injected: u64,
-    /// Transport retransmissions performed.
+    /// Retransmissions this node performed.
     pub retransmits: u64,
-    /// Timed RNR backoff retries performed.
+    /// Timed RNR backoff retries of transfers this node sent.
     pub rnr_backoff_retries: u64,
-    /// Queue pairs transitioned to the error state.
+    /// Queue pairs with this node as requester that moved to the error
+    /// state.
     pub qp_errors: u64,
-    /// Work requests flushed with error by a QP transition.
+    /// Work requests of this node, as requester, flushed with error by
+    /// a QP transition or discarded on arrival.
     pub flushed_wqes: u64,
-    /// Automatic Path Migration failovers performed.
+    /// Automatic Path Migration failovers of queue pairs this node
+    /// sends on.
     pub migrations: u64,
-    /// Completion-queue overflows: deliveries rejected because the
-    /// destination CQ held [`NetConfig::cq_depth`] unconsumed entries
-    /// (each one errors the offending queue pair).
+    /// Completion-queue overflows: deliveries this node's CQ rejected
+    /// because it held [`NetConfig::cq_depth`] unconsumed entries (each
+    /// one errors the offending queue pair).
     pub cq_overflows: u64,
-    /// Times consuming a receive descriptor crossed below
-    /// [`NetConfig::recv_low_watermark`] (SRQ-limit-style event).
+    /// Times consuming one of this node's receive descriptors crossed
+    /// below [`NetConfig::recv_low_watermark`] (SRQ-limit-style event).
     pub recv_low_water: u64,
-    /// Crash-stop node failures realized ([`NicEvent::NodeDown`]).
+    /// Crash-stop failures of this node ([`NicEvent::NodeDown`]).
     pub node_crashes: u64,
-    /// Bounce-segment slots traversed (shared-memory double copy;
-    /// always zero on the IB fabric).
-    pub shm_bounce_chunks: u64,
-    /// CMA-style single-copy passes performed (shared-memory single
+    /// Bounce-segment slots this node copied in (shared-memory double
     /// copy; always zero on the IB fabric).
+    pub shm_bounce_chunks: u64,
+    /// CMA-style single-copy passes this node performed (shared-memory
+    /// single copy; always zero on the IB fabric).
     pub shm_cma_ops: u64,
+}
+
+impl<'a> Sum<&'a FabricStats> for FabricStats {
+    fn sum<I: Iterator<Item = &'a FabricStats>>(iter: I) -> Self {
+        // A literal without `..`, so that a new field cannot be left out.
+        iter.fold(FabricStats::default(), |t, s| FabricStats {
+            wqes: t.wqes + s.wqes,
+            bytes_on_wire: t.bytes_on_wire + s.bytes_on_wire,
+            rnr_events: t.rnr_events + s.rnr_events,
+            drops_injected: t.drops_injected + s.drops_injected,
+            corruptions_injected: t.corruptions_injected + s.corruptions_injected,
+            delays_injected: t.delays_injected + s.delays_injected,
+            stalls_injected: t.stalls_injected + s.stalls_injected,
+            retransmits: t.retransmits + s.retransmits,
+            rnr_backoff_retries: t.rnr_backoff_retries + s.rnr_backoff_retries,
+            qp_errors: t.qp_errors + s.qp_errors,
+            flushed_wqes: t.flushed_wqes + s.flushed_wqes,
+            migrations: t.migrations + s.migrations,
+            cq_overflows: t.cq_overflows + s.cq_overflows,
+            recv_low_water: t.recv_low_water + s.recv_low_water,
+            node_crashes: t.node_crashes + s.node_crashes,
+            shm_bounce_chunks: t.shm_bounce_chunks + s.shm_bounce_chunks,
+            shm_cma_ops: t.shm_cma_ops + s.shm_cma_ops,
+        })
+    }
 }
 
 /// Per-direction QP state, indexed `src * n + dst` through a paged
@@ -383,7 +418,6 @@ pub struct Fabric {
     nodes: Vec<Node>,
     /// Receive descriptors and RNR-parked transfers.
     rx: Rx,
-    stats: FabricStats,
     /// Fault-decision stream; `None` = lossless fabric, zero overhead.
     faults: Option<FaultState>,
     /// Ticket counter for RNR parks (the backoff-jitter key).
@@ -411,9 +445,8 @@ pub struct Fabric {
     /// distinguish a dead peer from a flaky link. Materialized lazily
     /// on the first crash so fault-free clusters never allocate it.
     nodes_down: Vec<bool>,
-    /// Per-node reliability counters (retransmits, RNR backoff retries,
-    /// QP errors, flushed WQEs, migrations, injected fates) attributed
-    /// to the requester/transmitter.
+    /// Transport counters by node, each event counted on the node its
+    /// [`FabricStats`] field names.
     node_stats: Vec<FabricStats>,
     /// Completion-queue occupancy per node: entries produced but not
     /// yet acknowledged as consumed ([`Fabric::cq_consume`]). Only
@@ -437,7 +470,6 @@ impl Fabric {
             rx: Rx::new(n, cfg.recv_low_watermark),
             cfg,
             nodes,
-            stats: FabricStats::default(),
             faults: None,
             next_id: 0,
             next_order: 0,
@@ -519,7 +551,6 @@ impl Fabric {
         wr_id: u64,
         sink: &mut F,
     ) {
-        self.stats.cq_overflows += 1;
         self.node_stats[dst as usize].cq_overflows += 1;
         self.sched_local(
             sink,
@@ -564,7 +595,6 @@ impl Fabric {
             n.sq_busy.reset_entries(|q| q.clear());
         }
         self.rx.reset();
-        self.stats = FabricStats::default();
         self.faults = None;
         self.next_id = 0;
         self.next_order = 0;
@@ -786,9 +816,19 @@ impl Fabric {
         let d = self.dir_mut(requester, responder);
         handles.extend(std::mem::take(&mut d.rx_ooo).into_values());
         d.rx_expected = 0;
-        let slab = &mut self.inflight;
-        let take = |h| slab.remove(h).expect("a queued transfer is in the slab");
-        handles.into_iter().map(take).collect()
+        handles.into_iter().map(|h| self.discard(h)).collect()
+    }
+
+    /// Removes the transfer `h` from the slab without delivering it: a
+    /// flush or a discard. Debug builds forget its source hash.
+    fn discard(&mut self, h: Handle) -> Transfer {
+        let t = self
+            .inflight
+            .remove(h)
+            .expect("a discarded transfer is in the slab");
+        #[cfg(debug_assertions)]
+        self.rx.audit.forget(t.x.src, t.dst, t.tag());
+        t
     }
 
     /// Convenience for the MPI connection manager: the full
@@ -800,11 +840,10 @@ impl Fabric {
         self.dir_mut(node, peer).state = QpState::Rts;
     }
 
-    /// Per-node reliability counters, indexed by node id. Only the
-    /// counters attributable to one side are maintained here
-    /// (retransmits, RNR backoff retries, QP errors, flushed WQEs,
-    /// migrations, injected drop/corrupt/delay/stall fates); the
-    /// aggregate [`Fabric::stats`] remains authoritative for the rest.
+    /// Transport counters by node id, the only store of every counter:
+    /// each event counts once, on the node its [`FabricStats`] field
+    /// names. [`Transport::stats`](crate::transport::Transport::stats)
+    /// sums them.
     pub fn node_stats(&self) -> &[FabricStats] {
         &self.node_stats
     }
@@ -826,11 +865,6 @@ impl Fabric {
     /// Cost model in use.
     pub fn config(&self) -> &NetConfig {
         &self.cfg
-    }
-
-    /// Accumulated statistics.
-    pub fn stats(&self) -> FabricStats {
-        self.stats
     }
 
     /// Heap bytes held by the paged connection-state tables: the
@@ -904,9 +938,9 @@ impl Fabric {
         let (src, dst, tx_dur, extra_delay) = (t.x.src, t.dst, t.tx_dur, t.extra_delay);
         if retransmit {
             let wire = t.x.op.wire_bytes();
-            self.stats.retransmits += 1;
-            self.node_stats[src as usize].retransmits += 1;
-            self.stats.bytes_on_wire += wire;
+            let s = &mut self.node_stats[src as usize];
+            s.retransmits += 1;
+            s.bytes_on_wire += wire;
         }
         let mut start = ready_at;
         // An APM failover in progress stalls the direction's sends
@@ -925,7 +959,6 @@ impl Fabric {
         }
         if let Some(fs) = &mut self.faults {
             if let Some(stall) = fs.stall() {
-                self.stats.stalls_injected += 1;
                 self.node_stats[src as usize].stalls_injected += 1;
                 start = self.nodes[src as usize].tx.reserve_labeled(
                     ready_at.max(start),
@@ -945,13 +978,11 @@ impl Fabric {
         match fate {
             Fate::Deliver { jitter_ns } => {
                 if jitter_ns > 0 {
-                    self.stats.delays_injected += 1;
                     self.node_stats[src as usize].delays_injected += 1;
                 }
                 sink(arrive_at + jitter_ns, NicEvent::Arrive { dst, id: h });
             }
             Fate::Drop => {
-                self.stats.drops_injected += 1;
                 self.node_stats[src as usize].drops_injected += 1;
                 self.admit_retry(h);
                 sink(
@@ -960,7 +991,6 @@ impl Fabric {
                 );
             }
             Fate::Corrupt => {
-                self.stats.corruptions_injected += 1;
                 self.node_stats[src as usize].corruptions_injected += 1;
                 self.admit_retry(h);
                 // Bad ICRC: the payload crossed the wire and the
@@ -1052,9 +1082,10 @@ impl Fabric {
                 });
             }
         }
-        self.stats.wqes += 1;
+        let s = &mut self.node_stats[node as usize];
+        s.wqes += 1;
         if wr.opcode != Opcode::RdmaRead {
-            self.stats.bytes_on_wire += bytes;
+            s.bytes_on_wire += bytes;
         }
         let xfer = Transfer {
             seq: self.alloc_seq(node, peer),
@@ -1135,7 +1166,6 @@ impl Fabric {
     ) {
         match ev {
             NicEvent::LocalCqe { node, cqe } => {
-                self.stats.cqes += 1;
                 self.cq_admit(node);
                 out.push((node, cqe));
             }
@@ -1184,7 +1214,6 @@ impl Fabric {
             self.nodes_down = vec![false; self.nodes.len()];
         }
         self.nodes_down[node as usize] = true;
-        self.stats.node_crashes += 1;
         self.node_stats[node as usize].node_crashes += 1;
         for port in 0..2u8 {
             let down = &mut self.ports_down[node as usize][port as usize];
@@ -1273,7 +1302,6 @@ impl Fabric {
         if d.migrating_until.replace(until).is_none() {
             self.migrating += 1;
         }
-        self.stats.migrations += 1;
         self.node_stats[dir.0 as usize].migrations += 1;
     }
 
@@ -1288,7 +1316,7 @@ impl Fabric {
         let (requester, responder) = t.endpoints();
         t.attempt += 1;
         if t.attempt > self.cfg.retry_cnt {
-            let t = self.inflight.remove(h).expect("looked up above");
+            let t = self.discard(h);
             let status = CqeStatus::RetryExceeded {
                 attempts: t.attempt,
             };
@@ -1329,7 +1357,6 @@ impl Fabric {
             // Delivered (or flushed) in the meantime.
             return;
         };
-        self.stats.rnr_backoff_retries += 1;
         self.node_stats[peer as usize].rnr_backoff_retries += 1;
         let t = self
             .inflight
@@ -1342,7 +1369,7 @@ impl Fabric {
         let (ticket, attempt) = (*ticket, *attempt);
         if attempt > self.cfg.rnr_retry {
             q.remove(pos);
-            let t = self.inflight.remove(h).expect("looked up above");
+            let t = self.discard(h);
             let status = CqeStatus::RnrRetryExceeded { attempts: attempt };
             // The RNR NAK that exhausts the budget travels back to the
             // sender, whose QP then errors.
@@ -1377,7 +1404,6 @@ impl Fabric {
             d.err = true;
             d.state = QpState::Err;
         }
-        self.stats.qp_errors += 1;
         self.node_stats[requester as usize].qp_errors += 1;
         let mut flushed: HashSet<u64> = HashSet::new();
         let mut flush_wrs: Vec<u64> = Vec::new();
@@ -1404,7 +1430,6 @@ impl Fabric {
             flush(t.x.op.wr_id());
         }
 
-        self.stats.flushed_wqes += flush_wrs.len() as u64;
         self.node_stats[requester as usize].flushed_wqes += flush_wrs.len() as u64;
         for wr_id in flush_wrs {
             let cqe = send_cqe(responder, wr_id, 0, CqeStatus::FlushErr);
@@ -1456,9 +1481,8 @@ impl Fabric {
             // QP: it died while this transfer was in flight. Either
             // way, discard it.
             if epoch != d.epoch || d.err {
-                self.inflight.remove(h);
-                self.stats.flushed_wqes += 1;
-                self.node_stats[src as usize].flushed_wqes += 1;
+                let (requester, _) = self.discard(h).endpoints();
+                self.node_stats[requester as usize].flushed_wqes += 1;
                 return;
             }
         }
@@ -1504,21 +1528,18 @@ impl Fabric {
         let (src, wr_id) = (x.src, x.op.wr_id());
         // A delivery that consumes a receive descriptor needs a CQ slot.
         if x.op.consumes_recv() && self.cq_full(dst) {
-            self.inflight.remove(h);
+            self.discard(h);
             self.cq_overflow(now, dst, src, wr_id, sink);
             return;
         }
         if self.rx.waits(dst, src, &x.op) {
-            self.stats.rnr_events += 1;
+            self.node_stats[dst as usize].rnr_events += 1;
             self.park(now, dst, src, h, sink);
             return;
         }
         let t = self.inflight.remove(h).expect("looked up above");
         let tag = t.tag();
-        match self
-            .rx
-            .deliver(mems, dst, t.x, tag, &mut self.stats, &mut self.node_stats)
-        {
+        match self.rx.deliver(mems, dst, t.x, tag, &mut self.node_stats) {
             Delivered::Done {
                 at_dst,
                 at_src,
@@ -1526,7 +1547,6 @@ impl Fabric {
                 ..
             } => {
                 if let Some(cqe) = at_dst {
-                    self.stats.cqes += 1;
                     self.cq_admit(dst);
                     out.push((dst, cqe));
                 }
@@ -1546,8 +1566,9 @@ impl Fabric {
                 // for its serialization time (and is itself subject to
                 // fault injection).
                 let dur = self.cfg.tx_ns(1, len);
-                self.stats.wqes += 1;
-                self.stats.bytes_on_wire += len;
+                let s = &mut self.node_stats[dst as usize];
+                s.wqes += 1;
+                s.bytes_on_wire += len;
                 let resp = Transfer {
                     seq: self.alloc_seq(dst, src),
                     attempt: 0,
@@ -1613,6 +1634,7 @@ impl Fabric {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::Transport;
     use crate::wr::Sge;
 
     /// Two nodes, each with one registered 64 KiB window: receives land
@@ -1627,8 +1649,8 @@ mod tests {
     }
 
     impl Rig {
-        fn new(plan: FaultPlan) -> Self {
-            let mut f = Fabric::new(2, NetConfig::default());
+        fn new(cfg: NetConfig, plan: FaultPlan) -> Self {
+            let mut f = Fabric::new(2, cfg);
             f.set_fault_plan(plan);
             let mut mems: Vec<NodeMem> = (0..2).map(|_| NodeMem::new(1 << 20)).collect();
             let win = mems
@@ -1722,15 +1744,19 @@ mod tests {
 
     /// Every stage a transfer can wait in, then a QP failure and a
     /// reset while some are still on the wire: once every event has
-    /// drained, the slab holds nothing.
+    /// drained, the slab holds nothing, and debug builds have forgotten
+    /// the source of every transfer flushed or discarded.
     #[test]
     fn drained_run_leaves_no_transfer_in_flight() {
-        let mut r = Rig::new(FaultPlan {
-            seed: 7,
-            drop_rate: 0.2,
-            corrupt_rate: 0.2,
-            ..FaultPlan::none()
-        });
+        let mut r = Rig::new(
+            NetConfig::default(),
+            FaultPlan {
+                seed: 7,
+                drop_rate: 0.2,
+                corrupt_rate: 0.2,
+                ..FaultPlan::none()
+            },
+        );
         for i in 0..8 {
             r.send(0, 0, i, false);
             r.send(0, 0, 8 + i, true);
@@ -1739,11 +1765,11 @@ mod tests {
             r.send(0, 1, i, false);
         }
         // Some sends reach node 1 before any receive: they park.
-        let now = r.run(|f| f.stats.rnr_events >= 3);
+        let now = r.run(|f| f.stats().rnr_events >= 3);
         for i in 0..3 {
             r.recv(now, 1, i);
         }
-        r.run(|f| f.stats.retransmits >= 2);
+        r.run(|f| f.stats().retransmits >= 2);
         let now = r.run(|f| {
             f.inflight
                 .iter()
@@ -1770,5 +1796,42 @@ mod tests {
         assert_eq!(s.qp_errors, 2, "{s:?}");
         assert!(r.evs.is_empty());
         assert_eq!(r.f.in_flight(), 0);
+        #[cfg(debug_assertions)]
+        assert!(r.f.rx.audit.is_empty(), "{:?}", r.f.rx.audit);
+    }
+
+    /// Nobody polls node 1's one-entry CQ, so the first send's receive
+    /// completion fills it and the second send's delivery overflows
+    /// it: the requester gets one `CqOverflow` completion and its QP
+    /// errors, the overflow counts on node 1, the refused send leaves
+    /// its receive descriptor posted, and nothing stays in flight.
+    #[test]
+    fn full_cq_refuses_delivery_and_errors_the_qp() {
+        let cfg = NetConfig {
+            cq_depth: 1,
+            ..NetConfig::default()
+        };
+        let mut r = Rig::new(cfg, FaultPlan::none());
+        r.recv(0, 1, 0);
+        r.recv(0, 1, 1);
+        r.send(0, 0, 0, false);
+        r.send(0, 0, 1, false);
+        r.run(|f| f.cq_used(1) == 1);
+        let posted = r.f.recvq_len(1, 0);
+        assert_eq!(posted, 1);
+        r.run(|_| false);
+
+        let overflows = r
+            .out
+            .iter()
+            .filter(|(node, c)| *node == 0 && c.status == CqeStatus::CqOverflow);
+        assert_eq!(overflows.count(), 1, "{:?}", r.out);
+        assert!(r.f.qp_errored(0, 1));
+        assert_eq!(r.f.node_stats()[1].cq_overflows, 1);
+        assert_eq!(r.f.stats().cq_overflows, 1);
+        assert_eq!(r.f.recvq_len(1, 0), posted);
+        assert_eq!(r.f.in_flight(), 0);
+        #[cfg(debug_assertions)]
+        assert!(r.f.rx.audit.is_empty(), "{:?}", r.f.rx.audit);
     }
 }

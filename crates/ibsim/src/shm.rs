@@ -256,7 +256,7 @@ pub struct ShmChannel {
     inflight: Slab<ShmXfer>,
     /// Transfers posted so far: the next transfer's `seq`.
     posted: u64,
-    stats: FabricStats,
+    /// Transport counters by node (see [`FabricStats`]).
     node_stats: Vec<FabricStats>,
 }
 
@@ -276,7 +276,6 @@ impl ShmChannel {
             rx: Rx::new(n, 0),
             inflight: Slab::new(),
             posted: 0,
-            stats: FabricStats::default(),
             node_stats: vec![FabricStats::default(); n],
         }
     }
@@ -293,7 +292,6 @@ impl ShmChannel {
         self.rx.reset();
         self.inflight.clear();
         self.posted = 0;
-        self.stats = FabricStats::default();
         for s in &mut self.node_stats {
             *s = FabricStats::default();
         }
@@ -323,7 +321,6 @@ impl ShmChannel {
         let in_done = self.engines[node as usize].reserve_labeled(ready_at, in_total, "wire");
         let in_start = in_done - in_total;
         let floor = in_start + two_stage_finish_ns(chunks, self.cfg.slots(), |_| per, |_| per);
-        self.stats.shm_bounce_chunks += chunks;
         self.node_stats[node as usize].shm_bounce_chunks += chunks;
         (in_done, in_start + per + self.cfg.doorbell_ns, floor)
     }
@@ -339,7 +336,6 @@ impl ShmChannel {
     /// Charges one single-copy CMA pass on `node`'s engine.
     fn charge_cma(&mut self, at: Time, node: u32, bytes: u64) -> Time {
         let done = self.engines[node as usize].reserve_labeled(at, self.cfg.cma_ns(bytes), "wire");
-        self.stats.shm_cma_ops += 1;
         self.node_stats[node as usize].shm_cma_ops += 1;
         done
     }
@@ -375,16 +371,14 @@ impl ShmChannel {
             .x;
         let src = x.src;
         if self.rx.waits(dst, src, &x.op) {
-            self.stats.rnr_events += 1;
+            self.node_stats[dst as usize].rnr_events += 1;
             self.rx.park(dst, src, h);
             return;
         }
         let ShmXfer { x, floor, seq } = self.inflight.remove(h).expect("looked up above");
         // A read response's copy was charged at post.
         let read = matches!(x.op, Op::ReadResponse { .. });
-        let done = self
-            .rx
-            .deliver(mems, dst, x, seq, &mut self.stats, &mut self.node_stats);
+        let done = self.rx.deliver(mems, dst, x, seq, &mut self.node_stats);
         match done {
             Delivered::Done {
                 placed: Some(len),
@@ -409,7 +403,6 @@ impl ShmChannel {
             }
             Delivered::Done { at_dst, at_src, .. } => {
                 if let Some(cqe) = at_dst {
-                    self.stats.cqes += 1;
                     out.push((dst, cqe));
                 }
                 if let Some(cqe) = at_src {
@@ -444,7 +437,6 @@ impl Transport for ShmChannel {
         let mem = &mems[node as usize];
         check_post(&wr, self.cfg.max_sge, mem)?;
         let bytes = wr.total_len();
-        self.stats.wqes += 1;
         self.node_stats[node as usize].wqes += 1;
         let (signaled, seq) = (wr.signaled, self.posted);
         self.posted += 1;
@@ -459,7 +451,7 @@ impl Transport for ShmChannel {
         }
         if wr.opcode == Opcode::RdmaRead {
             let (addr, rkey) = wr.remote.expect("checked at post");
-            self.stats.bytes_on_wire += bytes;
+            self.node_stats[peer as usize].bytes_on_wire += bytes;
             let (data, at) = if double {
                 // The responder's progress engine packs into the
                 // segment after the doorbell; the requester unpacks
@@ -495,7 +487,7 @@ impl Transport for ShmChannel {
             self.sched_arrive(at, node, xfer, sink);
             return Ok(());
         }
-        self.stats.bytes_on_wire += bytes;
+        self.node_stats[node as usize].bytes_on_wire += bytes;
         let done = send_cqe(peer, wr.wr_id, bytes, CqeStatus::Success);
         // A single-copy send is pulled by the receiver at delivery.
         // Every other send or write releases the sender first, so its
@@ -572,10 +564,7 @@ impl Transport for ShmChannel {
     ) {
         match ev {
             NicEvent::Arrive { dst, id } => self.deliver(now, dst, id, mems, sink, out),
-            NicEvent::LocalCqe { node, cqe } => {
-                self.stats.cqes += 1;
-                out.push((node, cqe));
-            }
+            NicEvent::LocalCqe { node, cqe } => out.push((node, cqe)),
             NicEvent::RnrRetry { node, peer } => {
                 while let Some(h) = self.rx.unpark(node, peer) {
                     self.deliver(now, node, h, mems, sink, out);
@@ -628,10 +617,6 @@ impl Transport for ShmChannel {
         // Vacuously true, matching the fabric's no-fault-plan answer:
         // nothing is permanently down on this backend.
         true
-    }
-
-    fn stats(&self) -> FabricStats {
-        self.stats
     }
 
     fn node_stats(&self) -> &[FabricStats] {

@@ -5,7 +5,7 @@
 
 use ibdt_ibsim::{
     Cqe, CqeStatus, Fabric, FaultPlan, LinkFault, NetConfig, NicEvent, NodeFault, NodeMem, Opcode,
-    PostError, QpState, RecvWr, SendWr, Sge,
+    PostError, QpState, RecvWr, SendWr, Sge, Transport,
 };
 use ibdt_simcore::engine::{Engine, Scheduler, World};
 use ibdt_simcore::time::Time;

@@ -2,6 +2,7 @@
 
 use ibdt_ibsim::{
     Cqe, CqeStatus, Fabric, NetConfig, NicEvent, NodeMem, Opcode, PostError, RecvWr, SendWr, Sge,
+    Transport,
 };
 use ibdt_simcore::engine::{Engine, Scheduler, World};
 use ibdt_simcore::time::Time;

@@ -851,18 +851,6 @@ impl Cluster {
             wqes: fstats.wqes,
             bytes_on_wire: fstats.bytes_on_wire,
             rnr_events: fstats.rnr_events,
-            drops_injected: fstats.drops_injected,
-            corruptions_injected: fstats.corruptions_injected,
-            delays_injected: fstats.delays_injected,
-            stalls_injected: fstats.stalls_injected,
-            retransmits: fstats.retransmits,
-            rnr_backoff_retries: fstats.rnr_backoff_retries,
-            qp_errors: fstats.qp_errors,
-            flushed_wqes: fstats.flushed_wqes,
-            migrations: fstats.migrations,
-            cq_overflows: fstats.cq_overflows,
-            recv_low_water: fstats.recv_low_water,
-            node_crashes: fstats.node_crashes,
             cq_peak: (0..n).map(|r| self.fabric.t().cq_peak(r as u32)).collect(),
             fabric_per_rank: self.fabric.t().node_stats().to_vec(),
             errors: self
@@ -906,7 +894,6 @@ impl Cluster {
             events_scheduled,
             plan_cache_canonical_hits: self.ranks.iter().map(|r| r.plans.canonical_hits).sum(),
             canonicalized_types: self.ranks.iter().map(|r| r.plans.canonicalized).sum(),
-            staging_chunks: self.ranks.iter().map(|r| r.counters.staging_chunks).sum(),
             shm_bounce_chunks: fstats.shm_bounce_chunks,
             shm_cma_ops: fstats.shm_cma_ops,
         }

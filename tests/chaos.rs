@@ -144,9 +144,7 @@ fn recoverable_chaos_delivers_exactly_and_deterministically() {
             stats.counters, replay.counters,
             "protocol counters diverged"
         );
-        assert_eq!(stats.retransmits, replay.retransmits);
-        assert_eq!(stats.drops_injected, replay.drops_injected);
-        assert_eq!(stats.corruptions_injected, replay.corruptions_injected);
+        assert_eq!(stats.fabric_per_rank, replay.fabric_per_rank);
     });
 }
 
@@ -174,7 +172,7 @@ fn unrecoverable_loss_fails_with_typed_errors() {
             stats.total_errors() > 0,
             "total loss must surface typed errors (scheme {scheme:?})"
         );
-        assert!(stats.qp_errors >= 1);
+        assert!(stats.fabric().qp_errors >= 1);
         let typed = stats.errors.iter().flatten().any(|e| {
             matches!(
                 e,
@@ -340,15 +338,12 @@ fn link_failover_is_transparent_across_schemes() {
             stats.errors
         );
         assert!(
-            stats.migrations >= 1,
+            stats.fabric().migrations >= 1,
             "{scheme:?}: port-down during transfer should have migrated"
         );
         assert_delivered(&ty, 1, &src, &dst, "failover delivery");
         assert_eq!(src, src_clean, "source window must be untouched");
         assert_eq!(dst, dst_clean, "failover changed the delivered bytes");
-        // The fabric attributes the failover to the affected node.
-        let per_rank: u64 = stats.fabric_per_rank.iter().map(|f| f.migrations).sum();
-        assert_eq!(per_rank, stats.migrations, "per-rank migration attribution");
     }
 }
 
@@ -389,7 +384,7 @@ fn link_down_without_apm_recovers_via_reconnect() {
             stats.errors
         );
         assert!(
-            stats.qp_errors >= 1,
+            stats.fabric().qp_errors >= 1,
             "{scheme:?}: port-down should have errored the QP"
         );
         let reestablished: u64 = stats.counters.iter().map(|c| c.qp_reestablished).sum();

@@ -204,7 +204,7 @@ fn alltoall_survives_link_failover() {
     };
     let (stats, got) = run(faults);
     assert!(
-        stats.migrations >= 1,
+        stats.fabric().migrations >= 1,
         "mid-alltoall port loss should have migrated"
     );
     assert_eq!(got, want, "failover changed the alltoall result");
@@ -350,7 +350,7 @@ fn rma_put_survives_link_failover() {
         stats.errors
     );
     assert!(
-        stats.migrations >= 1,
+        stats.fabric().migrations >= 1,
         "mid-Put port loss should have migrated"
     );
     let src = cluster.read_mem(0, obuf, span);

@@ -153,7 +153,7 @@ fn member_death_mid_alltoall_drains_typed_and_terminates() {
         ..FaultPlan::none()
     };
     let (stats, _) = run_alltoall(faults.clone());
-    assert_eq!(stats.node_crashes, 1);
+    assert_eq!(stats.fabric().node_crashes, 1);
     assert!(
         stats.total_errors() > 0,
         "a permanent member death cannot be error-free"
@@ -200,7 +200,7 @@ fn member_restart_within_budget_recovers_cleanly() {
         ..FaultPlan::none()
     };
     let (stats, got) = run_alltoall(faults);
-    assert_eq!(stats.node_crashes, 1);
+    assert_eq!(stats.fabric().node_crashes, 1);
     assert_eq!(
         stats.total_errors(),
         0,
