@@ -881,12 +881,6 @@ impl Fabric {
                 .sum::<usize>()
     }
 
-    /// Pages materialized in the per-direction QP table (each covering
-    /// [`ibdt_simcore::paged::PAGE`] ordered pairs).
-    pub fn dir_pages_touched(&self) -> usize {
-        self.dirs.pages_touched()
-    }
-
     /// The transmit engine of `node` (utilization / trace inspection).
     pub fn tx_engine(&self, node: u32) -> &SerialResource {
         &self.nodes[node as usize].tx

@@ -10,22 +10,21 @@
 //! pushed the bytes). A [`Payload`] holds that copy.
 //!
 //! The backing buffer is **pooled**: dropping a payload returns its
-//! vector to a thread-local free list, and the next gather reuses it,
+//! vector to a thread-local [`Shelf`], and the next gather reuses it,
 //! so steady-state traffic allocates nothing. The pool is deliberately
 //! thread-local and unsynchronized: the simulator is single-threaded
 //! per world, and tests that run many worlds in parallel each get
 //! their own pool. Pool occupancy is bounded (`MAX_POOLED` idle
 //! buffers) so pathological bursts don't pin memory.
 
-use std::cell::{Cell, RefCell};
+use ibdt_simcore::Shelf;
+use std::cell::RefCell;
 
 /// Maximum number of idle buffers kept per thread.
 const MAX_POOLED: usize = 64;
 
 thread_local! {
-    static POOL: RefCell<Vec<Vec<u8>>> = const { RefCell::new(Vec::new()) };
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-    static REUSES: Cell<u64> = const { Cell::new(0) };
+    static POOL: RefCell<Shelf<Vec<u8>>> = const { RefCell::new(Shelf::new(MAX_POOLED)) };
 }
 
 /// A pooled, immutable copy of a transfer's bytes.
@@ -36,12 +35,7 @@ impl Drop for Payload {
     fn drop(&mut self) {
         let v = std::mem::take(&mut self.0);
         // try_with: thread teardown may have destroyed the pool.
-        let _ = POOL.try_with(|p| {
-            let mut p = p.borrow_mut();
-            if p.len() < MAX_POOLED {
-                p.push(v);
-            }
-        });
+        let _ = POOL.try_with(|p| p.borrow_mut().put(v));
     }
 }
 
@@ -49,19 +43,11 @@ impl Payload {
     /// Builds a payload by filling a pooled buffer through `fill`,
     /// which appends exactly the payload bytes to it.
     pub fn build<F: FnOnce(&mut Vec<u8>)>(cap: usize, fill: F) -> Payload {
-        let pooled = POOL.try_with(|p| p.borrow_mut().pop()).ok().flatten();
-        let mut v = match pooled {
-            Some(mut v) => {
-                REUSES.with(|c| c.set(c.get() + 1));
-                v.clear();
-                v.reserve(cap);
-                v
-            }
-            None => {
-                ALLOCS.with(|c| c.set(c.get() + 1));
-                Vec::with_capacity(cap)
-            }
-        };
+        let fresh = || Vec::with_capacity(cap);
+        let mut v = POOL
+            .try_with(|p| p.borrow_mut().take(fresh))
+            .unwrap_or_else(|_| fresh());
+        v.reserve(cap);
         fill(&mut v);
         Payload(v)
     }
@@ -84,13 +70,15 @@ impl Payload {
     /// `(allocations, pool reuses)` performed by this thread's buffer
     /// pool since the last [`Payload::reset_pool_stats`].
     pub fn pool_stats() -> (u64, u64) {
-        (ALLOCS.with(Cell::get), REUSES.with(Cell::get))
+        POOL.with(|p| {
+            let p = p.borrow();
+            (p.allocs(), p.reuses())
+        })
     }
 
     /// Zeroes this thread's buffer pool counters (bench/test harness).
     pub fn reset_pool_stats() {
-        ALLOCS.with(|c| c.set(0));
-        REUSES.with(|c| c.set(0));
+        POOL.with(|p| p.borrow_mut().reset_counts());
     }
 }
 

@@ -280,23 +280,6 @@ impl ShmChannel {
         }
     }
 
-    /// Returns the channel to its just-constructed state in place,
-    /// keeping queue and trace capacity: copy engines idle at t=0,
-    /// receive/park queues empty but warm, stats zeroed. A reset
-    /// channel behaves bit-identically to [`ShmChannel::new`] — world
-    /// recycling relies on this.
-    pub fn reset(&mut self) {
-        for e in &mut self.engines {
-            e.reset();
-        }
-        self.rx.reset();
-        self.inflight.clear();
-        self.posted = 0;
-        for s in &mut self.node_stats {
-            *s = FabricStats::default();
-        }
-    }
-
     /// The channel's configuration.
     pub fn config(&self) -> &ShmConfig {
         &self.cfg
@@ -629,6 +612,18 @@ impl Transport for ShmChannel {
 
     fn in_flight(&self) -> usize {
         self.inflight.len()
+    }
+
+    fn reset(&mut self) {
+        for e in &mut self.engines {
+            e.reset();
+        }
+        self.rx.reset();
+        self.inflight.clear();
+        self.posted = 0;
+        for s in &mut self.node_stats {
+            *s = FabricStats::default();
+        }
     }
 }
 

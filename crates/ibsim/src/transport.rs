@@ -167,6 +167,14 @@ pub trait Transport {
     /// Transfers the backend holds between post and delivery, flush or
     /// discard.
     fn in_flight(&self) -> usize;
+
+    /// Returns the backend to its just-constructed, fault-free state in
+    /// place, keeping every queue's and trace's capacity: engines idle
+    /// at t=0, queues empty but warm, counters zeroed. A reset backend
+    /// behaves bit-identically to a fresh one — world recycling relies
+    /// on this. Re-arm fault injection afterwards with
+    /// [`Transport::set_fault_plan`].
+    fn reset(&mut self);
 }
 
 impl Transport for Fabric {
@@ -277,6 +285,10 @@ impl Transport for Fabric {
 
     fn in_flight(&self) -> usize {
         Fabric::in_flight(self)
+    }
+
+    fn reset(&mut self) {
+        Fabric::reset(self)
     }
 }
 

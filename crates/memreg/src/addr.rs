@@ -87,7 +87,6 @@ thread_local! {
 pub struct AddressSpace {
     mem: Vec<u8>,
     brk: u64,
-    allocs: u64,
     /// One bit per page; set when a mutable access may have written
     /// the page. Exact (no over-approximation), so recycling re-zeros
     /// only bytes that were really reachable by a write.
@@ -304,15 +303,14 @@ impl AddressSpace {
         Self {
             mem,
             brk: 64, // reserve a null guard region
-            allocs: 0,
             dirty,
             win: SlotWindow::default(),
         }
     }
 
     /// Returns the space to its just-constructed state in place:
-    /// dirty pages re-zeroed, bump pointer back at the null guard,
-    /// allocation count cleared. Semantically this is the drop→pool→
+    /// dirty pages re-zeroed, bump pointer back at the null guard.
+    /// Semantically this is the drop→pool→
     /// `new` round trip without the pool detour — the same buffer is
     /// reused and exactly the dirty pages are re-zeroed — so it is
     /// accounted identically in [`AddressSpace::pool_stats`] (one
@@ -326,7 +324,6 @@ impl AddressSpace {
         SP_REUSES.with(|c| c.set(c.get() + 1));
         SP_ZEROED.with(|c| c.set(c.get() + zeroed));
         self.brk = 64;
-        self.allocs = 0;
     }
 
     /// `(fresh allocations, pool reuses, bytes re-zeroed)` by this
@@ -429,11 +426,6 @@ impl AddressSpace {
         self.capacity() - self.brk
     }
 
-    /// Number of allocations performed.
-    pub fn alloc_count(&self) -> u64 {
-        self.allocs
-    }
-
     /// Allocates `len` bytes aligned to `align` (a power of two).
     pub fn alloc(&mut self, len: u64, align: u64) -> Result<Va, MemError> {
         debug_assert!(align.is_power_of_two(), "alignment must be a power of two");
@@ -449,7 +441,6 @@ impl AddressSpace {
             });
         }
         self.brk = end;
-        self.allocs += 1;
         Ok(base)
     }
 

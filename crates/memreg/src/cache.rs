@@ -90,11 +90,6 @@ impl PindownCache {
         c
     }
 
-    /// True when caching is active.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Empties the cache and zeroes its counters, keeping the entry
     /// list's capacity and the configured byte bound. The caller is
     /// responsible for the underlying [`RegTable`] — a recycled world

@@ -293,37 +293,6 @@ impl Default for ClusterSpec {
     }
 }
 
-/// The cluster's byte-moving backend. An enum rather than a boxed
-/// trait object so the backend lives inline in the `Cluster` (no
-/// allocation, pooling-friendly) while every caller still drives it
-/// through `&mut dyn Transport`.
-#[derive(Debug)]
-// The size skew between the variants is the point: boxing the fabric
-// would reintroduce the allocation this enum exists to avoid.
-#[allow(clippy::large_enum_variant)]
-enum Backend {
-    /// The InfiniBand fabric.
-    Ib(Fabric),
-    /// The shared-memory channel.
-    Shm(ShmChannel),
-}
-
-impl Backend {
-    fn t(&self) -> &dyn Transport {
-        match self {
-            Backend::Ib(f) => f,
-            Backend::Shm(c) => c,
-        }
-    }
-
-    fn t_mut(&mut self) -> &mut dyn Transport {
-        match self {
-            Backend::Ib(f) => f,
-            Backend::Shm(c) => c,
-        }
-    }
-}
-
 #[derive(Debug)]
 enum Blocked {
     No,
@@ -345,7 +314,7 @@ struct Interp {
 /// The simulated MPI cluster.
 pub struct Cluster {
     spec: ClusterSpec,
-    fabric: Backend,
+    fabric: Box<dyn Transport>,
     mems: Vec<NodeMem>,
     ranks: Vec<RankState>,
     active: Vec<ActiveMsgs>,
@@ -395,7 +364,7 @@ const CLUSTER_SPARE_CAP: usize = 4;
 fn post_eager_rings(
     spec: &ClusterSpec,
     ranks: &[RankState],
-    fabric: &mut Backend,
+    fabric: &mut dyn Transport,
     mems: &[NodeMem],
 ) {
     let mut noop = |_t: Time, _e: ibdt_ibsim::NicEvent| {};
@@ -414,7 +383,6 @@ fn post_eager_rings(
                     sges: SgeList::of(sge),
                 };
                 fabric
-                    .t_mut()
                     .post_recv(0, r, peer, wr, mems, &mut noop)
                     .expect("eager ring post");
             }
@@ -450,12 +418,8 @@ impl Cluster {
             panic!("invalid host configuration: {e}");
         }
         let n = spec.nprocs as usize;
-        let mut fabric = match &spec.transport {
-            TransportConfig::Ib => {
-                let mut f = Fabric::new(n, spec.net.clone());
-                f.set_fault_plan(spec.faults.clone());
-                Backend::Ib(f)
-            }
+        let mut fabric: Box<dyn Transport> = match &spec.transport {
+            TransportConfig::Ib => Box::new(Fabric::new(n, spec.net.clone())),
             TransportConfig::Shm(c) => {
                 if let Err(e) = c.validate() {
                     panic!("invalid shm configuration: {e}");
@@ -464,9 +428,10 @@ impl Cluster {
                     spec.faults.is_inert(),
                     "fault injection requires the IB transport"
                 );
-                Backend::Shm(ShmChannel::new(n, *c))
+                Box::new(ShmChannel::new(n, *c))
             }
         };
+        fabric.set_fault_plan(spec.faults.clone());
         let mut mems: Vec<NodeMem> = (0..n).map(|_| NodeMem::new(spec.mem_capacity)).collect();
         let mut ranks = Vec::with_capacity(n);
         for r in 0..n as u32 {
@@ -477,7 +442,7 @@ impl Cluster {
                 &mut mems[r as usize],
             ));
         }
-        post_eager_rings(&spec, &ranks, &mut fabric, &mems);
+        post_eager_rings(&spec, &ranks, fabric.as_mut(), &mems);
         Self {
             active: (0..n).map(|_| ActiveMsgs::new(n)).collect(),
             interp: Vec::new(),
@@ -595,7 +560,7 @@ impl Cluster {
         }
         // Realize the fault plan's scheduled link failures as engine
         // events (port down / port up at their virtual instants).
-        for (t, e) in self.fabric.t().fault_events() {
+        for (t, e) in self.fabric.fault_events() {
             engine.seed(t, Ev::Nic(e));
         }
         // Budget: generous runaway guard proportional to work. With
@@ -603,7 +568,7 @@ impl Cluster {
         // exhausted budget becomes a typed `Incomplete` error on every
         // unfinished rank instead of a panic, so a chaos plan that
         // wedges the protocol still terminates with a diagnosis.
-        let faulty = self.fabric.t().faults_active();
+        let faulty = self.fabric.faults_active();
         let (finish, exhausted) = engine.run_bounded(self, 200_000_000);
         assert!(
             !exhausted || faulty,
@@ -619,7 +584,7 @@ impl Cluster {
         // own program cannot have finished, and peers that never
         // exchanged traffic with it after the crash may have observed
         // nothing — the crash itself is the error condition.
-        let crashed = (0..self.spec.nprocs).any(|r| self.fabric.t().node_down(r));
+        let crashed = (0..self.spec.nprocs).any(|r| self.fabric.node_down(r));
         let had_errors = exhausted
             || crashed
             || (0..self.spec.nprocs as usize).any(|r| {
@@ -632,9 +597,9 @@ impl Cluster {
         // Every event drained: an error-free run delivered every
         // transfer it started.
         debug_assert!(
-            had_errors || self.fabric.t().in_flight() == 0,
+            had_errors || self.fabric.in_flight() == 0,
             "{} transfers still in flight after an error-free run",
-            self.fabric.t().in_flight()
+            self.fabric.in_flight()
         );
         for r in 0..self.spec.nprocs as usize {
             let it = &self.interp[r];
@@ -706,13 +671,8 @@ impl Cluster {
         // would.
         self.payload_pool_base = Payload::pool_stats();
         self.space_pool_base = AddressSpace::pool_stats();
-        match &mut self.fabric {
-            Backend::Ib(f) => {
-                f.reset();
-                f.set_fault_plan(self.spec.faults.clone());
-            }
-            Backend::Shm(c) => c.reset(),
-        }
+        self.fabric.reset();
+        self.fabric.set_fault_plan(self.spec.faults.clone());
         for mem in &mut self.mems {
             mem.space.reset();
             mem.regs.reset();
@@ -725,7 +685,7 @@ impl Cluster {
         // Re-post the eager receive rings exactly as construction does;
         // the reset address spaces hand back the same deterministic
         // layout, so ring addresses and keys match a fresh cluster's.
-        post_eager_rings(&self.spec, &self.ranks, &mut self.fabric, &self.mems);
+        post_eager_rings(&self.spec, &self.ranks, self.fabric.as_mut(), &self.mems);
         for a in &mut self.active {
             a.reset();
         }
@@ -824,7 +784,7 @@ impl Cluster {
 
     fn collect_stats(&self, finish: Time, events_scheduled: u64) -> RunStats {
         let n = self.spec.nprocs as usize;
-        let fstats = self.fabric.t().stats();
+        let fstats = self.fabric.stats();
         let (pa, pr) = Payload::pool_stats();
         let (sa, sr, sz) = AddressSpace::pool_stats();
         RunStats {
@@ -851,8 +811,8 @@ impl Cluster {
             wqes: fstats.wqes,
             bytes_on_wire: fstats.bytes_on_wire,
             rnr_events: fstats.rnr_events,
-            cq_peak: (0..n).map(|r| self.fabric.t().cq_peak(r as u32)).collect(),
-            fabric_per_rank: self.fabric.t().node_stats().to_vec(),
+            cq_peak: (0..n).map(|r| self.fabric.cq_peak(r as u32)).collect(),
+            fabric_per_rank: self.fabric.node_stats().to_vec(),
             errors: self
                 .ranks
                 .iter()
@@ -868,12 +828,7 @@ impl Cluster {
             pack_wire_overlap_ns: (0..n)
                 .map(|r| {
                     let cpu_trace = self.ranks[r].cpu.trace().expect("cpu traced");
-                    let tx_trace = self
-                        .fabric
-                        .t()
-                        .tx_engine(r as u32)
-                        .trace()
-                        .expect("tx traced");
+                    let tx_trace = self.fabric.tx_engine(r as u32).trace().expect("tx traced");
                     cpu_trace.overlap_with("pack", tx_trace, "wire")
                 })
                 .collect(),
@@ -907,7 +862,7 @@ impl Cluster {
 
     /// Post-run access to a rank's NIC transmit-engine span trace.
     pub fn tx_trace(&self, rank: u32) -> &ibdt_simcore::trace::Trace {
-        self.fabric.t().tx_engine(rank).trace().expect("tx traced")
+        self.fabric.tx_engine(rank).trace().expect("tx traced")
     }
 
     /// Post-run access to a rank's pack/unpack pool statistics:
@@ -1304,7 +1259,7 @@ impl Cluster {
             ..
         } = self;
         let mut ctx = Ctx {
-            fabric: fabric.t_mut(),
+            fabric: fabric.as_mut(),
             mems,
             net: &spec.net,
             host: &spec.host,
@@ -1323,7 +1278,7 @@ impl Cluster {
     /// everything once the node returns (checkpoint-restore
     /// semantics; see DESIGN.md §15).
     fn rank_halted(&self, rank: u32) -> bool {
-        self.fabric.t().node_down(rank) && !self.fabric.t().node_will_restart(rank)
+        self.fabric.node_down(rank) && !self.fabric.node_will_restart(rank)
     }
 
     /// Schedules interpreter resumption for ranks with fresh
@@ -1398,7 +1353,7 @@ impl World for Cluster {
                 completions.clear();
                 {
                     let Cluster { fabric, mems, .. } = self;
-                    fabric.t_mut().handle(
+                    fabric.handle(
                         sched.now(),
                         e,
                         mems,
@@ -1457,7 +1412,7 @@ impl World for Cluster {
                 self.interp_advance(sched, rank);
             }
             Ev::CqAck { rank, n } => {
-                self.fabric.t_mut().cq_consume(rank, n as usize);
+                self.fabric.cq_consume(rank, n as usize);
             }
         }
         if self.spec.mpi.audit {

@@ -7,6 +7,8 @@
 //! allocation + on-the-fly registration, the second solution of §4.3.3.
 
 use ibdt_memreg::{AddressSpace, MemError, RegTable, Va};
+use ibdt_simcore::{Reusable, Shelf};
+use std::cell::RefCell;
 use std::collections::HashSet;
 
 /// A pack/unpack staging buffer (pool segment or dynamic fallback).
@@ -42,36 +44,37 @@ impl SegmentPool {
         total_size: u64,
         seg_size: u64,
     ) -> Result<Self, MemError> {
-        assert!(seg_size > 0, "segment size must be positive");
-        let count = total_size / seg_size;
-        let base = space.alloc_page_aligned(count * seg_size)?;
-        let reg = regs.register(base, count * seg_size);
-        // LIFO with the lowest addresses on top.
-        let free: Vec<Va> = (0..count).rev().map(|i| base + i * seg_size).collect();
-        Ok(Self {
-            seg_size,
-            base,
-            lkey: reg.lkey,
-            rkey: reg.rkey,
-            free,
-            total: count as usize,
-            exhaustions: 0,
-            acquires: 0,
-        })
+        let mut pool = Self::unplaced(total_size, seg_size);
+        pool.reset(space, regs)?;
+        Ok(pool)
     }
 
-    /// Rebuilds the pool against a *reset* address space and
-    /// registration table (world recycling): re-allocates the backing
-    /// region, re-registers it, and refills the free list in place.
-    /// Deterministic allocation makes the base, keys, and free-list
-    /// order bit-identical to a freshly built pool's; reusing the free
-    /// list's capacity is exactly what `new` does when it draws a
-    /// retired list from the thread-local spare.
-    pub fn reset(&mut self, space: &mut AddressSpace, regs: &mut RegTable) {
+    /// A pool of `total_size / seg_size` segments not yet placed in any
+    /// address space: no backing region, no keys, no free segments
+    /// until [`Self::reset`] places it.
+    pub(crate) fn unplaced(total_size: u64, seg_size: u64) -> Self {
+        assert!(seg_size > 0, "segment size must be positive");
+        Self {
+            seg_size,
+            base: 0,
+            lkey: 0,
+            rkey: 0,
+            free: Vec::new(),
+            total: (total_size / seg_size) as usize,
+            exhaustions: 0,
+            acquires: 0,
+        }
+    }
+
+    /// Places the pool in `space`: allocates the backing region
+    /// page-aligned, registers it, refills the free list in place (LIFO
+    /// with the lowest addresses on top) and zeroes the counters.
+    /// Construction runs it once; world recycling runs it again against
+    /// the *reset* space and table, where deterministic allocation
+    /// reproduces the same base, keys, and free-list order.
+    pub fn reset(&mut self, space: &mut AddressSpace, regs: &mut RegTable) -> Result<(), MemError> {
         let count = self.total as u64;
-        let base = space
-            .alloc_page_aligned(count * self.seg_size)
-            .expect("reset address space fits the original pool");
+        let base = space.alloc_page_aligned(count * self.seg_size)?;
         let reg = regs.register(base, count * self.seg_size);
         self.base = base;
         self.lkey = reg.lkey;
@@ -81,6 +84,7 @@ impl SegmentPool {
             .extend((0..count).rev().map(|i| base + i * self.seg_size));
         self.exhaustions = 0;
         self.acquires = 0;
+        Ok(())
     }
 
     /// Segment size in bytes.
@@ -149,54 +153,51 @@ impl SegmentPool {
 /// path: byte copies (`Vec<u8>`: eager bytes copied out of a receive
 /// slot, a local RMA gather), control-message encode buffers (kept
 /// apart so a reply copy held for a whole transfer never pins a
-/// message-sized buffer), block/SGE lists
-/// (`Vec<(Va, u64)>`), and block-length lists (`Vec<u64>`). Buffers
-/// are taken, used, and returned; their capacity survives, so
-/// steady-state sends stop allocating after the first few messages.
-/// Purely host-side — no modelled cost, no effect on the virtual
-/// clock.
+/// message-sized buffer), block/SGE lists (`Vec<(Va, u64)>`), stage
+/// buffer lists and index sets. Each kind is a [`Shelf`]: buffers are
+/// taken, used, and returned; their capacity survives, so steady-state
+/// sends stop allocating after the first few messages. Purely
+/// host-side — no modelled cost, no effect on the virtual clock.
 ///
 /// When a pool is dropped its buffers spill to a bounded thread-local
-/// free-list, and a fresh pool's first takes refill from it — the same
-/// recycling the payload slabs use. A parameter sweep that builds one
-/// short-lived cluster per point therefore stops paying scratch
-/// warm-up allocations after its first iteration. The spill also keeps
-/// `RunStats::scratch_pool` honest: a fresh cluster on a warm thread
-/// counts the same reuses as a recycled one, which `tests/recycle.rs`
-/// fingerprints.
-#[derive(Debug, Default)]
+/// spare (`SPARE_CAP` per kind), and a fresh pool's first takes refill
+/// from it — the same recycling the payload slabs use. A parameter
+/// sweep that builds one short-lived cluster per point therefore stops
+/// paying scratch warm-up allocations after its first iteration. The
+/// spill also keeps `RunStats::scratch_pool` honest: a fresh cluster
+/// on a warm thread counts the same reuses as a recycled one, which
+/// `tests/recycle.rs` fingerprints.
+#[derive(Debug)]
 pub struct ScratchPool {
-    bytes: Vec<Vec<u8>>,
-    ctrl: Vec<Vec<u8>>,
-    blocks: Vec<Vec<(Va, u64)>>,
-    lens: Vec<Vec<u64>>,
-    stage: Vec<Vec<StageBuf>>,
-    sets: Vec<HashSet<u32>>,
-    reuses: u64,
-    allocs: u64,
+    kinds: Kinds,
+    ctrl: Shelf<Vec<u8>>,
+}
+
+/// The kinds a pool and the thread-local spare both keep.
+#[derive(Debug)]
+struct Kinds {
+    bytes: Shelf<Vec<u8>>,
+    blocks: Shelf<Vec<(Va, u64)>>,
+    stage: Shelf<Vec<StageBuf>>,
+    sets: Shelf<HashSet<u32>>,
+}
+
+impl Kinds {
+    const fn new(cap: usize) -> Self {
+        Self {
+            bytes: Shelf::new(cap),
+            blocks: Shelf::new(cap),
+            stage: Shelf::new(cap),
+            sets: Shelf::new(cap),
+        }
+    }
 }
 
 thread_local! {
-    static SPARE: std::cell::RefCell<ScratchSpare> = const {
-        std::cell::RefCell::new(ScratchSpare {
-            bytes: Vec::new(),
-            blocks: Vec::new(),
-            lens: Vec::new(),
-            stage: Vec::new(),
-            sets: Vec::new(),
-        })
-    };
+    static SPARE: RefCell<Kinds> = const { RefCell::new(Kinds::new(SPARE_CAP)) };
 }
 
-struct ScratchSpare {
-    bytes: Vec<Vec<u8>>,
-    blocks: Vec<Vec<(Va, u64)>>,
-    lens: Vec<Vec<u64>>,
-    stage: Vec<Vec<StageBuf>>,
-    sets: Vec<HashSet<u32>>,
-}
-
-/// Per-kind cap on the thread-local spare list.
+/// Per-kind cap on the thread-local spare.
 const SPARE_CAP: usize = 64;
 /// Minimum capacity of a pooled byte buffer (covers every control
 /// message wire size).
@@ -205,48 +206,32 @@ const MIN_BYTES_CAP: usize = 64;
 impl Drop for ScratchPool {
     fn drop(&mut self) {
         // Control buffers spill as plain byte buffers.
-        self.bytes.append(&mut self.ctrl);
-        // try_with: thread teardown may have destroyed the spare list.
+        let k = &mut self.kinds;
+        k.bytes.append(&mut self.ctrl);
+        // try_with: thread teardown may have destroyed the spare.
         let _ = SPARE.try_with(|s| {
-            let mut s = s.borrow_mut();
-            while s.bytes.len() < SPARE_CAP {
-                match self.bytes.pop() {
-                    Some(v) => s.bytes.push(v),
-                    None => break,
-                }
-            }
-            while s.blocks.len() < SPARE_CAP {
-                match self.blocks.pop() {
-                    Some(v) => s.blocks.push(v),
-                    None => break,
-                }
-            }
-            while s.lens.len() < SPARE_CAP {
-                match self.lens.pop() {
-                    Some(v) => s.lens.push(v),
-                    None => break,
-                }
-            }
-            while s.stage.len() < SPARE_CAP {
-                match self.stage.pop() {
-                    Some(v) => s.stage.push(v),
-                    None => break,
-                }
-            }
-            while s.sets.len() < SPARE_CAP {
-                match self.sets.pop() {
-                    Some(v) => s.sets.push(v),
-                    None => break,
-                }
-            }
+            let s = &mut *s.borrow_mut();
+            k.bytes.spill_into(&mut s.bytes);
+            k.blocks.spill_into(&mut s.blocks);
+            k.stage.spill_into(&mut s.stage);
+            k.sets.spill_into(&mut s.sets);
         });
+    }
+}
+
+impl Default for ScratchPool {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
 impl ScratchPool {
     /// Creates an empty scratch pool.
     pub fn new() -> Self {
-        Self::default()
+        Self {
+            kinds: Kinds::new(usize::MAX),
+            ctrl: Shelf::new(usize::MAX),
+        }
     }
 
     /// Zeroes the reuse/alloc counters, keeping pooled buffers (world
@@ -257,35 +242,41 @@ impl ScratchPool {
     /// do when spilled, so a byte take may draw on every buffer the
     /// last run kept — as a fresh pool draws on the spare.
     pub fn reset(&mut self) {
-        self.bytes.append(&mut self.ctrl);
-        self.reuses = 0;
-        self.allocs = 0;
+        let k = &mut self.kinds;
+        k.bytes.append(&mut self.ctrl);
+        k.bytes.reset_counts();
+        k.blocks.reset_counts();
+        k.stage.reset_counts();
+        k.sets.reset_counts();
+        self.ctrl.reset_counts();
+    }
+
+    /// Takes from the kind `pick` selects, first drawing one buffer
+    /// from the thread-local spare when the pool has none of that kind.
+    fn take<T: Reusable>(
+        &mut self,
+        pick: fn(&mut Kinds) -> &mut Shelf<T>,
+        fresh: impl FnOnce() -> T,
+    ) -> T {
+        let shelf = pick(&mut self.kinds);
+        if shelf.is_empty() {
+            let _ = SPARE.try_with(|s| shelf.refill_from(pick(&mut s.borrow_mut())));
+        }
+        shelf.take(fresh)
     }
 
     /// Takes an empty byte buffer with room for at least `cap` bytes,
     /// reusing a returned buffer's capacity when one is available.
     pub fn take_empty(&mut self, cap: usize) -> Vec<u8> {
-        if self.bytes.is_empty() {
-            let spare = SPARE.try_with(|s| s.borrow_mut().bytes.pop());
-            self.bytes.extend(spare.ok().flatten());
+        let cap_or_min = cap.max(MIN_BYTES_CAP);
+        let mut v = self.take(|k| &mut k.bytes, || Vec::with_capacity(cap_or_min));
+        if v.capacity() < cap {
+            // Round small buffers up so a 27-byte control encode and a
+            // 36-byte control receive can share one recycled buffer
+            // without regrowing it.
+            v.reserve(cap_or_min);
         }
-        match self.bytes.pop() {
-            Some(mut v) => {
-                self.reuses += 1;
-                v.clear();
-                if v.capacity() < cap {
-                    // Round small buffers up so a 27-byte control
-                    // encode and a 36-byte control receive can share
-                    // one recycled buffer without regrowing it.
-                    v.reserve(cap.max(MIN_BYTES_CAP));
-                }
-                v
-            }
-            None => {
-                self.allocs += 1;
-                Vec::with_capacity(cap.max(MIN_BYTES_CAP))
-            }
-        }
+        v
     }
 
     /// Takes a byte buffer holding a copy of `data`, filled from `data`
@@ -299,150 +290,73 @@ impl ScratchPool {
     /// Takes an empty control-message encode buffer, falling back to a
     /// byte buffer when none was returned yet.
     pub fn take_ctrl(&mut self) -> Vec<u8> {
-        match self.ctrl.pop() {
-            Some(mut v) => {
-                self.reuses += 1;
-                v.clear();
-                v
-            }
+        match self.ctrl.try_take() {
+            Some(v) => v,
             None => self.take_empty(0),
         }
     }
 
     /// Returns a control-message encode buffer to the pool.
     pub fn put_ctrl(&mut self, v: Vec<u8>) {
-        if v.capacity() > 0 {
-            self.ctrl.push(v);
-        }
+        self.ctrl.put(v)
     }
 
     /// Returns a byte buffer to the pool.
     pub fn put_bytes(&mut self, v: Vec<u8>) {
-        if v.capacity() > 0 {
-            self.bytes.push(v);
-        }
+        self.kinds.bytes.put(v)
     }
 
     /// Takes an empty block/SGE list, reusing returned capacity.
     pub fn take_blocks(&mut self) -> Vec<(Va, u64)> {
-        if self.blocks.is_empty() {
-            self.blocks.extend(
-                SPARE
-                    .try_with(|s| s.borrow_mut().blocks.pop())
-                    .ok()
-                    .flatten(),
-            );
-        }
-        match self.blocks.pop() {
-            Some(mut v) => {
-                self.reuses += 1;
-                v.clear();
-                v
-            }
-            None => {
-                self.allocs += 1;
-                Vec::new()
-            }
-        }
+        self.take(|k| &mut k.blocks, Vec::new)
     }
 
     /// Returns a block/SGE list to the pool.
     pub fn put_blocks(&mut self, v: Vec<(Va, u64)>) {
-        if v.capacity() > 0 {
-            self.blocks.push(v);
-        }
-    }
-
-    /// Takes an empty block-length list, reusing returned capacity.
-    pub fn take_lens(&mut self) -> Vec<u64> {
-        if self.lens.is_empty() {
-            self.lens
-                .extend(SPARE.try_with(|s| s.borrow_mut().lens.pop()).ok().flatten());
-        }
-        match self.lens.pop() {
-            Some(mut v) => {
-                self.reuses += 1;
-                v.clear();
-                v
-            }
-            None => {
-                self.allocs += 1;
-                Vec::new()
-            }
-        }
-    }
-
-    /// Returns a block-length list to the pool.
-    pub fn put_lens(&mut self, v: Vec<u64>) {
-        if v.capacity() > 0 {
-            self.lens.push(v);
-        }
+        self.kinds.blocks.put(v)
     }
 
     /// Takes an empty stage-buffer list, reusing returned capacity.
     pub(crate) fn take_stage(&mut self) -> Vec<StageBuf> {
-        if self.stage.is_empty() {
-            self.stage.extend(
-                SPARE
-                    .try_with(|s| s.borrow_mut().stage.pop())
-                    .ok()
-                    .flatten(),
-            );
-        }
-        match self.stage.pop() {
-            Some(mut v) => {
-                self.reuses += 1;
-                v.clear();
-                v
-            }
-            None => {
-                self.allocs += 1;
-                Vec::new()
-            }
-        }
+        self.take(|k| &mut k.stage, Vec::new)
     }
 
     /// Returns a stage-buffer list for reuse.
     pub(crate) fn put_stage(&mut self, v: Vec<StageBuf>) {
-        if v.capacity() > 0 {
-            self.stage.push(v);
-        }
+        self.kinds.stage.put(v)
     }
 
     /// Takes an empty index set, reusing a returned set's table.
     pub(crate) fn take_set(&mut self) -> HashSet<u32> {
-        if self.sets.is_empty() {
-            self.sets
-                .extend(SPARE.try_with(|s| s.borrow_mut().sets.pop()).ok().flatten());
-        }
-        match self.sets.pop() {
-            Some(mut v) => {
-                self.reuses += 1;
-                v.clear();
-                v
-            }
-            None => {
-                self.allocs += 1;
-                HashSet::new()
-            }
-        }
+        self.take(|k| &mut k.sets, HashSet::new)
     }
 
     /// Returns an index set for reuse.
     pub(crate) fn put_set(&mut self, v: HashSet<u32>) {
-        if v.capacity() > 0 {
-            self.sets.push(v);
-        }
+        self.kinds.sets.put(v)
+    }
+
+    /// `(reuses, allocs)` summed over every kind.
+    fn counts(&self) -> (u64, u64) {
+        let k = &self.kinds;
+        let each = [
+            (k.bytes.reuses(), k.bytes.allocs()),
+            (k.blocks.reuses(), k.blocks.allocs()),
+            (k.stage.reuses(), k.stage.allocs()),
+            (k.sets.reuses(), k.sets.allocs()),
+            (self.ctrl.reuses(), self.ctrl.allocs()),
+        ];
+        each.iter().fold((0, 0), |(r, a), (x, y)| (r + x, a + y))
     }
 
     /// Times a take was served from a returned buffer.
     pub fn reuses(&self) -> u64 {
-        self.reuses
+        self.counts().0
     }
 
     /// Times a take had to allocate fresh.
     pub fn allocs(&self) -> u64 {
-        self.allocs
+        self.counts().1
     }
 }
 
@@ -538,18 +452,6 @@ mod scratch_tests {
         assert_eq!((p.reuses(), p.allocs()), (1, 1));
     }
 
-    #[test]
-    fn lens_round_trip() {
-        let mut p = ScratchPool::new();
-        let mut v = p.take_lens();
-        v.push(512);
-        p.put_lens(v);
-        let w = p.take_lens();
-        assert!(w.is_empty(), "reused list comes back cleared");
-        assert!(w.capacity() >= 1, "capacity survives the round trip");
-        assert_eq!((p.reuses(), p.allocs()), (1, 1));
-    }
-
     /// A reset pool serves byte takes from its control buffers too, as
     /// a fresh pool would after they spilled to the spare list.
     #[test]
@@ -567,7 +469,6 @@ mod scratch_tests {
         let mut p = ScratchPool::new();
         p.put_bytes(Vec::new());
         p.put_blocks(Vec::new());
-        p.put_lens(Vec::new());
         let _ = p.take_copy(&[1]);
         assert_eq!((p.reuses(), p.allocs()), (0, 1));
     }

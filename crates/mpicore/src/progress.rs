@@ -1247,17 +1247,10 @@ fn reserve_ctrl(rs: &mut RankState, ctx: &mut Ctx<'_, '_>, extra_cpu_ns: Time) -
     rs.cpu.reserve_labeled(ctx.now(), cost, label)
 }
 
-/// Sends `bytes` from the claimed send-ring slot `va`: writes them and
-/// the slot terminator, posts, and on a dead queue pair frees the slot
-/// and parks the bytes with the connection manager, to be re-sent after
-/// re-establishment.
-///
-/// The terminator is one zero byte — an invalid message kind — after
-/// the encoded message. Slots are reused without clearing, so a
-/// recovery re-post must re-derive the wire length by decoding; with
-/// piggybacked credit prefixes the terminator is what makes the end of
-/// a slot (in particular a standalone `CreditUpdate`) unambiguous
-/// against stale bytes from the slot's previous occupant.
+/// Sends `bytes` from the claimed send-ring slot `va`: writes them,
+/// records their length for a recovery re-post, posts, and on a dead
+/// queue pair frees the slot and parks the bytes with the connection
+/// manager, to be re-sent after re-establishment.
 fn send_in_slot(
     rs: &mut RankState,
     ctx: &mut Ctx<'_, '_>,
@@ -1266,14 +1259,12 @@ fn send_in_slot(
     bytes: Vec<u8>,
     extra_cpu_ns: Time,
 ) {
-    let space = &mut ctx.mems[rs.rank as usize].space;
-    space.write(va, &bytes).expect("eager ring buffer writable");
+    ctx.mems[rs.rank as usize]
+        .space
+        .write(va, &bytes)
+        .expect("eager ring buffer writable");
     let len = bytes.len() as u64;
-    if len < ctx.cfg.eager_buf_size {
-        space
-            .write(va + len, &[0])
-            .expect("eager ring buffer writable");
-    }
+    *slot_len(rs, ctx.cfg, va) = len;
     if post_ctrl_slot(rs, ctx, peer, va, len, extra_cpu_ns) {
         rs.scratch.put_ctrl(bytes);
         return;
@@ -1284,6 +1275,11 @@ fn send_in_slot(
         .expect("reconnect scheduled")
         .pending_ctrl
         .push(bytes);
+}
+
+/// The recorded wire length of send-ring slot `va`.
+fn slot_len<'a>(rs: &'a mut RankState, cfg: &MpiConfig, va: Va) -> &'a mut u64 {
+    &mut rs.eager_slot_len[((va - rs.eager_region) / cfg.eager_buf_size) as usize]
 }
 
 /// Posts the control message in send-ring slot `va` (`len` bytes) to
@@ -2930,38 +2926,10 @@ fn do_reconnect(rs: &mut RankState, am: &mut ActiveMsgs, ctx: &mut Ctx<'_, '_>, 
 /// Re-posts a flushed eager/control send from its ring slot. The slot
 /// still holds the encoded bytes, and a flushed WQE was never delivered
 /// (flush precludes delivery), so the re-post cannot duplicate a
-/// message the peer already consumed. The wire length is recovered from
-/// the encoded header.
+/// message the peer already consumed. The wire length is the one
+/// [`send_in_slot`] recorded.
 fn resend_eager_slot(rs: &mut RankState, ctx: &mut Ctx<'_, '_>, peer: u32, va: Va) {
-    let bytes = ctx.mems[rs.rank as usize]
-        .space
-        .read(va, ctx.cfg.eager_buf_size)
-        .expect("eager ring buffer readable");
-    // The slot may open with piggybacked `CreditUpdate`s; the wire
-    // length covers the whole prefix plus the carried message. The zero
-    // terminator each slot write appends decodes to `None`, marking the
-    // end of a slot that carries only credits.
-    let mut off = 0usize;
-    let len = loop {
-        match CtrlMsg::decode(&bytes[off..]) {
-            None if off > 0 => break off as u64,
-            None => {
-                // Nothing decodable at all (protocol bug): return the
-                // slot to the ring rather than resending garbage.
-                rs.eager_send_free.push(va);
-                drain_pending_eager(rs, ctx);
-                return;
-            }
-            Some((m, hdr_len)) => {
-                off += hdr_len;
-                match m {
-                    CtrlMsg::CreditUpdate { .. } => continue,
-                    CtrlMsg::EagerData { size, .. } => break off as u64 + size,
-                    _ => break off as u64,
-                }
-            }
-        }
-    };
+    let len = *slot_len(rs, ctx.cfg, va);
     if !post_ctrl_slot(rs, ctx, peer, va, len, 0) {
         rs.reconn
             .get_mut(&peer)

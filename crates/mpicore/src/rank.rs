@@ -260,6 +260,9 @@ pub struct RankState {
     pub eager_region: Va,
     /// Eager/control send ring buffers (shared across peers).
     pub eager_send_free: Vec<Va>,
+    /// Wire length of the message last sent from each send-ring slot,
+    /// by slot index, so a flushed slot is re-sent verbatim.
+    pub eager_slot_len: Vec<u64>,
     /// Sends waiting for a ring buffer.
     pub eager_pending: VecDeque<PendingEager>,
     /// lkey covering the eager region (send + recv buffers).
@@ -338,50 +341,23 @@ impl RankState {
     /// Builds the rank state, allocating eager buffers and pools inside
     /// `mem` and pre-registering everything. Receive descriptors are
     /// *not* posted here — the cluster does that (it needs the fabric).
+    ///
+    /// Builds an empty shell of the right shape and places it with
+    /// [`RankState::reset`], the step world recycling repeats, so every
+    /// initial value is written in one place.
     pub fn new(rank: u32, nprocs: u32, cfg: &MpiConfig, mem: &mut NodeMem) -> Self {
-        // One region holds the send ring and all per-peer recv buffers.
-        let send_bytes = cfg.eager_send_bufs as u64 * cfg.eager_buf_size;
-        let recv_bytes = (nprocs as u64 - 1) * cfg.eager_bufs_per_peer as u64 * cfg.eager_buf_size;
-        let region = mem
-            .space
-            .alloc_page_aligned(send_bytes + recv_bytes)
-            .expect("address space too small for eager buffers");
-        let reg = mem.regs.register(region, send_bytes + recv_bytes);
-        mem.space
-            .set_slot_window(region + send_bytes, recv_bytes, cfg.eager_buf_size)
-            .expect("eager receive ring inside the address space");
-
-        let eager_send_free = (0..cfg.eager_send_bufs as u64)
-            .rev()
-            .map(|i| region + i * cfg.eager_buf_size)
-            .collect();
-
-        let pack_pool = SegmentPool::new(
-            &mut mem.space,
-            &mut mem.regs,
-            cfg.pack_pool_size,
-            cfg.max_seg_size,
-        )
-        .expect("address space too small for pack pool");
-        let unpack_pool = SegmentPool::new(
-            &mut mem.space,
-            &mut mem.regs,
-            cfg.unpack_pool_size,
-            cfg.max_seg_size,
-        )
-        .expect("address space too small for unpack pool");
-
-        Self {
+        let mut rs = Self {
             rank,
             nprocs,
             cpu: SerialResource::new("cpu").with_trace(),
             dma: SerialResource::new("dma").with_trace(),
-            eager_region: region,
-            eager_send_free,
+            eager_region: 0,
+            eager_send_free: Vec::new(),
+            eager_slot_len: Vec::new(),
             eager_pending: VecDeque::new(),
-            eager_lkey: reg.lkey,
-            pack_pool,
-            unpack_pool,
+            eager_lkey: 0,
+            pack_pool: SegmentPool::unplaced(cfg.pack_pool_size, cfg.max_seg_size),
+            unpack_pool: SegmentPool::unplaced(cfg.unpack_pool_size, cfg.max_seg_size),
             posted: VecDeque::new(),
             unexpected: VecDeque::new(),
             next_seq: PagedTable::new(nprocs as usize),
@@ -395,7 +371,7 @@ impl RankState {
             },
             registry: TypeRegistry::new(),
             layout_cache: LayoutCache::new(),
-            canonicalize: cfg.canonicalize,
+            canonicalize: false,
             plans: PlanLookups::default(),
             scratch: ScratchPool::new(),
             sent_layouts: HashSet::new(),
@@ -408,37 +384,41 @@ impl RankState {
             done_seqs: crate::table::DoneSet::new(nprocs as usize),
             errors: Vec::new(),
             counters: RankCounters::default(),
-            fc: PagedTable::with_fill(
-                nprocs as usize,
-                FcPeer {
-                    credits: cfg.eager_credits,
-                    ..FcPeer::default()
-                },
-            ),
+            fc: PagedTable::with_fill(nprocs as usize, FcPeer::default()),
             unexpected_eager: 0,
-        }
+        };
+        rs.reset(cfg, mem);
+        rs
     }
 
-    /// Returns the rank state to its just-constructed state against a
-    /// *reset* `mem` (world recycling): the eager region and segment
-    /// pools are re-allocated and re-registered — deterministic
-    /// allocation reproduces the original addresses and keys — and
-    /// every queue, cache, table, and counter is emptied in place with
-    /// its heap capacity retained. Behaviour afterwards is
-    /// bit-identical to [`RankState::new`] with the same `cfg`.
+    /// Places the rank state in `mem` and returns it to its
+    /// just-constructed state: allocates and registers the eager
+    /// region, sets its receive slot window, builds the send ring,
+    /// places both segment pools, and empties every queue, cache,
+    /// table, and counter in place with its heap capacity retained.
+    /// [`RankState::new`] runs it on an empty shell; world recycling
+    /// runs it again against a *reset* `mem`, where deterministic
+    /// allocation reproduces the original addresses and keys, so
+    /// behaviour afterwards is bit-identical to a fresh rank's with the
+    /// same `cfg`.
     pub fn reset(&mut self, cfg: &MpiConfig, mem: &mut NodeMem) {
+        // One region holds the send ring and all per-peer recv buffers.
         let send_bytes = cfg.eager_send_bufs as u64 * cfg.eager_buf_size;
         let recv_bytes =
             (self.nprocs as u64 - 1) * cfg.eager_bufs_per_peer as u64 * cfg.eager_buf_size;
         let region = mem
             .space
             .alloc_page_aligned(send_bytes + recv_bytes)
-            .expect("reset address space fits the eager region");
+            .expect("address space too small for eager buffers");
         let reg = mem.regs.register(region, send_bytes + recv_bytes);
         mem.space
             .set_slot_window(region + send_bytes, recv_bytes, cfg.eager_buf_size)
             .expect("eager receive ring inside the address space");
-        debug_assert_eq!(region, self.eager_region, "deterministic layout");
+        // A shell's region is 0, the null address no allocation returns.
+        debug_assert!(
+            self.eager_region == 0 || region == self.eager_region,
+            "deterministic layout"
+        );
         self.cpu.reset();
         self.dma.reset();
         self.eager_region = region;
@@ -448,10 +428,16 @@ impl RankState {
                 .rev()
                 .map(|i| region + i * cfg.eager_buf_size),
         );
+        self.eager_slot_len.clear();
+        self.eager_slot_len.resize(cfg.eager_send_bufs, 0);
         self.eager_pending.clear();
         self.eager_lkey = reg.lkey;
-        self.pack_pool.reset(&mut mem.space, &mut mem.regs);
-        self.unpack_pool.reset(&mut mem.space, &mut mem.regs);
+        self.pack_pool
+            .reset(&mut mem.space, &mut mem.regs)
+            .expect("address space too small for pack pool");
+        self.unpack_pool
+            .reset(&mut mem.space, &mut mem.regs)
+            .expect("address space too small for unpack pool");
         self.posted.clear();
         self.unexpected.clear();
         self.next_seq.reset_entries(|s| *s = 0);
@@ -474,11 +460,9 @@ impl RankState {
         self.done_seqs.reset();
         self.errors.clear();
         self.counters = RankCounters::default();
-        self.fc.reset_entries(|p| {
-            *p = FcPeer {
-                credits: cfg.eager_credits,
-                ..FcPeer::default()
-            }
+        self.fc.refill(FcPeer {
+            credits: cfg.eager_credits,
+            ..FcPeer::default()
         });
         self.unexpected_eager = 0;
     }

@@ -19,6 +19,8 @@
 //!   for the short gather lists the hot paths build per descriptor,
 //! * [`paged`] — two-level paged sparse-dense tables so per-pair state
 //!   costs memory proportional to *touched* pairs, not n²,
+//! * [`shelf`] — the one bounded free list every host-side scratch and
+//!   payload pool recycles its containers through,
 //! * [`shard`] — a conservative (lookahead-windowed) parallel driver
 //!   that runs one large simulation across cores with results
 //!   bit-identical to the sequential order.
@@ -34,6 +36,7 @@ pub mod pipeline;
 pub mod queue;
 pub mod resource;
 pub mod shard;
+pub mod shelf;
 pub mod slab;
 pub mod time;
 pub mod trace;
@@ -45,6 +48,7 @@ pub use pipeline::{two_stage_finish_ns, MAX_PIPELINE_BUFS};
 pub use queue::{EventQueue, HeapQueue};
 pub use resource::SerialResource;
 pub use shard::{run_indexed, ShardSim, ShardWorld};
+pub use shelf::{Reusable, Shelf};
 pub use slab::{Handle, Slab};
 pub use time::{Time, GIGA, KILO, MEGA};
 pub use trace::{Span, Trace};

@@ -91,6 +91,15 @@ impl<T: Clone> PagedTable<T> {
             live_pages: 0,
         }
     }
+
+    /// Makes `fill` the value absent entries read as and resets every
+    /// materialized entry to it, keeping the pages: the table then
+    /// reads exactly like `with_fill(len, fill)`.
+    pub fn refill(&mut self, fill: T) {
+        self.reset_entries(|e| *e = fill.clone());
+        self.default = fill;
+        self.make = |d| d.clone();
+    }
 }
 
 impl<T> PagedTable<T> {
@@ -241,6 +250,16 @@ mod tests {
         *t.get_mut(3) -= 1;
         assert_eq!(*t.get(3), 15);
         assert_eq!(*t.get(4), 16, "page fill uses the custom default");
+    }
+
+    #[test]
+    fn refill_reads_like_a_fresh_table_with_the_new_fill() {
+        let mut t: PagedTable<u32> = PagedTable::new(256);
+        *t.get_mut(3) = 9;
+        t.refill(16);
+        assert_eq!((*t.get(3), *t.get(200)), (16, 16));
+        assert_eq!(*t.get_mut(200), 16, "a new page fills with the new value");
+        assert_eq!(t.pages_touched(), 2, "pages stay materialized");
     }
 
     #[test]

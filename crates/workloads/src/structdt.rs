@@ -28,11 +28,6 @@ pub fn struct_datatype(last_block_ints: u64) -> Datatype {
     Datatype::struct_(&fields).expect("fig. 10 struct is always valid")
 }
 
-/// Total data bytes of the Fig. 10 struct.
-pub fn struct_size(last_block_ints: u64) -> u64 {
-    struct_datatype(last_block_ints).size()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
