@@ -224,6 +224,10 @@ const GOLDEN: &[(&str, [Fingerprint; 2])] = &[
         fp([468886, 443359], 0xdbea2e4d1976581c, 17, 106958, 54, 0x84f4e9f60984e21d),
         fp([1458965, 1456689], 0xc1f932ff44fa2250, 144, 1059302, 179, 0xf3310c2e42a12e4d),
     ]),
+    ("BC-SPUP ring re-post", [
+        fp([402416, 375389], 0x49ec80dcfe0b9ef2, 13, 98610, 49, 0x84f4e9f60984e21d),
+        fp([1781301, 1642754], 0x44cd3a621d850d33, 16, 792930, 58, 0xf3310c2e42a12e4d),
+    ]),
     ("Multi-W evict", [
         fp([1015296, 980075], 0x7cce2d8a5eceebf8, 792, 205602, 851, 0x84f4e9f60984e21d),
         fp([2521791, 2383244], 0xc84663506368135a, 219, 1588074, 284, 0xf3310c2e42a12e4d),
@@ -388,6 +392,17 @@ fn link_fault_recovers_every_scheme() {
                 "{name}: the link fault must force a reconnect"
             );
         }
+    }
+}
+
+/// The port goes dark 5 µs in, while rank 0's first control message
+/// sits in its send ring: the flushed ring slot is re-posted from the
+/// length recorded at send once the connection is re-established.
+#[test]
+fn link_fault_reposts_flushed_ring_slots() {
+    let spec = link_fault(Scheme::BcSpup, 5_000);
+    for s in check("BC-SPUP ring re-post", spec, false) {
+        assert!(reconnects(&s) >= 1, "the link fault must force a reconnect");
     }
 }
 
