@@ -13,14 +13,17 @@
 //! Never-touched pairs must read as the defaults, and churn on one
 //! pair must not bleed into a neighbor — the two bug classes a dense
 //! index layout can introduce that a keyed map cannot.
+//!
+//! It runs on two inputs: a 4-node fabric where every rank is active,
+//! and a 96-node fabric whose activity is confined to a sparse subset
+//! of ranks, so most pairs stay untouched and the active ones include
+//! adjacent `src * n + dst` indices.
 
 use ibdt_ibsim::{Fabric, FaultPlan, NetConfig, NicEvent, NodeMem, Opcode, QpState, SendWr, Sge};
 use ibdt_simcore::engine::{Engine, Scheduler, World};
 use ibdt_simcore::time::Time;
 use ibdt_testkit::{cases, Rng};
 use std::collections::HashMap;
-
-const N: u32 = 4;
 
 struct Harness {
     fabric: Fabric,
@@ -68,14 +71,16 @@ impl Default for ODir {
 }
 
 struct Oracle {
+    n: u32,
     dirs: HashMap<(u32, u32), ODir>,
     down: HashMap<(u32, u8), bool>,
     apm: bool,
 }
 
 impl Oracle {
-    fn new(apm: bool) -> Self {
+    fn new(n: u32, apm: bool) -> Self {
         Oracle {
+            n,
             dirs: HashMap::new(),
             down: HashMap::new(),
             apm,
@@ -141,9 +146,11 @@ impl Oracle {
         true
     }
 
+    /// A port-down fans out over *all* pairs touching the node, exactly
+    /// as the fabric's handler does, untouched pairs included.
     fn port_down_event(&mut self, node: u32, port: u8) {
         self.down.insert((node, port), true);
-        for other in 0..N {
+        for other in 0..self.n {
             if other == node {
                 continue;
             }
@@ -167,9 +174,11 @@ impl Oracle {
     }
 }
 
+/// Compares every directional pair — active, neighbor, and untouched —
+/// against the oracle.
 fn assert_equivalent(h: &Harness, o: &Oracle, round: usize) {
-    for s in 0..N {
-        for d in 0..N {
+    for s in 0..o.n {
+        for d in 0..o.n {
             if s == d {
                 continue;
             }
@@ -198,9 +207,21 @@ fn assert_equivalent(h: &Harness, o: &Oracle, round: usize) {
     }
 }
 
-#[test]
-fn dense_tables_match_hashmap_oracle_under_churn() {
-    cases(0x0DE2_5E01, 48, |rng: &mut Rng| {
+fn pick_pair(rng: &mut Rng, active: &[u32]) -> (u32, u32) {
+    let s = rng.pick(active);
+    loop {
+        let d = rng.pick(active);
+        if d != s {
+            return (s, d);
+        }
+    }
+}
+
+/// Drives `rounds` rounds of churn per case on an `n`-node fabric,
+/// drawing every action's endpoints from `active`, and checks the
+/// fabric against the oracle after each round.
+fn churn(n: u32, active: &[u32], seed: u64, ncases: u32, rounds: usize, mem: u64) {
+    cases(seed, ncases, |rng: &mut Rng| {
         // Retransmits must never exhaust the budget here: a
         // retry-exceeded QP error is an *internal* transition the
         // oracle does not model.
@@ -210,37 +231,37 @@ fn dense_tables_match_hashmap_oracle_under_churn() {
         };
         let apm = cfg.apm_enabled;
         let mut h = Harness {
-            fabric: Fabric::new(N as usize, cfg),
-            mems: (0..N).map(|_| NodeMem::new(16 << 20)).collect(),
+            fabric: Fabric::new(n as usize, cfg),
+            mems: (0..n).map(|_| NodeMem::new(mem)).collect(),
             completions: 0,
         };
         let mut plan = FaultPlan::uniform(rng.next_u64(), 0.1).unwrap();
         plan.evict_rate = 0.0;
         h.fabric.set_fault_plan(plan);
-        let mut o = Oracle::new(apm);
+        let mut o = Oracle::new(n, apm);
 
-        // One registered source buffer and destination slab per node.
-        let mut src = Vec::new();
-        let mut dst = Vec::new();
-        for node in 0..N as usize {
-            let s = h.mems[node].space.alloc_page_aligned(4096).unwrap();
-            let sreg = h.mems[node].regs.register(s, 4096);
-            let d = h.mems[node].space.alloc_page_aligned(64 << 10).unwrap();
-            let dreg = h.mems[node].regs.register(d, 64 << 10);
-            src.push((s, sreg.lkey));
-            dst.push((d, dreg.rkey));
+        // A registered source buffer and destination slab per active
+        // node.
+        type BufPair = ((u64, u32), (u64, u32));
+        let mut bufs: HashMap<u32, BufPair> = HashMap::new();
+        for &node in active {
+            let m = &mut h.mems[node as usize];
+            let s = m.space.alloc_page_aligned(4096).unwrap();
+            let sreg = m.regs.register(s, 4096);
+            let d = m.space.alloc_page_aligned(64 << 10).unwrap();
+            let dreg = m.regs.register(d, 64 << 10);
+            bufs.insert(node, ((s, sreg.lkey), (d, dreg.rkey)));
         }
 
         let mut t: Time = 0;
         let mut wr_id = 0u64;
-        for round in 0..16 {
+        for round in 0..rounds {
             t += 200_000;
             let mut evs: Vec<(Time, NicEvent)> = Vec::new();
 
             // 0-2 random control-plane actions.
             for _ in 0..rng.range_usize(0, 3) {
-                let s = rng.range_u64(0, N as u64) as u32;
-                let d = (s + rng.range_u64(1, N as u64) as u32) % N;
+                let (s, d) = pick_pair(rng, active);
                 match rng.range_usize(0, 5) {
                     0 => {
                         let target = rng.pick(&[
@@ -301,8 +322,7 @@ fn dense_tables_match_hashmap_oracle_under_churn() {
             // usable; the fault plan drops/corrupts/delays some of it,
             // exercising retransmit bookkeeping in the inflight slab.
             for _ in 0..rng.range_usize(0, 5) {
-                let s = rng.range_u64(0, N as u64) as u32;
-                let d = (s + rng.range_u64(1, N as u64) as u32) % N;
+                let (s, d) = pick_pair(rng, active);
                 let cur = o.get(s, d);
                 if cur.err
                     || cur.state != QpState::Rts
@@ -313,6 +333,8 @@ fn dense_tables_match_hashmap_oracle_under_churn() {
                 }
                 wr_id += 1;
                 let len = rng.range_u64(1, 2048);
+                let (src, _) = bufs[&s];
+                let (_, dst) = bufs[&d];
                 let posted = h.fabric.post_send(
                     t + rng.range_u64(0, 1000),
                     s,
@@ -321,12 +343,12 @@ fn dense_tables_match_hashmap_oracle_under_churn() {
                         wr_id,
                         opcode: Opcode::RdmaWrite,
                         sges: vec![Sge {
-                            addr: src[s as usize].0,
+                            addr: src.0,
                             len,
-                            lkey: src[s as usize].1,
+                            lkey: src.1,
                         }]
                         .into(),
-                        remote: Some((dst[d as usize].0, dst[d as usize].1)),
+                        remote: Some((dst.0, dst.1)),
                         signaled: true,
                     },
                     &h.mems,
@@ -348,4 +370,17 @@ fn dense_tables_match_hashmap_oracle_under_churn() {
             assert_equivalent(&h, &o, round);
         }
     });
+}
+
+#[test]
+fn dense_tables_match_hashmap_oracle_under_churn() {
+    churn(4, &[0, 1, 2, 3], 0x0DE2_5E01, 48, 16, 16 << 20);
+}
+
+/// 96 nodes, activity on six ranks chosen to straddle 64-entry
+/// boundaries of the `src * n + dst` index space and to include
+/// adjacent rank pairs whose direction indices are neighbors.
+#[test]
+fn sparse_activity_on_96_nodes_matches_hashmap_oracle() {
+    churn(96, &[0, 1, 17, 18, 63, 95], 0x9A6E_D001, 24, 10, 4 << 20);
 }

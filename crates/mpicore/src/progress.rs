@@ -667,7 +667,9 @@ fn on_cqe_error(rs: &mut RankState, am: &mut ActiveMsgs, ctx: &mut Ctx<'_, '_>, 
     // the owning requests; the reconnect event re-drives it.
     if recoverable(&err) && matches!(kind, WR_EAGER | WR_DATA | WR_READ) {
         if ensure_reconnect(rs, ctx, peer) {
-            let r = rs.reconn.get_mut(&peer).expect("entry ensured above");
+            let r = rs.reconn[peer as usize]
+                .as_mut()
+                .expect("entry ensured above");
             match kind {
                 WR_EAGER => r.eager_slots.push(low),
                 WR_DATA => {
@@ -1270,8 +1272,8 @@ fn send_in_slot(
         return;
     }
     rs.eager_send_free.push(va);
-    rs.reconn
-        .get_mut(&peer)
+    rs.reconn[peer as usize]
+        .as_mut()
         .expect("reconnect scheduled")
         .pending_ctrl
         .push(bytes);
@@ -2015,8 +2017,8 @@ fn receiver_on_seg_ready(
     // A dead QP hands the read-driven transfer to the connection
     // manager instead of failing the receive.
     if recoverable(&err) && ensure_reconnect(rs, ctx, peer) {
-        rs.reconn
-            .get_mut(&peer)
+        rs.reconn[peer as usize]
+            .as_mut()
             .expect("entry ensured above")
             .recvs
             .insert(seq);
@@ -2783,7 +2785,7 @@ fn give_up_error(rs: &RankState, ctx: &Ctx<'_, '_>, peer: u32) -> MpiError {
     if peer_failed(ctx, peer) {
         MpiError::PeerFailed { peer }
     } else {
-        let attempts = rs.reconn.get(&peer).map_or(0, |r| r.attempts);
+        let attempts = rs.reconn[peer as usize].as_ref().map_or(0, |r| r.attempts);
         MpiError::ConnectionLost { peer, attempts }
     }
 }
@@ -2802,7 +2804,7 @@ fn drain_suspended(
     peer: u32,
     err: MpiError,
 ) {
-    let Some(r) = rs.reconn.get_mut(&peer) else {
+    let Some(r) = rs.reconn[peer as usize].as_mut() else {
         return;
     };
     r.active = false;
@@ -2838,7 +2840,7 @@ fn ensure_reconnect(rs: &mut RankState, ctx: &mut Ctx<'_, '_>, peer: u32) -> boo
     }
     let rank = rs.rank;
     let at = ctx.now() + ctx.cfg.reconnect_ns;
-    let r = rs.reconn.get_or_default(peer);
+    let r = rs.reconn[peer as usize].get_or_insert_with(Default::default);
     if r.attempts >= ctx.cfg.max_reconnects {
         return false;
     }
@@ -2861,8 +2863,8 @@ fn resolve_send_failure(
     let peer = msg.peer;
     if recoverable(&err) {
         if ensure_reconnect(rs, ctx, peer) {
-            rs.reconn
-                .get_mut(&peer)
+            rs.reconn[peer as usize]
+                .as_mut()
                 .expect("entry ensured above")
                 .sends
                 .insert(msg.seq);
@@ -2889,7 +2891,7 @@ fn do_reconnect(rs: &mut RankState, am: &mut ActiveMsgs, ctx: &mut Ctx<'_, '_>, 
         drain_suspended(rs, am, ctx, peer, err);
         return;
     }
-    let Some(mut r) = rs.reconn.remove(&peer) else {
+    let Some(mut r) = rs.reconn[peer as usize].take() else {
         return;
     };
     r.active = false;
@@ -2908,7 +2910,7 @@ fn do_reconnect(rs: &mut RankState, am: &mut ActiveMsgs, ctx: &mut Ctx<'_, '_>, 
     r.recvs.clear();
     // The entry (with its attempt count) stays: a connection that keeps
     // dying must eventually fail typed instead of looping forever.
-    rs.reconn.insert(peer, r);
+    rs.reconn[peer as usize] = Some(r);
     for va in eager_slots {
         resend_eager_slot(rs, ctx, peer, va);
     }
@@ -2931,8 +2933,8 @@ fn do_reconnect(rs: &mut RankState, am: &mut ActiveMsgs, ctx: &mut Ctx<'_, '_>, 
 fn resend_eager_slot(rs: &mut RankState, ctx: &mut Ctx<'_, '_>, peer: u32, va: Va) {
     let len = *slot_len(rs, ctx.cfg, va);
     if !post_ctrl_slot(rs, ctx, peer, va, len, 0) {
-        rs.reconn
-            .get_mut(&peer)
+        rs.reconn[peer as usize]
+            .as_mut()
             .expect("reconnect scheduled")
             .eager_slots
             .push(va);

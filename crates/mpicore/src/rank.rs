@@ -17,7 +17,6 @@ pub const ANY_TAG: u32 = u32::MAX;
 use ibdt_datatype::{Datatype, LayoutCache, PlanLookup, TransferPlan, TypeRegistry};
 use ibdt_ibsim::NodeMem;
 use ibdt_memreg::{PindownCache, Va};
-use ibdt_simcore::paged::PagedTable;
 use ibdt_simcore::resource::SerialResource;
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 
@@ -139,8 +138,8 @@ pub struct InternalBufs {
     pub free: HashMap<u64, Vec<Va>>,
 }
 
-/// Per-peer eager flow-control state and audit counters, stored as one
-/// paged-table entry per peer (see [`RankState::fc`]).
+/// Per-peer eager flow-control state and audit counters, one entry per
+/// peer (see [`RankState::fc`]).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct FcPeer {
     /// Credits available for eager sends to this peer.
@@ -275,9 +274,8 @@ pub struct RankState {
     pub posted: VecDeque<PostedRecv>,
     /// Unexpected messages, in arrival order.
     pub unexpected: VecDeque<Unexpected>,
-    /// Next send sequence number per peer (paged; untouched peers
-    /// read 0).
-    pub next_seq: PagedTable<u64>,
+    /// Next send sequence number per peer.
+    pub next_seq: Vec<u64>,
     /// Request table, read through [`RankState::reqs`] so that only
     /// the request methods change it.
     reqs: Vec<ReqState>,
@@ -316,7 +314,7 @@ pub struct RankState {
     /// registrations (RWG-UP / Multi-W / P-RRS).
     pub pinned_user_bytes: u64,
     /// Connection-manager state per peer with a dead/rebuilding QP.
-    pub reconn: crate::table::PeerMap<ReconnState>,
+    pub reconn: Vec<Option<ReconnState>>,
     /// `(peer, seq)` of rendezvous receives already fully delivered —
     /// consulted when a resumed sender asks about a transfer whose FIN
     /// was lost to the failure.
@@ -326,12 +324,9 @@ pub struct RankState {
     pub errors: Vec<MpiError>,
     /// Counters.
     pub counters: RankCounters,
-    /// Flow-control state per peer, one paged entry each. The table's
-    /// fill value carries a full `eager_credits` budget and zeroed
-    /// counters, so a peer never sent to reads its full budget without
-    /// materializing storage — and a rank talking to k of n peers
-    /// touches O(k) pages, not six O(n) tables.
-    pub fc: PagedTable<FcPeer>,
+    /// Flow-control state per peer: a full `eager_credits` budget and
+    /// zeroed counters until the first eager send.
+    pub fc: Vec<FcPeer>,
     /// Payload-bearing (`Unexpected::Eager`) entries currently in the
     /// unexpected queue — the occupancy the credit bound caps.
     pub unexpected_eager: usize,
@@ -360,7 +355,7 @@ impl RankState {
             unpack_pool: SegmentPool::unplaced(cfg.unpack_pool_size, cfg.max_seg_size),
             posted: VecDeque::new(),
             unexpected: VecDeque::new(),
-            next_seq: PagedTable::new(nprocs as usize),
+            next_seq: vec![0; nprocs as usize],
             reqs: Vec::new(),
             open_reqs: 0,
             newly_completed: Vec::new(),
@@ -380,11 +375,11 @@ impl RankState {
             rma_regs: Vec::new(),
             rma_event: false,
             pinned_user_bytes: 0,
-            reconn: crate::table::PeerMap::new(nprocs as usize),
+            reconn: (0..nprocs).map(|_| None).collect(),
             done_seqs: crate::table::DoneSet::new(nprocs as usize),
             errors: Vec::new(),
             counters: RankCounters::default(),
-            fc: PagedTable::with_fill(nprocs as usize, FcPeer::default()),
+            fc: vec![FcPeer::default(); nprocs as usize],
             unexpected_eager: 0,
         };
         rs.reset(cfg, mem);
@@ -440,7 +435,7 @@ impl RankState {
             .expect("address space too small for unpack pool");
         self.posted.clear();
         self.unexpected.clear();
-        self.next_seq.reset_entries(|s| *s = 0);
+        self.next_seq.fill(0);
         self.reqs.clear();
         self.open_reqs = 0;
         self.newly_completed.clear();
@@ -456,11 +451,11 @@ impl RankState {
         self.rma_regs.clear();
         self.rma_event = false;
         self.pinned_user_bytes = 0;
-        self.reconn.reset();
+        self.reconn.fill_with(|| None);
         self.done_seqs.reset();
         self.errors.clear();
         self.counters = RankCounters::default();
-        self.fc.refill(FcPeer {
+        self.fc.fill(FcPeer {
             credits: cfg.eager_credits,
             ..FcPeer::default()
         });

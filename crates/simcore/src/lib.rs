@@ -17,8 +17,6 @@
 //!   stable handles without per-message hashing or allocation,
 //! * [`inline`] — inline small-vector storage (fixed cap, heap spill)
 //!   for the short gather lists the hot paths build per descriptor,
-//! * [`paged`] — two-level paged sparse-dense tables so per-pair state
-//!   costs memory proportional to *touched* pairs, not n²,
 //! * [`shelf`] — the one bounded free list every host-side scratch and
 //!   payload pool recycles its containers through,
 //! * [`shard`] — a conservative (lookahead-windowed) parallel driver
@@ -31,7 +29,6 @@
 
 pub mod engine;
 pub mod inline;
-pub mod paged;
 pub mod pipeline;
 pub mod queue;
 pub mod resource;
@@ -43,7 +40,6 @@ pub mod trace;
 
 pub use engine::{Engine, World};
 pub use inline::InlineVec;
-pub use paged::{PagedTable, PAGE};
 pub use pipeline::{two_stage_finish_ns, MAX_PIPELINE_BUFS};
 pub use queue::{EventQueue, HeapQueue};
 pub use resource::SerialResource;
