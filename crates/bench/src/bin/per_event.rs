@@ -8,10 +8,18 @@
 //! and the range of host ns/event, the virtual finish and the event
 //! count (ROADMAP's per-event program; EXPERIMENTS.md has its tables).
 //!
-//! `--smoke` runs 8 ranks once on a fresh cluster and once on the same
-//! cluster recycled (`Cluster::recycle`), and exits nonzero unless the
-//! two give a bit-identical virtual finish and event count — the
-//! `ci.sh` check that recycling keeps the model exact.
+//! Two more columns time a recycled `Cluster::new`, median of three:
+//! `recycled_new_ms_idle` rebuilds a cluster that was recycled without
+//! running, and `recycled_new_ms_after_run` rebuilds the cluster each
+//! timed run just used. Both rebuilt clusters are dropped, so every
+//! timed run still starts on a fresh cluster.
+//!
+//! `--smoke` runs 8 ranks on a fresh cluster, then recycles that
+//! cluster (`Cluster::recycle`) after each of two more runs, and exits
+//! nonzero unless every run gives the fresh run's virtual finish and
+//! event count, bit for bit — the `ci.sh` check that recycling keeps
+//! the model exact, including a reset of rings a recycled cluster's
+//! run left rotated.
 
 use ibdt_datatype::Datatype;
 use ibdt_mpicore::{AppOp, Cluster, ClusterSpec, Program, RunStats, Scheme};
@@ -60,20 +68,39 @@ fn run(cluster: &mut Cluster, n: u32) -> (RunStats, u64) {
 }
 
 fn smoke() -> i32 {
-    let mut fresh = Cluster::new(spec(8));
-    let (a, _) = run(&mut fresh, 8);
-    fresh.recycle();
-    let mut recycled = Cluster::new(spec(8));
-    let (b, _) = run(&mut recycled, 8);
+    let mut cluster = Cluster::new(spec(8));
+    let (fresh, _) = run(&mut cluster, 8);
+    let want = (fresh.finish_ns, fresh.events_scheduled);
     println!(
-        "per-event smoke: 8 ranks: fresh {} ns / {} events, recycled {} ns / {} events",
-        a.finish_ns, a.events_scheduled, b.finish_ns, b.events_scheduled
+        "per-event smoke: 8 ranks: fresh {} ns / {} events",
+        want.0, want.1
     );
-    if (a.finish_ns, a.events_scheduled) != (b.finish_ns, b.events_scheduled) {
-        println!("FAIL: the recycled cluster diverged from the fresh one");
-        return 1;
+    for build in 1..=2 {
+        cluster.recycle();
+        cluster = Cluster::new(spec(8));
+        let (stats, _) = run(&mut cluster, 8);
+        let got = (stats.finish_ns, stats.events_scheduled);
+        println!(
+            "per-event smoke: recycled build {build}: {} ns / {} events",
+            got.0, got.1
+        );
+        if got != want {
+            println!("FAIL: recycled build {build} diverged from the fresh cluster");
+            return 1;
+        }
     }
     0
+}
+
+/// Host ms of one `Cluster::new` of `n` ranks that takes the recycled
+/// `cluster` back from the spare pool; the rebuilt cluster is dropped.
+fn recycled_new_ms(cluster: Cluster, n: u32) -> f64 {
+    cluster.recycle();
+    let t = Instant::now();
+    let rebuilt = Cluster::new(spec(n));
+    let ms = t.elapsed().as_secs_f64() * 1e3;
+    drop(rebuilt);
+    ms
 }
 
 fn main() {
@@ -86,14 +113,17 @@ fn main() {
             std::process::exit(2);
         }
     }
-    println!("ranks,host_ns_per_event_median,host_ns_per_event_min,host_ns_per_event_max,virtual_finish_ns,events");
+    println!("ranks,host_ns_per_event_median,host_ns_per_event_min,host_ns_per_event_max,virtual_finish_ns,events,recycled_new_ms_idle,recycled_new_ms_after_run");
     for n in [8u32, 16, 32, 64] {
         let mut per_event = Vec::with_capacity(RUNS);
+        let (mut idle_ms, mut after_run_ms) = (Vec::new(), Vec::new());
         let mut last = None;
         for _ in 0..RUNS {
             let mut cluster = Cluster::new(spec(n));
             let (stats, host_ns) = run(&mut cluster, n);
             per_event.push(host_ns as f64 / stats.events_scheduled as f64);
+            after_run_ms.push(recycled_new_ms(cluster, n));
+            idle_ms.push(recycled_new_ms(Cluster::new(spec(n)), n));
             if let Some((finish, events)) = last {
                 assert_eq!(
                     (finish, events),
@@ -103,13 +133,17 @@ fn main() {
             }
             last = Some((stats.finish_ns, stats.events_scheduled));
         }
-        per_event.sort_by(f64::total_cmp);
+        for v in [&mut per_event, &mut idle_ms, &mut after_run_ms] {
+            v.sort_by(f64::total_cmp);
+        }
         let (finish, events) = last.expect("at least one run");
         println!(
-            "{n},{:.0},{:.0},{:.0},{finish},{events}",
+            "{n},{:.0},{:.0},{:.0},{finish},{events},{:.2},{:.2}",
             per_event[RUNS / 2],
             per_event[0],
-            per_event[RUNS - 1]
+            per_event[RUNS - 1],
+            idle_ms[RUNS / 2],
+            after_run_ms[RUNS / 2]
         );
     }
 }

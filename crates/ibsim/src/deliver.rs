@@ -341,9 +341,10 @@ impl Rx {
         }
     }
 
-    /// Empties every queue in place, keeping capacity.
+    /// Empties every park queue in place, keeping capacity. Posted
+    /// receive descriptors stay: the embedder restores each ring
+    /// through [`Rx::recvq_mut`] instead of re-posting it.
     pub(crate) fn reset(&mut self) {
-        self.recvq.iter_mut().flatten().for_each(VecDeque::clear);
         self.parked.iter_mut().flatten().for_each(VecDeque::clear);
         #[cfg(debug_assertions)]
         self.audit.0.clear();
@@ -354,10 +355,16 @@ impl Rx {
         self.recvq[node as usize][peer as usize].len()
     }
 
+    /// The receive queue of `node <- peer`, front first.
+    pub(crate) fn recvq_mut(&mut self, node: u32, peer: u32) -> &mut VecDeque<RecvWr> {
+        &mut self.recvq[node as usize][peer as usize]
+    }
+
     /// Posts a receive descriptor, already checked with [`check_sges`],
     /// on `node <- peer`; a transfer parked there is retried now.
     /// Inlined: moving the descriptor through a call costs a copy, and
-    /// an eager ring posts thousands per cluster build.
+    /// every consumed eager slot is re-posted through here, as is each
+    /// slot of a freshly built cluster's rings.
     #[inline]
     pub(crate) fn post(
         &mut self,

@@ -534,6 +534,12 @@ impl Fabric {
         self.rx.recvq_len(node, peer)
     }
 
+    /// The receive queue of the QP `node <- peer`, front first: how an
+    /// embedder restores a ring it posted after [`Fabric::reset`].
+    pub fn recvq_mut(&mut self, node: u32, peer: u32) -> &mut VecDeque<RecvWr> {
+        self.rx.recvq_mut(node, peer)
+    }
+
     /// A delivery needed a CQ slot at `dst` and found none: the verbs
     /// `IBV_EVENT_CQ_ERR` path. The offending QP errors; the requester
     /// learns through a typed [`CqeStatus::CqOverflow`] completion
@@ -581,11 +587,14 @@ impl Fabric {
 
     /// Returns the fabric to its just-constructed, fault-free state in
     /// place, keeping every heap container's capacity: transmit engines
-    /// idle at t=0 with cleared traces, receive/park/send queues empty
-    /// but warm, per-direction QP state back at RTS/epoch 0, stats and
-    /// counters zeroed. A reset fabric behaves bit-identically to
-    /// `Fabric::new` — world recycling relies on this. Re-arm fault
-    /// injection afterwards with [`Fabric::set_fault_plan`] if needed.
+    /// idle at t=0 with cleared traces, park and send queues empty but
+    /// warm, per-direction QP state back at RTS/epoch 0, stats and
+    /// counters zeroed. Receive queues keep their descriptors for the
+    /// embedder's ring restore ([`Fabric::recvq_mut`]); once it has
+    /// restored its rings, a reset fabric behaves bit-identically to a
+    /// `Fabric::new` with the same rings posted — world recycling
+    /// relies on this. Re-arm fault injection afterwards with
+    /// [`Fabric::set_fault_plan`] if needed.
     pub fn reset(&mut self) {
         for n in &mut self.nodes {
             n.tx.reset();

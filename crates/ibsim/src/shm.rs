@@ -61,6 +61,7 @@ use ibdt_simcore::pipeline::two_stage_finish_ns;
 use ibdt_simcore::resource::SerialResource;
 use ibdt_simcore::slab::{Handle, Slab};
 use ibdt_simcore::time::{transfer_ns, Time};
+use std::collections::VecDeque;
 use std::fmt;
 
 /// How many copies each byte pays crossing the shared-memory channel.
@@ -565,6 +566,10 @@ impl Transport for ShmChannel {
 
     fn recvq_len(&self, node: u32, peer: u32) -> usize {
         self.rx.recvq_len(node, peer)
+    }
+
+    fn recvq_mut(&mut self, node: u32, peer: u32) -> &mut VecDeque<RecvWr> {
+        self.rx.recvq_mut(node, peer)
     }
 
     fn set_fault_plan(&mut self, plan: FaultPlan) {

@@ -30,6 +30,7 @@ use crate::fault::FaultPlan;
 use crate::wr::{Cqe, PostError, RecvWr, SendWr};
 use ibdt_simcore::resource::SerialResource;
 use ibdt_simcore::time::Time;
+use std::collections::VecDeque;
 
 /// Coarse transport family, the first key of the §6 adaptive scheme
 /// selector's `(transport, datatype class, size)` decision (see
@@ -125,6 +126,12 @@ pub trait Transport {
     /// Receive descriptors currently posted on `node <- peer`.
     fn recvq_len(&self, node: u32, peer: u32) -> usize;
 
+    /// The receive queue of `node <- peer`, front first, for an
+    /// embedder restoring a ring it posted (see [`Transport::reset`]).
+    /// New descriptors go through [`Transport::post_recv`], which
+    /// checks them.
+    fn recvq_mut(&mut self, node: u32, peer: u32) -> &mut VecDeque<RecvWr>;
+
     /// Installs a fault plan. Backends without fault injection accept
     /// only the inert plan.
     fn set_fault_plan(&mut self, plan: FaultPlan);
@@ -170,10 +177,13 @@ pub trait Transport {
 
     /// Returns the backend to its just-constructed, fault-free state in
     /// place, keeping every queue's and trace's capacity: engines idle
-    /// at t=0, queues empty but warm, counters zeroed. A reset backend
-    /// behaves bit-identically to a fresh one — world recycling relies
-    /// on this. Re-arm fault injection afterwards with
-    /// [`Transport::set_fault_plan`].
+    /// at t=0, send and park queues empty but warm, counters zeroed.
+    /// Posted receive descriptors are kept: the embedder restores each
+    /// receive ring in place through [`Transport::recvq_mut`] (or
+    /// clears and re-posts it), and only then does the backend behave
+    /// bit-identically to a fresh one with the same rings posted —
+    /// world recycling relies on this. Re-arm fault injection
+    /// afterwards with [`Transport::set_fault_plan`].
     fn reset(&mut self);
 }
 
@@ -241,6 +251,10 @@ impl Transport for Fabric {
 
     fn recvq_len(&self, node: u32, peer: u32) -> usize {
         Fabric::recvq_len(self, node, peer)
+    }
+
+    fn recvq_mut(&mut self, node: u32, peer: u32) -> &mut VecDeque<RecvWr> {
+        Fabric::recvq_mut(self, node, peer)
     }
 
     fn set_fault_plan(&mut self, plan: FaultPlan) {

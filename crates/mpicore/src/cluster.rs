@@ -358,36 +358,95 @@ thread_local! {
 /// the cap stays deliberately low.
 const CLUSTER_SPARE_CAP: usize = 4;
 
-/// Pre-posts every rank's eager receive ring (§3.1's pre-posted
-/// internal buffers), for each rank its peers in order. Construction
-/// and [`Cluster::reset`] both call it, so their rings are identical.
+/// Builds every rank's eager receive ring (§3.1's pre-posted internal
+/// buffers), for each rank its peers in order. Construction and
+/// [`Cluster::reset`] both call it, so their rings are identical.
+///
+/// A reset transport keeps its receive queues. After a run that left a
+/// ring whole, the ring is a rotation of its canonical slot order: the
+/// transport never flushes a receive queue, and each consumed slot is
+/// re-posted at the back as its completion is handled, in consumption
+/// order. Such a ring is rotated back in place, in O(1) when it is at
+/// capacity. Any other ring (empty at construction, short after an
+/// errored run) is cleared and posted slot by slot.
 fn post_eager_rings(
     spec: &ClusterSpec,
     ranks: &[RankState],
     fabric: &mut dyn Transport,
     mems: &[NodeMem],
 ) {
+    let k = spec.mpi.eager_bufs_per_peer;
     let mut noop = |_t: Time, _e: ibdt_ibsim::NicEvent| {};
     for r in 0..spec.nprocs {
         let rs = &ranks[r as usize];
         for peer in (0..spec.nprocs).filter(|&p| p != r) {
-            for i in 0..spec.mpi.eager_bufs_per_peer {
-                let va = rs.recv_buf_addr(&spec.mpi, rs.eager_region, peer, i);
-                let sge = Sge {
-                    addr: va,
-                    len: spec.mpi.eager_buf_size,
-                    lkey: rs.eager_lkey,
-                };
-                let wr = RecvWr {
-                    wr_id: va,
-                    sges: SgeList::of(sge),
-                };
+            let ring = fabric.recvq_mut(r, peer);
+            if let Some(shift) = ring_rotation(spec, rs, peer, ring) {
+                ring.rotate_left(shift);
+                #[cfg(debug_assertions)]
+                for (i, wr) in ring.iter().enumerate() {
+                    assert_eq!(
+                        *wr,
+                        eager_slot_wr(spec, rs, peer, i),
+                        "restored eager ring {r} <- {peer} differs at slot {i}"
+                    );
+                }
+                continue;
+            }
+            ring.clear();
+            for i in 0..k {
                 fabric
-                    .post_recv(0, r, peer, wr, mems, &mut noop)
+                    .post_recv(
+                        0,
+                        r,
+                        peer,
+                        eager_slot_wr(spec, rs, peer, i),
+                        mems,
+                        &mut noop,
+                    )
                     .expect("eager ring post");
             }
         }
     }
+}
+
+/// Slot `i` of `rs`'s eager receive ring for `peer`: its descriptor as
+/// a fresh cluster posts it.
+fn eager_slot_wr(spec: &ClusterSpec, rs: &RankState, peer: u32, i: usize) -> RecvWr {
+    let va = rs.recv_buf_addr(&spec.mpi, rs.eager_region, peer, i);
+    RecvWr {
+        wr_id: va,
+        sges: SgeList::of(Sge {
+            addr: va,
+            len: spec.mpi.eager_buf_size,
+            lkey: rs.eager_lkey,
+        }),
+    }
+}
+
+/// The left rotation that puts `ring` back in canonical slot order,
+/// when it holds the whole ring: every slot, its front some slot `j`
+/// and its back slot `j - 1`, both as a fresh cluster posts them. A
+/// run only ever pops the front and re-posts the popped slot at the
+/// back, so these O(1) checks identify a rotation; debug builds
+/// compare every restored descriptor.
+fn ring_rotation(
+    spec: &ClusterSpec,
+    rs: &RankState,
+    peer: u32,
+    ring: &VecDeque<RecvWr>,
+) -> Option<usize> {
+    let k = spec.mpi.eager_bufs_per_peer;
+    if ring.len() != k {
+        return None;
+    }
+    let base = rs.recv_buf_addr(&spec.mpi, rs.eager_region, peer, 0);
+    let off = ring.front()?.wr_id.checked_sub(base)?;
+    let j = off.checked_div(spec.mpi.eager_buf_size)? as usize;
+    let whole = j < k
+        && ring[0] == eager_slot_wr(spec, rs, peer, j)
+        && ring[k - 1] == eager_slot_wr(spec, rs, peer, (j + k - 1) % k);
+    whole.then_some((k - j) % k)
 }
 
 impl Cluster {
@@ -682,9 +741,10 @@ impl Cluster {
             let (rs, mem) = (&mut self.ranks[r], &mut self.mems[r]);
             rs.reset(&self.spec.mpi, mem);
         }
-        // Re-post the eager receive rings exactly as construction does;
-        // the reset address spaces hand back the same deterministic
-        // layout, so ring addresses and keys match a fresh cluster's.
+        // Restore the eager receive rings the reset transport kept, or
+        // post them as construction does; the reset address spaces hand
+        // back the same deterministic layout, so ring addresses and keys
+        // match a fresh cluster's.
         post_eager_rings(&self.spec, &self.ranks, self.fabric.as_mut(), &self.mems);
         for a in &mut self.active {
             a.reset();
@@ -1453,5 +1513,115 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Slots per eager ring in [`ring_spec`].
+    const SLOTS: usize = 12;
+
+    /// Twelve-slot rings on four ranks, so a short run wraps one.
+    fn ring_spec() -> ClusterSpec {
+        let mut spec = ClusterSpec {
+            nprocs: 4,
+            ..ClusterSpec::default()
+        };
+        spec.mpi.eager_bufs_per_peer = SLOTS;
+        spec
+    }
+
+    /// Eager messages `src` sends `dst` in [`ring_run`]. Every ring
+    /// that carries traffic ends rotated by a different amount (1 to
+    /// 10 slots); ranks 2 and 3 exchange nothing, and rank 3 sends rank
+    /// 0 more messages than the ring has slots, so that ring wraps.
+    fn sends(src: u32, dst: u32) -> usize {
+        match (src, dst) {
+            (2, 3) | (3, 2) => 0,
+            (3, 0) => SLOTS + 10,
+            (3, 1) => 5,
+            _ => (src * 4 + dst) as usize,
+        }
+    }
+
+    /// Runs [`sends`] as 16-byte eager messages, each into its own
+    /// receive buffer, and checks every ring was left whole, rotated
+    /// by its message count.
+    fn ring_run(cluster: &mut Cluster) {
+        let n = cluster.nprocs();
+        let ty = Datatype::int();
+        let mut progs: Vec<Program> = vec![Vec::new(); n as usize];
+        for (r, prog) in progs.iter_mut().enumerate() {
+            let r = r as u32;
+            for peer in (0..n).filter(|&p| p != r) {
+                for tag in 0..sends(peer, r) as u32 {
+                    let buf = cluster.alloc(r, 16, 16);
+                    let ty = ty.clone();
+                    prog.push(AppOp::Irecv {
+                        peer,
+                        buf,
+                        count: 4,
+                        ty,
+                        tag,
+                    });
+                }
+                for tag in 0..sends(r, peer) as u32 {
+                    let buf = cluster.alloc(r, 16, 16);
+                    let ty = ty.clone();
+                    prog.push(AppOp::Isend {
+                        peer,
+                        buf,
+                        count: 4,
+                        ty,
+                        tag,
+                    });
+                }
+            }
+            prog.push(AppOp::WaitAll);
+        }
+        let stats = cluster.run(progs);
+        assert!(stats.errors.iter().all(Vec::is_empty), "{:?}", stats.errors);
+        let spec = ring_spec();
+        for r in 0..n {
+            for peer in (0..n).filter(|&p| p != r) {
+                let rs = &cluster.ranks[r as usize];
+                let shift = sends(peer, r) % SLOTS;
+                let ring = cluster.fabric.recvq_mut(r, peer);
+                assert_eq!(ring.len(), SLOTS, "ring {r} <- {peer}");
+                assert_eq!(ring[0], eager_slot_wr(&spec, rs, peer, shift));
+            }
+        }
+    }
+
+    /// Every receive queue of `cluster`, node then peer.
+    fn rings(cluster: &mut Cluster) -> Vec<VecDeque<RecvWr>> {
+        let n = cluster.nprocs();
+        (0..n)
+            .flat_map(|r| (0..n).map(move |p| (r, p)))
+            .map(|(r, p)| cluster.fabric.recvq_mut(r, p).clone())
+            .collect()
+    }
+
+    /// A recycled cluster's rings equal a fresh cluster's, descriptor
+    /// by descriptor, after a run rotated each ring by its own amount
+    /// (one pair untouched, one ring wrapped past its slot count).
+    #[test]
+    fn recycled_rings_are_restored_to_canonical_order() {
+        let mut run = Cluster::new(ring_spec());
+        ring_run(&mut run);
+        run.recycle();
+        let mut recycled = Cluster::new(ring_spec());
+        let mut fresh = Cluster::new(ring_spec());
+        assert_eq!(rings(&mut recycled), rings(&mut fresh));
+    }
+
+    /// A ring shortened before the reset is posted afresh, not rotated.
+    #[test]
+    fn a_short_ring_is_posted_afresh_on_recycle() {
+        let mut run = Cluster::new(ring_spec());
+        ring_run(&mut run);
+        run.fabric.recvq_mut(0, 3).pop_front();
+        run.recycle();
+        let mut recycled = Cluster::new(ring_spec());
+        let mut fresh = Cluster::new(ring_spec());
+        assert_eq!(recycled.fabric.recvq_len(0, 3), SLOTS);
+        assert_eq!(rings(&mut recycled), rings(&mut fresh));
     }
 }

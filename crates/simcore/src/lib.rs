@@ -41,7 +41,7 @@ pub mod trace;
 pub use engine::{Engine, World};
 pub use inline::InlineVec;
 pub use pipeline::{two_stage_finish_ns, MAX_PIPELINE_BUFS};
-pub use queue::{EventQueue, HeapQueue};
+pub use queue::EventQueue;
 pub use resource::SerialResource;
 pub use shard::{run_indexed, ShardSim, ShardWorld};
 pub use shelf::{Reusable, Shelf};

@@ -29,10 +29,10 @@
 //! (rather than relying on push order) is load-bearing: an event can
 //! reach a slot either directly or by cascading from a higher level, and
 //! the two paths interleave arbitrarily — push order within a slot is
-//! *not* seq order, but the drained batch must be. The heap reference
-//! implementation ([`HeapQueue`]) pins this order; the equivalence tests
-//! at the bottom of this file and in `tests/proptests.rs` compare the
-//! two on random schedules.
+//! *not* seq order, but the drained batch must be. A binary-heap
+//! reference implementation, compiled only into this module's tests,
+//! pins this order; the equivalence tests at the bottom of this file
+//! compare the two on random schedules.
 //!
 //! # Storage
 //!
@@ -46,7 +46,9 @@
 //! relink that never moves a payload.
 
 use crate::time::Time;
+#[cfg(test)]
 use std::cmp::Reverse;
+#[cfg(test)]
 use std::collections::BinaryHeap;
 
 /// Bits per wheel level; a level spans 64 slots.
@@ -289,23 +291,28 @@ impl<E> EventQueue<E> {
 
 /// An entry in the reference heap queue. Ordering is `(time, seq)`; the
 /// payload does not participate in ordering.
+#[cfg(test)]
 struct Entry<E> {
     time: Time,
     seq: u64,
     payload: E,
 }
 
+#[cfg(test)]
 impl<E> PartialEq for Entry<E> {
     fn eq(&self, other: &Self) -> bool {
         self.time == other.time && self.seq == other.seq
     }
 }
+#[cfg(test)]
 impl<E> Eq for Entry<E> {}
+#[cfg(test)]
 impl<E> PartialOrd for Entry<E> {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
+#[cfg(test)]
 impl<E> Ord for Entry<E> {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         (self.time, self.seq).cmp(&(other.time, other.seq))
@@ -314,20 +321,23 @@ impl<E> Ord for Entry<E> {
 
 /// The pre-wheel binary-heap queue, kept as the *reference semantics*
 /// for [`EventQueue`]: identical `(time, seq)` delivery order, O(log n)
-/// operations. Equivalence tests and the queue microbench compare the
-/// two implementations on identical schedules.
+/// operations. This module's equivalence tests compare the two
+/// implementations on identical schedules; nothing else uses it.
+#[cfg(test)]
 pub struct HeapQueue<E> {
     heap: BinaryHeap<Reverse<Entry<E>>>,
     next_seq: u64,
     scheduled: u64,
 }
 
+#[cfg(test)]
 impl<E> Default for HeapQueue<E> {
     fn default() -> Self {
         Self::new()
     }
 }
 
+#[cfg(test)]
 impl<E> HeapQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> Self {
@@ -375,6 +385,7 @@ impl<E> HeapQueue<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ibdt_testkit::{cases, Rng};
 
     #[test]
     fn pops_in_time_order() {
@@ -530,5 +541,52 @@ mod tests {
                 break;
             }
         }
+    }
+
+    #[test]
+    fn timing_wheel_equals_heap_queue_on_random_churn() {
+        cases(0x51C0_0004, 512, |rng: &mut Rng| {
+            // The wheel replaced the binary heap; every seeded run must
+            // stay bit-identical, so the two queues must agree on every
+            // pop — time, payload, and FIFO order among ties — under a
+            // simulator-shaped mix of schedules and pops, including
+            // far-future timers that cross wheel levels and same-tick
+            // bursts that stress the tie-break.
+            let nops = rng.range_usize(1, 400);
+            let mut wheel: EventQueue<u32> = EventQueue::new();
+            let mut heap: HeapQueue<u32> = HeapQueue::new();
+            let mut clock = 0u64;
+            let mut seq = 0u32;
+            for _ in 0..nops {
+                if rng.chance(0.6) {
+                    let dt = match rng.range_u64(0, 3) {
+                        0 => rng.range_u64(0, 8),          // same-tick burst
+                        1 => rng.range_u64(0, 4_096),      // near future
+                        _ => rng.range_u64(0, 40_000_000), // far timer
+                    };
+                    wheel.schedule(clock + dt, seq);
+                    heap.schedule(clock + dt, seq);
+                    seq += 1;
+                } else {
+                    let w = wheel.pop();
+                    let h = heap.pop();
+                    assert_eq!(w, h, "queues diverged after {seq} schedules");
+                    if let Some((t, _)) = w {
+                        clock = t;
+                    }
+                }
+                assert_eq!(wheel.len(), heap.len());
+                assert_eq!(wheel.peek_time(), heap.peek_time());
+            }
+            // Drain: the full remaining order must match too.
+            loop {
+                let w = wheel.pop();
+                let h = heap.pop();
+                assert_eq!(w, h, "queues diverged during drain");
+                if w.is_none() {
+                    break;
+                }
+            }
+        });
     }
 }

@@ -2,7 +2,7 @@
 //! in-repo deterministic [`ibdt_testkit::Rng`] (the workspace builds
 //! offline, so no external property-testing framework is available).
 
-use ibdt_simcore::queue::{EventQueue, HeapQueue};
+use ibdt_simcore::queue::EventQueue;
 use ibdt_simcore::resource::SerialResource;
 use ibdt_testkit::{cases, Rng};
 
@@ -53,53 +53,6 @@ fn queue_interleaved_pops_never_go_backwards() {
         }
         if let (Some(mp), Some(pk)) = (min_pending, q.peek_time()) {
             assert_eq!(mp, pk);
-        }
-    });
-}
-
-#[test]
-fn timing_wheel_equals_heap_queue_on_random_churn() {
-    cases(0x51C0_0004, 512, |rng: &mut Rng| {
-        // The wheel replaced the binary heap; every seeded run must
-        // stay bit-identical, so the two queues must agree on every
-        // pop — time, payload, and FIFO order among ties — under a
-        // simulator-shaped mix of schedules and pops, including
-        // far-future timers that cross wheel levels and same-tick
-        // bursts that stress the tie-break.
-        let nops = rng.range_usize(1, 400);
-        let mut wheel: EventQueue<u32> = EventQueue::new();
-        let mut heap: HeapQueue<u32> = HeapQueue::new();
-        let mut clock = 0u64;
-        let mut seq = 0u32;
-        for _ in 0..nops {
-            if rng.chance(0.6) {
-                let dt = match rng.range_u64(0, 3) {
-                    0 => rng.range_u64(0, 8),          // same-tick burst
-                    1 => rng.range_u64(0, 4_096),      // near future
-                    _ => rng.range_u64(0, 40_000_000), // far timer
-                };
-                wheel.schedule(clock + dt, seq);
-                heap.schedule(clock + dt, seq);
-                seq += 1;
-            } else {
-                let w = wheel.pop();
-                let h = heap.pop();
-                assert_eq!(w, h, "queues diverged after {seq} schedules");
-                if let Some((t, _)) = w {
-                    clock = t;
-                }
-            }
-            assert_eq!(wheel.len(), heap.len());
-            assert_eq!(wheel.peek_time(), heap.peek_time());
-        }
-        // Drain: the full remaining order must match too.
-        loop {
-            let w = wheel.pop();
-            let h = heap.pop();
-            assert_eq!(w, h, "queues diverged during drain");
-            if w.is_none() {
-                break;
-            }
         }
     });
 }
