@@ -66,6 +66,18 @@ if grep -n "HashMap" crates/mpicore/src/progress.rs crates/mpicore/src/plan.rs \
   exit 1
 fi
 
+echo "==> lint: one thread-local, the cluster spare"
+# Host-side recycling has one mechanism (DESIGN.md §18): reusable
+# buffers live in a cluster, and mpicore's CLUSTER_SPARE hands a parked
+# cluster, or on a spec miss its address spaces, to the next build. A
+# thread_local! anywhere else under crates/*/src would be a second pool
+# beside it.
+if grep -rn "thread_local!" crates/*/src | grep -v "^crates/mpicore/src/cluster.rs:"; then
+  echo "error: thread_local! outside crates/mpicore/src/cluster.rs; keep" \
+       "reusable state in the cluster (its spare recycles it)." >&2
+  exit 1
+fi
+
 echo "==> cargo fmt --check"
 # The tree is rustfmt-clean; a change that is not fails here instead of
 # leaving its formatting for the next change to revert by hand.

@@ -3,9 +3,10 @@
 //!
 //! Allocation counts are deterministic — no host noise — so unlike
 //! wall-clock time they gate strictly. Each contract runs its operation
-//! a few times to warm the plan memos, the scratch and payload pools
-//! and the recycled-cluster pool, then counts allocations over a window
-//! of repetitions. Its value is the minimum over up to three windows:
+//! a few times to warm the plan memos and the recycled-cluster spare
+//! (whose clusters keep their scratch and payload shelves), then counts
+//! allocations over a window of repetitions. Its value is the minimum
+//! over up to three windows:
 //! the libtest harness's main thread lazily allocates once while this
 //! test runs, and that one-shot noise cannot repeat, whereas a real
 //! per-op allocation dirties every window. The ceilings are the counts

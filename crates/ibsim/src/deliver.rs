@@ -38,7 +38,9 @@
 //! single-copy RDMA write (the sender pushes the bytes and completes at
 //! once). A staged sender is *released*: delivery owes it no further
 //! completion, so a too-small receive descriptor errors only the
-//! receiver.
+//! receiver. Delivery hands the spent payload back to the transport
+//! that gathered it ([`Delivered::Done`]'s `spent`), whose shelf
+//! serves the next gather.
 //!
 //! # Source-stability audit
 //!
@@ -54,6 +56,7 @@ use crate::wr::{Cqe, CqeStatus, Opcode, PostError, RecvWr, SendWr, Sge, SgeList}
 use ibdt_memreg::{AddressSpace, MemError, Va};
 use ibdt_simcore::slab::Handle;
 use ibdt_simcore::time::Time;
+use ibdt_simcore::Shelf;
 use std::collections::VecDeque;
 
 /// Memory ranges of a deferred source on the transfer's source node: a
@@ -94,6 +97,14 @@ impl<M: Ranges> Source<M> {
         match self {
             Source::Deferred(m) => m.with(|s| s.iter().map(|s| s.len).sum()),
             Source::Staged(p) => p.len() as u64,
+        }
+    }
+
+    /// The staged payload, spent once delivery placed or refused it.
+    fn spent(self) -> Option<Payload> {
+        match self {
+            Source::Staged(p) => Some(p),
+            Source::Deferred(_) => None,
         }
     }
 }
@@ -138,14 +149,14 @@ pub(crate) enum Op {
 }
 
 impl Op {
-    /// The transfer a posted work request starts. `staged` gathers a
-    /// send or write's bytes from `space` now.
+    /// The transfer a posted work request starts: a send or write
+    /// carries `staged`, its bytes gathered at post, or else its
+    /// gather list.
     #[inline]
-    pub(crate) fn post(wr: SendWr, space: &AddressSpace, staged: bool) -> Op {
-        let data = if staged {
-            Source::Staged(gather(&wr.sges, space))
-        } else {
-            Source::Deferred(wr.sges)
+    pub(crate) fn post(wr: SendWr, staged: Option<Payload>) -> Op {
+        let data = match staged {
+            Some(p) => Source::Staged(p),
+            None => Source::Deferred(wr.sges),
         };
         let (addr, rkey) = wr.remote.unwrap_or_default();
         let (wr_id, signaled) = (wr.wr_id, wr.signaled);
@@ -226,12 +237,14 @@ pub(crate) enum Delivered {
     /// the destination (a consumed receive descriptor, or the read
     /// requester's work request); `at_src` completes the sender's work
     /// request. `nak` is set when the responder rejected the access,
-    /// which errors a reliable connection.
+    /// which errors a reliable connection. `spent` is the transfer's
+    /// staged payload, done with, for the transport that gathered it.
     Done {
         placed: Option<u64>,
         at_dst: Option<Cqe>,
         at_src: Option<Cqe>,
         nak: bool,
+        spent: Option<Payload>,
     },
     /// A read request passed its rkey check: the transport sends
     /// `resp`, an [`Op::ReadResponse`] of `len` bytes, back.
@@ -265,10 +278,10 @@ pub(crate) fn check_sges(sges: &[Sge], max_sge: usize, mem: &NodeMem) -> Result<
     Ok(())
 }
 
-/// Gathers an SGE list into a pooled payload buffer.
-pub(crate) fn gather(sges: &[Sge], space: &AddressSpace) -> Payload {
+/// Gathers an SGE list into a payload buffer taken from `shelf`.
+pub(crate) fn gather(shelf: &mut Shelf<Vec<u8>>, sges: &[Sge], space: &AddressSpace) -> Payload {
     let total: usize = sges.iter().map(|s| s.len as usize).sum();
-    Payload::build(total, |data| {
+    Payload::build(shelf, total, |data| {
         for s in sges {
             data.extend_from_slice(
                 space
@@ -439,17 +452,18 @@ impl Rx {
         node_stats: &mut [FabricStats],
     ) -> Delivered {
         let src = x.src;
-        let refused = |at_dst, at_src, nak| Delivered::Done {
+        let refused = |at_dst, at_src, nak, spent| Delivered::Done {
             placed: None,
             at_dst,
             at_src,
             nak,
+            spent,
         };
         match x.op {
             Op::Send {
                 wr_id,
                 signaled,
-                ref data,
+                data,
             } => {
                 let len = data.len();
                 let rwr = self.consume(dst, src, node_stats);
@@ -469,14 +483,16 @@ impl Rx {
                         Some(recv_cqe(src, rwr.wr_id, 0, None, sent)),
                         (!released).then(|| send_cqe(dst, wr_id, 0, nak)),
                         false,
+                        data.spent(),
                     );
                 }
-                self.place(mems, src, dst, tag, data, &rwr.sges);
+                self.place(mems, src, dst, tag, &data, &rwr.sges);
                 Delivered::Done {
                     placed: Some(len),
                     at_dst: Some(recv_cqe(src, rwr.wr_id, len, None, CqeStatus::Success)),
-                    at_src: sender_done(signaled, data, dst, wr_id, len),
+                    at_src: sender_done(signaled, &data, dst, wr_id, len),
                     nak: false,
+                    spent: data.spent(),
                 }
             }
             Op::Write {
@@ -485,15 +501,16 @@ impl Rx {
                 rkey,
                 imm,
                 signaled,
-                ref data,
+                data,
             } => {
                 let len = data.len();
                 if let Err(e) = mems[dst as usize].regs.check(rkey, addr, len) {
                     let nak = CqeStatus::RemoteAccess(e);
-                    return refused(None, Some(send_cqe(dst, wr_id, 0, nak)), true);
+                    let at_src = Some(send_cqe(dst, wr_id, 0, nak));
+                    return refused(None, at_src, true, data.spent());
                 }
                 let to = Sge { addr, len, lkey: 0 };
-                self.place(mems, src, dst, tag, data, &[to]);
+                self.place(mems, src, dst, tag, &data, &[to]);
                 let at_dst = imm.map(|v| {
                     let rwr = self.recvq[dst as usize][src as usize]
                         .pop_front()
@@ -503,8 +520,9 @@ impl Rx {
                 Delivered::Done {
                     placed: Some(len),
                     at_dst,
-                    at_src: sender_done(signaled, data, dst, wr_id, len),
+                    at_src: sender_done(signaled, &data, dst, wr_id, len),
                     nak: false,
+                    spent: data.spent(),
                 }
             }
             Op::ReadRequest {
@@ -517,7 +535,7 @@ impl Rx {
             } => match mems[dst as usize].regs.check(rkey, addr, len) {
                 Err(e) => {
                     let nak = CqeStatus::RemoteAccess(e);
-                    refused(None, Some(send_cqe(dst, wr_id, 0, nak)), true)
+                    refused(None, Some(send_cqe(dst, wr_id, 0, nak)), true, None)
                 }
                 Ok(()) => Delivered::Respond {
                     len,
@@ -542,6 +560,7 @@ impl Rx {
                     at_dst: signaled.then(|| send_cqe(src, wr_id, len, CqeStatus::Success)),
                     at_src: None,
                     nak: false,
+                    spent: data.spent(),
                 }
             }
         }

@@ -97,6 +97,15 @@ impl NodeMem {
             tiers: TierMap::new(),
         }
     }
+
+    /// Returns the memory to its just-constructed state in place: the
+    /// space reset on its warm buffer (see [`AddressSpace::reset`]), no
+    /// registrations, every range host-tier.
+    pub fn reset(&mut self) {
+        self.space.reset();
+        self.regs.reset();
+        self.tiers.clear();
+    }
 }
 
 /// Events internal to the fabric. The embedding world forwards these to
@@ -1076,7 +1085,7 @@ impl Fabric {
             stage: Stage::Wire,
             x: Xfer {
                 src: node,
-                op: Op::post(wr, &mem.space, false),
+                op: Op::post(wr, None),
             },
         };
         #[cfg(debug_assertions)]

@@ -1,5 +1,5 @@
-//! Pooled payload slabs for the transfers whose sender is released
-//! before delivery.
+//! Staged payloads for the transfers whose sender is released before
+//! delivery.
 //!
 //! Most transfers carry no bytes at all: they carry their source ranges
 //! and delivery copies the sender's memory straight into the
@@ -9,47 +9,39 @@
 //! the shared-memory single-copy RDMA write (the sender has already
 //! pushed the bytes). A [`Payload`] holds that copy.
 //!
-//! The backing buffer is **pooled**: dropping a payload returns its
-//! vector to a thread-local [`Shelf`], and the next gather reuses it,
-//! so steady-state traffic allocates nothing. The pool is deliberately
-//! thread-local and unsynchronized: the simulator is single-threaded
-//! per world, and tests that run many worlds in parallel each get
-//! their own pool. Pool occupancy is bounded (`MAX_POOLED` idle
-//! buffers) so pathological bursts don't pin memory.
+//! The backing buffer comes from a [`Shelf`] the shared-memory channel
+//! owns, the only transport that stages: `Payload::build` takes from
+//! it, and delivery hands the spent payload back to it
+//! (`Payload::recycle`), so steady-state traffic allocates nothing.
+//! The shelf keeps at most `MAX_POOLED` idle buffers, so a burst does
+//! not pin memory; it lives and dies with its channel.
 
 use ibdt_simcore::Shelf;
-use std::cell::RefCell;
 
-/// Maximum number of idle buffers kept per thread.
-const MAX_POOLED: usize = 64;
+/// Maximum number of idle buffers a channel's payload shelf keeps.
+pub(crate) const MAX_POOLED: usize = 64;
 
-thread_local! {
-    static POOL: RefCell<Shelf<Vec<u8>>> = const { RefCell::new(Shelf::new(MAX_POOLED)) };
-}
-
-/// A pooled, immutable copy of a transfer's bytes.
+/// An immutable copy of a transfer's bytes in a shelved buffer.
 #[derive(Debug)]
 pub struct Payload(Vec<u8>);
 
-impl Drop for Payload {
-    fn drop(&mut self) {
-        let v = std::mem::take(&mut self.0);
-        // try_with: thread teardown may have destroyed the pool.
-        let _ = POOL.try_with(|p| p.borrow_mut().put(v));
-    }
-}
-
 impl Payload {
-    /// Builds a payload by filling a pooled buffer through `fill`,
-    /// which appends exactly the payload bytes to it.
-    pub fn build<F: FnOnce(&mut Vec<u8>)>(cap: usize, fill: F) -> Payload {
-        let fresh = || Vec::with_capacity(cap);
-        let mut v = POOL
-            .try_with(|p| p.borrow_mut().take(fresh))
-            .unwrap_or_else(|_| fresh());
+    /// Builds a payload by filling a buffer from `shelf` through
+    /// `fill`, which appends exactly the payload bytes to it.
+    pub(crate) fn build<F: FnOnce(&mut Vec<u8>)>(
+        shelf: &mut Shelf<Vec<u8>>,
+        cap: usize,
+        fill: F,
+    ) -> Payload {
+        let mut v = shelf.take(|| Vec::with_capacity(cap));
         v.reserve(cap);
         fill(&mut v);
         Payload(v)
+    }
+
+    /// Returns the buffer to `shelf` for the next payload.
+    pub(crate) fn recycle(self, shelf: &mut Shelf<Vec<u8>>) {
+        shelf.put(self.0);
     }
 
     /// The bytes.
@@ -66,20 +58,6 @@ impl Payload {
     pub fn is_empty(&self) -> bool {
         self.0.is_empty()
     }
-
-    /// `(allocations, pool reuses)` performed by this thread's buffer
-    /// pool since the last [`Payload::reset_pool_stats`].
-    pub fn pool_stats() -> (u64, u64) {
-        POOL.with(|p| {
-            let p = p.borrow();
-            (p.allocs(), p.reuses())
-        })
-    }
-
-    /// Zeroes this thread's buffer pool counters (bench/test harness).
-    pub fn reset_pool_stats() {
-        POOL.with(|p| p.borrow_mut().reset_counts());
-    }
 }
 
 #[cfg(test)]
@@ -88,34 +66,31 @@ mod tests {
 
     #[test]
     fn build_and_read_back() {
-        let p = Payload::build(16, |v| v.extend_from_slice(b"hello slab"));
+        let mut shelf = Shelf::new(MAX_POOLED);
+        let p = Payload::build(&mut shelf, 16, |v| v.extend_from_slice(b"hello slab"));
         assert_eq!(p.as_slice(), b"hello slab");
         assert_eq!(p.len(), 10);
         assert!(!p.is_empty());
-        assert!(Payload::build(0, |_| {}).is_empty());
+        assert!(Payload::build(&mut shelf, 0, |_| {}).is_empty());
     }
 
     #[test]
     fn buffers_recycle_through_the_pool() {
-        Payload::reset_pool_stats();
+        let mut shelf = Shelf::new(MAX_POOLED);
         for _ in 0..10 {
-            let p = Payload::build(256, |v| v.extend_from_slice(&[7; 100]));
-            drop(p);
+            let p = Payload::build(&mut shelf, 256, |v| v.extend_from_slice(&[7; 100]));
+            p.recycle(&mut shelf);
         }
-        let (allocs, reuses) = Payload::pool_stats();
-        assert_eq!(allocs + reuses, 10);
-        assert!(
-            reuses >= 9,
-            "expected near-total reuse, got allocs={allocs} reuses={reuses}"
-        );
+        assert_eq!((shelf.allocs(), shelf.reuses()), (1, 9));
     }
 
     #[test]
     fn a_reused_buffer_holds_only_the_new_bytes() {
-        drop(Payload::build(8, |v| {
-            v.extend_from_slice(b"old bytes, longer")
-        }));
-        let p = Payload::build(4, |v| v.extend_from_slice(b"new"));
+        let mut shelf = Shelf::new(MAX_POOLED);
+        Payload::build(&mut shelf, 8, |v| v.extend_from_slice(b"old bytes, longer"))
+            .recycle(&mut shelf);
+        let p = Payload::build(&mut shelf, 4, |v| v.extend_from_slice(b"new"));
         assert_eq!(p.as_slice(), b"new");
+        assert_eq!(shelf.reuses(), 1);
     }
 }

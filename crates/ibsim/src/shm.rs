@@ -41,7 +41,10 @@
 //! sender completes before delivery gathers its bytes at post into a
 //! [`Payload`](crate::payload::Payload): the double-copy bounce (copy
 //! in at post, out at delivery) and the single-copy write (the sender
-//! pushes and completes at once). Such a sender is released: a
+//! pushes and completes at once). The channel owns the shelf those
+//! payload buffers come from and return to after delivery, so it
+//! counts its own [`Transport::payload_pool`] and a reset keeps the
+//! buffers warm. Such a sender is released: a
 //! too-small receive descriptor errors only the receiver, where a
 //! single-copy sender gets `RemoteAccess` as on IB. The backend has no
 //! fault injection, QP lifecycle, or crash-stop membership: the
@@ -55,12 +58,14 @@
 use crate::deliver::{check_post, check_sges, gather, send_cqe, Delivered, Op, Rx, Source, Xfer};
 use crate::fabric::{FabricStats, NicEvent, NodeMem};
 use crate::fault::FaultPlan;
+use crate::payload::MAX_POOLED;
 use crate::transport::{Transport, TransportClass};
 use crate::wr::{Cqe, CqeStatus, Opcode, PostError, RecvWr, SendWr, Sge};
 use ibdt_simcore::pipeline::two_stage_finish_ns;
 use ibdt_simcore::resource::SerialResource;
 use ibdt_simcore::slab::{Handle, Slab};
 use ibdt_simcore::time::{transfer_ns, Time};
+use ibdt_simcore::Shelf;
 use std::collections::VecDeque;
 use std::fmt;
 
@@ -259,6 +264,8 @@ pub struct ShmChannel {
     posted: u64,
     /// Transport counters by node (see [`FabricStats`]).
     node_stats: Vec<FabricStats>,
+    /// Buffers of the payloads staged at post, back after delivery.
+    payloads: Shelf<Vec<u8>>,
 }
 
 impl ShmChannel {
@@ -278,6 +285,7 @@ impl ShmChannel {
             inflight: Slab::new(),
             posted: 0,
             node_stats: vec![FabricStats::default(); n],
+            payloads: Shelf::new(MAX_POOLED),
         }
     }
 
@@ -362,7 +370,12 @@ impl ShmChannel {
         let ShmXfer { x, floor, seq } = self.inflight.remove(h).expect("looked up above");
         // A read response's copy was charged at post.
         let read = matches!(x.op, Op::ReadResponse { .. });
-        let done = self.rx.deliver(mems, dst, x, seq, &mut self.node_stats);
+        let mut done = self.rx.deliver(mems, dst, x, seq, &mut self.node_stats);
+        if let Delivered::Done { spent, .. } = &mut done {
+            if let Some(p) = spent.take() {
+                p.recycle(&mut self.payloads);
+            }
+        }
         match done {
             Delivered::Done {
                 placed: Some(len),
@@ -445,7 +458,7 @@ impl Transport for ShmChannel {
                     len: bytes,
                     lkey: rkey,
                 };
-                let data = Source::Staged(gather(&[sge], &responder.space));
+                let data = Source::Staged(gather(&mut self.payloads, &[sge], &responder.space));
                 let (_, first, floor) =
                     self.charge_bounce_in(ready_at + self.cfg.doorbell_ns, peer, bytes);
                 let out_at = first - self.cfg.doorbell_ns;
@@ -477,7 +490,8 @@ impl Transport for ShmChannel {
         // Every other send or write releases the sender first, so its
         // bytes are staged now.
         let pulled = !double && wr.opcode == Opcode::Send;
-        let op = Op::post(wr, &mem.space, !pulled);
+        let staged = (!pulled).then(|| gather(&mut self.payloads, &wr.sges, &mem.space));
+        let op = Op::post(wr, staged);
         #[cfg(debug_assertions)]
         self.rx.audit.record(node, peer, seq, &mem.space, &op);
         let (arrive, floor, released) = if double {
@@ -611,6 +625,10 @@ impl Transport for ShmChannel {
         &self.node_stats
     }
 
+    fn payload_pool(&self) -> (u64, u64) {
+        (self.payloads.allocs(), self.payloads.reuses())
+    }
+
     fn tx_engine(&self, node: u32) -> &SerialResource {
         &self.engines[node as usize]
     }
@@ -629,6 +647,7 @@ impl Transport for ShmChannel {
         for s in &mut self.node_stats {
             *s = FabricStats::default();
         }
+        self.payloads.reset_counts();
     }
 }
 

@@ -67,7 +67,7 @@ pub enum TransportConfig {
 
 /// The surface `mpicore` drives a backend through. Every method mirrors
 /// the [`Fabric`] inherent method of the same name (see its docs for
-/// semantics); `class` is the only addition.
+/// semantics); `class` and `payload_pool` are the only additions.
 pub trait Transport {
     /// Which transport family this backend belongs to (keys the
     /// adaptive scheme selection).
@@ -165,6 +165,13 @@ pub trait Transport {
     /// Transport counters summed over every node.
     fn stats(&self) -> FabricStats {
         self.node_stats().iter().sum()
+    }
+
+    /// `(fresh allocations, reuses)` of the backend's payload shelf
+    /// since construction or the last [`Transport::reset`]. Only the
+    /// shared-memory channel stages payloads; the fabric has none.
+    fn payload_pool(&self) -> (u64, u64) {
+        (0, 0)
     }
 
     /// The per-node transmit/copy engine (traced; feeds the

@@ -13,16 +13,16 @@
 //!
 //! Spaces are hundreds of megabytes of *virtual* memory but touch only
 //! a sliver of it. A fresh `vec![0; cap]` is a lazy `mmap`, so every
-//! byte the simulation writes pays a first-touch page fault — and a
-//! short-lived space (one per rank per benchmark iteration) pays the
-//! whole fault bill again each time, dwarfing the simulated work.
-//! Dropped spaces therefore park their backing buffer in a
-//! thread-local pool together with a **dirty page bitmap** (one bit
-//! per 4 KiB page, maintained by every mutable access); `new` with a
-//! matching capacity re-zeros exactly the dirty pages and hands the
-//! warm, already faulted-in buffer back. Observable behaviour is
-//! identical to a fresh zeroed allocation — the bitmap is exactly the
-//! set of pages that can differ from zero.
+//! byte the simulation writes pays a first-touch page fault, and a
+//! space built anew for each cluster pays the whole fault bill again.
+//! A space therefore keeps a **dirty page bitmap** (one bit per 4 KiB
+//! page, maintained by every mutable access), and
+//! [`AddressSpace::reset`] re-zeroes exactly the dirty pages of the
+//! warm, already faulted-in buffer. Observable behaviour is identical
+//! to a fresh zeroed allocation: the bitmap is exactly the set of pages
+//! that can differ from zero. The space keeps no pool of its own; its
+//! owner decides when a space is reset rather than dropped (in the
+//! simulator, the retired-cluster spare of `mpicore`).
 //!
 //! # Slot window
 //!
@@ -30,7 +30,7 @@
 //! slots, but few of them hold a live message at once: a slot's bytes
 //! are live from the NIC's delivery until the descriptor is reposted,
 //! by which time they have been copied out. Flat backing would still
-//! fault in every slot the FIFO ring reaches, and recycling would
+//! fault in every slot the FIFO ring reaches, and a reset would
 //! re-zero all of it. [`AddressSpace::set_slot_window`] therefore
 //! marks the ring `[lo, lo+len)` as `slot`-byte slots served from a
 //! small per-space pool of slot-sized **frames**:
@@ -51,46 +51,28 @@
 //! the window must lie inside one slot, since a frame is one buffer: a
 //! straddling access trips a debug assertion and otherwise fails with
 //! [`MemError::SlotStraddle`]. Bytes zeroed by `release` and `reset`
-//! count in [`AddressSpace::pool_stats`]' zeroed total, next to the
-//! dirty pages recycling re-zeroes.
+//! count in [`AddressSpace::zeroed`], next to the dirty pages a reset
+//! re-zeroes.
 
 use crate::error::MemError;
-use std::cell::{Cell, RefCell};
 
 /// A virtual address inside one rank's [`AddressSpace`].
 pub type Va = u64;
 
 /// Dirty-tracking granularity (one page).
 const PAGE: u64 = 4096;
-/// Maximum retired backing buffers kept per thread.
-const MAX_POOLED_SPACES: usize = 8;
-/// Retired buffers dirtier than this are not pooled: re-zeroing that
-/// much memory costs more than a fresh lazily-mapped `calloc`.
-const MAX_RECYCLE_DIRTY: u64 = 32 << 20;
-
-/// A retired backing buffer: the bytes plus the bitmap of pages that
-/// may be non-zero.
-struct Retired {
-    mem: Vec<u8>,
-    dirty: Vec<u64>,
-}
-
-thread_local! {
-    static SPACE_POOL: RefCell<Vec<Retired>> = const { RefCell::new(Vec::new()) };
-    static SP_ALLOCS: Cell<u64> = const { Cell::new(0) };
-    static SP_REUSES: Cell<u64> = const { Cell::new(0) };
-    static SP_ZEROED: Cell<u64> = const { Cell::new(0) };
-}
-
 /// Flat byte memory for one simulated rank.
 #[derive(Debug)]
 pub struct AddressSpace {
     mem: Vec<u8>,
     brk: u64,
     /// One bit per page; set when a mutable access may have written
-    /// the page. Exact (no over-approximation), so recycling re-zeros
+    /// the page. Exact (no over-approximation), so a reset re-zeroes
     /// only bytes that were really reachable by a write.
     dirty: Vec<u64>,
+    /// Bytes zeroed since construction or the last reset, that
+    /// reset's own zeroing included.
+    zeroed: u64,
     /// The slot window and its frame pool (see the module docs).
     win: SlotWindow,
 }
@@ -271,79 +253,34 @@ impl AddressSpace {
     ///
     /// Address 0 is reserved (never returned by [`Self::alloc`]) so that
     /// 0 can be used as a null address in protocol messages.
-    ///
-    /// Reuses a recycled backing buffer of the same capacity when one
-    /// is pooled (see the module docs); the observable contents are
-    /// all-zero either way.
     pub fn new(capacity: u64) -> Self {
-        let recycled = SPACE_POOL
-            .try_with(|p| {
-                let mut p = p.borrow_mut();
-                p.iter()
-                    .position(|r| r.mem.len() as u64 == capacity)
-                    .map(|i| p.swap_remove(i))
-            })
-            .ok()
-            .flatten();
-        let (mem, dirty) = match recycled {
-            Some(Retired { mut mem, mut dirty }) => {
-                let zeroed = zero_dirty(&mut mem, &mut dirty, 0, capacity);
-                SP_REUSES.with(|c| c.set(c.get() + 1));
-                SP_ZEROED.with(|c| c.set(c.get() + zeroed));
-                (mem, dirty)
-            }
-            None => {
-                SP_ALLOCS.with(|c| c.set(c.get() + 1));
-                (
-                    vec![0u8; capacity as usize],
-                    vec![0u64; bitmap_words(capacity)],
-                )
-            }
-        };
         Self {
-            mem,
+            mem: vec![0u8; capacity as usize],
             brk: 64, // reserve a null guard region
-            dirty,
+            dirty: vec![0u64; bitmap_words(capacity)],
+            zeroed: 0,
             win: SlotWindow::default(),
         }
     }
 
-    /// Returns the space to its just-constructed state in place:
-    /// dirty pages re-zeroed, bump pointer back at the null guard.
-    /// Semantically this is the drop→pool→
-    /// `new` round trip without the pool detour — the same buffer is
-    /// reused and exactly the dirty pages are re-zeroed — so it is
-    /// accounted identically in [`AddressSpace::pool_stats`] (one
-    /// reuse, the zeroed bytes). Every bound slot frame is scrubbed
-    /// back into the frame pool and the slot window is removed.
-    /// Observable contents afterwards are all-zero, as from a fresh
-    /// space.
+    /// Returns the space to its just-constructed state in place, on
+    /// the same buffer: dirty pages re-zeroed, bump pointer back at the
+    /// null guard. Every bound slot frame is scrubbed back into the
+    /// frame pool and the slot window is removed. Observable contents
+    /// afterwards are all-zero, as from a fresh space;
+    /// [`Self::zeroed`] restarts at the bytes this reset zeroed.
     pub fn reset(&mut self) {
         let capacity = self.mem.len() as u64;
-        let zeroed = zero_dirty(&mut self.mem, &mut self.dirty, 0, capacity) + self.win.clear();
-        SP_REUSES.with(|c| c.set(c.get() + 1));
-        SP_ZEROED.with(|c| c.set(c.get() + zeroed));
+        self.zeroed = zero_dirty(&mut self.mem, &mut self.dirty, 0, capacity) + self.win.clear();
         self.brk = 64;
     }
 
-    /// `(fresh allocations, pool reuses, bytes re-zeroed)` by this
-    /// thread's backing-store pool since the last
-    /// [`AddressSpace::reset_pool_stats`]. The zeroed bytes include
-    /// those [`AddressSpace::release`] and [`AddressSpace::reset`]
-    /// scrub from slot frames.
-    pub fn pool_stats() -> (u64, u64, u64) {
-        (
-            SP_ALLOCS.with(Cell::get),
-            SP_REUSES.with(Cell::get),
-            SP_ZEROED.with(Cell::get),
-        )
-    }
-
-    /// Zeroes this thread's backing-store pool counters.
-    pub fn reset_pool_stats() {
-        SP_ALLOCS.with(|c| c.set(0));
-        SP_REUSES.with(|c| c.set(0));
-        SP_ZEROED.with(|c| c.set(0));
+    /// Bytes zeroed since construction or the last [`Self::reset`]
+    /// (whose own zeroing counts): dirty pages a reset re-zeroed, plus
+    /// the bytes [`Self::release`], [`Self::reset`] and
+    /// [`Self::set_slot_window`] scrubbed.
+    pub fn zeroed(&self) -> u64 {
+        self.zeroed
     }
 
     /// Records that `[addr, addr+len)` may have been written by
@@ -384,7 +321,7 @@ impl AddressSpace {
             self.win.free.clear();
         }
         zeroed += zero_dirty(&mut self.mem, &mut self.dirty, lo, lo + len);
-        SP_ZEROED.with(|c| c.set(c.get() + zeroed));
+        self.zeroed += zeroed;
         let w = &mut self.win;
         (w.lo, w.hi, w.slot) = (lo, lo + len, slot);
         w.bound.resize((len / slot) as usize, 0);
@@ -403,8 +340,7 @@ impl AddressSpace {
             w.hi
         );
         if (w.lo..w.hi).contains(&va) {
-            let zeroed = w.unbind(((va - w.lo) / w.slot) as usize);
-            SP_ZEROED.with(|c| c.set(c.get() + zeroed));
+            self.zeroed += w.unbind(((va - w.lo) / w.slot) as usize);
         }
     }
 
@@ -481,7 +417,7 @@ impl AddressSpace {
     /// window must lie inside one slot, and binds it a frame.
     ///
     /// Conservatively marks the whole range dirty — keep views as
-    /// narrow as the write actually needs, or recycled spaces pay to
+    /// narrow as the write actually needs, or a reset pays to
     /// re-zero bytes that were never touched.
     pub fn slice_mut(&mut self, addr: Va, len: u64) -> Result<&mut [u8], MemError> {
         self.check(addr, len)?;
@@ -580,35 +516,6 @@ impl AddressSpace {
     }
 }
 
-impl Drop for AddressSpace {
-    /// Retires the backing buffer (with its dirty list) to the
-    /// thread-local pool so the next same-capacity space can reuse the
-    /// already faulted-in pages.
-    fn drop(&mut self) {
-        if self.mem.is_empty() {
-            return;
-        }
-        let dirty_total: u64 = self
-            .dirty
-            .iter()
-            .map(|w| u64::from(w.count_ones()))
-            .sum::<u64>()
-            * PAGE;
-        if dirty_total > MAX_RECYCLE_DIRTY {
-            return;
-        }
-        let mem = std::mem::take(&mut self.mem);
-        let dirty = std::mem::take(&mut self.dirty);
-        // try_with: thread teardown may have destroyed the pool.
-        let _ = SPACE_POOL.try_with(|p| {
-            let mut p = p.borrow_mut();
-            if p.len() < MAX_POOLED_SPACES {
-                p.push(Retired { mem, dirty });
-            }
-        });
-    }
-}
-
 /// Copies bytes between two address spaces — the functional half of an
 /// RDMA operation. `src` and `dst` may belong to different ranks.
 pub fn copy_between(
@@ -694,40 +601,40 @@ mod tests {
         assert_eq!(a.read(p, 32).unwrap(), vec![0xAB; 32]);
     }
 
-    /// A recycled backing store must be indistinguishable from a fresh
+    /// A reset backing store must be indistinguishable from a fresh
     /// zeroed allocation, whatever the previous tenant wrote through
     /// (write, fill, copy_within, raw slice_mut).
     #[test]
     fn recycled_space_reads_all_zero() {
         let cap = 1u64 << 20;
-        {
-            let mut a = AddressSpace::new(cap);
-            a.write(100, &[0xFF; 64]).unwrap();
-            a.fill(8192, 4096, 0xEE).unwrap();
-            a.copy_within(100, cap - 200, 64).unwrap();
-            a.slice_mut(500_000, 10).unwrap().fill(0xDD);
-        }
-        let b = AddressSpace::new(cap);
+        let mut a = AddressSpace::new(cap);
+        a.write(100, &[0xFF; 64]).unwrap();
+        a.fill(8192, 4096, 0xEE).unwrap();
+        a.copy_within(100, cap - 200, 64).unwrap();
+        a.slice_mut(500_000, 10).unwrap().fill(0xDD);
+        a.reset();
         assert!(
-            b.slice(0, cap).unwrap().iter().all(|&x| x == 0),
+            a.slice(0, cap).unwrap().iter().all(|&x| x == 0),
             "recycled space leaked previous contents"
         );
+        assert_eq!(a.alloc(8, 8).unwrap(), 64, "bump pointer back at the guard");
     }
 
     #[test]
     fn recycling_reuses_buffers_and_zeroes_only_dirty_pages() {
-        // Distinctive capacity so parallel tests' pools don't interfere
-        // with the counters we assert on.
         let cap = (1u64 << 20) + 12_288;
-        AddressSpace::reset_pool_stats();
+        let mut a = AddressSpace::new(cap);
+        let buffer = a.mem.as_ptr();
+        let mut zeroed = 0;
         for i in 0..5u64 {
-            let mut a = AddressSpace::new(cap);
+            if i > 0 {
+                a.reset();
+                zeroed += a.zeroed();
+            }
             a.write(4096 * i, &[1; 100]).unwrap();
         }
-        let (allocs, reuses, zeroed) = AddressSpace::pool_stats();
-        assert_eq!(allocs, 1, "same-capacity spaces should share a buffer");
-        assert_eq!(reuses, 4);
-        // Each reuse re-zeroed one dirty page, not the whole megabyte.
+        assert_eq!(a.mem.as_ptr(), buffer, "every tenant shares one buffer");
+        // Each reset re-zeroed one dirty page, not the whole megabyte.
         assert_eq!(zeroed, 4 * PAGE);
     }
 
@@ -799,11 +706,10 @@ mod tests {
         }
         a.release(8192);
         assert_eq!(a.slot_frames(), (3, 1));
-        let (_, _, before) = AddressSpace::pool_stats();
         a.reset();
         assert_eq!(a.slot_frames(), (0, 4), "every frame back in the pool");
         assert_eq!(
-            AddressSpace::pool_stats().2 - before,
+            a.zeroed(),
             3 * 20,
             "reset counts exactly the bytes it scrubbed"
         );
@@ -817,18 +723,16 @@ mod tests {
     #[test]
     fn recycled_windowed_space_reads_all_zero() {
         let cap = (1u64 << 20) + 8192;
-        {
-            let mut a = AddressSpace::new(cap);
-            a.write(100, &[0xFF; 64]).unwrap();
-            a.set_slot_window(65_536, 64 * 1024, 1024).unwrap();
-            for s in 0..64 {
-                a.fill(65_536 + s * 1024, 1024, 0xEE).unwrap();
-            }
-            a.release(65_536);
+        let mut a = AddressSpace::new(cap);
+        a.write(100, &[0xFF; 64]).unwrap();
+        a.set_slot_window(65_536, 64 * 1024, 1024).unwrap();
+        for s in 0..64 {
+            a.fill(65_536 + s * 1024, 1024, 0xEE).unwrap();
         }
-        let b = AddressSpace::new(cap);
+        a.release(65_536);
+        a.reset();
         assert!(
-            b.slice(0, cap).unwrap().iter().all(|&x| x == 0),
+            a.slice(0, cap).unwrap().iter().all(|&x| x == 0),
             "recycled space leaked previous contents"
         );
     }
@@ -951,7 +855,7 @@ mod tests {
     }
 
     /// The write view is marked exactly as a `write` of its range, so
-    /// recycling re-zeroes the same bytes.
+    /// a reset re-zeroes the same bytes.
     #[test]
     fn slice_pair_marks_dirty_like_write() {
         let cap = (256u64 << 10) + 20_480;
@@ -967,9 +871,8 @@ mod tests {
         }
         assert_eq!(a.dirty, b.dirty);
         let zeroed = |s: &mut AddressSpace| {
-            let (_, _, before) = AddressSpace::pool_stats();
             s.reset();
-            AddressSpace::pool_stats().2 - before
+            s.zeroed()
         };
         assert_eq!(zeroed(&mut a), zeroed(&mut b));
         // Into a slot: the frame records the same written bytes.
@@ -983,18 +886,16 @@ mod tests {
     #[test]
     fn scattered_writes_recycle_to_all_zero() {
         let cap = 64u64 * 1024 * 1024;
-        {
-            let mut a = AddressSpace::new(cap);
-            // Scattered writes, including page- and word-boundary
-            // straddles, across the whole space.
-            for i in 0..500u64 {
-                let addr = (i * 97_003) % (cap - 8);
-                a.write(addr, &[0xA5; 8]).unwrap();
-            }
+        let mut a = AddressSpace::new(cap);
+        // Scattered writes, including page- and word-boundary
+        // straddles, across the whole space.
+        for i in 0..500u64 {
+            let addr = (i * 97_003) % (cap - 8);
+            a.write(addr, &[0xA5; 8]).unwrap();
         }
-        let b = AddressSpace::new(cap);
+        a.reset();
         assert!(
-            b.slice(0, cap).unwrap().iter().all(|&x| x == 0),
+            a.slice(0, cap).unwrap().iter().all(|&x| x == 0),
             "dirty bitmap missed a written page"
         );
     }

@@ -428,9 +428,8 @@ impl Window {
 
 /// A windowed space must read exactly like a flat one under random
 /// writes, fills, raw views, paired read/write views, copies within
-/// and between spaces, releases of dead slots, resets and drop→new
-/// recycling — where a released slot reads zero, as a fresh slot
-/// would.
+/// and between spaces, releases of dead slots, resets and rebuilds —
+/// where a released slot reads zero, as a fresh slot would.
 #[test]
 fn slot_window_matches_a_flat_oracle() {
     cases(0x3E60_0007, 256, |rng| {
