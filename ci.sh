@@ -95,10 +95,11 @@ echo "==> perfbench builds"
 # workspace of its own, so its build lands under target/perfbench.
 CARGO_TARGET_DIR=target/perfbench cargo build --release --manifest-path perfbench/Cargo.toml
 
-echo "==> per-event smoke (fresh and twice-recycled clusters bit-identical)"
+echo "==> per-event smoke (fresh and twice-recycled clusters bit-identical: finish, events, pack/wire overlap)"
 # The second recycle resets a cluster whose rings a recycled run left
-# rotated, so the in-place ring restore is checked end to end. No
-# wall-clock bound: the smoke compares virtual results only.
+# rotated, so the in-place ring restore is checked end to end; the
+# summed pack/wire overlap checks that recycling resets the overlap
+# meters. No wall-clock bound: the smoke compares virtual results only.
 ./target/release/per_event --smoke
 
 echo "==> figures byte-identical to results/"

@@ -25,10 +25,10 @@
 //!
 //! `--smoke` runs 8 ranks on a fresh cluster, then recycles that
 //! cluster (`Cluster::recycle`) after each of two more runs, and exits
-//! nonzero unless every run gives the fresh run's virtual finish and
-//! event count, bit for bit — the `ci.sh` check that recycling keeps
-//! the model exact, including a reset of rings a recycled cluster's
-//! run left rotated.
+//! nonzero unless every run gives the fresh run's virtual finish, event
+//! count and summed pack/wire overlap, bit for bit — the `ci.sh` check
+//! that recycling keeps the model exact, including a reset of rings a
+//! recycled cluster's run left rotated and of the overlap meters.
 
 use ibdt_datatype::Datatype;
 use ibdt_mpicore::{AppOp, Cluster, ClusterSpec, Program, RunStats, Scheme};
@@ -79,19 +79,26 @@ fn run(cluster: &mut Cluster, n: u32) -> (RunStats, u64) {
 fn smoke() -> i32 {
     let mut cluster = Cluster::new(spec(8));
     let (fresh, _) = run(&mut cluster, 8);
-    let want = (fresh.finish_ns, fresh.events_scheduled);
+    let key = |s: &RunStats| {
+        (
+            s.finish_ns,
+            s.events_scheduled,
+            s.pack_wire_overlap_ns.iter().sum::<u64>(),
+        )
+    };
+    let want = key(&fresh);
     println!(
-        "per-event smoke: 8 ranks: fresh {} ns / {} events",
-        want.0, want.1
+        "per-event smoke: 8 ranks: fresh {} ns / {} events / {} ns pack-wire overlap",
+        want.0, want.1, want.2
     );
     for build in 1..=2 {
         cluster.recycle();
         cluster = Cluster::new(spec(8));
         let (stats, _) = run(&mut cluster, 8);
-        let got = (stats.finish_ns, stats.events_scheduled);
+        let got = key(&stats);
         println!(
-            "per-event smoke: recycled build {build}: {} ns / {} events",
-            got.0, got.1
+            "per-event smoke: recycled build {build}: {} ns / {} events / {} ns pack-wire overlap",
+            got.0, got.1, got.2
         );
         if got != want {
             println!("FAIL: recycled build {build} diverged from the fresh cluster");

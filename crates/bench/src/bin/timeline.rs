@@ -1,6 +1,7 @@
 //! Renders the Fig. 3 overlap diagram from *measured* span traces:
 //! one large datatype transfer per scheme, showing sender CPU, sender
-//! NIC, and receiver CPU occupancy over virtual time.
+//! NIC, and receiver CPU occupancy over virtual time. Its clusters are
+//! built with `ClusterSpec::record`, the one switch that keeps spans.
 //!
 //! ```text
 //! cargo run --release -p ibdt-bench --bin timeline [columns]
@@ -72,7 +73,10 @@ fn main() {
         Scheme::MultiW,
         Scheme::Hybrid,
     ] {
-        let mut spec = ClusterSpec::default();
+        let mut spec = ClusterSpec {
+            record: true,
+            ..ClusterSpec::default()
+        };
         spec.mpi.scheme = scheme;
         let mut cluster = Cluster::new(spec);
         let span = ty.true_ub() as u64 + 64;

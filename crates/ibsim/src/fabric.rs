@@ -468,7 +468,7 @@ impl Fabric {
     pub fn new(n: usize, cfg: NetConfig) -> Self {
         let nodes = (0..n)
             .map(|_| Node {
-                tx: SerialResource::new("nic-tx").with_trace(),
+                tx: SerialResource::new("nic-tx"),
                 sq_busy: vec![VecDeque::new(); n],
             })
             .collect();
@@ -878,6 +878,12 @@ impl Fabric {
     /// The transmit engine of `node` (utilization / trace inspection).
     pub fn tx_engine(&self, node: u32) -> &SerialResource {
         &self.nodes[node as usize].tx
+    }
+
+    /// Mutable access to the transmit engine of `node`, to configure or
+    /// drain its trace.
+    pub fn tx_engine_mut(&mut self, node: u32) -> &mut SerialResource {
+        &mut self.nodes[node as usize].tx
     }
 
     /// Transfers between launch and delivery, flush or discard. A run

@@ -254,7 +254,8 @@ struct ShmXfer {
 pub struct ShmChannel {
     cfg: ShmConfig,
     /// Per-rank transport copy engine (the progress-engine CPU doing
-    /// bounce/CMA copies), traced for the pack/wire overlap statistic.
+    /// bounce/CMA copies); its `wire` reservations feed the pack/wire
+    /// overlap statistic.
     engines: Vec<SerialResource>,
     /// Receive descriptors and RNR-parked transfers.
     rx: Rx,
@@ -278,9 +279,7 @@ impl ShmChannel {
         }
         ShmChannel {
             cfg,
-            engines: (0..n)
-                .map(|_| SerialResource::new("shm-copy").with_trace())
-                .collect(),
+            engines: (0..n).map(|_| SerialResource::new("shm-copy")).collect(),
             rx: Rx::new(n, 0),
             inflight: Slab::new(),
             posted: 0,
@@ -631,6 +630,10 @@ impl Transport for ShmChannel {
 
     fn tx_engine(&self, node: u32) -> &SerialResource {
         &self.engines[node as usize]
+    }
+
+    fn tx_engine_mut(&mut self, node: u32) -> &mut SerialResource {
+        &mut self.engines[node as usize]
     }
 
     fn in_flight(&self) -> usize {

@@ -174,9 +174,13 @@ pub trait Transport {
         (0, 0)
     }
 
-    /// The per-node transmit/copy engine (traced; feeds the
-    /// pack/wire-overlap statistic).
+    /// The per-node transmit/copy engine; its `wire` reservations feed
+    /// the pack/wire-overlap statistic.
     fn tx_engine(&self, node: u32) -> &SerialResource;
+
+    /// Mutable access to [`Self::tx_engine`], to turn on its span
+    /// recording or tap and to drain the tap.
+    fn tx_engine_mut(&mut self, node: u32) -> &mut SerialResource;
 
     /// Transfers the backend holds between post and delivery, flush or
     /// discard.
@@ -302,6 +306,10 @@ impl Transport for Fabric {
 
     fn tx_engine(&self, node: u32) -> &SerialResource {
         Fabric::tx_engine(self, node)
+    }
+
+    fn tx_engine_mut(&mut self, node: u32) -> &mut SerialResource {
+        Fabric::tx_engine_mut(self, node)
     }
 
     fn in_flight(&self) -> usize {

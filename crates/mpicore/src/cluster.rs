@@ -277,6 +277,13 @@ pub struct ClusterSpec {
     /// selecting the shared-memory channel leaves every committed IB
     /// result untouched).
     pub transport: TransportConfig,
+    /// Keep every resource reservation as a span: each rank's CPU and
+    /// DMA engine and its transport engine, read through
+    /// [`Cluster::cpu_trace`] and [`Cluster::tx_trace`]. Off by
+    /// default: a run then keeps only per-label busy totals and meters
+    /// [`RunStats::pack_wire_overlap_ns`] as it goes. Every result but
+    /// the span lists is the same either way.
+    pub record: bool,
 }
 
 impl Default for ClusterSpec {
@@ -289,6 +296,7 @@ impl Default for ClusterSpec {
             mem_capacity: 256 << 20,
             faults: FaultPlan::none(),
             transport: TransportConfig::Ib,
+            record: false,
         }
     }
 }
@@ -393,6 +401,23 @@ fn take_evictee(spec: &ClusterSpec) -> Option<Cluster> {
         })
         .ok()
         .flatten()
+}
+
+/// Taps each rank's CPU `pack` reservations and its transport engine's
+/// `wire` reservations for the rank's pack/wire overlap meter, and
+/// turns on span recording on every resource when `spec` asks for it.
+/// Reset keeps both settings.
+fn wire_traces(spec: &ClusterSpec, ranks: &mut [RankState], fabric: &mut dyn Transport) {
+    for (r, rs) in ranks.iter_mut().enumerate() {
+        let tx = fabric.tx_engine_mut(r as u32);
+        rs.cpu.trace_mut().tap("pack");
+        tx.trace_mut().tap("wire");
+        if spec.record {
+            for res in [&mut rs.cpu, &mut rs.dma, tx] {
+                res.trace_mut().record_spans();
+            }
+        }
+    }
 }
 
 /// Builds every rank's eager receive ring (§3.1's pre-posted internal
@@ -537,6 +562,7 @@ impl Cluster {
                 &mut mems[r as usize],
             ));
         }
+        wire_traces(&spec, &mut ranks, fabric.as_mut());
         post_eager_rings(&spec, &ranks, fabric.as_mut(), &mems);
         Self {
             active: (0..n).map(|_| ActiveMsgs::new(n)).collect(),
@@ -664,6 +690,9 @@ impl Cluster {
         // wedges the protocol still terminates with a diagnosis.
         let faulty = self.fabric.faults_active();
         let (finish, exhausted) = engine.run_bounded(self, 200_000_000);
+        for r in 0..self.spec.nprocs {
+            self.meter_overlap(r);
+        }
         assert!(
             !exhausted || faulty,
             "simulation exceeded its event budget at t={finish} without fault \
@@ -915,13 +944,7 @@ impl Cluster {
                 })
                 .collect(),
             marks: self.marks.clone(),
-            pack_wire_overlap_ns: (0..n)
-                .map(|r| {
-                    let cpu_trace = self.ranks[r].cpu.trace().expect("cpu traced");
-                    let tx_trace = self.fabric.tx_engine(r as u32).trace().expect("tx traced");
-                    cpu_trace.overlap_with("pack", tx_trace, "wire")
-                })
-                .collect(),
+            pack_wire_overlap_ns: self.ranks.iter().map(|r| r.pack_wire.total()).collect(),
             bytes_copied: self
                 .ranks
                 .iter()
@@ -941,15 +964,19 @@ impl Cluster {
         }
     }
 
-    /// Post-run access to a rank's CPU span trace (pack/unpack/post/...
-    /// intervals) for overlap analysis and timeline rendering.
+    /// Post-run access to a rank's CPU trace: busy time per label
+    /// (pack/unpack/post/...), and the spans for overlap analysis and
+    /// timeline rendering. The spans are empty unless the cluster was
+    /// built with [`ClusterSpec::record`].
     pub fn cpu_trace(&self, rank: u32) -> &ibdt_simcore::trace::Trace {
-        self.ranks[rank as usize].cpu.trace().expect("cpu traced")
+        self.ranks[rank as usize].cpu.trace()
     }
 
-    /// Post-run access to a rank's NIC transmit-engine span trace.
+    /// Post-run access to a rank's transmit-engine trace (the NIC, or
+    /// the shm copy engine). Its spans are empty unless the cluster was
+    /// built with [`ClusterSpec::record`].
     pub fn tx_trace(&self, rank: u32) -> &ibdt_simcore::trace::Trace {
-        self.fabric.tx_engine(rank).trace().expect("tx traced")
+        self.fabric.tx_engine(rank).trace()
     }
 
     /// Post-run access to a rank's pack/unpack pool statistics:
@@ -1368,9 +1395,19 @@ impl Cluster {
         self.fabric.node_down(rank) && !self.fabric.node_will_restart(rank)
     }
 
-    /// Schedules interpreter resumption for ranks with fresh
-    /// completions.
+    /// Feeds `rank`'s tapped pack and wire spans to its overlap meter.
+    fn meter_overlap(&mut self, rank: u32) {
+        let rs = &mut self.ranks[rank as usize];
+        rs.pack_wire.feed(
+            rs.cpu.trace_mut(),
+            self.fabric.tx_engine_mut(rank).trace_mut(),
+        );
+    }
+
+    /// Feeds the rank's overlap meter and schedules interpreter
+    /// resumption for ranks with fresh completions.
     fn drain_completions(&mut self, sched: &mut Scheduler<'_, Ev>, rank: u32) {
+        self.meter_overlap(rank);
         let r = rank as usize;
         if !self.ranks[r].newly_completed.is_empty() || self.ranks[r].rma_event {
             self.ranks[r].newly_completed.clear();
@@ -1540,6 +1577,70 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Heap bytes every rank's traces and overlap meter hold after
+    /// `rounds` BC-SPUP rendezvous round trips of 64 columns.
+    fn trace_footprint(record: bool, rounds: u32) -> usize {
+        let mut spec = ClusterSpec {
+            record,
+            ..ClusterSpec::default()
+        };
+        spec.mpi.scheme = crate::Scheme::BcSpup;
+        let ty = Datatype::vector(128, 64, 4096, &Datatype::int()).unwrap();
+        let mut cluster = Cluster::new(spec);
+        let span = ty.true_ub() as u64 + 64;
+        let bufs = [cluster.alloc(0, span, 4096), cluster.alloc(1, span, 4096)];
+        let progs: Vec<Program> = (0..2u32)
+            .map(|r| {
+                let (peer, buf) = (1 - r, bufs[r as usize]);
+                let ty = ty.clone();
+                let send = AppOp::Isend {
+                    peer,
+                    buf,
+                    count: 1,
+                    ty: ty.clone(),
+                    tag: 0,
+                };
+                let recv = AppOp::Irecv {
+                    peer,
+                    buf,
+                    count: 1,
+                    ty,
+                    tag: 0,
+                };
+                let round = if r == 0 { [send, recv] } else { [recv, send] };
+                (0..rounds)
+                    .flat_map(|_| {
+                        round
+                            .clone()
+                            .into_iter()
+                            .flat_map(|op| [op, AppOp::WaitAll])
+                    })
+                    .collect()
+            })
+            .collect();
+        let stats = cluster.run(progs);
+        assert!(stats.errors.iter().all(Vec::is_empty), "{:?}", stats.errors);
+        assert!(stats.pack_wire_overlap_ns[0] > 0, "BC-SPUP overlaps");
+        (0..2)
+            .map(|r| {
+                let rs = &cluster.ranks[r];
+                rs.cpu.trace().heap_bytes()
+                    + rs.dma.trace().heap_bytes()
+                    + rs.pack_wire.heap_bytes()
+                    + cluster.fabric.tx_engine(r as u32).trace().heap_bytes()
+            })
+            .sum()
+    }
+
+    /// With recording off, trace and overlap-meter state is bounded by
+    /// the work in flight: eight times the round trips hold the same
+    /// bytes. Recording keeps every span, so there it grows.
+    #[test]
+    fn trace_state_does_not_grow_with_run_length_when_not_recording() {
+        assert_eq!(trace_footprint(false, 4), trace_footprint(false, 32));
+        assert!(trace_footprint(true, 32) > trace_footprint(true, 4));
     }
 
     /// Slots per eager ring in [`ring_spec`].

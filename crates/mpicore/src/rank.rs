@@ -18,6 +18,7 @@ use ibdt_datatype::{Datatype, LayoutCache, PlanLookup, TransferPlan, TypeRegistr
 use ibdt_ibsim::NodeMem;
 use ibdt_memreg::{PindownCache, Va};
 use ibdt_simcore::resource::SerialResource;
+use ibdt_simcore::trace::Overlap;
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 
 /// A request handle (per-rank, in issue order).
@@ -255,6 +256,9 @@ pub struct RankState {
     /// (pack of chunk k against DMA of chunk k-1) is provable from the
     /// trace, exactly like pack/wire overlap.
     pub dma: SerialResource,
+    /// This rank's pack/wire overlap meter: `cpu`'s `pack` reservations
+    /// against its transport engine's `wire` ones, fed by the cluster.
+    pub pack_wire: Overlap,
     /// Base address of the eager region (send ring + recv buffers).
     pub eager_region: Va,
     /// Eager/control send ring buffers (shared across peers).
@@ -344,8 +348,9 @@ impl RankState {
         let mut rs = Self {
             rank,
             nprocs,
-            cpu: SerialResource::new("cpu").with_trace(),
-            dma: SerialResource::new("dma").with_trace(),
+            cpu: SerialResource::new("cpu"),
+            dma: SerialResource::new("dma"),
+            pack_wire: Overlap::new(),
             eager_region: 0,
             eager_send_free: Vec::new(),
             eager_slot_len: Vec::new(),
@@ -416,6 +421,7 @@ impl RankState {
         );
         self.cpu.reset();
         self.dma.reset();
+        self.pack_wire.reset();
         self.eager_region = region;
         self.eager_send_free.clear();
         self.eager_send_free.extend(

@@ -43,7 +43,9 @@ pub struct RunStats {
     /// Per-rank timer marks recorded by `AppOp::MarkTime`.
     pub marks: Vec<Vec<(u32, Time)>>,
     /// Virtual time overlap between sender-side packing and its own
-    /// NIC's wire activity, per rank (the §4.2 pipelining, measurable).
+    /// NIC's (or shm copy engine's) wire activity, per rank (the §4.2
+    /// pipelining, measurable). Metered as the run goes, so it needs no
+    /// recorded spans.
     pub pack_wire_overlap_ns: Vec<Time>,
     /// Per-rank high-water completion-queue occupancy (0 everywhere
     /// when `cq_depth` is unbounded).

@@ -10,8 +10,9 @@
 //!   identical inputs replay identically),
 //! * [`resource`] — FIFO "busy-until" serial resources modelling a host
 //!   CPU, a NIC processing engine, or a network link,
-//! * [`trace`] — span recording for resources, used to *prove* overlap
-//!   (e.g. that BC-SPUP really pipelines packing against the wire),
+//! * [`trace`] — per-label reservation totals for resources, span
+//!   recording on request, and the streaming overlap meter that shows
+//!   (e.g.) BC-SPUP really pipelining packing against the wire,
 //! * [`engine`] — a small driver loop tying a user "world" to the queue,
 //! * [`slab`] — a generational slab arena giving in-flight records
 //!   stable handles without per-message hashing or allocation,
@@ -47,4 +48,4 @@ pub use shard::{run_indexed, ShardSim, ShardWorld};
 pub use shelf::{Reusable, Shelf};
 pub use slab::{Handle, Slab};
 pub use time::{Time, GIGA, KILO, MEGA};
-pub use trace::{Span, Trace};
+pub use trace::{Overlap, Span, Trace};

@@ -5,7 +5,10 @@
 //! engine, a NIC work-queue processing engine, or a network link
 //! serializing bytes. Work is expressed as "reserve `dur` nanoseconds no
 //! earlier than `now`"; the resource returns the completion time and
-//! keeps busy-time accounting so utilization and overlap can be measured.
+//! accounts every reservation in its [`Trace`]: busy time per label and
+//! a reservation count always, each span only when asked to
+//! ([`Trace::record_spans`]), so utilization and overlap can be
+//! measured without state that grows with run length.
 
 use crate::time::Time;
 use crate::trace::Trace;
@@ -14,43 +17,28 @@ use crate::trace::Trace;
 #[derive(Debug, Clone)]
 pub struct SerialResource {
     name: &'static str,
-    busy_until: Time,
-    total_busy: Time,
-    jobs: u64,
-    trace: Option<Trace>,
+    /// Every reservation's accounting; its last end is the instant the
+    /// resource is busy until.
+    trace: Trace,
 }
 
 impl SerialResource {
-    /// Creates a resource. `name` labels trace spans and debug output.
+    /// Creates a resource. `name` labels unlabelled reservations.
     pub fn new(name: &'static str) -> Self {
         Self {
             name,
-            busy_until: 0,
-            total_busy: 0,
-            jobs: 0,
-            trace: None,
+            trace: Trace::new(),
         }
-    }
-
-    /// Enables span tracing on this resource (records every reservation).
-    pub fn with_trace(mut self) -> Self {
-        self.trace = Some(Trace::new());
-        self
     }
 
     /// Reserves `dur` nanoseconds of this resource, starting no earlier
     /// than `now` and no earlier than the end of previously reserved
-    /// work. Returns the completion time. A label is recorded if tracing
-    /// is enabled.
+    /// work. Returns the completion time. The trace accounts the
+    /// reservation under `label`.
     pub fn reserve_labeled(&mut self, now: Time, dur: Time, label: &'static str) -> Time {
-        let start = self.busy_until.max(now);
+        let start = self.trace.last_end().max(now);
         let finish = start + dur;
-        self.busy_until = finish;
-        self.total_busy += dur;
-        self.jobs += 1;
-        if let Some(t) = &mut self.trace {
-            t.record(start, finish, label);
-        }
+        self.trace.record(start, finish, label);
         finish
     }
 
@@ -60,30 +48,26 @@ impl SerialResource {
     }
 
     /// Returns the resource to its just-constructed state — idle at
-    /// t=0, zero accounting, trace cleared (capacity retained). A reset
-    /// resource schedules bit-identically to a fresh one.
+    /// t=0, zero accounting, spans cleared (capacity, span recording
+    /// and tap retained). A reset resource schedules bit-identically to
+    /// a fresh one.
     pub fn reset(&mut self) {
-        self.busy_until = 0;
-        self.total_busy = 0;
-        self.jobs = 0;
-        if let Some(t) = &mut self.trace {
-            t.reset();
-        }
+        self.trace.reset();
     }
 
     /// Earliest time new work could start.
     pub fn available_at(&self) -> Time {
-        self.busy_until
+        self.trace.last_end()
     }
 
     /// Total busy nanoseconds reserved so far.
     pub fn total_busy(&self) -> Time {
-        self.total_busy
+        self.trace.busy()
     }
 
     /// Number of work items executed.
     pub fn jobs(&self) -> u64 {
-        self.jobs
+        self.trace.reservations()
     }
 
     /// Resource name.
@@ -91,9 +75,15 @@ impl SerialResource {
         self.name
     }
 
-    /// Recorded spans, if tracing was enabled.
-    pub fn trace(&self) -> Option<&Trace> {
-        self.trace.as_ref()
+    /// The reservation accounting: per-label totals, and the spans
+    /// when recording.
+    pub fn trace(&self) -> &Trace {
+        &self.trace
+    }
+
+    /// Mutable access to the trace, to turn on span recording or a tap.
+    pub fn trace_mut(&mut self) -> &mut Trace {
+        &mut self.trace
     }
 
     /// Utilization over `[0, horizon]`, as a fraction.
@@ -101,7 +91,7 @@ impl SerialResource {
         if horizon == 0 {
             0.0
         } else {
-            self.total_busy as f64 / horizon as f64
+            self.total_busy() as f64 / horizon as f64
         }
     }
 }
@@ -146,13 +136,26 @@ mod tests {
 
     #[test]
     fn trace_records_spans() {
-        let mut r = SerialResource::new("cpu").with_trace();
+        let mut r = SerialResource::new("cpu");
+        r.trace_mut().record_spans();
         r.reserve_labeled(0, 10, "pack");
         r.reserve_labeled(0, 10, "unpack");
-        let spans = r.trace().unwrap().spans();
+        let spans = r.trace().spans();
         assert_eq!(spans.len(), 2);
         assert_eq!(spans[0].label, "pack");
         assert_eq!((spans[1].start, spans[1].end), (10, 20));
+    }
+
+    #[test]
+    fn untraced_resource_keeps_totals_only() {
+        let mut r = SerialResource::new("cpu");
+        r.reserve_labeled(0, 10, "pack");
+        r.reserve_labeled(0, 10, "unpack");
+        r.reset();
+        r.reserve_labeled(5, 10, "pack");
+        assert!(r.trace().spans().is_empty());
+        assert_eq!(r.trace().busy_with_label("pack"), 10);
+        assert_eq!((r.total_busy(), r.jobs(), r.available_at()), (10, 1, 15));
     }
 
     #[test]

@@ -61,7 +61,8 @@ fn queue_interleaved_pops_never_go_backwards() {
 fn serial_resource_is_fifo_and_conserves_busy_time() {
     cases(0x51C0_0003, 512, |rng: &mut Rng| {
         let njobs = rng.range_usize(1, 100);
-        let mut r = SerialResource::new("x").with_trace();
+        let mut r = SerialResource::new("x");
+        r.trace_mut().record_spans();
         let mut total = 0u64;
         let mut last_finish = 0u64;
         // Submission times must be non-decreasing (as in a DES).
@@ -83,7 +84,7 @@ fn serial_resource_is_fifo_and_conserves_busy_time() {
         assert_eq!(r.total_busy(), total);
         assert_eq!(r.available_at(), last_finish);
         // Trace spans are disjoint and sum to total busy.
-        let spans = r.trace().unwrap().spans();
+        let spans = r.trace().spans();
         let sum: u64 = spans.iter().map(|s| s.len()).sum();
         assert_eq!(sum, total);
         for w in spans.windows(2) {

@@ -1,8 +1,11 @@
 #!/usr/bin/env bash
 # Regenerates every figure with the release `figures` binary and fails
 # on any byte of difference from the committed results/*.csv and, for
-# the printed tables, results/figures.txt. A change that moves a
-# simulated result must regenerate results/ on purpose.
+# the printed tables, results/figures.txt. It also renders the Fig. 3
+# overlap diagram with the release `timeline` binary, the one run that
+# records spans, and compares it with results/timeline.txt (its lanes
+# and pack/wire overlap numbers). A change that moves a simulated
+# result must regenerate results/ on purpose.
 #
 # x14/x15 are not checked: `scale` writes them with wall-clock columns,
 # and `figures all` does not produce them.
@@ -28,6 +31,11 @@ for f in results/*.csv; do
 done
 if ! cmp -s results/figures.txt "$out/figures.txt"; then
   echo "error: figures stdout differs from results/figures.txt" >&2
+  fail=1
+fi
+./target/release/timeline > "$out/timeline.txt"
+if ! cmp -s results/timeline.txt "$out/timeline.txt"; then
+  echo "error: timeline stdout differs from results/timeline.txt" >&2
   fail=1
 fi
 exit "$fail"
