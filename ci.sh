@@ -68,8 +68,8 @@ fi
 
 echo "==> lint: one thread-local, the cluster spare"
 # Host-side recycling has one mechanism (DESIGN.md §18): reusable
-# buffers live in a cluster, and mpicore's CLUSTER_SPARE hands a parked
-# cluster, or on a spec miss its address spaces, to the next build. A
+# buffers live in a cluster, and mpicore's CLUSTER_SPARE hands the one
+# parked cluster to the next build of its shape. A
 # thread_local! anywhere else under crates/*/src would be a second pool
 # beside it.
 if grep -rn "thread_local!" crates/*/src | grep -v "^crates/mpicore/src/cluster.rs:"; then
@@ -95,11 +95,12 @@ echo "==> perfbench builds"
 # workspace of its own, so its build lands under target/perfbench.
 CARGO_TARGET_DIR=target/perfbench cargo build --release --manifest-path perfbench/Cargo.toml
 
-echo "==> per-event smoke (fresh and twice-recycled clusters bit-identical: finish, events, pack/wire overlap)"
+echo "==> per-event smoke (fresh and twice-recycled clusters, and BC-SPUP built from a recycled Adaptive cluster, bit-identical: finish, events, pack/wire overlap)"
 # The second recycle resets a cluster whose rings a recycled run left
 # rotated, so the in-place ring restore is checked end to end; the
 # summed pack/wire overlap checks that recycling resets the overlap
-# meters. No wall-clock bound: the smoke compares virtual results only.
+# meters. The BC-SPUP build resets the Adaptive cluster to another
+# spec. No wall-clock bound: the smoke compares virtual results only.
 ./target/release/per_event --smoke
 
 echo "==> figures byte-identical to results/"

@@ -28,7 +28,10 @@
 //! nonzero unless every run gives the fresh run's virtual finish, event
 //! count and summed pack/wire overlap, bit for bit — the `ci.sh` check
 //! that recycling keeps the model exact, including a reset of rings a
-//! recycled cluster's run left rotated and of the overlap meters.
+//! recycled cluster's run left rotated and of the overlap meters. It
+//! then crosses a spec: an 8-rank BC-SPUP cluster built from the
+//! recycled Adaptive cluster must give a fresh BC-SPUP cluster's
+//! finish, event count and summed overlap.
 
 use ibdt_datatype::Datatype;
 use ibdt_mpicore::{AppOp, Cluster, ClusterSpec, Program, RunStats, Scheme};
@@ -104,6 +107,28 @@ fn smoke() -> i32 {
             println!("FAIL: recycled build {build} diverged from the fresh cluster");
             return 1;
         }
+    }
+    let bc_spup = || {
+        let mut spec = spec(8);
+        spec.mpi.scheme = Scheme::BcSpup;
+        spec
+    };
+    let (fresh, _) = run(&mut Cluster::new(bc_spup()), 8);
+    let want = key(&fresh);
+    println!(
+        "per-event smoke: 8 ranks, BC-SPUP: fresh {} ns / {} events / {} ns pack-wire overlap",
+        want.0, want.1, want.2
+    );
+    cluster.recycle();
+    let (stats, _) = run(&mut Cluster::new(bc_spup()), 8);
+    let got = key(&stats);
+    println!(
+        "per-event smoke: BC-SPUP built from the recycled Adaptive cluster: {} ns / {} events / {} ns pack-wire overlap",
+        got.0, got.1, got.2
+    );
+    if got != want {
+        println!("FAIL: BC-SPUP built from a recycled Adaptive cluster diverged from a fresh one");
+        return 1;
     }
     0
 }

@@ -91,11 +91,14 @@ impl PindownCache {
     }
 
     /// Empties the cache and zeroes its counters, keeping the entry
-    /// list's capacity and the configured byte bound. The caller is
-    /// responsible for the underlying [`RegTable`] — a recycled world
-    /// resets that table wholesale, so entries are not deregistered
-    /// one by one here.
-    pub fn reset(&mut self) {
+    /// list's capacity, and configures it as [`Self::new`] with
+    /// `capacity_bytes` does when `enabled`, else as
+    /// [`Self::disabled`]. The caller is responsible for the underlying
+    /// [`RegTable`] — a recycled world resets that table wholesale, so
+    /// entries are not deregistered one by one here.
+    pub fn reset(&mut self, enabled: bool, capacity_bytes: u64) {
+        self.enabled = enabled;
+        self.capacity_bytes = if enabled { capacity_bytes } else { 0 };
         self.entries.clear();
         self.max_len = 0;
         self.idle_bytes = 0;

@@ -53,14 +53,54 @@ impl Scheme {
     }
 }
 
+/// Messages up to this size (packed bytes) use the eager protocol.
+/// The paper's vector test sends 1–2 columns (512 B / 1 KiB)
+/// eagerly and 4+ columns (2 KiB+) via rendezvous.
+pub const EAGER_THRESHOLD: u64 = 1024;
+
+/// Messages at or above this size are split into at least two
+/// segments (§7.2: 16 KB).
+pub const MULTI_SEG_THRESHOLD: u64 = 16 * 1024;
+
+/// Pin-down cache capacity in idle pinned bytes, when
+/// [`MpiConfig::pindown_cache`] is on.
+pub const PINDOWN_CAPACITY: u64 = 256 * (1 << 20);
+
+/// Hybrid: receiver blocks at or above this size (bytes) are
+/// written directly (zero copy); smaller ones travel packed.
+pub const HYBRID_BLOCK_THRESHOLD: u64 = 1024;
+
+/// Adaptive: median contiguous-block size (bytes) at or above which
+/// Multi-W is chosen. §6 suggests "several KBytes" on the paper's
+/// hardware; under this crate's default cost model the measured
+/// Multi-W/BC-SPUP crossover sits at 512-byte blocks (Fig. 8
+/// reproduction), so that is its value.
+pub const ADAPTIVE_MULTIW_BLOCK: u64 = 512;
+
+/// Adaptive: messages below this size with small blocks stay on the
+/// pack/unpack path.
+pub const ADAPTIVE_COPY_REDUCED_MIN: u64 = 16 * 1024;
+
+/// Adaptive, shared-memory single-copy transport: median block size
+/// (bytes) at or above which Multi-W is chosen. Each work request
+/// pays a CMA syscall setup there, so the crossover sits far above
+/// the IB value of [`ADAPTIVE_MULTIW_BLOCK`].
+pub const ADAPTIVE_SHM_MULTIW_BLOCK: u64 = 8 * 1024;
+
+/// Fixed software overhead per MPI call (matching, bookkeeping), ns.
+pub const CALL_OVERHEAD_NS: Time = 150;
+
+/// Software cost to parse/build one control message, ns.
+pub const CTRL_OVERHEAD_NS: Time = 150;
+
+/// Simulated connection-manager handshake latency for one QP
+/// re-establishment (RESET→INIT→RTR→RTS plus rkey re-exchange), ns.
+pub const RECONNECT_NS: Time = 100_000;
+
 /// MPI runtime parameters. Defaults follow §7's proof-of-concept
 /// implementation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MpiConfig {
-    /// Messages up to this size (packed bytes) use the eager protocol.
-    /// The paper's vector test sends 1–2 columns (512 B / 1 KiB)
-    /// eagerly and 4+ columns (2 KiB+) via rendezvous.
-    pub eager_threshold: u64,
     /// Size of one eager buffer (must hold the largest control
     /// message).
     pub eager_buf_size: u64,
@@ -70,9 +110,6 @@ pub struct MpiConfig {
     pub eager_send_bufs: usize,
     /// Maximum supported segment size (§7.2: 128 KB).
     pub max_seg_size: u64,
-    /// Messages at or above this size are split into at least two
-    /// segments (§7.2: 16 KB).
-    pub multi_seg_threshold: u64,
     /// Total size of the pre-registered pack pool (§7.2: 20 MB).
     pub pack_pool_size: u64,
     /// Total size of the pre-registered unpack pool (§7.2: 20 MB).
@@ -89,34 +126,11 @@ pub struct MpiConfig {
     /// Enable the pin-down registration cache. Fig. 14's worst case
     /// disables it, forcing on-the-fly registration everywhere.
     pub pindown_cache: bool,
-    /// Pin-down cache capacity in idle pinned bytes.
-    pub pindown_capacity: u64,
     /// Generic scheme: reuse the internal pack/unpack buffers across
     /// operations ("Datatype" in Fig. 2). When false, every operation
     /// allocates fresh internal buffers and registers them on the fly
     /// ("DT+reg").
     pub reuse_internal_bufs: bool,
-    /// Adaptive: median contiguous-block size (bytes) at or above which
-    /// Multi-W is chosen. §6 suggests "several KBytes" on the paper's
-    /// hardware; under this crate's default cost model the measured
-    /// Multi-W/BC-SPUP crossover sits at 512-byte blocks (Fig. 8
-    /// reproduction), so that is the default.
-    pub adaptive_multiw_block: u64,
-    /// Adaptive: messages below this size with small blocks stay on the
-    /// pack/unpack path.
-    pub adaptive_copy_reduced_min: u64,
-    /// Adaptive, shared-memory single-copy transport: median block size
-    /// (bytes) at or above which Multi-W is chosen. Each work request
-    /// pays a CMA syscall setup there, so the crossover sits far above
-    /// the IB value of [`MpiConfig::adaptive_multiw_block`].
-    pub adaptive_shm_multiw_block: u64,
-    /// Hybrid: receiver blocks at or above this size (bytes) are
-    /// written directly (zero copy); smaller ones travel packed.
-    pub hybrid_block_threshold: u64,
-    /// Fixed software overhead per MPI call (matching, bookkeeping), ns.
-    pub call_overhead_ns: Time,
-    /// Software cost to parse/build one control message, ns.
-    pub ctrl_overhead_ns: Time,
     /// Budget for user-buffer (zero-copy) registrations, bytes per
     /// rank. When RWG-UP / Multi-W / P-RRS would pin user memory past
     /// this, the message degrades to a copy-based scheme instead of
@@ -130,9 +144,6 @@ pub struct MpiConfig {
     /// Probes sent after reply timeouts before the send fails with
     /// [`MpiError::ReplyTimeout`](crate::error::MpiError::ReplyTimeout).
     pub rndv_max_rerequests: u32,
-    /// Simulated connection-manager handshake latency for one QP
-    /// re-establishment (RESET→INIT→RTR→RTS plus rkey re-exchange), ns.
-    pub reconnect_ns: Time,
     /// Re-establishment attempts per peer before suspended transfers
     /// fail with
     /// [`MpiError::ConnectionLost`](crate::error::MpiError::ConnectionLost).
@@ -191,30 +202,20 @@ pub struct MpiConfig {
 impl Default for MpiConfig {
     fn default() -> Self {
         Self {
-            eager_threshold: 1024,
             eager_buf_size: 16 * 1024,
             eager_bufs_per_peer: 128,
             eager_send_bufs: 256,
             max_seg_size: 128 * 1024,
-            multi_seg_threshold: 16 * 1024,
             pack_pool_size: 20 * (1 << 20),
             unpack_pool_size: 20 * (1 << 20),
             scheme: Scheme::Generic,
             list_post: true,
             segment_unpack: true,
             pindown_cache: true,
-            pindown_capacity: 256 * (1 << 20),
             reuse_internal_bufs: true,
-            adaptive_multiw_block: 512,
-            adaptive_copy_reduced_min: 16 * 1024,
-            adaptive_shm_multiw_block: 8 * 1024,
-            hybrid_block_threshold: 1024,
-            call_overhead_ns: 150,
-            ctrl_overhead_ns: 150,
             reg_budget_bytes: u64::MAX,
             rndv_reply_timeout_ns: 0,
             rndv_max_rerequests: 3,
-            reconnect_ns: 100_000,
             max_reconnects: 3,
             canonicalize: false,
             staging_chunk: 0,
@@ -229,11 +230,11 @@ impl Default for MpiConfig {
 }
 
 impl MpiConfig {
-    /// Segment size rule of §7.2: below [`Self::multi_seg_threshold`]
+    /// Segment size rule of §7.2: below [`MULTI_SEG_THRESHOLD`]
     /// one segment; above it at least two, capped at
     /// [`Self::max_seg_size`].
     pub fn segment_size(&self, msg_size: u64) -> u64 {
-        if msg_size < self.multi_seg_threshold {
+        if msg_size < MULTI_SEG_THRESHOLD {
             msg_size.max(1)
         } else {
             self.max_seg_size.min(msg_size.div_ceil(2)).max(1)

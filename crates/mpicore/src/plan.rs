@@ -28,7 +28,10 @@
 //!   [`staging_chunk_for`]. The progress engine asks these and never
 //!   branches on a scheme itself.
 
-use crate::config::{MpiConfig, Scheme};
+use crate::config::{
+    MpiConfig, Scheme, ADAPTIVE_COPY_REDUCED_MIN, ADAPTIVE_MULTIW_BLOCK, ADAPTIVE_SHM_MULTIW_BLOCK,
+    HYBRID_BLOCK_THRESHOLD,
+};
 use ibdt_datatype::BlockStats;
 use ibdt_ibsim::{HostConfig, Opcode, SendWr, Sge, SgeList, TransportClass};
 use ibdt_memreg::{Registration, Va};
@@ -362,7 +365,7 @@ pub fn plan_reply(
             (plan.nsegs, plan.seg_size) = packed_geometry(cfg, 0);
         }
         Scheme::Hybrid => {
-            let threshold = cfg.hybrid_block_threshold;
+            let threshold = HYBRID_BLOCK_THRESHOLD;
             let part = hybrid_partition(rcv_blocks, threshold);
             plan.kind = ReplyKind::Hybrid;
             plan.pin_min = Some(threshold);
@@ -402,7 +405,6 @@ pub const FALLBACK: Scheme = Scheme::BcSpup;
 /// Adaptive scheme choice (§6), run on the receiver where both sides'
 /// median block sizes are known.
 pub fn adaptive_choose(
-    cfg: &MpiConfig,
     transport: TransportClass,
     size: u64,
     snd_median: u64,
@@ -410,10 +412,10 @@ pub fn adaptive_choose(
 ) -> Scheme {
     match transport {
         TransportClass::Ib => {
-            if size < cfg.adaptive_copy_reduced_min {
+            if size < ADAPTIVE_COPY_REDUCED_MIN {
                 return Scheme::BcSpup;
             }
-            if snd_median >= cfg.adaptive_multiw_block && rcv_median >= cfg.adaptive_multiw_block {
+            if snd_median >= ADAPTIVE_MULTIW_BLOCK && rcv_median >= ADAPTIVE_MULTIW_BLOCK {
                 return Scheme::MultiW;
             }
             // Asymmetric cases (§5.2): a contiguous sender favours
@@ -425,7 +427,7 @@ pub fn adaptive_choose(
             if rcv_median >= size {
                 return Scheme::RwgUp;
             }
-            if rcv_median >= cfg.adaptive_multiw_block {
+            if rcv_median >= ADAPTIVE_MULTIW_BLOCK {
                 // Large receiver blocks: unpack is cheap, gather write
                 // wins.
                 return Scheme::RwgUp;
@@ -443,10 +445,10 @@ pub fn adaptive_choose(
             // Direct cross-process copies exist, but every work
             // request pays a syscall setup — per-block schemes need
             // much larger blocks than on IB to amortize it.
-            if size < cfg.adaptive_copy_reduced_min {
+            if size < ADAPTIVE_COPY_REDUCED_MIN {
                 return Scheme::BcSpup;
             }
-            let blk = cfg.adaptive_shm_multiw_block;
+            let blk = ADAPTIVE_SHM_MULTIW_BLOCK;
             if snd_median >= blk && rcv_median >= blk {
                 return Scheme::MultiW;
             }
@@ -473,7 +475,6 @@ pub fn adaptive_choose(
 /// sender packs the whole message as one segment, so its copy
 /// fallback is Generic's; every other one is [`FALLBACK`].
 pub fn receiver_scheme(
-    cfg: &MpiConfig,
     transport: TransportClass,
     proposal: u8,
     size: u64,
@@ -484,7 +485,7 @@ pub fn receiver_scheme(
     let both_contiguous = size > 0 && snd.0 >= size && rcv.min >= size;
     let scheme = match proposal {
         _ if both_contiguous => Scheme::MultiW,
-        Scheme::Adaptive => adaptive_choose(cfg, transport, size, snd.1, rcv.median),
+        Scheme::Adaptive => adaptive_choose(transport, size, snd.1, rcv.median),
         s => s,
     };
     let fallback = if proposal == Scheme::Generic {
@@ -550,7 +551,7 @@ pub enum Pin {
     /// reads it.
     User,
     /// The blocks feeding Hybrid's direct writes: before the reply, those
-    /// of at least `hybrid_block_threshold` bytes (symmetric types are
+    /// of at least [`HYBRID_BLOCK_THRESHOLD`] bytes (symmetric types are
     /// the common case); after it, those of the receiver's partition.
     HybridDirect,
 }
@@ -1045,7 +1046,7 @@ mod tests {
     #[test]
     fn reply_plans_of_the_direct_schemes() {
         let cfg = MpiConfig::default();
-        let t = cfg.hybrid_block_threshold;
+        let t = HYBRID_BLOCK_THRESHOLD;
         let blocks = [(0, 64), (1000, t), (5000, 64), (9000, 64)];
         let size = t + 192;
         // Multi-W pins everything and packs nothing.
@@ -1104,10 +1105,9 @@ mod tests {
 
     #[test]
     fn adaptive_choice_on_ib() {
-        let cfg = MpiConfig::default();
-        let choose = |size, snd, rcv| adaptive_choose(&cfg, TransportClass::Ib, size, snd, rcv);
-        let (big, blk) = (1 << 20, cfg.adaptive_multiw_block);
-        let small = cfg.adaptive_copy_reduced_min - 1;
+        let choose = |size, snd, rcv| adaptive_choose(TransportClass::Ib, size, snd, rcv);
+        let (big, blk) = (1 << 20, ADAPTIVE_MULTIW_BLOCK);
+        let small = ADAPTIVE_COPY_REDUCED_MIN - 1;
         assert_eq!(choose(small, blk, blk), Scheme::BcSpup);
         assert_eq!(choose(big, blk, blk), Scheme::MultiW);
         assert_eq!(choose(big, big, 64), Scheme::PRrs, "contiguous sender");
@@ -1118,11 +1118,10 @@ mod tests {
 
     #[test]
     fn receiver_resolves_the_proposal() {
-        let cfg = MpiConfig::default();
         let ib = TransportClass::Ib;
         let small = BlockStats::from_blocks(&[(0, 64), (128, 64)]);
         let whole = BlockStats::from_blocks(&[(0, 128)]);
-        let resolve = |s: Scheme, snd, rcv| receiver_scheme(&cfg, ib, s.to_wire(), 128, snd, rcv);
+        let resolve = |s: Scheme, snd, rcv| receiver_scheme(ib, s.to_wire(), 128, snd, rcv);
         // Contiguous on both sides is Multi-W whatever was proposed.
         let multi_w = Some((Scheme::MultiW, FALLBACK));
         assert_eq!(resolve(Scheme::RwgUp, (128, 128), &whole), multi_w);
@@ -1133,7 +1132,7 @@ mod tests {
         assert_eq!(resolve(Scheme::Generic, (64, 64), &small), generic);
         let adaptive = resolve(Scheme::Adaptive, (64, 64), &small);
         assert_eq!(adaptive, Some((Scheme::BcSpup, FALLBACK)));
-        assert_eq!(receiver_scheme(&cfg, ib, 0xEE, 128, (64, 64), &small), None);
+        assert_eq!(receiver_scheme(ib, 0xEE, 128, (64, 64), &small), None);
     }
 
     fn pieces(ivs: &[(u64, u64)], lo: u64, hi: u64) -> Vec<(u64, u64)> {

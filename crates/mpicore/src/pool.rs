@@ -22,7 +22,7 @@ pub(crate) struct StageBuf {
 }
 
 /// A pool of equally sized, pre-registered segment buffers.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct SegmentPool {
     seg_size: u64,
     base: Va,
@@ -43,44 +43,37 @@ impl SegmentPool {
         total_size: u64,
         seg_size: u64,
     ) -> Result<Self, MemError> {
-        let mut pool = Self::unplaced(total_size, seg_size);
-        pool.reset(space, regs)?;
+        let mut pool = Self::default();
+        pool.reset(space, regs, total_size, seg_size)?;
         Ok(pool)
     }
 
-    /// A pool of `total_size / seg_size` segments not yet placed in any
-    /// address space: no backing region, no keys, no free segments
-    /// until [`Self::reset`] places it.
-    pub(crate) fn unplaced(total_size: u64, seg_size: u64) -> Self {
+    /// Places a pool of `total_size / seg_size` segments in `space`:
+    /// allocates the backing region page-aligned, registers it, refills
+    /// the free list in place (LIFO with the lowest addresses on top)
+    /// and zeroes the counters. Construction runs it on an empty pool;
+    /// world recycling runs it again against the *reset* space and
+    /// table, where deterministic allocation reproduces the base, keys,
+    /// and free-list order a new pool of the same sizes gets.
+    pub fn reset(
+        &mut self,
+        space: &mut AddressSpace,
+        regs: &mut RegTable,
+        total_size: u64,
+        seg_size: u64,
+    ) -> Result<(), MemError> {
         assert!(seg_size > 0, "segment size must be positive");
-        Self {
-            seg_size,
-            base: 0,
-            lkey: 0,
-            rkey: 0,
-            free: Vec::new(),
-            total: (total_size / seg_size) as usize,
-            exhaustions: 0,
-            acquires: 0,
-        }
-    }
-
-    /// Places the pool in `space`: allocates the backing region
-    /// page-aligned, registers it, refills the free list in place (LIFO
-    /// with the lowest addresses on top) and zeroes the counters.
-    /// Construction runs it once; world recycling runs it again against
-    /// the *reset* space and table, where deterministic allocation
-    /// reproduces the same base, keys, and free-list order.
-    pub fn reset(&mut self, space: &mut AddressSpace, regs: &mut RegTable) -> Result<(), MemError> {
-        let count = self.total as u64;
-        let base = space.alloc_page_aligned(count * self.seg_size)?;
-        let reg = regs.register(base, count * self.seg_size);
+        let count = total_size / seg_size;
+        let base = space.alloc_page_aligned(count * seg_size)?;
+        let reg = regs.register(base, count * seg_size);
+        self.seg_size = seg_size;
+        self.total = count as usize;
         self.base = base;
         self.lkey = reg.lkey;
         self.rkey = reg.rkey;
         self.free.clear();
         self.free
-            .extend((0..count).rev().map(|i| base + i * self.seg_size));
+            .extend((0..count).rev().map(|i| base + i * seg_size));
         self.exhaustions = 0;
         self.acquires = 0;
         Ok(())

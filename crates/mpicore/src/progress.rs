@@ -15,7 +15,10 @@
 //! make this safe: a correct program never touches a buffer while an
 //! operation that uses it is in flight.
 
-use crate::config::{MpiConfig, Scheme};
+use crate::config::{
+    MpiConfig, Scheme, CALL_OVERHEAD_NS, CTRL_OVERHEAD_NS, EAGER_THRESHOLD, HYBRID_BLOCK_THRESHOLD,
+    RECONNECT_NS,
+};
 use crate::error::MpiError;
 use crate::msg::{CtrlMsg, ReplyBody, SegList};
 use crate::plan::{
@@ -398,14 +401,13 @@ pub fn isend(
     );
     let req = rs.new_req(ReqKind::Send);
     let size = count * ty.size();
-    rs.cpu
-        .reserve_labeled(ctx.now(), ctx.cfg.call_overhead_ns, "call");
+    rs.cpu.reserve_labeled(ctx.now(), CALL_OVERHEAD_NS, "call");
 
     if peer == rs.rank {
         self_send(rs, ctx, req, buf, count, ty, tag);
         return req;
     }
-    if size <= ctx.cfg.eager_threshold {
+    if size <= EAGER_THRESHOLD {
         // Credit-based flow control (MVAPICH RDMA channel, cs/0310059):
         // an eager data message needs a credit and a slot under the
         // pending-queue bound. Without either, degrade the message to
@@ -453,7 +455,7 @@ pub fn isend(
         ctx.cpu_event(at, rs.rank, CpuAct::ReplyTimeout { peer, seq });
     }
     let median = stats.median;
-    let predicted = adaptive_choose(ctx.cfg, ctx.fabric.class(), size, median, median);
+    let predicted = adaptive_choose(ctx.fabric.class(), size, median, median);
     let prep = send_prep(scheme, msg.contig, PrepAt::Start { predicted });
     prepare_send(rs, ctx, &mut msg, prep);
     am.sends.insert((peer, seq), msg);
@@ -536,8 +538,7 @@ pub fn irecv(
     tag: u32,
 ) -> ReqId {
     let req = rs.new_req(ReqKind::Recv);
-    rs.cpu
-        .reserve_labeled(ctx.now(), ctx.cfg.call_overhead_ns, "call");
+    rs.cpu.reserve_labeled(ctx.now(), CALL_OVERHEAD_NS, "call");
 
     match rs.match_unexpected(peer, tag) {
         Some(Unexpected::Eager {
@@ -1245,7 +1246,7 @@ fn send_ctrl(
 /// when the post may go out.
 fn reserve_ctrl(rs: &mut RankState, ctx: &mut Ctx<'_, '_>, extra_cpu_ns: Time) -> Time {
     let label = if extra_cpu_ns > 0 { "pack" } else { "ctrl" };
-    let cost = extra_cpu_ns + ctx.cfg.ctrl_overhead_ns + ctx.net.post_single_ns;
+    let cost = extra_cpu_ns + CTRL_OVERHEAD_NS + ctx.net.post_single_ns;
     rs.cpu.reserve_labeled(ctx.now(), cost, label)
 }
 
@@ -1375,8 +1376,7 @@ fn on_ctrl(
     peer: u32,
     bytes: &[u8],
 ) {
-    rs.cpu
-        .reserve_labeled(ctx.now(), ctx.cfg.ctrl_overhead_ns, "ctrl");
+    rs.cpu.reserve_labeled(ctx.now(), CTRL_OVERHEAD_NS, "ctrl");
     // Piggybacked `CreditUpdate`s precede the carried message in the
     // same buffer; consume that prefix, then dispatch the message.
     let mut off = 0usize;
@@ -1588,7 +1588,7 @@ fn receiver_start(
 ) {
     let rstats = rs.plan_for(&p.ty, p.count).stats();
     let snd = (blk_min, blk_median);
-    let chosen = receiver_scheme(ctx.cfg, ctx.fabric.class(), scheme_wire, size, snd, &rstats);
+    let chosen = receiver_scheme(ctx.fabric.class(), scheme_wire, size, snd, &rstats);
     let Some((scheme, fallback)) = chosen else {
         rs.fail_req(p.req, MpiError::MalformedCtrl { peer: p.peer });
         return;
@@ -1796,7 +1796,7 @@ fn commit_reply(
         ReplyKind::MultiW | ReplyKind::ReadGo => {
             (cost + device_reg_extra(ctx, rs.rank, msg.buf), "reg")
         }
-        _ => (ctx.cfg.ctrl_overhead_ns, "ctrl"),
+        _ => (CTRL_OVERHEAD_NS, "ctrl"),
     };
     msg.scheme = scheme;
     msg.plan = plan;
@@ -2143,7 +2143,7 @@ fn sender_on_reply(
         } => {
             // Both sides plan the same partition from the receiver's
             // layout; the packed part joins the segment pipeline.
-            debug_assert_eq!(threshold, ctx.cfg.hybrid_block_threshold);
+            debug_assert_eq!(threshold, HYBRID_BLOCK_THRESHOLD);
             let plan = plan_reply(reply_scheme, msg.size, &rcv_blocks, ctx.cfg);
             debug_assert_eq!(plan.nsegs as usize, segs.len());
             msg.nsegs = plan.nsegs;
@@ -2246,7 +2246,7 @@ fn pin_send(rs: &mut RankState, ctx: &mut Ctx<'_, '_>, msg: &mut SendMsg, pin: P
         _ => {
             abs_blocks_into(&tplan, msg.buf, &mut blocks);
             if pin == Pin::HybridDirect {
-                blocks.retain(|&(_, l)| l >= ctx.cfg.hybrid_block_threshold);
+                blocks.retain(|&(_, l)| l >= HYBRID_BLOCK_THRESHOLD);
             }
         }
     }
@@ -2830,7 +2830,7 @@ fn drain_suspended(
 }
 
 /// Ensures a reconnect handshake to `peer` is scheduled, modelling the
-/// connection manager's out-of-band exchange with `reconnect_ns`
+/// connection manager's out-of-band exchange with [`RECONNECT_NS`]
 /// latency. Returns `false` when the re-establishment budget is
 /// exhausted or the peer is diagnosed as failed — the caller then
 /// fails the traffic with [`give_up_error`].
@@ -2839,7 +2839,7 @@ fn ensure_reconnect(rs: &mut RankState, ctx: &mut Ctx<'_, '_>, peer: u32) -> boo
         return false;
     }
     let rank = rs.rank;
-    let at = ctx.now() + ctx.cfg.reconnect_ns;
+    let at = ctx.now() + RECONNECT_NS;
     let r = rs.reconn[peer as usize].get_or_insert_with(Default::default);
     if r.attempts >= ctx.cfg.max_reconnects {
         return false;

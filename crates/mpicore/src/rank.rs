@@ -6,7 +6,7 @@
 //! tables, and the registration machinery (pin-down cache, type
 //! registry, layout cache).
 
-use crate::config::MpiConfig;
+use crate::config::{MpiConfig, PINDOWN_CAPACITY};
 use crate::error::MpiError;
 use crate::pool::{ScratchPool, SegmentPool};
 
@@ -337,15 +337,11 @@ pub struct RankState {
 }
 
 impl RankState {
-    /// Builds the rank state, allocating eager buffers and pools inside
-    /// `mem` and pre-registering everything. Receive descriptors are
-    /// *not* posted here — the cluster does that (it needs the fabric).
-    ///
-    /// Builds an empty shell of the right shape and places it with
-    /// [`RankState::reset`], the step world recycling repeats, so every
+    /// An empty shell of rank `rank` in a world of `nprocs`: no memory
+    /// placed, no pool carved. [`RankState::reset`] places it, so every
     /// initial value is written in one place.
-    pub fn new(rank: u32, nprocs: u32, cfg: &MpiConfig, mem: &mut NodeMem) -> Self {
-        let mut rs = Self {
+    pub fn new(rank: u32, nprocs: u32) -> Self {
+        Self {
             rank,
             nprocs,
             cpu: SerialResource::new("cpu"),
@@ -356,19 +352,15 @@ impl RankState {
             eager_slot_len: Vec::new(),
             eager_pending: VecDeque::new(),
             eager_lkey: 0,
-            pack_pool: SegmentPool::unplaced(cfg.pack_pool_size, cfg.max_seg_size),
-            unpack_pool: SegmentPool::unplaced(cfg.unpack_pool_size, cfg.max_seg_size),
+            pack_pool: SegmentPool::default(),
+            unpack_pool: SegmentPool::default(),
             posted: VecDeque::new(),
             unexpected: VecDeque::new(),
             next_seq: vec![0; nprocs as usize],
             reqs: Vec::new(),
             open_reqs: 0,
             newly_completed: Vec::new(),
-            pindown: if cfg.pindown_cache {
-                PindownCache::new(cfg.pindown_capacity)
-            } else {
-                PindownCache::disabled()
-            },
+            pindown: PindownCache::disabled(),
             registry: TypeRegistry::new(),
             layout_cache: LayoutCache::new(),
             canonicalize: false,
@@ -386,21 +378,20 @@ impl RankState {
             counters: RankCounters::default(),
             fc: vec![FcPeer::default(); nprocs as usize],
             unexpected_eager: 0,
-        };
-        rs.reset(cfg, mem);
-        rs
+        }
     }
 
-    /// Places the rank state in `mem` and returns it to its
-    /// just-constructed state: allocates and registers the eager
-    /// region, sets its receive slot window, builds the send ring,
-    /// places both segment pools, and empties every queue, cache,
-    /// table, and counter in place with its heap capacity retained.
-    /// [`RankState::new`] runs it on an empty shell; world recycling
-    /// runs it again against a *reset* `mem`, where deterministic
-    /// allocation reproduces the original addresses and keys, so
-    /// behaviour afterwards is bit-identical to a fresh rank's with the
-    /// same `cfg`.
+    /// Places the rank state in `mem`, configured by `cfg`: allocates
+    /// and registers the eager region, sets its receive slot window,
+    /// builds the send ring, carves both segment pools to `cfg`'s
+    /// sizes, switches the pin-down cache on or off, and empties every
+    /// queue, cache, table, and counter in place with its heap capacity
+    /// retained. It runs on a [shell](RankState::new) and, in world
+    /// recycling, on a rank state that served any earlier `cfg`,
+    /// against a *reset* `mem`; deterministic allocation gives both the
+    /// same addresses and keys, so behaviour afterwards is
+    /// bit-identical. Receive descriptors are *not* posted here — the
+    /// cluster does that (it needs the fabric).
     pub fn reset(&mut self, cfg: &MpiConfig, mem: &mut NodeMem) {
         // One region holds the send ring and all per-peer recv buffers.
         let send_bytes = cfg.eager_send_bufs as u64 * cfg.eager_buf_size;
@@ -434,10 +425,20 @@ impl RankState {
         self.eager_pending.clear();
         self.eager_lkey = reg.lkey;
         self.pack_pool
-            .reset(&mut mem.space, &mut mem.regs)
+            .reset(
+                &mut mem.space,
+                &mut mem.regs,
+                cfg.pack_pool_size,
+                cfg.max_seg_size,
+            )
             .expect("address space too small for pack pool");
         self.unpack_pool
-            .reset(&mut mem.space, &mut mem.regs)
+            .reset(
+                &mut mem.space,
+                &mut mem.regs,
+                cfg.unpack_pool_size,
+                cfg.max_seg_size,
+            )
             .expect("address space too small for unpack pool");
         self.posted.clear();
         self.unexpected.clear();
@@ -445,7 +446,7 @@ impl RankState {
         self.reqs.clear();
         self.open_reqs = 0;
         self.newly_completed.clear();
-        self.pindown.reset();
+        self.pindown.reset(cfg.pindown_cache, PINDOWN_CAPACITY);
         self.registry.reset();
         self.layout_cache.reset();
         self.canonicalize = cfg.canonicalize;
@@ -631,7 +632,8 @@ mod tests {
     fn rank_fixture() -> (NodeMem, RankState, MpiConfig) {
         let cfg = MpiConfig::default();
         let mut mem = NodeMem::new(256 << 20);
-        let rs = RankState::new(0, 4, &cfg, &mut mem);
+        let mut rs = RankState::new(0, 4);
+        rs.reset(&cfg, &mut mem);
         (mem, rs, cfg)
     }
 

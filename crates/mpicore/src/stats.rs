@@ -65,8 +65,8 @@ pub struct RunStats {
     pub payload_pool: (u64, u64),
     /// This cluster's address spaces: `(built fresh, reused, bytes
     /// zeroed)`. A cluster's spaces are all fresh or all reused: reset
-    /// on a recycled cluster, or, on a spec miss with the spare full,
-    /// taken from the oldest parked cluster when it has the same shape.
+    /// when the cluster was the one parked by
+    /// [`Cluster::recycle`](crate::cluster::Cluster::recycle).
     /// The zeroed bytes are the dirty pages that reset re-zeroed plus
     /// the slot-frame bytes scrubbed since.
     pub space_pool: (u64, u64, u64),

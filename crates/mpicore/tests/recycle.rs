@@ -1,16 +1,16 @@
 //! Cluster recycling: a recycled cluster must be *bit-identical* to a
 //! fresh one.
 //!
-//! [`Cluster::recycle`] parks a finished cluster in a thread-local
-//! spare; [`Cluster::new`] with an equal spec resets and reuses it,
-//! and on a spec miss with the spare full takes the address spaces of
-//! the oldest parked cluster, when it has the same shape. The contract
-//! is exact — same virtual-time results,
-//! same receiver memory, and the same `RunStats` as a fresh cluster in
-//! every simulation field — so a sweep can recycle freely without
-//! perturbing any published number. These tests drive the whole
-//! `RunStats` through its `Debug` form, which covers every field
-//! without a curated allow-list. The host-side pool counts are the one
+//! [`Cluster::recycle`] parks a finished cluster in a one-slot
+//! thread-local spare; [`Cluster::new`] takes it when the next spec
+//! has the same shape (rank count and address-space capacity), and
+//! resets it to that spec, whatever spec it served before. The
+//! contract is exact — same virtual-time results, same receiver
+//! memory, and the same `RunStats` as a fresh cluster in every
+//! simulation field — so a sweep can recycle freely without perturbing
+//! any published number. These tests drive the whole `RunStats`
+//! through its `Debug` form, which covers every field without a
+//! curated allow-list. The host-side pool counts are the one
 //! exception: a reused pool counts reuses where a fresh one allocates,
 //! so the fingerprints are compared without them
 //! ([`scrub_pool_stats`]) and the reuse is asserted on its own.
@@ -98,7 +98,7 @@ fn programs(ty: &Datatype, sbuf: u64, rbuf: u64) -> Vec<Program> {
     vec![p0, p1]
 }
 
-/// One [`run_workload`] result.
+/// One [`run_case`] result.
 struct Run {
     /// Full `Debug` fingerprint of the `RunStats`.
     fp: String,
@@ -108,23 +108,40 @@ struct Run {
     allocs: u64,
     /// `RunStats::space_pool`.
     spaces: (u64, u64, u64),
+    /// Spans recorded on every rank's CPU and transport engine.
+    spans: usize,
 }
 
-/// Builds a cluster for `spec` (transparently reusing a parked one or
-/// its spaces), runs one ping-pong workload over `cols` columns, and
-/// returns what it saw. Recycles the cluster afterwards iff `recycle`.
+/// [`run_case`] on host buffers.
 fn run_workload(spec: &ClusterSpec, cols: u64, recycle: bool) -> Run {
+    run_case(spec, false, cols, recycle)
+}
+
+/// Builds a cluster for `spec` (transparently resetting the parked
+/// one), runs one ping-pong workload over `cols` columns, in device
+/// memory when `device`, and returns what it saw. Recycles the cluster
+/// afterwards iff `recycle`.
+fn run_case(spec: &ClusterSpec, device: bool, cols: u64, recycle: bool) -> Run {
     let ty = vector_cols(cols);
     let a0 = CountingAlloc::allocations();
     let mut cluster = Cluster::new(spec.clone());
     let span = ty.true_ub() as u64 + 64;
-    let sbuf = cluster.alloc(0, span, 4096);
-    let rbuf = cluster.alloc(1, span, 4096);
+    let (sbuf, rbuf) = if device {
+        (
+            cluster.alloc_device(0, span, 4096),
+            cluster.alloc_device(1, span, 4096),
+        )
+    } else {
+        (cluster.alloc(0, span, 4096), cluster.alloc(1, span, 4096))
+    };
     cluster.fill_pattern(0, sbuf, span, 42);
     let progs = programs(&ty, sbuf, rbuf);
     let stats = cluster.run(progs);
     let allocs = CountingAlloc::allocations() - a0;
     let mem = cluster.read_mem(1, rbuf, span);
+    let spans = (0..2)
+        .map(|r| cluster.cpu_trace(r).spans().len() + cluster.tx_trace(r).spans().len())
+        .sum();
     if recycle {
         cluster.recycle();
     }
@@ -133,6 +150,7 @@ fn run_workload(spec: &ClusterSpec, cols: u64, recycle: bool) -> Run {
         mem,
         allocs,
         spaces: stats.space_pool,
+        spans,
     }
 }
 
@@ -233,21 +251,100 @@ fn recycled_cluster_forgets_previous_run() {
     assert_spaces_reused(&q_rec);
 }
 
-/// Clusters the spare holds before a spec miss takes a parked
-/// cluster's spaces (mpicore's `CLUSTER_SPARE_CAP`).
-const SPARE_CAP: usize = 4;
+/// Every spec [`cross_spec_recycle_is_fresh`] crosses, with whether
+/// its workload runs in device memory.
+fn cross_cases() -> Vec<(&'static str, ClusterSpec, bool)> {
+    let mut multi_w = ib_spec(Scheme::MultiW);
+    multi_w.mpi.list_post = false;
+    let mut small = ib_spec(Scheme::BcSpup);
+    // One segment: a two-segment message exhausts the pack pool.
+    small.mpi.pack_pool_size = small.mpi.max_seg_size;
+    small.mpi.eager_bufs_per_peer = 16;
+    // One slot shifts every receive slot's address by one slot, so a
+    // ring left rotated by a run looks whole in the new layout.
+    let mut send_ring = ib_spec(Scheme::BcSpup);
+    send_ring.mpi.eager_send_bufs -= 1;
+    // Multi-W registers the user buffers, through the cache when on.
+    let mut no_pindown = ib_spec(Scheme::MultiW);
+    no_pindown.mpi.pindown_cache = false;
+    let mut record = ib_spec(Scheme::BcSpup);
+    record.record = true;
+    let mut net = ib_spec(Scheme::BcSpup);
+    net.net.link_bw_bps /= 2;
+    net.net.prop_delay_ns += 500;
+    vec![
+        ("ib generic", ib_spec(Scheme::Generic), false),
+        ("ib bc-spup", ib_spec(Scheme::BcSpup), false),
+        ("ib multi-w, list_post off", multi_w, false),
+        ("ib adaptive", ib_spec(Scheme::Adaptive), false),
+        ("shm double adaptive", shm_spec(ShmCopyMode::Double), false),
+        ("shm single adaptive", shm_spec(ShmCopyMode::Single), false),
+        ("device bc-spup", ib_spec(Scheme::BcSpup), true),
+        ("small pools and rings", small, false),
+        ("send ring one slot shorter", send_ring, false),
+        ("pindown cache off", no_pindown, false),
+        ("record on", record, false),
+        ("slower network", net, false),
+    ]
+}
 
-/// The spec-miss path: cycling through more specs than the cluster
-/// spare holds (as a sweep over every scheme and transport does), each
-/// build misses its spec. The first [`SPARE_CAP`] builds find the
-/// spare with room and build fresh spaces; every later one takes the
-/// address spaces of the oldest parked cluster, which has the same
-/// shape. Those rebuilds must fingerprint exactly like a fresh build
-/// of the same spec, up to the pool counts (the reused spaces'
-/// dirty-page history moves `space_pool`'s zeroed-byte count), and
-/// must reuse every space.
+/// Runs A, recycles it, builds B from the parked cluster and runs it,
+/// for every ordered pair (A, B) of [`cross_cases`]: B must reproduce
+/// a fresh B in every simulation field, receiver byte and recorded
+/// span count, and must reuse every address space. The reset takes
+/// its pools, pin-down cache, eager rings, span recording, transport
+/// and device tier from B's spec, never from A's.
 #[test]
-fn evicted_specs_rebuild_like_fresh() {
+fn cross_spec_recycle_is_fresh() {
+    let _serial = serial();
+    let cases = cross_cases();
+    let fresh: Vec<Run> = cases
+        .iter()
+        .map(|(_, spec, device)| run_case(spec, *device, 64, false))
+        .collect();
+    for (a, spec_a, device_a) in &cases {
+        for ((b, spec_b, device_b), want) in cases.iter().zip(&fresh) {
+            run_case(spec_a, *device_a, 64, true);
+            let got = run_case(spec_b, *device_b, 64, false);
+            assert_eq!(
+                scrub_pool_stats(&got.fp),
+                scrub_pool_stats(&want.fp),
+                "{b} built from a recycled {a} diverged from a fresh {b}"
+            );
+            assert_eq!(got.mem, want.mem, "{b} after {a}: receiver memory");
+            assert_eq!(got.spans, want.spans, "{b} after {a}: recorded spans");
+            assert_spaces_reused(&got);
+        }
+    }
+}
+
+/// A run that allocated device memory (which switches its cluster's
+/// device tier on) leaves nothing of the tier to a host-only build of
+/// the same spec from its recycled cluster.
+#[test]
+fn device_tier_does_not_outlive_its_run() {
+    let _serial = serial();
+    let spec = ib_spec(Scheme::BcSpup);
+    let fresh = run_workload(&spec, 64, false);
+    let device = run_case(&spec, true, 64, true);
+    assert_ne!(
+        scrub_pool_stats(&device.fp),
+        scrub_pool_stats(&fresh.fp),
+        "the device run is priced differently"
+    );
+    let host = run_workload(&spec, 64, false);
+    assert_eq!(scrub_pool_stats(&host.fp), scrub_pool_stats(&fresh.fp));
+    assert_spaces_reused(&host);
+}
+
+/// Cycling through more specs than a sweep point uses (every scheme on
+/// IB, both shm modes), each build resets the one cluster the previous
+/// build parked: only the very first build makes address spaces, and
+/// every rebuild fingerprints exactly like a fresh build of its spec,
+/// up to the pool counts (the reused spaces' dirty-page history moves
+/// `space_pool`'s zeroed-byte count).
+#[test]
+fn cycled_specs_reset_the_last_parked_cluster() {
     let _serial = serial();
     let specs: Vec<ClusterSpec> = [
         Scheme::Generic,
@@ -279,8 +376,8 @@ fn evicted_specs_rebuild_like_fresh() {
                 spec.transport
             );
             assert_eq!(&run.mem, fresh_mem);
-            if round == 0 && i < SPARE_CAP {
-                assert_eq!(run.spaces.0, 2, "built while the spare had room");
+            if round == 0 && i == 0 {
+                assert_eq!(run.spaces.0, 2, "nothing parked yet");
             } else {
                 assert_spaces_reused(&run);
             }
@@ -288,23 +385,32 @@ fn evicted_specs_rebuild_like_fresh() {
     }
 }
 
-/// Pool keying is exact spec equality: a recycled cluster must not be
-/// handed to a spec that differs (here: a different scheme).
+/// The spare is keyed on shape, not spec: a different scheme takes the
+/// parked cluster, while a build of another rank count leaves it
+/// parked for the next build of its shape.
 #[test]
-fn recycle_keyed_on_spec_equality() {
+fn recycle_keyed_on_shape() {
     let _serial = serial();
     let spec_a = ib_spec(Scheme::BcSpup);
     let spec_b = ib_spec(Scheme::MultiW);
     let b_fresh = run_workload(&spec_b, 4, false);
-    // Parks a BcSpup cluster.
+    // Parks a BcSpup cluster, which the MultiW build resets.
     let a_fresh = run_workload(&spec_a, 4, true);
-    // The MultiW build gets neither the BcSpup cluster nor, as the
-    // spare has room, its spaces; results match the fresh MultiW
-    // reference.
-    let b = run_workload(&spec_b, 4, false);
+    let b = run_workload(&spec_b, 4, true);
     assert_eq!(scrub_pool_stats(&b_fresh.fp), scrub_pool_stats(&b.fp));
-    assert_eq!(b.spaces.0, 2, "spaces built, the parked cluster kept");
-    // The parked BcSpup cluster is still there for its own spec.
+    assert_spaces_reused(&b);
+    // A four-rank build finds the parked two-rank cluster the wrong
+    // shape, builds its own and leaves it parked.
+    let four = ClusterSpec {
+        nprocs: 4,
+        ..ClusterSpec::default()
+    };
+    let mut other_shape = Cluster::new(four);
+    let idle = other_shape.run(vec![Vec::new(); 4]);
+    assert_eq!(
+        idle.space_pool.0, 4,
+        "spaces built, the parked cluster kept"
+    );
     let a = run_workload(&spec_a, 4, false);
     assert_eq!(scrub_pool_stats(&a_fresh.fp), scrub_pool_stats(&a.fp));
     assert_spaces_reused(&a);

@@ -11,8 +11,8 @@
 use ibdt_datatype::Datatype;
 use ibdt_mpicore::plan::adaptive_choose;
 use ibdt_mpicore::{
-    AppOp, Cluster, ClusterSpec, FaultPlan, MpiConfig, Program, RunStats, Scheme, ShmConfig,
-    ShmCopyMode, TransportClass, TransportConfig,
+    AppOp, Cluster, ClusterSpec, FaultPlan, Program, RunStats, Scheme, ShmConfig, ShmCopyMode,
+    TransportClass, TransportConfig,
 };
 
 fn shm_spec(scheme: Scheme, mode: ShmCopyMode) -> ClusterSpec {
@@ -150,7 +150,6 @@ fn shm_runs_are_deterministic() {
 
 #[test]
 fn adaptive_selector_diverges_between_transports() {
-    let cfg = MpiConfig::default();
     // A 256 KiB vector with 2 KiB blocks on both sides: on IB the
     // blocks clear the Multi-W threshold (512 B); on shm single-copy
     // they are far below the syscall-amortization threshold (8 KiB),
@@ -158,9 +157,9 @@ fn adaptive_selector_diverges_between_transports() {
     // pack/unpack.
     let size = 256 * 1024;
     let blk = 2048;
-    let ib = adaptive_choose(&cfg, TransportClass::Ib, size, blk, blk);
-    let shm1 = adaptive_choose(&cfg, TransportClass::ShmSingle, size, blk, blk);
-    let shm2 = adaptive_choose(&cfg, TransportClass::ShmDouble, size, blk, blk);
+    let ib = adaptive_choose(TransportClass::Ib, size, blk, blk);
+    let shm1 = adaptive_choose(TransportClass::ShmSingle, size, blk, blk);
+    let shm2 = adaptive_choose(TransportClass::ShmDouble, size, blk, blk);
     assert_eq!(ib, Scheme::MultiW);
     assert_eq!(shm1, Scheme::BcSpup);
     assert_eq!(shm2, Scheme::BcSpup);
@@ -169,10 +168,10 @@ fn adaptive_selector_diverges_between_transports() {
     // Huge blocks amortize the CMA setup: single-copy rejoins Multi-W
     // while double-copy still refuses.
     let big = 16 * 1024;
-    let shm1_big = adaptive_choose(&cfg, TransportClass::ShmSingle, size, big, big);
+    let shm1_big = adaptive_choose(TransportClass::ShmSingle, size, big, big);
     assert_eq!(shm1_big, Scheme::MultiW);
     assert_eq!(
-        adaptive_choose(&cfg, TransportClass::ShmDouble, size, big, big),
+        adaptive_choose(TransportClass::ShmDouble, size, big, big),
         Scheme::BcSpup
     );
 }

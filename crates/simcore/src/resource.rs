@@ -85,15 +85,6 @@ impl SerialResource {
     pub fn trace_mut(&mut self) -> &mut Trace {
         &mut self.trace
     }
-
-    /// Utilization over `[0, horizon]`, as a fraction.
-    pub fn utilization(&self, horizon: Time) -> f64 {
-        if horizon == 0 {
-            0.0
-        } else {
-            self.total_busy() as f64 / horizon as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -124,7 +115,6 @@ mod tests {
         r.reserve(100, 10); // idle 10..100
         assert_eq!(r.total_busy(), 20);
         assert_eq!(r.available_at(), 110);
-        assert!((r.utilization(110) - 20.0 / 110.0).abs() < 1e-12);
     }
 
     #[test]
@@ -137,7 +127,7 @@ mod tests {
     #[test]
     fn trace_records_spans() {
         let mut r = SerialResource::new("cpu");
-        r.trace_mut().record_spans();
+        r.trace_mut().record_spans(true);
         r.reserve_labeled(0, 10, "pack");
         r.reserve_labeled(0, 10, "unpack");
         let spans = r.trace().spans();
@@ -156,11 +146,5 @@ mod tests {
         assert!(r.trace().spans().is_empty());
         assert_eq!(r.trace().busy_with_label("pack"), 10);
         assert_eq!((r.total_busy(), r.jobs(), r.available_at()), (10, 1, 15));
-    }
-
-    #[test]
-    fn utilization_zero_horizon() {
-        let r = SerialResource::new("cpu");
-        assert_eq!(r.utilization(0), 0.0);
     }
 }

@@ -32,12 +32,6 @@ pub struct Span {
 }
 
 impl Span {
-    /// True when this span and `other` share at least one instant.
-    /// Empty (zero-length) spans overlap nothing.
-    pub fn overlaps(&self, other: &Span) -> bool {
-        !self.is_empty() && !other.is_empty() && self.start < other.end && other.start < self.end
-    }
-
     /// Span length in nanoseconds.
     pub fn len(&self) -> Time {
         self.end - self.start
@@ -81,9 +75,14 @@ impl Trace {
         Self::default()
     }
 
-    /// Keeps every span from now on, readable through [`Self::spans`].
-    pub fn record_spans(&mut self) {
-        self.spans.get_or_insert_with(Vec::new);
+    /// Keeps every span from now on, readable through [`Self::spans`],
+    /// when `on`; otherwise drops the span list and keeps totals only.
+    pub fn record_spans(&mut self, on: bool) {
+        if on {
+            self.spans.get_or_insert_with(Vec::new);
+        } else {
+            self.spans = None;
+        }
     }
 
     /// Holds the spans labelled `label` until an [`Overlap::feed`]
@@ -303,30 +302,8 @@ mod tests {
 
     fn recording() -> Trace {
         let mut t = Trace::new();
-        t.record_spans();
+        t.record_spans(true);
         t
-    }
-
-    #[test]
-    fn span_overlap_rules() {
-        let a = Span {
-            start: 0,
-            end: 10,
-            label: "a",
-        };
-        let b = Span {
-            start: 5,
-            end: 15,
-            label: "b",
-        };
-        let c = Span {
-            start: 10,
-            end: 20,
-            label: "c",
-        };
-        assert!(a.overlaps(&b));
-        assert!(!a.overlaps(&c)); // touching endpoints do not overlap
-        assert!(b.overlaps(&c));
     }
 
     #[test]
@@ -531,11 +508,5 @@ mod tests {
         };
         assert!(s.is_empty());
         assert_eq!(s.len(), 0);
-        let other = Span {
-            start: 0,
-            end: 10,
-            label: "w",
-        };
-        assert!(!s.overlaps(&other));
     }
 }

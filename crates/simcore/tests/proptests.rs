@@ -62,7 +62,7 @@ fn serial_resource_is_fifo_and_conserves_busy_time() {
     cases(0x51C0_0003, 512, |rng: &mut Rng| {
         let njobs = rng.range_usize(1, 100);
         let mut r = SerialResource::new("x");
-        r.trace_mut().record_spans();
+        r.trace_mut().record_spans(true);
         let mut total = 0u64;
         let mut last_finish = 0u64;
         // Submission times must be non-decreasing (as in a DES).

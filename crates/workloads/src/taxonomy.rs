@@ -10,8 +10,8 @@
 //! * the noncontiguous classes keep ~128 contiguous blocks, so the
 //!   *block* size grows linearly with the message size and sweeps
 //!   across the adaptive selector's per-transport thresholds
-//!   (`adaptive_multiw_block` on IB, `adaptive_shm_multiw_block` on
-//!   shm single-copy).
+//!   (`ADAPTIVE_MULTIW_BLOCK` on IB, `ADAPTIVE_SHM_MULTIW_BLOCK` on
+//!   shm single-copy, in `mpicore::config`).
 
 use ibdt_datatype::Datatype;
 

@@ -8,7 +8,7 @@
 
 use ibdt::datatype::Datatype;
 use ibdt::mpicore::plan::adaptive_choose;
-use ibdt::mpicore::{ClusterSpec, MpiConfig, Scheme, TransportClass};
+use ibdt::mpicore::{ClusterSpec, Scheme, TransportClass};
 use ibdt::workloads::drivers::pingpong;
 
 fn main() {
@@ -41,14 +41,7 @@ fn main() {
         stats.min, stats.median, stats.mean
     );
 
-    let cfg = MpiConfig::default();
-    let advice = adaptive_choose(
-        &cfg,
-        TransportClass::Ib,
-        ty.size(),
-        stats.median,
-        stats.median,
-    );
+    let advice = adaptive_choose(TransportClass::Ib, ty.size(), stats.median, stats.median);
 
     println!("{:>10}  {:>12}", "scheme", "latency");
     let mut best = (Scheme::Generic, u64::MAX);
