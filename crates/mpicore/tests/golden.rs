@@ -491,6 +491,30 @@ fn run_refusal(
     (stats, fp)
 }
 
+/// Runs `msgs` under `spec` and compares the fingerprint against the
+/// case's row of `rows`.
+fn check_row(
+    rows: &[(&str, Fingerprint)],
+    name: &str,
+    spec: ClusterSpec,
+    msgs: &[(u32, Datatype, Datatype)],
+    delay_ns: u64,
+) -> RunStats {
+    let want = rows
+        .iter()
+        .find(|(n, _)| *n == name)
+        .unwrap_or_else(|| panic!("no golden row for {name}"))
+        .1;
+    let (stats, got) = run_refusal(spec, msgs, delay_ns);
+    assert_eq!(
+        got,
+        want,
+        "{name}: protocol fingerprint moved; observed:\n    ({name:?}, {}),",
+        literal(&got)
+    );
+    stats
+}
+
 /// Runs a refusal case and compares it against its [`REFUSALS`] row;
 /// the sender (rank 0) must have counted the fallback.
 fn check_refusal(
@@ -500,22 +524,11 @@ fn check_refusal(
     msgs: &[(u32, Datatype, Datatype)],
     delay_ns: u64,
 ) {
-    let want = REFUSALS
-        .iter()
-        .find(|(n, _)| *n == name)
-        .unwrap_or_else(|| panic!("no refusal row for {name}"))
-        .1;
     spec.mpi.reg_budget_bytes = budget;
-    let (stats, got) = run_refusal(spec, msgs, delay_ns);
+    let stats = check_row(REFUSALS, name, spec, msgs, delay_ns);
     assert!(
         stats.counters[0].scheme_fallbacks > 0,
         "{name}: the sender must fall back"
-    );
-    assert_eq!(
-        got,
-        want,
-        "{name}: protocol fingerprint moved; observed:\n    ({name:?}, {}),",
-        literal(&got)
     );
 }
 
@@ -567,4 +580,35 @@ fn sender_refusals_degrade_each_scheme() {
         &two,
         10_000,
     );
+}
+
+/// Recorded fingerprints of a link fault under the two sender layouts
+/// that no case above resumes: Multi-W writing into the receiver's
+/// blocks from its staged copy after the pinning budget refused its
+/// pin, and P-RRS announcing a contiguous sender's buffer.
+#[rustfmt::skip]
+const LAYOUT_FAULTS: &[(&str, Fingerprint)] = &[
+    ("Multi-W staged link fault", fp([338257, 336757], 0xb36633f9dd60b422, 6, 131248, 21, 0x20ae4b8ffab24cdd)),
+    ("P-RRS contiguous link fault", fp([263640, 259679], 0xd578e702f4a67c9a, 14, 65747, 32, 0x98e2075502d56cdd)),
+];
+
+/// Rank 0's port goes dark while its staged Multi-W write list is out,
+/// or while the reads of its contiguous P-RRS receiver are still in that
+/// receiver's send queue: the staged sender restarts its write list
+/// from the copy buffer, and the contiguous sender re-announces its
+/// buffer when the recovering reader asks.
+#[test]
+fn link_fault_resumes_staged_and_contiguous_senders() {
+    let (quarter, flat) = (strided(64, 1024, 4096), contiguous(64 * 1024));
+    let mut spec = link_fault(Scheme::MultiW, 150_000);
+    spec.mpi.reg_budget_bytes = 128 << 10;
+    let one = [(0, quarter, flat.clone())];
+    let s = check_row(LAYOUT_FAULTS, "Multi-W staged link fault", spec, &one, 0);
+    assert!(s.counters[0].scheme_fallbacks > 0, "the sender must stage");
+    assert!(reconnects(&s) >= 1, "the link fault must force a reconnect");
+    let apart = strided(2, 32 << 10, 1 << 20);
+    let spec = link_fault(Scheme::PRrs, 63_000);
+    let one = [(0, flat, apart)];
+    let s = check_row(LAYOUT_FAULTS, "P-RRS contiguous link fault", spec, &one, 0);
+    assert!(reconnects(&s) >= 1, "the link fault must force a reconnect");
 }
