@@ -95,12 +95,14 @@ echo "==> perfbench builds"
 # workspace of its own, so its build lands under target/perfbench.
 CARGO_TARGET_DIR=target/perfbench cargo build --release --manifest-path perfbench/Cargo.toml
 
-echo "==> per-event smoke (fresh and twice-recycled clusters, and BC-SPUP built from a recycled Adaptive cluster, bit-identical: finish, events, pack/wire overlap)"
+echo "==> per-event smoke (fresh and twice-recycled clusters, and Multi-W built from a recycled Adaptive cluster, bit-identical: finish, events, pack/wire overlap)"
 # The second recycle resets a cluster whose rings a recycled run left
 # rotated, so the in-place ring restore is checked end to end; the
 # summed pack/wire overlap checks that recycling resets the overlap
-# meters. The BC-SPUP build resets the Adaptive cluster to another
-# spec. No wall-clock bound: the smoke compares virtual results only.
+# meters. The Multi-W build resets the Adaptive cluster to another
+# spec, whose fresh run must read differently from Adaptive's (so a
+# reset that kept the old scheme shows). No wall-clock bound: the
+# smoke compares virtual results only.
 ./target/release/per_event --smoke
 
 echo "==> figures byte-identical to results/"

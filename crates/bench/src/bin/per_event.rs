@@ -29,9 +29,12 @@
 //! count and summed pack/wire overlap, bit for bit — the `ci.sh` check
 //! that recycling keeps the model exact, including a reset of rings a
 //! recycled cluster's run left rotated and of the overlap meters. It
-//! then crosses a spec: an 8-rank BC-SPUP cluster built from the
-//! recycled Adaptive cluster must give a fresh BC-SPUP cluster's
-//! finish, event count and summed overlap.
+//! then crosses a spec: a fresh 8-rank Multi-W cluster must differ from
+//! the fresh Adaptive one in finish, event count or summed overlap
+//! (Adaptive picks BC-SPUP for every message of this program, so the
+//! crossing shows a reset that kept the old scheme), and a Multi-W
+//! cluster built from the recycled Adaptive cluster must give the
+//! fresh Multi-W cluster's finish, event count and summed overlap.
 
 use ibdt_datatype::Datatype;
 use ibdt_mpicore::{AppOp, Cluster, ClusterSpec, Program, RunStats, Scheme};
@@ -108,26 +111,31 @@ fn smoke() -> i32 {
             return 1;
         }
     }
-    let bc_spup = || {
+    let multi_w = || {
         let mut spec = spec(8);
-        spec.mpi.scheme = Scheme::BcSpup;
+        spec.mpi.scheme = Scheme::MultiW;
         spec
     };
-    let (fresh, _) = run(&mut Cluster::new(bc_spup()), 8);
+    let (fresh, _) = run(&mut Cluster::new(multi_w()), 8);
+    let adaptive = want;
     let want = key(&fresh);
     println!(
-        "per-event smoke: 8 ranks, BC-SPUP: fresh {} ns / {} events / {} ns pack-wire overlap",
+        "per-event smoke: 8 ranks, Multi-W: fresh {} ns / {} events / {} ns pack-wire overlap",
         want.0, want.1, want.2
     );
+    if want == adaptive {
+        println!("FAIL: fresh Multi-W reads like fresh Adaptive, so the crossing shows nothing");
+        return 1;
+    }
     cluster.recycle();
-    let (stats, _) = run(&mut Cluster::new(bc_spup()), 8);
+    let (stats, _) = run(&mut Cluster::new(multi_w()), 8);
     let got = key(&stats);
     println!(
-        "per-event smoke: BC-SPUP built from the recycled Adaptive cluster: {} ns / {} events / {} ns pack-wire overlap",
+        "per-event smoke: Multi-W built from the recycled Adaptive cluster: {} ns / {} events / {} ns pack-wire overlap",
         got.0, got.1, got.2
     );
     if got != want {
-        println!("FAIL: BC-SPUP built from a recycled Adaptive cluster diverged from a fresh one");
+        println!("FAIL: Multi-W built from a recycled Adaptive cluster diverged from a fresh one");
         return 1;
     }
     0

@@ -920,8 +920,6 @@ impl Cluster {
                 self.mems.iter().map(|m| m.space.zeroed()).sum(),
             ),
             events_scheduled,
-            plan_cache_canonical_hits: self.ranks.iter().map(|r| r.plans.canonical_hits).sum(),
-            canonicalized_types: self.ranks.iter().map(|r| r.plans.canonicalized).sum(),
             shm_bounce_chunks: fstats.shm_bounce_chunks,
             shm_cma_ops: fstats.shm_cma_ops,
         }

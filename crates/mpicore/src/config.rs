@@ -148,14 +148,6 @@ pub struct MpiConfig {
     /// fail with
     /// [`MpiError::ConnectionLost`](crate::error::MpiError::ConnectionLost).
     pub max_reconnects: u32,
-    /// Canonicalize datatypes before plan lookup/compilation
-    /// ([`ibdt_datatype::typ::Datatype::canonical`]): equivalent
-    /// constructor spellings resolve to one shared handle, so each
-    /// *layout* compiles one plan per count instead of each *spelling*.
-    /// Off by default: canonical trees can regroup merged blocks, which
-    /// shifts modelled pack costs — committed figure CSVs are measured
-    /// with the classic per-spelling behaviour.
-    pub canonicalize: bool,
     /// Staging chunk size (bytes) for device-resident non-contiguous
     /// transfers. 0 (the default) lets the §6 adaptive model pick the
     /// best chunk per message from the pipeline cost model.
@@ -217,7 +209,6 @@ impl Default for MpiConfig {
             rndv_reply_timeout_ns: 0,
             rndv_max_rerequests: 3,
             max_reconnects: 3,
-            canonicalize: false,
             staging_chunk: 0,
             staging_bufs: 2,
             flow_control: false,

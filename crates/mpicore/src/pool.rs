@@ -35,19 +35,6 @@ pub struct SegmentPool {
 }
 
 impl SegmentPool {
-    /// Allocates and registers a pool of `total_size` bytes divided into
-    /// `seg_size`-byte buffers.
-    pub fn new(
-        space: &mut AddressSpace,
-        regs: &mut RegTable,
-        total_size: u64,
-        seg_size: u64,
-    ) -> Result<Self, MemError> {
-        let mut pool = Self::default();
-        pool.reset(space, regs, total_size, seg_size)?;
-        Ok(pool)
-    }
-
     /// Places a pool of `total_size / seg_size` segments in `space`:
     /// allocates the backing region page-aligned, registers it, refills
     /// the free list in place (LIFO with the lowest addresses on top)
@@ -297,7 +284,8 @@ mod tests {
     fn fixture(total: u64, seg: u64) -> (AddressSpace, RegTable, SegmentPool) {
         let mut space = AddressSpace::new(1 << 24);
         let mut regs = RegTable::new();
-        let pool = SegmentPool::new(&mut space, &mut regs, total, seg).unwrap();
+        let mut pool = SegmentPool::default();
+        pool.reset(&mut space, &mut regs, total, seg).unwrap();
         (space, regs, pool)
     }
 

@@ -236,10 +236,6 @@ pub(crate) struct PlanLookups {
     pub compiled: u64,
     /// Compiled over an older count's plan.
     pub displaced: u64,
-    /// Hits for a respelled type through its canonical handle.
-    pub canonical_hits: u64,
-    /// Lookups whose type was respelled to its canonical handle.
-    pub canonicalized: u64,
 }
 
 /// All state of one rank's MPI library instance.
@@ -294,9 +290,6 @@ pub struct RankState {
     pub registry: TypeRegistry,
     /// Sender-side cache of peers' layouts.
     pub layout_cache: LayoutCache,
-    /// Look plans up through each type's canonical spelling
-    /// ([`MpiConfig::canonicalize`]).
-    canonicalize: bool,
     /// How [`Self::plan_for`] lookups were served.
     pub(crate) plans: PlanLookups,
     /// Reusable host-side scratch buffers (byte copies, control
@@ -363,7 +356,6 @@ impl RankState {
             pindown: PindownCache::disabled(),
             registry: TypeRegistry::new(),
             layout_cache: LayoutCache::new(),
-            canonicalize: false,
             plans: PlanLookups::default(),
             scratch: ScratchPool::new(),
             sent_layouts: HashSet::new(),
@@ -449,7 +441,6 @@ impl RankState {
         self.pindown.reset(cfg.pindown_cache, PINDOWN_CAPACITY);
         self.registry.reset();
         self.layout_cache.reset();
-        self.canonicalize = cfg.canonicalize;
         self.plans = PlanLookups::default();
         self.scratch.reset();
         self.sent_layouts.clear();
@@ -482,23 +473,12 @@ impl RankState {
     }
 
     /// Returns the compiled transfer plan for `count` instances of
-    /// `ty` from the type's memo ([`Datatype::plan`]), through its
-    /// canonical spelling when canonicalization is on. Every hot-path
+    /// `ty` from the type's memo ([`Datatype::plan`]). Every hot-path
     /// chunk, descriptor build, and pack/unpack goes through here.
     /// Compilation charges no virtual time.
     pub fn plan_for(&mut self, ty: &Datatype, count: u64) -> std::sync::Arc<TransferPlan> {
         let tally = &mut self.plans;
-        let (plan, how) = if self.canonicalize {
-            let canon = ty.canonical();
-            let (plan, how) = canon.plan(count);
-            if canon.id() != ty.id() {
-                tally.canonicalized += 1;
-                tally.canonical_hits += u64::from(how == PlanLookup::Hit);
-            }
-            (plan, how)
-        } else {
-            ty.plan(count)
-        };
+        let (plan, how) = ty.plan(count);
         match how {
             PlanLookup::Hit => tally.hits += 1,
             PlanLookup::Compiled => tally.compiled += 1,

@@ -73,14 +73,6 @@ pub struct RunStats {
     /// Total events scheduled on the simulation queue (seeded plus
     /// in-world).
     pub events_scheduled: u64,
-    /// Plan lookups served from the memo because a *respelled* type
-    /// canonicalized onto an already-compiled layout (all ranks; 0 with
-    /// [`MpiConfig::canonicalize`](crate::config::MpiConfig::canonicalize)
-    /// off).
-    pub plan_cache_canonical_hits: u64,
-    /// Lookups whose type was rewritten to a different canonical
-    /// spelling before plan compilation (all ranks).
-    pub canonicalized_types: u64,
     /// Shared-memory transport: bounce-segment slots filled, all ranks
     /// (0 on the IB transport and in single-copy mode). Kept beside
     /// [`RunStats::fabric`] because the benchmark harness reads it.

@@ -39,7 +39,7 @@ fn random_type(rng: &mut Rng) -> Datatype {
     }
 }
 
-/// Richer randomized constructor trees for the canonicalization tests:
+/// Richer randomized constructor trees for the canonicalization test:
 /// on top of the [`random_type`] shapes, these include the spellings
 /// the canonicalizer rewrites — nested contiguous, multi-field structs,
 /// and `resized` wrappers that pad the extent. Displacements stay
@@ -358,8 +358,8 @@ fn repeated_sends_hit_plan_cache_and_scratch_pool() {
 /// spelling: identical size and bounds, an identical merged block
 /// stream at every count, and — through a full simulated transfer —
 /// byte-identical delivery. (Virtual *timing* may legitimately differ:
-/// the canonical tree can regroup blocks, which is exactly why
-/// `canonicalize` is an opt-in config knob.)
+/// the canonical tree can regroup blocks, which is why plan lookups
+/// keep each type's own spelling.)
 #[test]
 fn canonical_form_is_pack_unpack_equivalent() {
     cases(0x914A_0003, 16, |rng| {
@@ -401,112 +401,6 @@ fn canonical_form_is_pack_unpack_equivalent() {
             "canonical spelling changed the delivered bytes"
         );
     });
-}
-
-/// The cold/warm equivalence must also hold with canonicalization
-/// enabled: lookups go through the canonical handle's memo, so the
-/// warm run finds every plan the cold run compiled.
-#[test]
-fn warm_memo_equivalent_with_canonicalization_enabled() {
-    cases(0x914A_0004, 14, |rng| {
-        let ty = random_spelled_type(rng);
-        let scheme = scheme_of(rng.next_u64() as u8);
-        let count = rng.range_u64(1, 3);
-        if ty.size() == 0 || ty.size() * count >= 2 << 20 {
-            return;
-        }
-        let nmsgs = rng.range_u64(1, 4) as u32;
-        let pattern_seed = rng.next_u64();
-        let mut spec = ClusterSpec::default();
-        spec.mpi.scheme = scheme;
-        spec.mpi.canonicalize = true;
-        let (cold, src_cold, dst_cold) = run_pairs(spec.clone(), &ty, count, nmsgs, pattern_seed);
-        let (warm, _, dst_warm) = run_pairs(spec, &ty, count, nmsgs, pattern_seed);
-        assert_eq!(cold.total_errors(), 0, "{:?}", cold.errors);
-        assert_delivered(
-            &ty,
-            count,
-            &src_cold,
-            &dst_cold,
-            "canonicalized cold-memo delivery",
-        );
-        assert_eq!(
-            dst_cold, dst_warm,
-            "a warm memo changed bytes under canonicalization"
-        );
-        assert_same_observables(&cold, &warm, "canonicalized cold vs warm memo");
-        assert_eq!(compiled(&warm), 0, "the warm run compiled a plan");
-    });
-}
-
-/// Three spellings of one layout — `hvector`, `hindexed`, and a
-/// two-field `struct` — must compile exactly ONE plan across both ranks
-/// with canonicalization on, and the canonical-hit counters must prove
-/// that every respelled lookup was served from the canonical memo.
-#[test]
-fn three_spellings_compile_one_plan_with_hit_counter() {
-    let byte = Datatype::byte();
-    // The same 4×(256 B @ stride 512) layout under three spellings.
-    let spellings = [
-        Datatype::hvector(4, 256, 512, &byte).unwrap(),
-        Datatype::hindexed(&[(256, 0), (256, 512), (256, 1024), (256, 1536)], &byte).unwrap(),
-        Datatype::struct_(&[
-            (1, 0, Datatype::hvector(2, 256, 512, &byte).unwrap()),
-            (1, 1024, Datatype::hvector(2, 256, 512, &byte).unwrap()),
-        ])
-        .unwrap(),
-    ];
-    let mut spec = ClusterSpec::default();
-    spec.mpi.scheme = Scheme::BcSpup;
-    spec.mpi.canonicalize = true;
-    let mut cluster = Cluster::new(spec);
-    let span = spellings[0].ub() as u64 + 64;
-    let sbuf = cluster.alloc(0, span, 4096);
-    let rbuf = cluster.alloc(1, span, 4096);
-    cluster.fill_pattern(0, sbuf, span, 77);
-    let mut p0 = Vec::new();
-    let mut p1 = Vec::new();
-    for (tag, ty) in spellings.iter().enumerate() {
-        p0.push(AppOp::Isend {
-            peer: 1,
-            buf: sbuf,
-            count: 1,
-            ty: ty.clone(),
-            tag: tag as u32,
-        });
-        p0.push(AppOp::WaitAll);
-        p1.push(AppOp::Irecv {
-            peer: 0,
-            buf: rbuf,
-            count: 1,
-            ty: ty.clone(),
-            tag: tag as u32,
-        });
-        p1.push(AppOp::WaitAll);
-    }
-    let stats = cluster.run(vec![p0, p1]);
-    assert_eq!(stats.total_errors(), 0, "{:?}", stats.errors);
-    let src = cluster.read_mem(0, sbuf, span);
-    let dst = cluster.read_mem(1, rbuf, span);
-    assert_delivered(&spellings[0], 1, &src, &dst, "respelled delivery");
-    // One compile in all: every spelling on every rank resolves to the
-    // same canonical handle, so only the very first lookup compiles.
-    assert_eq!(
-        compiled(&stats),
-        1,
-        "three spellings must compile one plan (lookups {:?})",
-        stats.plan_cache
-    );
-    // Every respelled lookup is a hit on the canonical plan.
-    assert_eq!(
-        stats.plan_cache_canonical_hits, stats.canonicalized_types,
-        "every respelled lookup should have hit the canonical memo"
-    );
-    assert!(
-        stats.canonicalized_types >= 4,
-        "2 respelled spellings x 2 ranks should have been rewritten (got {})",
-        stats.canonicalized_types
-    );
 }
 
 /// Device-resident user buffers route pack/unpack through the staged
