@@ -14,14 +14,18 @@
 //!   with a sender gather list (Multi-W, §5.3/§5.4.2, and one-sided
 //!   Put/Get). The two sides may have completely different layouts;
 //!   blocks are split at every boundary mismatch,
-//! * [`hybrid_partition`] and [`for_each_substream_piece`] — the §10
-//!   Hybrid split of a stream into directly written blocks and a packed
-//!   substream, and the map from that substream back to the stream,
+//! * [`direct_ranges`], [`hybrid_partition`] and
+//!   [`for_each_substream_piece`] — the §10 Hybrid split of a stream
+//!   into directly written blocks and a packed substream, and the map
+//!   from that substream back to the stream,
 //! * [`plan_reply`] — what the receiver commits for its rendezvous
 //!   reply: the blocks it pins, the packed substream it unpacks and
 //!   that substream's segments,
 //! * [`send_prep`] — what a sender pins and packs before and after the
 //!   reply, and what it does when the pinning budget refuses the pin,
+//! * [`SendPlan`] — what the reply lets a sender post, as one ordered
+//!   list of [`Step`]s, each behind a [`Gate`], that the progress
+//!   engine runs with one cursor,
 //! * the remaining scheme rules: [`adaptive_choose`] (§6),
 //!   [`receiver_scheme`], [`send_geometry`], [`resumes_from_prefix`],
 //!   [`renegotiates_on_fault`] and the device tier's
@@ -32,6 +36,7 @@ use crate::config::{
     MpiConfig, Scheme, ADAPTIVE_COPY_REDUCED_MIN, ADAPTIVE_MULTIW_BLOCK, ADAPTIVE_SHM_MULTIW_BLOCK,
     HYBRID_BLOCK_THRESHOLD,
 };
+use crate::msg::SegList;
 use ibdt_datatype::BlockStats;
 use ibdt_ibsim::{HostConfig, Opcode, SendWr, Sge, SgeList, TransportClass};
 use ibdt_memreg::{Registration, Va};
@@ -238,9 +243,6 @@ pub fn region_key(regions: &[(Va, u64, u32)], addr: Va, len: u64) -> u32 {
 /// message").
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HybridPart {
-    /// `(stream lo, stream hi, receiver address)` of each receiver
-    /// block large enough for a direct zero-copy write.
-    pub direct: Vec<(u64, u64, Va)>,
     /// Stream intervals that travel packed (small receiver blocks),
     /// in stream order.
     pub packed: Vec<(u64, u64)>,
@@ -250,19 +252,16 @@ pub struct HybridPart {
 
 /// Partitions a message by the receiver's blocks (absolute addresses,
 /// stream order): blocks of at least `threshold` bytes are written
-/// directly, the rest is packed. Both sides compute the same partition
-/// from the receiver's layout (shipped in the rendezvous reply), so no
-/// extra negotiation is needed. BC-SPUP is the partition with threshold
-/// ∞ and Multi-W the one with threshold 0.
+/// directly ([`direct_ranges`]), the rest is packed. Both sides compute
+/// the same partition from the receiver's layout (shipped in the
+/// rendezvous reply), so no extra negotiation is needed. BC-SPUP is the
+/// partition with threshold ∞ and Multi-W the one with threshold 0.
 pub fn hybrid_partition(rcv_blocks: &[(Va, u64)], threshold: u64) -> HybridPart {
-    let mut direct = Vec::new();
     let mut packed: Vec<(u64, u64)> = Vec::new();
     let mut packed_bytes = 0;
     let mut pos = 0u64;
-    for &(addr, len) in rcv_blocks {
-        if len >= threshold {
-            direct.push((pos, pos + len, addr));
-        } else {
+    for &(_, len) in rcv_blocks {
+        if len < threshold {
             // Merge stream-adjacent packed intervals.
             match packed.last_mut() {
                 Some((_, hi)) if *hi == pos => *hi = pos + len,
@@ -273,10 +272,23 @@ pub fn hybrid_partition(rcv_blocks: &[(Va, u64)], threshold: u64) -> HybridPart 
         pos += len;
     }
     HybridPart {
-        direct,
         packed,
         packed_bytes,
     }
+}
+
+/// `(stream lo, stream hi, receiver address)` of each receiver block
+/// (absolute addresses, stream order) of at least `threshold` bytes:
+/// the ranges [`hybrid_partition`] writes directly.
+pub fn direct_ranges(
+    rcv_blocks: &[(Va, u64)],
+    threshold: u64,
+) -> impl Iterator<Item = (u64, u64, Va)> + '_ {
+    let mut pos = 0;
+    rcv_blocks.iter().filter_map(move |&(addr, len)| {
+        pos += len;
+        (len >= threshold).then_some((pos - len, pos, addr))
+    })
 }
 
 /// The rendezvous reply a receiver sends, by what it hands the sender.
@@ -318,9 +330,6 @@ pub struct ReplyPlan {
     /// Stream intervals of the packed substream; empty for the whole
     /// stream.
     pub packed_ivs: Vec<(u64, u64)>,
-    /// `(stream lo, stream hi, receiver address)` of each directly
-    /// written range (Hybrid).
-    pub direct: Vec<(u64, u64, Va)>,
     /// Segments of the packed substream (0: nothing travels packed).
     pub nsegs: u32,
     /// Bytes per segment (the last may be shorter).
@@ -346,7 +355,6 @@ pub fn plan_reply(
         kind: ReplyKind::Segments,
         pin_min: None,
         packed_ivs: Vec::new(),
-        direct: Vec::new(),
         nsegs,
         seg_size,
         batch_unpack: false,
@@ -370,7 +378,7 @@ pub fn plan_reply(
             plan.kind = ReplyKind::Hybrid;
             plan.pin_min = Some(threshold);
             (plan.nsegs, plan.seg_size) = packed_geometry(cfg, part.packed_bytes);
-            (plan.packed_ivs, plan.direct) = (part.packed, part.direct);
+            plan.packed_ivs = part.packed;
         }
         Scheme::Adaptive => unreachable!("the receiver resolves Adaptive before planning"),
     }
@@ -626,6 +634,146 @@ pub fn send_prep(scheme: Scheme, contig: bool, at: PrepAt) -> SendPrep {
         (S::Adaptive, PrepAt::Reply) => unreachable!("a reply names a concrete scheme"),
     };
     SendPrep { pin, pack, refused }
+}
+
+/// One post of a rendezvous sender after the reply (§4–5): which
+/// blocks feed which work requests or announcements.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Step {
+    /// Hybrid's direct gather writes from the pinned user buffer.
+    Direct,
+    /// Acquire Hybrid's pack buffers; its pack chain starts once they
+    /// exist.
+    Stage,
+    /// The write of packed segment `k` into the receiver's segment `k`.
+    Seg(u32),
+    /// RWG-UP's gather write of segment `k` from the pinned user buffer.
+    Gather(u32),
+    /// Multi-W's one write list into the receiver's blocks: from the
+    /// pinned user buffer, or from the staged copy when the pin was
+    /// refused.
+    WriteList {
+        /// The list streams the staged copy.
+        staged: bool,
+    },
+    /// P-RRS: announce packed segment `k` for the receiver to read.
+    Announce(u32),
+    /// P-RRS: announce every segment of a contiguous sender's
+    /// registered buffer.
+    AnnounceUser,
+    /// Hybrid's completion marker, ordered after every data write.
+    Marker,
+}
+
+/// What a [`Step`] waits for before it posts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Gate {
+    /// The sender's registration of its user buffer is done.
+    Reg,
+    /// Segment `k` is packed.
+    Packed(u32),
+    /// Every segment is packed.
+    AllPacked,
+}
+
+impl Step {
+    /// The gate this step waits behind.
+    pub fn gate(self) -> Gate {
+        match self {
+            Step::Seg(k) | Step::Announce(k) => Gate::Packed(k),
+            Step::WriteList { staged: true } | Step::Marker => Gate::AllPacked,
+            Step::Direct
+            | Step::Stage
+            | Step::Gather(_)
+            | Step::WriteList { .. }
+            | Step::AnnounceUser => Gate::Reg,
+        }
+    }
+}
+
+/// What the rendezvous reply lets a sender post, and the data its steps
+/// read. Step `i` is [`SendPlan::step`]`(i)`; by reply kind, posting
+/// from the pinned user buffer or from packed staging:
+///
+/// * `Buffer` (Generic), `Segments` (BC-SPUP, RWG-UP): `[Gather 0..n]`
+///   from the user buffer (RWG-UP), else `[Seg 0..n]`,
+/// * `ReadGo` (P-RRS): `[AnnounceUser]` from the user buffer (a
+///   contiguous sender), else `[Announce 0..n]`,
+/// * `MultiW`: `[WriteList]`, staged when not from the user buffer,
+/// * `Hybrid`: `[Direct, Stage, Seg 0..n, Marker]`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SendPlan {
+    /// What the reply handed the sender.
+    pub kind: ReplyKind,
+    /// The steps read the pinned user buffer ([`Pin::User`]); a refused
+    /// pin turns them to packed staging.
+    pub from_user: bool,
+    /// Segments of the packed substream.
+    pub nsegs: u32,
+    /// Receiver target `(address, rkey)` of each packed segment.
+    pub segs: SegList,
+    /// The receiver's blocks, absolute, in stream order (Multi-W, and
+    /// Hybrid, which writes [`direct_ranges`] of them directly).
+    pub rcv_blocks: Vec<(Va, u64)>,
+    /// The receiver's pinned regions `(address, length, rkey)`
+    /// (Multi-W, Hybrid).
+    pub regions: Vec<(Va, u64, u32)>,
+}
+
+impl SendPlan {
+    /// Steps in the list.
+    pub fn step_count(&self) -> u32 {
+        match (self.kind, self.from_user) {
+            (ReplyKind::Hybrid, _) => self.nsegs + 3,
+            (ReplyKind::MultiW, _) | (ReplyKind::ReadGo, true) => 1,
+            _ => self.nsegs,
+        }
+    }
+
+    /// Step `i`, or `None` past the end.
+    pub fn step(&self, i: u32) -> Option<Step> {
+        if i >= self.step_count() {
+            return None;
+        }
+        Some(match (self.kind, self.from_user) {
+            (ReplyKind::Hybrid, _) => match i {
+                0 => Step::Direct,
+                1 => Step::Stage,
+                i if i == self.nsegs + 2 => Step::Marker,
+                i => Step::Seg(i - 2),
+            },
+            (ReplyKind::MultiW, from_user) => Step::WriteList { staged: !from_user },
+            (ReplyKind::ReadGo, true) => Step::AnnounceUser,
+            (ReplyKind::ReadGo, false) => Step::Announce(i),
+            (_, true) => Step::Gather(i),
+            (_, false) => Step::Seg(i),
+        })
+    }
+
+    /// Whether the write of segment `k` asks for the local completion
+    /// that ends the sender's data duty: the last segment, unless a
+    /// marker follows it.
+    pub fn signals(&self, k: u32) -> bool {
+        self.kind != ReplyKind::Hybrid && k + 1 == self.nsegs
+    }
+
+    /// Where the cursor restarts once the receiver acknowledged `from_k`
+    /// segments after a connection recovery: at segment `from_k` for the
+    /// segment-ordered lists, at the start for every other (direct
+    /// writes, the marker and announcements are idempotent). At
+    /// [`Self::step_count`] nothing is left to post.
+    pub fn resume_at(&self, from_k: u32) -> u32 {
+        match self.kind {
+            ReplyKind::Buffer | ReplyKind::Segments => from_k.min(self.nsegs),
+            _ => 0,
+        }
+    }
+
+    /// The receiver drives the transfer by reading what the sender
+    /// announces (P-RRS).
+    pub fn read_driven(&self) -> bool {
+        self.kind == ReplyKind::ReadGo
+    }
 }
 
 /// Picks the bounce-chunk size for a staged device transfer of `bytes`
@@ -989,8 +1137,10 @@ mod tests {
     #[test]
     fn hybrid_partition_splits_by_threshold() {
         // Blocks: 100, 4000, 50, 50, 8000 with threshold 1024.
-        let p = hybrid_partition(&blocks_of(&[100, 4000, 50, 50, 8000]), 1024);
-        assert_eq!(p.direct, vec![(100, 4100, 1000), (4200, 12200, 4000)]);
+        let blocks = blocks_of(&[100, 4000, 50, 50, 8000]);
+        let p = hybrid_partition(&blocks, 1024);
+        let direct: Vec<_> = direct_ranges(&blocks, 1024).collect();
+        assert_eq!(direct, [(100, 4100, 1000), (4200, 12200, 4000)]);
         // The two 50-byte blocks are stream-adjacent and merge.
         assert_eq!(p.packed, vec![(0, 100), (4100, 4200)]);
         assert_eq!(p.packed_bytes, 200);
@@ -1001,16 +1151,16 @@ mod tests {
         let blocks = blocks_of(&[16, 2048, 16]);
         // Threshold 0 writes everything directly (Multi-W)...
         let p = hybrid_partition(&blocks, 0);
-        assert_eq!(p.direct.len(), 3);
+        assert_eq!(direct_ranges(&blocks, 0).count(), 3);
         assert!(p.packed.is_empty());
         assert_eq!(p.packed_bytes, 0);
         // ...and an unreachable one packs the whole stream (BC-SPUP).
         let p = hybrid_partition(&blocks, u64::MAX);
-        assert!(p.direct.is_empty());
+        assert_eq!(direct_ranges(&blocks, u64::MAX).count(), 0);
         assert_eq!(p.packed, vec![(0, 2080)]);
         assert_eq!(p.packed_bytes, 2080);
         let p = hybrid_partition(&[], 1024);
-        assert!(p.direct.is_empty() && p.packed.is_empty());
+        assert!(p.packed.is_empty() && direct_ranges(&[], 1024).count() == 0);
     }
 
     #[test]
@@ -1029,7 +1179,7 @@ mod tests {
                 (p.kind, p.pin_min, (p.nsegs, p.seg_size)),
                 (kind, pin_min, whole)
             );
-            assert!(p.packed_ivs.is_empty() && p.direct.is_empty() && !p.batch_unpack);
+            assert!(p.packed_ivs.is_empty() && !p.batch_unpack);
         }
         // Generic is one segment of the whole message.
         let p = plan_reply(Scheme::Generic, size, &[], &cfg);
@@ -1059,7 +1209,8 @@ mod tests {
         // segments of the packed bytes only.
         let p = plan_reply(Scheme::Hybrid, size, &blocks, &cfg);
         assert_eq!((p.kind, p.pin_min), (ReplyKind::Hybrid, Some(t)));
-        assert_eq!(p.direct, vec![(64, 64 + t, 1000)]);
+        let direct: Vec<_> = direct_ranges(&blocks, t).collect();
+        assert_eq!(direct, [(64, 64 + t, 1000)]);
         assert_eq!(p.packed_ivs, vec![(0, 64), (64 + t, size)]);
         assert_eq!((p.nsegs, p.seg_size), (1, 192));
         // All-large blocks leave no packed substream.
@@ -1100,6 +1251,78 @@ mod tests {
             // whatever it proposes or predicts.
             let p = send_prep(scheme, true, start(S::MultiW));
             assert_eq!((p.pin, p.pack, p.refused), (P::User, K::None, R::Ignore));
+        }
+    }
+
+    #[test]
+    fn send_plan_table() {
+        use {Gate as G, Scheme as S, Step as T};
+        let n = 3;
+        let kind = |scheme| match scheme {
+            S::Generic => ReplyKind::Buffer,
+            S::PRrs => ReplyKind::ReadGo,
+            S::MultiW => ReplyKind::MultiW,
+            S::Hybrid => ReplyKind::Hybrid,
+            _ => ReplyKind::Segments,
+        };
+        let segs = [T::Seg(0), T::Seg(1), T::Seg(2)];
+        let hybrid = [
+            T::Direct,
+            T::Stage,
+            T::Seg(0),
+            T::Seg(1),
+            T::Seg(2),
+            T::Marker,
+        ];
+        let (packed, reg) = ([G::Packed(0), G::Packed(1), G::Packed(2)], G::Reg);
+        // (scheme, contiguous sender — `None` for either, staged (the
+        // pin was refused), steps, their gates, cursor after a resume
+        // at segments 0, 1 and n)
+        type Row<'a> = (S, Option<bool>, bool, &'a [T], &'a [G], [u32; 3]);
+        #[rustfmt::skip]
+        let rows: [Row; 10] = [
+            (S::Generic, None, false, &segs, &packed, [0, 1, n]),
+            (S::BcSpup, None, false, &segs, &packed, [0, 1, n]),
+            (S::RwgUp, None, false, &[T::Gather(0), T::Gather(1), T::Gather(2)], &[reg; 3], [0, 1, n]),
+            (S::RwgUp, None, true, &segs, &packed, [0, 1, n]),
+            (S::PRrs, Some(false), false, &[T::Announce(0), T::Announce(1), T::Announce(2)], &packed, [0; 3]),
+            (S::PRrs, Some(true), false, &[T::AnnounceUser], &[reg], [0; 3]),
+            (S::PRrs, Some(true), true, &[T::Announce(0), T::Announce(1), T::Announce(2)], &packed, [0; 3]),
+            (S::MultiW, None, false, &[T::WriteList { staged: false }], &[reg], [0; 3]),
+            (S::MultiW, None, true, &[T::WriteList { staged: true }], &[G::AllPacked], [0; 3]),
+            (S::Hybrid, None, false, &hybrid, &[reg, reg, packed[0], packed[1], packed[2], G::AllPacked], [0; 3]),
+        ];
+        for (scheme, contig, staged, steps, gates, resumed) in rows {
+            for c in contig.map_or(vec![false, true], |c| vec![c]) {
+                let prep = send_prep(scheme, c, PrepAt::Reply);
+                // Only a refusal that keeps the message has a staged
+                // layout; Hybrid's renegotiates it.
+                let refusable = !matches!(prep.refused, Refused::Ignore | Refused::Renegotiate);
+                assert!(!staged || refusable, "{scheme:?} {c}: no staged layout");
+                let mut plan = SendPlan {
+                    kind: kind(scheme),
+                    from_user: prep.pin == Pin::User,
+                    nsegs: n,
+                    segs: SegList::new(),
+                    rcv_blocks: Vec::new(),
+                    regions: Vec::new(),
+                };
+                if staged {
+                    plan.from_user = false;
+                }
+                let got: Vec<Step> = (0..).map_while(|i| plan.step(i)).collect();
+                let at = format!("{scheme:?} contig {c} staged {staged}");
+                assert_eq!(got, steps, "{at}");
+                assert_eq!(plan.step_count() as usize, steps.len(), "{at}");
+                let got: Vec<Gate> = got.iter().map(|s| s.gate()).collect();
+                assert_eq!(got, gates, "{at}");
+                assert_eq!([0, 1, n].map(|k| plan.resume_at(k)), resumed, "{at}");
+                assert_eq!(plan.read_driven(), scheme == S::PRrs, "{at}");
+                // Only the last segment write ends the data duty, and
+                // Hybrid's marker ends it instead.
+                let signals: Vec<bool> = (0..n).map(|k| plan.signals(k)).collect();
+                assert_eq!(signals, [false, false, scheme != S::Hybrid], "{at}");
+            }
         }
     }
 

@@ -22,11 +22,11 @@ use crate::config::{
 use crate::error::MpiError;
 use crate::msg::{CtrlMsg, ReplyBody, SegList};
 use crate::plan::{
-    adaptive_choose, eager_via_temp, for_each_substream_piece, imm_of, imm_parse, lkey_for,
-    plan_gather, plan_multi_w, plan_reply, reads_rcv_blocks, receiver_scheme, region_key,
+    adaptive_choose, direct_ranges, eager_via_temp, for_each_substream_piece, imm_of, imm_parse,
+    lkey_for, plan_gather, plan_multi_w, plan_reply, reads_rcv_blocks, receiver_scheme, region_key,
     renegotiates_on_fault, resumes_from_prefix, send_geometry, send_prep, staging_chunk_for,
-    substream_len, Pack, Pin, PrepAt, Refused, ReplyKind, ReplyPlan, SendPrep, Tail, WrFrame,
-    FALLBACK,
+    substream_len, Gate, Pack, Pin, PrepAt, Refused, ReplyKind, ReplyPlan, SendPlan, SendPrep,
+    Step, Tail, WrFrame, FALLBACK,
 };
 use crate::rank::{PostedRecv, RankState, ReqId, ReqKind, Unexpected};
 use crate::table::{ImmMap, MsgTable};
@@ -219,39 +219,6 @@ const WR_LOW_MASK: u64 = (1 << WR_KIND_SHIFT) - 1;
 /// Immediate segment index reserved for the Hybrid completion marker.
 const MARKER_K: u32 = 0xFFFF;
 
-/// Where the sender aims its data, per the rendezvous reply.
-#[derive(Debug)]
-enum SendTargets {
-    /// The segment pipeline: segment `k` of the packed substream lands
-    /// in `segs[k]` (Generic's one whole-message buffer, BC-SPUP,
-    /// RWG-UP, Hybrid).
-    Segments { segs: SegList, feed: Feed },
-    /// Multi-W: receiver block list and covering regions.
-    MultiW {
-        rcv_blocks: Vec<(Va, u64)>,
-        regions: Vec<(Va, u64, u32)>,
-    },
-    /// P-RRS: receiver will read; sender announces packed segments.
-    ReadGo,
-}
-
-/// What feeds the segment pipeline.
-#[derive(Debug)]
-enum Feed {
-    /// Packed staging buffers (Generic, BC-SPUP).
-    Packed,
-    /// Gather writes from the pinned user buffer (RWG-UP).
-    Gathered,
-    /// Packed staging for the small blocks, plus a direct write of the
-    /// stream range `[lo, hi)` to receiver address `dst` for each
-    /// `(lo, hi, dst)` in `direct`, keyed by `regions`, and a completion
-    /// marker after the last segment (Hybrid).
-    Hybrid {
-        direct: Vec<(u64, u64, Va)>,
-        regions: Vec<(Va, u64, u32)>,
-    },
-}
-
 pub(crate) use crate::pool::StageBuf;
 
 /// Sender-side state of one rendezvous message.
@@ -275,25 +242,19 @@ struct SendMsg {
     /// the whole stream, Hybrid's small-block partition otherwise.
     packed_ivs: Vec<(u64, u64)>,
     packed: u32,
-    posted_segs: u32,
     pack_chain_running: bool,
-    /// Multi-W and Hybrid direct writes are out.
-    direct_posted: bool,
-    /// Hybrid's completion marker is out.
-    marker_posted: bool,
     /// Single-block sender (contiguous data): zero-copy paths apply.
     contig: bool,
-    targets: Option<SendTargets>,
+    /// What the reply lets the sender post; `None` until it arrives.
+    plan: Option<SendPlan>,
+    /// The next step of `plan` to post.
+    next: u32,
     reg_done: bool,
     user_regs: Vec<Registration>,
     /// P-RRS: completion arrives via Fin instead of a local data CQE.
     completed: bool,
     /// Rendezvous-reply probes sent so far (§reply timeout).
     rerequests: u32,
-    /// Multi-W degraded mode: the pinning budget barred registering the
-    /// user buffer, so data is staged through a copy buffer and written
-    /// into the receiver's blocks from there.
-    mw_stage: bool,
     /// User-buffer bytes this message charged against
     /// `reg_budget_bytes`.
     pinned_bytes: u64,
@@ -508,17 +469,14 @@ fn start_send(
         pack_bufs: rs.scratch.take_stage(),
         packed_ivs: Vec::new(),
         packed: 0,
-        posted_segs: 0,
         pack_chain_running: false,
-        direct_posted: false,
-        marker_posted: false,
         contig: stats.min >= size,
-        targets: None,
+        plan: None,
+        next: 0,
         reg_done: false,
         user_regs: Vec::new(),
         completed: false,
         rerequests: 0,
-        mw_stage: false,
         pinned_bytes: 0,
         renegotiated: false,
         drop_packs: 0,
@@ -806,7 +764,7 @@ pub fn on_cpu(rs: &mut RankState, am: &mut ActiveMsgs, ctx: &mut Ctx<'_, '_>, ac
             let Some(mut msg) = am.sends.remove(&(peer, seq)) else {
                 return;
             };
-            if msg.targets.is_some() || msg.completed {
+            if msg.plan.is_some() || msg.completed {
                 // The reply arrived in the meantime.
                 am.sends.insert((peer, seq), msg);
                 return;
@@ -1523,8 +1481,8 @@ fn on_resume_request(
     }
     if let Some(mut msg) = am.sends.remove(&(peer, seq)) {
         // P-RRS: the recovering receiver drives the reads; re-announce
-        // every packed segment (re-reads are idempotent).
-        msg.posted_segs = 0;
+        // every segment (re-reads are idempotent).
+        msg.next = 0;
         drive_send(rs, am, ctx, msg);
         return;
     }
@@ -1555,18 +1513,16 @@ fn on_resume_ack(
         return;
     }
     rs.counters.resumed_chunks += from_k as u64;
-    msg.posted_segs = from_k.min(msg.nsegs);
-    if msg.posted_segs >= msg.nsegs && resumes_from_prefix(msg.scheme) {
-        // Every segment already reached the receiver; only the final
-        // (signaled) completion was lost to the flush. The sender's
-        // data duty is done.
-        finish_send(rs, ctx, msg, None);
-        return;
+    if let Some(plan) = &msg.plan {
+        msg.next = plan.resume_at(from_k);
+        if msg.next >= plan.step_count() {
+            // Every segment already reached the receiver; only the
+            // final (signaled) completion was lost to the flush. The
+            // sender's data duty is done.
+            finish_send(rs, ctx, msg, None);
+            return;
+        }
     }
-    // Multi-W and Hybrid restart whole phases: direct writes and the
-    // marker are idempotent.
-    msg.direct_posted = false;
-    msg.marker_posted = false;
     drive_send(rs, am, ctx, msg);
 }
 
@@ -2064,7 +2020,7 @@ fn sender_on_reply(
         }
         return;
     };
-    if msg.targets.is_some() {
+    if msg.plan.is_some() {
         // Duplicate reply: a probe-triggered resend raced the original.
         am.sends.insert((peer, seq), msg);
         return;
@@ -2117,24 +2073,23 @@ fn sender_on_reply(
     };
     msg.scheme = reply_scheme;
     let prep = send_prep(reply_scheme, msg.contig, PrepAt::Reply);
-    // Segments without a direct part are gathered from the user buffer
-    // by a sender that pins it for them.
-    let feed = if prep.pin == Pin::User {
-        Feed::Gathered
-    } else {
-        Feed::Packed
+    let mut plan = SendPlan {
+        kind: ReplyKind::ReadGo,
+        from_user: prep.pin == Pin::User,
+        nsegs: msg.nsegs,
+        segs: SegList::new(),
+        rcv_blocks,
+        regions: Vec::new(),
     };
-    msg.targets = Some(match body {
-        ReplyBody::Buffer { addr, rkey } => SendTargets::Segments {
-            segs: SegList::of((addr, rkey)),
-            feed,
-        },
-        ReplyBody::Segments { segs } => SendTargets::Segments { segs, feed },
-        ReplyBody::ReadGo => SendTargets::ReadGo,
-        ReplyBody::MultiW { regions, .. } => SendTargets::MultiW {
-            rcv_blocks,
-            regions,
-        },
+    match body {
+        ReplyBody::Buffer { addr, rkey } => {
+            (plan.kind, plan.segs) = (ReplyKind::Buffer, SegList::of((addr, rkey)));
+        }
+        ReplyBody::Segments { segs } => (plan.kind, plan.segs) = (ReplyKind::Segments, segs),
+        ReplyBody::ReadGo => {}
+        ReplyBody::MultiW { regions, .. } => {
+            (plan.kind, plan.regions) = (ReplyKind::MultiW, regions)
+        }
         ReplyBody::Hybrid {
             regions,
             segs,
@@ -2144,20 +2099,16 @@ fn sender_on_reply(
             // Both sides plan the same partition from the receiver's
             // layout; the packed part joins the segment pipeline.
             debug_assert_eq!(threshold, HYBRID_BLOCK_THRESHOLD);
-            let plan = plan_reply(reply_scheme, msg.size, &rcv_blocks, ctx.cfg);
-            debug_assert_eq!(plan.nsegs as usize, segs.len());
-            msg.nsegs = plan.nsegs;
-            msg.seg_size = plan.seg_size;
-            msg.packed_ivs = plan.packed_ivs;
-            SendTargets::Segments {
-                segs: segs.into_iter().collect(),
-                feed: Feed::Hybrid {
-                    direct: plan.direct,
-                    regions,
-                },
-            }
+            let rp = plan_reply(reply_scheme, msg.size, &plan.rcv_blocks, ctx.cfg);
+            debug_assert_eq!(rp.nsegs as usize, segs.len());
+            (msg.nsegs, msg.seg_size, msg.packed_ivs) = (rp.nsegs, rp.seg_size, rp.packed_ivs);
+            plan.kind = ReplyKind::Hybrid;
+            plan.nsegs = rp.nsegs;
+            plan.segs = segs.into_iter().collect();
+            plan.regions = regions;
         }
-    });
+    }
+    msg.plan = Some(plan);
     // The receiver may have picked differently from the early work
     // (adaptive decision, Multi-W fallback, or the zero-copy contiguous
     // path): prepare what the reply's scheme needs.
@@ -2181,8 +2132,13 @@ fn prepare_send(
 ) -> bool {
     let mut pack = prep.pack;
     if !pin_send(rs, ctx, msg, prep.pin) {
-        if prep.refused != Refused::Ignore && msg.targets.is_some() {
-            rs.counters.scheme_fallbacks += 1;
+        // After the reply a refusal is a scheme fallback: the steps
+        // post from packed staging instead of the user buffer.
+        if prep.refused != Refused::Ignore {
+            if let Some(plan) = &mut msg.plan {
+                rs.counters.scheme_fallbacks += 1;
+                plan.from_user = false;
+            }
         }
         match prep.refused {
             Refused::Ignore => {}
@@ -2190,19 +2146,10 @@ fn prepare_send(
                 msg.contig = false;
                 pack = Pack::Segments;
             }
-            Refused::Degrade => {
-                if let Some(SendTargets::Segments { feed, .. }) = &mut msg.targets {
-                    *feed = Feed::Packed;
-                }
-                pack = Pack::Segments;
-            }
-            Refused::StageWhole => {
-                // The receiver's blocks are already pinned on its side:
-                // stream the staged copy into them.
-                msg.mw_stage = true;
-                msg.reg_done = true;
-                pack = Pack::Whole;
-            }
+            Refused::Degrade => pack = Pack::Segments,
+            // The receiver's blocks are already pinned on its side:
+            // stream the staged copy into them.
+            Refused::StageWhole => pack = Pack::Whole,
             Refused::Renegotiate => return false,
         }
     }
@@ -2234,12 +2181,9 @@ fn pin_send(rs: &mut RankState, ctx: &mut Ctx<'_, '_>, msg: &mut SendMsg, pin: P
     }
     let tplan = rs.plan_for(&msg.ty, msg.count);
     let mut blocks = rs.scratch.take_blocks();
-    match &msg.targets {
-        Some(SendTargets::Segments {
-            feed: Feed::Hybrid { direct, .. },
-            ..
-        }) if pin == Pin::HybridDirect => {
-            for &(lo, hi, _) in direct {
+    match &msg.plan {
+        Some(plan) if pin == Pin::HybridDirect => {
+            for (lo, hi, _) in direct_ranges(&plan.rcv_blocks, HYBRID_BLOCK_THRESHOLD) {
                 blocks_in_range(&tplan, msg.buf, lo, hi, &mut blocks);
             }
         }
@@ -2301,11 +2245,11 @@ fn seg_len(msg: &SendMsg, k: u32) -> u64 {
     (lo + msg.seg_size).min(substream_len(&msg.packed_ivs, msg.size)) - lo
 }
 
-/// Posts what the current state allows and keeps the pack chain moving,
-/// then puts the message back — or, when a post failed, hands it to the
-/// connection manager or a typed abort.
+/// Posts the steps the current state allows and keeps the pack chain
+/// moving, then puts the message back — or, when a post failed, hands
+/// it to the connection manager or a typed abort.
 fn drive_send(rs: &mut RankState, am: &mut ActiveMsgs, ctx: &mut Ctx<'_, '_>, mut msg: SendMsg) {
-    match try_post_ready(rs, ctx, &mut msg) {
+    match post_steps(rs, ctx, &mut msg) {
         Ok(()) => {
             start_pack_chain(rs, ctx, &mut msg);
             am.sends.insert((msg.peer, msg.seq), msg);
@@ -2314,206 +2258,152 @@ fn drive_send(rs: &mut RankState, am: &mut ActiveMsgs, ctx: &mut Ctx<'_, '_>, mu
     }
 }
 
-/// Plans the work requests the current state allows and posts them:
-/// announcements for P-RRS, one Multi-W write list, RWG-UP gather
-/// writes, or the segment pipeline.
-fn try_post_ready(
+/// The one executor of a [`SendPlan`]: posts its steps from the
+/// message's cursor for as long as each step's gate holds, moving the
+/// cursor past each step whose post succeeded.
+fn post_steps(
     rs: &mut RankState,
     ctx: &mut Ctx<'_, '_>,
     msg: &mut SendMsg,
 ) -> Result<(), MpiError> {
-    let data = WR_DATA | msg.seq;
-    let max_sge = ctx.net.max_sge;
-    match &msg.targets {
-        None => Ok(()),
-        Some(SendTargets::ReadGo) => {
-            announce_segments(rs, ctx, msg);
-            Ok(())
-        }
-        Some(SendTargets::MultiW {
-            rcv_blocks,
-            regions,
-        }) => {
-            let staged = msg.mw_stage;
-            if msg.direct_posted || !msg.reg_done || (staged && msg.packed < msg.nsegs) {
-                return Ok(());
-            }
-            // Zero-copy gathers from the pinned user buffer; degraded
-            // Multi-W streams the staged copy, one entry per write so
-            // no write straddles two staging buffers.
-            let rkey = |a, l| region_key(regions, a, l);
-            let tail = Tail::imm(imm_of(msg.seq, 0), true);
-            let mut snd = rs.scratch.take_blocks();
-            let mut wrs = Vec::new();
-            if staged {
-                let bufs = &msg.pack_bufs;
-                let lens = (0..msg.nsegs).map(|k| seg_len(msg, k));
-                snd.extend(bufs.iter().map(|sb| sb.va).zip(lens));
-                let lkey = |a, _| {
-                    let sb = bufs.iter().find(|sb| sb.va <= a && a < sb.va + sb.len);
-                    sb.map_or(u32::MAX, |sb| sb.lkey)
-                };
-                let frame = WrFrame::write(data, 1, lkey, rkey);
-                plan_multi_w(&frame, &snd, rcv_blocks, tail, &mut wrs);
-            } else {
-                let tplan = rs.plan_for(&msg.ty, msg.count);
-                abs_blocks_into(&tplan, msg.buf, &mut snd);
-                let regs = &msg.user_regs;
-                let frame = WrFrame::write(data, max_sge, |a, l| lkey_for(regs, a, l), rkey);
-                plan_multi_w(&frame, &snd, rcv_blocks, tail, &mut wrs);
-            }
-            rs.scratch.put_blocks(snd);
-            msg.direct_posted = true;
-            post_wrs(rs, ctx, msg.peer, wrs, true)
-        }
-        Some(SendTargets::Segments {
-            segs,
-            feed: Feed::Gathered,
-        }) => {
-            // Resume-aware: after a connection recovery `posted_segs`
-            // holds the receiver-acknowledged prefix, and the gather
-            // writes restart from that segment boundary.
-            if !msg.reg_done || msg.posted_segs >= msg.nsegs {
-                return Ok(());
-            }
-            let tplan = rs.plan_for(&msg.ty, msg.count);
-            let regs = &msg.user_regs;
-            let lkey = |a, l| lkey_for(regs, a, l);
-            let mut blocks = rs.scratch.take_blocks();
-            let mut wrs = Vec::new();
-            for k in msg.posted_segs..msg.nsegs {
-                let (dst, rkey) = segs[k as usize];
-                let lo = k as u64 * msg.seg_size;
-                blocks.clear();
-                blocks_in_range(&tplan, msg.buf, lo, lo + seg_len(msg, k), &mut blocks);
-                let frame = WrFrame::write(data, max_sge, lkey, |_, _| rkey);
-                let tail = Tail::imm(imm_of(msg.seq, k), k == msg.nsegs - 1);
-                plan_gather(&frame, &blocks, dst, tail, &mut wrs);
-            }
-            rs.scratch.put_blocks(blocks);
-            post_wrs(rs, ctx, msg.peer, wrs, false)?;
-            msg.posted_segs = msg.nsegs;
-            Ok(())
-        }
-        Some(SendTargets::Segments { .. }) => post_segments(rs, ctx, msg),
-    }
-}
-
-/// P-RRS: announces the segments the receiver may read — straight out
-/// of the registered user buffer for a contiguous sender, else each
-/// packed segment as it becomes ready.
-fn announce_segments(rs: &mut RankState, ctx: &mut Ctx<'_, '_>, msg: &mut SendMsg) {
-    if msg.contig {
-        if !msg.reg_done || msg.posted_segs > 0 {
-            return;
-        }
-        let base = msg.buf as i64 + msg.ty.true_lb();
-        for k in 0..msg.nsegs {
-            let addr = (base + (k as u64 * msg.seg_size) as i64) as Va;
-            let len = seg_len(msg, k);
-            let rkey = msg
-                .user_regs
-                .iter()
-                .find(|r| r.covers(addr, len))
-                .expect("registration covers the contiguous buffer")
-                .rkey;
-            let ready = CtrlMsg::SegReady {
-                seq: msg.seq,
-                k,
-                addr,
-                rkey,
-                len,
-            };
-            send_ctrl_msg(rs, ctx, msg.peer, &ready, 0);
-        }
-        msg.posted_segs = msg.nsegs;
-        return;
-    }
-    while msg.posted_segs < msg.packed {
-        let k = msg.posted_segs;
-        let sb = msg.pack_bufs[k as usize];
-        let ready = CtrlMsg::SegReady {
-            seq: msg.seq,
-            k,
-            addr: sb.va,
-            rkey: sb.rkey,
-            len: seg_len(msg, k),
-        };
-        send_ctrl_msg(rs, ctx, msg.peer, &ready, 0);
-        msg.posted_segs += 1;
-    }
-}
-
-/// The segment pipeline shared by Generic, BC-SPUP and Hybrid: Hybrid's
-/// direct gather writes once its registration is done, then every
-/// packed segment that is ready, in order, then Hybrid's completion
-/// marker (ordered last on the QP, so its arrival implies all data
-/// landed).
-fn post_segments(
-    rs: &mut RankState,
-    ctx: &mut Ctx<'_, '_>,
-    msg: &mut SendMsg,
-) -> Result<(), MpiError> {
-    let Some(SendTargets::Segments { segs, feed }) = &msg.targets else {
-        unreachable!("segment pipeline without segment targets");
+    let Some(plan) = &msg.plan else {
+        return Ok(());
     };
     let (peer, seq, max_sge) = (msg.peer, msg.seq, ctx.net.max_sge);
-    let hybrid = matches!(feed, Feed::Hybrid { .. });
-    if let Feed::Hybrid { direct, regions } = feed {
-        if !msg.reg_done {
-            return Ok(());
+    let data = WR_DATA | seq;
+    // One batch for the whole pass: gather steps drain it, list posts
+    // hand it to the transport.
+    let mut wrs = Vec::new();
+    while let Some(step) = plan.step(msg.next) {
+        let open = match step.gate() {
+            Gate::Reg => msg.reg_done,
+            Gate::Packed(k) => msg.packed > k,
+            Gate::AllPacked => msg.packed >= msg.nsegs,
+        };
+        if !open {
+            break;
         }
-        if !msg.direct_posted {
-            msg.direct_posted = true;
-            let tplan = rs.plan_for(&msg.ty, msg.count);
-            let regs = &msg.user_regs;
-            let lkey = |a, l| lkey_for(regs, a, l);
-            let rkey = |a, l| region_key(regions, a, l);
-            let frame = WrFrame::write(WR_DATA | seq, max_sge, lkey, rkey);
-            let mut blocks = rs.scratch.take_blocks();
-            let mut wrs = Vec::new();
-            for &(lo, hi, dst) in direct {
-                blocks.clear();
-                blocks_in_range(&tplan, msg.buf, lo, hi, &mut blocks);
-                plan_gather(&frame, &blocks, dst, Tail::default(), &mut wrs);
+        match step {
+            Step::Direct => {
+                let tplan = rs.plan_for(&msg.ty, msg.count);
+                let regs = &msg.user_regs;
+                let rkey = |a, l| region_key(&plan.regions, a, l);
+                let frame = WrFrame::write(data, max_sge, |a, l| lkey_for(regs, a, l), rkey);
+                let mut blocks = rs.scratch.take_blocks();
+                for (lo, hi, dst) in direct_ranges(&plan.rcv_blocks, HYBRID_BLOCK_THRESHOLD) {
+                    blocks.clear();
+                    blocks_in_range(&tplan, msg.buf, lo, hi, &mut blocks);
+                    plan_gather(&frame, &blocks, dst, Tail::default(), &mut wrs);
+                }
+                rs.scratch.put_blocks(blocks);
+                post_wrs(rs, ctx, peer, std::mem::take(&mut wrs), true)?;
             }
-            rs.scratch.put_blocks(blocks);
-            post_wrs(rs, ctx, peer, wrs, true)?;
-            // Staging for the small-block substream (if any): the pack
-            // chain starts once the direct writes are out.
-            if msg.pack_bufs.is_empty() {
+            // The pack chain starts once the staging exists.
+            Step::Stage if msg.pack_bufs.is_empty() => {
                 for _ in 0..msg.nsegs {
                     msg.pack_bufs.push(acquire_seg(rs, ctx, false));
                 }
             }
+            Step::Stage => {}
+            Step::Seg(k) => {
+                let sb = msg.pack_bufs[k as usize];
+                let (dst, rkey) = plan.segs[k as usize];
+                let frame = WrFrame::write(data, max_sge, |_, _| sb.lkey, |_, _| rkey);
+                let tail = Tail::imm(imm_of(seq, k), plan.signals(k));
+                let wr = frame.wr(&[(sb.va, seg_len(msg, k))], dst, tail);
+                post_wrs(rs, ctx, peer, [wr], false)?;
+            }
+            Step::Gather(k) => {
+                let tplan = rs.plan_for(&msg.ty, msg.count);
+                let lo = k as u64 * msg.seg_size;
+                let mut blocks = rs.scratch.take_blocks();
+                blocks_in_range(&tplan, msg.buf, lo, lo + seg_len(msg, k), &mut blocks);
+                let regs = &msg.user_regs;
+                let (dst, rkey) = plan.segs[k as usize];
+                let frame = WrFrame::write(data, max_sge, |a, l| lkey_for(regs, a, l), |_, _| rkey);
+                let tail = Tail::imm(imm_of(seq, k), plan.signals(k));
+                plan_gather(&frame, &blocks, dst, tail, &mut wrs);
+                rs.scratch.put_blocks(blocks);
+                post_wrs(rs, ctx, peer, wrs.drain(..), false)?;
+            }
+            Step::WriteList { staged } => {
+                // Zero-copy gathers from the pinned user buffer; staged
+                // Multi-W streams the copy, one entry per write so no
+                // write straddles two staging buffers.
+                let rkey = |a, l| region_key(&plan.regions, a, l);
+                let tail = Tail::imm(imm_of(seq, 0), true);
+                let mut snd = rs.scratch.take_blocks();
+                if staged {
+                    let bufs = &msg.pack_bufs;
+                    let lens = (0..msg.nsegs).map(|k| seg_len(msg, k));
+                    snd.extend(bufs.iter().map(|sb| sb.va).zip(lens));
+                    let lkey = |a, _| {
+                        let sb = bufs.iter().find(|sb| sb.va <= a && a < sb.va + sb.len);
+                        sb.map_or(u32::MAX, |sb| sb.lkey)
+                    };
+                    let frame = WrFrame::write(data, 1, lkey, rkey);
+                    plan_multi_w(&frame, &snd, &plan.rcv_blocks, tail, &mut wrs);
+                } else {
+                    let tplan = rs.plan_for(&msg.ty, msg.count);
+                    abs_blocks_into(&tplan, msg.buf, &mut snd);
+                    let regs = &msg.user_regs;
+                    let frame = WrFrame::write(data, max_sge, |a, l| lkey_for(regs, a, l), rkey);
+                    plan_multi_w(&frame, &snd, &plan.rcv_blocks, tail, &mut wrs);
+                }
+                rs.scratch.put_blocks(snd);
+                post_wrs(rs, ctx, peer, std::mem::take(&mut wrs), true)?;
+            }
+            Step::Announce(k) => {
+                let sb = msg.pack_bufs[k as usize];
+                announce(rs, ctx, msg, k, sb.va, sb.rkey);
+            }
+            Step::AnnounceUser => {
+                // The receiver reads straight out of the registered
+                // contiguous buffer.
+                let base = msg.buf as i64 + msg.ty.true_lb();
+                for k in 0..msg.nsegs {
+                    let addr = (base + (k as u64 * msg.seg_size) as i64) as Va;
+                    let reg = msg
+                        .user_regs
+                        .iter()
+                        .find(|r| r.covers(addr, seg_len(msg, k)));
+                    let reg = reg.expect("registration covers the contiguous buffer");
+                    announce(rs, ctx, msg, k, addr, reg.rkey);
+                }
+            }
+            Step::Marker => {
+                // Ordered last on the QP, so its arrival implies every
+                // data write landed.
+                let first_region = plan.regions.first().map(|&(a, _, key)| (a, key));
+                let Some((dst, rkey)) = plan.segs.first().copied().or(first_region) else {
+                    // A rendezvous message always has a target; fail
+                    // typed rather than panicking on the protocol
+                    // violation.
+                    debug_assert!(false, "non-empty message has no hybrid target");
+                    return Err(MpiError::UnknownMessage { peer, seq });
+                };
+                let frame = WrFrame::write(data, max_sge, |_, _| 0, |_, _| rkey);
+                let marker = frame.wr(&[], dst, Tail::imm(imm_of(seq, MARKER_K), true));
+                post_wrs(rs, ctx, peer, [marker], false)?;
+            }
         }
-    }
-    while msg.posted_segs < msg.packed {
-        let k = msg.posted_segs;
-        let sb = msg.pack_bufs[k as usize];
-        let (dst, rkey) = segs[k as usize];
-        let frame = WrFrame::write(WR_DATA | seq, max_sge, |_, _| sb.lkey, |_, _| rkey);
-        let tail = Tail::imm(imm_of(seq, k), !hybrid && k == msg.nsegs - 1);
-        let wr = frame.wr(&[(sb.va, seg_len(msg, k))], dst, tail);
-        post_wrs(rs, ctx, peer, [wr], false)?;
-        msg.posted_segs += 1;
-    }
-    if let Feed::Hybrid { regions, .. } = feed {
-        if !msg.marker_posted && msg.posted_segs == msg.nsegs {
-            msg.marker_posted = true;
-            let first_region = regions.first().map(|&(a, _, key)| (a, key));
-            let Some((dst, rkey)) = segs.first().copied().or(first_region) else {
-                // A rendezvous message always has a target; fail typed
-                // rather than panicking on the protocol violation.
-                debug_assert!(false, "non-empty message has no hybrid target");
-                return Err(MpiError::UnknownMessage { peer, seq });
-            };
-            let frame = WrFrame::write(WR_DATA | seq, max_sge, |_, _| 0, |_, _| rkey);
-            let marker = frame.wr(&[], dst, Tail::imm(imm_of(seq, MARKER_K), true));
-            post_wrs(rs, ctx, peer, [marker], false)?;
-        }
+        msg.next += 1;
     }
     Ok(())
+}
+
+/// P-RRS: tells the receiver it may read segment `k` of `msg` at
+/// `addr` under `rkey`.
+fn announce(rs: &mut RankState, ctx: &mut Ctx<'_, '_>, msg: &SendMsg, k: u32, addr: Va, rkey: u32) {
+    let (seq, len) = (msg.seq, seg_len(msg, k));
+    let ready = CtrlMsg::SegReady {
+        seq,
+        k,
+        addr,
+        rkey,
+        len,
+    };
+    send_ctrl_msg(rs, ctx, msg.peer, &ready, 0);
 }
 
 /// The one poster of the data path: hands a planned batch to the
@@ -2955,7 +2845,7 @@ fn resume_send(
     if msg.completed {
         return;
     }
-    match &msg.targets {
+    match &msg.plan {
         None => {
             // No reply yet. The start itself may have been flushed (it
             // was re-posted from its ring slot just before this call);
@@ -2963,13 +2853,13 @@ fn resume_send(
             // failure.
             send_ctrl_msg(rs, ctx, peer, &CtrlMsg::RndvProbe { seq }, 0);
         }
-        Some(SendTargets::ReadGo) => {
-            // P-RRS: re-announce every packed segment; the recovering
-            // receiver deduplicates and re-reads idempotently.
+        Some(plan) if plan.read_driven() => {
+            // P-RRS: re-announce every segment; the recovering receiver
+            // deduplicates and re-reads idempotently.
             let Some(mut msg) = am.sends.remove(&(peer, seq)) else {
                 return;
             };
-            msg.posted_segs = 0;
+            msg.next = 0;
             drive_send(rs, am, ctx, msg);
         }
         Some(_) => {
