@@ -66,14 +66,23 @@ if grep -n "HashMap" crates/mpicore/src/progress.rs crates/mpicore/src/plan.rs \
   exit 1
 fi
 
-echo "==> lint: one thread-local, the cluster spare"
+echo "==> lint: one thread-local and one global static, the cluster spare"
 # Host-side recycling has one mechanism (DESIGN.md §18): reusable
 # buffers live in a cluster, and mpicore's CLUSTER_SPARE hands the one
-# parked cluster to the next build of its shape. A
-# thread_local! anywhere else under crates/*/src would be a second pool
-# beside it.
+# parked cluster to the next build of its shape. A thread_local!, or a
+# process-global static holding a Mutex, RwLock, OnceLock, LazyLock,
+# RefCell or HashMap, anywhere else under crates/*/src would be a second
+# pool or cache beside it that outlives every cluster. Atomic counters
+# (datatype's NEXT_TYPE_ID, testkit's ALLOCATIONS) hold no handles and
+# do not match.
 if grep -rn "thread_local!" crates/*/src | grep -v "^crates/mpicore/src/cluster.rs:"; then
   echo "error: thread_local! outside crates/mpicore/src/cluster.rs; keep" \
+       "reusable state in the cluster (its spare recycles it)." >&2
+  exit 1
+fi
+if grep -rnE "^[[:space:]]*(pub(\([^)]*\))?[[:space:]]+)?static[[:space:]]+(mut[[:space:]]+)?[A-Za-z0-9_]+[[:space:]]*:.*\b(Mutex|RwLock|OnceLock|LazyLock|RefCell|HashMap)\b" \
+    crates/*/src | grep -v "^crates/mpicore/src/cluster.rs:[0-9]*:[[:space:]]*static CLUSTER_SPARE:"; then
+  echo "error: process-global static cache under crates/*/src; keep" \
        "reusable state in the cluster (its spare recycles it)." >&2
   exit 1
 fi

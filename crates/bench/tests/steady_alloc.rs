@@ -18,7 +18,7 @@
 //! process-global, and a sibling test running on another harness
 //! thread would show up in the windows.
 
-use ibdt_datatype::{Datatype, PlanLookup, TransferPlan};
+use ibdt_datatype::{Datatype, TransferPlan};
 use ibdt_ibsim::{Sge, SgeList};
 use ibdt_mpicore::pool::ScratchPool;
 use ibdt_mpicore::{
@@ -172,44 +172,6 @@ fn steady_state_allocation_contracts() {
             &mut || {
                 plan.unpack(0, n, black_box(&stream), black_box(&mut user), 0)
                     .unwrap();
-            },
-        );
-    }
-
-    // Canonicalization: three spellings of one layout compile exactly
-    // one plan, and a respelled lookup (an `OnceLock` read plus a memo
-    // hit) allocates nothing. Normalizing an unseen spelling builds and
-    // flattens a fresh type tree every op.
-    {
-        let int = Datatype::int();
-        let v = vector_ty(16);
-        let hv = Datatype::hvector(128, 16, 16384, &int).unwrap();
-        let entries: Vec<(u64, i64)> = (0..128).map(|i| (16, i * 16384)).collect();
-        let hx = Datatype::hindexed(&entries, &int).unwrap();
-        let served: Vec<PlanLookup> = [&v, &hv, &hx]
-            .iter()
-            .map(|t| t.canonical().plan(1).1)
-            .collect();
-        assert_eq!(
-            served,
-            [PlanLookup::Compiled, PlanLookup::Hit, PlanLookup::Hit],
-            "three spellings of one layout must compile exactly one plan"
-        );
-        check(
-            "canon/respelled_lookup/vector_cols/16".into(),
-            0,
-            512,
-            &mut || {
-                black_box(black_box(&hx).canonical().plan(1));
-            },
-        );
-        check(
-            "canon/normalize_fresh/blocks/128".into(),
-            20,
-            16,
-            &mut || {
-                let t = Datatype::hindexed(black_box(&entries), &int).unwrap();
-                black_box(t.canonical());
             },
         );
     }

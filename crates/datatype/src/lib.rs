@@ -23,8 +23,9 @@
 //!   sender-side layout cache,
 //! * [`plan`] — compiled transfer plans: per-(type, count) precomputed
 //!   run lists with prefix-sum resume indexes, memoized on the type
-//!   ([`Datatype::plan`]) and shared across every message and chunk of
-//!   that shape so the hot path never re-walks the dataloop; this is
+//!   value ([`Datatype::plan`]; two spellings of one layout compile
+//!   separately) and shared across every message and chunk of that
+//!   shape so the hot path never re-walks the dataloop; this is
 //!   what lets BC-SPUP and RWG-UP start and stop packing at segment
 //!   boundaries,
 //! * [`kernel`] — specialized copy kernels (contiguous, constant-stride,
@@ -35,7 +36,6 @@
 //! address names the element with offset 0.
 
 pub mod cache;
-pub mod canon;
 pub mod dataloop;
 pub mod flat;
 pub mod kernel;

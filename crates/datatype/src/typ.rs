@@ -11,9 +11,9 @@
 //! `resized`) and `extent = ub - lb`, which is the stride used when an
 //! array of the type is sent (`count > 1`).
 //!
-//! What is derived from a type — dataloop, flat layout, canonical
-//! spelling and, per count, its compiled plan ([`Datatype::plan`]) — is
-//! built on first use and kept on the type's node.
+//! What is derived from a type — dataloop, flat layout and, per count,
+//! its compiled plan ([`Datatype::plan`]) — is built on first use and
+//! kept on the type's node.
 
 use crate::dataloop::Dataloop;
 use crate::flat::FlatLayout;
@@ -86,9 +86,6 @@ pub(crate) struct TypeNode {
     depth: u32,
     loop_cache: OnceLock<Arc<Dataloop>>,
     flat_cache: OnceLock<Arc<FlatLayout>>,
-    /// Canonicalization result: `None` once computed means this type
-    /// *is* its canonical form (avoids an `Arc` self-cycle).
-    canon_cache: OnceLock<Option<Datatype>>,
     plans: Mutex<PlanMemo>,
 }
 
@@ -140,7 +137,6 @@ impl Datatype {
             depth,
             loop_cache: OnceLock::new(),
             flat_cache: OnceLock::new(),
-            canon_cache: OnceLock::new(),
             plans: Mutex::default(),
         })))
     }
@@ -573,23 +569,6 @@ impl Datatype {
 
     pub(crate) fn kind(&self) -> &TypeKind {
         &self.0.kind
-    }
-
-    /// The canonical spelling of this layout (see [`crate::canon`]):
-    /// every type describing the same merged block list and `(lb, ub)`
-    /// bounds resolves to one shared handle, so plans looked up through
-    /// it ([`Self::plan`]) are shared across spellings. Returns `self` (same
-    /// id) when this type is the first spelling of its layout seen.
-    /// Computed once per node, then cached.
-    pub fn canonical(&self) -> Datatype {
-        match self
-            .0
-            .canon_cache
-            .get_or_init(|| crate::canon::canonical_of(self))
-        {
-            None => self.clone(),
-            Some(c) => c.clone(),
-        }
     }
 
     /// The single primitive this type is built from, when every leaf is

@@ -668,11 +668,6 @@ impl Fabric {
         self.nodes_down[node as usize]
     }
 
-    /// True when any node is currently crashed.
-    pub fn any_node_down(&self) -> bool {
-        self.nodes_down.iter().any(|&d| d)
-    }
-
     /// True when every scheduled crash of `node` carries a restart
     /// window — i.e. the installed plan never kills the node for good.
     /// Mirrors the out-of-band knowledge a membership service

@@ -151,11 +151,6 @@ impl NetConfig {
         self.tx_ns_batched(nsge, bytes, false)
     }
 
-    /// CPU cost of posting `n` descriptors one by one.
-    pub fn post_n_single_ns(&self, n: usize) -> Time {
-        self.post_single_ns * n as u64
-    }
-
     /// CPU cost of posting `n` descriptors with the list interface.
     pub fn post_list_ns(&self, n: usize) -> Time {
         if n == 0 {
@@ -383,7 +378,7 @@ mod tests {
     fn list_post_cheaper_than_single() {
         let c = NetConfig::default();
         for n in [1usize, 2, 16, 128] {
-            assert!(c.post_list_ns(n) <= c.post_n_single_ns(n));
+            assert!(c.post_list_ns(n) <= c.post_single_ns * n as u64);
         }
         assert_eq!(c.post_list_ns(0), 0);
         assert!(c.post_list_ns(1) <= c.post_single_ns);

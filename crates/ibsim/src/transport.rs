@@ -47,13 +47,6 @@ pub enum TransportClass {
     ShmSingle,
 }
 
-impl TransportClass {
-    /// True for the shared-memory families.
-    pub fn is_shm(self) -> bool {
-        !matches!(self, TransportClass::Ib)
-    }
-}
-
 /// Which backend an embedding cluster builds (the
 /// `ClusterSpec.transport` knob).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]

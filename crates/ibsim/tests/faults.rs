@@ -755,7 +755,6 @@ fn node_crash_kills_both_ports_and_errors_every_touching_qp() {
     let (_src, dst) = send_one(&mut h, &mut eng, 1 << 20, 42);
 
     assert!(h.fabric.node_down(1), "membership must report node 1 dead");
-    assert!(h.fabric.any_node_down());
     assert!(
         !h.fabric.node_will_restart(1),
         "no restart window was scheduled"

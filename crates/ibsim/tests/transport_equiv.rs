@@ -319,9 +319,6 @@ fn trait_reports_ib_class_and_inert_faults() {
     let mut f = Fabric::new(2, NetConfig::default());
     let t: &mut dyn Transport = &mut f;
     assert_eq!(t.class(), TransportClass::Ib);
-    assert!(!TransportClass::Ib.is_shm());
-    assert!(TransportClass::ShmDouble.is_shm());
-    assert!(TransportClass::ShmSingle.is_shm());
     assert!(!t.faults_active());
     assert!(t.fault_plan().is_none());
     assert!(t.fault_events().is_empty());

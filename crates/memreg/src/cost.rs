@@ -59,12 +59,6 @@ impl RegCostModel {
     pub fn dereg_cost(&self, addr: Va, len: u64) -> Time {
         self.dereg_base_ns + self.dereg_per_page_ns * self.pages(addr, len)
     }
-
-    /// Combined register + later deregister cost; the quantity OGR's
-    /// grouping decision minimizes.
-    pub fn round_trip_cost(&self, addr: Va, len: u64) -> Time {
-        self.reg_cost(addr, len) + self.dereg_cost(addr, len)
-    }
 }
 
 #[cfg(test)]
@@ -110,7 +104,6 @@ mod tests {
         let m = model();
         assert_eq!(m.reg_cost(0, 3 * 4096), 1000 + 30);
         assert_eq!(m.dereg_cost(0, 3 * 4096), 500 + 15);
-        assert_eq!(m.round_trip_cost(0, 3 * 4096), 1545);
     }
 
     #[test]

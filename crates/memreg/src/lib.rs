@@ -33,4 +33,4 @@ pub use cache::PindownCache;
 pub use cost::RegCostModel;
 pub use error::MemError;
 pub use table::{MrHandle, RegTable, Registration};
-pub use tier::{MemTier, TierMap};
+pub use tier::TierMap;

@@ -124,11 +124,6 @@ impl RegTable {
         self.live.len()
     }
 
-    /// Total bytes currently pinned.
-    pub fn live_bytes(&self) -> u64 {
-        self.live.values().map(|r| r.len).sum()
-    }
-
     /// Lifetime (register, deregister) operation counts.
     pub fn op_counts(&self) -> (u64, u64) {
         (self.reg_ops, self.dereg_ops)
@@ -194,7 +189,6 @@ mod tests {
         let a = t.register(0, 100);
         t.register(200, 50);
         assert_eq!(t.live_count(), 2);
-        assert_eq!(t.live_bytes(), 150);
         assert_eq!(t.bytes_registered(), 150);
         t.deregister(MrHandle(a.lkey)).unwrap();
         assert_eq!(t.live_count(), 1);

@@ -10,16 +10,6 @@
 
 use crate::addr::Va;
 
-/// The memory tier a virtual address belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MemTier {
-    /// Ordinary host memory (the default for every address).
-    Host,
-    /// Device-resident memory: CPU pack/unpack cannot touch it
-    /// directly; data crosses through DMA.
-    Device,
-}
-
 /// Sorted, non-overlapping set of device-resident ranges in one
 /// rank's address space. Lookup is a binary search; the set is tiny
 /// (one entry per device allocation), so no paging is needed.
@@ -52,15 +42,6 @@ impl TierMap {
         self.device.insert(i, (start, end - start));
     }
 
-    /// The tier of a single address.
-    pub fn tier_of(&self, addr: Va) -> MemTier {
-        if self.is_device(addr) {
-            MemTier::Device
-        } else {
-            MemTier::Host
-        }
-    }
-
     /// True when `addr` falls inside a device range.
     pub fn is_device(&self, addr: Va) -> bool {
         let i = self.device.partition_point(|&(s, _)| s <= addr);
@@ -68,11 +49,6 @@ impl TierMap {
             let (s, l) = self.device[i - 1];
             addr < s + l
         }
-    }
-
-    /// Total bytes currently marked device-resident.
-    pub fn device_bytes(&self) -> u64 {
-        self.device.iter().map(|&(_, l)| l).sum()
     }
 
     /// True when no range is marked (the overwhelmingly common case —
@@ -95,9 +71,8 @@ mod tests {
     fn empty_map_is_all_host() {
         let m = TierMap::new();
         assert!(m.is_empty());
-        assert_eq!(m.tier_of(0), MemTier::Host);
-        assert_eq!(m.tier_of(u64::MAX - 1), MemTier::Host);
-        assert_eq!(m.device_bytes(), 0);
+        assert!(!m.is_device(0));
+        assert!(!m.is_device(u64::MAX - 1));
     }
 
     #[test]
@@ -108,8 +83,7 @@ mod tests {
         assert!(m.is_device(4096));
         assert!(m.is_device(12287));
         assert!(!m.is_device(12288));
-        assert_eq!(m.tier_of(8000), MemTier::Device);
-        assert_eq!(m.device_bytes(), 8192);
+        assert_eq!(m.device, [(4096, 8192)]);
     }
 
     #[test]
@@ -119,7 +93,7 @@ mod tests {
         m.mark_device(100, 100); // adjacent
         m.mark_device(50, 200); // overlapping
         m.mark_device(1000, 10);
-        assert_eq!(m.device_bytes(), 250 + 10);
+        assert_eq!(m.device, [(0, 250), (1000, 10)]);
         assert!(m.is_device(249));
         assert!(!m.is_device(250));
         assert!(m.is_device(1005));
@@ -140,7 +114,7 @@ mod tests {
             assert!(!m.is_device(a + 10));
         }
         assert!(!m.is_device(2000));
-        assert_eq!(m.device_bytes(), 30);
+        assert_eq!(m.device, [(100, 10), (3000, 10), (5000, 10)]);
     }
 
     #[test]

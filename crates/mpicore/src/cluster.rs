@@ -940,19 +940,6 @@ impl Cluster {
         self.fabric.tx_engine(rank).trace()
     }
 
-    /// Post-run access to a rank's pack/unpack pool statistics:
-    /// `(pack acquires, pack exhaustions, unpack acquires, unpack
-    /// exhaustions)`.
-    pub fn pool_stats(&self, rank: u32) -> (u64, u64, u64, u64) {
-        let r = &self.ranks[rank as usize];
-        (
-            r.pack_pool.acquires(),
-            r.pack_pool.exhaustions(),
-            r.unpack_pool.acquires(),
-            r.unpack_pool.exhaustions(),
-        )
-    }
-
     /// Post-run access to a rank's eager-ring frame pool: `(bound,
     /// pooled)` frames backing its receive slots (see
     /// [`ibdt_memreg::AddressSpace::slot_frames`]; their sum is the

@@ -768,12 +768,6 @@ impl SendPlan {
             _ => 0,
         }
     }
-
-    /// The receiver drives the transfer by reading what the sender
-    /// announces (P-RRS).
-    pub fn read_driven(&self) -> bool {
-        self.kind == ReplyKind::ReadGo
-    }
 }
 
 /// Picks the bounce-chunk size for a staged device transfer of `bytes`
@@ -1317,7 +1311,6 @@ mod tests {
                 let got: Vec<Gate> = got.iter().map(|s| s.gate()).collect();
                 assert_eq!(got, gates, "{at}");
                 assert_eq!([0, 1, n].map(|k| plan.resume_at(k)), resumed, "{at}");
-                assert_eq!(plan.read_driven(), scheme == S::PRrs, "{at}");
                 // Only the last segment write ends the data duty, and
                 // Hybrid's marker ends it instead.
                 let signals: Vec<bool> = (0..n).map(|k| plan.signals(k)).collect();

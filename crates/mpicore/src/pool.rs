@@ -30,18 +30,16 @@ pub struct SegmentPool {
     rkey: u32,
     free: Vec<Va>,
     total: usize,
-    exhaustions: u64,
-    acquires: u64,
 }
 
 impl SegmentPool {
     /// Places a pool of `total_size / seg_size` segments in `space`:
     /// allocates the backing region page-aligned, registers it, refills
-    /// the free list in place (LIFO with the lowest addresses on top)
-    /// and zeroes the counters. Construction runs it on an empty pool;
-    /// world recycling runs it again against the *reset* space and
-    /// table, where deterministic allocation reproduces the base, keys,
-    /// and free-list order a new pool of the same sizes gets.
+    /// the free list in place (LIFO with the lowest addresses on top).
+    /// Construction runs it on an empty pool; world recycling runs it
+    /// again against the *reset* space and table, where deterministic
+    /// allocation reproduces the base, keys, and free-list order a new
+    /// pool of the same sizes gets.
     pub fn reset(
         &mut self,
         space: &mut AddressSpace,
@@ -61,8 +59,6 @@ impl SegmentPool {
         self.free.clear();
         self.free
             .extend((0..count).rev().map(|i| base + i * seg_size));
-        self.exhaustions = 0;
-        self.acquires = 0;
         Ok(())
     }
 
@@ -83,16 +79,7 @@ impl SegmentPool {
 
     /// Takes one segment buffer, or `None` when exhausted.
     pub fn acquire(&mut self) -> Option<Va> {
-        match self.free.pop() {
-            Some(va) => {
-                self.acquires += 1;
-                Some(va)
-            }
-            None => {
-                self.exhaustions += 1;
-                None
-            }
-        }
+        self.free.pop()
     }
 
     /// Returns a segment buffer to the pool.
@@ -115,16 +102,6 @@ impl SegmentPool {
     /// Total buffers in the pool.
     pub fn total(&self) -> usize {
         self.total
-    }
-
-    /// Times [`Self::acquire`] found the pool empty.
-    pub fn exhaustions(&self) -> u64 {
-        self.exhaustions
-    }
-
-    /// Total successful acquires.
-    pub fn acquires(&self) -> u64 {
-        self.acquires
     }
 }
 
@@ -310,14 +287,12 @@ mod tests {
     }
 
     #[test]
-    fn exhaustion_counted() {
+    fn exhausted_pool_returns_none() {
         let (_, _, mut pool) = fixture(2 * 4096, 4096);
         assert!(pool.acquire().is_some());
         assert!(pool.acquire().is_some());
         assert!(pool.acquire().is_none());
         assert!(pool.acquire().is_none());
-        assert_eq!(pool.exhaustions(), 2);
-        assert_eq!(pool.acquires(), 2);
     }
 
     #[test]

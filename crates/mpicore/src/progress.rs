@@ -2831,7 +2831,9 @@ fn resend_eager_slot(rs: &mut RankState, ctx: &mut Ctx<'_, '_>, peer: u32, va: V
     }
 }
 
-/// Re-drives a suspended rendezvous send after re-establishment.
+/// Re-drives a suspended rendezvous send after re-establishment. Only a
+/// send with a flushed data write is suspended, so a read-driven (P-RRS)
+/// send never gets here: its receiver drives recovery ([`resume_recv`]).
 fn resume_send(
     rs: &mut RankState,
     am: &mut ActiveMsgs,
@@ -2852,15 +2854,6 @@ fn resume_send(
             // probe so the receiver resends a reply that crossed the
             // failure.
             send_ctrl_msg(rs, ctx, peer, &CtrlMsg::RndvProbe { seq }, 0);
-        }
-        Some(plan) if plan.read_driven() => {
-            // P-RRS: re-announce every segment; the recovering receiver
-            // deduplicates and re-reads idempotently.
-            let Some(mut msg) = am.sends.remove(&(peer, seq)) else {
-                return;
-            };
-            msg.next = 0;
-            drive_send(rs, am, ctx, msg);
         }
         Some(_) => {
             // Data-bearing schemes restart from the receiver's

@@ -135,11 +135,6 @@ impl<W: World> Engine<W> {
         (self.now, false)
     }
 
-    /// True when no events are pending.
-    pub fn is_quiescent(&self) -> bool {
-        self.queue.is_empty()
-    }
-
     /// Resets the engine to virtual time 0 with an empty queue,
     /// retaining the queue's internal capacity. A reset engine is
     /// indistinguishable from a fresh one, so embedders that run many
@@ -180,7 +175,7 @@ mod tests {
         let end = eng.run_to_quiescence(&mut w, 1_000);
         assert_eq!(end, 35);
         assert_eq!(w.seen, vec![(5, 3), (15, 2), (25, 1), (35, 0)]);
-        assert!(eng.is_quiescent());
+        assert!(eng.queue.is_empty());
         assert_eq!(eng.handled(), 4);
     }
 

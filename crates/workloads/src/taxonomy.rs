@@ -102,7 +102,7 @@ pub fn build(class: DtClass, size: u64) -> Datatype {
         }
         DtClass::Resized => {
             // A contiguous block resized to double extent, replicated:
-            // the canonicalizer sees a vector spelled differently.
+            // a vector spelled differently.
             let blk = size / 128;
             let unit = Datatype::contiguous(blk, &byte).expect("unit");
             let unit = Datatype::resized(&unit, 0, 2 * blk as i64).expect("resized");
