@@ -687,13 +687,15 @@ impl Cluster {
             }
             assert!(
                 !unfinished,
-                "rank {r} deadlocked with {} ops left (blocked: {:?})",
+                "rank {r} deadlocked with {} ops left (blocked: {:?}); open transfers:{}",
                 it.prog.len(),
-                it.blocked
+                it.blocked,
+                self.open_transfers()
             );
             assert!(
                 self.active[r].is_idle(),
-                "rank {r} finished with in-flight rendezvous state"
+                "rank {r} finished with in-flight rendezvous state:{}",
+                self.open_transfers()
             );
         }
         if self.spec.mpi.audit {
@@ -707,6 +709,19 @@ impl Cluster {
         engine.reset();
         self.engine = Some(engine);
         self.collect_stats(finish, events_scheduled)
+    }
+
+    /// Every rank's open rendezvous transfers, one line each, for a
+    /// hang report.
+    fn open_transfers(&self) -> String {
+        let mut out = String::new();
+        for (r, am) in self.active.iter().enumerate() {
+            if !am.is_idle() {
+                out += &format!("\n  rank {r}:");
+                am.report(&mut out);
+            }
+        }
+        out
     }
 
     /// Parks a finished cluster on this thread, in place of any parked

@@ -20,17 +20,18 @@
 //!   from that substream back to the stream,
 //! * [`plan_reply`] — what the receiver commits for its rendezvous
 //!   reply: the blocks it pins, the packed substream it unpacks and
-//!   that substream's segments,
+//!   that substream's segments, and the steps of its receive as one
+//!   ordered list of [`RecvStep`]s, each behind a [`RecvGate`], that
+//!   the progress engine runs with one cursor ([`RecvPlan`]),
 //! * [`send_prep`] — what a sender pins and packs before and after the
 //!   reply, and what it does when the pinning budget refuses the pin,
 //! * [`SendPlan`] — what the reply lets a sender post, as one ordered
 //!   list of [`Step`]s, each behind a [`Gate`], that the progress
 //!   engine runs with one cursor,
 //! * the remaining scheme rules: [`adaptive_choose`] (§6),
-//!   [`receiver_scheme`], [`send_geometry`], [`resumes_from_prefix`],
-//!   [`renegotiates_on_fault`] and the device tier's
-//!   [`staging_chunk_for`]. The progress engine asks these and never
-//!   branches on a scheme itself.
+//!   [`receiver_scheme`], [`send_geometry`], [`renegotiates_on_fault`]
+//!   and the device tier's [`staging_chunk_for`]. The progress engine
+//!   asks these and never branches on a scheme itself.
 
 use crate::config::{
     MpiConfig, Scheme, ADAPTIVE_COPY_REDUCED_MIN, ADAPTIVE_MULTIW_BLOCK, ADAPTIVE_SHM_MULTIW_BLOCK,
@@ -319,9 +320,19 @@ impl ReplyKind {
     }
 }
 
-/// What a receiver commits for its rendezvous reply.
+/// What a receiver commits for its rendezvous reply, and the steps its
+/// receive runs. Step `i` is [`RecvPlan::step`]`(i)`; by reply kind,
+/// with `n` segments in the packed substream:
+///
+/// * `Buffer` (Generic), `Segments` (BC-SPUP, RWG-UP): `[Reply,
+///   Unpack 0..n, Wait(Unpacked), Complete]`; with the Fig. 12 batch
+///   `[Reply, Wait(Landed 0..n), UnpackAll, Wait(Unpacked), Complete]`,
+/// * `ReadGo` (P-RRS): `[Reply, Read 0..n, Wait(Read), Complete]`,
+/// * `MultiW`, and `Hybrid` with nothing packed: `[Reply, Wait(Direct),
+///   Complete]`,
+/// * `Hybrid`: `[Reply, Unpack 0..n, Wait(Tail), Wait(Tail), Complete]`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ReplyPlan {
+pub struct RecvPlan {
     /// The reply sent.
     pub kind: ReplyKind,
     /// Receiver blocks pinned for the sender's direct access: none, or
@@ -339,6 +350,142 @@ pub struct ReplyPlan {
     pub batch_unpack: bool,
 }
 
+/// One step of a rendezvous receive (§4–5).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RecvStep {
+    /// Send the reply.
+    Reply,
+    /// Unpack segment `k` of the packed substream into the user buffer.
+    Unpack(u32),
+    /// Unpack every segment at once (the Fig. 12 batch).
+    UnpackAll,
+    /// P-RRS: read announced segment `k` into the user buffer.
+    Read(u32),
+    /// Nothing to do: the step only waits behind its gate.
+    Wait(RecvGate),
+    /// Complete the receive.
+    Complete,
+}
+
+/// What a [`RecvStep`] waits for. Every gate but `Open` is opened by
+/// one event, and an opened gate passes one step.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RecvGate {
+    /// Nothing: the step runs once the cursor reaches it.
+    Open,
+    /// The receiver finished preparing its reply.
+    Ready,
+    /// Segment `k` landed, announced by its immediate.
+    Landed(u32),
+    /// The sender announced segment `k` for reading.
+    Announced(u32),
+    /// The direct part landed: Multi-W's last write or Hybrid's marker,
+    /// each ordered last on the queue pair.
+    Direct,
+    /// The last unpack finished. Unpacks finish in the order they ran
+    /// (one FIFO CPU), so every earlier one finished too.
+    Unpacked,
+    /// The last read finished. Reads complete in posting order (RC), so
+    /// every earlier one completed too.
+    Read,
+    /// Hybrid's two last events, the direct part landing and the last
+    /// unpack finishing, which come once each in either order.
+    Tail,
+}
+
+impl RecvStep {
+    /// The gate this step waits behind.
+    pub fn gate(self) -> RecvGate {
+        match self {
+            RecvStep::Reply => RecvGate::Ready,
+            RecvStep::Unpack(k) => RecvGate::Landed(k),
+            RecvStep::Read(k) => RecvGate::Announced(k),
+            RecvStep::Wait(gate) => gate,
+            RecvStep::UnpackAll | RecvStep::Complete => RecvGate::Open,
+        }
+    }
+}
+
+impl RecvPlan {
+    /// The waits between the per-segment steps and `Complete`.
+    fn tail(&self) -> &'static [RecvStep] {
+        use {RecvGate as G, RecvStep::Wait};
+        match self.kind {
+            ReplyKind::ReadGo => &[Wait(G::Read)],
+            ReplyKind::MultiW => &[Wait(G::Direct)],
+            ReplyKind::Hybrid if self.nsegs == 0 => &[Wait(G::Direct)],
+            ReplyKind::Hybrid => &[Wait(G::Tail), Wait(G::Tail)],
+            _ if self.batch_unpack => &[RecvStep::UnpackAll, Wait(G::Unpacked)],
+            _ => &[Wait(G::Unpacked)],
+        }
+    }
+
+    /// Steps in the list.
+    pub fn step_count(&self) -> u32 {
+        self.nsegs + self.tail().len() as u32 + 2
+    }
+
+    /// The step at `next` when its gate holds: it is open, or `opened`
+    /// holds the event that opens it (`Tail`: `Direct` or `Unpacked`),
+    /// which the step then consumes (an event passes one step). `None`
+    /// while the step waits on another event, and past the end.
+    pub fn pass(&self, next: u32, opened: &mut Option<RecvGate>) -> Option<RecvStep> {
+        use RecvGate::{Direct, Open, Tail, Unpacked};
+        let step = self.step(next)?;
+        match (step.gate(), *opened) {
+            (Open, _) => {}
+            (gate, Some(o)) if gate == o || gate == Tail && matches!(o, Direct | Unpacked) => {
+                *opened = None
+            }
+            _ => return None,
+        }
+        Some(step)
+    }
+
+    /// Step `i`, or `None` past the end.
+    pub fn step(&self, i: u32) -> Option<RecvStep> {
+        let n = self.nsegs;
+        Some(match i {
+            0 => RecvStep::Reply,
+            i if i <= n => match self.kind {
+                ReplyKind::ReadGo => RecvStep::Read(i - 1),
+                _ if self.batch_unpack => RecvStep::Wait(RecvGate::Landed(i - 1)),
+                _ => RecvStep::Unpack(i - 1),
+            },
+            i => match self.tail().get((i - n - 1) as usize) {
+                Some(&step) => step,
+                None if i + 1 == self.step_count() => RecvStep::Complete,
+                None => return None,
+            },
+        })
+    }
+
+    /// The segments a resume acknowledges with the cursor at `next`:
+    /// those landed, for the segment-ordered replies (BC-SPUP, RWG-UP),
+    /// whose sender restarts after them; none for the others, whose
+    /// sender restarts from the beginning (its direct writes, marker
+    /// and announcements are idempotent). Per-queue-pair FIFO delivery,
+    /// and a failure that kills every later transfer, make the landed
+    /// segments exactly a prefix.
+    pub fn acked(&self, next: u32) -> u32 {
+        match self.kind {
+            ReplyKind::Segments => next.saturating_sub(1).min(self.nsegs),
+            _ => 0,
+        }
+    }
+
+    /// Where the cursor restarts when a receive recovers from a failed
+    /// read: at its first read, since the sender re-announces every
+    /// segment and re-reads are idempotent. No other receive moves its
+    /// cursor back: its sender resumes after [`Self::acked`].
+    pub fn resume_at(&self, next: u32) -> u32 {
+        match self.kind {
+            ReplyKind::ReadGo => next.min(1),
+            _ => next,
+        }
+    }
+}
+
 /// Plans the reply of a receiver that resolved `scheme` for a message
 /// of `size` bytes landing in `rcv_blocks` (absolute addresses, stream
 /// order; read only by the schemes that pin or partition: P-RRS,
@@ -349,15 +496,12 @@ pub fn plan_reply(
     size: u64,
     rcv_blocks: &[(Va, u64)],
     cfg: &MpiConfig,
-) -> ReplyPlan {
+) -> RecvPlan {
     let (nsegs, seg_size) = send_geometry(scheme, size, cfg);
-    let mut plan = ReplyPlan {
-        kind: ReplyKind::Segments,
-        pin_min: None,
-        packed_ivs: Vec::new(),
+    let mut plan = RecvPlan {
         nsegs,
         seg_size,
-        batch_unpack: false,
+        ..RecvPlan::default()
     };
     match scheme {
         Scheme::Generic => plan.kind = ReplyKind::Buffer,
@@ -516,16 +660,6 @@ pub fn reads_rcv_blocks(scheme: Scheme) -> bool {
 /// evicted under a scheme that writes into its pinned user memory.
 pub fn renegotiates_on_fault(scheme: Scheme) -> bool {
     matches!(scheme, Scheme::MultiW | Scheme::Hybrid)
-}
-
-/// Whether a recovered transfer of `scheme` restarts from the
-/// receiver's acknowledged segment prefix. Per-QP FIFO delivery plus
-/// flush-kills-the-suffix makes the arrived count exactly that prefix
-/// for the segment-ordered schemes; the others restart from the
-/// beginning (their writes are idempotent and a completion marker is
-/// posted last).
-pub fn resumes_from_prefix(scheme: Scheme) -> bool {
-    matches!(scheme, Scheme::BcSpup | Scheme::RwgUp)
 }
 
 /// Whether an eager message of `scheme` is packed into a temporary
@@ -1317,6 +1451,85 @@ mod tests {
                 assert_eq!(signals, [false, false, scheme != S::Hybrid], "{at}");
             }
         }
+    }
+
+    #[test]
+    fn recv_plan_table() {
+        use {RecvGate as G, RecvStep as T, ReplyKind as K};
+        // Runs `events` from the cursor at 0: the steps each passed, and
+        // whether the receive completed.
+        let run = |p: &RecvPlan, events: &[G]| {
+            let (mut next, mut passed) = (0, Vec::new());
+            for &e in events {
+                let mut opened = Some(e);
+                passed.push(Vec::new());
+                while let Some(step) = p.pass(next, &mut opened) {
+                    next += 1;
+                    passed.last_mut().unwrap().push(step);
+                }
+            }
+            (passed, next == p.step_count())
+        };
+        let (u, landed) = ([T::Unpack(0), T::Unpack(1)], [G::Landed(0), G::Landed(1)]);
+        let (tail, direct) = (
+            [T::Wait(G::Tail), T::Wait(G::Tail), T::Complete],
+            [T::Wait(G::Direct), T::Complete],
+        );
+        let unpacked = [T::Wait(G::Unpacked), T::Complete];
+        // (reply kind, packed segments, Fig. 12 batch, steps after the
+        // reply, the events after `Ready` that pass them, and with the
+        // cursor at step 0, 1, ...: the segments a resume acknowledges
+        // and where a resume puts the cursor). The `Segments` and
+        // `ReadGo` events repeat a landing and an announcement: each
+        // segment is placed once.
+        type Row<'a> = (K, u32, bool, Vec<T>, Vec<G>, &'a [u32], &'a [u32]);
+        #[rustfmt::skip]
+        let rows: [Row; 8] = [
+            (K::Buffer, 1, false, [&u[..1], &unpacked].concat(), vec![landed[0], G::Unpacked], &[0; 4], &[0, 1, 2, 3]),
+            (K::Segments, 2, false, [&u[..], &unpacked].concat(), vec![landed[0], landed[0], landed[1], landed[1], G::Unpacked], &[0, 0, 1, 2, 2], &[0, 1, 2, 3, 4]),
+            (K::Segments, 2, true, [&landed.map(T::Wait)[..], &[T::UnpackAll], &unpacked].concat(), vec![landed[0], landed[1], G::Unpacked], &[0, 0, 1, 2, 2, 2], &[0, 1, 2, 3, 4, 5]),
+            (K::ReadGo, 2, false, vec![T::Read(0), T::Read(1), T::Wait(G::Read), T::Complete], [0, 0, 1].map(G::Announced).into_iter().chain([G::Read]).collect(), &[0; 5], &[0, 1, 1, 1, 1]),
+            (K::MultiW, 0, false, direct.to_vec(), vec![G::Direct], &[0; 3], &[0, 1, 2]),
+            (K::Hybrid, 0, false, direct.to_vec(), vec![G::Direct], &[0; 3], &[0, 1, 2]),
+            // The marker and the last unpack come in either order.
+            (K::Hybrid, 2, false, [&u[..], &tail].concat(), vec![landed[0], landed[1], G::Direct, G::Unpacked], &[0; 6], &[0, 1, 2, 3, 4, 5]),
+            (K::Hybrid, 2, false, [&u[..], &tail].concat(), vec![landed[0], landed[1], G::Unpacked, G::Direct], &[0; 6], &[0, 1, 2, 3, 4, 5]),
+        ];
+        for (kind, nsegs, batch_unpack, steps, events, acked, resumed) in rows {
+            let p = RecvPlan {
+                kind,
+                nsegs,
+                batch_unpack,
+                ..RecvPlan::default()
+            };
+            let at = format!("{kind:?} {nsegs} {batch_unpack}");
+            let steps = [&[T::Reply][..], &steps].concat();
+            let got: Vec<T> = (0..).map_while(|i| p.step(i)).collect();
+            assert_eq!(got, steps, "{at}");
+            let (passed, complete) = run(&p, &[&[G::Ready][..], &events].concat());
+            assert!(complete && passed.concat() == steps, "{at}: {passed:?}");
+            let cursors = 0..p.step_count();
+            let got: Vec<u32> = cursors.clone().map(|i| p.acked(i)).collect();
+            assert_eq!(got, acked, "{at}");
+            let got: Vec<u32> = cursors.map(|i| p.resume_at(i)).collect();
+            assert_eq!(got, resumed, "{at}");
+        }
+        // The gates: the reply waits for the receiver to be ready, an
+        // unpack for its segment to land, a read for its announcement.
+        #[rustfmt::skip]
+        let gates = [(T::Reply, G::Ready), (T::Unpack(1), G::Landed(1)), (T::Read(1), G::Announced(1)),
+            (T::Wait(G::Tail), G::Tail), (T::UnpackAll, G::Open), (T::Complete, G::Open)];
+        for (step, gate) in gates {
+            assert_eq!(step.gate(), gate, "{step:?}");
+        }
+        // A landing ahead of the cursor passes nothing.
+        let segs = RecvPlan {
+            nsegs: 2,
+            ..RecvPlan::default()
+        };
+        let (passed, complete) = run(&segs, &[G::Ready, landed[1], landed[0]]);
+        let want = [T::Reply, u[0]];
+        assert!(!complete && passed.concat() == want, "{passed:?}");
     }
 
     #[test]

@@ -3,12 +3,16 @@
 //! One large buffer is allocated page-aligned and registered once at MPI
 //! initialization, then carved into fixed-size segment buffers handed
 //! out LIFO (so recently used — cache-warm — buffers are reused first).
-//! Exhaustion is counted; the protocol layer falls back to dynamic
-//! allocation + on-the-fly registration, the second solution of §4.3.3.
+//! A message takes its staging buffers through `acquire_seg`, which
+//! counts an exhausted pool and falls back to dynamic allocation +
+//! on-the-fly registration (`acquire_stage`), the second solution of
+//! §4.3.3.
 
-use ibdt_memreg::{AddressSpace, MemError, RegTable, Va};
+use crate::progress::Ctx;
+use crate::rank::RankState;
+use ibdt_memreg::cache::Acquire;
+use ibdt_memreg::{AddressSpace, MemError, MrHandle, RegTable, Va};
 use ibdt_simcore::Shelf;
-use std::collections::HashSet;
 
 /// A pack/unpack staging buffer (pool segment or dynamic fallback).
 #[derive(Debug, Clone, Copy)]
@@ -109,8 +113,8 @@ impl SegmentPool {
 /// path: byte copies (`Vec<u8>`: eager bytes copied out of a receive
 /// slot, a local RMA gather), control-message encode buffers (kept
 /// apart so a reply copy held for a whole transfer never pins a
-/// message-sized buffer), block/SGE lists (`Vec<(Va, u64)>`), stage
-/// buffer lists and index sets. Each kind is a [`Shelf`]: buffers are
+/// message-sized buffer), block/SGE lists (`Vec<(Va, u64)>`) and stage
+/// buffer lists. Each kind is a [`Shelf`]: buffers are
 /// taken, used, and returned; their capacity survives, so steady-state
 /// sends stop allocating after the first few messages. Purely
 /// host-side — no modelled cost, no effect on the virtual clock.
@@ -125,7 +129,6 @@ pub struct ScratchPool {
     ctrl: Shelf<Vec<u8>>,
     blocks: Shelf<Vec<(Va, u64)>>,
     stage: Shelf<Vec<StageBuf>>,
-    sets: Shelf<HashSet<u32>>,
 }
 
 /// Minimum capacity of a pooled byte buffer (covers every control
@@ -146,7 +149,6 @@ impl ScratchPool {
             ctrl: Shelf::new(usize::MAX),
             blocks: Shelf::new(usize::MAX),
             stage: Shelf::new(usize::MAX),
-            sets: Shelf::new(usize::MAX),
         }
     }
 
@@ -157,7 +159,6 @@ impl ScratchPool {
         self.ctrl.reset_counts();
         self.blocks.reset_counts();
         self.stage.reset_counts();
-        self.sets.reset_counts();
     }
 
     /// Takes an empty byte buffer with room for at least `cap` bytes,
@@ -221,23 +222,12 @@ impl ScratchPool {
         self.stage.put(v)
     }
 
-    /// Takes an empty index set, reusing a returned set's table.
-    pub(crate) fn take_set(&mut self) -> HashSet<u32> {
-        self.sets.take(HashSet::new)
-    }
-
-    /// Returns an index set for reuse.
-    pub(crate) fn put_set(&mut self, v: HashSet<u32>) {
-        self.sets.put(v)
-    }
-
     /// `(reuses, allocs)` summed over every kind.
     fn counts(&self) -> (u64, u64) {
         let each = [
             (self.bytes.reuses(), self.bytes.allocs()),
             (self.blocks.reuses(), self.blocks.allocs()),
             (self.stage.reuses(), self.stage.allocs()),
-            (self.sets.reuses(), self.sets.allocs()),
             (self.ctrl.reuses(), self.ctrl.allocs()),
         ];
         each.iter().fold((0, 0), |(r, a), (x, y)| (r + x, a + y))
@@ -251,6 +241,118 @@ impl ScratchPool {
     /// Times a take had to allocate fresh.
     pub fn allocs(&self) -> u64 {
         self.counts().1
+    }
+}
+
+// ---------------------------------------------------------------------
+// A message's staging buffers (pool with dynamic fallback, §4.3.3)
+// ---------------------------------------------------------------------
+
+/// Takes one segment buffer from the pack (or, when `unpack`, the
+/// unpack) pool, falling back to a dynamic buffer when it is exhausted.
+pub(crate) fn acquire_seg(rs: &mut RankState, ctx: &mut Ctx<'_, '_>, unpack: bool) -> StageBuf {
+    let pool = if unpack {
+        &mut rs.unpack_pool
+    } else {
+        &mut rs.pack_pool
+    };
+    match pool.acquire() {
+        Some(va) => StageBuf {
+            va,
+            len: pool.seg_size(),
+            lkey: pool.lkey(),
+            rkey: pool.rkey(),
+            dynamic: false,
+        },
+        None => {
+            rs.counters.pool_fallbacks += 1;
+            acquire_stage(rs, ctx, ctx.cfg.max_seg_size)
+        }
+    }
+}
+
+/// Dynamically allocates and registers a staging buffer of `size`
+/// bytes (the Generic scheme's per-operation buffers, and the pool
+/// fallback). Memory is recycled through a freelist, but malloc/free
+/// costs are charged every time — matching dynamically allocated
+/// buffers in the original implementation. Registration goes through
+/// the pin-down cache when `reuse_internal_bufs` is set ("Datatype" in
+/// Fig. 2 amortizes registration; "DT+reg" registers every operation).
+pub(crate) fn acquire_stage(rs: &mut RankState, ctx: &mut Ctx<'_, '_>, size: u64) -> StageBuf {
+    rs.counters.dynamic_allocs += 1;
+    let va = match rs.internal.free.get_mut(&size).and_then(Vec::pop) {
+        Some(va) => va,
+        None => ctx.mems[rs.rank as usize]
+            .space
+            .alloc_page_aligned(size)
+            .expect("address space exhausted (raise capacity)"),
+    };
+    let mut cost = ctx.host.malloc_ns;
+    let acq = if ctx.cfg.reuse_internal_bufs {
+        rs.pindown.acquire(
+            &mut ctx.mems[rs.rank as usize].regs,
+            &ctx.host.reg,
+            va,
+            size,
+        )
+    } else {
+        // "DT+reg": force a fresh registration every operation.
+        let reg = ctx.mems[rs.rank as usize].regs.register(va, size);
+        cost += ctx.host.reg.reg_cost(va, size);
+        Acquire {
+            reg,
+            cost_ns: 0,
+            hit: false,
+        }
+    };
+    cost += acq.cost_ns;
+    rs.cpu.reserve_labeled(ctx.now(), cost, "malloc+reg");
+    StageBuf {
+        va,
+        len: size,
+        lkey: acq.reg.lkey,
+        rkey: acq.reg.rkey,
+        dynamic: true,
+    }
+}
+
+/// Returns staging buffers: pool segments to the pack (or, when
+/// `unpack`, the unpack) pool, dynamic buffers to the freelist after
+/// deregistering them.
+pub(crate) fn release_stage_bufs(
+    rs: &mut RankState,
+    ctx: &mut Ctx<'_, '_>,
+    bufs: &[StageBuf],
+    unpack: bool,
+) {
+    let mut cost = 0;
+    for sb in bufs {
+        if sb.dynamic {
+            cost += ctx.host.free_ns;
+            if ctx.cfg.reuse_internal_bufs {
+                // `BadKey` = already evicted under the transfer; the
+                // deregistration was paid by the evictor.
+                if let Ok(c) =
+                    rs.pindown
+                        .release(&mut ctx.mems[rs.rank as usize].regs, &ctx.host.reg, sb.lkey)
+                {
+                    cost += c;
+                }
+            } else if let Ok(reg) = ctx.mems[rs.rank as usize]
+                .regs
+                .deregister(MrHandle(sb.lkey))
+            {
+                cost += ctx.host.reg.dereg_cost(reg.addr, reg.len);
+            }
+            rs.internal.free.entry(sb.len).or_default().push(sb.va);
+        } else if unpack {
+            rs.unpack_pool.release(sb.va);
+        } else {
+            rs.pack_pool.release(sb.va);
+        }
+    }
+    if cost > 0 {
+        rs.cpu.reserve_labeled(ctx.now(), cost, "free");
     }
 }
 

@@ -24,11 +24,11 @@ use crate::msg::{CtrlMsg, ReplyBody, SegList};
 use crate::plan::{
     adaptive_choose, direct_ranges, eager_via_temp, for_each_substream_piece, imm_of, imm_parse,
     lkey_for, plan_gather, plan_multi_w, plan_reply, reads_rcv_blocks, receiver_scheme, region_key,
-    renegotiates_on_fault, resumes_from_prefix, send_geometry, send_prep, staging_chunk_for,
-    substream_len, Gate, Pack, Pin, PrepAt, Refused, ReplyKind, ReplyPlan, SendPlan, SendPrep,
-    Step, Tail, WrFrame, FALLBACK,
+    renegotiates_on_fault, send_geometry, send_prep, staging_chunk_for, substream_len, Gate, Pack,
+    Pin, PrepAt, RecvGate, RecvPlan, RecvStep, Refused, ReplyKind, SendPlan, SendPrep, Step, Tail,
+    WrFrame, FALLBACK,
 };
-use crate::rank::{PostedRecv, RankState, ReqId, ReqKind, Unexpected};
+use crate::rank::{PostedRecv, RankState, ReconnState, ReqId, ReqKind, Unexpected};
 use crate::table::{ImmMap, MsgTable};
 use ibdt_datatype::{BlockStats, Datatype, TransferPlan};
 use ibdt_ibsim::{
@@ -39,7 +39,6 @@ use ibdt_memreg::{ogr, Registration, Va};
 use ibdt_simcore::engine::Scheduler;
 use ibdt_simcore::pipeline::MAX_PIPELINE_BUFS;
 use ibdt_simcore::time::Time;
-use std::collections::HashSet;
 use std::sync::Arc;
 
 /// Top-level simulation event for the MPI world.
@@ -82,15 +81,17 @@ pub enum CpuAct {
         /// Segment index.
         k: u32,
     },
-    /// Receiver unpacked segments of the packed substream.
+    /// Receiver unpacked segment `k` of the packed substream (the
+    /// Fig. 12 batch: every segment, `k` the last).
     UnpackSeg {
         /// Source rank.
         peer: u32,
         /// Sequence number.
         seq: u64,
-        /// Segments unpacked: one, or all of them for the Fig. 12
-        /// batch.
-        segs: u32,
+        /// Segment index.
+        k: u32,
+        /// The receive's generation when the unpack ran.
+        generation: u8,
     },
     /// Sender finished registering its user buffer (RWG-UP / Multi-W).
     SenderRegDone {
@@ -214,12 +215,16 @@ const WR_DATA: u64 = 2 << WR_KIND_SHIFT; // low bits: seq
 const WR_READ: u64 = 3 << WR_KIND_SHIFT; // low bits: seq
 /// One-sided RMA work requests (completion tracked per fence epoch).
 pub(crate) const WR_RMA: u64 = 4 << WR_KIND_SHIFT;
-const WR_LOW_MASK: u64 = (1 << WR_KIND_SHIFT) - 1;
+const WR_KIND_MASK: u64 = !((1 << WR_KIND_SHIFT) - 1);
+/// Marks a receive's last read: its completion is [`RecvGate::Read`].
+const WR_LAST: u64 = 1 << (WR_KIND_SHIFT - 1);
+const WR_LOW_MASK: u64 = WR_LAST - 1;
 
 /// Immediate segment index reserved for the Hybrid completion marker.
 const MARKER_K: u32 = 0xFFFF;
 
 pub(crate) use crate::pool::StageBuf;
+use crate::pool::{acquire_seg, acquire_stage, release_stage_bufs};
 
 /// Sender-side state of one rendezvous message.
 #[derive(Debug)]
@@ -251,8 +256,6 @@ struct SendMsg {
     next: u32,
     reg_done: bool,
     user_regs: Vec<Registration>,
-    /// P-RRS: completion arrives via Fin instead of a local data CQE.
-    completed: bool,
     /// Rendezvous-reply probes sent so far (§reply timeout).
     rerequests: u32,
     /// User-buffer bytes this message charged against
@@ -277,33 +280,23 @@ struct RecvMsg {
     count: u64,
     ty: Datatype,
     size: u64,
-    /// The scheme and reply committed by [`commit_reply`].
+    /// The scheme and reply committed by [`commit_reply`], and the
+    /// steps of the receive.
     scheme: Scheme,
-    plan: ReplyPlan,
+    plan: RecvPlan,
+    /// The next step of `plan` to run.
+    next: u32,
     unpack_bufs: Vec<StageBuf>,
-    segs_arrived: u32,
-    /// Segments of the packed substream whose bytes are placed:
-    /// unpacked, or for P-RRS announced with their reads posted.
-    segs_done: u32,
     user_regs: Vec<Registration>,
-    pending_reply: Option<Vec<u8>>,
-    /// P-RRS: outstanding RDMA reads.
-    reads_outstanding: u32,
-    /// The direct part landed: Multi-W's last write or Hybrid's marker
-    /// arrived. Set from the start for replies without a direct part.
-    direct_done: bool,
-    completed: bool,
+    /// The encoded reply: queued until the reply step sends a copy,
+    /// kept for probe-triggered resends.
+    reply: Vec<u8>,
     /// User-buffer bytes this message charged against
     /// `reg_budget_bytes`.
     pinned_bytes: u64,
-    /// Copy of the sent reply, kept for probe-triggered resends.
-    reply_copy: Option<Vec<u8>>,
-    /// Segment indices already written (dedup across recovery
-    /// re-drives: a resumed sender may repeat delivered segments).
-    segs_seen: HashSet<u32>,
-    /// Stale unpack completions to discard after a renegotiation reset
-    /// the unpack pipeline.
-    drop_unpacks: u32,
+    /// Bumped by each §5.4.2 renegotiation: an unpack completion of an
+    /// earlier generation is stale and discarded.
+    generation: u8,
 }
 
 /// Active rendezvous messages of one rank. Records live in slab-backed
@@ -337,6 +330,27 @@ impl ActiveMsgs {
         self.sends.reset();
         self.recvs.reset();
         self.imm_map.reset();
+    }
+
+    /// Appends one line per open transfer to a hang report: where each
+    /// receive's cursor waits (peer, sequence, scheme, step and gate)
+    /// and each send's next step.
+    pub(crate) fn report(&self, out: &mut String) {
+        for ((peer, seq), m) in self.recvs.iter() {
+            let at = match m.plan.step(m.next) {
+                Some(step) => format!("step {step:?} behind {:?}", step.gate()),
+                None => "past its last step".to_string(),
+            };
+            *out += &format!("\n    recv from {peer} seq {seq} {:?}: {at}", m.scheme);
+        }
+        for ((peer, seq), m) in self.sends.iter() {
+            let at = match m.plan.as_ref().map(|p| p.step(m.next)) {
+                None => "waiting for the reply".to_string(),
+                Some(None) => "every step posted".to_string(),
+                Some(Some(step)) => format!("next step {step:?} behind {:?}", step.gate()),
+            };
+            *out += &format!("\n    send to {peer} seq {seq} {:?}: {at}", m.scheme);
+        }
     }
 }
 
@@ -475,7 +489,6 @@ fn start_send(
         next: 0,
         reg_done: false,
         user_regs: Vec::new(),
-        completed: false,
         rerequests: 0,
         pinned_bytes: 0,
         renegotiated: false,
@@ -572,7 +585,7 @@ pub fn on_cqe(rs: &mut RankState, am: &mut ActiveMsgs, ctx: &mut Ctx<'_, '_>, cq
             }
         }
     } else {
-        match cqe.wr_id & !WR_LOW_MASK {
+        match cqe.wr_id & WR_KIND_MASK {
             WR_EAGER => {
                 let va = cqe.wr_id & WR_LOW_MASK;
                 rs.eager_send_free.push(va);
@@ -582,10 +595,12 @@ pub fn on_cqe(rs: &mut RankState, am: &mut ActiveMsgs, ctx: &mut Ctx<'_, '_>, cq
                 let seq = cqe.wr_id & WR_LOW_MASK;
                 sender_done(rs, am, ctx, cqe.peer, seq, false);
             }
-            WR_READ => {
-                let seq = cqe.wr_id & WR_LOW_MASK;
-                receiver_read_done(rs, am, ctx, cqe.peer, seq);
+            // Every read is signaled, but only the last one opens a gate.
+            WR_READ if cqe.wr_id & WR_LAST != 0 => {
+                let key = (cqe.peer, cqe.wr_id & WR_LOW_MASK);
+                drive_recv(rs, am, ctx, key, RecvGate::Read, None);
             }
+            WR_READ => {}
             WR_RMA => {
                 debug_assert!(rs.rma_outstanding > 0);
                 rs.rma_outstanding -= 1;
@@ -619,28 +634,18 @@ fn on_cqe_error(rs: &mut RankState, am: &mut ActiveMsgs, ctx: &mut Ctx<'_, '_>, 
         return;
     }
     let peer = cqe.peer;
-    let kind = cqe.wr_id & !WR_LOW_MASK;
+    let kind = cqe.wr_id & WR_KIND_MASK;
     let low = cqe.wr_id & WR_LOW_MASK;
     // Transport-class failures (flush, retry exhaustion) hand the
     // affected traffic to the connection manager instead of failing
     // the owning requests; the reconnect event re-drives it.
     if recoverable(&err) && matches!(kind, WR_EAGER | WR_DATA | WR_READ) {
-        if ensure_reconnect(rs, ctx, peer) {
-            let r = rs.reconn[peer as usize]
-                .as_mut()
-                .expect("entry ensured above");
+        if let Some(r) = ensure_reconnect(rs, ctx, peer) {
             match kind {
                 WR_EAGER => r.eager_slots.push(low),
-                WR_DATA => {
-                    if am.sends.contains_key(&(peer, low)) {
-                        r.sends.insert(low);
-                    }
-                }
-                _ => {
-                    if am.recvs.contains_key(&(peer, low)) {
-                        r.recvs.insert(low);
-                    }
-                }
+                WR_DATA if am.sends.contains_key(&(peer, low)) => _ = r.sends.insert(low),
+                WR_READ if am.recvs.contains_key(&(peer, low)) => _ = r.recvs.insert(low),
+                _ => {}
             }
             return;
         }
@@ -673,9 +678,7 @@ fn on_cqe_error(rs: &mut RankState, am: &mut ActiveMsgs, ctx: &mut Ctx<'_, '_>, 
             }
             finish_send(rs, ctx, msg, Some(err));
         }
-        WR_READ => {
-            abort_recv(rs, am, ctx, peer, low, err);
-        }
+        WR_READ => finish_recv(rs, am, ctx, (peer, low), Some(err)),
         WR_RMA => {
             rs.rma_outstanding = rs.rma_outstanding.saturating_sub(1);
             rs.rma_event = true;
@@ -689,35 +692,11 @@ fn on_cqe_error(rs: &mut RankState, am: &mut ActiveMsgs, ctx: &mut Ctx<'_, '_>, 
 /// longer be delivered: releases staging buffers and registrations and
 /// completes the request.
 fn finish_send(rs: &mut RankState, ctx: &mut Ctx<'_, '_>, mut msg: SendMsg, err: Option<MpiError>) {
-    if msg.completed {
-        return;
-    }
-    msg.completed = true;
     sender_release(rs, ctx, &mut msg);
     match err {
         Some(err) => rs.fail_req(msg.req, err),
         None => rs.complete_req(msg.req),
     }
-}
-
-/// Fails a receive: releases unpack buffers and registrations, drops
-/// the immediate-data mapping, and completes the request with `err`.
-/// Silently returns when the message is already gone (duplicate flush).
-fn abort_recv(
-    rs: &mut RankState,
-    am: &mut ActiveMsgs,
-    ctx: &mut Ctx<'_, '_>,
-    peer: u32,
-    seq: u64,
-    err: MpiError,
-) {
-    let Some(mut msg) = am.recvs.remove(&(peer, seq)) else {
-        return;
-    };
-    msg.completed = true;
-    am.imm_map.remove(&(peer, (seq & 0xFFFF) as u16));
-    receiver_release(rs, ctx, &mut msg);
-    rs.fail_req(msg.req, err);
 }
 
 /// Handles a host-work completion for `rank`.
@@ -750,26 +729,16 @@ pub fn on_cpu(rs: &mut RankState, am: &mut ActiveMsgs, ctx: &mut Ctx<'_, '_>, ac
             drive_send(rs, am, ctx, msg);
         }
         CpuAct::ReceiverReady { peer, seq } => {
-            let Some(msg) = am.recvs.get_mut(&(peer, seq)) else {
-                return;
-            };
-            if let Some(reply) = msg.pending_reply.take() {
-                let mut copy = rs.scratch.take_ctrl();
-                copy.extend_from_slice(&reply);
-                msg.reply_copy = Some(copy);
-                send_ctrl(rs, ctx, peer, reply, 0);
-            }
+            drive_recv(rs, am, ctx, (peer, seq), RecvGate::Ready, None);
         }
         CpuAct::ReplyTimeout { peer, seq } => {
-            let Some(mut msg) = am.sends.remove(&(peer, seq)) else {
+            // Nothing to do once the reply arrived.
+            let waiting = am.sends.get_mut(&(peer, seq));
+            let Some(msg) = waiting.filter(|m| m.plan.is_none()) else {
                 return;
             };
-            if msg.plan.is_some() || msg.completed {
-                // The reply arrived in the meantime.
-                am.sends.insert((peer, seq), msg);
-                return;
-            }
             if msg.rerequests >= ctx.cfg.rndv_max_rerequests {
+                let msg = am.sends.remove(&(peer, seq)).expect("looked up above");
                 finish_send(rs, ctx, msg, Some(MpiError::ReplyTimeout { peer, seq }));
                 return;
             }
@@ -778,21 +747,23 @@ pub fn on_cpu(rs: &mut RankState, am: &mut ActiveMsgs, ctx: &mut Ctx<'_, '_>, ac
             send_ctrl_msg(rs, ctx, peer, &CtrlMsg::RndvProbe { seq }, 0);
             let at = ctx.now() + ctx.cfg.rndv_reply_timeout_ns;
             ctx.cpu_event(at, rs.rank, CpuAct::ReplyTimeout { peer, seq });
-            am.sends.insert((peer, seq), msg);
         }
-        CpuAct::UnpackSeg { peer, seq, segs } => {
-            let Some(msg) = am.recvs.get_mut(&(peer, seq)) else {
+        CpuAct::UnpackSeg {
+            peer,
+            seq,
+            k,
+            generation,
+        } => {
+            // A completion of a generation a renegotiation tore down is
+            // stale.
+            let live = am.recvs.get(&(peer, seq));
+            let Some(msg) = live.filter(|m| m.generation == generation) else {
                 return;
             };
-            if msg.drop_unpacks > 0 {
-                // Stale completion from before a renegotiation reset
-                // the unpack pipeline.
-                msg.drop_unpacks -= 1;
-                return;
-            }
-            msg.segs_done += segs;
             rs.counters.unpacks += 1;
-            receiver_complete(rs, am, ctx, peer, seq);
+            if k + 1 == msg.plan.nsegs {
+                drive_recv(rs, am, ctx, (peer, seq), RecvGate::Unpacked, None);
+            }
         }
         CpuAct::Reconnect { peer } => do_reconnect(rs, am, ctx, peer),
     }
@@ -1275,7 +1246,7 @@ fn post_ctrl_slot(
     if matches!(
         err,
         PostError::QpError { .. } | PostError::QpNotReady { .. }
-    ) && ensure_reconnect(rs, ctx, peer)
+    ) && ensure_reconnect(rs, ctx, peer).is_some()
     {
         return false;
     }
@@ -1417,7 +1388,13 @@ fn on_ctrl(
                 rkey,
                 len,
             } => {
-                receiver_on_seg_ready(rs, am, ctx, peer, seq, k, addr, rkey, len);
+                // P-RRS: a packed segment is available on the sender.
+                if am.recvs.contains_key(&(peer, seq)) {
+                    let (gate, at) = (RecvGate::Announced(k), Some((addr, rkey, len)));
+                    drive_recv(rs, am, ctx, (peer, seq), gate, at);
+                } else if !ctx.fabric.faults_active() {
+                    rs.errors.push(MpiError::UnknownMessage { peer, seq });
+                }
             }
             CtrlMsg::Fin { seq } => {
                 sender_done(rs, am, ctx, peer, seq, true);
@@ -1426,12 +1403,8 @@ fn on_ctrl(
                 // The sender suspects its RndvStart or our reply was lost.
                 // Resend the reply if it already went out; otherwise it is
                 // still pending and will go out on its own.
-                let sent = am
-                    .recvs
-                    .get(&(peer, seq))
-                    .filter(|m| m.pending_reply.is_none());
-                if let Some(r) = sent.and_then(|m| m.reply_copy.clone()) {
-                    send_ctrl(rs, ctx, peer, r, 0);
+                if let Some(msg) = am.recvs.get(&(peer, seq)).filter(|m| m.next > 0) {
+                    send_reply(rs, ctx, msg);
                 }
             }
             CtrlMsg::RndvResume { seq } => {
@@ -1456,37 +1429,17 @@ fn on_resume_request(
     peer: u32,
     seq: u64,
 ) {
+    let ack = |from_k, done| CtrlMsg::RndvResumeAck { seq, from_k, done };
     if let Some(msg) = am.recvs.get(&(peer, seq)) {
-        let from_k = if resumes_from_prefix(msg.scheme) {
-            msg.segs_arrived
-        } else {
-            0
-        };
-        let ack = CtrlMsg::RndvResumeAck {
-            seq,
-            from_k,
-            done: false,
-        };
-        send_ctrl_msg(rs, ctx, peer, &ack, 0);
-        return;
-    }
-    if rs.done_seqs.contains(&(peer, seq)) {
-        let ack = CtrlMsg::RndvResumeAck {
-            seq,
-            from_k: 0,
-            done: true,
-        };
-        send_ctrl_msg(rs, ctx, peer, &ack, 0);
-        return;
-    }
-    if let Some(mut msg) = am.sends.remove(&(peer, seq)) {
+        send_ctrl_msg(rs, ctx, peer, &ack(msg.plan.acked(msg.next), false), 0);
+    } else if rs.done_seqs.contains(&(peer, seq)) {
+        send_ctrl_msg(rs, ctx, peer, &ack(0, true), 0);
+    } else if let Some(mut msg) = am.sends.remove(&(peer, seq)) {
         // P-RRS: the recovering receiver drives the reads; re-announce
         // every segment (re-reads are idempotent).
         msg.next = 0;
         drive_send(rs, am, ctx, msg);
-        return;
-    }
-    if !ctx.fabric.faults_active() {
+    } else if !ctx.fabric.faults_active() {
         rs.errors.push(MpiError::UnknownMessage { peer, seq });
     }
 }
@@ -1554,49 +1507,26 @@ fn receiver_start(
         size,
         "type signature mismatch between send and receive"
     );
-    let mut msg = RecvMsg::new(rs, p.req, p.peer, seq, p.buf, p.count, p.ty);
+    let mut msg = RecvMsg {
+        req: p.req,
+        peer: p.peer,
+        seq,
+        buf: p.buf,
+        count: p.count,
+        ty: p.ty,
+        size,
+        scheme: FALLBACK,
+        plan: RecvPlan::default(),
+        next: 0,
+        unpack_bufs: rs.scratch.take_stage(),
+        user_regs: Vec::new(),
+        reply: Vec::new(),
+        pinned_bytes: 0,
+        generation: 0,
+    };
     am.imm_map.insert((p.peer, (seq & 0xFFFF) as u16), seq);
     receiver_reply(rs, ctx, &mut msg, scheme, fallback);
     am.recvs.insert((msg.peer, seq), msg);
-}
-
-impl RecvMsg {
-    /// A receive with no reply committed yet; [`receiver_reply`] plans
-    /// and commits one. [`receiver_start`] and the §5.4.2
-    /// renegotiation both build their generations here.
-    fn new(
-        rs: &mut RankState,
-        req: ReqId,
-        peer: u32,
-        seq: u64,
-        buf: Va,
-        count: u64,
-        ty: Datatype,
-    ) -> Self {
-        RecvMsg {
-            req,
-            peer,
-            seq,
-            buf,
-            count,
-            size: count * ty.size(),
-            ty,
-            scheme: FALLBACK,
-            plan: ReplyPlan::default(),
-            unpack_bufs: rs.scratch.take_stage(),
-            segs_arrived: 0,
-            segs_done: 0,
-            user_regs: Vec::new(),
-            pending_reply: None,
-            reads_outstanding: 0,
-            direct_done: true,
-            completed: false,
-            pinned_bytes: 0,
-            reply_copy: None,
-            segs_seen: rs.scratch.take_set(),
-            drop_unpacks: 0,
-        }
-    }
 }
 
 /// Plans the reply for `scheme` and commits it, or — when the commit is
@@ -1641,7 +1571,7 @@ fn commit_reply(
     ctx: &mut Ctx<'_, '_>,
     msg: &mut RecvMsg,
     scheme: Scheme,
-    plan: ReplyPlan,
+    plan: RecvPlan,
     blocks: &mut Vec<(Va, u64)>,
 ) -> bool {
     let kind = plan.kind;
@@ -1756,13 +1686,11 @@ fn commit_reply(
     };
     msg.scheme = scheme;
     msg.plan = plan;
-    msg.direct_done = !kind.direct();
     if kind.direct() {
         maybe_evict_reply_reg(rs, ctx, msg);
     }
-    let mut buf = rs.scratch.take_ctrl();
-    reply.encode_into(&mut buf);
-    msg.pending_reply = Some(buf);
+    msg.reply = rs.scratch.take_ctrl();
+    reply.encode_into(&mut msg.reply);
     let done = rs.cpu.reserve_labeled(ctx.now(), cost, label);
     let (peer, seq) = (msg.peer, msg.seq);
     ctx.cpu_event(done, rs.rank, CpuAct::ReceiverReady { peer, seq });
@@ -1807,52 +1735,110 @@ fn on_segment_arrival(
     imm: u32,
 ) {
     let (seq16, k) = imm_parse(imm);
-    let Some(&seq) = am.imm_map.get(&(peer, seq16)) else {
+    let seq = am.imm_map.get(&(peer, seq16)).copied();
+    let Some(msg) = seq.and_then(|seq| am.recvs.get(&(peer, seq))) else {
         // Stale duplicate after the message was aborted or completed.
         // Under fault injection a recovery re-drive can legitimately
         // repeat traffic; only protocol-clean runs treat it as an error.
         if !ctx.fabric.faults_active() {
-            rs.errors.push(MpiError::UnknownMessage {
-                peer,
-                seq: seq16 as u64,
-            });
-        }
-        return;
-    };
-    let Some(msg) = am.recvs.get_mut(&(peer, seq)) else {
-        if !ctx.fabric.faults_active() {
+            let seq = seq.unwrap_or(seq16 as u64);
             rs.errors.push(MpiError::UnknownMessage { peer, seq });
         }
         return;
     };
-    if k as usize >= msg.unpack_bufs.len() {
-        // No staged segment has this index: it is Multi-W's last write
-        // or Hybrid's marker, each ordered after every direct write.
-        msg.direct_done = true;
-        receiver_complete(rs, am, ctx, peer, seq);
-        return;
-    }
-    if !msg.segs_seen.insert(k) {
-        // A resumed sender repeated a segment that already landed
-        // (idempotent RDMA write): count it once.
-        return;
-    }
-    msg.segs_arrived += 1;
-    let nsegs = msg.plan.nsegs;
-    let (segs, done) = if !msg.plan.batch_unpack {
-        (
-            1,
-            unpack_segments(rs, ctx, msg, k..k + 1, Charge::Segment("unpack")),
-        )
-    } else if msg.segs_arrived == nsegs {
-        // Fig. 12 ablation: unpack everything only after the last
-        // segment arrived.
-        let cost = unpack_segments(rs, ctx, msg, 0..nsegs, Charge::Sync(false));
-        (nsegs, rs.cpu.reserve_labeled(ctx.now(), cost, "unpack"))
+    let seq = msg.seq;
+    let gate = if k < msg.plan.nsegs {
+        RecvGate::Landed(k)
     } else {
+        // No staged segment has this index: it is Multi-W's last write
+        // or Hybrid's marker, each ordered last on the queue pair, so no
+        // later immediate belongs to this receive. Dropping the mapping
+        // makes a resumed sender's repeat a stale duplicate.
+        am.imm_map.remove(&(peer, seq16));
+        RecvGate::Direct
+    };
+    drive_recv(rs, am, ctx, (peer, seq), gate, None);
+}
+
+/// Where a P-RRS sender announced a segment: `(address, rkey, length)`.
+type Announced = (Va, u32, u64);
+
+/// The one executor of a [`RecvPlan`]: opens `gate` for the receive
+/// `key` and runs its steps from the cursor while each gate holds
+/// ([`RecvPlan::pass`]; `at` is where an announced segment lies). A
+/// gate for a step the cursor already passed is a repeat, so a resumed
+/// sender's segment or announcement is placed once. The receive ends
+/// when its cursor passes the last step, or a read fails for good.
+fn drive_recv(
+    rs: &mut RankState,
+    am: &mut ActiveMsgs,
+    ctx: &mut Ctx<'_, '_>,
+    key: (u32, u64),
+    gate: RecvGate,
+    at: Option<Announced>,
+) {
+    let Some(msg) = am.recvs.get_mut(&key) else {
         return;
     };
-    ctx.cpu_event(done, rs.rank, CpuAct::UnpackSeg { peer, seq, segs });
+    let (rank, (peer, seq)) = (rs.rank, key);
+    let mut opened = Some(gate);
+    let err = loop {
+        let Some(step) = msg.plan.pass(msg.next, &mut opened) else {
+            return;
+        };
+        msg.next += 1;
+        // An unpack's completion event carries its last segment.
+        let (k, done) = match step {
+            RecvStep::Reply => {
+                send_reply(rs, ctx, msg);
+                continue;
+            }
+            RecvStep::Unpack(k) => {
+                let charge = Charge::Segment("unpack");
+                (k, unpack_segments(rs, ctx, msg, k..k + 1, charge))
+            }
+            RecvStep::UnpackAll => {
+                // Fig. 12 ablation: unpack everything only after the
+                // last segment arrived.
+                let n = msg.plan.nsegs;
+                let cost = unpack_segments(rs, ctx, msg, 0..n, Charge::Sync(false));
+                (n - 1, rs.cpu.reserve_labeled(ctx.now(), cost, "unpack"))
+            }
+            RecvStep::Read(k) => {
+                let at = at.expect("an announcement opened the read");
+                let Err(err) = post_reads(rs, ctx, msg, k, at) else {
+                    continue;
+                };
+                // A dead QP hands the read-driven transfer to the
+                // connection manager instead of failing the receive.
+                if recoverable(&err) {
+                    if let Some(r) = ensure_reconnect(rs, ctx, peer) {
+                        r.recvs.insert(seq);
+                        return;
+                    }
+                }
+                break Some(err);
+            }
+            RecvStep::Wait(_) => continue,
+            RecvStep::Complete => break None,
+        };
+        let generation = msg.generation;
+        let act = CpuAct::UnpackSeg {
+            peer,
+            seq,
+            k,
+            generation,
+        };
+        ctx.cpu_event(done, rank, act);
+    };
+    finish_recv(rs, am, ctx, key, err);
+}
+
+/// Sends a copy of the receive's reply.
+fn send_reply(rs: &mut RankState, ctx: &mut Ctx<'_, '_>, msg: &RecvMsg) {
+    let mut copy = rs.scratch.take_ctrl();
+    copy.extend_from_slice(&msg.reply);
+    send_ctrl(rs, ctx, msg.peer, copy, 0);
 }
 
 /// Unpacks segments `ks` of the packed substream (Generic's one
@@ -1875,128 +1861,73 @@ fn unpack_segments(
     copy_step(rs, ctx, &plan, msg.buf, ivs, (lo, hi), seg, staged, charge)
 }
 
-/// Completes the receive once every part landed — the one completion
-/// rule of every scheme: each segment of the packed substream is
-/// placed, no read is outstanding, and the direct part is done.
-fn receiver_complete(
+/// P-RRS: posts the reads of segment `k`, announced at `(addr, rkey,
+/// len)`, into the user buffer. Every read is signaled; the last one
+/// of the last segment carries [`WR_LAST`].
+fn post_reads(
     rs: &mut RankState,
-    am: &mut ActiveMsgs,
     ctx: &mut Ctx<'_, '_>,
-    peer: u32,
-    seq: u64,
-) {
-    let ready = am
-        .recvs
-        .get(&(peer, seq))
-        .is_some_and(|m| m.segs_done == m.plan.nsegs && m.reads_outstanding == 0 && m.direct_done);
-    if !ready {
-        return;
-    }
-    let mut msg = am
-        .recvs
-        .remove(&(peer, seq))
-        .expect("a ready receive is live");
-    msg.completed = true;
-    am.imm_map.remove(&(peer, (seq & 0xFFFF) as u16));
-    // Remember completion so a recovering sender's resume request can
-    // be answered with `done` instead of a renegotiation.
-    rs.done_seqs.insert((peer, seq));
-    receiver_release(rs, ctx, &mut msg);
-    if msg.plan.kind == ReplyKind::ReadGo {
-        // Tell the sender its pack buffers are free.
-        send_ctrl_msg(rs, ctx, peer, &CtrlMsg::Fin { seq }, 0);
-    }
-    rs.complete_req(msg.req);
-}
-
-/// Releases a receive message's staging buffers, user registrations,
-/// and budget charge (shared by completion and abort).
-fn receiver_release(rs: &mut RankState, ctx: &mut Ctx<'_, '_>, msg: &mut RecvMsg) {
-    let (regs, pinned) = (&mut msg.user_regs, &mut msg.pinned_bytes);
-    release_msg(rs, ctx, &mut msg.unpack_bufs, true, regs, pinned);
-    if let Some(v) = msg.pending_reply.take() {
-        rs.scratch.put_ctrl(v);
-    }
-    if let Some(v) = msg.reply_copy.take() {
-        rs.scratch.put_ctrl(v);
-    }
-    rs.scratch.put_set(std::mem::take(&mut msg.segs_seen));
-}
-
-/// P-RRS: a packed segment is available on the sender; issue reads.
-#[allow(clippy::too_many_arguments)]
-fn receiver_on_seg_ready(
-    rs: &mut RankState,
-    am: &mut ActiveMsgs,
-    ctx: &mut Ctx<'_, '_>,
-    peer: u32,
-    seq: u64,
+    msg: &RecvMsg,
     k: u32,
-    addr: Va,
-    rkey: u32,
-    len: u64,
-) {
-    let Some(msg) = am.recvs.get_mut(&(peer, seq)) else {
-        if !ctx.fabric.faults_active() {
-            rs.errors.push(MpiError::UnknownMessage { peer, seq });
-        }
-        return;
-    };
-    if !msg.segs_seen.insert(k) {
-        // Duplicate announcement from a recovery re-drive (the reset
-        // below re-counts distinct segments only).
-        return;
-    }
-    msg.segs_done += 1;
+    (addr, rkey, len): Announced,
+) -> Result<(), MpiError> {
     let lo = k as u64 * msg.plan.seg_size;
-    let hi = lo + len;
     let plan = rs.plan_for(&msg.ty, msg.count);
     let mut blocks = rs.scratch.take_blocks();
-    blocks_in_range(&plan, msg.buf, lo, hi, &mut blocks);
+    blocks_in_range(&plan, msg.buf, lo, lo + len, &mut blocks);
     let regs = &msg.user_regs;
     let lkey = |a, l| lkey_for(regs, a, l);
     let frame = WrFrame {
         read: true,
-        ..WrFrame::write(WR_READ | seq, ctx.net.max_sge, lkey, |_, _| rkey)
+        ..WrFrame::write(WR_READ | msg.seq, ctx.net.max_sge, lkey, |_, _| rkey)
     };
     let mut wrs = Vec::new();
     plan_gather(&frame, &blocks, addr, Tail::default(), &mut wrs);
     rs.scratch.put_blocks(blocks);
-    // Every read is signaled: the receiver counts read completions.
-    for wr in &mut wrs {
-        wr.signaled = true;
+    wrs.iter_mut().for_each(|wr| wr.signaled = true);
+    if let Some(last) = wrs.last_mut().filter(|_| k + 1 == msg.plan.nsegs) {
+        last.wr_id |= WR_LAST;
     }
-    msg.reads_outstanding += wrs.len() as u32;
-    let Err(err) = post_wrs(rs, ctx, peer, wrs, false) else {
-        return;
-    };
-    // A dead QP hands the read-driven transfer to the connection
-    // manager instead of failing the receive.
-    if recoverable(&err) && ensure_reconnect(rs, ctx, peer) {
-        rs.reconn[peer as usize]
-            .as_mut()
-            .expect("entry ensured above")
-            .recvs
-            .insert(seq);
-        return;
-    }
-    abort_recv(rs, am, ctx, peer, seq, err);
+    post_wrs(rs, ctx, msg.peer, wrs, false)
 }
 
-fn receiver_read_done(
+/// Ends the receive `(peer, seq)` — complete, or failed with `err` —
+/// unless it is already gone (a duplicate flush): drops the
+/// immediate-data mapping, releases staging buffers and registrations
+/// and completes the request. A completed receive is remembered, so a
+/// recovering sender's resume request is answered `done`, and a P-RRS
+/// sender learns its pack buffers are free.
+fn finish_recv(
     rs: &mut RankState,
     am: &mut ActiveMsgs,
     ctx: &mut Ctx<'_, '_>,
-    peer: u32,
-    seq: u64,
+    (peer, seq): (u32, u64),
+    err: Option<MpiError>,
 ) {
-    let Some(msg) = am.recvs.get_mut(&(peer, seq)) else {
+    let Some(mut msg) = am.recvs.remove(&(peer, seq)) else {
         return;
     };
-    // Saturating: a recovery reset may have zeroed the counter while a
-    // straggling completion was already in flight.
-    msg.reads_outstanding = msg.reads_outstanding.saturating_sub(1);
-    receiver_complete(rs, am, ctx, peer, seq);
+    am.imm_map.remove(&(peer, (seq & 0xFFFF) as u16));
+    receiver_release(rs, ctx, &mut msg);
+    match err {
+        Some(err) => rs.fail_req(msg.req, err),
+        None => {
+            rs.done_seqs.insert((peer, seq));
+            if msg.plan.kind == ReplyKind::ReadGo {
+                send_ctrl_msg(rs, ctx, peer, &CtrlMsg::Fin { seq }, 0);
+            }
+            rs.complete_req(msg.req);
+        }
+    }
+}
+
+/// Releases a receive message's staging buffers, user registrations,
+/// budget charge and reply (shared by completion, abort and
+/// renegotiation).
+fn receiver_release(rs: &mut RankState, ctx: &mut Ctx<'_, '_>, msg: &mut RecvMsg) {
+    let (regs, pinned) = (&mut msg.user_regs, &mut msg.pinned_bytes);
+    release_msg(rs, ctx, &mut msg.unpack_bufs, true, regs, pinned);
+    rs.scratch.put_ctrl(std::mem::take(&mut msg.reply));
 }
 
 // ---------------------------------------------------------------------
@@ -2466,7 +2397,6 @@ fn sender_done(
         }
         return;
     };
-    debug_assert!(!msg.completed);
     finish_send(rs, ctx, msg, None);
 }
 
@@ -2506,110 +2436,6 @@ fn release_msg(
     }
     rs.pinned_user_bytes = rs.pinned_user_bytes.saturating_sub(*pinned);
     *pinned = 0;
-}
-
-// ---------------------------------------------------------------------
-// Staging buffers (pool with dynamic fallback, §4.3.3)
-// ---------------------------------------------------------------------
-
-/// Takes one segment buffer from the pack (or, when `unpack`, the
-/// unpack) pool, falling back to a dynamic buffer when it is exhausted.
-fn acquire_seg(rs: &mut RankState, ctx: &mut Ctx<'_, '_>, unpack: bool) -> StageBuf {
-    let pool = if unpack {
-        &mut rs.unpack_pool
-    } else {
-        &mut rs.pack_pool
-    };
-    match pool.acquire() {
-        Some(va) => StageBuf {
-            va,
-            len: pool.seg_size(),
-            lkey: pool.lkey(),
-            rkey: pool.rkey(),
-            dynamic: false,
-        },
-        None => {
-            rs.counters.pool_fallbacks += 1;
-            acquire_stage(rs, ctx, ctx.cfg.max_seg_size)
-        }
-    }
-}
-
-/// Dynamically allocates and registers a staging buffer of `size`
-/// bytes (the Generic scheme's per-operation buffers, and the pool
-/// fallback). Memory is recycled through a freelist, but malloc/free
-/// costs are charged every time — matching dynamically allocated
-/// buffers in the original implementation. Registration goes through
-/// the pin-down cache when `reuse_internal_bufs` is set ("Datatype" in
-/// Fig. 2 amortizes registration; "DT+reg" registers every operation).
-fn acquire_stage(rs: &mut RankState, ctx: &mut Ctx<'_, '_>, size: u64) -> StageBuf {
-    rs.counters.dynamic_allocs += 1;
-    let va = match rs.internal.free.get_mut(&size).and_then(Vec::pop) {
-        Some(va) => va,
-        None => ctx.mems[rs.rank as usize]
-            .space
-            .alloc_page_aligned(size)
-            .expect("address space exhausted (raise capacity)"),
-    };
-    let mut cost = ctx.host.malloc_ns;
-    let acq = if ctx.cfg.reuse_internal_bufs {
-        rs.pindown.acquire(
-            &mut ctx.mems[rs.rank as usize].regs,
-            &ctx.host.reg,
-            va,
-            size,
-        )
-    } else {
-        // "DT+reg": force a fresh registration every operation.
-        let reg = ctx.mems[rs.rank as usize].regs.register(va, size);
-        cost += ctx.host.reg.reg_cost(va, size);
-        ibdt_memreg::cache::Acquire {
-            reg,
-            cost_ns: 0,
-            hit: false,
-        }
-    };
-    cost += acq.cost_ns;
-    rs.cpu.reserve_labeled(ctx.now(), cost, "malloc+reg");
-    StageBuf {
-        va,
-        len: size,
-        lkey: acq.reg.lkey,
-        rkey: acq.reg.rkey,
-        dynamic: true,
-    }
-}
-
-fn release_stage_bufs(rs: &mut RankState, ctx: &mut Ctx<'_, '_>, bufs: &[StageBuf], unpack: bool) {
-    let mut cost = 0;
-    for sb in bufs {
-        if sb.dynamic {
-            cost += ctx.host.free_ns;
-            if ctx.cfg.reuse_internal_bufs {
-                // `BadKey` = already evicted under the transfer; the
-                // deregistration was paid by the evictor.
-                if let Ok(c) =
-                    rs.pindown
-                        .release(&mut ctx.mems[rs.rank as usize].regs, &ctx.host.reg, sb.lkey)
-                {
-                    cost += c;
-                }
-            } else if let Ok(reg) = ctx.mems[rs.rank as usize]
-                .regs
-                .deregister(ibdt_memreg::MrHandle(sb.lkey))
-            {
-                cost += ctx.host.reg.dereg_cost(reg.addr, reg.len);
-            }
-            rs.internal.free.entry(sb.len).or_default().push(sb.va);
-        } else if unpack {
-            rs.unpack_pool.release(sb.va);
-        } else {
-            rs.pack_pool.release(sb.va);
-        }
-    }
-    if cost > 0 {
-        rs.cpu.reserve_labeled(ctx.now(), cost, "free");
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -2699,10 +2525,7 @@ fn drain_suspended(
     };
     r.active = false;
     let eager_slots = std::mem::take(&mut r.eager_slots);
-    let sends: Vec<u64> = r.sends.iter().copied().collect();
-    let recvs: Vec<u64> = r.recvs.iter().copied().collect();
-    r.sends.clear();
-    r.recvs.clear();
+    let (sends, recvs) = (std::mem::take(&mut r.sends), std::mem::take(&mut r.recvs));
     r.pending_ctrl.clear();
     for va in eager_slots {
         rs.eager_send_free.push(va);
@@ -2715,30 +2538,35 @@ fn drain_suspended(
         }
     }
     for seq in recvs {
-        abort_recv(rs, am, ctx, peer, seq, err);
+        finish_recv(rs, am, ctx, (peer, seq), Some(err));
     }
 }
 
 /// Ensures a reconnect handshake to `peer` is scheduled, modelling the
 /// connection manager's out-of-band exchange with [`RECONNECT_NS`]
-/// latency. Returns `false` when the re-establishment budget is
-/// exhausted or the peer is diagnosed as failed — the caller then
-/// fails the traffic with [`give_up_error`].
-fn ensure_reconnect(rs: &mut RankState, ctx: &mut Ctx<'_, '_>, peer: u32) -> bool {
+/// latency. Returns the record the caller parks its suspended traffic
+/// in, or `None` when the re-establishment budget is exhausted or the
+/// peer is diagnosed as failed — the caller then fails the traffic with
+/// [`give_up_error`].
+fn ensure_reconnect<'r>(
+    rs: &'r mut RankState,
+    ctx: &mut Ctx<'_, '_>,
+    peer: u32,
+) -> Option<&'r mut ReconnState> {
     if peer_failed(ctx, peer) {
-        return false;
+        return None;
     }
     let rank = rs.rank;
     let at = ctx.now() + RECONNECT_NS;
     let r = rs.reconn[peer as usize].get_or_insert_with(Default::default);
     if r.attempts >= ctx.cfg.max_reconnects {
-        return false;
+        return None;
     }
     if !r.active {
         r.active = true;
         ctx.cpu_event(at, rank, CpuAct::Reconnect { peer });
     }
-    true
+    Some(r)
 }
 
 /// Routes a failed send either into the connection manager (suspended,
@@ -2752,12 +2580,8 @@ fn resolve_send_failure(
 ) {
     let peer = msg.peer;
     if recoverable(&err) {
-        if ensure_reconnect(rs, ctx, peer) {
-            rs.reconn[peer as usize]
-                .as_mut()
-                .expect("entry ensured above")
-                .sends
-                .insert(msg.seq);
+        if let Some(r) = ensure_reconnect(rs, ctx, peer) {
+            r.sends.insert(msg.seq);
             am.sends.insert((peer, msg.seq), msg);
             return;
         }
@@ -2794,10 +2618,7 @@ fn do_reconnect(rs: &mut RankState, am: &mut ActiveMsgs, ctx: &mut Ctx<'_, '_>, 
     rs.counters.qp_reestablished += 1;
     let eager_slots = std::mem::take(&mut r.eager_slots);
     let pending_ctrl = std::mem::take(&mut r.pending_ctrl);
-    let sends: Vec<u64> = r.sends.iter().copied().collect();
-    let recvs: Vec<u64> = r.recvs.iter().copied().collect();
-    r.sends.clear();
-    r.recvs.clear();
+    let (sends, recvs) = (std::mem::take(&mut r.sends), std::mem::take(&mut r.recvs));
     // The entry (with its attempt count) stays: a connection that keeps
     // dying must eventually fail typed instead of looping forever.
     rs.reconn[peer as usize] = Some(r);
@@ -2841,31 +2662,22 @@ fn resume_send(
     peer: u32,
     seq: u64,
 ) {
-    let Some(msg) = am.sends.get(&(peer, seq)) else {
-        return;
+    // With no reply yet the start itself may have been flushed (it was
+    // re-posted from its ring slot just before this call): probe, so the
+    // receiver resends a reply that crossed the failure. Otherwise ask
+    // where the receiver's acknowledged prefix ends.
+    let ask = match am.sends.get(&(peer, seq)) {
+        None => return,
+        Some(msg) if msg.plan.is_none() => CtrlMsg::RndvProbe { seq },
+        Some(_) => CtrlMsg::RndvResume { seq },
     };
-    if msg.completed {
-        return;
-    }
-    match &msg.plan {
-        None => {
-            // No reply yet. The start itself may have been flushed (it
-            // was re-posted from its ring slot just before this call);
-            // probe so the receiver resends a reply that crossed the
-            // failure.
-            send_ctrl_msg(rs, ctx, peer, &CtrlMsg::RndvProbe { seq }, 0);
-        }
-        Some(_) => {
-            // Data-bearing schemes restart from the receiver's
-            // acknowledged chunk boundary — ask where that is.
-            send_ctrl_msg(rs, ctx, peer, &CtrlMsg::RndvResume { seq }, 0);
-        }
-    }
+    send_ctrl_msg(rs, ctx, peer, &ask, 0);
 }
 
-/// Re-drives a suspended read-driven (P-RRS) receive: reset the
-/// announcement bookkeeping and ask the sender to re-announce. Repeated
-/// reads are idempotent, so restarting from zero is always safe.
+/// Re-drives a suspended read-driven (P-RRS) receive: moves its cursor
+/// back to the first read ([`RecvPlan::resume_at`]) and asks the sender
+/// to re-announce. Repeated reads are idempotent, so restarting from
+/// the first segment is always safe.
 fn resume_recv(
     rs: &mut RankState,
     am: &mut ActiveMsgs,
@@ -2876,12 +2688,7 @@ fn resume_recv(
     let Some(msg) = am.recvs.get_mut(&(peer, seq)) else {
         return;
     };
-    if msg.completed {
-        return;
-    }
-    msg.reads_outstanding = 0;
-    msg.segs_done = 0;
-    msg.segs_seen.clear();
+    msg.next = msg.plan.resume_at(msg.next);
     send_ctrl_msg(rs, ctx, peer, &CtrlMsg::RndvResume { seq }, 0);
 }
 
@@ -2925,19 +2732,16 @@ fn receiver_renegotiate(
     seq: u64,
     size: u64,
 ) {
-    let Some(mut old) = am.recvs.remove(&(peer, seq)) else {
+    let Some(msg) = am.recvs.get_mut(&(peer, seq)) else {
         return;
     };
-    debug_assert_eq!(old.size, size, "renegotiated size changed");
-    receiver_release(rs, ctx, &mut old);
-    // Unpack completions still in flight belong to the torn-down
-    // generation (arrived-but-not-unpacked packed segments).
-    let mut msg = RecvMsg {
-        drop_unpacks: old.drop_unpacks + old.segs_arrived.saturating_sub(old.segs_done),
-        ..RecvMsg::new(rs, old.req, peer, seq, old.buf, old.count, old.ty)
-    };
-    receiver_reply(rs, ctx, &mut msg, FALLBACK, FALLBACK);
-    am.recvs.insert((peer, seq), msg);
+    debug_assert_eq!(msg.size, size, "renegotiated size changed");
+    // The new generation starts over with its own staging, reply and
+    // cursor; unpack completions still in flight belong to the old one.
+    receiver_release(rs, ctx, msg);
+    msg.unpack_bufs = rs.scratch.take_stage();
+    (msg.next, msg.generation) = (0, msg.generation.wrapping_add(1));
+    receiver_reply(rs, ctx, msg, FALLBACK, FALLBACK);
 }
 
 /// Deterministic §5.4.2 eviction injection: with `evict_rate` set in
@@ -2972,7 +2776,7 @@ fn maybe_evict_reply_reg(rs: &mut RankState, ctx: &mut Ctx<'_, '_>, msg: &RecvMs
 
 #[cfg(test)]
 mod tests {
-    use super::Ev;
+    use super::{Ev, RecvMsg, SendMsg};
     use std::mem::size_of;
 
     /// Events carry transfer handles, not transfers: every schedule,
@@ -2980,5 +2784,14 @@ mod tests {
     #[test]
     fn events_stay_small() {
         assert!(size_of::<Ev>() <= 80, "{}", size_of::<Ev>());
+    }
+
+    /// A transfer's progress is its plan plus one cursor: neither
+    /// record grows past its size before the step lists (every live
+    /// rendezvous holds one, and peak memory is a benchmark metric).
+    #[test]
+    fn messages_stay_small() {
+        assert!(size_of::<RecvMsg>() <= 280, "{}", size_of::<RecvMsg>());
+        assert!(size_of::<SendMsg>() <= 320, "{}", size_of::<SendMsg>());
     }
 }

@@ -112,6 +112,14 @@ impl<T> MsgTable<T> {
     pub fn len(&self) -> usize {
         self.slab.len()
     }
+
+    /// Live records with their keys, in `(peer, seq)` order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = ((u32, u64), &T)> {
+        self.index.iter().enumerate().flat_map(move |(peer, w)| {
+            w.iter()
+                .filter_map(move |&(seq, h)| Some(((peer as u32, seq), self.slab.get(h)?)))
+        })
+    }
 }
 
 /// Immediate-data demux: `(peer, seq16)` → full sequence number. The

@@ -1,16 +1,14 @@
 //! A bounded LIFO shelf of reusable containers.
 //!
 //! The host-side hot paths recycle their scratch containers (byte
-//! buffers, SGE lists, index sets) instead of allocating per message:
-//! a container is taken, used, and put back, and its heap capacity
-//! survives the round trip. A [`Shelf`] is that free list, written
-//! once. It hands out the most recently returned container first (the
-//! cache-warm one), comes back cleared, counts how each take was
-//! served, and keeps at most `cap` idle containers so a burst does not
-//! pin memory. A container with no capacity is not worth keeping and
-//! is dropped on [`Shelf::put`].
-
-use std::collections::HashSet;
+//! buffers, SGE lists) instead of allocating per message: a container
+//! is taken, used, and put back, and its heap capacity survives the
+//! round trip. A [`Shelf`] is that free list, written once. It hands
+//! out the most recently returned container first (the cache-warm
+//! one), comes back cleared, counts how each take was served, and
+//! keeps at most `cap` idle containers so a burst does not pin memory.
+//! A container with no capacity is not worth keeping and is dropped on
+//! [`Shelf::put`].
 
 /// A container a [`Shelf`] can recycle: emptied in place, capacity
 /// kept.
@@ -28,16 +26,6 @@ impl<T> Reusable for Vec<T> {
 
     fn capacity(&self) -> usize {
         Vec::capacity(self)
-    }
-}
-
-impl<T, S> Reusable for HashSet<T, S> {
-    fn clear(&mut self) {
-        HashSet::clear(self)
-    }
-
-    fn capacity(&self) -> usize {
-        HashSet::capacity(self)
     }
 }
 
@@ -142,10 +130,6 @@ mod tests {
         let w = s.take(Vec::new);
         assert!(w.is_empty());
         assert_eq!(w.capacity(), cap);
-
-        let mut sets: Shelf<HashSet<u32>> = Shelf::new(usize::MAX);
-        sets.put(HashSet::from([7]));
-        assert!(sets.take(HashSet::new).is_empty());
     }
 
     #[test]
