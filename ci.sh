@@ -49,14 +49,15 @@ done
 echo "==> lint: no HashMap on the hot path"
 # The steady-state request path is dense-table/slab only (see DESIGN.md
 # §12); a HashMap reintroduces per-message hashing and rehash
-# allocation. The checked files are the protocol engine, its planner
-# and its per-peer message tables, the transports with their shared
+# allocation. The checked files are the protocol engine, its planner,
+# its per-peer message tables and the codec every control message is
+# encoded and decoded by, the transports with their shared
 # delivery core, and the pools every message takes from (scratch and
 # segment pools, payload pool, and the shelf they are built on). Escape
 # hatch for a justified exception: put the token allow-hashmap in a
 # comment on the same line.
 if grep -n "HashMap" crates/mpicore/src/progress.rs crates/mpicore/src/plan.rs \
-    crates/mpicore/src/table.rs \
+    crates/mpicore/src/msg.rs crates/mpicore/src/table.rs \
     crates/ibsim/src/fabric.rs crates/ibsim/src/shm.rs crates/ibsim/src/deliver.rs \
     crates/mpicore/src/pool.rs crates/ibsim/src/payload.rs crates/simcore/src/shelf.rs \
     | grep -v "allow-hashmap"; then

@@ -37,7 +37,7 @@ use crate::config::{
     MpiConfig, Scheme, ADAPTIVE_COPY_REDUCED_MIN, ADAPTIVE_MULTIW_BLOCK, ADAPTIVE_SHM_MULTIW_BLOCK,
     HYBRID_BLOCK_THRESHOLD,
 };
-use crate::msg::SegList;
+use crate::msg::{Proposal, Reply, SegList};
 use ibdt_datatype::BlockStats;
 use ibdt_ibsim::{HostConfig, Opcode, SendWr, Sge, SgeList, TransportClass};
 use ibdt_memreg::{Registration, Va};
@@ -317,6 +317,29 @@ impl ReplyKind {
     /// direct writes with a completion notification.
     pub fn direct(self) -> bool {
         matches!(self, ReplyKind::MultiW | ReplyKind::Hybrid)
+    }
+
+    /// The receiver reads the announced segments (P-RRS) and, once done,
+    /// tells the sender with a `Fin` that its staging is free.
+    pub fn reads(self) -> bool {
+        self == ReplyKind::ReadGo
+    }
+
+    /// How a receiver commits a reply of this kind: the staging it hands
+    /// the sender to write packed segments into, the times it pins its
+    /// blocks, and whether the reply waits on the registration that
+    /// exposes the user buffer instead of on the control overhead.
+    /// P-RRS reads and Multi-W writes into the user buffer, so neither
+    /// hands staging over; Multi-W pins its blocks a second time, a
+    /// pin-down cache hit whose cost is part of its reply time, so its
+    /// budget check reserves twice the footprint.
+    pub fn commit(self) -> (Pack, u64, bool) {
+        match self {
+            ReplyKind::Buffer => (Pack::Whole, 1, false),
+            ReplyKind::Segments | ReplyKind::Hybrid => (Pack::Segments, 1, false),
+            ReplyKind::ReadGo => (Pack::None, 1, true),
+            ReplyKind::MultiW => (Pack::None, 2, true),
+        }
     }
 }
 
@@ -615,11 +638,10 @@ pub fn adaptive_choose(
     }
 }
 
-/// The scheme a receiver replies with to a proposal (wire code) for a
-/// message of `size` bytes, and the copy scheme it falls back to when
-/// that reply cannot be committed. `snd` is the sender's `(min,
-/// median)` block size from the start message; `None` for an unknown
-/// proposal.
+/// The scheme a receiver replies with to a rendezvous start's `start`
+/// (the proposed scheme, the message size and the sender's minimum and
+/// median block), and the copy scheme it falls back to when that reply
+/// cannot be committed; `None` for an unknown proposed scheme.
 ///
 /// Contiguous on both sides is the standard zero-copy rendezvous
 /// (§3.1): one RDMA write from user buffer to user buffer whatever the
@@ -628,16 +650,15 @@ pub fn adaptive_choose(
 /// fallback is Generic's; every other one is [`FALLBACK`].
 pub fn receiver_scheme(
     transport: TransportClass,
-    proposal: u8,
-    size: u64,
-    snd: (u64, u64),
+    start: Proposal,
     rcv: &BlockStats,
 ) -> Option<(Scheme, Scheme)> {
-    let proposal = Scheme::from_wire(proposal)?;
-    let both_contiguous = size > 0 && snd.0 >= size && rcv.min >= size;
+    let (size, snd_min, snd_median) = (start.size, start.blk_min, start.blk_median);
+    let proposal = Scheme::from_wire(start.scheme)?;
+    let both_contiguous = size > 0 && snd_min >= size && rcv.min >= size;
     let scheme = match proposal {
         _ if both_contiguous => Scheme::MultiW,
-        Scheme::Adaptive => adaptive_choose(transport, size, snd.1, rcv.median),
+        Scheme::Adaptive => adaptive_choose(transport, size, snd_median, rcv.median),
         s => s,
     };
     let fallback = if proposal == Scheme::Generic {
@@ -698,7 +719,8 @@ pub enum Pin {
     HybridDirect,
 }
 
-/// The staging a sender packs into unless it holds some already.
+/// The staging a sender packs into unless it holds some already, and
+/// that a receiver's reply hands the sender ([`ReplyKind::commit`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Pack {
     /// Nothing.
@@ -825,6 +847,10 @@ impl Step {
     }
 }
 
+/// The segment size and stream intervals of a sender's packed
+/// substream (no intervals: the whole stream).
+pub type Substream = (u64, Vec<(u64, u64)>);
+
 /// What the rendezvous reply lets a sender post, and the data its steps
 /// read. Step `i` is [`SendPlan::step`]`(i)`; by reply kind, posting
 /// from the pinned user buffer or from packed staging:
@@ -855,6 +881,46 @@ pub struct SendPlan {
 }
 
 impl SendPlan {
+    /// The plan of a sender whose rendezvous `reply` arrived, posting
+    /// from its pinned user buffer when `from_user`, with the reply's
+    /// layout resolved through the sender's layout cache; `geometry` is
+    /// the segment count and size the sender started with. Returns the
+    /// plan with the segment size and stream intervals of the packed
+    /// substream: a Hybrid sender derives the receiver's partition with
+    /// the receiver's own call, [`plan_reply`], from the receiver's
+    /// blocks; every other keeps its geometry and packs the whole
+    /// stream. `None` when a direct part names a layout the cache lost.
+    pub fn from_reply(
+        reply: Reply,
+        from_user: bool,
+        geometry: (u32, u64),
+        size: u64,
+        cfg: &MpiConfig,
+    ) -> Option<(SendPlan, Substream)> {
+        let (mut rcv_blocks, mut regions) = (Vec::new(), Vec::new());
+        if let Some(d) = reply.direct {
+            let base = d.base as i64;
+            let blocks = d.layout?.repeat(d.count).into_iter();
+            rcv_blocks = blocks.map(|(o, l)| ((base + o) as Va, l)).collect();
+            regions = d.regions;
+        }
+        let ((nsegs, mut seg_size), mut packed_ivs) = (geometry, Vec::new());
+        let mut plan = SendPlan {
+            kind: reply.kind,
+            from_user,
+            nsegs,
+            segs: reply.segs,
+            rcv_blocks,
+            regions,
+        };
+        if plan.kind == ReplyKind::Hybrid {
+            let rp = plan_reply(Scheme::Hybrid, size, &plan.rcv_blocks, cfg);
+            debug_assert_eq!(rp.nsegs as usize, plan.segs.len());
+            (plan.nsegs, seg_size, packed_ivs) = (rp.nsegs, rp.seg_size, rp.packed_ivs);
+        }
+        Some((plan, (seg_size, packed_ivs)))
+    }
+
     /// Steps in the list.
     pub fn step_count(&self) -> u32 {
         match (self.kind, self.from_user) {
@@ -1386,13 +1452,8 @@ mod tests {
     fn send_plan_table() {
         use {Gate as G, Scheme as S, Step as T};
         let n = 3;
-        let kind = |scheme| match scheme {
-            S::Generic => ReplyKind::Buffer,
-            S::PRrs => ReplyKind::ReadGo,
-            S::MultiW => ReplyKind::MultiW,
-            S::Hybrid => ReplyKind::Hybrid,
-            _ => ReplyKind::Segments,
-        };
+        let cfg = MpiConfig::default();
+        let kind = |scheme| plan_reply(scheme, 1 << 20, &[], &cfg).kind;
         let segs = [T::Seg(0), T::Seg(1), T::Seg(2)];
         let hybrid = [
             T::Direct,
@@ -1451,6 +1512,77 @@ mod tests {
                 assert_eq!(signals, [false, false, scheme != S::Hybrid], "{at}");
             }
         }
+    }
+
+    #[test]
+    fn send_plans_from_replies() {
+        use crate::msg::DirectPart;
+        use ibdt_datatype::{cache::TypeTag, FlatLayout};
+        use std::sync::Arc;
+        use ReplyKind as K;
+        let cfg = MpiConfig::default();
+        let t = HYBRID_BLOCK_THRESHOLD;
+        // Two receiver instances of blocks of 64, t, 64 and 64 bytes:
+        // Hybrid writes the t-byte blocks directly and packs the rest.
+        let one = t + 192;
+        let blocks = vec![(0, 64), (1000, t), (5000, 64), (9000, 64)];
+        let layout = FlatLayout {
+            blocks,
+            size: one,
+            extent: 10_000,
+        };
+        let base = 0x10_0000;
+        let at = |(o, l): (i64, u64)| (base + o as u64, l);
+        let rcv_blocks: Vec<(Va, u64)> = layout.repeat(2).into_iter().map(at).collect();
+        let hybrid = plan_reply(Scheme::Hybrid, 2 * one, &rcv_blocks, &cfg);
+        let packed = vec![(0, 64), (64 + t, one + 64), (one + 64 + t, 2 * one)];
+        let direct = |layout: Option<&FlatLayout>| DirectPart {
+            base,
+            tag: TypeTag {
+                index: 1,
+                version: 2,
+            },
+            count: 2,
+            layout: layout.cloned().map(Arc::new),
+            regions: vec![(base, 20_000, 7)],
+        };
+        let bufs: SegList = (0..hybrid.nsegs).map(|k| (0xA000 << k, k)).collect();
+        let (geometry, whole) = ((3, 4096), (3, 4096, vec![]));
+        let shipped = Some(direct(Some(&layout)));
+        // (kind, segment buffers, direct part, the sender's nsegs, segment
+        // size and packed intervals)
+        #[rustfmt::skip]
+        let rows = [
+            (K::Buffer, SegList::of((0xA000, 1)), None, whole.clone()),
+            (K::Segments, bufs.clone(), None, whole.clone()),
+            (K::ReadGo, SegList::new(), None, whole.clone()),
+            (K::MultiW, SegList::new(), shipped.clone(), whole),
+            (K::Hybrid, bufs, shipped, (hybrid.nsegs, hybrid.seg_size, packed)),
+        ];
+        for (kind, segs, direct, (nsegs, seg_size, ivs)) in rows {
+            let plan = SendPlan {
+                kind,
+                from_user: true,
+                nsegs,
+                segs: segs.clone(),
+                rcv_blocks: direct.as_ref().map_or(vec![], |_| rcv_blocks.clone()),
+                regions: direct.as_ref().map_or(vec![], |d| d.regions.clone()),
+            };
+            let reply = Reply { kind, segs, direct };
+            let got = SendPlan::from_reply(reply, true, geometry, 2 * one, &cfg);
+            assert_eq!(got, Some((plan, (seg_size, ivs))), "{kind:?}");
+        }
+        // A direct part whose cached layout the sender lost is unusable.
+        let (segs, direct) = (SegList::new(), Some(direct(None)));
+        let lost = Reply {
+            kind: K::MultiW,
+            segs,
+            direct,
+        };
+        assert_eq!(
+            SendPlan::from_reply(lost, true, geometry, 2 * one, &cfg),
+            None
+        );
     }
 
     #[test]
@@ -1550,7 +1682,13 @@ mod tests {
         let ib = TransportClass::Ib;
         let small = BlockStats::from_blocks(&[(0, 64), (128, 64)]);
         let whole = BlockStats::from_blocks(&[(0, 128)]);
-        let resolve = |s: Scheme, snd, rcv| receiver_scheme(ib, s.to_wire(), 128, snd, rcv);
+        let proposal = |scheme, (blk_min, blk_median)| Proposal {
+            size: 128,
+            scheme,
+            blk_min,
+            blk_median,
+        };
+        let resolve = |s: Scheme, snd, rcv| receiver_scheme(ib, proposal(s.to_wire(), snd), rcv);
         // Contiguous on both sides is Multi-W whatever was proposed.
         let multi_w = Some((Scheme::MultiW, FALLBACK));
         assert_eq!(resolve(Scheme::RwgUp, (128, 128), &whole), multi_w);
@@ -1561,7 +1699,8 @@ mod tests {
         assert_eq!(resolve(Scheme::Generic, (64, 64), &small), generic);
         let adaptive = resolve(Scheme::Adaptive, (64, 64), &small);
         assert_eq!(adaptive, Some((Scheme::BcSpup, FALLBACK)));
-        assert_eq!(receiver_scheme(ib, 0xEE, 128, (64, 64), &small), None);
+        let unknown = proposal(0xEE, (64, 64));
+        assert_eq!(receiver_scheme(ib, unknown, &small), None);
     }
 
     fn pieces(ivs: &[(u64, u64)], lo: u64, hi: u64) -> Vec<(u64, u64)> {

@@ -20,13 +20,13 @@ use crate::config::{
     RECONNECT_NS,
 };
 use crate::error::MpiError;
-use crate::msg::{CtrlMsg, ReplyBody, SegList};
+use crate::msg::{CtrlMsg, DirectPart, Proposal, Reply, SegList};
 use crate::plan::{
     adaptive_choose, direct_ranges, eager_via_temp, for_each_substream_piece, imm_of, imm_parse,
     lkey_for, plan_gather, plan_multi_w, plan_reply, reads_rcv_blocks, receiver_scheme, region_key,
     renegotiates_on_fault, send_geometry, send_prep, staging_chunk_for, substream_len, Gate, Pack,
-    Pin, PrepAt, RecvGate, RecvPlan, RecvStep, Refused, ReplyKind, SendPlan, SendPrep, Step, Tail,
-    WrFrame, FALLBACK,
+    Pin, PrepAt, RecvGate, RecvPlan, RecvStep, Refused, SendPlan, SendPrep, Step, Tail, WrFrame,
+    FALLBACK,
 };
 use crate::rank::{PostedRecv, RankState, ReconnState, ReqId, ReqKind, Unexpected};
 use crate::table::{ImmMap, MsgTable};
@@ -39,7 +39,6 @@ use ibdt_memreg::{ogr, Registration, Va};
 use ibdt_simcore::engine::Scheduler;
 use ibdt_simcore::pipeline::MAX_PIPELINE_BUFS;
 use ibdt_simcore::time::Time;
-use std::sync::Arc;
 
 /// Top-level simulation event for the MPI world.
 #[derive(Debug)]
@@ -457,15 +456,18 @@ fn start_send(
 ) -> SendMsg {
     let size = count * ty.size();
     let (nsegs, seg_size) = send_geometry(scheme, size, ctx.cfg);
+    let proposal = Proposal {
+        size,
+        scheme: scheme.to_wire(),
+        blk_min: stats.min,
+        blk_median: stats.median,
+    };
     let start = CtrlMsg::RndvStart {
         tag,
         seq,
-        size,
-        scheme: scheme.to_wire(),
+        proposal,
         nsegs,
         seg_size,
-        blk_min: stats.min,
-        blk_median: stats.median,
     };
     send_ctrl_msg(rs, ctx, peer, &start, 0);
     SendMsg {
@@ -524,10 +526,7 @@ pub fn irecv(
         Some(Unexpected::Rndv {
             peer,
             seq,
-            size,
-            scheme,
-            blk_min,
-            blk_median,
+            proposal,
             ..
         }) => {
             let posted = PostedRecv {
@@ -538,7 +537,7 @@ pub fn irecv(
                 count,
                 ty: ty.clone(),
             };
-            receiver_start(rs, am, ctx, posted, seq, size, scheme, blk_min, blk_median);
+            receiver_start(rs, am, ctx, posted, seq, proposal);
         }
         None => {
             rs.posted.push_back(PostedRecv {
@@ -1343,20 +1342,14 @@ fn on_ctrl(
                 }
             }
             CtrlMsg::RndvStart {
-                tag,
-                seq,
-                size,
-                scheme,
-                blk_min,
-                blk_median,
-                ..
+                tag, seq, proposal, ..
             } => {
                 if am.recvs.contains_key(&(peer, seq)) {
                     // A duplicate start for a live transfer: a flushed
                     // original was never delivered (flush precludes
                     // delivery), so this is exclusively the sender's
                     // §5.4.2 protection-fault renegotiation.
-                    receiver_renegotiate(rs, am, ctx, peer, seq, size);
+                    receiver_renegotiate(rs, am, ctx, peer, seq, proposal.size);
                     return;
                 }
                 match rs.match_posted(peer, tag) {
@@ -1365,16 +1358,13 @@ fn on_ctrl(
                         // needs the concrete source.
                         p.peer = peer;
                         p.tag = tag;
-                        receiver_start(rs, am, ctx, p, seq, size, scheme, blk_min, blk_median);
+                        receiver_start(rs, am, ctx, p, seq, proposal);
                     }
                     None => rs.unexpected.push_back(Unexpected::Rndv {
                         peer,
                         tag,
                         seq,
-                        size,
-                        scheme,
-                        blk_min,
-                        blk_median,
+                        proposal,
                     }),
                 }
             }
@@ -1483,25 +1473,21 @@ fn on_resume_ack(
 // Receiver side
 // ---------------------------------------------------------------------
 
-#[allow(clippy::too_many_arguments)]
 fn receiver_start(
     rs: &mut RankState,
     am: &mut ActiveMsgs,
     ctx: &mut Ctx<'_, '_>,
     p: PostedRecv,
     seq: u64,
-    size: u64,
-    scheme_wire: u8,
-    blk_min: u64,
-    blk_median: u64,
+    proposal: Proposal,
 ) {
     let rstats = rs.plan_for(&p.ty, p.count).stats();
-    let snd = (blk_min, blk_median);
-    let chosen = receiver_scheme(ctx.fabric.class(), scheme_wire, size, snd, &rstats);
+    let chosen = receiver_scheme(ctx.fabric.class(), proposal, &rstats);
     let Some((scheme, fallback)) = chosen else {
         rs.fail_req(p.req, MpiError::MalformedCtrl { peer: p.peer });
         return;
     };
+    let size = proposal.size;
     assert_eq!(
         p.count * p.ty.size(),
         size,
@@ -1557,15 +1543,13 @@ fn receiver_reply(
 /// The one committer of every reply: probes that a direct reply fits an
 /// eager buffer (a "complicated datatype" per §5.3 does not), charges
 /// the pinning budget, pins the planned blocks out of `blocks`, acquires
-/// the packed substream's segment buffers and queues the reply. Returns
-/// `false`, having committed nothing, when the reply outgrows an eager
-/// buffer or the budget.
+/// the staging the reply hands the sender, then builds the reply once
+/// from what it committed and queues it. Returns `false`, having
+/// committed nothing, when the reply outgrows an eager buffer or the
+/// budget.
 ///
-/// The reply goes out once the receiver is ready: P-RRS and Multi-W
-/// wait on the registration that exposes the user buffer, the others
-/// on the control overhead. Multi-W pins its blocks a second time (a
-/// pin-down cache hit whose cost is part of its reply time), so its
-/// budget check reserves twice the footprint.
+/// What each kind hands over, how often it pins and what its reply
+/// waits on is one table, [`crate::plan::ReplyKind::commit`].
 fn commit_reply(
     rs: &mut RankState,
     ctx: &mut Ctx<'_, '_>,
@@ -1585,64 +1569,27 @@ fn commit_reply(
         }
         None => Vec::new(),
     };
-    let headroom = if kind == ReplyKind::MultiW { 2 } else { 1 };
+    let (staging, passes, waits_on_reg) = kind.commit();
     let need: u64 = regions.iter().map(|&(_, l)| l).sum();
     if rs
         .pinned_user_bytes
-        .saturating_add(need.saturating_mul(headroom))
+        .saturating_add(need.saturating_mul(passes))
         > ctx.cfg.reg_budget_bytes
     {
         return false;
     }
-    // The reply with placeholder keys and buffers, filled in once
-    // committed.
-    let (base, count, nsegs) = (msg.buf, msg.count, plan.nsegs as usize);
+    let nbufs = if staging == Pack::None { 0 } else { plan.nsegs };
     let key = tag.map(|t| (msg.peer, t.index, t.version));
     let layout = key
         .filter(|k| !rs.sent_layouts.contains(k))
-        .map(|_| msg.ty.flat().as_ref().clone());
-    let keyed = regions.iter().map(|&(a, l)| (a, l, 0)).collect();
-    let body = match (kind, tag) {
-        (ReplyKind::Buffer, _) => ReplyBody::Buffer { addr: 0, rkey: 0 },
-        (ReplyKind::Segments, _) => ReplyBody::Segments {
-            segs: SegList::new(),
-        },
-        (ReplyKind::MultiW, Some(tag)) => ReplyBody::MultiW {
-            base,
-            tag,
-            count,
-            layout,
-            regions: keyed,
-        },
-        (ReplyKind::Hybrid, Some(tag)) => ReplyBody::Hybrid {
-            base,
-            tag,
-            count,
-            layout,
-            regions: keyed,
-            segs: vec![(0, 0); nsegs],
-            threshold: plan.pin_min.unwrap_or(0),
-        },
-        _ => ReplyBody::ReadGo,
-    };
-    let mut reply = CtrlMsg::RndvReply {
-        seq: msg.seq,
-        scheme: scheme.to_wire(),
-        body,
-    };
+        .map(|_| msg.ty.flat().clone());
     if let Some(key) = key {
-        let mut probe = rs.scratch.take_ctrl();
-        reply.encode_into(&mut probe);
-        let fits = probe.len() as u64 <= ctx.cfg.eager_buf_size;
-        rs.scratch.put_ctrl(probe);
-        if !fits {
+        let len = Reply::wire_len(kind, nbufs as usize, regions.len(), layout.as_deref());
+        if len > ctx.cfg.eager_buf_size {
             return false;
         }
         rs.sent_layouts.insert(key);
     }
-    let CtrlMsg::RndvReply { body, .. } = &mut reply else {
-        unreachable!("built as a reply above");
-    };
     let first = msg.user_regs.len();
     if plan.pin_min.is_some() {
         let (regs, pinned) = (&mut msg.user_regs, &mut msg.pinned_bytes);
@@ -1650,49 +1597,46 @@ fn commit_reply(
         rs.cpu
             .reserve_labeled(ctx.now(), cost.expect("budget checked above"), "reg");
     }
-    if let ReplyBody::MultiW { regions, .. } | ReplyBody::Hybrid { regions, .. } = body {
-        for (r, reg) in regions.iter_mut().zip(&msg.user_regs[first..]) {
-            r.2 = reg.rkey;
-        }
-    }
+    let keyed = regions.iter().zip(&msg.user_regs[first..]);
+    let direct = tag.map(|tag| DirectPart {
+        base: msg.buf,
+        tag,
+        count: msg.count,
+        layout,
+        regions: keyed.map(|(&(a, l), reg)| (a, l, reg.rkey)).collect(),
+    });
     let mut segs = SegList::new();
-    if kind != ReplyKind::ReadGo {
-        for _ in 0..nsegs {
-            let sb = if kind == ReplyKind::Buffer {
-                acquire_stage(rs, ctx, plan.seg_size)
-            } else {
-                acquire_seg(rs, ctx, true)
-            };
-            segs.push((sb.va, sb.rkey));
-            msg.unpack_bufs.push(sb);
-        }
+    for _ in 0..nbufs {
+        let sb = if staging == Pack::Whole {
+            acquire_stage(rs, ctx, plan.seg_size)
+        } else {
+            acquire_seg(rs, ctx, true)
+        };
+        segs.push((sb.va, sb.rkey));
+        msg.unpack_bufs.push(sb);
     }
-    match body {
-        ReplyBody::Buffer { addr, rkey } => (*addr, *rkey) = segs[0],
-        ReplyBody::Segments { segs: s } => *s = segs,
-        ReplyBody::Hybrid { segs: s, .. } => s.copy_from_slice(&segs),
-        _ => {}
-    }
+    let body = Reply { kind, segs, direct };
     let mut cost = 0;
-    if kind == ReplyKind::MultiW {
+    for _ in 1..passes {
         let (regs, pinned) = (&mut msg.user_regs, &mut msg.pinned_bytes);
-        cost = try_acquire_user_regs(rs, ctx, &regions, regs, pinned).expect("2x headroom");
+        let again = try_acquire_user_regs(rs, ctx, &regions, regs, pinned);
+        cost += again.expect("budget checked above");
     }
-    let (cost, label) = match kind {
-        ReplyKind::MultiW | ReplyKind::ReadGo => {
-            (cost + device_reg_extra(ctx, rs.rank, msg.buf), "reg")
-        }
-        _ => (CTRL_OVERHEAD_NS, "ctrl"),
+    let (cost, label) = if waits_on_reg {
+        (cost + device_reg_extra(ctx, rs.rank, msg.buf), "reg")
+    } else {
+        (CTRL_OVERHEAD_NS, "ctrl")
     };
     msg.scheme = scheme;
     msg.plan = plan;
     if kind.direct() {
         maybe_evict_reply_reg(rs, ctx, msg);
     }
-    msg.reply = rs.scratch.take_ctrl();
-    reply.encode_into(&mut msg.reply);
-    let done = rs.cpu.reserve_labeled(ctx.now(), cost, label);
     let (peer, seq) = (msg.peer, msg.seq);
+    let scheme = scheme.to_wire();
+    msg.reply = rs.scratch.take_ctrl();
+    CtrlMsg::RndvReply { seq, scheme, body }.encode_into(&mut msg.reply);
+    let done = rs.cpu.reserve_labeled(ctx.now(), cost, label);
     ctx.cpu_event(done, rs.rank, CpuAct::ReceiverReady { peer, seq });
     true
 }
@@ -1913,7 +1857,7 @@ fn finish_recv(
         Some(err) => rs.fail_req(msg.req, err),
         None => {
             rs.done_seqs.insert((peer, seq));
-            if msg.plan.kind == ReplyKind::ReadGo {
+            if msg.plan.kind.reads() {
                 send_ctrl_msg(rs, ctx, peer, &CtrlMsg::Fin { seq }, 0);
             }
             rs.complete_req(msg.req);
@@ -1941,7 +1885,7 @@ fn sender_on_reply(
     peer: u32,
     seq: u64,
     scheme_wire: u8,
-    mut body: ReplyBody,
+    mut body: Reply,
 ) {
     let Some(mut msg) = am.sends.remove(&(peer, seq)) else {
         // The send was aborted earlier (flush/timeout) or already
@@ -1963,82 +1907,25 @@ fn sender_on_reply(
     };
     // Zero-copy replies name the receiver's layout by tag; the layout
     // itself travels only on a peer's first use of the tag.
-    let rcv_blocks = match &mut body {
-        ReplyBody::MultiW {
-            base,
-            tag,
-            count,
-            layout,
-            ..
-        }
-        | ReplyBody::Hybrid {
-            base,
-            tag,
-            count,
-            layout,
-            ..
-        } => {
-            let cached = match layout.take() {
-                Some(l) => {
-                    let l = Arc::new(l);
-                    rs.layout_cache.insert(peer, *tag, l.clone());
-                    Some(l)
-                }
-                None => rs.layout_cache.lookup(peer, *tag),
-            };
-            let Some(layout) = cached else {
-                // The promised cached layout is gone — the reply
-                // cannot be acted on.
-                rs.errors.push(MpiError::MalformedCtrl { peer });
-                am.sends.insert((peer, seq), msg);
-                return;
-            };
-            let base = *base;
-            layout
-                .repeat(*count)
-                .into_iter()
-                .map(|(o, l)| ((base as i64 + o) as u64, l))
-                .collect()
-        }
-        _ => Vec::new(),
-    };
-    msg.scheme = reply_scheme;
-    let prep = send_prep(reply_scheme, msg.contig, PrepAt::Reply);
-    let mut plan = SendPlan {
-        kind: ReplyKind::ReadGo,
-        from_user: prep.pin == Pin::User,
-        nsegs: msg.nsegs,
-        segs: SegList::new(),
-        rcv_blocks,
-        regions: Vec::new(),
-    };
-    match body {
-        ReplyBody::Buffer { addr, rkey } => {
-            (plan.kind, plan.segs) = (ReplyKind::Buffer, SegList::of((addr, rkey)));
-        }
-        ReplyBody::Segments { segs } => (plan.kind, plan.segs) = (ReplyKind::Segments, segs),
-        ReplyBody::ReadGo => {}
-        ReplyBody::MultiW { regions, .. } => {
-            (plan.kind, plan.regions) = (ReplyKind::MultiW, regions)
-        }
-        ReplyBody::Hybrid {
-            regions,
-            segs,
-            threshold,
-            ..
-        } => {
-            // Both sides plan the same partition from the receiver's
-            // layout; the packed part joins the segment pipeline.
-            debug_assert_eq!(threshold, HYBRID_BLOCK_THRESHOLD);
-            let rp = plan_reply(reply_scheme, msg.size, &plan.rcv_blocks, ctx.cfg);
-            debug_assert_eq!(rp.nsegs as usize, segs.len());
-            (msg.nsegs, msg.seg_size, msg.packed_ivs) = (rp.nsegs, rp.seg_size, rp.packed_ivs);
-            plan.kind = ReplyKind::Hybrid;
-            plan.nsegs = rp.nsegs;
-            plan.segs = segs.into_iter().collect();
-            plan.regions = regions;
+    if let Some(d) = &mut body.direct {
+        match &d.layout {
+            Some(layout) => rs.layout_cache.insert(peer, d.tag, layout.clone()),
+            None => d.layout = rs.layout_cache.lookup(peer, d.tag),
         }
     }
+    let prep = send_prep(reply_scheme, msg.contig, PrepAt::Reply);
+    let (from_user, geometry) = (prep.pin == Pin::User, (msg.nsegs, msg.seg_size));
+    let Some((plan, (seg_size, ivs))) =
+        SendPlan::from_reply(body, from_user, geometry, msg.size, ctx.cfg)
+    else {
+        // The promised cached layout is gone — the reply cannot be
+        // acted on.
+        rs.errors.push(MpiError::MalformedCtrl { peer });
+        am.sends.insert((peer, seq), msg);
+        return;
+    };
+    msg.scheme = reply_scheme;
+    (msg.nsegs, msg.seg_size, msg.packed_ivs) = (plan.nsegs, seg_size, ivs);
     msg.plan = Some(plan);
     // The receiver may have picked differently from the early work
     // (adaptive decision, Multi-W fallback, or the zero-copy contiguous
@@ -2776,7 +2663,7 @@ fn maybe_evict_reply_reg(rs: &mut RankState, ctx: &mut Ctx<'_, '_>, msg: &RecvMs
 
 #[cfg(test)]
 mod tests {
-    use super::{Ev, RecvMsg, SendMsg};
+    use super::{Ev, RecvMsg, SendMsg, Unexpected};
     use std::mem::size_of;
 
     /// Events carry transfer handles, not transfers: every schedule,
@@ -2786,12 +2673,14 @@ mod tests {
         assert!(size_of::<Ev>() <= 80, "{}", size_of::<Ev>());
     }
 
-    /// A transfer's progress is its plan plus one cursor: neither
-    /// record grows past its size before the step lists (every live
-    /// rendezvous holds one, and peak memory is a benchmark metric).
+    /// A transfer's progress is its plan plus one cursor, and a queued
+    /// start holds one proposal: no record grows past its measured size
+    /// (every live rendezvous holds one, and peak memory is a benchmark
+    /// metric).
     #[test]
     fn messages_stay_small() {
-        assert!(size_of::<RecvMsg>() <= 280, "{}", size_of::<RecvMsg>());
+        assert!(size_of::<RecvMsg>() <= 192, "{}", size_of::<RecvMsg>());
         assert!(size_of::<SendMsg>() <= 320, "{}", size_of::<SendMsg>());
+        assert!(size_of::<Unexpected>() <= 48, "{}", size_of::<Unexpected>());
     }
 }

@@ -8,6 +8,7 @@
 
 use crate::config::{MpiConfig, PINDOWN_CAPACITY};
 use crate::error::MpiError;
+use crate::msg::Proposal;
 use crate::pool::{ScratchPool, SegmentPool};
 
 /// Wildcard source for receives (`MPI_ANY_SOURCE`).
@@ -86,14 +87,8 @@ pub enum Unexpected {
         tag: u32,
         /// Sequence number.
         seq: u64,
-        /// Packed message size.
-        size: u64,
-        /// Sender's proposed scheme (wire code).
-        scheme: u8,
-        /// Sender-side minimum contiguous block, bytes.
-        blk_min: u64,
-        /// Sender-side median contiguous block, bytes.
-        blk_median: u64,
+        /// What the receiver decides the scheme from.
+        proposal: Proposal,
     },
 }
 
@@ -755,10 +750,12 @@ mod tests {
                             peer,
                             tag,
                             seq: *n,
-                            size: 1 << 20,
-                            scheme: 1,
-                            blk_min: 64,
-                            blk_median: 128,
+                            proposal: Proposal {
+                                size: 1 << 20,
+                                scheme: 1,
+                                blk_min: 64,
+                                blk_median: 128,
+                            },
                         });
                     }
                     *n += 1;
