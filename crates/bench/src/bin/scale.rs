@@ -8,13 +8,15 @@
 //! Writes `results/x14.csv`.
 //!
 //! `--smoke` runs only the 1024-rank point and enforces the CI budget
-//! (wall time and per-rank state), exiting nonzero on a miss — the
-//! `ci.sh --scale` gate.
+//! (wall time and per-rank state) and its pinned fingerprint, exiting
+//! nonzero on a miss — the `ci.sh --scale` gate.
 //!
 //! `--chaos-smoke` is the chaos acceptance gate (`ci.sh
 //! --chaos-scale`): a seeded crash-stop plan on the 4096-rank run
-//! must fingerprint bit-identically across 1, 2, and 8 shards.
-//! `IBDT_CHAOS_SEED` overrides the plan seed for replays.
+//! must fingerprint bit-identically across 1, 2, and 8 shards, and at
+//! the default seed match its pinned fingerprint, delivered and lost
+//! counts. `IBDT_CHAOS_SEED` overrides the plan seed for replays;
+//! another seed has no pinned values.
 //!
 //! `--x15` sweeps the scheduled crash count on the 4096-rank driver
 //! (the survivable-fault-rate experiment, DESIGN.md §15) and writes
@@ -30,6 +32,15 @@ const SMOKE_WALL_BUDGET_S: f64 = 10.0;
 /// 4 KiB/rank is an order of magnitude above the measured value, so a
 /// regression back toward dense n² tables trips the gate loudly.
 const SMOKE_STATE_PER_RANK_B: usize = 4096;
+/// The 1024-rank smoke's fingerprint, unchanged since the one-event-
+/// at-a-time heap driver. Comparing shards only with the sequential
+/// run cannot see an ordering bug that every partition shares.
+const SMOKE_FINGERPRINT: u64 = 0xbe1e66df9306096c;
+/// Default seed of the chaos smoke's crash-stop plan.
+const CHAOS_SMOKE_SEED: u64 = 0xC4A0;
+/// The chaos smoke's result at [`CHAOS_SMOKE_SEED`], unchanged since
+/// the heap driver: fingerprint, messages delivered, messages lost.
+const CHAOS_SMOKE_PIN: (u64, u64, u64) = (0xe2475027bdb0108d, 3_771_338, 16_320);
 
 fn run_point(ranks: u32, shards: usize, threads: usize) -> (ScaleReport, f64) {
     let cfg = ScaleConfig {
@@ -73,6 +84,13 @@ fn smoke() -> i32 {
         println!(
             "FAIL: sharded fingerprint {:#018x} != sequential {:#018x}",
             rep.fingerprint, reference.fingerprint
+        );
+        ok = false;
+    }
+    if reference.fingerprint != SMOKE_FINGERPRINT {
+        println!(
+            "FAIL: sequential fingerprint {:#018x} != pinned {SMOKE_FINGERPRINT:#018x}",
+            reference.fingerprint
         );
         ok = false;
     }
@@ -122,7 +140,7 @@ fn chaos_point(
 /// run on the 4096-rank driver is bit-identical across 1, 2, and 8
 /// shards — fingerprint, finish time, and every failure observation.
 fn chaos_smoke() -> i32 {
-    let seed = chaos_seed(0xC4A0);
+    let seed = chaos_seed(CHAOS_SMOKE_SEED);
     let plan = ScaleFaultPlan::seeded(seed, 4096, 16, 32, 2_000_000);
     let n_events = plan.events.len();
     let (reference, wall) = chaos_point(4096, 1, 1, plan.clone());
@@ -144,6 +162,17 @@ fn chaos_smoke() -> i32 {
     }
     if reference.lost == 0 {
         println!("FAIL: crash-stop mid-alltoall must lose in-flight messages");
+        ok = false;
+    }
+    // A replay under another seed has no pinned values.
+    let observed = (reference.fingerprint, reference.msgs, reference.lost);
+    if seed == CHAOS_SMOKE_SEED && observed != CHAOS_SMOKE_PIN {
+        let (fp, msgs, lost) = CHAOS_SMOKE_PIN;
+        println!(
+            "FAIL: sequential run (fingerprint {:#018x}, {} delivered, {} lost) != \
+             pinned ({fp:#018x}, {msgs} delivered, {lost} lost)",
+            observed.0, observed.1, observed.2
+        );
         ok = false;
     }
     for shards in [2usize, 8] {

@@ -1716,6 +1716,51 @@ mod tests {
         assert_eq!(rings(&mut recycled), rings(&mut fresh));
     }
 
+    /// An eager header whose `size` runs past its buffer is malformed:
+    /// `on_ctrl` records one `MalformedCtrl` for its peer and delivers
+    /// nothing, as it does for a header that fails to decode.
+    #[test]
+    fn an_eager_size_past_its_buffer_is_malformed() {
+        /// Runs `on_ctrl` on rank 0 in one engine step, from peer 1.
+        struct Deliver<'c> {
+            cluster: &'c mut Cluster,
+            bytes: Vec<u8>,
+        }
+        impl World for Deliver<'_> {
+            type Event = Ev;
+            fn handle(&mut self, sched: &mut Scheduler<'_, Ev>, _: Ev) {
+                let bytes = &self.bytes;
+                self.cluster.with_ctx(sched, 0, |rs, am, ctx| {
+                    progress::on_ctrl(rs, am, ctx, 1, bytes)
+                });
+            }
+        }
+        for size in [3, u64::MAX] {
+            let mut bytes = Vec::new();
+            crate::msg::CtrlMsg::EagerData {
+                tag: 7,
+                seq: 0,
+                size,
+            }
+            .encode_into(&mut bytes);
+            bytes.extend_from_slice(&[1, 2]);
+            let mut cluster = Cluster::new(ClusterSpec::default());
+            let mut engine = Engine::new();
+            engine.seed(0, Ev::Resume { rank: 0 });
+            engine.step(&mut Deliver {
+                cluster: &mut cluster,
+                bytes,
+            });
+            let rs = &cluster.ranks[0];
+            assert_eq!(
+                rs.errors,
+                [MpiError::MalformedCtrl { peer: 1 }],
+                "size {size}"
+            );
+            assert!(rs.unexpected.is_empty(), "size {size}");
+        }
+    }
+
     /// True when a cluster is parked in this thread's spare.
     fn parked() -> bool {
         CLUSTER_SPARE.with(|s| s.borrow().is_some())

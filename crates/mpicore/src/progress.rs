@@ -1297,7 +1297,7 @@ fn repost_eager_recv(rs: &mut RankState, ctx: &mut Ctx<'_, '_>, peer: u32, va: V
 // Control message dispatch
 // ---------------------------------------------------------------------
 
-fn on_ctrl(
+pub(crate) fn on_ctrl(
     rs: &mut RankState,
     am: &mut ActiveMsgs,
     ctx: &mut Ctx<'_, '_>,
@@ -1308,11 +1308,7 @@ fn on_ctrl(
     // Piggybacked `CreditUpdate`s precede the carried message in the
     // same buffer; consume that prefix, then dispatch the message.
     let mut off = 0usize;
-    loop {
-        let Some((msg, hdr_len)) = CtrlMsg::decode(&bytes[off..]) else {
-            rs.errors.push(MpiError::MalformedCtrl { peer });
-            return;
-        };
+    while let Some((msg, hdr_len)) = CtrlMsg::decode(&bytes[off..]) {
         off += hdr_len;
         if let CtrlMsg::CreditUpdate { credits } = msg {
             rs.fc[peer as usize].credits += credits;
@@ -1324,7 +1320,9 @@ fn on_ctrl(
         }
         match msg {
             CtrlMsg::EagerData { tag, seq, size } => {
-                let payload = &bytes[off..off + size as usize];
+                let Some(payload) = bytes[off..].get(..size as usize) else {
+                    break;
+                };
                 match rs.match_posted(peer, tag) {
                     Some(p) => {
                         fc_on_eager_matched(rs, ctx, peer, size);
@@ -1407,6 +1405,9 @@ fn on_ctrl(
         }
         return;
     }
+    // A header failed to decode, or an eager payload runs past the
+    // buffer.
+    rs.errors.push(MpiError::MalformedCtrl { peer });
 }
 
 /// A recovering peer asks where to restart transfer `seq`. Answered
@@ -2663,7 +2664,7 @@ fn maybe_evict_reply_reg(rs: &mut RankState, ctx: &mut Ctx<'_, '_>, msg: &RecvMs
 
 #[cfg(test)]
 mod tests {
-    use super::{Ev, RecvMsg, SendMsg, Unexpected};
+    use super::{CtrlMsg, Ev, RecvMsg, SendMsg, Unexpected};
     use std::mem::size_of;
 
     /// Events carry transfer handles, not transfers: every schedule,
@@ -2682,5 +2683,13 @@ mod tests {
         assert!(size_of::<RecvMsg>() <= 192, "{}", size_of::<RecvMsg>());
         assert!(size_of::<SendMsg>() <= 320, "{}", size_of::<SendMsg>());
         assert!(size_of::<Unexpected>() <= 48, "{}", size_of::<Unexpected>());
+    }
+
+    /// `CtrlMsg::decode` returns every control message by value, so a
+    /// field added to any variant (a reply holds its segment list and
+    /// direct part side by side) costs every decode.
+    #[test]
+    fn control_messages_stay_small() {
+        assert!(size_of::<CtrlMsg>() <= 176, "{}", size_of::<CtrlMsg>());
     }
 }

@@ -14,15 +14,19 @@
 //! Ranks are partitioned across [`ShardSim`] shards and advance in
 //! conservative windows of one link propagation delay (the lookahead).
 //! Every cross-rank event — a message arrival, a completion ack — is
-//! charged at least that delay, and every event is keyed by the
-//! partition-independent `(time, kind, rank, msg-id)` tuple, so the
-//! run is **bit-identical across shard and thread counts** (asserted
-//! in tests and by `ci.sh --scale`). The per-rank result digest is an
-//! FNV-1a fold of each completion, combined in rank order.
+//! charged at least that delay, and every event is keyed by its
+//! partition-independent identity `(time, kind, id)` (message id or
+//! fault plan index), so the run is **bit-identical across shard and
+//! thread counts** (asserted in tests and by `ci.sh --scale`). The
+//! per-rank result digest is an FNV-1a fold of each completion,
+//! combined in rank order.
 //!
 //! A shard keeps its pending events in one unsorted buffer and runs
 //! each window as a batch: one pass moves the due events to the front,
 //! one sort puts just those in key order, and they run in that order.
+//! The rank an event touches never decides its order, so under the
+//! lockstep Alltoall the scan hands a window's events over already in
+//! key order and that sort finds one run.
 //! Nothing a window creates is due inside it, except the injection an
 //! ack triggers, which the ack runs inline (see `ScaleShard::advance`
 //! for why that is its rank's next event). `tests/scale_golden.rs`
@@ -92,7 +96,8 @@ pub struct ScaleFaultPlan {
     /// Seed the event list was derived from (0 for hand-built plans).
     pub seed: u64,
     /// Scheduled fault events. Order is irrelevant — events are keyed
-    /// into the simulation's total order by `(time, kind, rank)`.
+    /// into the simulation's total order by `(time, kind, plan index)`,
+    /// and same-time faults of one kind on one rank commute.
     pub events: Vec<ScaleFault>,
 }
 
@@ -278,17 +283,22 @@ const K_INJECT: u8 = 2;
 const K_ARRIVE: u8 = 3;
 const K_ACK: u8 = 4;
 
-/// One simulation event. The derived order on `(time, kind, rank, id)`
-/// is the partition-independent total order; `peer` is routing payload
+/// One simulation event. The derived order on `(time, kind, id)` is
+/// the partition-independent total order: `(kind, id)` names exactly
+/// one event (a message, id `r·mpr + k`, has one inject, one arrive
+/// and one ack; a fault's id is its plan index, and fault kinds are
+/// not traffic kinds), so `rank` and `peer` never decide it. `rank` is
+/// the rank whose model the event touches; `peer` is routing payload
 /// (the destination rank for arrivals, the original sender for acks,
-/// the stall duration for stalls) and never decides order — message
-/// ids are globally unique, fault ids are plan indices.
+/// the stall duration for stalls). Across ranks the order follows
+/// message ids, which is the order the due scan finds a lockstep
+/// window's events in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct Ev {
     time: Time,
     kind: u8,
-    rank: u32,
     id: u64,
+    rank: u32,
     peer: u32,
 }
 
@@ -539,6 +549,12 @@ impl ShardWorld for ScaleShard {
         }
         self.scanned += self.pending.len() as u64;
         self.pending[..due].sort_unstable();
+        debug_assert!(
+            self.pending[..due]
+                .windows(2)
+                .all(|w| (w[0].time, w[0].kind, w[0].id) < (w[1].time, w[1].kind, w[1].id)),
+            "two pending events share one (time, kind, id) identity"
+        );
         // A successor takes the slot of an event that already ran:
         // each event creates at most one, so `fill <= i`.
         let mut fill = 0;
@@ -623,7 +639,7 @@ pub fn run_scale_with(cfg: &ScaleConfig, net: &NetConfig, host: &HostConfig) -> 
     }
 
     // Seed the chaos plan: each fault becomes an event in its target
-    // rank's owning shard, keyed `(time, kind, rank, plan-index)` —
+    // rank's owning shard, keyed `(time, kind, plan-index)` —
     // the same partition-free total order as the traffic, which is
     // the whole determinism argument.
     for (i, f) in cfg.faults.events.iter().enumerate() {
